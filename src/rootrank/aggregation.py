@@ -11,13 +11,18 @@ Per-edge-kind maps are stored as D x D tensors whose off-diagonal head
 blocks are masked to zero in the forward pass, so head i only ever sees
 its own block.
 
-Graph-shaped constants (edge selectors, incidence, head block masks) are
-precomputed once per graph into a :class:`GraphPlan` and reused across
-training steps.
+A graph enters the layer as a :class:`GraphPlan`: per-edge integer
+arrays (source, target, prior row) plus a 0/1 column mask per node kind
+and per edge kind, so every plan array is O(n + E).  Edge rows are
+gathered from node rows with ``take_rows``, each node's incoming edges
+compete in one ``segment_softmax`` per head, and the weighted messages
+are added into the rows of their target nodes with ``segment_sum``.
+Plans are built once per graph and reused across training steps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,103 +114,50 @@ def init_attention_params(dim: int, heads: int, rng: np.random.Generator) -> Att
     )
 
 
-@dataclass(frozen=True)
-class PlanEdge:
-    src: int
-    dst: int
-    kind: EdgeKind
-
-
 @dataclass
 class GraphPlan:
-    """Constant matrices derived from one graph's structure.
+    """Index arrays and masks derived from one graph's structure.
 
-    Edges are reordered canonically by (dst, src, kind ordinal) so each
-    target's incoming edges are contiguous and match neighbors_in order.
+    Edges are ordered canonically by (dst, src, kind ordinal), so each
+    target's incoming edges are contiguous and ordered by source id and
+    then edge kind.
     """
 
     n: int
-    dim: int
-    heads: int
-    kinds: tuple[NodeKind, ...]
-    edges: tuple[PlanEdge, ...]
-    kind_rows: dict[NodeKind, Tensor]          # (n, n) diagonal node-kind mask
-    src_sel: dict[EdgeKind, Tensor]            # (E, n) source selector, zero rows off-kind
-    dst_sel: dict[EdgeKind, Tensor]            # (E, n) target selector, zero rows off-kind
-    mu_sel: Tensor                             # (E, MU_SIZE) prior selector
-    incidence: Tensor                          # (n, E) edge -> target scatter
-    targets: tuple[tuple[int, Tensor, Tensor], ...]  # (node, gather (m,E), scatter (E,m))
-    head_sum: Tensor                           # (D, H) sums each head block
-    head_expand: Tensor                        # (H, D) repeats head weights across the block
-    block_mask: Tensor                         # (D, D) in-head-block indicator
+    src: np.ndarray                        # (E,) source node of each edge
+    dst: np.ndarray                        # (E,) target node of each edge
+    mu_idx: np.ndarray                     # (E,) row of the edge's prior in ``mu``
+    node_mask: dict[NodeKind, Tensor]      # (n, 1) 1.0 on nodes of the kind
+    edge_mask: dict[EdgeKind, Tensor]      # (E, 1) 1.0 on edges of the kind; present kinds only
 
 
-def build_plan(g: CommitGraph, dim: int, heads: int) -> GraphPlan:
-    n = len(g.nodes)
-    d = dim // heads
-    kinds = tuple(node.kind for node in g.nodes)
-
+def build_plan(g: CommitGraph) -> GraphPlan:
+    kinds = [node.kind for node in g.nodes]
     order = sorted(g.edges, key=lambda e: (e.dst, e.src, e.kind.ordinal))
-    edges = tuple(PlanEdge(e.src, e.dst, e.kind) for e in order)
-    n_edges = len(edges)
 
-    kind_rows = {}
-    for kind in NodeKind:
-        m = np.zeros((n, n))
-        for i, node_kind in enumerate(kinds):
-            if node_kind is kind:
-                m[i, i] = 1.0
-        kind_rows[kind] = constant(m)
-
-    src_sel = {}
-    dst_sel = {}
-    for kind in EdgeKind:
-        if not any(e.kind is kind for e in edges):
-            continue
-        s = np.zeros((n_edges, n))
-        t = np.zeros((n_edges, n))
-        for row, e in enumerate(edges):
-            if e.kind is kind:
-                s[row, e.src] = 1.0
-                t[row, e.dst] = 1.0
-        src_sel[kind] = constant(s)
-        dst_sel[kind] = constant(t)
-
-    mu_sel = np.zeros((n_edges, MU_SIZE))
-    inc = np.zeros((n, n_edges))
-    for row, e in enumerate(edges):
-        mu_sel[row, mu_index(kinds[e.src], e.kind, kinds[e.dst])] = 1.0
-        inc[e.dst, row] = 1.0
-
-    targets = []
-    row = 0
-    while row < n_edges:
-        t = edges[row].dst
-        hi = row
-        while hi < n_edges and edges[hi].dst == t:
-            hi += 1
-        gather = np.zeros((hi - row, n_edges))
-        gather[np.arange(hi - row), np.arange(row, hi)] = 1.0
-        targets.append((t, constant(gather), constant(gather.T.copy())))
-        row = hi
-
-    head_sum = np.zeros((dim, heads))
-    for i in range(heads):
-        head_sum[i * d:(i + 1) * d, i] = 1.0
-    block_mask = np.zeros((dim, dim))
-    for i in range(heads):
-        lo = i * d
-        block_mask[lo:lo + d, lo:lo + d] = 1.0
+    def column(flags) -> Tensor:
+        return constant(np.array(flags, dtype=np.float64).reshape(-1, 1))
 
     return GraphPlan(
-        n=n, dim=dim, heads=heads, kinds=kinds, edges=edges,
-        kind_rows=kind_rows, src_sel=src_sel, dst_sel=dst_sel,
-        mu_sel=constant(mu_sel), incidence=constant(inc),
-        targets=tuple(targets),
-        head_sum=constant(head_sum),
-        head_expand=constant(head_sum.T.copy()),
-        block_mask=constant(block_mask),
+        n=len(kinds),
+        src=np.array([e.src for e in order], dtype=np.intp),
+        dst=np.array([e.dst for e in order], dtype=np.intp),
+        mu_idx=np.array([mu_index(kinds[e.src], e.kind, kinds[e.dst]) for e in order],
+                        dtype=np.intp),
+        node_mask={k: column([kind is k for kind in kinds]) for k in NodeKind},
+        edge_mask={k: column([e.kind is k for e in order])
+                   for k in EdgeKind if any(e.kind is k for e in order)},
     )
+
+
+@functools.cache
+def _head_maps(dim: int, heads: int) -> tuple[Tensor, Tensor, Tensor]:
+    """0/1 head-layout constants: (D, D) in-block mask, (D, H) block sums, (H, D) expansion."""
+    head_sum = np.kron(np.eye(heads), np.ones((dim // heads, 1)))
+    maps = (head_sum @ head_sum.T, head_sum, head_sum.T.copy())
+    for m in maps:
+        m.setflags(write=False)  # shared by every caller
+    return tuple(constant(m) for m in maps)
 
 
 @dataclass
@@ -215,12 +167,6 @@ class HeadVectors:
     k: Tensor
     q: Tensor
     v: Tensor
-    heads: int
-
-    def head(self, which: str, i: int) -> np.ndarray:
-        full = getattr(self, which).data
-        d = full.shape[1] // self.heads
-        return full[:, i * d:(i + 1) * d]
 
 
 def project_kqv(tape: Tape | None, h_prev: Tensor, params: AttentionParams,
@@ -228,18 +174,31 @@ def project_kqv(tape: Tape | None, h_prev: Tensor, params: AttentionParams,
     """Project node states through the projection of each node's own kind."""
 
     def typed(w: dict[NodeKind, Tensor], b: dict[NodeKind, Tensor]) -> Tensor:
-        parts = []
-        for kind in NodeKind:
-            projected = ad.add(tape, ad.matmul(tape, h_prev, w[kind]), b[kind])
-            parts.append(ad.matmul(tape, plan.kind_rows[kind], projected))
+        parts = [
+            ad.mul(tape, ad.add(tape, ad.matmul(tape, h_prev, w[kind]), b[kind]),
+                   plan.node_mask[kind])
+            for kind in NodeKind
+        ]
         return ad.add(tape, parts[0], parts[1])
 
     return HeadVectors(
         k=typed(params.w_k, params.b_k),
         q=typed(params.w_q, params.b_q),
         v=typed(params.w_v, params.b_v),
-        heads=params.heads,
     )
+
+
+def _edge_rows(tape: Tape | None, plan: GraphPlan, states: Tensor,
+               maps: dict[EdgeKind, Tensor], block_mask: Tensor) -> Tensor:
+    """Per edge, the source state through its edge kind's block-diagonal map, shape (E, D)."""
+    out = None
+    for kind, mask in plan.edge_mask.items():
+        mapped = ad.matmul(tape, states, ad.mul(tape, maps[kind], block_mask))
+        rows = ad.mul(tape, ad.take_rows(tape, mapped, plan.src), mask)
+        out = rows if out is None else ad.add(tape, out, rows)
+    if out is None:
+        raise ValueError("edge rows of a graph without edges")
+    return out
 
 
 def attention_logits(tape: Tape | None, plan: GraphPlan, kv: HeadVectors,
@@ -250,79 +209,50 @@ def attention_logits(tape: Tape | None, plan: GraphPlan, kv: HeadVectors,
     K_head(src) @ W_att_block @ Q_head(dst), scaled by the (source kind,
     edge kind, target kind) prior and 1/sqrt(D/H).
     """
-    raw = None
-    for kind, sel in plan.src_sel.items():
-        masked = ad.mul(tape, params.w_att[kind], plan.block_mask)
-        kw = ad.matmul(tape, kv.k, masked)
-        k_rows = ad.matmul(tape, sel, kw)
-        q_rows = ad.matmul(tape, plan.dst_sel[kind], kv.q)
-        per_head = ad.matmul(tape, ad.mul(tape, k_rows, q_rows), plan.head_sum)
-        raw = per_head if raw is None else ad.add(tape, raw, per_head)
-    if raw is None:
-        raise ValueError("attention_logits on a graph without edges")
-    mu_edges = ad.matmul(tape, plan.mu_sel, params.mu)
-    ones_row = constant(np.ones((1, params.heads)))
-    mu_grid = ad.matmul(tape, mu_edges, ones_row)
+    block_mask, head_sum, _expand = _head_maps(params.dim, params.heads)
+    keys = _edge_rows(tape, plan, kv.k, params.w_att, block_mask)
+    queries = ad.take_rows(tape, kv.q, plan.dst)
+    raw = ad.matmul(tape, ad.mul(tape, keys, queries), head_sum)
+    prior = ad.take_rows(tape, params.mu, plan.mu_idx)
     scale = 1.0 / math.sqrt(params.dim / params.heads)
-    return ad.scalar_mul(tape, ad.mul(tape, raw, mu_grid), scale)
+    return ad.scalar_mul(tape, ad.mul(tape, raw, prior), scale)
 
 
-def attention_weights(tape: Tape | None, logits: Tensor, plan: GraphPlan, t: int) -> Tensor:
-    """Softmax over all incoming edges of target ``t``, independently per head.
+def attention_weights(tape: Tape | None, logits: Tensor, plan: GraphPlan) -> Tensor:
+    """Softmax over each target's incoming edges, independently per head, shape (E, H).
 
     Every incoming edge competes in one softmax regardless of its kind.
-    Shape (in-degree of t, H); rows follow neighbors_in order.
     """
-    for node, gather, _scatter in plan.targets:
-        if node == t:
-            return ad.softmax(tape, ad.matmul(tape, gather, logits), axis=0)
-    raise ValueError(f"node {t} has no incoming edges")
+    return ad.segment_softmax(tape, logits, plan.dst, plan.n)
 
 
 def edge_messages(tape: Tape | None, plan: GraphPlan, kv: HeadVectors,
                   params: AttentionParams) -> Tensor:
     """Per-edge message content, shape (E, D): V_head(src) @ W_msg_block per head."""
-    out = None
-    for kind, sel in plan.src_sel.items():
-        masked = ad.mul(tape, params.w_msg[kind], plan.block_mask)
-        vw = ad.matmul(tape, kv.v, masked)
-        rows = ad.matmul(tape, sel, vw)
-        out = rows if out is None else ad.add(tape, out, rows)
-    if out is None:
-        raise ValueError("edge_messages on a graph without edges")
-    return out
+    block_mask, _sum, _expand = _head_maps(params.dim, params.heads)
+    return _edge_rows(tape, plan, kv.v, params.w_msg, block_mask)
 
 
-def aggregate(tape: Tape | None, plan: GraphPlan, weights: list[Tensor],
+def aggregate(tape: Tape | None, plan: GraphPlan, weights: Tensor,
               messages: Tensor) -> Tensor:
     """Attention-weighted sum of messages into each target, shape (n, D).
 
-    ``weights[i]`` must be the weight matrix for ``plan.targets[i]``.
-    Targets with no incoming edges get an exactly zero row.
+    ``weights`` is (E, H) and ``messages`` (E, D).  Targets with no
+    incoming edges get an exactly zero row.
     """
-    if len(weights) != len(plan.targets):
-        raise ValueError("one weight matrix per attended target required")
-    if not plan.targets:
-        return constant(np.zeros((plan.n, plan.dim)))
-    w_edges = None
-    for (node, _gather, scatter), w in zip(plan.targets, weights):
-        scattered = ad.matmul(tape, scatter, w)
-        w_edges = scattered if w_edges is None else ad.add(tape, w_edges, scattered)
-    w_full = ad.matmul(tape, w_edges, plan.head_expand)
-    weighted = ad.mul(tape, w_full, messages)
-    return ad.matmul(tape, plan.incidence, weighted)
+    dim, heads = messages.shape[1], weights.shape[1]
+    _mask, _sum, head_expand = _head_maps(dim, heads)
+    w_full = ad.matmul(tape, weights, head_expand)
+    return ad.segment_sum(tape, ad.mul(tape, w_full, messages), plan.dst, plan.n)
 
 
 def attention_forward(tape: Tape | None, h_prev: Tensor, plan: GraphPlan,
                       params: AttentionParams) -> Tensor:
     """Full layer: project, score, normalize, message, aggregate."""
-    if not plan.edges:
-        return constant(np.zeros((plan.n, plan.dim)))
+    if not plan.edge_mask:
+        return constant(np.zeros(h_prev.shape))
     kv = project_kqv(tape, h_prev, params, plan)
     logits = attention_logits(tape, plan, kv, params)
-    weights = [
-        ad.softmax(tape, ad.matmul(tape, gather, logits), axis=0)
-        for _node, gather, _scatter in plan.targets
-    ]
+    weights = attention_weights(tape, logits, plan)
     messages = edge_messages(tape, plan, kv, params)
     return aggregate(tape, plan, weights, messages)

@@ -7,9 +7,12 @@ gradients of a scalar loss with respect to every leaf that requires
 them.  Passing ``tape=None`` runs the same forward math without
 recording, for inference.
 
-The op set is closed: matmul, add, sub, mul, scalar_mul, sigmoid, tanh,
-relu, softmax, concat, split, transpose, sum (reduce), log, layer_norm.
-All ops reject non-finite results.
+The op set holds what the model calls and nothing more: matmul, add,
+sub, mul, scalar_mul, sigmoid, tanh, relu, log_sigmoid, reduce_sum,
+layer_norm, and the index ops take_rows (gather), segment_sum (scatter
+add) and segment_softmax (softmax within each segment of rows), which
+carry graph-shaped work without dense one-hot matrices.  All ops reject
+non-finite results.
 """
 
 from __future__ import annotations
@@ -68,14 +71,6 @@ class Tape:
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], bwd: _Backward) -> None:
         self._records.append((out, inputs, bwd))
         self._produced.add(id(out))
-
-    def apply(self, op: str, inputs: Sequence[Tensor], **attrs) -> Tensor:
-        """Generic dispatch by op name; same contracts as the named functions."""
-        try:
-            fn = _OPS[op]
-        except KeyError:
-            raise ValueError(f"unknown op kind {op!r}") from None
-        return fn(self, *inputs, **attrs)
 
 
 class Gradients:
@@ -215,71 +210,14 @@ def relu(tape: Tape | None, a: Tensor) -> Tensor:
     return _make(tape, out, (a,), bwd)
 
 
-def softmax(tape: Tape | None, a: Tensor, axis: int = 0) -> Tensor:
-    """Softmax over vectors: rank-1 directly, rank-2 independently along ``axis``.
-
-    Implemented with max subtraction, so it is shift invariant and never
-    overflows.
-    """
+def log_sigmoid(tape: Tape | None, a: Tensor) -> Tensor:
+    """log(sigmoid(a)) = -softplus(-a), exact for saturated inputs of either sign."""
     x = a.data
-    if x.ndim == 1:
-        ax = 0
-    else:
-        if axis not in (0, 1):
-            raise ValueError("softmax: axis must be 0 or 1 for matrices")
-        ax = axis
-    if x.shape[ax] == 0:
-        raise ValueError("softmax over an empty axis")
-    shifted = x - x.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=ax, keepdims=True)
+    e = np.exp(-np.abs(x))
+    out = np.minimum(x, 0.0) - np.log1p(e)
     def bwd(g):
-        dot = (p * g).sum(axis=ax, keepdims=True)
-        return (p * (g - dot),)
-    return _make(tape, p, (a,), bwd)
-
-
-def concat(tape: Tape | None, *tensors: Tensor) -> Tensor:
-    """Concatenate along the last axis."""
-    if not tensors:
-        raise ValueError("concat of zero tensors")
-    ndim = tensors[0].data.ndim
-    if any(t.data.ndim != ndim for t in tensors):
-        raise ValueError("concat: mixed ranks")
-    ax = ndim - 1
-    out = np.concatenate([t.data for t in tensors], axis=ax)
-    widths = [t.data.shape[ax] for t in tensors]
-    bounds = np.cumsum(widths)[:-1]
-    def bwd(g):
-        return tuple(np.split(g, bounds, axis=ax))
-    return _make(tape, out, tuple(tensors), bwd)
-
-
-def split(tape: Tape | None, a: Tensor, parts: int) -> list[Tensor]:
-    """Split into ``parts`` equal chunks along the last axis."""
-    ax = a.data.ndim - 1
-    width = a.data.shape[ax]
-    if parts < 1 or width % parts != 0:
-        raise ValueError(f"split: {width} columns do not divide into {parts} parts")
-    step = width // parts
-    outs = []
-    for i in range(parts):
-        lo = i * step
-        piece = a.data[..., lo:lo + step]
-        def bwd(g, lo=lo):
-            full = np.zeros_like(a.data)
-            full[..., lo:lo + step] = g
-            return (full,)
-        outs.append(_make(tape, piece.copy(), (a,), bwd))
-    return outs
-
-
-def transpose(tape: Tape | None, a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError("transpose: rank-2 only")
-    out = a.data.T.copy()
-    def bwd(g):
-        return (g.T,)
+        # d/da log(sigmoid(a)) = sigmoid(-a), formed without cancellation
+        return (g * np.where(x >= 0, e / (1.0 + e), 1.0 / (1.0 + e)),)
     return _make(tape, out, (a,), bwd)
 
 
@@ -289,14 +227,6 @@ def reduce_sum(tape: Tape | None, a: Tensor, axis: int | None = None) -> Tensor:
         if axis is None:
             return (np.broadcast_to(g, a.data.shape).copy(),)
         return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(),)
-    return _make(tape, out, (a,), bwd)
-
-
-def log(tape: Tape | None, a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-    def bwd(g):
-        return (g / a.data,)
     return _make(tape, out, (a,), bwd)
 
 
@@ -326,31 +256,69 @@ def layer_norm(tape: Tape | None, a: Tensor, gain: Tensor, bias: Tensor, eps: fl
     return _make(tape, out, (a, gain, bias), bwd)
 
 
-_OPS = {
-    "matmul": matmul,
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "scalar_mul": scalar_mul,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "relu": relu,
-    "softmax": softmax,
-    "concat": concat,
-    "split": split,
-    "transpose": transpose,
-    "sum": reduce_sum,
-    "log": log,
-    "layer_norm": layer_norm,
-}
+def _indices(index, bound: int) -> np.ndarray:
+    """A 1-D integer index array whose entries all lie in [0, bound)."""
+    idx = np.asarray(index, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ValueError(f"indices must be 1-D, got shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= bound):
+        raise ValueError(f"indices must lie in [0, {bound})")
+    return idx
 
 
-def clamp_unit_interval(tape: Tape | None, p: Tensor, eps: float = 1e-12) -> Tensor:
-    """Pin values into [eps, 1-eps] using relu hinges (differentiable in the interior)."""
-    eps_t = constant(np.full_like(p.data, eps))
-    hi_t = constant(np.full_like(p.data, 1.0 - eps))
-    raised = add(tape, p, relu(tape, sub(tape, eps_t, p)))
-    return sub(tape, raised, relu(tape, sub(tape, raised, hi_t)))
+def _segment_ids(segment_ids, rows: int, num_segments: int) -> np.ndarray:
+    ids = _indices(segment_ids, num_segments)
+    if len(ids) != rows:
+        raise ValueError(f"need one segment id per row: {len(ids)} ids for {rows} rows")
+    return ids
+
+
+def take_rows(tape: Tape | None, a: Tensor, index: np.ndarray) -> Tensor:
+    """Gather ``a[index]``: rows of a matrix or entries of a vector; indices may repeat."""
+    idx = _indices(index, a.data.shape[0])
+    out = a.data[idx]
+    def bwd(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, idx, g)
+        return (full,)
+    return _make(tape, out, (a,), bwd)
+
+
+def segment_sum(tape: Tape | None, a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+    """Row ``s`` of the result is the sum of the rows of ``a`` whose id is ``s``.
+
+    Rows are added in row order; a segment without rows is zero.
+    """
+    ids = _segment_ids(segment_ids, a.data.shape[0], num_segments)
+    out = np.zeros((num_segments,) + a.data.shape[1:])
+    np.add.at(out, ids, a.data)
+    def bwd(g):
+        return (g[ids],)
+    return _make(tape, out, (a,), bwd)
+
+
+def segment_softmax(tape: Tape | None, a: Tensor, segment_ids: np.ndarray,
+                    num_segments: int) -> Tensor:
+    """Softmax over the rows of each segment, independently per column.
+
+    Max subtraction per segment and column makes it shift invariant and
+    keeps it from overflowing.
+    """
+    x = a.data
+    if x.ndim != 2:
+        raise ValueError(f"segment_softmax: rank-2 input required, got shape {x.shape}")
+    ids = _segment_ids(segment_ids, x.shape[0], num_segments)
+    top = np.full((num_segments, x.shape[1]), -np.inf)
+    np.maximum.at(top, ids, x)
+    e = np.exp(x - top[ids])
+    total = np.zeros_like(top)
+    np.add.at(total, ids, e)
+    p = e / total[ids]
+    def bwd(g):
+        dot = np.zeros_like(top)
+        np.add.at(dot, ids, p * g)
+        return (p * (g - dot[ids]),)
+    return _make(tape, p, (a,), bwd)
 
 
 def grad_check(f: Callable[[Tape | None, Sequence[Tensor]], Tensor],

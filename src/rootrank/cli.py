@@ -12,6 +12,8 @@ key=value config file (--config), then explicit flags.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import sys
 from pathlib import Path
 
@@ -230,10 +232,12 @@ def cmd_rank(args: argparse.Namespace) -> int:
     embedded = embed_dataset(ds, provider)
     model = TrainedModel(params=params, cfg=cfg, training_log=[])
 
-    header = "commit_id,rank,node_id,score,text"
+    body = io.StringIO()
+    writer = csv.writer(body, lineterminator="\n")
+    header = ["commit_id", "rank", "node_id", "score", "text"]
     if args.show_truth:
-        header += ",is_root_cause"
-    lines = [header]
+        header.append("is_root_cause")
+    writer.writerow(header)
     ranked_commits = 0
     for eg in embedded:
         if not eg.graph.deleted_ids():
@@ -241,19 +245,17 @@ def cmd_rank(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             continue
         for position, (node_id, node_score) in enumerate(rank_commit(model, eg), start=1):
-            text = eg.graph.nodes[node_id].text or ""
-            text = text.replace('"', '""')
-            row = f'{eg.graph.commit_id},{position},{node_id},{node_score!r},"{text}"'
+            node = eg.graph.nodes[node_id]
+            row = [eg.graph.commit_id, position, node_id, repr(node_score), node.text or ""]
             if args.show_truth:
-                row += f",{int(eg.graph.nodes[node_id].is_root_cause)}"
-            lines.append(row)
+                row.append(int(node.is_root_cause))
+            writer.writerow(row)
         ranked_commits += 1
 
-    body = "\n".join(lines) + "\n"
     if args.output:
-        Path(args.output).write_text(body, encoding="utf-8")
+        Path(args.output).write_text(body.getvalue(), encoding="utf-8")
     else:
-        sys.stdout.write(body)
+        sys.stdout.write(body.getvalue())
     print(f"{ranked_commits} commits ranked", file=sys.stderr)
     return 0
 

@@ -148,19 +148,6 @@ def validate_graph(g: CommitGraph, require_root_cause: bool = True) -> list[str]
     return violations
 
 
-def neighbors_in(g: CommitGraph, t: int) -> list[tuple[int, EdgeKind]]:
-    """All (source, kind) pairs of edges pointing at node ``t``.
-
-    Sorted ascending by (source id, edge kind ordinal) so downstream
-    aggregation order is deterministic.
-    """
-    if not 0 <= t < len(g.nodes):
-        raise KeyError(f"graph {g.commit_id!r} has no node {t}")
-    incoming = [(e.src, e.kind) for e in g.edges if e.dst == t]
-    incoming.sort(key=lambda item: (item[0], item[1].ordinal))
-    return incoming
-
-
 # ---------------------------------------------------------------------------
 # On-disk schema
 

@@ -275,6 +275,22 @@ def save_checkpoint(path: str | Path, params: NetworkParams, cfg: ModelConfig) -
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
+_HEADER_TYPES = {
+    "dim": int, "heads": int, "layers": int, "proj_dim": int,
+    "mode": str, "seed": int, "sigma": (int, float),
+}
+
+
+def _field(obj: dict, key: str, types, where: str):
+    """``obj[key]`` checked against ``types``; CheckpointError names the field otherwise."""
+    if key not in obj:
+        raise CheckpointError(f"{where}: missing field {key!r}")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise CheckpointError(f"{where}: field {key!r} has invalid value {value!r}")
+    return value
+
+
 def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -282,29 +298,46 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
         raise CheckpointError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+    header = {key: _field(payload, key, types, str(path)) for key, types in _HEADER_TYPES.items()}
+    modes = {m.value: m for m in Mode}
+    if header["mode"] not in modes:
+        raise CheckpointError(f"{path}: field 'mode' must be one of {sorted(modes)}")
     cfg = ModelConfig(
-        dim=payload["dim"],
-        heads=payload["heads"],
-        layers=payload["layers"],
-        proj_dim=payload["proj_dim"],
-        mode=Mode(payload["mode"]),
-        seed=payload["seed"],
-        sigma=payload["sigma"],
+        dim=header["dim"],
+        heads=header["heads"],
+        layers=header["layers"],
+        proj_dim=header["proj_dim"],
+        mode=modes[header["mode"]],
+        seed=header["seed"],
+        sigma=header["sigma"],
     )
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     params = init_network_params(cfg, np.random.default_rng(0))
     expected = named_tensors(params)
-    stored = payload.get("tensors")
-    if not isinstance(stored, list) or len(stored) != len(expected):
-        raise CheckpointError(f"{path}: expected {len(expected)} tensors")
-    for (name, tensor), entry in zip(expected, stored):
-        if entry.get("name") != name:
-            raise CheckpointError(f"{path}: tensor order mismatch: {entry.get('name')!r} != {name!r}")
-        shape = tuple(entry["shape"])
+    stored = _field(payload, "tensors", list, str(path))
+    if len(stored) != len(expected):
+        raise CheckpointError(f"{path}: expected {len(expected)} tensors, found {len(stored)}")
+    for index, ((name, tensor), entry) in enumerate(zip(expected, stored)):
+        where = f"{path}: tensors[{index}]"
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"{where}: entry must be an object")
+        if _field(entry, "name", str, where) != name:
+            raise CheckpointError(f"{path}: tensor order mismatch: {entry['name']!r} != {name!r}")
+        where = f"{path}: {name}"
+        shape = tuple(_field(entry, "shape", list, where))
         if shape != tensor.data.shape:
-            raise CheckpointError(f"{path}: {name}: shape {shape} != {tensor.data.shape}")
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+            raise CheckpointError(f"{where}: shape {shape} != {tensor.data.shape}")
+        data = _field(entry, "data", list, where)
+        try:
+            arr = np.asarray(data, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"{where}: field 'data' must hold numbers: {exc}") from exc
+        if arr.shape != (tensor.data.size,):
+            raise CheckpointError(f"{where}: field 'data' must hold {tensor.data.size} numbers")
         if not np.isfinite(arr).all():
-            raise CheckpointError(f"{path}: {name}: non-finite values")
-        tensor.data = arr
+            raise CheckpointError(f"{where}: non-finite values")
+        tensor.data = arr.reshape(shape)
     return params, cfg

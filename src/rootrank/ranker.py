@@ -68,25 +68,6 @@ def build_pairs(g: CommitGraph, include_ties: bool = False) -> list[PairSample]:
     return pairs
 
 
-def score(task_embedding: np.ndarray, params: NetworkParams) -> float:
-    """Affine map of one task embedding to a scalar score."""
-    return float(task_embedding @ params.scorer_w.data + params.scorer_b.data)
-
-
-def pair_probability(s_i: float, s_j: float, sigma: float = 1.0) -> float:
-    """Probability that item i outranks item j: logistic of sigma * (s_i - s_j)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return ad.sigmoid(None, constant(sigma * (s_i - s_j))).item()
-
-
-def pairwise_loss(p: float, p_bar: float) -> float:
-    """Cross entropy between predicted and target pair orderings."""
-    eps = 1e-12
-    p = min(max(p, eps), 1.0 - eps)
-    return float(-p_bar * np.log(p) - (1.0 - p_bar) * np.log(1.0 - p))
-
-
 @dataclass
 class AdamState:
     """Adam accumulators for one fixed list of parameter tensors."""
@@ -124,37 +105,28 @@ class _CommitBatch:
     graph: CommitGraph
     h0: Tensor
     plan: GraphPlan
-    deleted_sel: Tensor            # (k, n) rows of the deleted nodes
-    pair_i: Tensor | None          # (P, k) selector of each pair's first score
-    pair_j: Tensor | None
+    deleted: np.ndarray            # (k,) node ids of the deleted lines, in id order
+    pair_i: np.ndarray | None      # (P,) row in ``deleted`` of each pair's first line
+    pair_j: np.ndarray | None
     labels: np.ndarray | None      # (P,)
     pairs: tuple[PairSample, ...]
 
 
-def _prepare(eg: EmbeddedGraph, cfg: ModelConfig) -> _CommitBatch:
+def _prepare(eg: EmbeddedGraph, cfg: ModelConfig, with_pairs: bool = True) -> _CommitBatch:
     g = eg.graph
     deleted = g.deleted_ids()
-    n = len(g.nodes)
-    sel = np.zeros((len(deleted), n))
-    for row, node_id in enumerate(deleted):
-        sel[row, node_id] = 1.0
-    pairs = tuple(build_pairs(g, include_ties=cfg.include_tie_pairs))
+    pairs = tuple(build_pairs(g, include_ties=cfg.include_tie_pairs)) if with_pairs else ()
     pair_i = pair_j = labels = None
     if pairs:
         pos = {node_id: row for row, node_id in enumerate(deleted)}
-        pi = np.zeros((len(pairs), len(deleted)))
-        pj = np.zeros((len(pairs), len(deleted)))
-        for row, pair in enumerate(pairs):
-            pi[row, pos[pair.i]] = 1.0
-            pj[row, pos[pair.j]] = 1.0
-        pair_i = constant(pi)
-        pair_j = constant(pj)
+        pair_i = np.array([pos[pair.i] for pair in pairs], dtype=np.intp)
+        pair_j = np.array([pos[pair.j] for pair in pairs], dtype=np.intp)
         labels = np.array([pair.label for pair in pairs])
     return _CommitBatch(
         graph=g,
         h0=constant(eg.h0),
-        plan=build_plan(g, cfg.dim, cfg.heads),
-        deleted_sel=constant(sel),
+        plan=build_plan(g),
+        deleted=np.array(deleted, dtype=np.intp),
         pair_i=pair_i,
         pair_j=pair_j,
         labels=labels,
@@ -164,25 +136,28 @@ def _prepare(eg: EmbeddedGraph, cfg: ModelConfig) -> _CommitBatch:
 
 def _deleted_scores(tape: Tape | None, batch: _CommitBatch, params: NetworkParams,
                     cfg: ModelConfig) -> Tensor:
+    """Scalar score of each deleted line, shape (k,), in ``batch.deleted`` order."""
     embeddings = network_forward(tape, batch.h0, batch.plan, params, cfg.mode)
-    picked = ad.matmul(tape, batch.deleted_sel, embeddings)
+    picked = ad.take_rows(tape, embeddings, batch.deleted)
     return ad.add(tape, ad.matmul(tape, picked, params.scorer_w), params.scorer_b)
 
 
 def _pair_loss_from_scores(tape: Tape | None, scores: Tensor, batch: _CommitBatch,
                            cfg: ModelConfig, subset: slice | None = None) -> Tensor:
+    """RankNet cross-entropy summed over pairs.
+
+    With logit x = sigma * (s_i - s_j) and label y, each pair costs
+    -(y log sigmoid(x) + (1 - y) log sigmoid(-x)), exact and with a live
+    gradient however confidently a pair is misranked.
+    """
     pair_i, pair_j, labels = batch.pair_i, batch.pair_j, batch.labels
     if subset is not None:
-        pair_i = constant(pair_i.data[subset])
-        pair_j = constant(pair_j.data[subset])
-        labels = labels[subset]
-    s_i = ad.matmul(tape, pair_i, scores)
-    s_j = ad.matmul(tape, pair_j, scores)
-    logit = ad.scalar_mul(tape, ad.sub(tape, s_i, s_j), cfg.sigma)
-    p = ad.clamp_unit_interval(tape, ad.sigmoid(tape, logit))
-    ones = constant(np.ones_like(labels))
-    pos = ad.mul(tape, ad.log(tape, p), constant(labels))
-    neg = ad.mul(tape, ad.log(tape, ad.sub(tape, ones, p)), constant(1.0 - labels))
+        pair_i, pair_j, labels = pair_i[subset], pair_j[subset], labels[subset]
+    diff = ad.sub(tape, ad.take_rows(tape, scores, pair_i), ad.take_rows(tape, scores, pair_j))
+    logit = ad.scalar_mul(tape, diff, cfg.sigma)
+    pos = ad.mul(tape, ad.log_sigmoid(tape, logit), constant(labels))
+    neg = ad.mul(tape, ad.log_sigmoid(tape, ad.scalar_mul(tape, logit, -1.0)),
+                 constant(1.0 - labels))
     return ad.scalar_mul(tape, ad.reduce_sum(tape, ad.add(tape, pos, neg)), -1.0)
 
 
@@ -317,8 +292,8 @@ def rank_commit(model: TrainedModel, eg: EmbeddedGraph) -> list[tuple[int, float
         raise ValueError(
             f"commit {g.commit_id!r}: embedding dim {eg.h0.shape[1]} != model dim {model.cfg.dim}"
         )
-    plan = build_plan(g, model.cfg.dim, model.cfg.heads)
-    embeddings = network_forward(None, constant(eg.h0), plan, model.params, model.cfg.mode)
-    scored = [(node_id, score(embeddings.data[node_id], model.params)) for node_id in deleted]
+    batch = _prepare(eg, model.cfg, with_pairs=False)
+    scores = _deleted_scores(None, batch, model.params, model.cfg).data
+    scored = [(node_id, float(s)) for node_id, s in zip(deleted, scores)]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored

@@ -12,8 +12,21 @@ import math
 import numpy as np
 
 from rootrank.aggregation import AttentionParams, mu_index
-from rootrank.graphs import CommitGraph, NodeKind, neighbors_in
+from rootrank.graphs import CommitGraph, EdgeKind, NodeKind
 from rootrank.network import GruParams, Mode, NetworkParams
+
+
+def neighbors_in(g: CommitGraph, t: int) -> list[tuple[int, EdgeKind]]:
+    """All (source, kind) pairs of edges pointing at node ``t``.
+
+    Sorted ascending by (source id, edge kind ordinal), the order in
+    which the layer's plan lists each target's incoming edges.
+    """
+    if not 0 <= t < len(g.nodes):
+        raise KeyError(f"graph {g.commit_id!r} has no node {t}")
+    incoming = [(e.src, e.kind) for e in g.edges if e.dst == t]
+    incoming.sort(key=lambda item: (item[0], item[1].ordinal))
+    return incoming
 
 
 def _sigmoid(x):
@@ -105,7 +118,7 @@ def naive_network_forward(h0: np.ndarray, g: CommitGraph, params: NetworkParams,
 def random_graph(rng: np.random.Generator, max_nodes: int = 6,
                  require_deleted: bool = True) -> CommitGraph:
     """Random small commit graph with mixed node and edge kinds."""
-    from rootrank.graphs import DepEdge, EdgeKind, LineNode
+    from rootrank.graphs import DepEdge, LineNode
 
     n = int(rng.integers(2, max_nodes + 1))
     kinds = [NodeKind.DELETED if rng.random() < 0.5 else NodeKind.ADDED for _ in range(n)]

@@ -10,6 +10,7 @@ import math
 import re
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from rootrank.evaluation import (
     mfr,
     recall_at_n,
 )
-from rootrank.graphs import neighbors_in
 from rootrank.network import (
     Mode,
     ModelConfig,
@@ -38,15 +38,26 @@ from rootrank.network import (
 )
 from rootrank.ranker import (
     TrainedModel,
+    _pair_loss_from_scores,
     gradient_check_full_loss,
-    pair_probability,
-    pairwise_loss,
     rank_commit,
     train,
 )
 from rootrank.synthetic import GenConfig, generate
 
-from naive_reference import naive_attention_forward, naive_gru, random_graph
+from naive_reference import naive_attention_forward, naive_gru, neighbors_in, random_graph
+
+
+def pair_loss(s_i, s_j, label, sigma=1.0):
+    """The training loss of one pair with scores (s_i, s_j)."""
+    pairs = SimpleNamespace(pair_i=np.array([0]), pair_j=np.array([1]), labels=np.array([label]))
+    scores = constant(np.array([s_i, s_j]))
+    return _pair_loss_from_scores(None, scores, pairs, ModelConfig(sigma=sigma)).item()
+
+
+def pair_probability(s_i, s_j, sigma=1.0):
+    """P(i outranks j) implied by the loss: exp(-loss at label 1)."""
+    return math.exp(-pair_loss(s_i, s_j, 1.0, sigma))
 
 
 def ok(criterion, detail):
@@ -83,15 +94,15 @@ class TestCriterion2AttentionNormalization:
         zero_rows_checked = 0
         for _ in range(200):
             g = random_graph(rng)
-            plan = build_plan(g, dim=8, heads=4)
+            plan = build_plan(g)
             params = init_attention_params(8, 4, rng)
             h0 = rng.normal(size=(len(g.nodes), 8))
-            if plan.edges:
+            if len(plan.dst):
                 kv = project_kqv(None, constant(h0), params, plan)
-                logits = attention_logits(None, plan, kv, params)
-                for t, _gather, _scatter in plan.targets:
-                    w = attention_weights(None, logits, plan, t)
-                    sums = w.data.sum(axis=0)
+                w = attention_weights(None, attention_logits(None, plan, kv, params), plan)
+                assert w.data.shape == (len(g.edges), 4)
+                for t in np.unique(plan.dst):
+                    sums = w.data[plan.dst == t].sum(axis=0)
                     assert np.all(np.abs(sums - 1.0) <= 1e-9)
                     targets_checked += 1
             h_tilde = attention_forward(None, constant(h0), plan, params)
@@ -111,7 +122,7 @@ class TestCriterion3OracleEquivalence:
         for _ in range(100):
             g = random_graph(rng, max_nodes=6)
             params = init_attention_params(8, 2, rng)
-            plan = build_plan(g, dim=8, heads=2)
+            plan = build_plan(g)
             h0 = rng.normal(size=(len(g.nodes), 8))
             fast = attention_forward(None, constant(h0), plan, params).data
             slow = naive_attention_forward(h0, g, params)
@@ -136,7 +147,7 @@ class TestCriterion4RankNetIdentities:
         for _ in range(100):
             s = float(rng.uniform(-50, 50))
             assert abs(pair_probability(s, s) - 0.5) <= 1e-12
-        assert abs(pairwise_loss(0.5, 1.0) - math.log(2.0)) <= 1e-12
+        assert abs(pair_loss(0.0, 0.0, 1.0) - math.log(2.0)) <= 1e-12
 
         cfg = ModelConfig(dim=16, heads=2, layers=1, proj_dim=8, epochs=0)
         params = init_network_params(cfg, np.random.default_rng(0), random_scorer=True)
@@ -162,7 +173,7 @@ class TestCriterion5GateLimits:
             gru.w_hz.data = np.zeros((8, 8))
             gru.b_iz.data = np.full(8, 30.0)
             gru.b_hz.data = np.zeros(8)
-        plan = build_plan(g, cfg.dim, cfg.heads)
+        plan = build_plan(g)
         h0 = rng.normal(size=(len(g.nodes), 8))
         states = forward_states(None, constant(h0), plan, params, Mode.FULL)
         deviation = np.abs(states[-1].data - h0).max()

@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from rootrank import autodiff as ad
 from rootrank.aggregation import (
@@ -51,10 +50,43 @@ def chain_graph():
     )
 
 
+class TestGraphPlan:
+    def test_arrays_are_linear_in_graph_size(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            g = random_graph(rng)
+            plan = build_plan(g)
+            n, e = len(g.nodes), len(g.edges)
+            assert plan.n == n
+            for arr in (plan.src, plan.dst, plan.mu_idx):
+                assert arr.shape == (e,) and arr.dtype == np.intp
+            assert all(m.shape == (n, 1) for m in plan.node_mask.values())
+            assert all(m.shape == (e, 1) for m in plan.edge_mask.values())
+            assert set(plan.edge_mask) == {edge.kind for edge in g.edges}
+
+    def test_edges_sorted_by_target_then_source_then_kind(self):
+        g = CommitGraph(
+            commit_id="order",
+            nodes=tuple(LineNode(i, NodeKind.DELETED, text=str(i)) for i in range(3)),
+            edges=(
+                DepEdge(2, 0, EdgeKind.CALL),
+                DepEdge(1, 0, EdgeKind.CALL),
+                DepEdge(1, 0, EdgeKind.CONTROL_FLOW),
+                DepEdge(0, 2, EdgeKind.CALL),
+            ),
+        )
+        plan = build_plan(g)
+        assert plan.dst.tolist() == [0, 0, 0, 2]
+        assert plan.src.tolist() == [1, 1, 2, 0]
+        assert plan.edge_mask[EdgeKind.CONTROL_FLOW].data[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0]
+        expected_mu = mu_index(NodeKind.DELETED, EdgeKind.CALL, NodeKind.DELETED)
+        assert plan.mu_idx.tolist()[1:] == [expected_mu] * 3
+
+
 class TestProjectKqv:
     def test_identity_params_pass_input_through(self):
         g = chain_graph()
-        plan = build_plan(g, dim=4, heads=2)
+        plan = build_plan(g)
         params = identity_params(4, 2)
         h = constant(np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]))
         kv = project_kqv(None, h, params, plan)
@@ -63,19 +95,20 @@ class TestProjectKqv:
         np.testing.assert_array_equal(kv.v.data, h.data)
 
     def test_heads_are_contiguous_slices(self):
+        # head 1 owns columns 2:4, so changing them leaves head 0's logit alone
         g = chain_graph()
-        plan = build_plan(g, dim=4, heads=2)
+        plan = build_plan(g)
         params = identity_params(4, 2)
-        h = constant(np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]]))
-        kv = project_kqv(None, h, params, plan)
-        np.testing.assert_array_equal(kv.head("k", 0)[0], [1.0, 2.0])
-        np.testing.assert_array_equal(kv.head("k", 1)[0], [3.0, 4.0])
-        stitched = np.concatenate([kv.head("k", 0), kv.head("k", 1)], axis=1)
-        np.testing.assert_array_equal(stitched, kv.k.data)
+        h = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0]])
+        base = attention_logits(None, plan, project_kqv(None, constant(h), params, plan), params)
+        h[0, 2:] = [-7.0, 9.0]
+        moved = attention_logits(None, plan, project_kqv(None, constant(h), params, plan), params)
+        np.testing.assert_allclose(base.data[0], [3.0 / math.sqrt(2), 7.0 / math.sqrt(2)])
+        np.testing.assert_allclose(moved.data[0], [3.0 / math.sqrt(2), 2.0 / math.sqrt(2)])
 
     def test_kind_specific_projection_differs_for_identical_inputs(self):
         g = chain_graph()
-        plan = build_plan(g, dim=4, heads=2)
+        plan = build_plan(g)
         params = identity_params(4, 2)
         params.w_k[NodeKind.ADDED].data = 2.0 * np.eye(4)
         h = constant(np.ones((2, 4)))
@@ -88,7 +121,7 @@ class TestAttentionLogits:
     def test_direct_substitution(self):
         # identity map, unit prior, K = Q = [1, 0] per head, head dim 2
         g = chain_graph()
-        plan = build_plan(g, dim=4, heads=2)
+        plan = build_plan(g)
         params = identity_params(4, 2)
         h = constant(np.array([[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 0.0]]))
         kv = project_kqv(None, h, params, plan)
@@ -97,7 +130,7 @@ class TestAttentionLogits:
 
     def test_zero_prior_kills_logit(self):
         g = chain_graph()
-        plan = build_plan(g, dim=4, heads=2)
+        plan = build_plan(g)
         params = identity_params(4, 2)
         params.mu.data[mu_index(NodeKind.DELETED, EdgeKind.DATA_DEPENDENCY, NodeKind.ADDED), 0] = 0.0
         h = constant(np.ones((2, 4)) * 3.0)
@@ -107,7 +140,7 @@ class TestAttentionLogits:
 
     def test_orthogonal_key_query_gives_zero(self):
         g = chain_graph()
-        plan = build_plan(g, dim=4, heads=2)
+        plan = build_plan(g)
         params = identity_params(4, 2)
         h = np.zeros((2, 4))
         h[0] = [1.0, 0.0, 1.0, 0.0]   # source keys
@@ -122,7 +155,7 @@ class TestAttentionLogits:
         while not g.edges:
             g = random_graph(rng)
         params = init_attention_params(8, 2, rng)
-        plan = build_plan(g, dim=8, heads=2)
+        plan = build_plan(g)
         h = constant(rng.normal(size=(len(g.nodes), 8)))
         kv = project_kqv(None, h, params, plan)
         base = attention_logits(None, plan, kv, params).data.copy()
@@ -148,38 +181,38 @@ class TestAttentionWeights:
 
     def test_equal_logits_give_uniform_weights(self):
         g = self._three_in_edges()
-        plan = build_plan(g, dim=4, heads=2)
+        plan = build_plan(g)
         params = identity_params(4, 2)
         h = constant(np.ones((4, 4)))
         kv = project_kqv(None, h, params, plan)
         logits = attention_logits(None, plan, kv, params)
-        w = attention_weights(None, logits, plan, 3)
+        w = attention_weights(None, logits, plan)
         np.testing.assert_allclose(w.data, np.full((3, 2), 1 / 3), atol=1e-12)
 
     def test_ln2_logit_gap(self):
         # softmax([ln 2, 0]) = [2/3, 1/3], frozen from the softmax definition
         logits = constant(np.array([[math.log(2.0)], [0.0]]))
-        w = ad.softmax(None, logits, axis=0)
+        w = ad.segment_softmax(None, logits, np.array([0, 0]), 1)
         np.testing.assert_allclose(w.data[:, 0], [2 / 3, 1 / 3], atol=1e-15)
 
     def test_single_edge_weight_is_one(self):
         g = chain_graph()
-        plan = build_plan(g, dim=4, heads=2)
+        plan = build_plan(g)
         params = identity_params(4, 2)
         h = constant(np.random.default_rng(0).normal(size=(2, 4)))
         kv = project_kqv(None, h, params, plan)
         logits = attention_logits(None, plan, kv, params)
-        w = attention_weights(None, logits, plan, 1)
+        w = attention_weights(None, logits, plan)
         np.testing.assert_allclose(w.data, np.ones((1, 2)), atol=1e-15)
 
-    def test_no_incoming_edges_raises(self):
+    def test_no_incoming_edges_gives_no_rows(self):
         g = chain_graph()
-        plan = build_plan(g, dim=4, heads=2)
+        plan = build_plan(g)
         params = identity_params(4, 2)
         kv = project_kqv(None, constant(np.ones((2, 4))), params, plan)
-        logits = attention_logits(None, plan, kv, params)
-        with pytest.raises(ValueError, match="no incoming"):
-            attention_weights(None, logits, plan, 0)
+        w = attention_weights(None, attention_logits(None, plan, kv, params), plan)
+        assert plan.dst.tolist() == [1]
+        assert w.data[plan.dst == 0].shape == (0, 2)
 
     def test_weights_sum_to_one_per_head(self):
         rng = np.random.default_rng(77)
@@ -188,19 +221,18 @@ class TestAttentionWeights:
             if not g.edges:
                 continue
             params = init_attention_params(8, 4, rng)
-            plan = build_plan(g, dim=8, heads=4)
+            plan = build_plan(g)
             h = constant(rng.normal(size=(len(g.nodes), 8)))
             kv = project_kqv(None, h, params, plan)
-            logits = attention_logits(None, plan, kv, params)
-            for t, _gather, _scatter in plan.targets:
-                w = attention_weights(None, logits, plan, t)
-                np.testing.assert_allclose(w.data.sum(axis=0), 1.0, atol=1e-9)
+            w = attention_weights(None, attention_logits(None, plan, kv, params), plan)
+            for t in set(plan.dst.tolist()):
+                np.testing.assert_allclose(w.data[plan.dst == t].sum(axis=0), 1.0, atol=1e-9)
 
 
 class TestMessagesAndAggregate:
     def test_identity_messages_pass_values(self):
         g = chain_graph()
-        plan = build_plan(g, dim=4, heads=2)
+        plan = build_plan(g)
         params = identity_params(4, 2)
         h = constant(np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]]))
         kv = project_kqv(None, h, params, plan)
@@ -209,7 +241,7 @@ class TestMessagesAndAggregate:
 
     def test_zero_message_map_gives_zero(self):
         g = chain_graph()
-        plan = build_plan(g, dim=4, heads=2)
+        plan = build_plan(g)
         params = identity_params(4, 2)
         params.w_msg[EdgeKind.DATA_DEPENDENCY].data = np.zeros((4, 4))
         kv = project_kqv(None, constant(np.ones((2, 4))), params, plan)
@@ -219,7 +251,7 @@ class TestMessagesAndAggregate:
     def test_diagonal_message_map(self):
         # V head [1, 1] through diag(2, 3) -> [2, 3]
         g = chain_graph()
-        plan = build_plan(g, dim=2, heads=1)
+        plan = build_plan(g)
         params = identity_params(2, 1)
         params.w_msg[EdgeKind.DATA_DEPENDENCY].data = np.diag([2.0, 3.0])
         kv = project_kqv(None, constant(np.array([[1.0, 1.0], [0.0, 0.0]])), params, plan)
@@ -228,7 +260,7 @@ class TestMessagesAndAggregate:
 
     def test_single_edge_aggregation_copies_message(self):
         g = chain_graph()
-        plan = build_plan(g, dim=4, heads=2)
+        plan = build_plan(g)
         params = identity_params(4, 2)
         h = constant(np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]]))
         out = attention_forward(None, h, plan, params)
@@ -236,7 +268,7 @@ class TestMessagesAndAggregate:
 
     def test_isolated_node_gets_zero_row(self):
         g = chain_graph()
-        plan = build_plan(g, dim=4, heads=2)
+        plan = build_plan(g)
         params = identity_params(4, 2)
         h = constant(np.ones((2, 4)))
         out = attention_forward(None, h, plan, params)
@@ -253,7 +285,7 @@ class TestMessagesAndAggregate:
             DepEdge(1, 2, EdgeKind.CALL),
         )
         g = CommitGraph(commit_id="avg", nodes=nodes, edges=edges)
-        plan = build_plan(g, dim=2, heads=1)
+        plan = build_plan(g)
         params = identity_params(2, 1)
         # zero keys -> equal logits -> weights 1/2 each
         h = np.array([[2.0, 4.0], [6.0, 8.0], [0.0, 0.0]])
@@ -271,7 +303,7 @@ class TestForwardAgainstNaiveOracle:
             nodes=(LineNode(0, NodeKind.DELETED, text="x", is_root_cause=True),),
             edges=(),
         )
-        plan = build_plan(g, dim=4, heads=2)
+        plan = build_plan(g)
         params = identity_params(4, 2)
         out = attention_forward(None, constant(np.ones((1, 4))), plan, params)
         np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
@@ -281,7 +313,7 @@ class TestForwardAgainstNaiveOracle:
         for _ in range(30):
             g = random_graph(rng)
             params = init_attention_params(8, 2, rng)
-            plan = build_plan(g, dim=8, heads=2)
+            plan = build_plan(g)
             h0 = rng.normal(size=(len(g.nodes), 8))
             fast = attention_forward(None, constant(h0), plan, params).data
             slow = naive_attention_forward(h0, g, params)
@@ -312,8 +344,8 @@ class TestForwardAgainstNaiveOracle:
         g2 = CommitGraph(commit_id="perm", nodes=nodes, edges=edges)
         h0_perm = h0[perm.argsort()][:]
 
-        out1 = attention_forward(None, constant(h0), build_plan(g, 8, 2), params).data
-        out2 = attention_forward(None, constant(h0_perm), build_plan(g2, 8, 2), params).data
+        out1 = attention_forward(None, constant(h0), build_plan(g), params).data
+        out2 = attention_forward(None, constant(h0_perm), build_plan(g2), params).data
         np.testing.assert_allclose(out2, out1[perm.argsort()], atol=1e-12)
 
     def test_gradients_flow_to_every_parameter_family(self):
@@ -322,7 +354,7 @@ class TestForwardAgainstNaiveOracle:
         while len({e.kind for e in g.edges}) < 2:
             g = random_graph(rng)
         params = init_attention_params(8, 2, rng)
-        plan = build_plan(g, 8, 2)
+        plan = build_plan(g)
         h0 = Tensor(rng.normal(size=(len(g.nodes), 8)), requires_grad=True)
         tape = ad.Tape()
         out = attention_forward(tape, h0, plan, params)

@@ -1,10 +1,18 @@
+import ast
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rootrank import autodiff as ad
 from rootrank.autodiff import Tape, Tensor, backward, constant, grad_check
+
+
+def column_softmax(tape, a):
+    """Softmax down each column of a matrix: one segment holding every row."""
+    return ad.segment_softmax(tape, a, np.zeros(a.data.shape[0], dtype=int), 1)
 
 
 def scalarize(tape, t, weights):
@@ -23,8 +31,8 @@ class TestForwardExamples:
         assert out.data.tolist() == [[11.0]]
 
     def test_softmax_uniform(self):
-        out = ad.softmax(None, constant([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
+        out = column_softmax(None, constant([[0.0], [0.0], [0.0]]))
+        np.testing.assert_allclose(out.data[:, 0], [1 / 3] * 3, atol=1e-15)
 
     def test_sigmoid_zero(self):
         assert ad.sigmoid(None, constant(0.0)).item() == 0.5
@@ -39,12 +47,15 @@ class TestForwardExamples:
         out = ad.layer_norm(None, constant(np.zeros((2, 4))), gain, bias)
         np.testing.assert_allclose(out.data, 0.25)
 
-    def test_generic_apply_dispatch(self):
-        tape = Tape()
-        out = tape.apply("add", [constant([1.0, 2.0]), constant([3.0, 4.0])])
-        assert out.data.tolist() == [4.0, 6.0]
-        with pytest.raises(ValueError, match="unknown op"):
-            tape.apply("conv2d", [])
+    def test_take_rows_repeats_and_reorders(self):
+        a = constant([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        out = ad.take_rows(None, a, np.array([2, 0, 2]))
+        assert out.data.tolist() == [[5.0, 6.0], [1.0, 2.0], [5.0, 6.0]]
+
+    def test_segment_sum_adds_rows_per_segment(self):
+        a = constant([[1.0], [2.0], [4.0]])
+        out = ad.segment_sum(None, a, np.array([2, 0, 2]), 4)
+        assert out.data.tolist() == [[2.0], [0.0], [5.0], [0.0]]
 
 
 class TestBackwardExamples:
@@ -72,7 +83,7 @@ class TestBackwardExamples:
 
         w = Tensor(0.0, requires_grad=True)
         tape = Tape()
-        loss = ad.log(tape, ad.sigmoid(tape, w))
+        loss = ad.log_sigmoid(tape, w)
         grads = backward(tape, loss)
         assert abs(grads[w] - 0.5) < 1e-9
         assert abs(grads[w] - numeric) < 1e-9
@@ -179,45 +190,63 @@ class TestPerOpGradients:
         check_op(lambda tape, _: scalarize(tape, ad.relu(tape, a), w), [a])
 
     def test_softmax_vector(self):
-        a = Tensor(self._rand(5), requires_grad=True)
-        w = self._rand(5)
-        check_op(lambda tape, _: scalarize(tape, ad.softmax(tape, a), w), [a])
+        a = Tensor(self._rand(5, 1), requires_grad=True)
+        w = self._rand(5, 1)
+        check_op(lambda tape, _: scalarize(tape, column_softmax(tape, a), w), [a])
 
     def test_softmax_matrix_columns(self):
         a = Tensor(self._rand(4, 3), requires_grad=True)
         w = self._rand(4, 3)
-        check_op(lambda tape, _: scalarize(tape, ad.softmax(tape, a, axis=0), w), [a])
+        check_op(lambda tape, _: scalarize(tape, column_softmax(tape, a), w), [a])
 
-    def test_concat(self):
-        a = Tensor(self._rand(3, 2), requires_grad=True)
-        b = Tensor(self._rand(3, 3), requires_grad=True)
-        w = self._rand(3, 5)
-        check_op(lambda tape, _: scalarize(tape, ad.concat(tape, a, b), w), [a, b])
+    def test_take_rows_with_repeated_indices(self):
+        a = Tensor(self._rand(4, 3), requires_grad=True)
+        idx = np.array([1, 3, 1, 1, 0])
+        w = self._rand(5, 3)
+        check_op(lambda tape, _: scalarize(tape, ad.take_rows(tape, a, idx), w), [a])
 
-    def test_split(self):
-        a = Tensor(self._rand(2, 6), requires_grad=True)
-        w = self._rand(2, 2)
+    def test_take_rows_of_a_vector(self):
+        a = Tensor(self._rand(4), requires_grad=True)
+        idx = np.array([2, 2, 0])
+        w = self._rand(3)
+        check_op(lambda tape, _: scalarize(tape, ad.take_rows(tape, a, idx), w), [a])
+
+    def test_segment_sum_with_empty_segments(self):
+        # segments 0, 2 and 5 receive no rows
+        a = Tensor(self._rand(5, 3), requires_grad=True)
+        ids = np.array([4, 1, 4, 3, 1])
+        w = self._rand(6, 3)
 
         def build(tape, _):
-            parts = ad.split(tape, a, 3)
-            return scalarize(tape, ad.mul(tape, parts[0], parts[2]), w)
+            out = ad.segment_sum(tape, a, ids, 6)
+            assert np.all(out.data[[0, 2, 5]] == 0.0)
+            return scalarize(tape, out, w)
 
         check_op(build, [a])
 
-    def test_transpose(self):
-        a = Tensor(self._rand(3, 4), requires_grad=True)
-        w = self._rand(4, 3)
-        check_op(lambda tape, _: scalarize(tape, ad.transpose(tape, a), w), [a])
+    @pytest.mark.parametrize("shift", [0.0, 1e3, -1e3])
+    def test_segment_softmax_with_empty_segments(self, shift):
+        # segments 0 and 3 receive no rows; shifted logits must not overflow
+        a = Tensor(self._rand(6, 2) + shift, requires_grad=True)
+        ids = np.array([2, 1, 2, 4, 2, 1])
+        w = self._rand(6, 2)
+        check_op(lambda tape, _: scalarize(tape, ad.segment_softmax(tape, a, ids, 5), w),
+                 [a], tol=1e-6)
 
     def test_sum_axis(self):
         a = Tensor(self._rand(3, 4), requires_grad=True)
         w = self._rand(4)
         check_op(lambda tape, _: scalarize(tape, ad.reduce_sum(tape, a, axis=0), w), [a])
 
-    def test_log(self):
-        a = Tensor(self._rand(5, low=0.5, high=2.0), requires_grad=True)
+    def test_stable_log_sigmoid(self):
+        a = Tensor(self._rand(5), requires_grad=True)
         w = self._rand(5)
-        check_op(lambda tape, _: scalarize(tape, ad.log(tape, a), w), [a])
+        check_op(lambda tape, _: scalarize(tape, ad.log_sigmoid(tape, a), w), [a])
+
+    @pytest.mark.parametrize("x", [30.0, -30.0, 1e3, -1e3])
+    def test_stable_log_sigmoid_saturated(self, x):
+        a = Tensor(np.array([x]), requires_grad=True)
+        check_op(lambda tape, _: ad.reduce_sum(tape, ad.log_sigmoid(tape, a)), [a])
 
     def test_layer_norm(self):
         a = Tensor(self._rand(3, 6), requires_grad=True)
@@ -230,28 +259,45 @@ class TestPerOpGradients:
             tol=1e-6,
         )
 
-    def test_clamp_unit_interval(self):
-        a = Tensor(np.array([0.3, 0.7]), requires_grad=True)
-        w = self._rand(2)
-        check_op(lambda tape, _: scalarize(tape, ad.clamp_unit_interval(tape, a), w), [a])
+    def test_stable_log_sigmoid_saturated_values_and_slopes(self):
+        # log sigmoid(x) = -log1p(exp(-x)); slope sigmoid(-x) = 1 / (1 + exp(x))
+        x = Tensor(np.array([30.0, -30.0, 1e3, -1e3]), requires_grad=True)
+        tape = Tape()
+        out = ad.log_sigmoid(tape, x)
+        expected = [-math.log1p(math.exp(-30.0)), -30.0 - math.log1p(math.exp(-30.0)), 0.0, -1e3]
+        np.testing.assert_allclose(out.data, expected, rtol=1e-15, atol=0.0)
+        grads = backward(tape, ad.reduce_sum(tape, out))
+        slopes = [1.0 / (1.0 + math.exp(30.0)), 1.0 / (1.0 + math.exp(-30.0)), 0.0, 1.0]
+        np.testing.assert_allclose(grads[x], slopes, rtol=1e-15, atol=0.0)
 
 
 class TestSoftmaxProperties:
     def test_sums_to_one(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            x = constant(rng.uniform(-10, 10, size=rng.integers(1, 9)))
-            p = ad.softmax(None, x).data
-            assert abs(p.sum() - 1.0) < 1e-12
+            rows = int(rng.integers(1, 9))
+            x = constant(rng.uniform(-10, 10, size=(rows, 3)))
+            ids = rng.integers(0, 4, size=rows)
+            p = ad.segment_softmax(None, x, ids, 4).data
+            for seg in set(ids.tolist()):
+                assert np.all(np.abs(p[ids == seg].sum(axis=0) - 1.0) < 1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(8)
+        ids = np.array([0, 1, 0, 0, 1, 2])
         for _ in range(50):
-            x = rng.uniform(-5, 5, size=6)
+            x = rng.uniform(-5, 5, size=(6, 2))
             c = rng.uniform(-100, 100)
-            p1 = ad.softmax(None, constant(x)).data
-            p2 = ad.softmax(None, constant(x + c)).data
+            p1 = ad.segment_softmax(None, constant(x), ids, 3).data
+            p2 = ad.segment_softmax(None, constant(x + c), ids, 3).data
             np.testing.assert_allclose(p1, p2, atol=1e-12)
+
+    def test_segments_are_independent(self):
+        # the same logits give the same weights whatever other segments hold
+        x = np.array([[1.0], [2.0], [50.0], [3.0]])
+        p = ad.segment_softmax(None, constant(x), np.array([0, 0, 1, 1]), 2).data
+        alone = ad.segment_softmax(None, constant(x[:2]), np.array([0, 0]), 1).data
+        np.testing.assert_array_equal(p[:2], alone)
 
 
 class TestGradCheck:
@@ -281,9 +327,9 @@ class TestErrors:
         with pytest.raises(ValueError, match="matmul"):
             ad.matmul(None, constant([[1.0, 2.0]]), constant([[1.0, 2.0]]))
 
-    def test_log_zero_is_nonfinite(self):
-        with pytest.raises(FloatingPointError):
-            ad.log(None, constant([0.0]))
+    def test_overflow_is_nonfinite(self):
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+            ad.matmul(None, constant([[1e200]]), constant([[1e200]]))
 
     def test_rank3_rejected(self):
         with pytest.raises(ValueError, match="rank"):
@@ -293,9 +339,17 @@ class TestErrors:
         with pytest.raises(FloatingPointError):
             Tensor([np.nan])
 
-    def test_split_requires_divisible(self):
-        with pytest.raises(ValueError, match="split"):
-            ad.split(None, constant(np.zeros((2, 5))), 2)
+    def test_index_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="indices"):
+            ad.take_rows(None, constant(np.zeros((3, 2))), np.array([0, 3]))
+        with pytest.raises(ValueError, match="indices"):
+            ad.take_rows(None, constant(np.zeros((3, 2))), np.array([-1]))
+
+    def test_one_segment_id_per_row(self):
+        with pytest.raises(ValueError, match="one segment id per row"):
+            ad.segment_sum(None, constant(np.zeros((3, 2))), np.array([0, 1]), 2)
+        with pytest.raises(ValueError, match="one segment id per row"):
+            ad.segment_softmax(None, constant(np.zeros((3, 2))), np.array([0, 1]), 2)
 
 
 class TestDeterminism:
@@ -316,3 +370,29 @@ class TestDeterminism:
         l2, g2 = run()
         assert l1 == l2
         assert np.array_equal(g1, g2)
+
+
+class TestOpSetIsClosed:
+    def test_every_public_op_has_a_caller_in_src(self):
+        # a public op is a public function of autodiff taking the tape first
+        ops = {
+            name for name, fn in vars(ad).items()
+            if not name.startswith("_") and inspect.isfunction(fn)
+            and fn.__module__ == ad.__name__
+            and list(inspect.signature(fn).parameters)[:1] == ["tape"]
+            and name != "backward"
+        }
+        called = set()
+        package = Path(ad.__file__).parent
+        for path in package.glob("*.py"):
+            if path.name == "autodiff.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                if isinstance(node.func, ast.Name):
+                    called.add(node.func.id)
+                elif isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name):
+                    called.add(node.func.attr)
+        assert ops, "no tape ops found"
+        assert ops <= called, f"tape ops without a caller in src: {sorted(ops - called)}"

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -213,6 +215,46 @@ class TestRank:
             capsys, "rank", "-d", str(small_data), "-m", str(trained), "-o", str(out))
         assert code == 0
         assert out.read_text().startswith("commit_id,rank,node_id,score,text")
+
+    def test_csv_fields_survive_commas_quotes_and_newlines(self, trained, tmp_path, capsys):
+        graph = {
+            "commit_id": "a,b",
+            "timestamp": None,
+            "nodes": [
+                {"id": 0, "kind": "deleted", "text": 'say "hi",\nthen stop'},
+                {"id": 1, "kind": "deleted", "text": "plain"},
+                {"id": 2, "kind": "added", "text": "x"},
+            ],
+            "edges": [{"src": 0, "dst": 2, "kind": "line_mapping"}],
+        }
+        data = tmp_path / "odd.json"
+        data.write_text(json.dumps({"name": "odd", "graphs": [graph]}), encoding="utf-8")
+        code, stdout, _err = run(capsys, "rank", "-d", str(data), "-m", str(trained),
+                                 "--show-truth")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(stdout)))
+        assert rows[0] == ["commit_id", "rank", "node_id", "score", "text", "is_root_cause"]
+        assert len(rows) == 3 and all(len(row) == 6 for row in rows)
+        by_node = {row[2]: row for row in rows[1:]}
+        assert by_node["0"][0] == "a,b"
+        assert by_node["0"][4] == 'say "hi",\nthen stop'
+        assert by_node["1"][4] == "plain"
+        assert sorted(row[1] for row in rows[1:]) == ["1", "2"]
+        assert all(repr(float(row[3])) == row[3] for row in rows[1:])
+
+
+class TestCheckpointHeader:
+    @pytest.mark.parametrize(
+        "key", ["format", "dim", "heads", "layers", "proj_dim", "mode", "seed", "sigma", "tensors"])
+    def test_missing_field_exits_1_and_names_it(self, small_data, trained, tmp_path, key, capsys):
+        payload = json.loads(trained.read_text())
+        del payload[key]
+        broken = tmp_path / "broken.ckpt"
+        broken.write_text(json.dumps(payload), encoding="utf-8")
+        code, _out, err = run(capsys, "rank", "-d", str(small_data), "-m", str(broken))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert (key if key != "format" else "rootrank-checkpoint-v1") in err
 
 
 class TestGradcheck:

@@ -12,10 +12,11 @@ from rootrank.graphs import (
     NodeKind,
     dataset_to_dict,
     load_dataset,
-    neighbors_in,
     save_dataset,
     validate_graph,
 )
+
+from naive_reference import neighbors_in
 
 
 def make_graph(commit_id="c1", nodes=None, edges=None, timestamp=None):

@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootrank import autodiff as ad
 from rootrank.aggregation import build_plan
 from rootrank.autodiff import constant
-from rootrank.graphs import CommitGraph, LineNode, NodeKind
+from rootrank.graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind
 from rootrank.network import (
     CheckpointError,
     Mode,
@@ -134,7 +138,7 @@ class TestNetworkForward:
         )
         cfg = ModelConfig(dim=4, heads=2, layers=1, proj_dim=3)
         params = init_network_params(cfg, np.random.default_rng(0), random_scorer=True)
-        plan = build_plan(g, cfg.dim, cfg.heads)
+        plan = build_plan(g)
         h0 = np.random.default_rng(1).normal(size=(1, 4))
 
         out = network_forward(None, constant(h0), plan, params, Mode.FULL).data
@@ -151,7 +155,7 @@ class TestNetworkForward:
                 g = random_graph(rng)
                 cfg = ModelConfig(dim=8, heads=2, layers=2, proj_dim=5)
                 params = init_network_params(cfg, rng, random_scorer=True)
-                plan = build_plan(g, cfg.dim, cfg.heads)
+                plan = build_plan(g)
                 h0 = rng.normal(size=(len(g.nodes), 8))
                 fast = network_forward(None, constant(h0), plan, params, mode).data
                 slow = naive_network_forward(h0, g, params, mode)
@@ -168,7 +172,7 @@ class TestNetworkForward:
         )
         cfg = ModelConfig(dim=4, heads=2, layers=1, proj_dim=4)
         params = init_network_params(cfg, np.random.default_rng(3), random_scorer=True)
-        plan = build_plan(g, cfg.dim, cfg.heads)
+        plan = build_plan(g)
         h0 = np.random.default_rng(4).normal(size=(2, 4))
 
         full = network_forward(None, constant(h0), plan, params, Mode.FULL).data
@@ -192,7 +196,7 @@ class TestNetworkForward:
                 t.data = np.zeros((8, 8))
             gru.b_iz.data = np.full(8, 30.0)
             gru.b_hz.data = np.zeros(8)
-        plan = build_plan(g, cfg.dim, cfg.heads)
+        plan = build_plan(g)
         h0 = rng.normal(size=(len(g.nodes), 8))
         states = forward_states(None, constant(h0), plan, params, Mode.FULL)
         np.testing.assert_allclose(states[-1].data, h0, atol=1e-9)
@@ -206,7 +210,7 @@ class TestNetworkForward:
             g = random_graph(rng)
         cfg = ModelConfig(dim=8, heads=2, layers=1, proj_dim=6)
         params = init_network_params(cfg, rng, random_scorer=True)
-        plan = build_plan(g, cfg.dim, cfg.heads)
+        plan = build_plan(g)
         h0 = constant(rng.normal(size=(len(g.nodes), 8)))
 
         out = network_forward(None, h0, plan, params, Mode.AGGREGATION_ONLY).data
@@ -215,6 +219,53 @@ class TestNetworkForward:
         normed = ad.layer_norm(None, h_tilde, params.norm_gain, params.norm_bias)
         expected = task_projection(None, normed, params).data
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+
+@st.composite
+def relabelled_graphs(draw):
+    """A graph with isolated nodes and parallel edges of different kinds, plus a relabelling."""
+    n = draw(st.integers(2, 7))
+    kinds = draw(st.lists(st.sampled_from(list(NodeKind)), min_size=n, max_size=n))
+    isolated = draw(st.integers(1, n - 1))   # the last ``isolated`` nodes touch no edge
+    linked = n - isolated
+    edges = set()
+    if linked >= 2:
+        pairs = st.tuples(st.integers(0, linked - 1), st.integers(0, linked - 1)).filter(
+            lambda p: p[0] != p[1])
+        for src, dst in draw(st.lists(pairs, max_size=10)):
+            for kind in draw(st.sets(st.sampled_from(list(EdgeKind)), min_size=1, max_size=3)):
+                edges.add((src, dst, kind))
+    perm = draw(st.permutations(range(n)))
+    return kinds, sorted(edges, key=lambda e: (e[0], e[1], e[2].value)), perm
+
+
+def _graph(kinds, edges):
+    nodes = tuple(LineNode(i, kind, text=f"l{i}") for i, kind in enumerate(kinds))
+    return CommitGraph(commit_id="g", nodes=nodes,
+                       edges=tuple(DepEdge(s, d, k) for s, d, k in edges))
+
+
+class TestRelabellingEquivariance:
+    cfg = ModelConfig(dim=8, heads=2, layers=2, proj_dim=4)
+    params = init_network_params(cfg, np.random.default_rng(3), random_scorer=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=relabelled_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_relabelling_node_ids_permutes_outputs(self, case, seed):
+        kinds, edges, perm = case
+        n = len(kinds)
+        h0 = np.random.default_rng(seed).normal(size=(n, self.cfg.dim))
+        # node i of the original graph becomes node perm[i]
+        relabelled = _graph([kinds[perm.index(j)] for j in range(n)],
+                            [(perm[s], perm[d], k) for s, d, k in edges])
+        h0_relabelled = np.empty_like(h0)
+        h0_relabelled[perm] = h0
+        for mode in Mode:
+            out = network_forward(None, constant(h0), build_plan(_graph(kinds, edges)),
+                                  self.params, mode).data
+            out_relabelled = network_forward(None, constant(h0_relabelled), build_plan(relabelled),
+                                             self.params, mode).data
+            np.testing.assert_allclose(out_relabelled[perm], out, rtol=0, atol=1e-12)
 
 
 class TestCheckpoints:
@@ -243,6 +294,28 @@ class TestCheckpoints:
         path = tmp_path / "bad.ckpt"
         path.write_text("{}", encoding="utf-8")
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["name", "shape", "data"])
+    def test_missing_tensor_entry_field_is_named(self, tmp_path, field):
+        cfg = ModelConfig(dim=4, heads=2, layers=1, proj_dim=4)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_network_params(cfg, np.random.default_rng(0)), cfg)
+        payload = json.loads(path.read_text())
+        del payload["tensors"][3][field]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CheckpointError, match=repr(field)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("data", [["x"] * 4, [1.0] * 3, [[1.0]] * 4, None])
+    def test_bad_tensor_data_rejected(self, tmp_path, data):
+        cfg = ModelConfig(dim=4, heads=2, layers=1, proj_dim=4)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_network_params(cfg, np.random.default_rng(0)), cfg)
+        payload = json.loads(path.read_text())
+        payload["tensors"][1]["data"] = data   # layer0.attn.b_k.deleted, 4 numbers
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CheckpointError, match="b_k.deleted"):
             load_checkpoint(path)
 
     def test_config_validation(self):

@@ -1,10 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from rootrank import autodiff as ad
-from rootrank.autodiff import Tape
+from rootrank.autodiff import Tape, Tensor, constant
 from rootrank.embedding import HashingEmbedder, embed_dataset, embed_graph
 from rootrank.graphs import CommitGraph, Dataset, DepEdge, EdgeKind, LineNode, NodeKind
 from rootrank.network import Mode, ModelConfig, init_network_params, named_tensors
@@ -14,13 +15,23 @@ from rootrank.ranker import (
     build_pairs,
     commit_loss,
     pair_label,
-    pair_probability,
-    pairwise_loss,
     rank_commit,
-    score,
     train,
+    _pair_loss_from_scores,
     _prepare,
 )
+
+
+def pair_loss(s_i, s_j, label, sigma=1.0):
+    """Tape pair loss of one pair with scores (s_i, s_j) and label ``label``."""
+    pairs = SimpleNamespace(pair_i=np.array([0]), pair_j=np.array([1]), labels=np.array([label]))
+    scores = constant(np.array([s_i, s_j]))
+    return _pair_loss_from_scores(None, scores, pairs, ModelConfig(sigma=sigma)).item()
+
+
+def pair_probability(s_i, s_j, sigma=1.0):
+    """Probability that i outranks j, read back from the loss: P = exp(-loss at label 1)."""
+    return math.exp(-pair_loss(s_i, s_j, 1.0, sigma))
 
 
 def graph_with_deleted(flags, commit_id="g", extra_added=1):
@@ -79,7 +90,7 @@ class TestBuildPairs:
 
 class TestPairProbability:
     def test_equal_scores_half(self):
-        assert pair_probability(3.7, 3.7) == 0.5
+        assert abs(pair_probability(3.7, 3.7) - 0.5) <= 1e-15
 
     def test_large_gap_approaches_one(self):
         assert pair_probability(60.0, 0.0) > 1.0 - 1e-12
@@ -102,56 +113,95 @@ class TestPairProbability:
             assert abs(pair_probability(s_i, s_j) - pair_probability(s_i + c, s_j + c)) < 1e-12
 
     def test_sigma_must_be_positive(self):
-        with pytest.raises(ValueError):
-            pair_probability(1.0, 0.0, sigma=0.0)
+        # the loss reads sigma from the model config, which rejects sigma <= 0
+        with pytest.raises(ValueError, match="sigma"):
+            ModelConfig(sigma=0.0).validate()
 
 
 class TestPairwiseLoss:
     def test_half_probability_costs_ln2(self):
-        assert abs(pairwise_loss(0.5, 1.0) - math.log(2.0)) < 1e-12
+        assert abs(pair_loss(0.0, 0.0, 1.0) - math.log(2.0)) < 1e-12
 
     def test_tie_at_half_costs_ln2(self):
-        # -0.5*log(0.5) - 0.5*log(0.5) = ln 2
-        assert abs(pairwise_loss(0.5, 0.5) - math.log(2.0)) < 1e-12
+        # -0.5*log(0.5) - 0.5*log(0.5) = ln 2, at any score gap
+        assert abs(pair_loss(0.0, 0.0, 0.5) - math.log(2.0)) < 1e-12
+        assert abs(pair_loss(2.0, -1.0, 0.5) - pair_loss(-1.0, 2.0, 0.5)) < 1e-12
 
     def test_confident_correct_costs_nothing(self):
-        assert pairwise_loss(1.0 - 1e-13, 1.0) < 1e-9
+        assert pair_loss(30.0, 0.0, 1.0) < 1e-9
+        assert pair_loss(0.0, 30.0, 0.0) < 1e-9
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
-            p = float(rng.uniform(0, 1))
+            s_i, s_j = rng.uniform(-40, 40, size=2)
             p_bar = float(rng.choice([0.0, 0.5, 1.0]))
-            assert pairwise_loss(p, p_bar) >= 0.0
+            assert pair_loss(s_i, s_j, p_bar) >= 0.0
 
     def test_extreme_probabilities_stay_finite(self):
-        assert math.isfinite(pairwise_loss(0.0, 1.0))
-        assert math.isfinite(pairwise_loss(1.0, 0.0))
+        assert pair_loss(0.0, 1e3, 1.0) == 1e3
+        assert pair_loss(1e3, 0.0, 0.0) == 1e3
+        assert pair_loss(1e3, 0.0, 1.0) == 0.0
+
+
+class TestPairLossSaturation:
+    """Misranked pairs keep their full cost and a live gradient at any logit."""
+
+    @pytest.mark.parametrize("logit", [30.0, -30.0, 1e3, -1e3])
+    def test_value_is_exact(self, logit):
+        # label 1 costs -log sigmoid(x) = log1p(exp(-x)), = -x + log1p(exp(x)) for x < 0
+        expected = math.log1p(math.exp(-logit)) if logit > 0 else -logit + math.log1p(math.exp(logit))
+        assert pair_loss(logit, 0.0, 1.0) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("logit", [30.0, -30.0, 1e3, -1e3])
+    def test_gradient_check(self, logit):
+        scores = Tensor(np.array([logit, 0.0]), requires_grad=True)
+        pairs = SimpleNamespace(pair_i=np.array([0, 1]), pair_j=np.array([1, 0]),
+                                labels=np.array([1.0, 0.5]))
+        cfg = ModelConfig()
+
+        def loss(tape, _params):
+            return _pair_loss_from_scores(tape, scores, pairs, cfg)
+
+        assert ad.grad_check(loss, [scores]) < 1e-7
+
+    def test_misranked_pair_keeps_unit_slope(self):
+        # d loss / d logit = -sigmoid(-x) -> -1 for a confidently wrong pair
+        scores = Tensor(np.array([-30.0, 0.0]), requires_grad=True)
+        pairs = SimpleNamespace(pair_i=np.array([0]), pair_j=np.array([1]), labels=np.array([1.0]))
+        tape = Tape()
+        loss = _pair_loss_from_scores(tape, scores, pairs, ModelConfig())
+        grads = ad.backward(tape, loss)
+        assert loss.item() > 30.0
+        assert grads[scores][0] == pytest.approx(-1.0, abs=1e-12)
+        assert grads[scores][1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestScore:
-    def _model_params(self):
+    """Scores through rank_commit; a zero projection map makes every task
+    embedding relu(proj.b), so the scorer sees a chosen vector."""
+
+    def _scores(self, proj_b, scorer_w, scorer_b=0.0):
         cfg = ModelConfig(dim=4, heads=2, layers=1, proj_dim=3)
-        return init_network_params(cfg, np.random.default_rng(0))
+        params = init_network_params(cfg, np.random.default_rng(0))
+        params.w_proj.data = np.zeros((4, 3))
+        params.b_proj.data = np.array(proj_b, dtype=float)
+        params.scorer_w.data = np.array(scorer_w, dtype=float)
+        params.scorer_b.data = np.asarray(scorer_b)
+        model = TrainedModel(params=params, cfg=cfg, training_log=[])
+        eg = embed_graph(graph_with_deleted([True, False]), HashingEmbedder(4))
+        return [s for _nid, s in rank_commit(model, eg)]
 
     def test_constant_scorer(self):
-        params = self._model_params()
-        params.scorer_w.data = np.zeros(3)
-        params.scorer_b.data = np.asarray(3.0)
-        assert score(np.array([9.0, -2.0, 4.0]), params) == 3.0
+        assert self._scores([9.0, 2.0, 4.0], [0.0, 0.0, 0.0], 3.0) == [3.0, 3.0]
 
     def test_picks_single_dimension(self):
-        params = self._model_params()
-        params.scorer_w.data = np.array([1.0, 0.0, 0.0])
-        params.scorer_b.data = np.asarray(0.0)
-        assert score(np.array([7.0, 5.0, -1.0]), params) == 7.0
+        assert self._scores([7.0, 5.0, 1.0], [1.0, 0.0, 0.0]) == [7.0, 7.0]
 
     def test_masked_dimensions_do_not_matter(self):
-        params = self._model_params()
-        params.scorer_w.data = np.array([1.0, 0.0, 2.0])
-        a = np.array([1.0, 99.0, 3.0])
-        b = np.array([1.0, -55.0, 3.0])
-        assert score(a, params) == score(b, params)
+        a = self._scores([1.0, 99.0, 3.0], [1.0, 0.0, 2.0])
+        b = self._scores([1.0, 55.0, 3.0], [1.0, 0.0, 2.0])
+        assert a == b == [7.0, 7.0]
 
 
 def tiny_dataset(n_graphs=4, deleted=3, seed=0):
