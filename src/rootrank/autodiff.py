@@ -117,7 +117,8 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
 
 def _make(tape: Tape | None, data: np.ndarray, inputs: tuple[Tensor, ...], bwd: _Backward) -> Tensor:
     if not np.isfinite(data).all():
-        raise FloatingPointError("op produced non-finite values")
+        op = bwd.__qualname__.split(".", 1)[0]  # "matmul.<locals>.bwd" -> "matmul"
+        raise FloatingPointError(f"{op} produced non-finite values in its {data.shape} output")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = any(t.requires_grad for t in inputs)

@@ -4,11 +4,20 @@ Metrics treat each commit's deleted lines as one ranked list with a set
 of true root-cause lines; dataset-level numbers pool over commits.
 The harness side covers seeded or chronological k-fold cross-validation
 and fixed train/test splits.
+
+Cross-validation trains its folds in parallel worker processes, at most
+one per fold and per CPU this process may run on.  Each fold is seeded
+on its own and sees its training commits in dataset order, and reports
+are collected in fold order, so the result is the same, bit for bit, as
+training the folds one after another.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,23 +211,58 @@ def train_test_report(train_embedded: list[EmbeddedGraph],
     return evaluate_model(model, test_embedded, with_classification=with_classification)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# State of one cross_validate() worker process: the embedded dataset, the
+# model config and the classification flag, set once per worker by the
+# pool initializer so that each fold task carries only its row indices.
+_worker_state: tuple[list[EmbeddedGraph], ModelConfig, bool] | None = None
+
+
+def _init_fold_worker(embedded: list[EmbeddedGraph], cfg: ModelConfig,
+                      with_classification: bool) -> None:
+    global _worker_state
+    _worker_state = (embedded, cfg, with_classification)
+
+
+def _fold_report(held_rows: list[int]) -> EvalReport:
+    """Train on every commit outside ``held_rows``, in dataset order; evaluate on ``held_rows``."""
+    embedded, cfg, with_classification = _worker_state
+    held = set(held_rows)
+    train_part = [eg for row, eg in enumerate(embedded) if row not in held]
+    test_part = [embedded[row] for row in held_rows]
+    return train_test_report(train_part, test_part, cfg,
+                             with_classification=with_classification)
+
+
 def cross_validate(ds: Dataset, cfg: ModelConfig, provider: EmbeddingProvider,
                    k: int = 10, seed: int | None = None,
                    chronological: bool = False,
                    with_classification: bool = False) -> tuple[EvalReport, list[EvalReport]]:
-    """k-fold protocol: train on k-1 folds, evaluate on the held-out fold, average."""
+    """k-fold protocol: train on k-1 folds, evaluate on the held-out fold, average.
+
+    Folds run in ``min(k, _usable_cpus())`` worker processes started with
+    the ``spawn`` method, which is safe in a process that has threads (BLAS
+    pools among them).  A fresh worker imports the caller's main module, so
+    a script that calls this must do so under ``if __name__ == "__main__":``.
+    An exception raised by a fold is re-raised here.
+    """
     if seed is None:
         seed = cfg.seed
     embedded = embed_dataset(ds, provider)
-    by_id = {eg.graph.commit_id: eg for eg in embedded}
+    row_of = {eg.graph.commit_id: row for row, eg in enumerate(embedded)}
     folds = kfold_split(ds, k=k, seed=seed, chronological=chronological)
-    reports = []
-    for fold in folds:
-        held = set(fold)
-        train_part = [eg for eg in embedded if eg.graph.commit_id not in held]
-        test_part = [by_id[cid] for cid in fold]
-        reports.append(train_test_report(train_part, test_part, cfg,
-                                         with_classification=with_classification))
+    held_rows = [[row_of[cid] for cid in fold] for fold in folds]
+    with ProcessPoolExecutor(max_workers=min(len(folds), _usable_cpus()),
+                             mp_context=multiprocessing.get_context("spawn"),
+                             initializer=_init_fold_worker,
+                             initargs=(embedded, cfg, with_classification)) as pool:
+        reports = list(pool.map(_fold_report, held_rows))
     return mean_report(reports), reports
 
 

@@ -10,6 +10,7 @@ learns to rank them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -167,6 +168,21 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
         raise DatasetFormatError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
+def _parse_embedding(raw: object, where: str) -> tuple[float, ...]:
+    problem = f"{where}: field 'embedding' must be a list of finite float64 numbers or null"
+    if not isinstance(raw, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
+    ):
+        raise DatasetFormatError(problem)
+    try:
+        values = tuple(float(x) for x in raw)
+    except OverflowError:  # an integer beyond the float64 range
+        raise DatasetFormatError(problem) from None
+    if not all(map(math.isfinite, values)):
+        raise DatasetFormatError(problem)
+    return values
+
+
 def _parse_node(raw: object, where: str) -> LineNode:
     if not isinstance(raw, dict):
         raise DatasetFormatError(f"{where}: node must be an object")
@@ -174,7 +190,7 @@ def _parse_node(raw: object, where: str) -> LineNode:
     if not isinstance(raw.get("id"), int) or isinstance(raw.get("id"), bool):
         raise DatasetFormatError(f"{where}: field 'id' must be an integer")
     kind_name = raw.get("kind")
-    if kind_name not in _NODE_KIND_BY_NAME:
+    if not isinstance(kind_name, str) or kind_name not in _NODE_KIND_BY_NAME:
         raise DatasetFormatError(
             f"{where}: field 'kind' must be one of {sorted(_NODE_KIND_BY_NAME)}, got {kind_name!r}"
         )
@@ -186,11 +202,7 @@ def _parse_node(raw: object, where: str) -> LineNode:
         raise DatasetFormatError(f"{where}: field 'is_root_cause' must be a boolean")
     emb = raw.get("embedding")
     if emb is not None:
-        if not isinstance(emb, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in emb
-        ):
-            raise DatasetFormatError(f"{where}: field 'embedding' must be a list of numbers or null")
-        emb = tuple(float(x) for x in emb)
+        emb = _parse_embedding(emb, where)
     return LineNode(
         id=raw["id"],
         kind=_NODE_KIND_BY_NAME[kind_name],
@@ -208,7 +220,7 @@ def _parse_edge(raw: object, where: str) -> DepEdge:
         if not isinstance(raw.get(f), int) or isinstance(raw.get(f), bool):
             raise DatasetFormatError(f"{where}: field {f!r} must be an integer")
     kind_name = raw.get("kind")
-    if kind_name not in _EDGE_KIND_BY_NAME:
+    if not isinstance(kind_name, str) or kind_name not in _EDGE_KIND_BY_NAME:
         raise DatasetFormatError(
             f"{where}: field 'kind' must be one of {sorted(_EDGE_KIND_BY_NAME)}, got {kind_name!r}"
         )
@@ -245,6 +257,8 @@ def load_dataset(path: str | Path, require_root_cause: bool = True) -> Dataset:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"{path}: not valid JSON: {exc}") from exc
 

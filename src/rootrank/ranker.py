@@ -30,42 +30,22 @@ class TrainingError(RuntimeError):
     """Raised when training aborts (for example on a non-finite loss)."""
 
 
-@dataclass(frozen=True)
-class PairSample:
-    commit_id: str
-    i: int
-    j: int
-    label: float
+def build_pairs(g: CommitGraph, include_ties: bool = False
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All unordered deleted-line pairs of one commit, as ``(pair_i, pair_j, labels)``.
 
-
-def pair_label(node_i: LineNode, node_j: LineNode) -> float:
-    """1.0 / 0.0 when exactly one of the pair is a root cause, else 0.5."""
-    for node in (node_i, node_j):
-        if node.kind is not NodeKind.DELETED:
-            raise ValueError(f"pair labels are defined on deleted nodes, got node {node.id}")
-    if node_i.is_root_cause and not node_j.is_root_cause:
-        return 1.0
-    if node_j.is_root_cause and not node_i.is_root_cause:
-        return 0.0
-    return 0.5
-
-
-def build_pairs(g: CommitGraph, include_ties: bool = False) -> list[PairSample]:
-    """All unordered deleted-line pairs of one commit, as (i < j) samples.
-
-    Tie pairs (label 0.5: both or neither root cause) are emitted only
-    when ``include_ties`` is set.
+    ``pair_i[p] < pair_j[p]`` are rows of ``g.deleted_ids()``, listed in
+    row-major order.  A label is 1.0 when only the first line of the pair
+    is a root cause, 0.0 when only the second is, and 0.5 otherwise (a
+    tie); tie pairs are kept only when ``include_ties`` is set.
     """
-    deleted = g.deleted_ids()
-    pairs = []
-    for a in range(len(deleted)):
-        for b in range(a + 1, len(deleted)):
-            i, j = deleted[a], deleted[b]
-            label = pair_label(g.nodes[i], g.nodes[j])
-            if label == 0.5 and not include_ties:
-                continue
-            pairs.append(PairSample(commit_id=g.commit_id, i=i, j=j, label=label))
-    return pairs
+    root = np.array([g.nodes[i].is_root_cause for i in g.deleted_ids()], dtype=np.float64)
+    pair_i, pair_j = np.triu_indices(len(root), k=1)
+    labels = 0.5 + 0.5 * (root[pair_i] - root[pair_j])
+    if not include_ties:
+        keep = labels != 0.5
+        pair_i, pair_j, labels = pair_i[keep], pair_j[keep], labels[keep]
+    return pair_i, pair_j, labels
 
 
 @dataclass
@@ -109,28 +89,25 @@ class _CommitBatch:
     pair_i: np.ndarray | None      # (P,) row in ``deleted`` of each pair's first line
     pair_j: np.ndarray | None
     labels: np.ndarray | None      # (P,)
-    pairs: tuple[PairSample, ...]
+
+    @property
+    def n_pairs(self) -> int:
+        return 0 if self.labels is None else len(self.labels)
 
 
 def _prepare(eg: EmbeddedGraph, cfg: ModelConfig, with_pairs: bool = True) -> _CommitBatch:
     g = eg.graph
-    deleted = g.deleted_ids()
-    pairs = tuple(build_pairs(g, include_ties=cfg.include_tie_pairs)) if with_pairs else ()
     pair_i = pair_j = labels = None
-    if pairs:
-        pos = {node_id: row for row, node_id in enumerate(deleted)}
-        pair_i = np.array([pos[pair.i] for pair in pairs], dtype=np.intp)
-        pair_j = np.array([pos[pair.j] for pair in pairs], dtype=np.intp)
-        labels = np.array([pair.label for pair in pairs])
+    if with_pairs:
+        pair_i, pair_j, labels = build_pairs(g, include_ties=cfg.include_tie_pairs)
     return _CommitBatch(
         graph=g,
         h0=constant(eg.h0),
         plan=build_plan(g),
-        deleted=np.array(deleted, dtype=np.intp),
+        deleted=np.array(g.deleted_ids(), dtype=np.intp),
         pair_i=pair_i,
         pair_j=pair_j,
         labels=labels,
-        pairs=pairs,
     )
 
 
@@ -164,7 +141,7 @@ def _pair_loss_from_scores(tape: Tape | None, scores: Tensor, batch: _CommitBatc
 def commit_loss(tape: Tape | None, batch: _CommitBatch, params: NetworkParams,
                 cfg: ModelConfig) -> Tensor | None:
     """Summed pair cross-entropy of one commit; None when it has no pairs."""
-    if not batch.pairs:
+    if not batch.n_pairs:
         return None
     scores = _deleted_scores(tape, batch, params, cfg)
     return _pair_loss_from_scores(tape, scores, batch, cfg)
@@ -209,12 +186,12 @@ def train(embedded: list[EmbeddedGraph], cfg: ModelConfig,
         losses = []
         for idx in order:
             batch = batches[idx]
-            if not batch.pairs:
+            if not batch.n_pairs:
                 continue
             try:
                 if cfg.step_per_pair:
                     total = 0.0
-                    for row in range(len(batch.pairs)):
+                    for row in range(batch.n_pairs):
                         tape = Tape()
                         scores = _deleted_scores(tape, batch, params, cfg)
                         loss = _pair_loss_from_scores(

@@ -8,11 +8,12 @@ and never touching the tape machinery it is used to check.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from rootrank.aggregation import AttentionParams, mu_index
-from rootrank.graphs import CommitGraph, EdgeKind, NodeKind
+from rootrank.graphs import CommitGraph, EdgeKind, LineNode, NodeKind
 from rootrank.network import GruParams, Mode, NetworkParams
 
 
@@ -27,6 +28,44 @@ def neighbors_in(g: CommitGraph, t: int) -> list[tuple[int, EdgeKind]]:
     incoming = [(e.src, e.kind) for e in g.edges if e.dst == t]
     incoming.sort(key=lambda item: (item[0], item[1].ordinal))
     return incoming
+
+
+@dataclass(frozen=True)
+class PairSample:
+    commit_id: str
+    i: int
+    j: int
+    label: float
+
+
+def pair_label(node_i: LineNode, node_j: LineNode) -> float:
+    """1.0 / 0.0 when exactly one of the pair is a root cause, else 0.5."""
+    for node in (node_i, node_j):
+        if node.kind is not NodeKind.DELETED:
+            raise ValueError(f"pair labels are defined on deleted nodes, got node {node.id}")
+    if node_i.is_root_cause and not node_j.is_root_cause:
+        return 1.0
+    if node_j.is_root_cause and not node_i.is_root_cause:
+        return 0.0
+    return 0.5
+
+
+def naive_build_pairs(g: CommitGraph, include_ties: bool = False) -> list[PairSample]:
+    """All unordered deleted-line pairs of one commit, as (i < j) node-id samples.
+
+    Pair by pair, in the order of a double loop over the deleted ids;
+    tie pairs (label 0.5) only with ``include_ties``.
+    """
+    deleted = g.deleted_ids()
+    pairs = []
+    for a in range(len(deleted)):
+        for b in range(a + 1, len(deleted)):
+            i, j = deleted[a], deleted[b]
+            label = pair_label(g.nodes[i], g.nodes[j])
+            if label == 0.5 and not include_ties:
+                continue
+            pairs.append(PairSample(commit_id=g.commit_id, i=i, j=j, label=label))
+    return pairs
 
 
 def _sigmoid(x):

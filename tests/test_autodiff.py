@@ -328,8 +328,11 @@ class TestErrors:
             ad.matmul(None, constant([[1.0, 2.0]]), constant([[1.0, 2.0]]))
 
     def test_overflow_is_nonfinite(self):
-        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+        with np.errstate(over="ignore"), pytest.raises(
+                FloatingPointError, match=r"^matmul produced non-finite values in its \(1, 1\) output$"):
             ad.matmul(None, constant([[1e200]]), constant([[1e200]]))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="^scalar_mul "):
+            ad.scalar_mul(None, constant([1e200, 1.0]), 1e200)
 
     def test_rank3_rejected(self):
         with pytest.raises(ValueError, match="rank"):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -155,6 +156,16 @@ class TestEvaluate:
         )
         assert code == 0
         assert "fold0" in stdout and "fold1" in stdout and "mean" in stdout
+
+    def test_cross_validation_training_error_exits_1(self, small_data, capsys):
+        code, _stdout, err = run(
+            capsys, "evaluate", "-d", str(small_data), "--cv", "2", "--lr", "1e300",
+            "--dim", "16", "--heads", "2", "--layers", "1", "--epochs", "1",
+        )
+        assert code == 1
+        assert re.search(r"^error: non-finite loss at epoch 0, commit '[^']+': "
+                         r"\w+ produced non-finite values in its \(\d+(, \d+)?\) output$",
+                         err, re.MULTILINE)
 
     def test_dimension_mismatch_names_both_dims(self, small_data, tmp_path, capsys):
         ckpt = tmp_path / "wide.ckpt"

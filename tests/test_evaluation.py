@@ -1,11 +1,15 @@
 import json
+import os
+import pickle
 
 import numpy as np
 import pytest
 
-from rootrank.embedding import HashingEmbedder
+from rootrank import evaluation
+from rootrank.embedding import HashingEmbedder, embed_dataset
 from rootrank.evaluation import (
     CommitRanking,
+    EvalReport,
     classification_at_k,
     cross_validate,
     evaluate_rankings,
@@ -215,6 +219,60 @@ class TestHarness:
             embed_dataset(train_ds, provider), embed_dataset(test_ds, provider), self._cfg())
         assert set(report.recall_at) == {1, 2, 3}
         assert len(report.per_commit_first_rank) == 4
+
+    @pytest.mark.parametrize("chronological", [False, True])
+    def test_cross_validate_equals_in_process_folds(self, chronological):
+        ds = generate(GenConfig(n_commits=9, deleted_per_commit=4,
+                                added_per_commit=2, seed=6))
+        cfg = self._cfg()
+        provider = HashingEmbedder(16)
+        mean, per_fold = cross_validate(ds, cfg, provider, k=3, seed=1,
+                                        chronological=chronological, with_classification=True)
+        embedded = embed_dataset(ds, provider)
+        expected = []
+        for fold in kfold_split(ds, k=3, seed=1, chronological=chronological):
+            held = set(fold)
+            train_part = [eg for eg in embedded if eg.graph.commit_id not in held]
+            test_part = [next(eg for eg in embedded if eg.graph.commit_id == cid) for cid in fold]
+            expected.append(train_test_report(train_part, test_part, cfg, with_classification=True))
+        assert per_fold == expected
+        assert report_json(mean, per_fold) == report_json(mean_report(expected), expected)
+
+    @pytest.mark.parametrize("cpus, k, workers", [(1, 2, 1), (4, 2, 2)])
+    def test_pool_has_one_worker_per_usable_cpu_and_fold(self, monkeypatch, cpus, k, workers):
+        started = []
+
+        class SpyPool(evaluation.ProcessPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                started.extend(self._processes or ())
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", SpyPool)
+        ds = generate(GenConfig(n_commits=4, deleted_per_commit=3,
+                                added_per_commit=2, seed=3))
+        _mean, per_fold = cross_validate(ds, self._cfg(), HashingEmbedder(16), k=k, seed=0)
+        assert len(per_fold) == k
+        assert len(started) == workers
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert evaluation._usable_cpus() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert evaluation._usable_cpus() == 3
+
+    def test_worker_inputs_and_results_survive_pickle(self):
+        ds = generate(GenConfig(n_commits=2, deleted_per_commit=3,
+                                added_per_commit=2, seed=8))
+        for eg in embed_dataset(ds, HashingEmbedder(16)):
+            again = pickle.loads(pickle.dumps(eg))
+            assert again.graph == eg.graph and np.array_equal(again.h0, eg.h0)
+        cfg = self._cfg(Mode.RETENTION_ONLY)
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        report = evaluate_rankings([ranking("a", [2, 0, 1], {0})], with_classification=True)
+        assert isinstance(report, EvalReport)
+        assert pickle.loads(pickle.dumps(report)) == report
 
     def test_report_serialization(self):
         rs = [ranking("a", [0, 1, 2], {0})]

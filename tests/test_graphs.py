@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rootrank.graphs import (
     CommitGraph,
@@ -100,6 +102,130 @@ class TestLoadDataset:
         save_dataset(ds, out)
         again = load_dataset(out)
         assert dataset_to_dict(again) == dataset_to_dict(ds)
+
+    @pytest.mark.parametrize("bad_kind", [[], {}])
+    @pytest.mark.parametrize("entry", ["nodes", "edges"])
+    def test_unhashable_kind_rejected(self, tmp_path, entry, bad_kind):
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["graphs"][0][entry][0]["kind"] = bad_kind
+        with pytest.raises(DatasetFormatError, match=f"{entry[:4]}\\[0\\]: field 'kind'"):
+            load_dataset(write_dataset(tmp_path, payload))
+
+    def test_non_utf8_file_names_the_path(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(MINIMAL).replace("x = 1", "x = \u00e9").encode("latin-1"))
+        with pytest.raises(DatasetFormatError, match="latin1.json: not UTF-8"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("value", [10 ** 400, float("nan"), float("inf")],
+                             ids=["int-1e400", "nan", "inf"])
+    def test_embedding_outside_float64_rejected(self, tmp_path, value):
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["graphs"][0]["nodes"][0]["embedding"] = [0.5, value]
+        with pytest.raises(DatasetFormatError, match="node\\[0\\]: field 'embedding'"):
+            load_dataset(write_dataset(tmp_path, payload))
+
+
+@st.composite
+def datasets(draw):
+    """Valid datasets: dense ids, a labelled deleted line per commit, legal edges."""
+    graphs = []
+    for c in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(1, 6))
+        kinds = draw(st.lists(st.sampled_from(NodeKind), min_size=n, max_size=n))
+        kinds[draw(st.integers(0, n - 1))] = NodeKind.DELETED
+        deleted = [i for i, kind in enumerate(kinds) if kind is NodeKind.DELETED]
+        roots = draw(st.sets(st.sampled_from(deleted), min_size=1))
+        vectors = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=3).map(tuple)
+        nodes = tuple(
+            LineNode(i, kinds[i], text=draw(st.none() | st.text(max_size=12)),
+                     is_root_cause=i in roots, embedding=draw(st.none() | vectors))
+            for i in range(n)
+        )
+        legal = [
+            (src, dst, kind) for src in range(n) for dst in range(n) if src != dst
+            for kind in EdgeKind
+            if kind is not EdgeKind.LINE_MAPPING
+            or (kinds[src] is NodeKind.DELETED and kinds[dst] is NodeKind.ADDED)
+        ]
+        triples = draw(st.lists(st.sampled_from(legal), unique=True, max_size=8)) if legal else []
+        graphs.append(CommitGraph(
+            commit_id=draw(st.text(min_size=1, max_size=6)) + f"#{c}",
+            nodes=nodes,
+            edges=tuple(DepEdge(src, dst, kind) for src, dst, kind in triples),
+            timestamp=draw(st.none() | st.integers()),
+        ))
+    return Dataset(graphs=tuple(graphs), name=draw(st.text(max_size=8)))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10 ** 400), 10 ** 400)
+    | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def containers(obj, out=None):
+    """Every dict and list inside ``obj``, ``obj`` included."""
+    out = [] if out is None else out
+    if isinstance(obj, (dict, list)):
+        out.append(obj)
+        for value in (obj.values() if isinstance(obj, dict) else obj):
+            containers(value, out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("datasets") / "data.json"
+
+
+class TestDatasetProperties:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ds=datasets())
+    def test_save_load_roundtrip(self, scratch_file, ds):
+        save_dataset(ds, scratch_file)
+        assert load_dataset(scratch_file) == ds
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ds=datasets(), data=st.data())
+    def test_mutated_json_raises_only_format_errors(self, scratch_file, ds, data):
+        payload = dataset_to_dict(ds)
+        target = data.draw(st.sampled_from(containers(payload)))
+        keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+        action = data.draw(st.sampled_from(["replace", "delete", "add"] if keys else ["add"]))
+        if action == "add":
+            key = data.draw(st.text(max_size=8)) if isinstance(target, dict) else len(target)
+            if isinstance(target, list):
+                target.append(None)
+        else:
+            key = data.draw(st.sampled_from(keys))
+        if action == "delete":
+            del target[key]
+        else:
+            target[key] = data.draw(json_values)
+        scratch_file.write_text(json.dumps(payload), encoding="utf-8")
+        try:
+            load_dataset(scratch_file)
+        except DatasetFormatError:
+            pass
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ds=datasets(), data=st.data())
+    def test_mutated_bytes_raise_only_format_errors(self, scratch_file, ds, data):
+        raw = bytearray(json.dumps(dataset_to_dict(ds)).encode("utf-8"))
+        for _ in range(data.draw(st.integers(1, 4))):
+            pos = data.draw(st.integers(0, len(raw)))
+            raw[pos:pos + data.draw(st.integers(0, 2))] = data.draw(st.binary(max_size=3))
+        scratch_file.write_bytes(bytes(raw))
+        try:
+            load_dataset(scratch_file)
+        except DatasetFormatError:
+            pass
 
 
 class TestValidateGraph:

@@ -14,12 +14,13 @@ from rootrank.ranker import (
     TrainedModel,
     build_pairs,
     commit_loss,
-    pair_label,
     rank_commit,
     train,
     _pair_loss_from_scores,
     _prepare,
 )
+
+from naive_reference import naive_build_pairs, pair_label
 
 
 def pair_loss(s_i, s_j, label, sigma=1.0):
@@ -70,22 +71,44 @@ class TestPairLabel:
             pair_label(g.nodes[0], g.nodes[1])
 
 
+def pair_triples(g, include_ties=False):
+    """build_pairs as (node id i, node id j, label) tuples."""
+    deleted = g.deleted_ids()
+    pair_i, pair_j, labels = build_pairs(g, include_ties=include_ties)
+    return [(deleted[a], deleted[b], float(y)) for a, b, y in zip(pair_i, pair_j, labels)]
+
+
 class TestBuildPairs:
     def test_enumeration_without_ties(self):
         g = graph_with_deleted([True, False, False])
-        pairs = build_pairs(g)
-        assert [(p.i, p.j, p.label) for p in pairs] == [(0, 1, 1.0), (0, 2, 1.0)]
+        assert pair_triples(g) == [(0, 1, 1.0), (0, 2, 1.0)]
 
     def test_tie_pairs_behind_flag(self):
         g = graph_with_deleted([True, False, False])
-        pairs = build_pairs(g, include_ties=True)
-        assert [(p.i, p.j, p.label) for p in pairs] == [
+        assert pair_triples(g, include_ties=True) == [
             (0, 1, 1.0), (0, 2, 1.0), (1, 2, 0.5),
         ]
 
     def test_single_deleted_node_gives_nothing(self):
         g = graph_with_deleted([True])
-        assert build_pairs(g) == []
+        pair_i, pair_j, labels = build_pairs(g)
+        assert len(pair_i) == len(pair_j) == len(labels) == 0
+
+    @pytest.mark.parametrize("include_ties", [False, True])
+    def test_matches_loop_oracle_in_order(self, include_ties):
+        rng = np.random.default_rng(17)
+        for trial in range(200):
+            n = int(rng.integers(0, 13))
+            nodes = []
+            for i in range(n):
+                kind = NodeKind.DELETED if rng.random() < 0.6 else NodeKind.ADDED
+                root = kind is NodeKind.DELETED and rng.random() < 0.4
+                nodes.append(LineNode(i, kind, text=f"l{i}", is_root_cause=root))
+            g = CommitGraph(commit_id=f"c{trial}", nodes=tuple(nodes), edges=())
+            expected = [(p.i, p.j, p.label) for p in naive_build_pairs(g, include_ties)]
+            assert pair_triples(g, include_ties) == expected
+            pair_i, pair_j, labels = build_pairs(g, include_ties)
+            assert pair_i.dtype == pair_j.dtype == np.intp and labels.dtype == np.float64
 
 
 class TestPairProbability:
