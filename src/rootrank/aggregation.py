@@ -7,9 +7,11 @@ message maps selected by edge kind, plus a learnable prior per
 (source kind, edge kind, target kind) triple.
 
 All per-head structure lives in contiguous column slices of width D/H.
-Per-edge-kind maps are stored as D x D tensors whose off-diagonal head
-blocks are masked to zero in the forward pass, so head i only ever sees
-its own block.
+Per-edge-kind maps are stored as their head blocks only: a (D, D/H)
+tensor whose rows [i*D/H, (i+1)*D/H) are head i's square block, applied
+with ``block_matmul`` so head i only ever sees its own block.  Checkpoints
+hold the equivalent D x D block-diagonal matrix (see
+:func:`block_diagonal` and :func:`head_blocks`).
 
 A graph enters the layer as a :class:`GraphPlan`: per-edge integer
 arrays (source, target, prior row) plus a 0/1 column mask per node kind
@@ -22,7 +24,6 @@ Plans are built once per graph and reused across training steps.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -52,7 +53,8 @@ class AttentionParams:
 
     ``w_k``/``w_q``/``w_v`` and their biases are per node kind; weights
     apply by right multiplication on row vectors (state @ W + b).
-    ``w_att``/``w_msg`` are per edge kind, block-diagonal per head.
+    ``w_att``/``w_msg`` are per edge kind, shape (D, D/H): rows
+    [i*D/H, (i+1)*D/H) hold head i's square map.
     ``mu`` is the flattened (kind, kind, kind) prior, shape (MU_SIZE, 1).
     """
 
@@ -68,17 +70,13 @@ class AttentionParams:
     w_msg: dict[EdgeKind, Tensor]
     mu: Tensor
 
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.heads
-
 
 def init_attention_params(dim: int, heads: int, rng: np.random.Generator) -> AttentionParams:
     """Fresh layer parameters.
 
-    Projections draw symmetric-uniform Xavier bounds; the per-edge-kind
-    maps start at identity plus small uniform noise inside each head
-    block; priors start at 1.
+    Projections draw symmetric-uniform Xavier bounds; each head block
+    of the per-edge-kind maps starts at identity plus small uniform
+    noise; priors start at 1.
     """
     if dim % heads != 0:
         raise ValueError(f"heads ({heads}) must divide dim ({dim})")
@@ -91,12 +89,9 @@ def init_attention_params(dim: int, heads: int, rng: np.random.Generator) -> Att
     def bias():
         return Tensor(np.zeros(dim), requires_grad=True)
 
-    def blockwise():
-        w = np.zeros((dim, dim))
-        for i in range(heads):
-            lo = i * d
-            w[lo:lo + d, lo:lo + d] = np.eye(d) + rng.uniform(-0.01, 0.01, size=(d, d))
-        return Tensor(w, requires_grad=True)
+    def blocks():
+        return Tensor(np.tile(np.eye(d), (heads, 1)) + rng.uniform(-0.01, 0.01, size=(dim, d)),
+                      requires_grad=True)
 
     w_k = {k: proj() for k in NodeKind}
     b_k = {k: bias() for k in NodeKind}
@@ -104,14 +99,29 @@ def init_attention_params(dim: int, heads: int, rng: np.random.Generator) -> Att
     b_q = {k: bias() for k in NodeKind}
     w_v = {k: proj() for k in NodeKind}
     b_v = {k: bias() for k in NodeKind}
-    w_att = {e: blockwise() for e in EdgeKind}
-    w_msg = {e: blockwise() for e in EdgeKind}
+    w_att = {e: blocks() for e in EdgeKind}
+    w_msg = {e: blocks() for e in EdgeKind}
     mu = Tensor(np.ones((MU_SIZE, 1)), requires_grad=True)
     return AttentionParams(
         dim=dim, heads=heads,
         w_k=w_k, b_k=b_k, w_q=w_q, b_q=b_q, w_v=w_v, b_v=b_v,
         w_att=w_att, w_msg=w_msg, mu=mu,
     )
+
+
+def block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """The (D, D) block-diagonal matrix of a (D, D/H) head-block map."""
+    dim, d = blocks.shape
+    dense = np.zeros((dim, dim))
+    for lo in range(0, dim, d):
+        dense[lo:lo + d, lo:lo + d] = blocks[lo:lo + d]
+    return dense
+
+
+def head_blocks(dense: np.ndarray, heads: int) -> np.ndarray:
+    """The (D, D/H) head blocks of a (D, D) matrix; entries outside them are dropped."""
+    d = dense.shape[0] // heads
+    return np.concatenate([dense[lo:lo + d, lo:lo + d] for lo in range(0, dense.shape[0], d)])
 
 
 @dataclass
@@ -150,16 +160,6 @@ def build_plan(g: CommitGraph) -> GraphPlan:
     )
 
 
-@functools.cache
-def _head_maps(dim: int, heads: int) -> tuple[Tensor, Tensor, Tensor]:
-    """0/1 head-layout constants: (D, D) in-block mask, (D, H) block sums, (H, D) expansion."""
-    head_sum = np.kron(np.eye(heads), np.ones((dim // heads, 1)))
-    maps = (head_sum @ head_sum.T, head_sum, head_sum.T.copy())
-    for m in maps:
-        m.setflags(write=False)  # shared by every caller
-    return tuple(constant(m) for m in maps)
-
-
 @dataclass
 class HeadVectors:
     """Key/query/value states, n x D each; head i is columns [i*D/H, (i+1)*D/H)."""
@@ -189,11 +189,11 @@ def project_kqv(tape: Tape | None, h_prev: Tensor, params: AttentionParams,
 
 
 def _edge_rows(tape: Tape | None, plan: GraphPlan, states: Tensor,
-               maps: dict[EdgeKind, Tensor], block_mask: Tensor) -> Tensor:
-    """Per edge, the source state through its edge kind's block-diagonal map, shape (E, D)."""
+               maps: dict[EdgeKind, Tensor], heads: int) -> Tensor:
+    """Per edge, the source state through its edge kind's head blocks, shape (E, D)."""
     out = None
     for kind, mask in plan.edge_mask.items():
-        mapped = ad.matmul(tape, states, ad.mul(tape, maps[kind], block_mask))
+        mapped = ad.block_matmul(tape, states, maps[kind], heads)
         rows = ad.mul(tape, ad.take_rows(tape, mapped, plan.src), mask)
         out = rows if out is None else ad.add(tape, out, rows)
     if out is None:
@@ -209,10 +209,10 @@ def attention_logits(tape: Tape | None, plan: GraphPlan, kv: HeadVectors,
     K_head(src) @ W_att_block @ Q_head(dst), scaled by the (source kind,
     edge kind, target kind) prior and 1/sqrt(D/H).
     """
-    block_mask, head_sum, _expand = _head_maps(params.dim, params.heads)
-    keys = _edge_rows(tape, plan, kv.k, params.w_att, block_mask)
+    keys = _edge_rows(tape, plan, kv.k, params.w_att, params.heads)
     queries = ad.take_rows(tape, kv.q, plan.dst)
-    raw = ad.matmul(tape, ad.mul(tape, keys, queries), head_sum)
+    head_sum = constant(np.ones((params.dim, 1)))
+    raw = ad.block_matmul(tape, ad.mul(tape, keys, queries), head_sum, params.heads)
     prior = ad.take_rows(tape, params.mu, plan.mu_idx)
     scale = 1.0 / math.sqrt(params.dim / params.heads)
     return ad.scalar_mul(tape, ad.mul(tape, raw, prior), scale)
@@ -229,8 +229,7 @@ def attention_weights(tape: Tape | None, logits: Tensor, plan: GraphPlan) -> Ten
 def edge_messages(tape: Tape | None, plan: GraphPlan, kv: HeadVectors,
                   params: AttentionParams) -> Tensor:
     """Per-edge message content, shape (E, D): V_head(src) @ W_msg_block per head."""
-    block_mask, _sum, _expand = _head_maps(params.dim, params.heads)
-    return _edge_rows(tape, plan, kv.v, params.w_msg, block_mask)
+    return _edge_rows(tape, plan, kv.v, params.w_msg, params.heads)
 
 
 def aggregate(tape: Tape | None, plan: GraphPlan, weights: Tensor,
@@ -240,9 +239,9 @@ def aggregate(tape: Tape | None, plan: GraphPlan, weights: Tensor,
     ``weights`` is (E, H) and ``messages`` (E, D).  Targets with no
     incoming edges get an exactly zero row.
     """
-    dim, heads = messages.shape[1], weights.shape[1]
-    _mask, _sum, head_expand = _head_maps(dim, heads)
-    w_full = ad.matmul(tape, weights, head_expand)
+    heads = weights.shape[1]
+    head_expand = constant(np.ones((heads, messages.shape[1] // heads)))
+    w_full = ad.block_matmul(tape, weights, head_expand, heads)
     return ad.segment_sum(tape, ad.mul(tape, w_full, messages), plan.dst, plan.n)
 
 

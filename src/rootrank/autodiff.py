@@ -7,12 +7,13 @@ gradients of a scalar loss with respect to every leaf that requires
 them.  Passing ``tape=None`` runs the same forward math without
 recording, for inference.
 
-The op set holds what the model calls and nothing more: matmul, add,
-sub, mul, scalar_mul, sigmoid, tanh, relu, log_sigmoid, reduce_sum,
-layer_norm, and the index ops take_rows (gather), segment_sum (scatter
-add) and segment_softmax (softmax within each segment of rows), which
-carry graph-shaped work without dense one-hot matrices.  All ops reject
-non-finite results.
+The op set holds what the model calls and nothing more: matmul,
+block_matmul (one product per head, on column blocks), add, sub, mul,
+scalar_mul, sigmoid, tanh, relu, log_sigmoid, reduce_sum, layer_norm,
+and the index ops take_rows (gather), segment_sum (scatter add) and
+segment_softmax (softmax within each segment of rows), which carry
+graph-shaped and head-shaped work without dense one-hot or block-diagonal
+matrices.  All ops reject non-finite results.
 """
 
 from __future__ import annotations
@@ -155,6 +156,25 @@ def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
         def bwd(g):
             return np.outer(g, b.data), a.data.T @ g
     return _make(tape, out, (a, b), bwd)
+
+
+def block_matmul(tape: Tape | None, a: Tensor, w: Tensor, heads: int) -> Tensor:
+    """Per-head product (n, H*k) @ (H*k, m) -> (n, H*m), equal to ``a`` @ blockdiag(H row blocks of w).
+
+    Head i maps column block i of ``a`` through row block i of ``w`` into output column block i.
+    """
+    if (a.data.ndim != 2 or w.data.ndim != 2 or a.data.shape[1] != w.data.shape[0]
+            or heads < 1 or a.data.shape[1] % heads):
+        raise ValueError(f"block_matmul: unsupported shapes {a.shape} @ {w.shape} in {heads} heads")
+    n, k, m = a.data.shape[0], a.data.shape[1] // heads, w.data.shape[1]
+    x = a.data.reshape(n, heads, k).transpose(1, 0, 2)      # (H, n, k)
+    blocks = w.data.reshape(heads, k, m)                      # (H, k, m)
+    out = np.matmul(x, blocks).transpose(1, 0, 2).reshape(n, heads * m)
+    def bwd(g):
+        g = g.reshape(n, heads, m).transpose(1, 0, 2)         # (H, n, m)
+        return (np.matmul(g, blocks.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(a.data.shape),
+                np.matmul(x.transpose(0, 2, 1), g).reshape(w.data.shape))
+    return _make(tape, out, (a, w), bwd)
 
 
 def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:

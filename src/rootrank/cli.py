@@ -135,13 +135,22 @@ def _model_config(args: argparse.Namespace) -> tuple[ModelConfig, set[str]]:
 def _provider_for(ds, dim: int, source: str):
     """Hashing provider, unless the dataset ships its own vectors."""
     pre = detect_precomputed_dim(ds)
-    if pre is None:
-        return HashingEmbedder(dim)
-    if pre != dim:
+    if pre is not None and pre != dim:
         raise CliError(
             f"dimension mismatch: {source} expects dim {dim}, dataset embeddings have dim {pre}"
         )
-    return HashingEmbedder(pre)
+    return HashingEmbedder(dim)
+
+
+def _training_inputs(args: argparse.Namespace):
+    """Config, dataset and provider to train on; a dataset's own vectors set dim unless it was given."""
+    cfg, explicit = _model_config(args)
+    ds = load_dataset(args.dataset)
+    precomputed = detect_precomputed_dim(ds)
+    if precomputed is not None and "dim" not in explicit:
+        cfg.dim = precomputed
+        cfg.validate()
+    return cfg, ds, _provider_for(ds, cfg.dim, "model")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -162,13 +171,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg, explicit = _model_config(args)
-    ds = load_dataset(args.dataset)
-    precomputed = detect_precomputed_dim(ds)
-    if precomputed is not None and "dim" not in explicit:
-        cfg.dim = precomputed
-        cfg.validate()
-    provider = _provider_for(ds, cfg.dim, "model")
+    cfg, ds, provider = _training_inputs(args)
     embedded = embed_dataset(ds, provider)
 
     log_lines: list[str] = []
@@ -190,13 +193,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.cv:
-        cfg, explicit = _model_config(args)
-        ds = load_dataset(args.dataset)
-        precomputed = detect_precomputed_dim(ds)
-        if precomputed is not None and "dim" not in explicit:
-            cfg.dim = precomputed
-            cfg.validate()
-        provider = _provider_for(ds, cfg.dim, "model")
+        cfg, ds, provider = _training_inputs(args)
         mean, folds = cross_validate(
             ds, cfg, provider, k=args.cv, seed=cfg.seed,
             chronological=args.chronological,

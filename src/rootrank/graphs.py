@@ -80,11 +80,6 @@ class CommitGraph:
     edges: tuple[DepEdge, ...]
     timestamp: int | None = None
 
-    def node(self, node_id: int) -> LineNode:
-        if not 0 <= node_id < len(self.nodes):
-            raise KeyError(f"graph {self.commit_id!r} has no node {node_id}")
-        return self.nodes[node_id]
-
     def deleted_ids(self) -> list[int]:
         return [n.id for n in self.nodes if n.kind is NodeKind.DELETED]
 

@@ -22,6 +22,8 @@ from .aggregation import (
     AttentionParams,
     GraphPlan,
     attention_forward,
+    block_diagonal,
+    head_blocks,
     init_attention_params,
 )
 from .autodiff import Tape, Tensor, constant
@@ -210,42 +212,25 @@ def network_forward(tape: Tape | None, h0: Tensor, plan: GraphPlan,
 # Named parameter traversal and checkpoints
 
 
+_NODE_KIND_TENSORS = ("w_k", "b_k", "w_q", "b_q", "w_v", "b_v")
+_GRU_TENSORS = ("w_ir", "b_ir", "w_hr", "b_hr", "w_iz", "b_iz",
+                "w_hz", "b_hz", "w_in", "b_in", "w_hn", "b_hn")
+
+
 def named_tensors(params: NetworkParams) -> list[tuple[str, Tensor]]:
     """Every learnable tensor with a stable name, in a fixed order."""
     out: list[tuple[str, Tensor]] = []
     for li, (attn, gru) in enumerate(params.layers):
         p = f"layer{li}.attn"
-        for kind in NodeKind:
-            out.append((f"{p}.w_k.{kind.value}", attn.w_k[kind]))
-            out.append((f"{p}.b_k.{kind.value}", attn.b_k[kind]))
-            out.append((f"{p}.w_q.{kind.value}", attn.w_q[kind]))
-            out.append((f"{p}.b_q.{kind.value}", attn.b_q[kind]))
-            out.append((f"{p}.w_v.{kind.value}", attn.w_v[kind]))
-            out.append((f"{p}.b_v.{kind.value}", attn.b_v[kind]))
-        for kind in EdgeKind:
-            out.append((f"{p}.w_att.{kind.value}", attn.w_att[kind]))
-        for kind in EdgeKind:
-            out.append((f"{p}.w_msg.{kind.value}", attn.w_msg[kind]))
+        out += [(f"{p}.{field}.{kind.value}", getattr(attn, field)[kind])
+                for kind in NodeKind for field in _NODE_KIND_TENSORS]
+        out += [(f"{p}.{field}.{kind.value}", getattr(attn, field)[kind])
+                for field in ("w_att", "w_msg") for kind in EdgeKind]
         out.append((f"{p}.mu", attn.mu))
-        g = f"layer{li}.gru"
-        out.append((f"{g}.w_ir", gru.w_ir))
-        out.append((f"{g}.b_ir", gru.b_ir))
-        out.append((f"{g}.w_hr", gru.w_hr))
-        out.append((f"{g}.b_hr", gru.b_hr))
-        out.append((f"{g}.w_iz", gru.w_iz))
-        out.append((f"{g}.b_iz", gru.b_iz))
-        out.append((f"{g}.w_hz", gru.w_hz))
-        out.append((f"{g}.b_hz", gru.b_hz))
-        out.append((f"{g}.w_in", gru.w_in))
-        out.append((f"{g}.b_in", gru.b_in))
-        out.append((f"{g}.w_hn", gru.w_hn))
-        out.append((f"{g}.b_hn", gru.b_hn))
-    out.append(("final_norm.gain", params.norm_gain))
-    out.append(("final_norm.bias", params.norm_bias))
-    out.append(("proj.w", params.w_proj))
-    out.append(("proj.b", params.b_proj))
-    out.append(("scorer.w", params.scorer_w))
-    out.append(("scorer.b", params.scorer_b))
+        out += [(f"layer{li}.gru.{field}", getattr(gru, field)) for field in _GRU_TENSORS]
+    out += [("final_norm.gain", params.norm_gain), ("final_norm.bias", params.norm_bias),
+            ("proj.w", params.w_proj), ("proj.b", params.b_proj),
+            ("scorer.w", params.scorer_w), ("scorer.b", params.scorer_b)]
     return out
 
 
@@ -256,8 +241,15 @@ class CheckpointError(ValueError):
     """Raised when a checkpoint file is malformed or inconsistent."""
 
 
+def _head_map_ids(params: NetworkParams) -> set[int]:
+    """Identities of the per-edge-kind head-block maps, stored block-diagonal in checkpoints."""
+    return {id(t) for attn, _gru in params.layers
+            for t in (*attn.w_att.values(), *attn.w_msg.values())}
+
+
 def save_checkpoint(path: str | Path, params: NetworkParams, cfg: ModelConfig) -> None:
-    """Write params + config as JSON; float64 values round-trip bit-exactly."""
+    """Write params + config as JSON, maps block-diagonal; float64 values round-trip bit-exactly."""
+    maps = _head_map_ids(params)
     payload = {
         "format": CHECKPOINT_FORMAT,
         "dim": cfg.dim,
@@ -268,8 +260,9 @@ def save_checkpoint(path: str | Path, params: NetworkParams, cfg: ModelConfig) -
         "seed": cfg.seed,
         "sigma": cfg.sigma,
         "tensors": [
-            {"name": name, "shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
-            for name, t in named_tensors(params)
+            {"name": name, "shape": list(data.shape), "data": data.reshape(-1).tolist()}
+            for name, data in ((name, block_diagonal(t.data) if id(t) in maps else t.data)
+                               for name, t in named_tensors(params))
         ],
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
@@ -292,6 +285,7 @@ def _field(obj: dict, key: str, types, where: str):
 
 
 def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
+    """Read a checkpoint; each map must be D x D with zeros outside its head blocks."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -316,6 +310,7 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     params = init_network_params(cfg, np.random.default_rng(0))
+    maps = _head_map_ids(params)
     expected = named_tensors(params)
     stored = _field(payload, "tensors", list, str(path))
     if len(stored) != len(expected):
@@ -328,16 +323,21 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
             raise CheckpointError(f"{path}: tensor order mismatch: {entry['name']!r} != {name!r}")
         where = f"{path}: {name}"
         shape = tuple(_field(entry, "shape", list, where))
-        if shape != tensor.data.shape:
-            raise CheckpointError(f"{where}: shape {shape} != {tensor.data.shape}")
+        want = (cfg.dim, cfg.dim) if id(tensor) in maps else tensor.data.shape
+        if shape != want:
+            raise CheckpointError(f"{where}: shape {shape} != {want}")
         data = _field(entry, "data", list, where)
         try:
             arr = np.asarray(data, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"{where}: field 'data' must hold numbers: {exc}") from exc
-        if arr.shape != (tensor.data.size,):
-            raise CheckpointError(f"{where}: field 'data' must hold {tensor.data.size} numbers")
+        if arr.shape != (math.prod(shape),):
+            raise CheckpointError(f"{where}: field 'data' must hold {math.prod(shape)} numbers")
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{where}: non-finite values")
         tensor.data = arr.reshape(shape)
+        if id(tensor) in maps:
+            tensor.data = head_blocks(tensor.data, cfg.heads)
+            if not np.array_equal(block_diagonal(tensor.data), arr.reshape(shape)):
+                raise CheckpointError(f"{where}: nonzero entries outside the head blocks")
     return params, cfg

@@ -67,15 +67,21 @@ class AdamState:
         return state
 
     def step(self, tensors: list[Tensor], grads: list[np.ndarray], lr: float) -> None:
+        """Update every tensor; raises FloatingPointError in place of writing a non-finite one."""
         self.step_count += 1
         correct1 = 1.0 - self.beta1 ** self.step_count
         correct2 = 1.0 - self.beta2 ** self.step_count
-        for t, g, m, v in zip(tensors, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            t.data = t.data - lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, g, m, v in zip(tensors, grads, self.m, self.v):
+                m *= self.beta1
+                m += (1.0 - self.beta1) * g
+                v *= self.beta2
+                v += (1.0 - self.beta2) * (g * g)
+                data = t.data - lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+                if not np.isfinite(data).all():
+                    raise FloatingPointError(
+                        f"adam_step produced non-finite values in its {data.shape} output")
+                t.data = data
 
 
 @dataclass(frozen=True)
@@ -120,16 +126,14 @@ def _deleted_scores(tape: Tape | None, batch: _CommitBatch, params: NetworkParam
 
 
 def _pair_loss_from_scores(tape: Tape | None, scores: Tensor, batch: _CommitBatch,
-                           cfg: ModelConfig, subset: slice | None = None) -> Tensor:
-    """RankNet cross-entropy summed over pairs.
+                           cfg: ModelConfig, subset: slice = slice(None)) -> Tensor:
+    """RankNet cross-entropy summed over the pairs that ``subset`` selects (all by default).
 
     With logit x = sigma * (s_i - s_j) and label y, each pair costs
     -(y log sigmoid(x) + (1 - y) log sigmoid(-x)), exact and with a live
     gradient however confidently a pair is misranked.
     """
-    pair_i, pair_j, labels = batch.pair_i, batch.pair_j, batch.labels
-    if subset is not None:
-        pair_i, pair_j, labels = pair_i[subset], pair_j[subset], labels[subset]
+    pair_i, pair_j, labels = batch.pair_i[subset], batch.pair_j[subset], batch.labels[subset]
     diff = ad.sub(tape, ad.take_rows(tape, scores, pair_i), ad.take_rows(tape, scores, pair_j))
     logit = ad.scalar_mul(tape, diff, cfg.sigma)
     pos = ad.mul(tape, ad.log_sigmoid(tape, logit), constant(labels))
@@ -139,12 +143,10 @@ def _pair_loss_from_scores(tape: Tape | None, scores: Tensor, batch: _CommitBatc
 
 
 def commit_loss(tape: Tape | None, batch: _CommitBatch, params: NetworkParams,
-                cfg: ModelConfig) -> Tensor | None:
-    """Summed pair cross-entropy of one commit; None when it has no pairs."""
-    if not batch.n_pairs:
-        return None
+                cfg: ModelConfig, subset: slice = slice(None)) -> Tensor:
+    """Summed pair cross-entropy of one commit, over the pairs that ``subset`` selects."""
     scores = _deleted_scores(tape, batch, params, cfg)
-    return _pair_loss_from_scores(tape, scores, batch, cfg)
+    return _pair_loss_from_scores(tape, scores, batch, cfg, subset)
 
 
 @dataclass
@@ -188,28 +190,21 @@ def train(embedded: list[EmbeddedGraph], cfg: ModelConfig,
             batch = batches[idx]
             if not batch.n_pairs:
                 continue
+            subsets = ([slice(row, row + 1) for row in range(batch.n_pairs)]
+                       if cfg.step_per_pair else [slice(None)])
+            total = 0.0
             try:
-                if cfg.step_per_pair:
-                    total = 0.0
-                    for row in range(batch.n_pairs):
-                        tape = Tape()
-                        scores = _deleted_scores(tape, batch, params, cfg)
-                        loss = _pair_loss_from_scores(
-                            tape, scores, batch, cfg, subset=slice(row, row + 1))
-                        grads = ad.backward(tape, loss)
-                        adam.step(tensors, [grads[t] for t in tensors], cfg.lr)
-                        total += loss.item()
-                    losses.append(total)
-                else:
+                for subset in subsets:
                     tape = Tape()
-                    loss = commit_loss(tape, batch, params, cfg)
+                    loss = commit_loss(tape, batch, params, cfg, subset)
                     grads = ad.backward(tape, loss)
                     adam.step(tensors, [grads[t] for t in tensors], cfg.lr)
-                    losses.append(loss.item())
+                    total += loss.item()
             except FloatingPointError as exc:
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, commit {batch.graph.commit_id!r}: {exc}"
                 ) from exc
+            losses.append(total)
         mean_loss = float(np.mean(losses)) if losses else 0.0
         log.append(mean_loss)
         if on_epoch is not None:

@@ -143,9 +143,3 @@ def generate(cfg: GenConfig) -> Dataset:
             )
         )
     return Dataset(graphs=tuple(graphs), name=f"synthetic(seed={cfg.seed})")
-
-
-def signal_token_count(text: str) -> int:
-    """Number of signal-vocabulary tokens in a line; a trivial oracle scorer."""
-    tokens = text.split()
-    return sum(1 for t in tokens if t in SIGNAL_VOCAB)

@@ -15,6 +15,7 @@ import numpy as np
 from rootrank.aggregation import AttentionParams, mu_index
 from rootrank.graphs import CommitGraph, EdgeKind, LineNode, NodeKind
 from rootrank.network import GruParams, Mode, NetworkParams
+from rootrank.synthetic import SIGNAL_VOCAB
 
 
 def neighbors_in(g: CommitGraph, t: int) -> list[tuple[int, EdgeKind]]:
@@ -101,8 +102,8 @@ def naive_attention_forward(h_prev: np.ndarray, g: CommitGraph,
             logits = []
             messages = []
             for s, ekind in incoming:
-                w_att_block = params.w_att[ekind].data[sl, sl]
-                w_msg_block = params.w_msg[ekind].data[sl, sl]
+                w_att_block = params.w_att[ekind].data[sl]
+                w_msg_block = params.w_msg[ekind].data[sl]
                 prior = params.mu.data[mu_index(kinds[s], ekind, kinds[t]), 0]
                 logit = (k_full[s, sl] @ w_att_block @ q_full[t, sl]) * prior / math.sqrt(d)
                 logits.append(logit)
@@ -152,6 +153,12 @@ def naive_network_forward(h0: np.ndarray, g: CommitGraph, params: NetworkParams,
             h = naive_gru(h, h, gru)
     normed = naive_layer_norm(h, params.norm_gain.data, params.norm_bias.data)
     return np.maximum(normed @ params.w_proj.data + params.b_proj.data, 0.0)
+
+
+def signal_token_count(text: str) -> int:
+    """Number of signal-vocabulary tokens in a line; a trivial oracle scorer."""
+    tokens = text.split()
+    return sum(1 for t in tokens if t in SIGNAL_VOCAB)
 
 
 def random_graph(rng: np.random.Generator, max_nodes: int = 6,

@@ -21,9 +21,10 @@ from naive_reference import naive_attention_forward, random_graph
 
 
 def identity_params(dim, heads):
-    """Identity projections, zero biases, identity maps, unit priors."""
+    """Identity projections, zero biases, identity head blocks, unit priors."""
     params = init_attention_params(dim, heads, np.random.default_rng(0))
     eye = np.eye(dim)
+    eye_blocks = np.tile(np.eye(dim // heads), (heads, 1))
     for kind in NodeKind:
         params.w_k[kind].data = eye.copy()
         params.w_q[kind].data = eye.copy()
@@ -32,8 +33,8 @@ def identity_params(dim, heads):
         params.b_q[kind].data = np.zeros(dim)
         params.b_v[kind].data = np.zeros(dim)
     for kind in EdgeKind:
-        params.w_att[kind].data = eye.copy()
-        params.w_msg[kind].data = eye.copy()
+        params.w_att[kind].data = eye_blocks.copy()
+        params.w_msg[kind].data = eye_blocks.copy()
     params.mu.data = np.ones_like(params.mu.data)
     return params
 
@@ -243,7 +244,7 @@ class TestMessagesAndAggregate:
         g = chain_graph()
         plan = build_plan(g)
         params = identity_params(4, 2)
-        params.w_msg[EdgeKind.DATA_DEPENDENCY].data = np.zeros((4, 4))
+        params.w_msg[EdgeKind.DATA_DEPENDENCY].data = np.zeros((4, 2))
         kv = project_kqv(None, constant(np.ones((2, 4))), params, plan)
         msgs = edge_messages(None, plan, kv, params)
         np.testing.assert_array_equal(msgs.data, np.zeros((1, 4)))

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootrank import autodiff as ad
 from rootrank.autodiff import Tape, Tensor, backward, constant, grad_check
@@ -142,6 +144,16 @@ class TestPerOpGradients:
         b = Tensor(self._rand(4), requires_grad=True)
         w = self._rand(3)
         check_op(lambda tape, _: scalarize(tape, ad.matmul(tape, a, b), w), [a, b])
+
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    @pytest.mark.parametrize("k,m", [(3, 3), (3, 1), (1, 3)])
+    def test_block_matmul(self, heads, k, m):
+        # (d, d) edge maps, (d, 1) per-head sums, (1, d) per-head expansion
+        a = Tensor(self._rand(4, heads * k), requires_grad=True)
+        w = Tensor(self._rand(heads * k, m), requires_grad=True)
+        weights = self._rand(4, heads * m)
+        check_op(lambda tape, _: scalarize(tape, ad.block_matmul(tape, a, w, heads), weights),
+                 [a, w])
 
     def test_add_same_shape(self):
         a = Tensor(self._rand(3, 4), requires_grad=True)
@@ -298,6 +310,44 @@ class TestSoftmaxProperties:
         p = ad.segment_softmax(None, constant(x), np.array([0, 0, 1, 1]), 2).data
         alone = ad.segment_softmax(None, constant(x[:2]), np.array([0, 0]), 1).data
         np.testing.assert_array_equal(p[:2], alone)
+
+
+def block_diagonal_of(w, heads):
+    """Dense (H*k, H*m) matrix with the row blocks of ``w`` on its diagonal."""
+    k, m = w.shape[0] // heads, w.shape[1]
+    dense = np.zeros((heads * k, heads * m))
+    for i in range(heads):
+        dense[i * k:(i + 1) * k, i * m:(i + 1) * m] = w[i * k:(i + 1) * k]
+    return dense
+
+
+class TestBlockMatmul:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 5), heads=st.integers(1, 4), k=st.integers(1, 4),
+           m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_equals_dense_block_diagonal_product(self, n, heads, k, m, seed):
+        rng = np.random.default_rng(seed)
+        a = Tensor(rng.uniform(-2, 2, size=(n, heads * k)), requires_grad=True)
+        w = Tensor(rng.uniform(-2, 2, size=(heads * k, m)), requires_grad=True)
+        g = rng.uniform(-2, 2, size=(n, heads * m))
+        dense = block_diagonal_of(w.data, heads)
+
+        tape = Tape()
+        out = ad.block_matmul(tape, a, w, heads)
+        np.testing.assert_allclose(out.data, a.data @ dense, rtol=0, atol=1e-12)
+        grads = backward(tape, scalarize(tape, out, g))
+        np.testing.assert_allclose(grads[a], g @ dense.T, rtol=0, atol=1e-12)
+        in_block = block_diagonal_of(np.ones(w.shape), heads) == 1.0
+        np.testing.assert_allclose(block_diagonal_of(grads[w], heads),
+                                   np.where(in_block, a.data.T @ g, 0.0), rtol=0, atol=1e-12)
+
+    def test_shape_checks(self):
+        with pytest.raises(ValueError, match="block_matmul"):
+            ad.block_matmul(None, constant(np.zeros((2, 4))), constant(np.zeros((3, 1))), 2)
+        with pytest.raises(ValueError, match="block_matmul"):
+            ad.block_matmul(None, constant(np.zeros((2, 3))), constant(np.zeros((3, 1))), 2)
+        with pytest.raises(ValueError, match="block_matmul"):
+            ad.block_matmul(None, constant(np.zeros(4)), constant(np.zeros((4, 1))), 2)
 
 
 class TestGradCheck:

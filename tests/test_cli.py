@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -266,6 +267,39 @@ class TestCheckpointHeader:
         assert code == 1
         assert err.startswith("error: ")
         assert (key if key != "format" else "rootrank-checkpoint-v1") in err
+
+
+class TestDenseMapCheckpoint:
+    """A checkpoint and its ``rank`` output, both written while the per-edge-kind
+    maps were held as dense D x D tensors (dim 8, heads 2, layers 1)."""
+
+    data = Path(__file__).parent / "data"
+
+    def test_ranks_as_recorded(self, tmp_path, capsys):
+        out = tmp_path / "ranking.csv"
+        code, _out, _err = run(capsys, "rank", "-d", str(self.data / "v1_dataset.json"),
+                               "-m", str(self.data / "v1_model.ckpt"), "-o", str(out))
+        assert code == 0
+        got, want = (list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
+                     for path in (out, self.data / "v1_ranking.csv"))
+        assert len(got) == len(want) == 1 + 8 * 10
+        assert got[0] == want[0]
+        for row, ref in zip(got[1:], want[1:]):
+            assert row[:3] + row[4:] == ref[:3] + ref[4:]
+            assert abs(float(row[3]) - float(ref[3])) <= 1e-12
+
+    def test_nonzero_entry_outside_head_blocks_exits_1(self, tmp_path, capsys):
+        payload = json.loads((self.data / "v1_model.ckpt").read_text(encoding="utf-8"))
+        entry = payload["tensors"][13]
+        assert entry["name"] == "layer0.attn.w_att.data_dependency"
+        entry["data"][5 * 8 + 1] = 0.5                 # row 5 (head 1), column 1 (head 0)
+        broken = tmp_path / "broken.ckpt"
+        broken.write_text(json.dumps(payload), encoding="utf-8")
+        code, _out, err = run(capsys, "rank", "-d", str(self.data / "v1_dataset.json"),
+                              "-m", str(broken))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "layer0.attn.w_att.data_dependency: nonzero entries outside the head blocks" in err
 
 
 class TestGradcheck:

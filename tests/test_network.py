@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootrank import autodiff as ad
-from rootrank.aggregation import build_plan
+from rootrank.aggregation import build_plan, init_attention_params
 from rootrank.autodiff import constant
 from rootrank.graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind
 from rootrank.network import (
@@ -268,6 +270,34 @@ class TestRelabellingEquivariance:
             np.testing.assert_allclose(out_relabelled[perm], out, rtol=0, atol=1e-12)
 
 
+DATA = Path(__file__).parent / "data"
+
+
+class TestHeadBlockMaps:
+    def test_named_maps_hold_only_head_blocks(self):
+        named = named_tensors(init_network_params(ModelConfig(dim=64, heads=8, layers=2)))
+        maps = [t for name, t in named if ".w_att." in name or ".w_msg." in name]
+        assert len(maps) == 2 * 2 * len(EdgeKind)
+        assert all(t.data.shape == (64, 8) for t in maps)
+        assert sum(t.data.size for _name, t in named) == 114_473
+
+    def test_init_draws_each_head_block_in_turn(self):
+        dim, heads = 8, 4
+        d = dim // heads
+        rng = np.random.default_rng(3)
+        params = init_attention_params(dim, heads, rng)
+        ref = np.random.default_rng(3)
+        bound = math.sqrt(6.0 / (dim + dim))
+        for _ in range(3 * len(NodeKind)):      # the w_k, w_q, w_v projections
+            ref.uniform(-bound, bound, size=(dim, dim))
+        for maps in (params.w_att, params.w_msg):
+            for kind in EdgeKind:
+                for i in range(heads):
+                    block = np.eye(d) + ref.uniform(-0.01, 0.01, size=(d, d))
+                    assert np.array_equal(maps[kind].data[i * d:(i + 1) * d], block)
+        assert rng.random() == ref.random()
+
+
 class TestCheckpoints:
     def test_roundtrip_bit_exact(self, tmp_path):
         cfg = ModelConfig(dim=8, heads=2, layers=2, proj_dim=4, seed=11)
@@ -289,6 +319,45 @@ class TestCheckpoints:
         loaded, loaded_cfg = load_checkpoint(p1)
         save_checkpoint(p2, loaded, loaded_cfg)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_maps_are_written_block_diagonal(self, tmp_path):
+        cfg = ModelConfig(dim=4, heads=2, layers=1, proj_dim=4, seed=3)
+        params = init_network_params(cfg, np.random.default_rng(3))
+        save_checkpoint(tmp_path / "m.ckpt", params, cfg)
+        entry = json.loads((tmp_path / "m.ckpt").read_text())["tensors"][12]
+        assert entry["name"] == "layer0.attn.w_att.control_flow"
+        assert entry["shape"] == [4, 4]
+        dense = np.array(entry["data"]).reshape(4, 4)
+        blocks = params.layers[0][0].w_att[EdgeKind.CONTROL_FLOW].data
+        assert np.array_equal(dense[:2, :2], blocks[:2]) and np.array_equal(dense[2:, 2:], blocks[2:])
+        assert not dense[:2, 2:].any() and not dense[2:, :2].any()
+
+    def test_dense_map_checkpoint_resaves_byte_identical(self, tmp_path):
+        # written while maps were held as dense D x D tensors (dim 8, heads 2, layers 1)
+        params, cfg = load_checkpoint(DATA / "v1_model.ckpt")
+        assert params.layers[0][0].w_msg[EdgeKind.CALL].data.shape == (8, 4)
+        save_checkpoint(tmp_path / "again.ckpt", params, cfg)
+        assert (tmp_path / "again.ckpt").read_bytes() == (DATA / "v1_model.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("row,col", [(0, 4), (7, 3)])
+    def test_nonzero_entry_outside_head_blocks_is_named(self, tmp_path, row, col):
+        payload = json.loads((DATA / "v1_model.ckpt").read_text())
+        entry = next(e for e in payload["tensors"] if e["name"] == "layer0.attn.w_msg.call")
+        entry["data"][row * 8 + col] = 1e-300
+        path = tmp_path / "bad.ckpt"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CheckpointError, match=r"layer0\.attn\.w_msg\.call: nonzero entries"):
+            load_checkpoint(path)
+
+    def test_map_must_be_square(self, tmp_path):
+        cfg = ModelConfig(dim=4, heads=2, layers=1, proj_dim=4)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_network_params(cfg, np.random.default_rng(0)), cfg)
+        payload = json.loads(path.read_text())
+        payload["tensors"][12].update(shape=[4, 2], data=[0.0] * 8)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CheckpointError, match=r"w_att.control_flow: shape \(4, 2\) != \(4, 4\)"):
+            load_checkpoint(path)
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -1,10 +1,12 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from rootrank import autodiff as ad
+from rootrank import ranker
 from rootrank.autodiff import Tape, Tensor, constant
 from rootrank.embedding import HashingEmbedder, embed_dataset, embed_graph
 from rootrank.graphs import CommitGraph, Dataset, DepEdge, EdgeKind, LineNode, NodeKind
@@ -12,6 +14,7 @@ from rootrank.network import Mode, ModelConfig, init_network_params, named_tenso
 from rootrank.ranker import (
     AdamState,
     TrainedModel,
+    TrainingError,
     build_pairs,
     commit_loss,
     rank_commit,
@@ -19,6 +22,7 @@ from rootrank.ranker import (
     _pair_loss_from_scores,
     _prepare,
 )
+from rootrank.synthetic import GenConfig, generate
 
 from naive_reference import naive_build_pairs, pair_label
 
@@ -299,6 +303,43 @@ class TestTrain:
         loss_after = commit_loss(None, batch, params, cfg)
         assert loss_after.item() < loss_before.item()
 
+    @pytest.mark.parametrize("step_per_pair", [False, True])
+    def test_matches_stepping_each_commit_or_each_pair_by_hand(self, step_per_pair):
+        embedded = self._embedded(n_graphs=3)
+        cfg = self._cfg(lr=1e-3, include_tie_pairs=True, step_per_pair=step_per_pair)
+        model = train(embedded, cfg)
+
+        params = init_network_params(cfg, np.random.default_rng(cfg.seed))
+        tensors = [t for _n, t in named_tensors(params)]
+        adam = AdamState.for_params(tensors)
+        batches = [_prepare(eg, cfg) for eg in embedded]
+        rng = np.random.default_rng(cfg.seed)
+        log = []
+        for _epoch in range(cfg.epochs):
+            losses = []
+            for idx in rng.permutation(len(batches)):
+                batch = batches[idx]
+                if step_per_pair:
+                    total = 0.0
+                    for row in range(batch.n_pairs):
+                        tape = Tape()
+                        loss = commit_loss(tape, batch, params, cfg, slice(row, row + 1))
+                        grads = ad.backward(tape, loss)
+                        adam.step(tensors, [grads[t] for t in tensors], cfg.lr)
+                        total += loss.item()
+                    losses.append(total)
+                else:
+                    tape = Tape()
+                    loss = commit_loss(tape, batch, params, cfg)
+                    grads = ad.backward(tape, loss)
+                    adam.step(tensors, [grads[t] for t in tensors], cfg.lr)
+                    losses.append(loss.item())
+            log.append(float(np.mean(losses)))
+
+        assert model.training_log == log
+        for (name, a), (_name, b) in zip(named_tensors(model.params), named_tensors(params)):
+            assert np.array_equal(a.data, b.data), name
+
     def test_training_log_finite(self):
         model = train(self._embedded(), self._cfg(epochs=3))
         assert len(model.training_log) == 3
@@ -393,6 +434,34 @@ class TestAdam:
         adam.step(tensors, [np.zeros_like(t.data) for t in tensors], lr=1e-3)
         for t, b in zip(tensors, before):
             assert np.array_equal(t.data, b)
+
+    def test_overflowing_step_is_named_and_leaves_parameters_finite(self, monkeypatch):
+        embedded = embed_dataset(generate(GenConfig(n_commits=40, seed=7)), HashingEmbedder(16))
+        cfg = ModelConfig(dim=16, heads=2, layers=2, lr=1e300, epochs=1)
+        params = init_network_params(cfg)
+        scored, failed = [], []
+        real_scores, real_step = ranker._deleted_scores, AdamState.step
+
+        def scores(tape, batch, params, cfg):
+            scored.append(batch.graph.commit_id)
+            return real_scores(tape, batch, params, cfg)
+
+        def step(self, tensors, grads, lr):
+            try:
+                real_step(self, tensors, grads, lr)
+            except FloatingPointError:
+                failed.append(scored[-1])
+                raise
+
+        monkeypatch.setattr(ranker, "_deleted_scores", scores)
+        monkeypatch.setattr(AdamState, "step", step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingError, match="^non-finite loss at epoch 0") as info:
+                train(embedded, cfg, params=params)
+        assert len(failed) == 1
+        assert f"commit {failed[0]!r}: adam_step produced non-finite values" in str(info.value)
+        assert all(np.isfinite(t.data).all() for _n, t in named_tensors(params))
 
     def test_step_moves_against_gradient(self):
         cfg = ModelConfig(dim=4, heads=2, layers=1, proj_dim=2)

@@ -6,8 +6,9 @@ from rootrank.synthetic import (
     SIGNAL_VOCAB,
     GenConfig,
     generate,
-    signal_token_count,
 )
+
+from naive_reference import signal_token_count
 
 
 class TestGenerate:
