@@ -14,12 +14,16 @@ hold the equivalent D x D block-diagonal matrix (see
 :func:`block_diagonal` and :func:`head_blocks`).
 
 A graph enters the layer as a :class:`GraphPlan`: per-edge integer
-arrays (source, target, prior row) plus a 0/1 column mask per node kind
-and per edge kind, so every plan array is O(n + E).  Edge rows are
-gathered from node rows with ``take_rows``, each node's incoming edges
-compete in one ``segment_softmax`` per head, and the weighted messages
-are added into the rows of their target nodes with ``segment_sum``.
-Plans are built once per graph and reused across training steps.
+arrays (source, target, prior row) plus the sorted rows of each node
+kind and each edge kind present, so every plan array is O(n + E).  Each
+typed transform runs once per kind, on that kind's rows only: each of
+K, Q and V is one ``block_matmul`` with a group per node kind, and the
+attention and message maps are one each, with a group per edge kind.
+Edge rows are gathered from node rows with ``take_rows`` (once per map
+family), each node's incoming edges compete in one
+``segment_softmax`` per head, and the weighted messages are added into
+the rows of their target nodes with ``segment_sum``.  Plans are built
+once per graph and reused across training steps.
 """
 
 from __future__ import annotations
@@ -126,37 +130,41 @@ def head_blocks(dense: np.ndarray, heads: int) -> np.ndarray:
 
 @dataclass
 class GraphPlan:
-    """Index arrays and masks derived from one graph's structure.
+    """Integer index arrays derived from one graph's structure.
 
     Edges are ordered canonically by (dst, src, kind ordinal), so each
     target's incoming edges are contiguous and ordered by source id and
-    then edge kind.
+    then edge kind.  ``node_rows``/``edge_rows`` hold one sorted row array
+    per kind present in the graph; together they partition the node ids
+    and the edge rows.
     """
 
     n: int
     src: np.ndarray                        # (E,) source node of each edge
     dst: np.ndarray                        # (E,) target node of each edge
     mu_idx: np.ndarray                     # (E,) row of the edge's prior in ``mu``
-    node_mask: dict[NodeKind, Tensor]      # (n, 1) 1.0 on nodes of the kind
-    edge_mask: dict[EdgeKind, Tensor]      # (E, 1) 1.0 on edges of the kind; present kinds only
+    node_rows: dict[NodeKind, np.ndarray]  # node ids of each present node kind
+    edge_rows: dict[EdgeKind, np.ndarray]  # edge rows of each present edge kind
+
+
+def _rows_by_kind(ordinals: np.ndarray, kinds) -> dict:
+    """Sorted rows holding each kind's ordinal, for the kinds that occur."""
+    rows = {kind: np.flatnonzero(ordinals == kind.ordinal) for kind in kinds}
+    return {kind: r for kind, r in rows.items() if r.size}
 
 
 def build_plan(g: CommitGraph) -> GraphPlan:
     kinds = [node.kind for node in g.nodes]
     order = sorted(g.edges, key=lambda e: (e.dst, e.src, e.kind.ordinal))
-
-    def column(flags) -> Tensor:
-        return constant(np.array(flags, dtype=np.float64).reshape(-1, 1))
-
     return GraphPlan(
         n=len(kinds),
         src=np.array([e.src for e in order], dtype=np.intp),
         dst=np.array([e.dst for e in order], dtype=np.intp),
         mu_idx=np.array([mu_index(kinds[e.src], e.kind, kinds[e.dst]) for e in order],
                         dtype=np.intp),
-        node_mask={k: column([kind is k for kind in kinds]) for k in NodeKind},
-        edge_mask={k: column([e.kind is k for e in order])
-                   for k in EdgeKind if any(e.kind is k for e in order)},
+        node_rows=_rows_by_kind(np.array([k.ordinal for k in kinds], dtype=np.intp), NodeKind),
+        edge_rows=_rows_by_kind(np.array([e.kind.ordinal for e in order], dtype=np.intp),
+                                EdgeKind),
     )
 
 
@@ -174,12 +182,8 @@ def project_kqv(tape: Tape | None, h_prev: Tensor, params: AttentionParams,
     """Project node states through the projection of each node's own kind."""
 
     def typed(w: dict[NodeKind, Tensor], b: dict[NodeKind, Tensor]) -> Tensor:
-        parts = [
-            ad.mul(tape, ad.add(tape, ad.matmul(tape, h_prev, w[kind]), b[kind]),
-                   plan.node_mask[kind])
-            for kind in NodeKind
-        ]
-        return ad.add(tape, parts[0], parts[1])
+        groups = [(rows, w[kind], b[kind]) for kind, rows in plan.node_rows.items()]
+        return ad.block_matmul(tape, h_prev, groups, 1)
 
     return HeadVectors(
         k=typed(params.w_k, params.b_k),
@@ -191,14 +195,11 @@ def project_kqv(tape: Tape | None, h_prev: Tensor, params: AttentionParams,
 def _edge_rows(tape: Tape | None, plan: GraphPlan, states: Tensor,
                maps: dict[EdgeKind, Tensor], heads: int) -> Tensor:
     """Per edge, the source state through its edge kind's head blocks, shape (E, D)."""
-    out = None
-    for kind, mask in plan.edge_mask.items():
-        mapped = ad.block_matmul(tape, states, maps[kind], heads)
-        rows = ad.mul(tape, ad.take_rows(tape, mapped, plan.src), mask)
-        out = rows if out is None else ad.add(tape, out, rows)
-    if out is None:
+    if not plan.edge_rows:
         raise ValueError("edge rows of a graph without edges")
-    return out
+    sources = ad.take_rows(tape, states, plan.src)
+    groups = [(rows, maps[kind]) for kind, rows in plan.edge_rows.items()]
+    return ad.block_matmul(tape, sources, groups, heads)
 
 
 def attention_logits(tape: Tape | None, plan: GraphPlan, kv: HeadVectors,
@@ -212,7 +213,7 @@ def attention_logits(tape: Tape | None, plan: GraphPlan, kv: HeadVectors,
     keys = _edge_rows(tape, plan, kv.k, params.w_att, params.heads)
     queries = ad.take_rows(tape, kv.q, plan.dst)
     head_sum = constant(np.ones((params.dim, 1)))
-    raw = ad.block_matmul(tape, ad.mul(tape, keys, queries), head_sum, params.heads)
+    raw = ad.block_matmul(tape, ad.mul(tape, keys, queries), [(None, head_sum)], params.heads)
     prior = ad.take_rows(tape, params.mu, plan.mu_idx)
     scale = 1.0 / math.sqrt(params.dim / params.heads)
     return ad.scalar_mul(tape, ad.mul(tape, raw, prior), scale)
@@ -241,14 +242,14 @@ def aggregate(tape: Tape | None, plan: GraphPlan, weights: Tensor,
     """
     heads = weights.shape[1]
     head_expand = constant(np.ones((heads, messages.shape[1] // heads)))
-    w_full = ad.block_matmul(tape, weights, head_expand, heads)
+    w_full = ad.block_matmul(tape, weights, [(None, head_expand)], heads)
     return ad.segment_sum(tape, ad.mul(tape, w_full, messages), plan.dst, plan.n)
 
 
 def attention_forward(tape: Tape | None, h_prev: Tensor, plan: GraphPlan,
                       params: AttentionParams) -> Tensor:
     """Full layer: project, score, normalize, message, aggregate."""
-    if not plan.edge_mask:
+    if not plan.edge_rows:
         return constant(np.zeros(h_prev.shape))
     kv = project_kqv(tape, h_prev, params, plan)
     logits = attention_logits(tape, plan, kv, params)

@@ -8,7 +8,9 @@ them.  Passing ``tape=None`` runs the same forward math without
 recording, for inference.
 
 The op set holds what the model calls and nothing more: matmul,
-block_matmul (one product per head, on column blocks), add, sub, mul,
+block_matmul (one product per head, on column blocks, with each group of
+rows through its own weights, so a typed transform runs only on the
+rows of its kind), add, sub, mul,
 scalar_mul, sigmoid, tanh, relu, log_sigmoid, reduce_sum, layer_norm,
 and the index ops take_rows (gather), segment_sum (scatter add) and
 segment_softmax (softmax within each segment of rows), which carry
@@ -158,23 +160,70 @@ def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     return _make(tape, out, (a, b), bwd)
 
 
-def block_matmul(tape: Tape | None, a: Tensor, w: Tensor, heads: int) -> Tensor:
-    """Per-head product (n, H*k) @ (H*k, m) -> (n, H*m), equal to ``a`` @ blockdiag(H row blocks of w).
+def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: int) -> Tensor:
+    """Per-group, per-head product (n, H*k) -> (n, H*m).
 
-    Head i maps column block i of ``a`` through row block i of ``w`` into output column block i.
+    ``groups`` lists ``(rows, w)`` or ``(rows, w, b)``: ``rows`` is a 1-D
+    index array (``None`` for every row), ``w`` is (H*k, m) and ``b`` is
+    (H*m,).  Each listed row r becomes ``a[r] @ blockdiag(H row blocks of
+    w) + b``: head i maps column block i of ``a[r]`` through row block i
+    of ``w`` into output column block i.  Groups are disjoint, rows within
+    a group distinct; a row in no group comes out as exact zeros.
     """
-    if (a.data.ndim != 2 or w.data.ndim != 2 or a.data.shape[1] != w.data.shape[0]
-            or heads < 1 or a.data.shape[1] % heads):
-        raise ValueError(f"block_matmul: unsupported shapes {a.shape} @ {w.shape} in {heads} heads")
-    n, k, m = a.data.shape[0], a.data.shape[1] // heads, w.data.shape[1]
-    x = a.data.reshape(n, heads, k).transpose(1, 0, 2)      # (H, n, k)
-    blocks = w.data.reshape(heads, k, m)                      # (H, k, m)
-    out = np.matmul(x, blocks).transpose(1, 0, 2).reshape(n, heads * m)
+    if a.data.ndim != 2 or heads < 1 or a.data.shape[1] % heads or not groups:
+        raise ValueError(f"block_matmul: unsupported input {a.shape} in {heads} heads "
+                         f"with {len(groups)} groups")
+    n, k = a.data.shape[0], a.data.shape[1] // heads
+    m = groups[0][1].data.shape[-1]
+    inputs = [a]
+    parts = []                  # (rows, (H, r, k) input blocks, (H, k, m) weight blocks, w, b)
+    for rows, w, *bias in groups:
+        b = bias[0] if bias else None
+        if (w.data.ndim != 2 or w.data.shape != (heads * k, m) or len(bias) > 1
+                or (b is not None and b.data.shape != (heads * m,))):
+            raise ValueError(f"block_matmul: unsupported shapes {a.shape} @ {w.shape}"
+                             f"{''.join(f' + {t.shape}' for t in bias)} in {heads} heads")
+        if rows is not None:
+            rows = _indices(rows, n)
+        x = a.data if rows is None else a.data[rows]
+        parts.append((rows, x.reshape(len(x), heads, k).transpose(1, 0, 2),
+                      w.data.reshape(heads, k, m), w, b))
+        inputs += [w, *bias]
+    listed = [part[0] for part in parts if part[0] is not None]
+    if ((len(parts) > 1 and len(listed) < len(parts))
+            or (listed and np.bincount(np.concatenate(listed), minlength=n).max(initial=0) > 1)):
+        raise ValueError("block_matmul: groups must hold distinct rows and not overlap")
+
+    # With a group over every row it is the only group, so nothing is left to zero.
+    out = np.zeros((n, heads * m)) if listed else None
+    for rows, x, blocks, _w, b in parts:
+        y = np.matmul(x, blocks).transpose(1, 0, 2).reshape(x.shape[1], heads * m)
+        if b is not None:
+            y += b.data
+        if rows is None:
+            out = y
+        else:
+            out[rows] = y
+
     def bwd(g):
-        g = g.reshape(n, heads, m).transpose(1, 0, 2)         # (H, n, m)
-        return (np.matmul(g, blocks.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(a.data.shape),
-                np.matmul(x.transpose(0, 2, 1), g).reshape(w.data.shape))
-    return _make(tape, out, (a, w), bwd)
+        da = np.zeros_like(a.data) if a.requires_grad and listed else None
+        grads = [da]
+        for rows, x, blocks, w, b in parts:
+            gy = g if rows is None else g[rows]
+            gh = gy.reshape(len(gy), heads, m).transpose(1, 0, 2)      # (H, r, m)
+            if a.requires_grad:
+                dx = np.matmul(gh, blocks.transpose(0, 2, 1)).transpose(1, 0, 2)
+                dx = dx.reshape(len(gy), heads * k)
+                if rows is None:
+                    grads[0] = dx
+                else:
+                    da[rows] = dx
+            grads.append(np.matmul(x.transpose(0, 2, 1), gh).reshape(heads * k, m)
+                         if w.requires_grad else None)
+            if b is not None:
+                grads.append(gy.sum(axis=0))
+        return tuple(grads)
+    return _make(tape, out, tuple(inputs), bwd)
 
 
 def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:

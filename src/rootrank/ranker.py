@@ -8,7 +8,7 @@ cross-entropy loss, one optimizer step per commit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,40 +48,73 @@ def build_pairs(g: CommitGraph, include_ties: bool = False
     return pair_i, pair_j, labels
 
 
-@dataclass
 class AdamState:
-    """Adam accumulators for one fixed list of parameter tensors."""
+    """Adam over named parameters held as views into one flat float64 buffer.
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    Built from ``named_tensors(params)``: the constructor copies each
+    tensor into ``params`` and rebinds its ``.data`` to its slice, so a
+    step updates every parameter with a few whole-vector ufuncs that write
+    into preallocated scratch buffers.
+    """
 
-    @classmethod
-    def for_params(cls, tensors: list[Tensor]) -> "AdamState":
-        state = cls()
-        state.m = [np.zeros_like(t.data) for t in tensors]
-        state.v = [np.zeros_like(t.data) for t in tensors]
-        return state
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, named: list[tuple[str, Tensor]]):
+        self.names = [name for name, _t in named]
+        sizes = [t.data.size for _name, t in named]
+        self.ends = np.cumsum(sizes)
+        self.params = np.concatenate([t.data.reshape(-1) for _name, t in named])
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
+        self.step_count = 0
+        self._grad = np.empty_like(self.params)
+        self._update = np.empty_like(self.params)
+        self._scale = np.empty_like(self.params)
+        self._finite = np.empty(self.params.shape, dtype=bool)
+        self._views = []
+        for (_name, t), end, size in zip(named, self.ends, sizes):
+            t.data = self.params[end - size:end].reshape(t.data.shape)
+            self._views.append(t.data)
 
     def step(self, tensors: list[Tensor], grads: list[np.ndarray], lr: float) -> None:
-        """Update every tensor; raises FloatingPointError in place of writing a non-finite one."""
+        """Update every tensor in place.
+
+        When any updated value is non-finite, writes nothing and raises
+        FloatingPointError naming the first parameter holding one.
+        """
+        if len(tensors) != len(self._views) or any(
+                t.data is not view for t, view in zip(tensors, self._views)):
+            raise ValueError("adam_step: tensors are not the views this state was built over")
         self.step_count += 1
         correct1 = 1.0 - self.beta1 ** self.step_count
         correct2 = 1.0 - self.beta2 ** self.step_count
+        g, m, v, upd, scale = self._grad, self.m, self.v, self._update, self._scale
+        np.concatenate([grad.reshape(-1) for grad in grads], out=g)
         with np.errstate(over="ignore", invalid="ignore"):
-            for t, g, m, v in zip(tensors, grads, self.m, self.v):
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * (g * g)
-                data = t.data - lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
-                if not np.isfinite(data).all():
-                    raise FloatingPointError(
-                        f"adam_step produced non-finite values in its {data.shape} output")
-                t.data = data
+            m *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=upd)
+            m += upd
+            v *= self.beta2
+            np.multiply(g, g, out=upd)
+            upd *= 1.0 - self.beta2
+            v += upd
+            # params - lr * (m / correct1) / (sqrt(v / correct2) + eps)
+            np.divide(m, correct1, out=upd)
+            upd *= lr
+            np.divide(v, correct2, out=scale)
+            np.sqrt(scale, out=scale)
+            scale += self.eps
+            upd /= scale
+            np.subtract(self.params, upd, out=upd)
+        np.isfinite(upd, out=self._finite)
+        if not self._finite.all():
+            bad = int(np.searchsorted(self.ends, np.argmin(self._finite), side="right"))
+            raise FloatingPointError(
+                f"adam_step produced non-finite values in its {self._views[bad].shape} "
+                f"output: {self.names[bad]}")
+        self.params[...] = upd
 
 
 @dataclass(frozen=True)
@@ -177,8 +210,9 @@ def train(embedded: list[EmbeddedGraph], cfg: ModelConfig,
 
     if params is None:
         params = init_network_params(cfg, np.random.default_rng(cfg.seed))
-    tensors = [t for _name, t in named_tensors(params)]
-    adam = AdamState.for_params(tensors)
+    named = named_tensors(params)
+    tensors = [t for _name, t in named]
+    adam = AdamState(named)
     batches = [_prepare(eg, cfg) for eg in embedded]
     rng = np.random.default_rng(cfg.seed)
 

@@ -1,8 +1,12 @@
 """Loop-based reference implementations used as oracles in tests.
 
-Everything here works on plain numpy arrays with explicit Python loops
-over nodes, edges and heads, following the layer definitions directly
-and never touching the tape machinery it is used to check.
+Most of what is here works on plain numpy arrays with explicit Python
+loops over nodes, edges and heads, following the layer definitions
+directly and never touching the tape machinery it is used to check.
+The masked per-kind forms (``naive_typed_rows``, ``naive_edge_rows``)
+are the exception: they are the tape compositions the grouped
+``block_matmul`` replaced, kept so its gradients can be checked
+against them.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rootrank.aggregation import AttentionParams, mu_index
+from rootrank import autodiff as ad
+from rootrank.aggregation import AttentionParams, GraphPlan, mu_index
+from rootrank.autodiff import Tape, Tensor, constant
 from rootrank.graphs import CommitGraph, EdgeKind, LineNode, NodeKind
 from rootrank.network import GruParams, Mode, NetworkParams
 from rootrank.synthetic import SIGNAL_VOCAB
@@ -116,6 +122,59 @@ def naive_attention_forward(h_prev: np.ndarray, g: CommitGraph,
                 acc += w_edge * msg
             h_tilde[t, sl] = acc
     return h_tilde
+
+
+def _mask(rows, n: int) -> Tensor:
+    """(n, 1) column holding 1.0 on ``rows`` and 0.0 elsewhere."""
+    mask = np.zeros((n, 1))
+    mask[np.asarray(rows, dtype=np.intp)] = 1.0
+    return constant(mask)
+
+
+def naive_typed_rows(tape: Tape | None, x: Tensor, groups, heads: int) -> Tensor:
+    """sum_k mask_k * (x @ W_k + b_k): every group's transform on every row of ``x``.
+
+    ``groups`` as for ``block_matmul``, with index arrays for rows; each
+    product is the per-head one of a single group over all rows.
+    """
+    n = x.shape[0]
+    out = constant(np.zeros((n, heads * groups[0][1].shape[1])))
+    for rows, w, *bias in groups:
+        y = ad.block_matmul(tape, x, [(None, w)], heads)
+        if bias:
+            y = ad.add(tape, y, bias[0])
+        out = ad.add(tape, out, ad.mul(tape, y, _mask(rows, n)))
+    return out
+
+
+def naive_edge_rows(tape: Tape | None, plan: GraphPlan, states: Tensor,
+                    maps: dict[EdgeKind, Tensor], heads: int) -> Tensor:
+    """Per edge kind, every node mapped, gathered at the edge sources and masked; summed."""
+    out = None
+    for kind, rows in plan.edge_rows.items():
+        mapped = ad.block_matmul(tape, states, [(None, maps[kind])], heads)
+        part = ad.mul(tape, ad.take_rows(tape, mapped, plan.src), _mask(rows, len(plan.src)))
+        out = part if out is None else ad.add(tape, out, part)
+    return out
+
+
+def naive_adam_step(params: list[np.ndarray], grads: list[np.ndarray], m: list[np.ndarray],
+                    v: list[np.ndarray], step_count: int, lr: float, beta1: float = 0.9,
+                    beta2: float = 0.999, eps: float = 1e-8) -> list[np.ndarray]:
+    """Adam step ``step_count`` (1 for the first), tensor by tensor.
+
+    Updates ``m`` and ``v`` in place and returns the new parameter arrays.
+    """
+    correct1 = 1.0 - beta1 ** step_count
+    correct2 = 1.0 - beta2 ** step_count
+    out = []
+    for p, g, m_t, v_t in zip(params, grads, m, v):
+        m_t *= beta1
+        m_t += (1.0 - beta1) * g
+        v_t *= beta2
+        v_t += (1.0 - beta2) * (g * g)
+        out.append(p - lr * (m_t / correct1) / (np.sqrt(v_t / correct2) + eps))
+    return out
 
 
 def naive_gru(h_tilde: np.ndarray, h_prev: np.ndarray, p: GruParams) -> np.ndarray:

@@ -8,6 +8,7 @@ from rootrank.aggregation import (
     attention_forward,
     attention_logits,
     attention_weights,
+    _edge_rows,
     build_plan,
     edge_messages,
     init_attention_params,
@@ -17,7 +18,12 @@ from rootrank.aggregation import (
 from rootrank.autodiff import Tensor, constant
 from rootrank.graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind
 
-from naive_reference import naive_attention_forward, random_graph
+from naive_reference import (
+    naive_attention_forward,
+    naive_edge_rows,
+    naive_typed_rows,
+    random_graph,
+)
 
 
 def identity_params(dim, heads):
@@ -61,9 +67,16 @@ class TestGraphPlan:
             assert plan.n == n
             for arr in (plan.src, plan.dst, plan.mu_idx):
                 assert arr.shape == (e,) and arr.dtype == np.intp
-            assert all(m.shape == (n, 1) for m in plan.node_mask.values())
-            assert all(m.shape == (e, 1) for m in plan.edge_mask.values())
-            assert set(plan.edge_mask) == {edge.kind for edge in g.edges}
+            for rows_by_kind, size in ((plan.node_rows, n), (plan.edge_rows, e)):
+                for rows in rows_by_kind.values():
+                    assert rows.dtype == np.intp and rows.size
+                    assert np.all(np.diff(rows) > 0)
+                parts = list(rows_by_kind.values())
+                assert sorted(np.concatenate(parts).tolist() if parts else []) == list(range(size))
+            assert set(plan.node_rows) == {node.kind for node in g.nodes}
+            assert set(plan.edge_rows) == {edge.kind for edge in g.edges}
+            for kind, rows in plan.node_rows.items():
+                assert all(g.nodes[i].kind is kind for i in rows)
 
     def test_edges_sorted_by_target_then_source_then_kind(self):
         g = CommitGraph(
@@ -79,7 +92,11 @@ class TestGraphPlan:
         plan = build_plan(g)
         assert plan.dst.tolist() == [0, 0, 0, 2]
         assert plan.src.tolist() == [1, 1, 2, 0]
-        assert plan.edge_mask[EdgeKind.CONTROL_FLOW].data[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert plan.edge_rows[EdgeKind.CONTROL_FLOW].tolist() == [0]
+        assert plan.edge_rows[EdgeKind.CALL].tolist() == [1, 2, 3]
+        assert set(plan.edge_rows) == {EdgeKind.CONTROL_FLOW, EdgeKind.CALL}
+        assert plan.node_rows == {NodeKind.DELETED: plan.node_rows[NodeKind.DELETED]}
+        assert plan.node_rows[NodeKind.DELETED].tolist() == [0, 1, 2]
         expected_mu = mu_index(NodeKind.DELETED, EdgeKind.CALL, NodeKind.DELETED)
         assert plan.mu_idx.tolist()[1:] == [expected_mu] * 3
 
@@ -366,3 +383,48 @@ class TestForwardAgainstNaiveOracle:
         present = {e.kind for e in g.edges}
         assert any(np.abs(grads[params.w_att[k]]).sum() > 0 for k in present)
         assert any(np.abs(grads[params.w_msg[k]]).sum() > 0 for k in present)
+
+
+class TestTypedRowsAgainstMaskedOracle:
+    """Each kind's transform on its own rows equals every kind's on every row, masked."""
+
+    @staticmethod
+    def _forward_and_grads(build, leaves, weights):
+        tape = ad.Tape()
+        out = build(tape)
+        grads = ad.backward(tape, ad.reduce_sum(tape, ad.mul(tape, out, constant(weights))))
+        return out.data, [grads[t] for t in leaves]
+
+    def _check(self, build, oracle, leaves, shape, rng):
+        weights = rng.normal(size=shape)
+        out, grads = self._forward_and_grads(build, leaves, weights)
+        want, want_grads = self._forward_and_grads(oracle, leaves, weights)
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+        for got, expected in zip(grads, want_grads):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_projections(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            g = random_graph(rng)
+            plan = build_plan(g)
+            params = init_attention_params(8, 2, rng)
+            h = Tensor(rng.normal(size=(len(g.nodes), 8)), requires_grad=True)
+            groups = [(rows, params.w_k[kind], params.b_k[kind])
+                      for kind, rows in plan.node_rows.items()]
+            self._check(lambda tape: project_kqv(tape, h, params, plan).k,
+                        lambda tape: naive_typed_rows(tape, h, groups, 1),
+                        [h, *params.w_k.values(), *params.b_k.values()], h.shape, rng)
+
+    def test_edge_rows(self):
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            g = random_graph(rng)
+            if not g.edges:
+                continue
+            plan = build_plan(g)
+            params = init_attention_params(8, 4, rng)
+            h = Tensor(rng.normal(size=(len(g.nodes), 8)), requires_grad=True)
+            self._check(lambda tape: _edge_rows(tape, plan, h, params.w_att, 4),
+                        lambda tape: naive_edge_rows(tape, plan, h, params.w_att, 4),
+                        [h, *params.w_att.values()], (len(g.edges), 8), rng)

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from rootrank import autodiff as ad
 from rootrank.autodiff import Tape, Tensor, backward, constant, grad_check
 
+from naive_reference import naive_typed_rows
+
 
 def column_softmax(tape, a):
     """Softmax down each column of a matrix: one segment holding every row."""
@@ -152,8 +154,32 @@ class TestPerOpGradients:
         a = Tensor(self._rand(4, heads * k), requires_grad=True)
         w = Tensor(self._rand(heads * k, m), requires_grad=True)
         weights = self._rand(4, heads * m)
-        check_op(lambda tape, _: scalarize(tape, ad.block_matmul(tape, a, w, heads), weights),
+        check_op(lambda tape, _: scalarize(tape, ad.block_matmul(tape, a, [(None, w)], heads),
+                                           weights),
                  [a, w])
+
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    @pytest.mark.parametrize("biased", [False, True])
+    def test_grouped_block_matmul(self, heads, biased):
+        # rows 1 and 3 are in no group; one group is empty, one holds a single row
+        k, m = 2, 3
+        a = Tensor(self._rand(6, heads * k), requires_grad=True)
+        rows = [np.array([0, 4, 2]), np.array([], dtype=int), np.array([5])]
+        ws = [Tensor(self._rand(heads * k, m), requires_grad=True) for _ in rows]
+        bs = [Tensor(self._rand(heads * m), requires_grad=True) for _ in rows]
+        groups = [(r, w, b) if biased else (r, w) for r, w, b in zip(rows, ws, bs)]
+        weights = self._rand(6, heads * m)
+
+        def build(tape, _):
+            return scalarize(tape, ad.block_matmul(tape, a, groups, heads), weights)
+
+        check_op(build, [a, *ws, *(bs if biased else [])])
+        out = ad.block_matmul(None, a, groups, heads)
+        assert not out.data[[1, 3]].any()
+        tape = Tape()
+        grads = backward(tape, build(tape, None))
+        assert not grads[a][[1, 3]].any()
+        assert not grads[ws[1]].any() and not grads[bs[1]].any()
 
     def test_add_same_shape(self):
         a = Tensor(self._rand(3, 4), requires_grad=True)
@@ -333,7 +359,7 @@ class TestBlockMatmul:
         dense = block_diagonal_of(w.data, heads)
 
         tape = Tape()
-        out = ad.block_matmul(tape, a, w, heads)
+        out = ad.block_matmul(tape, a, [(None, w)], heads)
         np.testing.assert_allclose(out.data, a.data @ dense, rtol=0, atol=1e-12)
         grads = backward(tape, scalarize(tape, out, g))
         np.testing.assert_allclose(grads[a], g @ dense.T, rtol=0, atol=1e-12)
@@ -341,13 +367,60 @@ class TestBlockMatmul:
         np.testing.assert_allclose(block_diagonal_of(grads[w], heads),
                                    np.where(in_block, a.data.T @ g, 0.0), rtol=0, atol=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 7), heads=st.integers(1, 4), k=st.integers(1, 3),
+           m=st.integers(1, 3), n_groups=st.integers(1, 4), biased=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_groups_equal_masked_per_kind_sum(self, n, heads, k, m, n_groups, biased, seed):
+        rng = np.random.default_rng(seed)
+        # each row joins one group or (-1) none; groups may come out empty
+        owner = rng.integers(-1, n_groups, size=n)
+        a = Tensor(rng.uniform(-2, 2, size=(n, heads * k)), requires_grad=True)
+        ws = [Tensor(rng.uniform(-2, 2, size=(heads * k, m)), requires_grad=True)
+              for _ in range(n_groups)]
+        bs = [Tensor(rng.uniform(-2, 2, size=heads * m), requires_grad=True)
+              for _ in range(n_groups)]
+        groups = [(np.flatnonzero(owner == i), w, b) if biased else (np.flatnonzero(owner == i), w)
+                  for i, (w, b) in enumerate(zip(ws, bs))]
+        g = rng.uniform(-2, 2, size=(n, heads * m))
+
+        def run(f):
+            tape = Tape()
+            out = f(tape)
+            grads = backward(tape, scalarize(tape, out, g))
+            return out.data, [grads[t] for t in (a, *ws, *bs)]
+
+        out, grads = run(lambda tape: ad.block_matmul(tape, a, groups, heads))
+        want, want_grads = run(lambda tape: naive_typed_rows(tape, a, groups, heads))
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+        for got, expected in zip(grads, want_grads):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
     def test_shape_checks(self):
         with pytest.raises(ValueError, match="block_matmul"):
-            ad.block_matmul(None, constant(np.zeros((2, 4))), constant(np.zeros((3, 1))), 2)
+            ad.block_matmul(None, constant(np.zeros((2, 4))), [(None, constant(np.zeros((3, 1))))], 2)
         with pytest.raises(ValueError, match="block_matmul"):
-            ad.block_matmul(None, constant(np.zeros((2, 3))), constant(np.zeros((3, 1))), 2)
+            ad.block_matmul(None, constant(np.zeros((2, 3))), [(None, constant(np.zeros((3, 1))))], 2)
         with pytest.raises(ValueError, match="block_matmul"):
-            ad.block_matmul(None, constant(np.zeros(4)), constant(np.zeros((4, 1))), 2)
+            ad.block_matmul(None, constant(np.zeros(4)), [(None, constant(np.zeros((4, 1))))], 2)
+
+    def test_group_checks(self):
+        a = constant(np.zeros((3, 4)))
+        w = constant(np.zeros((4, 1)))
+        with pytest.raises(ValueError, match="block_matmul"):
+            ad.block_matmul(None, a, [], 2)
+        with pytest.raises(ValueError, match="block_matmul"):
+            ad.block_matmul(None, a, [(None, w, constant(np.zeros(3)))], 2)
+        with pytest.raises(ValueError, match="block_matmul"):
+            ad.block_matmul(None, a, [(None, w), (np.array([0]), constant(np.zeros((4, 2))))], 2)
+        with pytest.raises(ValueError, match="distinct rows"):
+            ad.block_matmul(None, a, [(np.array([0, 1]), w), (np.array([1]), w)], 2)
+        with pytest.raises(ValueError, match="distinct rows"):
+            ad.block_matmul(None, a, [(np.array([2, 2]), w)], 2)
+        with pytest.raises(ValueError, match="distinct rows"):
+            ad.block_matmul(None, a, [(None, w), (np.array([], dtype=int), w)], 2)
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            ad.block_matmul(None, a, [(np.array([3]), w)], 2)
 
 
 class TestGradCheck:

@@ -165,7 +165,8 @@ class TestEvaluate:
         )
         assert code == 1
         assert re.search(r"^error: non-finite loss at epoch 0, commit '[^']+': "
-                         r"\w+ produced non-finite values in its \(\d+(, \d+)?\) output$",
+                         r"adam_step produced non-finite values in its \(\d+(, \d+)?\) output: "
+                         r"\w+(\.\w+)+$",
                          err, re.MULTILINE)
 
     def test_dimension_mismatch_names_both_dims(self, small_data, tmp_path, capsys):

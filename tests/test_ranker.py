@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootrank import autodiff as ad
 from rootrank import ranker
@@ -24,7 +26,7 @@ from rootrank.ranker import (
 )
 from rootrank.synthetic import GenConfig, generate
 
-from naive_reference import naive_build_pairs, pair_label
+from naive_reference import naive_adam_step, naive_build_pairs, pair_label
 
 
 def pair_loss(s_i, s_j, label, sigma=1.0):
@@ -298,8 +300,9 @@ class TestTrain:
         tape = Tape()
         loss_before = commit_loss(tape, batch, params, cfg)
         grads = ad.backward(tape, loss_before)
-        tensors = [t for _n, t in named_tensors(params)]
-        AdamState.for_params(tensors).step(tensors, [grads[t] for t in tensors], cfg.lr)
+        named = named_tensors(params)
+        tensors = [t for _n, t in named]
+        AdamState(named).step(tensors, [grads[t] for t in tensors], cfg.lr)
         loss_after = commit_loss(None, batch, params, cfg)
         assert loss_after.item() < loss_before.item()
 
@@ -310,8 +313,9 @@ class TestTrain:
         model = train(embedded, cfg)
 
         params = init_network_params(cfg, np.random.default_rng(cfg.seed))
-        tensors = [t for _n, t in named_tensors(params)]
-        adam = AdamState.for_params(tensors)
+        named = named_tensors(params)
+        tensors = [t for _n, t in named]
+        adam = AdamState(named)
         batches = [_prepare(eg, cfg) for eg in embedded]
         rng = np.random.default_rng(cfg.seed)
         log = []
@@ -339,6 +343,12 @@ class TestTrain:
         assert model.training_log == log
         for (name, a), (_name, b) in zip(named_tensors(model.params), named_tensors(params)):
             assert np.array_equal(a.data, b.data), name
+        # every trained parameter is a view of one flat buffer, in named order
+        buffers = {id(t.data.base) for _n, t in named_tensors(model.params)}
+        assert len(buffers) == 1
+        flat = named_tensors(model.params)[0][1].data.base
+        assert flat.ndim == 1 and flat.size == sum(t.data.size for t in tensors)
+        assert np.array_equal(flat, np.concatenate([t.data.reshape(-1) for t in tensors]))
 
     def test_training_log_finite(self):
         model = train(self._embedded(), self._cfg(epochs=3))
@@ -348,6 +358,32 @@ class TestTrain:
     def test_step_per_pair_mode_runs(self):
         model = train(self._embedded(n_graphs=2), self._cfg(epochs=1, step_per_pair=True))
         assert len(model.training_log) == 1
+
+
+class TestTapeSize:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 8), seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(EdgeKind))
+    def test_tape_length_does_not_grow_with_edge_kinds(self, n, seed, kind):
+        # the same nodes and edge endpoints, once with one edge kind and once with all five
+        rng = np.random.default_rng(seed)
+        pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+        chosen = [pairs[i] for i in rng.choice(len(pairs), size=len(EdgeKind), replace=False)]
+        nodes = (LineNode(0, NodeKind.DELETED, text="a", is_root_cause=True),
+                 LineNode(1, NodeKind.DELETED, text="b"),
+                 LineNode(2, NodeKind.ADDED, text="c"),
+                 *(LineNode(i, NodeKind.DELETED if rng.random() < 0.5 else NodeKind.ADDED,
+                            text=str(i)) for i in range(3, n)))
+        cfg = ModelConfig(dim=4, heads=2, layers=2, proj_dim=2)
+        params = init_network_params(cfg, np.random.default_rng(0))
+        lengths = []
+        for kinds in ([kind] * len(EdgeKind), list(EdgeKind)):
+            edges = tuple(DepEdge(s, d, k) for (s, d), k in zip(chosen, kinds))
+            g = CommitGraph(commit_id="tape", nodes=nodes, edges=edges)
+            batch = _prepare(embed_graph(g, HashingEmbedder(4)), cfg)
+            tape = Tape()
+            commit_loss(tape, batch, params, cfg)
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1]
 
 
 class TestRankCommit:
@@ -420,17 +456,26 @@ class TestAdam:
     def test_moment_shapes_track_parameters(self):
         cfg = ModelConfig(dim=4, heads=2, layers=1, proj_dim=2)
         params = init_network_params(cfg, np.random.default_rng(0))
-        tensors = [t for _n, t in named_tensors(params)]
-        adam = AdamState.for_params(tensors)
-        assert all(m.shape == t.data.shape for m, t in zip(adam.m, tensors))
-        assert all(v.shape == t.data.shape for v, t in zip(adam.v, tensors))
+        named = named_tensors(params)
+        shapes = [t.data.shape for _n, t in named]
+        before = [t.data.copy() for _n, t in named]
+        adam = AdamState(named)
+        total = sum(t.data.size for _n, t in named)
+        assert adam.m.shape == adam.v.shape == adam.params.shape == (total,)
+        lo = 0
+        for (name, t), shape, old in zip(named, shapes, before):
+            assert t.data.shape == shape and t.data.base is adam.params, name
+            assert np.array_equal(t.data, old), name
+            assert np.shares_memory(t.data, adam.params[lo:lo + t.data.size]), name
+            lo += t.data.size
 
     def test_zero_gradient_means_no_update(self):
         cfg = ModelConfig(dim=4, heads=2, layers=1, proj_dim=2)
         params = init_network_params(cfg, np.random.default_rng(0))
-        tensors = [t for _n, t in named_tensors(params)]
+        named = named_tensors(params)
+        tensors = [t for _n, t in named]
         before = [t.data.copy() for t in tensors]
-        adam = AdamState.for_params(tensors)
+        adam = AdamState(named)
         adam.step(tensors, [np.zeros_like(t.data) for t in tensors], lr=1e-3)
         for t, b in zip(tensors, before):
             assert np.array_equal(t.data, b)
@@ -462,13 +507,65 @@ class TestAdam:
         assert len(failed) == 1
         assert f"commit {failed[0]!r}: adam_step produced non-finite values" in str(info.value)
         assert all(np.isfinite(t.data).all() for _n, t in named_tensors(params))
+        shapes = {name: t.data.shape for name, t in named_tensors(params)}
+        name = str(info.value).rsplit(": ", 1)[1]
+        assert str(info.value).endswith(f"values in its {shapes[name]} output: {name}")
 
     def test_step_moves_against_gradient(self):
         cfg = ModelConfig(dim=4, heads=2, layers=1, proj_dim=2)
         params = init_network_params(cfg, np.random.default_rng(0))
-        tensors = [t for _n, t in named_tensors(params)]
+        named = named_tensors(params)
+        tensors = [t for _n, t in named]
         grads = [np.ones_like(t.data) for t in tensors]
         before = [t.data.copy() for t in tensors]
-        AdamState.for_params(tensors).step(tensors, grads, lr=1e-3)
+        AdamState(named).step(tensors, grads, lr=1e-3)
         for t, b in zip(tensors, before):
             assert np.all(t.data <= b)
+
+    def test_flat_step_is_bit_identical_to_per_tensor_loop(self):
+        cfg = ModelConfig(dim=8, heads=2, layers=2, proj_dim=4)
+        params = init_network_params(cfg, np.random.default_rng(3), random_scorer=True)
+        named = named_tensors(params)
+        tensors = [t for _n, t in named]
+        ref = [t.data.copy() for t in tensors]
+        ref_m = [np.zeros_like(p) for p in ref]
+        ref_v = [np.zeros_like(p) for p in ref]
+        adam = AdamState(named)
+        rng = np.random.default_rng(4)
+        for step in range(1, 6):
+            # every third tensor gets an all-zero gradient, and the scale varies widely
+            grads = [np.zeros_like(p) if i % 3 == step % 3
+                     else rng.normal(scale=10.0 ** rng.integers(-8, 4), size=p.shape)
+                     for i, p in enumerate(ref)]
+            adam.step(tensors, grads, lr=1e-2)
+            ref = naive_adam_step(ref, grads, ref_m, ref_v, step, lr=1e-2)
+            for (name, t), want in zip(named, ref):
+                assert t.data.tobytes() == want.tobytes(), (step, name)
+        assert adam.m.tobytes() == np.concatenate([m.reshape(-1) for m in ref_m]).tobytes()
+        assert adam.v.tobytes() == np.concatenate([v.reshape(-1) for v in ref_v]).tobytes()
+
+    def test_overflow_names_the_parameter_and_writes_nothing(self):
+        cfg = ModelConfig(dim=4, heads=2, layers=1, proj_dim=2)
+        params = init_network_params(cfg, np.random.default_rng(0))
+        named = named_tensors(params)
+        tensors = [t for _n, t in named]
+        adam = AdamState(named)
+        before = adam.params.copy()
+        grads = [np.zeros_like(t.data) for t in tensors]
+        hit = [name for name, _t in named].index("layer0.gru.w_hn")
+        grads[hit] = np.full(tensors[hit].data.shape, 1e300)
+        with pytest.raises(FloatingPointError,
+                           match=r"^adam_step produced non-finite values in its \(4, 4\) "
+                                 r"output: layer0\.gru\.w_hn$"):
+            adam.step(tensors, grads, lr=1e300)
+        assert adam.params.tobytes() == before.tobytes()
+
+    def test_step_rejects_tensors_detached_from_the_buffer(self):
+        cfg = ModelConfig(dim=4, heads=2, layers=1, proj_dim=2)
+        params = init_network_params(cfg, np.random.default_rng(0))
+        named = named_tensors(params)
+        tensors = [t for _n, t in named]
+        adam = AdamState(named)
+        tensors[0].data = tensors[0].data.copy()
+        with pytest.raises(ValueError, match="views"):
+            adam.step(tensors, [np.zeros_like(t.data) for t in tensors], lr=1e-3)
