@@ -46,11 +46,6 @@ from .graphs import (
 MU_SIZE = NUM_NODE_KINDS * NUM_EDGE_KINDS * NUM_NODE_KINDS
 
 
-def mu_index(src_kind: NodeKind, edge_kind: EdgeKind, dst_kind: NodeKind) -> int:
-    """Flat index of one (source kind, edge kind, target kind) prior."""
-    return (src_kind.ordinal * NUM_EDGE_KINDS + edge_kind.ordinal) * NUM_NODE_KINDS + dst_kind.ordinal
-
-
 @dataclass
 class AttentionParams:
     """Learnable tensors of one attention layer.
@@ -154,17 +149,18 @@ def _rows_by_kind(ordinals: np.ndarray, kinds) -> dict:
 
 
 def build_plan(g: CommitGraph) -> GraphPlan:
-    kinds = [node.kind for node in g.nodes]
-    order = sorted(g.edges, key=lambda e: (e.dst, e.src, e.kind.ordinal))
+    node_kind = np.array([node.kind.ordinal for node in g.nodes], dtype=np.intp)
+    src, dst, edge_kind = np.array([(e.src, e.dst, e.kind.ordinal) for e in g.edges],
+                                   dtype=np.intp).reshape(-1, 3).T
+    order = np.lexsort((edge_kind, src, dst))    # by dst, then src, then kind
+    src, dst, edge_kind = src[order], dst[order], edge_kind[order]
     return GraphPlan(
-        n=len(kinds),
-        src=np.array([e.src for e in order], dtype=np.intp),
-        dst=np.array([e.dst for e in order], dtype=np.intp),
-        mu_idx=np.array([mu_index(kinds[e.src], e.kind, kinds[e.dst]) for e in order],
-                        dtype=np.intp),
-        node_rows=_rows_by_kind(np.array([k.ordinal for k in kinds], dtype=np.intp), NodeKind),
-        edge_rows=_rows_by_kind(np.array([e.kind.ordinal for e in order], dtype=np.intp),
-                                EdgeKind),
+        n=len(node_kind),
+        src=src,
+        dst=dst,
+        mu_idx=(node_kind[src] * NUM_EDGE_KINDS + edge_kind) * NUM_NODE_KINDS + node_kind[dst],
+        node_rows=_rows_by_kind(node_kind, NodeKind),
+        edge_rows=_rows_by_kind(edge_kind, EdgeKind),
     )
 
 

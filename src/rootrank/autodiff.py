@@ -16,6 +16,19 @@ and the index ops take_rows (gather), segment_sum (scatter add) and
 segment_softmax (softmax within each segment of rows), which carry
 graph-shaped and head-shaped work without dense one-hot or block-diagonal
 matrices.  All ops reject non-finite results.
+
+Every scatter (the backward of take_rows, segment_sum and both
+reductions of segment_softmax) goes through :func:`_scatter`, which
+hands numpy's ``ufunc.at`` 1-D operands: a row scatter into an (n, c)
+array becomes an element scatter over the flattened array.  ``ufunc.at``
+has a fast path only for 1-D operands, and the flattened form makes the
+same operations on each element in the same order, so results are
+bit-identical to the 2-D call.
+
+:func:`backward` stores an input's first gradient as the backward rule
+returned it and adds further contributions into an array it allocated
+itself, so no rule's output is ever written to; leaf gradients never
+share memory with each other.
 """
 
 from __future__ import annotations
@@ -101,6 +114,10 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
     if id(loss) not in tape._produced:
         raise ValueError("loss was not produced on this tape")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    # A rule may hand one array to several inputs, or pass its output
+    # gradient straight through, so only arrays allocated here (their
+    # keys are in ``owned``) are accumulated into in place.
+    owned: set[int] = set()
     for out, inputs, bwd in reversed(tape._records):
         g_out = grads.get(id(out))
         if g_out is None:
@@ -108,13 +125,26 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
         for inp, g_in in zip(inputs, bwd(g_out)):
             if g_in is None or not inp.requires_grad:
                 continue
-            acc = grads.get(id(inp))
+            key = id(inp)
+            acc = grads.get(key)
             if acc is None:
-                # Copy: a backward rule may hand the same array to several
-                # inputs, and accumulation below mutates in place.
-                grads[id(inp)] = g_in.copy()
-            else:
+                grads[key] = g_in
+            elif key in owned:
                 acc += g_in
+            else:
+                grads[key] = acc + g_in
+                owned.add(key)
+    # Leaves handed the same array (add(x, y) gives both the same one)
+    # each get their own.
+    buffers: set[int] = set()
+    for key, g in grads.items():
+        if key in tape._produced or key in owned:
+            continue
+        buffer = id(g if g.base is None else g.base)
+        if buffer in buffers:
+            grads[key] = g.copy()
+        else:
+            buffers.add(buffer)
     return Gradients(grads)
 
 
@@ -326,6 +356,25 @@ def layer_norm(tape: Tape | None, a: Tensor, gain: Tensor, bias: Tensor, eps: fl
     return _make(tape, out, (a, gain, bias), bwd)
 
 
+def _scatter(ufunc: np.ufunc, out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
+    """``ufunc.at(out, idx, values)`` on ``out``'s rows, through the 1-D fast path.
+
+    Row ``idx[r]`` of ``out`` takes row ``r`` of ``values``.  A 2-D
+    ``out`` with ``c`` columns is scattered as its flat view, at the
+    element indices ``idx[r] * c + j`` in row-major order, so each
+    element sees the same operations in the same order as the 2-D call.
+    ``out`` must be C-contiguous and ``values`` of shape
+    ``(len(idx),) + out.shape[1:]``.
+    """
+    if out.ndim == 1:
+        ufunc.at(out, idx, values)
+        return
+    if not out.flags.c_contiguous:
+        raise ValueError("_scatter: out must be C-contiguous")
+    c = out.shape[1]
+    ufunc.at(out.reshape(-1), (idx[:, None] * c + np.arange(c)).reshape(-1), values.reshape(-1))
+
+
 def _indices(index, bound: int) -> np.ndarray:
     """A 1-D integer index array whose entries all lie in [0, bound)."""
     idx = np.asarray(index, dtype=np.intp)
@@ -348,8 +397,8 @@ def take_rows(tape: Tape | None, a: Tensor, index: np.ndarray) -> Tensor:
     idx = _indices(index, a.data.shape[0])
     out = a.data[idx]
     def bwd(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+        full = np.zeros(a.data.shape)
+        _scatter(np.add, full, idx, g)
         return (full,)
     return _make(tape, out, (a,), bwd)
 
@@ -361,7 +410,7 @@ def segment_sum(tape: Tape | None, a: Tensor, segment_ids: np.ndarray, num_segme
     """
     ids = _segment_ids(segment_ids, a.data.shape[0], num_segments)
     out = np.zeros((num_segments,) + a.data.shape[1:])
-    np.add.at(out, ids, a.data)
+    _scatter(np.add, out, ids, a.data)
     def bwd(g):
         return (g[ids],)
     return _make(tape, out, (a,), bwd)
@@ -379,14 +428,14 @@ def segment_softmax(tape: Tape | None, a: Tensor, segment_ids: np.ndarray,
         raise ValueError(f"segment_softmax: rank-2 input required, got shape {x.shape}")
     ids = _segment_ids(segment_ids, x.shape[0], num_segments)
     top = np.full((num_segments, x.shape[1]), -np.inf)
-    np.maximum.at(top, ids, x)
+    _scatter(np.maximum, top, ids, x)
     e = np.exp(x - top[ids])
     total = np.zeros_like(top)
-    np.add.at(total, ids, e)
+    _scatter(np.add, total, ids, e)
     p = e / total[ids]
     def bwd(g):
         dot = np.zeros_like(top)
-        np.add.at(dot, ids, p * g)
+        _scatter(np.add, dot, ids, p * g)
         return (p * (g - dot[ids]),)
     return _make(tape, p, (a,), bwd)
 

@@ -101,7 +101,10 @@ def _resolve_hypers(args: argparse.Namespace) -> tuple[dict, set[str]]:
             resolved[key] = flag_value
             explicit.add(key)
         elif key in overlay:
-            resolved[key] = convert(overlay[key])
+            try:
+                resolved[key] = convert(overlay[key])
+            except ValueError as exc:
+                raise CliError(f"{args.config}: key {key!r}: {exc}") from None
             explicit.add(key)
         else:
             resolved[key] = default
@@ -192,7 +195,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.cv:
+    if args.cv is not None:
         cfg, ds, provider = _training_inputs(args)
         mean, folds = cross_validate(
             ds, cfg, provider, k=args.cv, seed=cfg.seed,

@@ -17,11 +17,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from rootrank import autodiff as ad
-from rootrank.aggregation import AttentionParams, GraphPlan, mu_index
+from rootrank.aggregation import AttentionParams, GraphPlan
 from rootrank.autodiff import Tape, Tensor, constant
-from rootrank.graphs import CommitGraph, EdgeKind, LineNode, NodeKind
+from rootrank.graphs import (
+    NUM_EDGE_KINDS,
+    NUM_NODE_KINDS,
+    CommitGraph,
+    EdgeKind,
+    LineNode,
+    NodeKind,
+)
 from rootrank.network import GruParams, Mode, NetworkParams
 from rootrank.synthetic import SIGNAL_VOCAB
+
+
+def mu_index(src_kind: NodeKind, edge_kind: EdgeKind, dst_kind: NodeKind) -> int:
+    """Row of one (source kind, edge kind, target kind) prior in the layer's ``mu``."""
+    return (src_kind.ordinal * NUM_EDGE_KINDS + edge_kind.ordinal) * NUM_NODE_KINDS + dst_kind.ordinal
 
 
 def neighbors_in(g: CommitGraph, t: int) -> list[tuple[int, EdgeKind]]:
@@ -73,6 +85,48 @@ def naive_build_pairs(g: CommitGraph, include_ties: bool = False) -> list[PairSa
                 continue
             pairs.append(PairSample(commit_id=g.commit_id, i=i, j=j, label=label))
     return pairs
+
+
+def naive_build_plan(g: CommitGraph) -> GraphPlan:
+    """The graph plan from Python sorting and per-edge prior lookups.
+
+    Edges sorted by (dst, src, kind ordinal); node and edge rows listed
+    per kind, in the kinds' declaration order, for the kinds present.
+    """
+    kinds = [node.kind for node in g.nodes]
+    order = sorted(g.edges, key=lambda e: (e.dst, e.src, e.kind.ordinal))
+
+    def rows_by_kind(item_kinds, all_kinds):
+        rows = {kind: [i for i, k in enumerate(item_kinds) if k is kind] for kind in all_kinds}
+        return {kind: np.array(r, dtype=np.intp) for kind, r in rows.items() if r}
+
+    return GraphPlan(
+        n=len(kinds),
+        src=np.array([e.src for e in order], dtype=np.intp),
+        dst=np.array([e.dst for e in order], dtype=np.intp),
+        mu_idx=np.array([mu_index(kinds[e.src], e.kind, kinds[e.dst]) for e in order],
+                        dtype=np.intp),
+        node_rows=rows_by_kind(kinds, NodeKind),
+        edge_rows=rows_by_kind([e.kind for e in order], EdgeKind),
+    )
+
+
+def naive_scatter(ufunc: np.ufunc, out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
+    """``ufunc.at`` on whole rows of ``out``: the row-scatter form, of any rank."""
+    ufunc.at(out, idx, values)
+
+
+def naive_segment_softmax(x: np.ndarray, ids: np.ndarray, num_segments: int, g: np.ndarray):
+    """Row-scatter segment softmax of ``x`` and its backward for output gradient ``g``."""
+    top = np.full((num_segments, x.shape[1]), -np.inf)
+    naive_scatter(np.maximum, top, ids, x)
+    e = np.exp(x - top[ids])
+    total = np.zeros_like(top)
+    naive_scatter(np.add, total, ids, e)
+    p = e / total[ids]
+    dot = np.zeros_like(top)
+    naive_scatter(np.add, dot, ids, p * g)
+    return p, p * (g - dot[ids])
 
 
 def _sigmoid(x):

@@ -1,6 +1,8 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootrank import autodiff as ad
 from rootrank.aggregation import (
@@ -12,7 +14,6 @@ from rootrank.aggregation import (
     build_plan,
     edge_messages,
     init_attention_params,
-    mu_index,
     project_kqv,
 )
 from rootrank.autodiff import Tensor, constant
@@ -20,7 +21,9 @@ from rootrank.graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind
 
 from naive_reference import (
     naive_attention_forward,
+    naive_build_plan,
     naive_edge_rows,
+    mu_index,
     naive_typed_rows,
     random_graph,
 )
@@ -55,6 +58,65 @@ def chain_graph():
         ),
         edges=(DepEdge(0, 1, EdgeKind.DATA_DEPENDENCY),),
     )
+
+
+@st.composite
+def plan_graphs(draw):
+    """Any node kinds; edges may repeat a pair under other kinds, or be absent."""
+    n = draw(st.integers(0, 7))
+    kinds = draw(st.lists(st.sampled_from(list(NodeKind)), min_size=n, max_size=n))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    st.sampled_from(list(EdgeKind))), max_size=20)
+                 if n else st.just([]))
+    return CommitGraph(
+        commit_id="plan",
+        nodes=tuple(LineNode(i, kind) for i, kind in enumerate(kinds)),
+        edges=tuple(DepEdge(s, d, k) for s, d, k in edges),
+    )
+
+
+def assert_same_plan(plan, expected):
+    assert plan.n == expected.n
+    for name in ("src", "dst", "mu_idx"):
+        actual, wanted = getattr(plan, name), getattr(expected, name)
+        assert actual.dtype == wanted.dtype == np.intp, name
+        assert actual.shape == wanted.shape and np.array_equal(actual, wanted), name
+    for name in ("node_rows", "edge_rows"):
+        actual, wanted = getattr(plan, name), getattr(expected, name)
+        assert list(actual) == list(wanted), name
+        for kind in wanted:
+            assert actual[kind].dtype == np.intp
+            assert np.array_equal(actual[kind], wanted[kind]), (name, kind)
+
+
+class TestPlanAgainstSortedOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(g=plan_graphs())
+    def test_builders_agree(self, g):
+        assert_same_plan(build_plan(g), naive_build_plan(g))
+
+    def test_no_edges_and_isolated_nodes(self):
+        g = CommitGraph(commit_id="bare", nodes=(LineNode(0, NodeKind.ADDED),
+                                                 LineNode(1, NodeKind.DELETED)), edges=())
+        plan = build_plan(g)
+        assert_same_plan(plan, naive_build_plan(g))
+        for arr in (plan.src, plan.dst, plan.mu_idx):
+            assert arr.shape == (0,)
+        assert plan.edge_rows == {}
+
+    def test_parallel_edges_of_different_kinds(self):
+        kinds = [NodeKind.DELETED, NodeKind.ADDED, NodeKind.DELETED, NodeKind.ADDED]
+        g = CommitGraph(
+            commit_id="parallel",
+            nodes=tuple(LineNode(i, kind) for i, kind in enumerate(kinds)),
+            edges=(DepEdge(2, 1, EdgeKind.LINE_MAPPING), DepEdge(0, 1, EdgeKind.CALL),
+                   DepEdge(2, 1, EdgeKind.CONTROL_FLOW), DepEdge(0, 1, EdgeKind.CONTROL_FLOW),
+                   DepEdge(1, 0, EdgeKind.DATA_DEPENDENCY)),
+        )   # node 3 is isolated
+        plan = build_plan(g)
+        assert_same_plan(plan, naive_build_plan(g))
+        assert plan.src.tolist() == [1, 0, 0, 2, 2]
+        assert plan.dst.tolist() == [0, 1, 1, 1, 1]
 
 
 class TestGraphPlan:

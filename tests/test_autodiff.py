@@ -5,13 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootrank import autodiff as ad
 from rootrank.autodiff import Tape, Tensor, backward, constant, grad_check
 
-from naive_reference import naive_typed_rows
+from naive_reference import naive_scatter, naive_segment_softmax, naive_typed_rows
 
 
 def column_softmax(tape, a):
@@ -125,6 +125,146 @@ class TestBackwardExamples:
         tape2 = Tape()
         mid2 = ad.tanh(tape2, x)
         assert np.array_equal(mid2.data, before)
+
+
+class TestSharedGradientArrays:
+    """Rules hand one array to several inputs; accumulation must not write into it."""
+
+    def assert_no_shared_leaf_memory(self, grads, leaves):
+        for i, a in enumerate(leaves):
+            for b in leaves[i + 1:]:
+                assert not np.shares_memory(grads[a], grads[b])
+
+    def test_add_of_a_tensor_to_itself(self):
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        w = np.array([0.5, 2.0, -1.0])
+        tape = Tape()
+        loss = scalarize(tape, ad.add(tape, x, x), w)
+        np.testing.assert_array_equal(backward(tape, loss)[x], 2.0 * w)
+
+    def test_mul_of_a_tensor_by_itself(self):
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        w = np.array([0.5, 2.0, -1.0])
+        tape = Tape()
+        loss = scalarize(tape, ad.mul(tape, x, x), w)
+        np.testing.assert_array_equal(backward(tape, loss)[x], 2.0 * w * x.data)
+
+    def test_sub_gradient_reused_by_a_later_accumulation(self):
+        # add() hands one array to m and r and then to p and q; sub() passes
+        # it on to x unchanged, so adding r's and q's parts to x in place
+        # would change the gradient q still has to propagate.
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.uniform(-1, 1, size=(2, 3)), requires_grad=True)
+        y = Tensor(rng.uniform(-1, 1, size=(2, 3)), requires_grad=True)
+        w = rng.uniform(-1, 1, size=(2, 3))
+        tape = Tape()
+        q = ad.tanh(tape, x)
+        r = ad.scalar_mul(tape, x, 2.0)
+        p = ad.sub(tape, x, y)
+        m = ad.add(tape, p, q)
+        loss = scalarize(tape, ad.add(tape, m, r), w)
+        grads = backward(tape, loss)
+        t = np.tanh(x.data)
+        np.testing.assert_allclose(grads[x], w * (1.0 + (1.0 - t * t) + 2.0), rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(grads[y], -w)
+        self.assert_no_shared_leaf_memory(grads, [x, y])
+
+    def test_leaf_reached_by_two_paths(self):
+        x = Tensor([[1.0, 2.0], [3.0, -4.0]], requires_grad=True)
+        y = Tensor([[0.5, 0.5], [-1.0, 2.0]], requires_grad=True)
+        z = Tensor([[2.0, 0.0], [1.0, 1.0]], requires_grad=True)
+        c = np.array([[3.0, -1.0], [0.5, 2.0]])
+        w = np.array([[1.0, -2.0], [0.25, 4.0]])
+        v = np.array([[-1.0, 1.0], [2.0, 0.5]])
+        tape = Tape()
+        # add(x, y) gives x, y and z's add the same gradient array
+        first = scalarize(tape, ad.add(tape, ad.add(tape, x, y), z), w)
+        second = scalarize(tape, ad.mul(tape, x, constant(c)), v)
+        grads = backward(tape, ad.add(tape, first, second))
+        np.testing.assert_array_equal(grads[x], w + v * c)
+        np.testing.assert_array_equal(grads[y], w)
+        np.testing.assert_array_equal(grads[z], w)
+        self.assert_no_shared_leaf_memory(grads, [x, y, z])
+        grads[y][0, 0] = 99.0
+        np.testing.assert_array_equal(grads[z], w)
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+@st.composite
+def scatter_cases(draw):
+    """(segments, ids, values, grads, shift): repeated ids, empty segments, 1-D or (r, c) values."""
+    segments = draw(st.integers(1, 6))
+    rows = draw(st.integers(0, 10))
+    cols = draw(st.sampled_from([None, 1, 2, 3]))
+    ids = np.array(draw(st.lists(st.integers(0, segments - 1), min_size=rows, max_size=rows)),
+                   dtype=np.intp)
+    shape = (rows,) if cols is None else (rows, cols)
+    entries = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0]))
+
+    def array():
+        return np.array(draw(st.lists(entries, min_size=rows * (cols or 1),
+                                      max_size=rows * (cols or 1))),
+                        dtype=np.float64).reshape(shape)
+
+    return segments, ids, array(), array(), draw(st.sampled_from([-1e3, 0.0, 1e3]))
+
+
+EMPTY_INDEX = (3, np.zeros(0, dtype=np.intp), np.zeros((0, 2)), np.zeros((0, 2)), 0.0)
+NEGATIVE_ZEROS = (4, np.array([2, 0, 2, 2]), np.array([[-0.0], [1.0], [-0.0], [-0.0]]),
+                  np.array([[-0.0], [-0.0], [2.0], [-0.0]]), 1e3)
+
+
+class TestScatterAgainstRowOracle:
+    """The flattened 1-D scatters are bit-identical to the row-scatter forms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=scatter_cases())
+    @example(case=EMPTY_INDEX)
+    @example(case=NEGATIVE_ZEROS)
+    def test_take_rows_backward(self, case):
+        segments, ids, _values, g, _shift = case
+        a = Tensor(np.ones((segments,) + g.shape[1:]), requires_grad=True)
+        tape = Tape()
+        loss = scalarize(tape, ad.take_rows(tape, a, ids), g)
+        expected = np.zeros(a.shape)
+        naive_scatter(np.add, expected, ids, g)
+        assert_same_bits(backward(tape, loss)[a], expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=scatter_cases())
+    @example(case=EMPTY_INDEX)
+    @example(case=NEGATIVE_ZEROS)
+    def test_segment_sum(self, case):
+        segments, ids, values, _g, _shift = case
+        expected = np.zeros((segments,) + values.shape[1:])
+        naive_scatter(np.add, expected, ids, values)
+        assert_same_bits(ad.segment_sum(None, constant(values), ids, segments).data, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=scatter_cases())
+    @example(case=EMPTY_INDEX)
+    @example(case=NEGATIVE_ZEROS)
+    def test_segment_softmax_forward_and_backward(self, case):
+        segments, ids, values, g, shift = case
+        if values.ndim == 1:
+            values, g = values[:, None], g[:, None]
+        x = Tensor(values + shift, requires_grad=True)
+        tape = Tape()
+        p = ad.segment_softmax(tape, x, ids, segments)
+        grads = backward(tape, scalarize(tape, p, g))
+        expected_p, expected_dx = naive_segment_softmax(x.data, ids, segments, g)
+        assert_same_bits(p.data, expected_p)
+        assert_same_bits(grads[x], expected_dx)
+
+    def test_non_contiguous_output_rejected(self):
+        out = np.zeros((3, 2)).T
+        with pytest.raises(ValueError, match="C-contiguous"):
+            ad._scatter(np.add, out, np.array([0, 1]), np.ones((2, 3)))
 
 
 class TestPerOpGradients:
@@ -522,3 +662,26 @@ class TestOpSetIsClosed:
                     called.add(node.func.attr)
         assert ops, "no tape ops found"
         assert ops <= called, f"tape ops without a caller in src: {sorted(ops - called)}"
+
+    def test_scatters_only_in_the_1d_helper(self):
+        # ufunc.at is fast only on 1-D operands, so every scatter goes
+        # through autodiff._scatter, which flattens row scatters.
+        package = Path(ad.__file__).parent
+        in_helper = 0
+        elsewhere = []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            helper = set()
+            if path.name == "autodiff.py":
+                for fn in tree.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "_scatter":
+                        helper = {id(node) for node in ast.walk(fn)}
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "at"):
+                    if id(node) in helper:
+                        in_helper += 1
+                    else:
+                        elsewhere.append(f"{path.name}:{node.lineno}")
+        assert in_helper, "autodiff._scatter makes no ufunc.at call"
+        assert not elsewhere, f"ufunc.at calls outside autodiff._scatter: {elsewhere}"

@@ -125,6 +125,24 @@ class TestTrain:
         assert code == 1
         assert "unknown config key" in err
 
+    @pytest.mark.parametrize("line, problem", [
+        ("epochs=abc", "invalid literal for int()"),
+        ("ties=maybe", "not a boolean"),
+    ])
+    def test_bad_config_value_names_file_and_key(self, small_data, tmp_path, capsys,
+                                                  line, problem):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(line + "\n", encoding="utf-8")
+        code, _out, err = run(
+            capsys, "train", "-d", str(small_data), "-o", str(tmp_path / "m.ckpt"),
+            "--config", str(cfg_file),
+        )
+        assert code == 1
+        key = line.partition("=")[0]
+        assert err.startswith(f"error: {cfg_file}: key '{key}': ")
+        assert problem in err
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_determinism_bitwise_identical_checkpoints(self, small_data, tmp_path, capsys):
         a = tmp_path / "a.ckpt"
         b = tmp_path / "b.ckpt"
@@ -186,6 +204,12 @@ class TestEvaluate:
         code, _out, err = run(capsys, "evaluate", "-d", str(pre), "-m", str(ckpt))
         assert code == 1
         assert "32" in err and "8" in err
+
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_cross_validation_with_fewer_than_two_folds_exits_1(self, small_data, k, capsys):
+        code, _out, err = run(capsys, "evaluate", "-d", str(small_data), "--cv", k)
+        assert code == 1
+        assert err == "error: k must be >= 2\n"
 
     def test_evaluate_without_model_or_cv_fails(self, small_data, capsys):
         code, _out, err = run(capsys, "evaluate", "-d", str(small_data))
