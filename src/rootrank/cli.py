@@ -201,6 +201,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             ds, cfg, provider, k=args.cv, seed=cfg.seed,
             chronological=args.chronological,
             with_classification=args.classification,
+            mfr_first_only=not args.mfr_all,
         )
         labels = [f"fold{i}" for i in range(len(folds))] + ["mean"]
         print(multi_report_table(labels, folds + [mean]))
@@ -238,25 +239,19 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if args.show_truth:
         header.append("is_root_cause")
     writer.writerow(header)
-    ranked_commits = 0
     for eg in embedded:
-        if not eg.graph.deleted_ids():
-            print(f"warning: commit {eg.graph.commit_id!r} has no deleted lines, skipped",
-                  file=sys.stderr)
-            continue
         for position, (node_id, node_score) in enumerate(rank_commit(model, eg), start=1):
             node = eg.graph.nodes[node_id]
             row = [eg.graph.commit_id, position, node_id, repr(node_score), node.text or ""]
             if args.show_truth:
                 row.append(int(node.is_root_cause))
             writer.writerow(row)
-        ranked_commits += 1
 
     if args.output:
         Path(args.output).write_text(body.getvalue(), encoding="utf-8")
     else:
         sys.stdout.write(body.getvalue())
-    print(f"{ranked_commits} commits ranked", file=sys.stderr)
+    print(f"{len(embedded)} commits ranked", file=sys.stderr)
     return 0
 
 

@@ -6,10 +6,13 @@ The harness side covers seeded or chronological k-fold cross-validation
 and fixed train/test splits.
 
 Cross-validation trains its folds in parallel worker processes, at most
-one per fold and per CPU this process may run on.  Each fold is seeded
-on its own and sees its training commits in dataset order, and reports
-are collected in fold order, so the result is the same, bit for bit, as
-training the folds one after another.
+one per fold and per CPU this process may run on.  Workers are forked
+from a fork server that has numpy and this package imported and that
+lives as long as the calling process, so only the first call pays the
+import.  Each fold is seeded on its own and sees its training commits
+in dataset order, and reports are collected in fold order, so the
+result is the same, bit for bit, as training the folds one after
+another.
 """
 
 from __future__ import annotations
@@ -205,10 +208,12 @@ def mean_report(reports: list[EvalReport]) -> EvalReport:
 def train_test_report(train_embedded: list[EmbeddedGraph],
                       test_embedded: list[EmbeddedGraph],
                       cfg: ModelConfig,
-                      with_classification: bool = False) -> EvalReport:
+                      with_classification: bool = False,
+                      mfr_first_only: bool = True) -> EvalReport:
     """Train on one split, evaluate on the other (cross-project protocol)."""
     model = train(train_embedded, cfg)
-    return evaluate_model(model, test_embedded, with_classification=with_classification)
+    return evaluate_model(model, test_embedded, with_classification=with_classification,
+                          mfr_first_only=mfr_first_only)
 
 
 def _usable_cpus() -> int:
@@ -219,37 +224,49 @@ def _usable_cpus() -> int:
 
 
 # State of one cross_validate() worker process: the embedded dataset, the
-# model config and the classification flag, set once per worker by the
-# pool initializer so that each fold task carries only its row indices.
-_worker_state: tuple[list[EmbeddedGraph], ModelConfig, bool] | None = None
+# model config and the two report flags, set once per worker by the pool
+# initializer so that each fold task carries only its row indices.
+_worker_state: tuple[list[EmbeddedGraph], ModelConfig, bool, bool] | None = None
 
 
 def _init_fold_worker(embedded: list[EmbeddedGraph], cfg: ModelConfig,
-                      with_classification: bool) -> None:
+                      with_classification: bool, mfr_first_only: bool) -> None:
     global _worker_state
-    _worker_state = (embedded, cfg, with_classification)
+    _worker_state = (embedded, cfg, with_classification, mfr_first_only)
 
 
 def _fold_report(held_rows: list[int]) -> EvalReport:
     """Train on every commit outside ``held_rows``, in dataset order; evaluate on ``held_rows``."""
-    embedded, cfg, with_classification = _worker_state
+    embedded, cfg, with_classification, mfr_first_only = _worker_state
     held = set(held_rows)
     train_part = [eg for row, eg in enumerate(embedded) if row not in held]
     test_part = [embedded[row] for row in held_rows]
     return train_test_report(train_part, test_part, cfg,
-                             with_classification=with_classification)
+                             with_classification=with_classification,
+                             mfr_first_only=mfr_first_only)
 
 
 def cross_validate(ds: Dataset, cfg: ModelConfig, provider: EmbeddingProvider,
                    k: int = 10, seed: int | None = None,
                    chronological: bool = False,
-                   with_classification: bool = False) -> tuple[EvalReport, list[EvalReport]]:
+                   with_classification: bool = False,
+                   mfr_first_only: bool = True) -> tuple[EvalReport, list[EvalReport]]:
     """k-fold protocol: train on k-1 folds, evaluate on the held-out fold, average.
 
-    Folds run in ``min(k, _usable_cpus())`` worker processes started with
-    the ``spawn`` method, which is safe in a process that has threads (BLAS
-    pools among them).  A fresh worker imports the caller's main module, so
-    a script that calls this must do so under ``if __name__ == "__main__":``.
+    Folds run in ``min(k, _usable_cpus())`` worker processes forked from a
+    fork server: a separate interpreter that preloads this package and
+    numpy, runs no numerical code (so holds no BLAS threads, which makes
+    the fork safe even when the caller does) and lives as long as the
+    caller, so later calls start their workers in milliseconds.  Each
+    worker still imports the caller's main module, so a script that calls
+    this must do so under ``if __name__ == "__main__":``.
+
+    On Python 3.11 the server imports its preloads with the ``sys.path``
+    a new interpreter starts with (``PYTHONPATH`` included, run-time
+    inserts not) and skips one that fails.  If ``rootrank`` is importable
+    only through such an insert, each worker imports it itself: the same
+    result, at the start-up cost of a fresh interpreter per worker.
+
     An exception raised by a fold is re-raised here.
     """
     if seed is None:
@@ -258,10 +275,13 @@ def cross_validate(ds: Dataset, cfg: ModelConfig, provider: EmbeddingProvider,
     row_of = {eg.graph.commit_id: row for row, eg in enumerate(embedded)}
     folds = kfold_split(ds, k=k, seed=seed, chronological=chronological)
     held_rows = [[row_of[cid] for cid in fold] for fold in folds]
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(["__main__", "rootrank.evaluation"])
     with ProcessPoolExecutor(max_workers=min(len(folds), _usable_cpus()),
-                             mp_context=multiprocessing.get_context("spawn"),
+                             mp_context=context,
                              initializer=_init_fold_worker,
-                             initargs=(embedded, cfg, with_classification)) as pool:
+                             initargs=(embedded, cfg, with_classification,
+                                       mfr_first_only)) as pool:
         reports = list(pool.map(_fold_report, held_rows))
     return mean_report(reports), reports
 

@@ -1,13 +1,23 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rootrank
 from rootrank.cli import main
+from rootrank.embedding import HashingEmbedder, embed_dataset
+from rootrank.evaluation import cross_validate, kfold_split, report_json, train_test_report
 from rootrank.graphs import load_dataset
+from rootrank.network import ModelConfig
+
+CV_FLAGS = ("--dim", "16", "--heads", "2", "--layers", "1", "--epochs", "1", "--seed", "42")
+CV_CONFIG = ModelConfig(dim=16, heads=2, layers=1, epochs=1, seed=42)
 
 
 def run(capsys, *argv):
@@ -211,6 +221,33 @@ class TestEvaluate:
         assert code == 1
         assert err == "error: k must be >= 2\n"
 
+    def test_cross_validation_mfr_all_reaches_every_fold(self, small_data, tmp_path, capsys):
+        ds = json.loads(small_data.read_text())
+        for g in ds["graphs"]:
+            extra = next(n for n in g["nodes"]
+                         if n["kind"] == "deleted" and not n["is_root_cause"])
+            extra["is_root_cause"] = True
+        two_roots = tmp_path / "two_roots.json"
+        two_roots.write_text(json.dumps(ds), encoding="utf-8")
+        first_out, all_out = tmp_path / "first.json", tmp_path / "all.json"
+        for out, extra_flags in ((first_out, ()), (all_out, ("--mfr-all",))):
+            code, _stdout, _err = run(capsys, "evaluate", "-d", str(two_roots), "--cv", "3",
+                                      "-o", str(out), *CV_FLAGS, *extra_flags)
+            assert code == 0
+        first, every = json.loads(first_out.read_text()), json.loads(all_out.read_text())
+
+        loaded = load_dataset(two_roots)
+        embedded = {eg.graph.commit_id: eg for eg in embed_dataset(loaded, HashingEmbedder(16))}
+        expected = []
+        for fold in kfold_split(loaded, k=3, seed=42):
+            train_part = [eg for cid, eg in embedded.items() if cid not in fold]
+            test_part = [embedded[cid] for cid in fold]
+            expected.append(train_test_report(train_part, test_part, CV_CONFIG,
+                                              mfr_first_only=False).mfr)
+        assert [fold["mfr"] for fold in every["per_fold"]] == expected
+        assert all(a > f for a, f in zip(expected, (fold["mfr"] for fold in first["per_fold"])))
+        assert every["recall@1"] == first["recall@1"]
+
     def test_evaluate_without_model_or_cv_fails(self, small_data, capsys):
         code, _out, err = run(capsys, "evaluate", "-d", str(small_data))
         assert code == 1
@@ -245,6 +282,19 @@ class TestRank:
         code, _stdout, err = run(capsys, "rank", "-d", str(empty), "-m", str(trained))
         assert code == 0
         assert "0 commits ranked" in err
+
+    def test_commit_without_deleted_lines_exits_1_and_is_named(self, small_data, trained,
+                                                                tmp_path, capsys):
+        ds = json.loads(small_data.read_text())
+        graph = ds["graphs"][2]
+        for node in graph["nodes"]:
+            node.update(kind="added", is_root_cause=False)
+        added_only = tmp_path / "added_only.json"
+        added_only.write_text(json.dumps(ds), encoding="utf-8")
+        code, stdout, err = run(capsys, "rank", "-d", str(added_only), "-m", str(trained))
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith(f"error: commit {graph['commit_id']!r}: no deleted lines")
 
     def test_output_file(self, small_data, trained, tmp_path, capsys):
         out = tmp_path / "ranked.csv"
@@ -345,3 +395,45 @@ class TestGradcheck:
         code, stdout, _ = run(capsys, "gradcheck", "--tolerance", "1e-12")
         assert code == 1
         assert "FAIL" in stdout
+
+
+class TestFreshProcess:
+    """Cross-validation from a new interpreter, whose main module the fold workers import."""
+
+    def _run(self, args, cwd):
+        src = str(Path(rootrank.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        return subprocess.run([sys.executable, *args], cwd=cwd, env=env, timeout=300,
+                              capture_output=True, text=True)
+
+    def _expected_report(self, dataset):
+        mean, folds = cross_validate(load_dataset(dataset), CV_CONFIG, HashingEmbedder(16), k=2,
+                                     seed=42)
+        return report_json(mean, per_fold=folds) + "\n"
+
+    def test_module_cli_writes_in_process_report(self, small_data, tmp_path):
+        out = tmp_path / "out.json"
+        proc = self._run(["-m", "rootrank.cli", "evaluate", "-d", str(small_data), "--cv", "2",
+                          "-o", str(out), *CV_FLAGS], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text(encoding="utf-8") == self._expected_report(small_data)
+
+    def test_guarded_script_prints_in_process_report(self, small_data, tmp_path):
+        script = tmp_path / "cv_script.py"
+        script.write_text(
+            "import sys\n"
+            "from rootrank.embedding import HashingEmbedder\n"
+            "from rootrank.evaluation import cross_validate, report_json\n"
+            "from rootrank.graphs import load_dataset\n"
+            "from rootrank.network import ModelConfig\n"
+            "\n"
+            "if __name__ == '__main__':\n"
+            "    cfg = ModelConfig(dim=16, heads=2, layers=1, epochs=1, seed=42)\n"
+            "    mean, folds = cross_validate(load_dataset(sys.argv[1]), cfg, HashingEmbedder(16),\n"
+            "                                 k=2, seed=42)\n"
+            "    print(report_json(mean, per_fold=folds))\n",
+            encoding="utf-8")
+        proc = self._run([str(script), str(small_data)], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == self._expected_report(small_data)

@@ -1,4 +1,5 @@
 import json
+import multiprocessing.forkserver
 import os
 import pickle
 
@@ -241,10 +242,12 @@ class TestHarness:
     @pytest.mark.parametrize("cpus, k, workers", [(1, 2, 1), (4, 2, 2)])
     def test_pool_has_one_worker_per_usable_cpu_and_fold(self, monkeypatch, cpus, k, workers):
         started = []
+        start_methods = []
 
         class SpyPool(evaluation.ProcessPoolExecutor):
             def shutdown(self, *args, **kwargs):
                 started.extend(self._processes or ())
+                start_methods.append(self._mp_context.get_start_method())
                 super().shutdown(*args, **kwargs)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
@@ -254,6 +257,17 @@ class TestHarness:
         _mean, per_fold = cross_validate(ds, self._cfg(), HashingEmbedder(16), k=k, seed=0)
         assert len(per_fold) == k
         assert len(started) == workers
+        assert start_methods == ["forkserver"]
+
+    def test_repeated_calls_reuse_one_fork_server(self):
+        ds = generate(GenConfig(n_commits=4, deleted_per_commit=3,
+                                added_per_commit=2, seed=3))
+        first = cross_validate(ds, self._cfg(), HashingEmbedder(16), k=2, seed=0)
+        server_pid = multiprocessing.forkserver._forkserver._forkserver_pid
+        second = cross_validate(ds, self._cfg(), HashingEmbedder(16), k=2, seed=0)
+        assert second == first
+        assert server_pid is not None
+        assert multiprocessing.forkserver._forkserver._forkserver_pid == server_pid
 
     def test_usable_cpus_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
