@@ -321,12 +321,11 @@ def log_sigmoid(tape: Tape | None, a: Tensor) -> Tensor:
     return _make(tape, out, (a,), bwd)
 
 
-def reduce_sum(tape: Tape | None, a: Tensor, axis: int | None = None) -> Tensor:
-    out = a.data.sum(axis=axis)
+def reduce_sum(tape: Tape | None, a: Tensor) -> Tensor:
+    """Sum of every element, a scalar."""
+    out = a.data.sum()
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(),)
+        return (np.broadcast_to(g, a.data.shape).copy(),)
     return _make(tape, out, (a,), bwd)
 
 

@@ -5,8 +5,9 @@ evaluate (single split or cross-validation), rank commits, and run the
 gradient self-check.  Every command is deterministic given its flags;
 all randomness flows from --seed.
 
-Hyperparameters resolve in three layers: built-in defaults, then a flat
-key=value config file (--config), then explicit flags.
+Hyperparameters resolve in three layers: ``ModelConfig``'s defaults, then
+a flat key=value config file (--config, keys named like the flags), then
+explicit flags.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import csv
 import io
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .embedding import HashingEmbedder, detect_precomputed_dim, embed_dataset
@@ -25,14 +27,8 @@ from .evaluation import (
     report_json,
     report_table,
 )
-from .graphs import DatasetFormatError, load_dataset, save_dataset
-from .network import (
-    CheckpointError,
-    Mode,
-    ModelConfig,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .graphs import load_dataset, save_dataset
+from .network import Mode, ModelConfig, load_checkpoint, save_checkpoint
 from .ranker import (
     TrainedModel,
     TrainingError,
@@ -70,77 +66,72 @@ def _parse_bool(raw: str) -> bool:
     raise CliError(f"not a boolean: {raw!r}")
 
 
+# config key (and flag dest) -> (ModelConfig field, parser of a config-file value)
 _HYPER_SPECS = {
-    "dim": (int, 64),
-    "heads": (int, 8),
-    "layers": (int, 2),
-    "proj_dim": (int, None),
-    "epochs": (int, 50),
-    "lr": (float, 5e-6),
-    "sigma": (float, 1.0),
-    "mode": (str, "full"),
-    "seed": (int, 42),
-    "ties": (_parse_bool, False),
-    "step_per_pair": (_parse_bool, False),
+    "dim": ("dim", int),
+    "heads": ("heads", int),
+    "layers": ("layers", int),
+    "proj_dim": ("proj_dim", int),
+    "epochs": ("epochs", int),
+    "lr": ("lr", float),
+    "sigma": ("sigma", float),
+    "mode": ("mode", str),
+    "seed": ("seed", int),
+    "ties": ("include_tie_pairs", _parse_bool),
+    "step_per_pair": ("step_per_pair", _parse_bool),
 }
 
+# generate flag dest -> GenConfig field
+_GEN_FIELDS = {
+    "commits": "n_commits",
+    "deleted": "deleted_per_commit",
+    "added": "added_per_commit",
+    "density": "edge_density",
+    "signal": "signal_strength",
+    "seed": "seed",
+    "structure_only": "structure_only",
+}
 
-def _resolve_hypers(args: argparse.Namespace) -> tuple[dict, set[str]]:
-    """Merge defaults < config file < flags; also report explicitly set keys."""
-    overlay: dict[str, str] = {}
-    if getattr(args, "config", None):
-        overlay = _parse_config_file(args.config)
-        unknown = set(overlay) - set(_HYPER_SPECS)
-        if unknown:
-            raise CliError(f"{args.config}: unknown config key(s) {sorted(unknown)}")
-    resolved = {}
-    explicit = set()
-    for key, (convert, default) in _HYPER_SPECS.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
-            explicit.add(key)
-        elif key in overlay:
-            try:
-                resolved[key] = convert(overlay[key])
-            except ValueError as exc:
-                raise CliError(f"{args.config}: key {key!r}: {exc}") from None
-            explicit.add(key)
-        else:
-            resolved[key] = default
-    return resolved, explicit
+# gradcheck flag dest -> gradient_check_full_loss parameter
+_GRADCHECK_FIELDS = {name: name for name in ("dim", "heads", "layers", "proj_dim", "seed")}
+
+
+def _given(args: argparse.Namespace, fields: dict[str, str]) -> dict:
+    """``{field: value}`` for each flag dest in ``fields`` that was given."""
+    return {field: getattr(args, dest) for dest, field in fields.items()
+            if getattr(args, dest) is not None}
 
 
 def _model_config(args: argparse.Namespace) -> tuple[ModelConfig, set[str]]:
-    h, explicit = _resolve_hypers(args)
+    """Flags over the --config overlay over ``ModelConfig()``, validated; also the fields given."""
+    overlay = _parse_config_file(args.config) if args.config else {}
+    unknown = set(overlay) - set(_HYPER_SPECS)
+    if unknown:
+        raise CliError(f"{args.config}: unknown config key(s) {sorted(unknown)}")
+    values = {}
+    for key, (field, parse) in _HYPER_SPECS.items():
+        if getattr(args, key) is not None:
+            values[field] = getattr(args, key)
+        elif key in overlay:
+            try:
+                values[field] = parse(overlay[key])
+            except ValueError as exc:
+                raise CliError(f"{args.config}: key {key!r}: {exc}") from None
+    cfg = replace(ModelConfig(), **values)
     try:
-        mode = Mode(h["mode"])
+        cfg.mode = Mode(cfg.mode)
     except ValueError:
-        raise CliError(f"unknown mode {h['mode']!r}; choose from "
+        raise CliError(f"unknown mode {cfg.mode!r}; choose from "
                        f"{', '.join(m.value for m in Mode)}") from None
-    cfg = ModelConfig(
-        dim=h["dim"],
-        heads=h["heads"],
-        layers=h["layers"],
-        proj_dim=h["proj_dim"],
-        mode=mode,
-        include_tie_pairs=h["ties"],
-        lr=h["lr"],
-        epochs=h["epochs"],
-        seed=h["seed"],
-        sigma=h["sigma"],
-        step_per_pair=h["step_per_pair"],
-    )
     cfg.validate()
-    return cfg, explicit
+    return cfg, set(values)
 
 
-def _provider_for(ds, dim: int, source: str):
-    """Hashing provider, unless the dataset ships its own vectors."""
-    pre = detect_precomputed_dim(ds)
-    if pre is not None and pre != dim:
+def _provider_for(precomputed: int | None, dim: int, source: str) -> HashingEmbedder:
+    """Hashing provider; a dataset's own vectors (of width ``precomputed``) must have width ``dim``."""
+    if precomputed is not None and precomputed != dim:
         raise CliError(
-            f"dimension mismatch: {source} expects dim {dim}, dataset embeddings have dim {pre}"
+            f"dimension mismatch: {source} expects dim {dim}, dataset embeddings have dim {precomputed}"
         )
     return HashingEmbedder(dim)
 
@@ -153,19 +144,11 @@ def _training_inputs(args: argparse.Namespace):
     if precomputed is not None and "dim" not in explicit:
         cfg.dim = precomputed
         cfg.validate()
-    return cfg, ds, _provider_for(ds, cfg.dim, "model")
+    return cfg, ds, _provider_for(precomputed, cfg.dim, "model")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    cfg = GenConfig(
-        n_commits=args.commits,
-        deleted_per_commit=args.deleted,
-        added_per_commit=args.added,
-        edge_density=args.density,
-        signal_strength=args.signal,
-        seed=args.seed,
-        structure_only=args.structure_only,
-    )
+    cfg = replace(GenConfig(), **_given(args, _GEN_FIELDS))
     cfg.validate()
     ds = generate(cfg)
     save_dataset(ds, args.output)
@@ -214,7 +197,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise CliError("evaluate needs -m/--model (or --cv N to cross-validate)")
     params, cfg = load_checkpoint(args.model)
     ds = load_dataset(args.dataset)
-    provider = _provider_for(ds, cfg.dim, f"checkpoint {args.model}")
+    provider = _provider_for(detect_precomputed_dim(ds), cfg.dim, f"checkpoint {args.model}")
     embedded = embed_dataset(ds, provider)
     model = TrainedModel(params=params, cfg=cfg, training_log=[])
     report = evaluate_model(model, embedded,
@@ -229,7 +212,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_rank(args: argparse.Namespace) -> int:
     params, cfg = load_checkpoint(args.model)
     ds = load_dataset(args.dataset, require_root_cause=False)
-    provider = _provider_for(ds, cfg.dim, f"checkpoint {args.model}")
+    provider = _provider_for(detect_precomputed_dim(ds), cfg.dim, f"checkpoint {args.model}")
     embedded = embed_dataset(ds, provider)
     model = TrainedModel(params=params, cfg=cfg, training_log=[])
 
@@ -256,10 +239,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    err = gradient_check_full_loss(
-        dim=args.dim, heads=args.heads, layers=args.layers,
-        proj_dim=args.proj_dim, seed=args.seed,
-    )
+    err = gradient_check_full_loss(**_given(args, _GRADCHECK_FIELDS))
     ok = err < args.tolerance
     print(f"max_rel_err={err:.3e} {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -273,15 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="write a synthetic labeled dataset")
-    p_gen.add_argument("--commits", type=int, default=200)
-    p_gen.add_argument("--deleted", type=int, default=10)
-    p_gen.add_argument("--added", type=int, default=5)
-    p_gen.add_argument("--density", type=float, default=0.08)
-    p_gen.add_argument("--signal", type=float, default=1.0,
+    # unset flags stay None, leaving each field at its GenConfig default
+    p_gen.add_argument("--commits", type=int)
+    p_gen.add_argument("--deleted", type=int)
+    p_gen.add_argument("--added", type=int)
+    p_gen.add_argument("--density", type=float)
+    p_gen.add_argument("--signal", type=float,
                        help="0 disables the planted signal (baseline-difficulty data)")
-    p_gen.add_argument("--structure-only", action="store_true",
+    p_gen.add_argument("--structure-only", action="store_true", default=None,
                        help="carry the signal only in graph structure")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("-o", "--output", required=True)
     p_gen.set_defaults(func=cmd_generate)
 
@@ -330,11 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.set_defaults(func=cmd_rank)
 
     p_check = sub.add_parser("gradcheck", help="verify gradients on a small random instance")
-    p_check.add_argument("--dim", type=int, default=8)
-    p_check.add_argument("--heads", type=int, default=2)
-    p_check.add_argument("--layers", type=int, default=1)
-    p_check.add_argument("--proj-dim", dest="proj_dim", type=int, default=4)
-    p_check.add_argument("--seed", type=int, default=42)
+    # unset flags stay None, leaving each at gradient_check_full_loss's default
+    p_check.add_argument("--dim", type=int)
+    p_check.add_argument("--heads", type=int)
+    p_check.add_argument("--layers", type=int)
+    p_check.add_argument("--proj-dim", dest="proj_dim", type=int)
+    p_check.add_argument("--seed", type=int)
     p_check.add_argument("--tolerance", type=float, default=1e-5)
     p_check.set_defaults(func=cmd_gradcheck)
 
@@ -346,8 +328,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, DatasetFormatError, CheckpointError, TrainingError,
-            ValueError, OSError) as exc:
+    except (TrainingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

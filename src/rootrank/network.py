@@ -59,10 +59,9 @@ class ModelConfig:
             raise ValueError("dim, heads, layers and proj_dim must be positive")
         if self.dim % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide dim ({self.dim})")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        for name in ("sigma", "lr"):
+            if not 0 < getattr(self, name) < math.inf:  # also false for NaN
+                raise ValueError(f"{name} must be positive and finite")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
 
@@ -236,6 +235,13 @@ def named_tensors(params: NetworkParams) -> list[tuple[str, Tensor]]:
 
 CHECKPOINT_FORMAT = "rootrank-checkpoint-v1"
 
+# The ModelConfig fields a checkpoint header holds, in file order, with their JSON types;
+# ``proj_dim`` is written as ``out_dim`` and ``mode`` as its value.
+_HEADER_TYPES = {
+    "dim": int, "heads": int, "layers": int, "proj_dim": int,
+    "mode": str, "seed": int, "sigma": (int, float),
+}
+
 
 class CheckpointError(ValueError):
     """Raised when a checkpoint file is malformed or inconsistent."""
@@ -250,15 +256,11 @@ def _head_map_ids(params: NetworkParams) -> set[int]:
 def save_checkpoint(path: str | Path, params: NetworkParams, cfg: ModelConfig) -> None:
     """Write params + config as JSON, maps block-diagonal; float64 values round-trip bit-exactly."""
     maps = _head_map_ids(params)
+    header = {key: getattr(cfg, key) for key in _HEADER_TYPES}
+    header.update(proj_dim=cfg.out_dim, mode=cfg.mode.value)
     payload = {
         "format": CHECKPOINT_FORMAT,
-        "dim": cfg.dim,
-        "heads": cfg.heads,
-        "layers": cfg.layers,
-        "proj_dim": cfg.out_dim,
-        "mode": cfg.mode.value,
-        "seed": cfg.seed,
-        "sigma": cfg.sigma,
+        **header,
         "tensors": [
             {"name": name, "shape": list(data.shape), "data": data.reshape(-1).tolist()}
             for name, data in ((name, block_diagonal(t.data) if id(t) in maps else t.data)
@@ -266,12 +268,6 @@ def save_checkpoint(path: str | Path, params: NetworkParams, cfg: ModelConfig) -
         ],
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-_HEADER_TYPES = {
-    "dim": int, "heads": int, "layers": int, "proj_dim": int,
-    "mode": str, "seed": int, "sigma": (int, float),
-}
 
 
 def _field(obj: dict, key: str, types, where: str):
@@ -296,15 +292,7 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
     modes = {m.value: m for m in Mode}
     if header["mode"] not in modes:
         raise CheckpointError(f"{path}: field 'mode' must be one of {sorted(modes)}")
-    cfg = ModelConfig(
-        dim=header["dim"],
-        heads=header["heads"],
-        layers=header["layers"],
-        proj_dim=header["proj_dim"],
-        mode=modes[header["mode"]],
-        seed=header["seed"],
-        sigma=header["sigma"],
-    )
+    cfg = ModelConfig(**{**header, "mode": modes[header["mode"]]})
     try:
         cfg.validate()
     except ValueError as exc:

@@ -289,7 +289,10 @@ def gradient_check_full_loss(dim: int = 8, heads: int = 2, layers: int = 1,
 
 
 def rank_commit(model: TrainedModel, eg: EmbeddedGraph) -> list[tuple[int, float]]:
-    """Deleted nodes of one commit, highest score first, ties by node id."""
+    """Deleted nodes of one commit, highest score first, ties by node id.
+
+    A non-finite score raises ValueError naming the commit and the op.
+    """
     g = eg.graph
     deleted = g.deleted_ids()
     if not deleted:
@@ -299,7 +302,10 @@ def rank_commit(model: TrainedModel, eg: EmbeddedGraph) -> list[tuple[int, float
             f"commit {g.commit_id!r}: embedding dim {eg.h0.shape[1]} != model dim {model.cfg.dim}"
         )
     batch = _prepare(eg, model.cfg, with_pairs=False)
-    scores = _deleted_scores(None, batch, model.params, model.cfg).data
+    try:
+        scores = _deleted_scores(None, batch, model.params, model.cfg).data
+    except FloatingPointError as exc:
+        raise ValueError(f"commit {g.commit_id!r}: {exc}") from exc
     scored = [(node_id, float(s)) for node_id, s in zip(deleted, scores)]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored

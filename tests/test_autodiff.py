@@ -411,11 +411,6 @@ class TestPerOpGradients:
         check_op(lambda tape, _: scalarize(tape, ad.segment_softmax(tape, a, ids, 5), w),
                  [a], tol=1e-6)
 
-    def test_sum_axis(self):
-        a = Tensor(self._rand(3, 4), requires_grad=True)
-        w = self._rand(4)
-        check_op(lambda tape, _: scalarize(tape, ad.reduce_sum(tape, a, axis=0), w), [a])
-
     def test_stable_log_sigmoid(self):
         a = Tensor(self._rand(5), requires_grad=True)
         w = self._rand(5)

@@ -1,23 +1,50 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import rootrank
-from rootrank.cli import main
+from rootrank import cli
+from rootrank.cli import build_parser, main
 from rootrank.embedding import HashingEmbedder, embed_dataset
 from rootrank.evaluation import cross_validate, kfold_split, report_json, train_test_report
-from rootrank.graphs import load_dataset
-from rootrank.network import ModelConfig
+from rootrank.graphs import load_dataset, save_dataset
+from rootrank.network import CheckpointError, Mode, ModelConfig, load_checkpoint
+from rootrank.synthetic import GenConfig, generate
 
 CV_FLAGS = ("--dim", "16", "--heads", "2", "--layers", "1", "--epochs", "1", "--seed", "42")
 CV_CONFIG = ModelConfig(dim=16, heads=2, layers=1, epochs=1, seed=42)
+
+
+# config key, ModelConfig field, value in a --config file, its parse, flag argv, its parse
+HYPER_CASES = [
+    ("dim", "dim", "16", 16, ["--dim", "32"], 32),
+    ("heads", "heads", "4", 4, ["--heads", "2"], 2),
+    ("layers", "layers", "3", 3, ["--layers", "1"], 1),
+    ("proj_dim", "proj_dim", "5", 5, ["--proj-dim", "7"], 7),
+    ("epochs", "epochs", "3", 3, ["--epochs", "0"], 0),
+    ("lr", "lr", "0.01", 0.01, ["--lr", "0.5"], 0.5),
+    ("sigma", "sigma", "2.5", 2.5, ["--sigma", "0.5"], 0.5),
+    ("mode", "mode", "retention-only", Mode.RETENTION_ONLY,
+     ["--mode", "aggregation-only"], Mode.AGGREGATION_ONLY),
+    ("seed", "seed", "7", 7, ["--seed", "9"], 9),
+    ("ties", "include_tie_pairs", "yes", True, ["--ties"], True),
+    ("step_per_pair", "step_per_pair", "on", True, ["--step-per-pair"], True),
+]
+
+
+def parsed_config(*argv):
+    """``cli._model_config`` of ``train`` with the given extra argv."""
+    return cli._model_config(build_parser().parse_args(["train", "-d", "d.json", "-o", "m.ckpt",
+                                                        *argv]))
 
 
 def run(capsys, *argv):
@@ -68,6 +95,24 @@ class TestGenerate:
         code, _, _ = run(capsys, "generate", "--commits", "3", "--deleted", "3",
                          "--added", "1", "--signal", "0.0", "--seed", "2", "-o", str(out))
         assert code == 0
+
+    def test_no_flags_write_gen_config_defaults(self, tmp_path, capsys):
+        out, want = tmp_path / "out.json", tmp_path / "want.json"
+        code, _stdout, _err = run(capsys, "generate", "-o", str(out))
+        assert code == 0
+        save_dataset(generate(GenConfig()), want)
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_every_flag_reaches_its_field(self, tmp_path, capsys):
+        out, want = tmp_path / "out.json", tmp_path / "want.json"
+        code, _stdout, _err = run(capsys, "generate", "--commits", "3", "--deleted", "4",
+                                  "--added", "3", "--density", "0.2", "--signal", "0.5",
+                                  "--structure-only", "--seed", "3", "-o", str(out))
+        assert code == 0
+        save_dataset(generate(GenConfig(n_commits=3, deleted_per_commit=4, added_per_commit=3,
+                                        edge_density=0.2, signal_strength=0.5, seed=3,
+                                        structure_only=True)), want)
+        assert out.read_bytes() == want.read_bytes()
 
     def test_rerun_identical_bytes(self, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -152,6 +197,73 @@ class TestTrain:
         assert err.startswith(f"error: {cfg_file}: key '{key}': ")
         assert problem in err
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_no_hyperparameter_flags_give_model_config_defaults(self, small_data):
+        assert parsed_config() == (ModelConfig(), set())
+        args = build_parser().parse_args(["evaluate", "-d", str(small_data), "--cv", "2"])
+        assert cli._model_config(args) == (ModelConfig(), set())
+
+    @pytest.mark.parametrize("key, field, in_file, from_file, flag, from_flag", HYPER_CASES,
+                             ids=[case[0] for case in HYPER_CASES])
+    def test_every_config_key_reaches_its_field_and_a_flag_beats_it(
+            self, tmp_path, key, field, in_file, from_file, flag, from_flag):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key}={in_file}\n", encoding="utf-8")
+        assert parsed_config("--config", str(cfg_file)) == (
+            replace(ModelConfig(), **{field: from_file}), {field})
+        # a boolean flag can only set True, so the file it beats says off
+        beaten = "off" if from_flag is True else in_file
+        cfg_file.write_text(f"{key}={beaten}\n", encoding="utf-8")
+        assert parsed_config("--config", str(cfg_file), *flag) == (
+            replace(ModelConfig(), **{field: from_flag}), {field})
+
+    @pytest.fixture()
+    def precomputed_data(self, small_data, tmp_path):
+        ds = json.loads(small_data.read_text())
+        for g in ds["graphs"]:
+            for node in g["nodes"]:
+                node["embedding"] = [0.1 * node["id"]] * 8
+        pre = tmp_path / "pre.json"
+        pre.write_text(json.dumps(ds), encoding="utf-8")
+        return pre
+
+    def test_precomputed_embeddings_set_dim(self, precomputed_data, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        code, _out, err = run(capsys, "train", "-d", str(precomputed_data), "-o", str(ckpt),
+                              "--heads", "2", "--layers", "1", "--epochs", "1")
+        assert code == 0, err
+        assert json.loads(ckpt.read_text())["dim"] == 8
+
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_given_dim_must_match_precomputed_embeddings(self, precomputed_data, tmp_path,
+                                                         capsys, via_config):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("dim=16\n", encoding="utf-8")
+        dim_args = ("--config", str(cfg_file)) if via_config else ("--dim", "16")
+        ckpt = tmp_path / "m.ckpt"
+        code, _out, err = run(capsys, "train", "-d", str(precomputed_data), "-o", str(ckpt),
+                              "--heads", "2", "--layers", "1", "--epochs", "1", *dim_args)
+        assert code == 1
+        assert err == ("error: dimension mismatch: model expects dim 16, "
+                       "dataset embeddings have dim 8\n")
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("via_config", [False, True])
+    @pytest.mark.parametrize("key, value", [
+        ("sigma", "nan"), ("sigma", "inf"), ("sigma", "-inf"), ("lr", "nan"), ("lr", "inf"),
+    ])
+    def test_non_finite_sigma_or_lr_is_named(self, small_data, tmp_path, capsys,
+                                             key, value, via_config):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key}={value}\n", encoding="utf-8")
+        setting = ("--config", str(cfg_file)) if via_config else (f"--{key}={value}",)
+        ckpt = tmp_path / "m.ckpt"
+        code, _out, err = run(capsys, "train", "-d", str(small_data), "-o", str(ckpt),
+                              "--dim", "16", "--heads", "2", "--layers", "1", "--epochs", "0",
+                              *setting)
+        assert code == 1
+        assert err == f"error: {key} must be positive and finite\n"
+        assert not ckpt.exists()
 
     def test_determinism_bitwise_identical_checkpoints(self, small_data, tmp_path, capsys):
         a = tmp_path / "a.ckpt"
@@ -344,6 +456,37 @@ class TestCheckpointHeader:
         assert (key if key != "format" else "rootrank-checkpoint-v1") in err
 
 
+    def test_nan_sigma_names_the_file(self, small_data, trained, tmp_path, capsys):
+        payload = json.loads(trained.read_text())
+        payload["sigma"] = math.nan
+        broken = tmp_path / "nan_sigma.ckpt"
+        broken.write_text(json.dumps(payload), encoding="utf-8")   # writes NaN
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(broken))}: sigma must be"):
+            load_checkpoint(broken)
+        code, _out, err = run(capsys, "rank", "-d", str(small_data), "-m", str(broken))
+        assert code == 1
+        assert err == f"error: {broken}: sigma must be positive and finite\n"
+
+
+class TestForwardOverflow:
+    @pytest.mark.parametrize("command", ["rank", "evaluate"])
+    def test_names_commit_and_op_without_traceback(self, small_data, trained, tmp_path, capsys,
+                                                   command):
+        payload = json.loads(trained.read_text())
+        for entry in payload["tensors"]:
+            if entry["name"] in ("proj.w", "scorer.w"):
+                entry["data"] = [1e200] * len(entry["data"])
+        huge = tmp_path / "huge.ckpt"
+        huge.write_text(json.dumps(payload), encoding="utf-8")
+        code, stdout, err = run(capsys, command, "-d", str(small_data), "-m", str(huge))
+        assert code == 1
+        assert stdout == ""
+        first = json.loads(small_data.read_text())["graphs"][0]["commit_id"]
+        assert re.fullmatch(rf"error: commit {re.escape(repr(first))}: matmul produced "
+                            r"non-finite values in its \(3,\) output\n", err)
+        assert "Traceback" not in err
+
+
 class TestDenseMapCheckpoint:
     """A checkpoint and its ``rank`` output, both written while the per-edge-kind
     maps were held as dense D x D tensors (dim 8, heads 2, layers 1)."""
@@ -389,6 +532,16 @@ class TestGradcheck:
                               "--layers", "1")
         assert code == 0
         assert "PASS" in stdout
+
+    def test_flags_reach_gradient_check_and_unset_ones_keep_its_defaults(self, capsys,
+                                                                         monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "gradient_check_full_loss",
+                            lambda **kwargs: calls.append(kwargs) or 0.0)
+        assert run(capsys, "gradcheck")[0] == 0
+        assert run(capsys, "gradcheck", "--dim", "4", "--heads", "1", "--layers", "2",
+                   "--proj-dim", "3", "--seed", "5")[0] == 0
+        assert calls == [{}, {"dim": 4, "heads": 1, "layers": 2, "proj_dim": 3, "seed": 5}]
 
     def test_tolerance_below_noise_floor_fails_with_exit_1(self, capsys):
         # central differences in float64 cannot certify 1e-12

@@ -393,3 +393,22 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="sigma"):
             ModelConfig(sigma=0.0).validate()
         ModelConfig().validate()
+
+    @pytest.mark.parametrize("name", ["sigma", "lr"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_sigma_and_lr_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+            ModelConfig(**{name: value}).validate()
+
+    def test_header_holds_the_config_fields_in_table_order(self, tmp_path):
+        cfg = ModelConfig(dim=4, heads=2, layers=1, mode=Mode.RETENTION_ONLY, seed=5, sigma=2.5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_network_params(cfg, np.random.default_rng(0)), cfg)
+        payload = json.loads(path.read_text())
+        assert list(payload) == ["format", "dim", "heads", "layers", "proj_dim", "mode", "seed",
+                                 "sigma", "tensors"]
+        assert [payload[key] for key in list(payload)[1:-1]] == [4, 2, 1, 4, "retention-only",
+                                                                  5, 2.5]
+        _params, loaded = load_checkpoint(path)
+        assert loaded == ModelConfig(dim=4, heads=2, layers=1, proj_dim=4,
+                                     mode=Mode.RETENTION_ONLY, seed=5, sigma=2.5)

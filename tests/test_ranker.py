@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -437,6 +438,17 @@ class TestRankCommit:
         eg = embed_graph(g, HashingEmbedder(8))
         with pytest.raises(ValueError, match="deleted"):
             rank_commit(model, eg)
+
+    def test_forward_overflow_names_the_commit(self):
+        model = self._model()
+        model.params.w_proj.data[...] = 1e200
+        model.params.scorer_w.data[...] = 1e200
+        eg = embed_graph(tiny_dataset(n_graphs=1).graphs[0], HashingEmbedder(8))
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as exc:
+            rank_commit(model, eg)
+        assert not isinstance(exc.value, FloatingPointError)
+        assert re.fullmatch(rf"commit {re.escape(repr(eg.graph.commit_id))}: matmul produced "
+                            r"non-finite values in its \(\d+,\) output", str(exc.value))
 
     def test_single_deleted_node(self):
         model = self._model()
