@@ -22,8 +22,9 @@ attention and message maps are one each, with a group per edge kind.
 Edge rows are gathered from node rows with ``take_rows`` (once per map
 family), each node's incoming edges compete in one
 ``segment_softmax`` per head, and the weighted messages are added into
-the rows of their target nodes with ``segment_sum``.  Plans are built
-once per graph and reused across training steps.
+the rows of their target nodes with ``segment_sum``.  Each
+``EmbeddedGraph`` builds its plan once, on first use, and reuses it
+across training steps and rankings.
 """
 
 from __future__ import annotations

@@ -10,12 +10,13 @@ recording, for inference.
 The op set holds what the model calls and nothing more: matmul,
 block_matmul (one product per head, on column blocks, with each group of
 rows through its own weights, so a typed transform runs only on the
-rows of its kind), add, sub, mul,
-scalar_mul, sigmoid, tanh, relu, log_sigmoid, reduce_sum, layer_norm,
-and the index ops take_rows (gather), segment_sum (scatter add) and
-segment_softmax (softmax within each segment of rows), which carry
-graph-shaped and head-shaped work without dense one-hot or block-diagonal
-matrices.  All ops reject non-finite results.
+rows of its kind), add, sub, mul, scalar_mul, relu, log_sigmoid,
+reduce_sum, layer_norm, gru (the whole gated retention update as one
+record, with a closed-form backward), and the index ops take_rows
+(gather), segment_sum (scatter add) and segment_softmax (softmax within
+each segment of rows), which carry graph-shaped and head-shaped work
+without dense one-hot or block-diagonal matrices.  All ops reject
+non-finite results.
 
 Every scatter (the backward of take_rows, segment_sum and both
 reductions of segment_softmax) goes through :func:`_scatter`, which
@@ -286,22 +287,6 @@ def scalar_mul(tape: Tape | None, a: Tensor, c: float) -> Tensor:
     return _make(tape, out, (a,), bwd)
 
 
-def sigmoid(tape: Tape | None, a: Tensor) -> Tensor:
-    x = a.data
-    e = np.exp(-np.abs(x))
-    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    def bwd(g):
-        return (g * s * (1.0 - s),)
-    return _make(tape, s, (a,), bwd)
-
-
-def tanh(tape: Tape | None, a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-    def bwd(g):
-        return (g * (1.0 - t * t),)
-    return _make(tape, t, (a,), bwd)
-
-
 def relu(tape: Tape | None, a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
     mask = a.data > 0.0
@@ -355,23 +340,93 @@ def layer_norm(tape: Tape | None, a: Tensor, gain: Tensor, bias: Tensor, eps: fl
     return _make(tape, out, (a, gain, bias), bwd)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, formed without overflow for inputs of either sign."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _gate_input(name: str, pre: np.ndarray) -> np.ndarray:
+    """``pre``, once checked finite: a saturating gate would hide an overflow in it."""
+    if not np.isfinite(pre).all():
+        raise FloatingPointError(
+            f"gru produced non-finite values in its {pre.shape} {name} pre-activation")
+    return pre
+
+
+def gru(tape: Tape | None, x: Tensor, h: Tensor, weights: Sequence[Tensor]) -> Tensor:
+    """Gated update of row states ``h`` by inputs ``x``, both (n, D).
+
+    ``weights`` are the (D, D) maps and (D,) biases w_ir, b_ir, w_hr,
+    b_hr, w_iz, b_iz, w_hz, b_hz, w_in, b_in, w_hn, b_hn::
+
+        r = sigmoid((x w_ir + b_ir) + (h w_hr + b_hr))
+        z = sigmoid((x w_iz + b_iz) + (h w_hz + b_hz))
+        n = tanh((x w_in + b_in) + r * (h w_hn + b_hn))
+        out = (1 - z) * n + z * h
+
+    One tape record with a closed-form backward.  Forward and gradients
+    perform the float operations of the same update composed from
+    matmul, add, mul, sub and elementwise ops, in the same order, so they
+    are bit-identical to it whenever ``x`` is not ``h``.  Each gate's
+    pre-activation is checked before its saturating nonlinearity, so an
+    overflow in any affine map, or in a sum of two, raises.
+    """
+    xd, hd = x.data, h.data
+    if xd.ndim != 2 or xd.shape != hd.shape:
+        raise ValueError(f"gru: shapes differ: {x.shape} vs {h.shape}")
+    d = xd.shape[1]
+    if len(weights) != 12 or any(t.data.shape != ((d, d) if i % 2 == 0 else (d,))
+                                 for i, t in enumerate(weights)):
+        raise ValueError(f"gru: need 12 weights of shapes ({d}, {d}) and ({d},) in turn, got "
+                         f"{[t.shape for t in weights]}")
+    w_ir, b_ir, w_hr, b_hr, w_iz, b_iz, w_hz, b_hz, w_in, b_in, w_hn, b_hn = (
+        t.data for t in weights)
+    r = _sigmoid(_gate_input("reset", (xd @ w_ir + b_ir) + (hd @ w_hr + b_hr)))
+    z = _sigmoid(_gate_input("update", (xd @ w_iz + b_iz) + (hd @ w_hz + b_hz)))
+    h_n = hd @ w_hn + b_hn
+    n = np.tanh(_gate_input("candidate", (xd @ w_in + b_in) + r * h_n))
+    zbar = 1.0 - z
+    out = zbar * n + z * hd
+
+    def bwd(g):
+        # the composed form's backward, in reverse order of its forward ops
+        d_n = g * zbar * (1.0 - n * n)
+        d_hn = d_n * r
+        d_z = (-(g * n) + g * hd) * z * (1.0 - z)
+        d_r = d_n * h_n * r * (1.0 - r)
+        dh = ((g * z + d_hn @ w_hn.T) + d_z @ w_hz.T) + d_r @ w_hr.T if h.requires_grad else None
+        dx = (d_n @ w_in.T + d_z @ w_iz.T) + d_r @ w_ir.T if x.requires_grad else None
+        db_r, db_z = d_r.sum(axis=0), d_z.sum(axis=0)
+        return (dx, dh,
+                xd.T @ d_r, db_r, hd.T @ d_r, db_r,
+                xd.T @ d_z, db_z, hd.T @ d_z, db_z,
+                xd.T @ d_n, d_n.sum(axis=0), hd.T @ d_hn, d_hn.sum(axis=0))
+    return _make(tape, out, (x, h, *weights), bwd)
+
+
+def _flat_index(idx: np.ndarray, c: int) -> np.ndarray:
+    """Element indices ``idx[r] * c + j`` of rows ``idx`` of a C-ordered (n, c) array, row-major."""
+    return (idx[:, None] * c + np.arange(c)).reshape(-1)
+
+
 def _scatter(ufunc: np.ufunc, out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
     """``ufunc.at(out, idx, values)`` on ``out``'s rows, through the 1-D fast path.
 
     Row ``idx[r]`` of ``out`` takes row ``r`` of ``values``.  A 2-D
-    ``out`` with ``c`` columns is scattered as its flat view, at the
-    element indices ``idx[r] * c + j`` in row-major order, so each
-    element sees the same operations in the same order as the 2-D call.
-    ``out`` must be C-contiguous and ``values`` of shape
-    ``(len(idx),) + out.shape[1:]``.
+    ``out`` is scattered as its flat view, at the element indices
+    :func:`_flat_index` lists, so each element sees the same operations
+    in the same order as the 2-D call.  ``out`` must be C-contiguous and
+    ``values`` of shape ``(len(idx),) + out.shape[1:]``.  A caller that
+    scatters several times along the same rows passes flat views and the
+    flat index instead, built once.
     """
     if out.ndim == 1:
         ufunc.at(out, idx, values)
         return
     if not out.flags.c_contiguous:
         raise ValueError("_scatter: out must be C-contiguous")
-    c = out.shape[1]
-    ufunc.at(out.reshape(-1), (idx[:, None] * c + np.arange(c)).reshape(-1), values.reshape(-1))
+    ufunc.at(out.reshape(-1), _flat_index(idx, out.shape[1]), values.reshape(-1))
 
 
 def _indices(index, bound: int) -> np.ndarray:
@@ -426,15 +481,16 @@ def segment_softmax(tape: Tape | None, a: Tensor, segment_ids: np.ndarray,
     if x.ndim != 2:
         raise ValueError(f"segment_softmax: rank-2 input required, got shape {x.shape}")
     ids = _segment_ids(segment_ids, x.shape[0], num_segments)
+    flat = _flat_index(ids, x.shape[1])     # shared by all three scatters
     top = np.full((num_segments, x.shape[1]), -np.inf)
-    _scatter(np.maximum, top, ids, x)
+    _scatter(np.maximum, top.reshape(-1), flat, x.reshape(-1))
     e = np.exp(x - top[ids])
     total = np.zeros_like(top)
-    _scatter(np.add, total, ids, e)
+    _scatter(np.add, total.reshape(-1), flat, e.reshape(-1))
     p = e / total[ids]
     def bwd(g):
         dot = np.zeros_like(top)
-        _scatter(np.add, dot, ids, p * g)
+        _scatter(np.add, dot.reshape(-1), flat, (p * g).reshape(-1))
         return (p * (g - dot[ids]),)
     return _make(tape, p, (a,), bwd)
 

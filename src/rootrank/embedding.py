@@ -8,12 +8,14 @@ provider entirely.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
+from .aggregation import GraphPlan, build_plan
 from .graphs import CommitGraph, Dataset
 
 # FNV-1a 64-bit, with the offset basis xored against a fixed seed so the
@@ -79,7 +81,11 @@ class HashingEmbedder:
 
 @dataclass(frozen=True)
 class EmbeddedGraph:
-    """A commit graph plus its n x D matrix of initial node vectors."""
+    """A commit graph plus its n x D matrix of initial node vectors.
+
+    ``plan``, the graph's attention plan, is built on first use and kept,
+    so training and every ranking of the same graph share one.
+    """
 
     graph: CommitGraph
     h0: np.ndarray
@@ -92,6 +98,10 @@ class EmbeddedGraph:
             )
         if not np.isfinite(self.h0).all():
             raise ValueError(f"commit {self.graph.commit_id!r}: non-finite embedding values")
+
+    @functools.cached_property
+    def plan(self) -> GraphPlan:
+        return build_plan(self.graph)
 
 
 def embed_graph(g: CommitGraph, provider: EmbeddingProvider) -> EmbeddedGraph:

@@ -26,7 +26,7 @@ from .aggregation import (
     head_blocks,
     init_attention_params,
 )
-from .autodiff import Tape, Tensor, constant
+from .autodiff import Tape, Tensor
 from .graphs import EdgeKind, NodeKind
 
 
@@ -153,26 +153,14 @@ def init_network_params(cfg: ModelConfig, rng: np.random.Generator | None = None
 
 
 def gru_cell(tape: Tape | None, h_tilde: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
-    """One gated update, applied row-wise per node.
+    """One gated update, applied row-wise per node, as one ``autodiff.gru`` record.
 
     r = sigma(h_tilde W_ir + b_ir + h_prev W_hr + b_hr)
     z = sigma(h_tilde W_iz + b_iz + h_prev W_hz + b_hz)
     n = tanh(h_tilde W_in + b_in + r * (h_prev W_hn + b_hn))
     out = (1 - z) * n + z * h_prev
     """
-    if h_tilde.shape != h_prev.shape:
-        raise ValueError(f"gru_cell: shapes differ: {h_tilde.shape} vs {h_prev.shape}")
-
-    def affine(x, w, b):
-        return ad.add(tape, ad.matmul(tape, x, w), b)
-
-    r = ad.sigmoid(tape, ad.add(tape, affine(h_tilde, p.w_ir, p.b_ir), affine(h_prev, p.w_hr, p.b_hr)))
-    z = ad.sigmoid(tape, ad.add(tape, affine(h_tilde, p.w_iz, p.b_iz), affine(h_prev, p.w_hz, p.b_hz)))
-    n = ad.tanh(tape, ad.add(tape, affine(h_tilde, p.w_in, p.b_in),
-                             ad.mul(tape, r, affine(h_prev, p.w_hn, p.b_hn))))
-    keep = ad.mul(tape, z, h_prev)
-    update = ad.mul(tape, ad.sub(tape, constant(np.ones(z.shape)), z), n)
-    return ad.add(tape, update, keep)
+    return ad.gru(tape, h_tilde, h_prev, [getattr(p, name) for name in _GRU_TENSORS])
 
 
 def task_projection(tape: Tape | None, h_final: Tensor, params: NetworkParams) -> Tensor:

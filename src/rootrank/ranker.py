@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .aggregation import GraphPlan, build_plan
+from .aggregation import GraphPlan
 from .autodiff import Tape, Tensor, constant
 from .embedding import EmbeddedGraph
 from .graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind
@@ -24,6 +24,11 @@ from .network import (
     named_tensors,
     network_forward,
 )
+
+
+# Every op rejects a non-finite result with an error naming it, so numpy's own
+# floating-point warnings would only print ahead of that error.
+_QUIET_FP_WARNINGS = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 class TrainingError(RuntimeError):
@@ -142,7 +147,7 @@ def _prepare(eg: EmbeddedGraph, cfg: ModelConfig, with_pairs: bool = True) -> _C
     return _CommitBatch(
         graph=g,
         h0=constant(eg.h0),
-        plan=build_plan(g),
+        plan=eg.plan,
         deleted=np.array(g.deleted_ids(), dtype=np.intp),
         pair_i=pair_i,
         pair_j=pair_j,
@@ -228,12 +233,13 @@ def train(embedded: list[EmbeddedGraph], cfg: ModelConfig,
                        if cfg.step_per_pair else [slice(None)])
             total = 0.0
             try:
-                for subset in subsets:
-                    tape = Tape()
-                    loss = commit_loss(tape, batch, params, cfg, subset)
-                    grads = ad.backward(tape, loss)
-                    adam.step(tensors, [grads[t] for t in tensors], cfg.lr)
-                    total += loss.item()
+                with np.errstate(**_QUIET_FP_WARNINGS):
+                    for subset in subsets:
+                        tape = Tape()
+                        loss = commit_loss(tape, batch, params, cfg, subset)
+                        grads = ad.backward(tape, loss)
+                        adam.step(tensors, [grads[t] for t in tensors], cfg.lr)
+                        total += loss.item()
             except FloatingPointError as exc:
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, commit {batch.graph.commit_id!r}: {exc}"
@@ -303,7 +309,8 @@ def rank_commit(model: TrainedModel, eg: EmbeddedGraph) -> list[tuple[int, float
         )
     batch = _prepare(eg, model.cfg, with_pairs=False)
     try:
-        scores = _deleted_scores(None, batch, model.params, model.cfg).data
+        with np.errstate(**_QUIET_FP_WARNINGS):
+            scores = _deleted_scores(None, batch, model.params, model.cfg).data
     except FloatingPointError as exc:
         raise ValueError(f"commit {g.commit_id!r}: {exc}") from exc
     scored = [(node_id, float(s)) for node_id, s in zip(deleted, scores)]

@@ -4,9 +4,9 @@ Most of what is here works on plain numpy arrays with explicit Python
 loops over nodes, edges and heads, following the layer definitions
 directly and never touching the tape machinery it is used to check.
 The masked per-kind forms (``naive_typed_rows``, ``naive_edge_rows``)
-are the exception: they are the tape compositions the grouped
-``block_matmul`` replaced, kept so its gradients can be checked
-against them.
+and ``composed_gru`` are the exception: they are the tape compositions
+the grouped ``block_matmul`` and the fused ``gru`` op replaced, kept so
+their gradients can be checked against them.
 """
 
 from __future__ import annotations
@@ -229,6 +229,41 @@ def naive_adam_step(params: list[np.ndarray], grads: list[np.ndarray], m: list[n
         v_t += (1.0 - beta2) * (g * g)
         out.append(p - lr * (m_t / correct1) / (np.sqrt(v_t / correct2) + eps))
     return out
+
+
+def sigmoid(tape: Tape | None, a: Tensor) -> Tensor:
+    """Elementwise logistic tape op, the one the composed GRU chain used."""
+    x = a.data
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    def bwd(g):
+        return (g * s * (1.0 - s),)
+    return ad._make(tape, s, (a,), bwd)
+
+
+def tanh(tape: Tape | None, a: Tensor) -> Tensor:
+    """Elementwise tanh tape op, the one the composed GRU chain used."""
+    t = np.tanh(a.data)
+    def bwd(g):
+        return (g * (1.0 - t * t),)
+    return ad._make(tape, t, (a,), bwd)
+
+
+def composed_gru(tape: Tape | None, h_tilde: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
+    """The gated update as 23 tape ops: matmul, add, mul, sub, sigmoid and tanh."""
+    if h_tilde.shape != h_prev.shape:
+        raise ValueError(f"gru_cell: shapes differ: {h_tilde.shape} vs {h_prev.shape}")
+
+    def affine(x, w, b):
+        return ad.add(tape, ad.matmul(tape, x, w), b)
+
+    r = sigmoid(tape, ad.add(tape, affine(h_tilde, p.w_ir, p.b_ir), affine(h_prev, p.w_hr, p.b_hr)))
+    z = sigmoid(tape, ad.add(tape, affine(h_tilde, p.w_iz, p.b_iz), affine(h_prev, p.w_hz, p.b_hz)))
+    n = tanh(tape, ad.add(tape, affine(h_tilde, p.w_in, p.b_in),
+                          ad.mul(tape, r, affine(h_prev, p.w_hn, p.b_hn))))
+    keep = ad.mul(tape, z, h_prev)
+    update = ad.mul(tape, ad.sub(tape, constant(np.ones(z.shape)), z), n)
+    return ad.add(tape, update, keep)
 
 
 def naive_gru(h_tilde: np.ndarray, h_prev: np.ndarray, p: GruParams) -> np.ndarray:

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from rootrank import autodiff as ad
 from rootrank.autodiff import Tape, Tensor, backward, constant, grad_check
 
-from naive_reference import naive_scatter, naive_segment_softmax, naive_typed_rows
+from rootrank.network import _GRU_TENSORS, init_gru_params
+
+from naive_reference import composed_gru, naive_scatter, naive_segment_softmax, naive_typed_rows
 
 
 def column_softmax(tape, a):
@@ -37,9 +39,6 @@ class TestForwardExamples:
     def test_softmax_uniform(self):
         out = column_softmax(None, constant([[0.0], [0.0], [0.0]]))
         np.testing.assert_allclose(out.data[:, 0], [1 / 3] * 3, atol=1e-15)
-
-    def test_sigmoid_zero(self):
-        assert ad.sigmoid(None, constant(0.0)).item() == 0.5
 
     def test_relu_clips(self):
         out = ad.relu(None, constant([-1.0, 2.0]))
@@ -117,13 +116,13 @@ class TestBackwardExamples:
         x = Tensor(rng.uniform(-2, 2, size=(3, 4)), requires_grad=True)
         w = constant(rng.uniform(-1, 1, size=(3, 4)))
         tape = Tape()
-        mid = ad.tanh(tape, x)
+        mid = ad.log_sigmoid(tape, x)
         loss = scalarize(tape, mid, w.data)
         before = mid.data.copy()
         backward(tape, loss)
         assert np.array_equal(mid.data, before)
         tape2 = Tape()
-        mid2 = ad.tanh(tape2, x)
+        mid2 = ad.log_sigmoid(tape2, x)
         assert np.array_equal(mid2.data, before)
 
 
@@ -158,14 +157,14 @@ class TestSharedGradientArrays:
         y = Tensor(rng.uniform(-1, 1, size=(2, 3)), requires_grad=True)
         w = rng.uniform(-1, 1, size=(2, 3))
         tape = Tape()
-        q = ad.tanh(tape, x)
+        q = ad.log_sigmoid(tape, x)
         r = ad.scalar_mul(tape, x, 2.0)
         p = ad.sub(tape, x, y)
         m = ad.add(tape, p, q)
         loss = scalarize(tape, ad.add(tape, m, r), w)
         grads = backward(tape, loss)
-        t = np.tanh(x.data)
-        np.testing.assert_allclose(grads[x], w * (1.0 + (1.0 - t * t) + 2.0), rtol=1e-15, atol=0)
+        slope = 1.0 / (1.0 + np.exp(x.data))        # d/dx log sigmoid(x) = sigmoid(-x)
+        np.testing.assert_allclose(grads[x], w * (1.0 + slope + 2.0), rtol=1e-15, atol=0)
         np.testing.assert_array_equal(grads[y], -w)
         self.assert_no_shared_leaf_memory(grads, [x, y])
 
@@ -349,16 +348,6 @@ class TestPerOpGradients:
         a = Tensor(self._rand(4), requires_grad=True)
         w = self._rand(4)
         check_op(lambda tape, _: scalarize(tape, ad.scalar_mul(tape, a, -1.7), w), [a])
-
-    def test_sigmoid(self):
-        a = Tensor(self._rand(6), requires_grad=True)
-        w = self._rand(6)
-        check_op(lambda tape, _: scalarize(tape, ad.sigmoid(tape, a), w), [a])
-
-    def test_tanh(self):
-        a = Tensor(self._rand(2, 3), requires_grad=True)
-        w = self._rand(2, 3)
-        check_op(lambda tape, _: scalarize(tape, ad.tanh(tape, a), w), [a])
 
     def test_relu_away_from_kink(self):
         vals = self._rand(8)
@@ -556,6 +545,125 @@ class TestBlockMatmul:
             ad.block_matmul(None, a, [(None, w), (np.array([], dtype=int), w)], 2)
         with pytest.raises(ValueError, match=r"\[0, 3\)"):
             ad.block_matmul(None, a, [(np.array([3]), w)], 2)
+
+
+def gru_weights(p):
+    """The 12 gate tensors of ``p`` in the order ``autodiff.gru`` takes them."""
+    return [getattr(p, name) for name in _GRU_TENSORS]
+
+
+def saturate(p, value=30.0):
+    """Pre-activations near +-value: biases alternate in sign, weights shrink."""
+    d = p.b_ir.shape[0]
+    signs = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
+    for name in ("b_ir", "b_iz", "b_in"):
+        getattr(p, name).data = value * signs
+    for name in ("w_ir", "w_hr", "w_iz", "w_hz", "w_in", "w_hn"):
+        getattr(p, name).data *= 0.1
+
+
+class TestGru:
+    """The fused gate against the 23-op chain it replaced (``composed_gru``)."""
+
+    def _inputs(self, rng, n, d, same, h_grad=True):
+        x = Tensor(rng.uniform(-2, 2, size=(n, d)), requires_grad=True)
+        h = x if same else Tensor(rng.uniform(-2, 2, size=(n, d)), requires_grad=h_grad)
+        return x, h
+
+    @pytest.mark.parametrize("case", ["distinct", "x_is_h", "saturated"])
+    def test_gradcheck_every_input(self, case):
+        rng = np.random.default_rng(21)
+        p = init_gru_params(4, rng)
+        if case == "saturated":
+            saturate(p)
+        x, h = self._inputs(rng, 3, 4, same=case == "x_is_h")
+        weights = gru_weights(p)
+        g = rng.uniform(-2, 2, size=(3, 4))
+        inputs = [x, *weights] if x is h else [x, h, *weights]
+        assert len(inputs) == (13 if x is h else 14)
+        check_op(lambda tape, _: scalarize(tape, ad.gru(tape, x, h, weights), g), inputs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 6), d=st.integers(1, 6), same=st.booleans(), h_grad=st.booleans(),
+           scale=st.sampled_from([0.5, 3.0, 40.0]), seed=st.integers(0, 2**32 - 1))
+    def test_equals_composed_chain(self, n, d, same, h_grad, scale, seed):
+        rng = np.random.default_rng(seed)
+        p = init_gru_params(d, rng)
+        for t in gru_weights(p):
+            t.data = t.data * scale
+        x, h = self._inputs(rng, n, d, same, h_grad)
+        g = rng.uniform(-2, 2, size=(n, d))
+        leaves = [x, h, *gru_weights(p)]
+
+        def run(f):
+            tape = Tape()
+            out = f(tape, x, h, p)
+            grads = backward(tape, scalarize(tape, out, g))
+            return [out.data] + [grads[t] for t in leaves]
+
+        fused = run(lambda tape, x, h, p: ad.gru(tape, x, h, gru_weights(p)))
+        for got, want in zip(fused, run(composed_gru)):
+            if same:  # x's and h's parts are summed in another order
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            else:
+                assert np.array_equal(got, want)
+
+    def test_one_tape_record(self):
+        rng = np.random.default_rng(23)
+        p = init_gru_params(3, rng)
+        x, h = self._inputs(rng, 2, 3, same=False)
+        tape = Tape()
+        ad.gru(tape, x, h, gru_weights(p))
+        assert len(tape) == 1
+        tape = Tape()
+        composed_gru(tape, x, h, p)
+        assert len(tape) == 23
+
+    @pytest.mark.parametrize("gate,names", [
+        ("reset", ("b_ir", "b_hr")),
+        ("update", ("b_iz", "b_hz")),
+        ("candidate", ("b_in", "b_hn")),
+    ])
+    def test_overflowing_sum_of_affine_maps_is_named(self, gate, names):
+        # each affine map is finite; their sum overflows, and the gate would saturate it
+        p = init_gru_params(3, np.random.default_rng(24))
+        for t in gru_weights(p):
+            t.data = np.zeros_like(t.data)
+        for name in names:
+            getattr(p, name).data = np.full(3, 1.5e308)
+        x = h = constant(np.ones((2, 3)))
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError, match=rf"^gru produced non-finite values in "
+                                                         rf"its \(2, 3\) {gate} pre-activation$"):
+                ad.gru(None, x, h, gru_weights(p))
+            with pytest.raises(FloatingPointError, match="^add produced non-finite values"):
+                composed_gru(None, x, h, p)
+
+    def test_overflowing_affine_map_is_named(self):
+        p = init_gru_params(3, np.random.default_rng(25))
+        p.w_in.data = np.full((3, 3), 1e200)
+        x = constant(np.full((2, 3), 1e200))
+        h = constant(np.zeros((2, 3)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=r"^gru .* candidate pre-activation$"):
+                ad.gru(None, x, h, gru_weights(p))
+            with pytest.raises(FloatingPointError, match="^matmul produced non-finite values"):
+                composed_gru(None, x, h, p)
+
+    def test_shape_checks(self):
+        p = init_gru_params(4, np.random.default_rng(0))
+        weights = gru_weights(p)
+        with pytest.raises(ValueError, match="shapes differ"):
+            ad.gru(None, constant(np.zeros((2, 4))), constant(np.zeros((3, 4))), weights)
+        with pytest.raises(ValueError, match="shapes differ"):
+            ad.gru(None, constant(np.zeros(4)), constant(np.zeros(4)), weights)
+        x = constant(np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="need 12 weights"):
+            ad.gru(None, x, x, weights[:11])
+        with pytest.raises(ValueError, match="need 12 weights"):
+            ad.gru(None, x, x, [weights[1], weights[0], *weights[2:]])
+        with pytest.raises(ValueError, match="need 12 weights"):
+            ad.gru(None, constant(np.zeros((2, 3))), constant(np.zeros((2, 3))), weights)
 
 
 class TestGradCheck:

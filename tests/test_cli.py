@@ -487,6 +487,23 @@ class TestForwardOverflow:
         assert "Traceback" not in err
 
 
+    def test_stderr_holds_only_the_error_line(self, tmp_path):
+        # numpy's RuntimeWarning (and its source line) used to print ahead of the error
+        data = Path(__file__).parent / "data"
+        payload = json.loads((data / "v1_model.ckpt").read_text(encoding="utf-8"))
+        for entry in payload["tensors"]:
+            if entry["name"] in ("proj.w", "scorer.w"):
+                entry["data"] = [1e200] * len(entry["data"])
+        huge = tmp_path / "huge.ckpt"
+        huge.write_text(json.dumps(payload), encoding="utf-8")
+        proc = fresh_process(["-m", "rootrank.cli", "rank", "-d", str(data / "v1_dataset.json"),
+                              "-m", str(huge)], cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: commit 'synthetic-5-00005': matmul produced non-finite "
+                               "values in its (10,) output\n")
+
+
 class TestDenseMapCheckpoint:
     """A checkpoint and its ``rank`` output, both written while the per-edge-kind
     maps were held as dense D x D tensors (dim 8, heads 2, layers 1)."""
@@ -550,15 +567,17 @@ class TestGradcheck:
         assert "FAIL" in stdout
 
 
+def fresh_process(args, cwd):
+    """Run ``python *args`` in a new interpreter that imports this rootrank."""
+    src = str(Path(rootrank.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, timeout=300,
+                          capture_output=True, text=True)
+
+
 class TestFreshProcess:
     """Cross-validation from a new interpreter, whose main module the fold workers import."""
-
-    def _run(self, args, cwd):
-        src = str(Path(rootrank.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-        return subprocess.run([sys.executable, *args], cwd=cwd, env=env, timeout=300,
-                              capture_output=True, text=True)
 
     def _expected_report(self, dataset):
         mean, folds = cross_validate(load_dataset(dataset), CV_CONFIG, HashingEmbedder(16), k=2,
@@ -567,8 +586,8 @@ class TestFreshProcess:
 
     def test_module_cli_writes_in_process_report(self, small_data, tmp_path):
         out = tmp_path / "out.json"
-        proc = self._run(["-m", "rootrank.cli", "evaluate", "-d", str(small_data), "--cv", "2",
-                          "-o", str(out), *CV_FLAGS], cwd=tmp_path)
+        proc = fresh_process(["-m", "rootrank.cli", "evaluate", "-d", str(small_data),
+                              "--cv", "2", "-o", str(out), *CV_FLAGS], cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert out.read_text(encoding="utf-8") == self._expected_report(small_data)
 
@@ -587,6 +606,6 @@ class TestFreshProcess:
             "                                 k=2, seed=42)\n"
             "    print(report_json(mean, per_fold=folds))\n",
             encoding="utf-8")
-        proc = self._run([str(script), str(small_data)], cwd=tmp_path)
+        proc = fresh_process([str(script), str(small_data)], cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == self._expected_report(small_data)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import re
 import warnings
 from types import SimpleNamespace
@@ -9,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootrank import autodiff as ad
-from rootrank import ranker
+from rootrank import embedding, network, ranker
+from rootrank.aggregation import GraphPlan
 from rootrank.autodiff import Tape, Tensor, constant
 from rootrank.embedding import HashingEmbedder, embed_dataset, embed_graph
 from rootrank.graphs import CommitGraph, Dataset, DepEdge, EdgeKind, LineNode, NodeKind
@@ -27,7 +30,7 @@ from rootrank.ranker import (
 )
 from rootrank.synthetic import GenConfig, generate
 
-from naive_reference import naive_adam_step, naive_build_pairs, pair_label
+from naive_reference import composed_gru, naive_adam_step, naive_build_pairs, pair_label
 
 
 def pair_loss(s_i, s_j, label, sigma=1.0):
@@ -292,6 +295,17 @@ class TestTrain:
         with pytest.raises(ValueError, match="dim"):
             train(embedded, self._cfg(dim=8))
 
+    def test_forward_overflow_is_named_without_numpy_warnings(self):
+        cfg = self._cfg()
+        params = init_network_params(cfg, np.random.default_rng(cfg.seed), random_scorer=True)
+        params.w_proj.data[...] = 1e200
+        params.scorer_w.data[...] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match=r"^non-finite loss at epoch 0, commit 'c\d': "
+                                                    r"matmul produced non-finite values"):
+                train(self._embedded(), cfg, params=params)
+
     def test_one_step_decreases_loss_on_same_commit(self):
         embedded = self._embedded(n_graphs=1)
         cfg = self._cfg(epochs=0, lr=1e-6)
@@ -385,6 +399,91 @@ class TestTapeSize:
             commit_loss(tape, batch, params, cfg)
             lengths.append(len(tape))
         assert lengths[0] == lengths[1]
+
+
+class TestFusedGate:
+    """The fused ``gru`` op in place of the 23-op chain, through the whole loss."""
+
+    def _commit(self):
+        g = generate(GenConfig(n_commits=1, seed=3)).graphs[0]
+        return embed_graph(g, HashingEmbedder(8))
+
+    def test_two_layer_commit_records_44_fewer_tape_ops(self, monkeypatch):
+        cfg = ModelConfig(dim=8, heads=2, layers=2, proj_dim=4)
+        params = init_network_params(cfg, np.random.default_rng(0))
+        batch = _prepare(self._commit(), cfg)
+        lengths = []
+        for cell in (network.gru_cell, composed_gru):
+            monkeypatch.setattr(network, "gru_cell", cell)
+            tape = Tape()
+            commit_loss(tape, batch, params, cfg)
+            lengths.append(len(tape))
+        assert lengths[1] - lengths[0] == 2 * 22
+
+    @pytest.mark.parametrize("mode", [Mode.FULL, Mode.RETENTION_ONLY])
+    def test_training_matches_the_composed_chain(self, monkeypatch, mode):
+        embedded = embed_dataset(generate(GenConfig(n_commits=4, seed=5)), HashingEmbedder(8))
+        cfg = ModelConfig(dim=8, heads=2, layers=2, proj_dim=4, epochs=2, lr=1e-3, mode=mode)
+        fused = train(embedded, cfg)
+        monkeypatch.setattr(network, "gru_cell", composed_gru)
+        composed = train(embedded, cfg)
+        pairs = zip(named_tensors(fused.params), named_tensors(composed.params))
+        if mode is Mode.RETENTION_ONLY:  # x is h: its two gradient parts add in another order
+            np.testing.assert_allclose(fused.training_log, composed.training_log, rtol=1e-12)
+            for (name, a), (_n, b) in pairs:
+                np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-12, err_msg=name)
+        else:
+            assert fused.training_log == composed.training_log
+            for (name, a), (_n, b) in pairs:
+                assert np.array_equal(a.data, b.data), name
+
+
+class TestPlanCache:
+    def _model(self):
+        cfg = ModelConfig(dim=8, heads=2, layers=1, proj_dim=4, epochs=2, lr=1e-3)
+        params = init_network_params(cfg, np.random.default_rng(0), random_scorer=True)
+        return TrainedModel(params=params, cfg=cfg, training_log=[])
+
+    def _count_builds(self, monkeypatch):
+        calls = []
+        real = embedding.build_plan
+
+        def build_plan(g):
+            calls.append(g.commit_id)
+            return real(g)
+
+        monkeypatch.setattr(embedding, "build_plan", build_plan)
+        return calls
+
+    def test_built_once_across_ranking_and_training(self, monkeypatch):
+        calls = self._count_builds(monkeypatch)
+        embedded = embed_dataset(tiny_dataset(n_graphs=3), HashingEmbedder(8))
+        assert calls == [] and all("plan" not in vars(eg) for eg in embedded)  # lazy
+        model = self._model()
+        first = [rank_commit(model, eg) for eg in embedded]
+        second = [rank_commit(model, eg) for eg in embedded]
+        trained = train(embedded, model.cfg)
+        assert calls == [eg.graph.commit_id for eg in embedded]
+        fresh = embed_dataset(tiny_dataset(n_graphs=3), HashingEmbedder(8))
+        assert first == second == [rank_commit(model, eg) for eg in fresh]
+        assert trained.training_log == train(fresh, model.cfg).training_log
+
+    def test_cached_plan_survives_pickling(self, monkeypatch):
+        eg = embed_dataset(tiny_dataset(n_graphs=1), HashingEmbedder(8))[0]
+        plan = eg.plan
+        copy = pickle.loads(pickle.dumps(eg))
+        calls = self._count_builds(monkeypatch)
+        restored = copy.plan
+        assert calls == [] and restored is not plan
+        for field in dataclasses.fields(GraphPlan):
+            want, got = getattr(plan, field.name), getattr(restored, field.name)
+            if isinstance(want, dict):
+                assert list(got) == list(want)
+                assert all(np.array_equal(got[k], want[k]) for k in want)
+            else:
+                assert np.array_equal(got, want)
+        model = self._model()
+        assert rank_commit(model, copy) == rank_commit(model, eg)
 
 
 class TestRankCommit:
