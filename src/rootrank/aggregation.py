@@ -18,11 +18,12 @@ arrays (source, target, prior row) plus the sorted rows of each node
 kind and each edge kind present, so every plan array is O(n + E).  Each
 typed transform runs once per kind, on that kind's rows only: each of
 K, Q and V is one ``block_matmul`` with a group per node kind, and the
-attention and message maps are one each, with a group per edge kind.
-Edge rows are gathered from node rows with ``take_rows`` (once per map
-family), each node's incoming edges compete in one
-``segment_softmax`` per head, and the weighted messages are added into
-the rows of their target nodes with ``segment_sum``.  Each
+attention and message maps are one each, with a group per edge kind,
+applied to source rows gathered with ``take_rows``.  The rest of the
+layer is one ``autodiff.attend`` record: per edge and head the key-query
+product scaled by the edge's prior and 1/sqrt(D/H), a softmax over each
+target's incoming edges, and the weighted messages added into the rows
+of their targets.  A layer records nine tape ops.  Each
 ``EmbeddedGraph`` builds its plan once, on first use, and reuses it
 across training steps and rankings.
 """
@@ -199,57 +200,14 @@ def _edge_rows(tape: Tape | None, plan: GraphPlan, states: Tensor,
     return ad.block_matmul(tape, sources, groups, heads)
 
 
-def attention_logits(tape: Tape | None, plan: GraphPlan, kv: HeadVectors,
-                     params: AttentionParams) -> Tensor:
-    """Per-edge, per-head scaled attention logits, shape (E, H).
-
-    Row order is the plan's canonical edge order.  Each logit is
-    K_head(src) @ W_att_block @ Q_head(dst), scaled by the (source kind,
-    edge kind, target kind) prior and 1/sqrt(D/H).
-    """
-    keys = _edge_rows(tape, plan, kv.k, params.w_att, params.heads)
-    queries = ad.take_rows(tape, kv.q, plan.dst)
-    head_sum = constant(np.ones((params.dim, 1)))
-    raw = ad.block_matmul(tape, ad.mul(tape, keys, queries), [(None, head_sum)], params.heads)
-    prior = ad.take_rows(tape, params.mu, plan.mu_idx)
-    scale = 1.0 / math.sqrt(params.dim / params.heads)
-    return ad.scalar_mul(tape, ad.mul(tape, raw, prior), scale)
-
-
-def attention_weights(tape: Tape | None, logits: Tensor, plan: GraphPlan) -> Tensor:
-    """Softmax over each target's incoming edges, independently per head, shape (E, H).
-
-    Every incoming edge competes in one softmax regardless of its kind.
-    """
-    return ad.segment_softmax(tape, logits, plan.dst, plan.n)
-
-
-def edge_messages(tape: Tape | None, plan: GraphPlan, kv: HeadVectors,
-                  params: AttentionParams) -> Tensor:
-    """Per-edge message content, shape (E, D): V_head(src) @ W_msg_block per head."""
-    return _edge_rows(tape, plan, kv.v, params.w_msg, params.heads)
-
-
-def aggregate(tape: Tape | None, plan: GraphPlan, weights: Tensor,
-              messages: Tensor) -> Tensor:
-    """Attention-weighted sum of messages into each target, shape (n, D).
-
-    ``weights`` is (E, H) and ``messages`` (E, D).  Targets with no
-    incoming edges get an exactly zero row.
-    """
-    heads = weights.shape[1]
-    head_expand = constant(np.ones((heads, messages.shape[1] // heads)))
-    w_full = ad.block_matmul(tape, weights, [(None, head_expand)], heads)
-    return ad.segment_sum(tape, ad.mul(tape, w_full, messages), plan.dst, plan.n)
-
-
 def attention_forward(tape: Tape | None, h_prev: Tensor, plan: GraphPlan,
                       params: AttentionParams) -> Tensor:
-    """Full layer: project, score, normalize, message, aggregate."""
+    """Full layer: project, map each edge's key and message, then ``autodiff.attend``."""
     if not plan.edge_rows:
         return constant(np.zeros(h_prev.shape))
     kv = project_kqv(tape, h_prev, params, plan)
-    logits = attention_logits(tape, plan, kv, params)
-    weights = attention_weights(tape, logits, plan)
-    messages = edge_messages(tape, plan, kv, params)
-    return aggregate(tape, plan, weights, messages)
+    keys = _edge_rows(tape, plan, kv.k, params.w_att, params.heads)
+    queries = ad.take_rows(tape, kv.q, plan.dst)
+    messages = _edge_rows(tape, plan, kv.v, params.w_msg, params.heads)
+    return ad.attend(tape, keys, queries, params.mu, messages, plan.mu_idx, plan.dst, plan.n,
+                     params.heads)

@@ -7,24 +7,25 @@ gradients of a scalar loss with respect to every leaf that requires
 them.  Passing ``tape=None`` runs the same forward math without
 recording, for inference.
 
-The op set holds what the model calls and nothing more: matmul,
-block_matmul (one product per head, on column blocks, with each group of
-rows through its own weights, so a typed transform runs only on the
-rows of its kind), add, sub, mul, scalar_mul, relu, log_sigmoid,
-reduce_sum, layer_norm, gru (the whole gated retention update as one
-record, with a closed-form backward), and the index ops take_rows
-(gather), segment_sum (scatter add) and segment_softmax (softmax within
-each segment of rows), which carry graph-shaped and head-shaped work
-without dense one-hot or block-diagonal matrices.  All ops reject
-non-finite results.
+The op set holds what the model calls and nothing more, nine ops:
+matmul, block_matmul (one product per head, on column blocks, with each
+listed group of rows through its own weights, so a typed transform runs
+only on the rows of its kind), add, relu, layer_norm, take_rows (gather
+by an integer index array), and three fused ops that each record a whole
+model stage with a closed-form backward: gru (the gated retention
+update), attend (one attention layer's core, from the key-query product
+to the scatter of weighted messages into their targets) and pair_loss
+(the RankNet pair cross-entropy).  Graph- and head-shaped work runs on
+integer index arrays and reshapes, never on dense one-hot, block-diagonal
+or all-ones selector matrices.  All ops reject non-finite results.
 
-Every scatter (the backward of take_rows, segment_sum and both
-reductions of segment_softmax) goes through :func:`_scatter`, which
-hands numpy's ``ufunc.at`` 1-D operands: a row scatter into an (n, c)
-array becomes an element scatter over the flattened array.  ``ufunc.at``
-has a fast path only for 1-D operands, and the flattened form makes the
-same operations on each element in the same order, so results are
-bit-identical to the 2-D call.
+Every scatter (the backward of take_rows, the per-target reductions of
+attend and the scatters of pair_loss's backward) goes through
+:func:`_scatter`, which hands numpy's ``ufunc.at`` 1-D operands: a row
+scatter into an (n, c) array becomes an element scatter over the
+flattened array.  ``ufunc.at`` has a fast path only for 1-D operands, and
+the flattened form makes the same operations on each element in the same
+order, so results are bit-identical to the 2-D call.
 
 :func:`backward` stores an input's first gradient as the backward rule
 returned it and adds further contributions into an array it allocated
@@ -34,6 +35,7 @@ share memory with each other.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -149,10 +151,17 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
     return Gradients(grads)
 
 
+def _finite(op: str, what: str, x: np.ndarray) -> np.ndarray:
+    """``x``, once checked finite; otherwise FloatingPointError names the op and the quantity."""
+    if not np.isfinite(x).all():
+        raise FloatingPointError(f"{op} produced non-finite values in its {x.shape} {what}")
+    return x
+
+
 def _make(tape: Tape | None, data: np.ndarray, inputs: tuple[Tensor, ...], bwd: _Backward) -> Tensor:
     if not np.isfinite(data).all():
         op = bwd.__qualname__.split(".", 1)[0]  # "matmul.<locals>.bwd" -> "matmul"
-        raise FloatingPointError(f"{op} produced non-finite values in its {data.shape} output")
+        _finite(op, "output", data)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = any(t.requires_grad for t in inputs)
@@ -195,11 +204,11 @@ def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: i
     """Per-group, per-head product (n, H*k) -> (n, H*m).
 
     ``groups`` lists ``(rows, w)`` or ``(rows, w, b)``: ``rows`` is a 1-D
-    index array (``None`` for every row), ``w`` is (H*k, m) and ``b`` is
-    (H*m,).  Each listed row r becomes ``a[r] @ blockdiag(H row blocks of
-    w) + b``: head i maps column block i of ``a[r]`` through row block i
-    of ``w`` into output column block i.  Groups are disjoint, rows within
-    a group distinct; a row in no group comes out as exact zeros.
+    index array, ``w`` is (H*k, m) and ``b`` is (H*m,).  Each listed row r
+    becomes ``a[r] @ blockdiag(H row blocks of w) + b``: head i maps
+    column block i of ``a[r]`` through row block i of ``w`` into output
+    column block i.  Groups are disjoint, rows within a group distinct; a
+    row in no group comes out as exact zeros.
     """
     if a.data.ndim != 2 or heads < 1 or a.data.shape[1] % heads or not groups:
         raise ValueError(f"block_matmul: unsupported input {a.shape} in {heads} heads "
@@ -214,41 +223,30 @@ def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: i
                 or (b is not None and b.data.shape != (heads * m,))):
             raise ValueError(f"block_matmul: unsupported shapes {a.shape} @ {w.shape}"
                              f"{''.join(f' + {t.shape}' for t in bias)} in {heads} heads")
-        if rows is not None:
-            rows = _indices(rows, n)
-        x = a.data if rows is None else a.data[rows]
+        rows = _indices(rows, n)
+        x = a.data[rows]
         parts.append((rows, x.reshape(len(x), heads, k).transpose(1, 0, 2),
                       w.data.reshape(heads, k, m), w, b))
         inputs += [w, *bias]
-    listed = [part[0] for part in parts if part[0] is not None]
-    if ((len(parts) > 1 and len(listed) < len(parts))
-            or (listed and np.bincount(np.concatenate(listed), minlength=n).max(initial=0) > 1)):
+    if np.bincount(np.concatenate([part[0] for part in parts]), minlength=n).max(initial=0) > 1:
         raise ValueError("block_matmul: groups must hold distinct rows and not overlap")
 
-    # With a group over every row it is the only group, so nothing is left to zero.
-    out = np.zeros((n, heads * m)) if listed else None
+    out = np.zeros((n, heads * m))
     for rows, x, blocks, _w, b in parts:
         y = np.matmul(x, blocks).transpose(1, 0, 2).reshape(x.shape[1], heads * m)
         if b is not None:
             y += b.data
-        if rows is None:
-            out = y
-        else:
-            out[rows] = y
+        out[rows] = y
 
     def bwd(g):
-        da = np.zeros_like(a.data) if a.requires_grad and listed else None
+        da = np.zeros_like(a.data) if a.requires_grad else None
         grads = [da]
         for rows, x, blocks, w, b in parts:
-            gy = g if rows is None else g[rows]
+            gy = g[rows]
             gh = gy.reshape(len(gy), heads, m).transpose(1, 0, 2)      # (H, r, m)
             if a.requires_grad:
                 dx = np.matmul(gh, blocks.transpose(0, 2, 1)).transpose(1, 0, 2)
-                dx = dx.reshape(len(gy), heads * k)
-                if rows is None:
-                    grads[0] = dx
-                else:
-                    da[rows] = dx
+                da[rows] = dx.reshape(len(gy), heads * k)
             grads.append(np.matmul(x.transpose(0, 2, 1), gh).reshape(heads * k, m)
                          if w.requires_grad else None)
             if b is not None:
@@ -264,53 +262,11 @@ def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     return _make(tape, out, (a, b), bwd)
 
 
-def sub(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-    def bwd(g):
-        return _unbroadcast(g, a.data.shape), -_unbroadcast(g, b.data.shape)
-    return _make(tape, out, (a, b), bwd)
-
-
-def mul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product, with numpy broadcasting."""
-    out = a.data * b.data
-    def bwd(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
-    return _make(tape, out, (a, b), bwd)
-
-
-def scalar_mul(tape: Tape | None, a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = a.data * c
-    def bwd(g):
-        return (g * c,)
-    return _make(tape, out, (a,), bwd)
-
-
 def relu(tape: Tape | None, a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
     mask = a.data > 0.0
     def bwd(g):
         return (g * mask,)
-    return _make(tape, out, (a,), bwd)
-
-
-def log_sigmoid(tape: Tape | None, a: Tensor) -> Tensor:
-    """log(sigmoid(a)) = -softplus(-a), exact for saturated inputs of either sign."""
-    x = a.data
-    e = np.exp(-np.abs(x))
-    out = np.minimum(x, 0.0) - np.log1p(e)
-    def bwd(g):
-        # d/da log(sigmoid(a)) = sigmoid(-a), formed without cancellation
-        return (g * np.where(x >= 0, e / (1.0 + e), 1.0 / (1.0 + e)),)
-    return _make(tape, out, (a,), bwd)
-
-
-def reduce_sum(tape: Tape | None, a: Tensor) -> Tensor:
-    """Sum of every element, a scalar."""
-    out = a.data.sum()
-    def bwd(g):
-        return (np.broadcast_to(g, a.data.shape).copy(),)
     return _make(tape, out, (a,), bwd)
 
 
@@ -346,14 +302,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _gate_input(name: str, pre: np.ndarray) -> np.ndarray:
-    """``pre``, once checked finite: a saturating gate would hide an overflow in it."""
-    if not np.isfinite(pre).all():
-        raise FloatingPointError(
-            f"gru produced non-finite values in its {pre.shape} {name} pre-activation")
-    return pre
-
-
 def gru(tape: Tape | None, x: Tensor, h: Tensor, weights: Sequence[Tensor]) -> Tensor:
     """Gated update of row states ``h`` by inputs ``x``, both (n, D).
 
@@ -382,10 +330,10 @@ def gru(tape: Tape | None, x: Tensor, h: Tensor, weights: Sequence[Tensor]) -> T
                          f"{[t.shape for t in weights]}")
     w_ir, b_ir, w_hr, b_hr, w_iz, b_iz, w_hz, b_hz, w_in, b_in, w_hn, b_hn = (
         t.data for t in weights)
-    r = _sigmoid(_gate_input("reset", (xd @ w_ir + b_ir) + (hd @ w_hr + b_hr)))
-    z = _sigmoid(_gate_input("update", (xd @ w_iz + b_iz) + (hd @ w_hz + b_hz)))
+    r = _sigmoid(_finite("gru", "reset pre-activation", (xd @ w_ir + b_ir) + (hd @ w_hr + b_hr)))
+    z = _sigmoid(_finite("gru", "update pre-activation", (xd @ w_iz + b_iz) + (hd @ w_hz + b_hz)))
     h_n = hd @ w_hn + b_hn
-    n = np.tanh(_gate_input("candidate", (xd @ w_in + b_in) + r * h_n))
+    n = np.tanh(_finite("gru", "candidate pre-activation", (xd @ w_in + b_in) + r * h_n))
     zbar = 1.0 - z
     out = zbar * n + z * hd
 
@@ -439,13 +387,6 @@ def _indices(index, bound: int) -> np.ndarray:
     return idx
 
 
-def _segment_ids(segment_ids, rows: int, num_segments: int) -> np.ndarray:
-    ids = _indices(segment_ids, num_segments)
-    if len(ids) != rows:
-        raise ValueError(f"need one segment id per row: {len(ids)} ids for {rows} rows")
-    return ids
-
-
 def take_rows(tape: Tape | None, a: Tensor, index: np.ndarray) -> Tensor:
     """Gather ``a[index]``: rows of a matrix or entries of a vector; indices may repeat."""
     idx = _indices(index, a.data.shape[0])
@@ -457,42 +398,112 @@ def take_rows(tape: Tape | None, a: Tensor, index: np.ndarray) -> Tensor:
     return _make(tape, out, (a,), bwd)
 
 
-def segment_sum(tape: Tape | None, a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Row ``s`` of the result is the sum of the rows of ``a`` whose id is ``s``.
+def attend(tape: Tape | None, keys: Tensor, queries: Tensor, mu: Tensor, messages: Tensor,
+           mu_idx: np.ndarray, dst: np.ndarray, n: int, heads: int) -> Tensor:
+    """Each target's attention over its incoming edges, summed into an (n, D) result.
 
-    Rows are added in row order; a segment without rows is zero.
+    ``keys``, ``queries`` and ``messages`` are (E, D), one row per edge,
+    with head i in columns [i*D/H, (i+1)*D/H); ``mu`` is the (M, 1) prior
+    column, ``mu_idx`` the (E,) prior row of each edge and ``dst`` the
+    (E,) target node of each edge.  Per edge e and head i::
+
+        logit[e, i] = (keys[e, i] . queries[e, i]) * mu[mu_idx[e]] / sqrt(D/H)
+        p[e, i] = exp(logit[e, i]) / sum of exp(logit[f, i]) over edges f into dst[e]
+        out[t, i] = sum of p[e, i] * messages[e, i] over edges e into t
+
+    A target without incoming edges gets an exactly zero row.  One tape
+    record with a closed-form backward, in place of nine composed ones;
+    head sums are reshapes and head spreads broadcasts, so results agree
+    with that chain to rounding, not bit for bit.  The logits are checked
+    finite before the max-subtracted softmax, which would otherwise turn
+    an overflow into NaN weights.  The (E, H) weights ``p`` exist only
+    inside this op: the attention-entropy probe of ROADMAP item 4 will
+    have to read them here.
     """
-    ids = _segment_ids(segment_ids, a.data.shape[0], num_segments)
-    out = np.zeros((num_segments,) + a.data.shape[1:])
-    _scatter(np.add, out, ids, a.data)
+    kd, qd, vd = keys.data, queries.data, messages.data
+    if (kd.ndim != 2 or heads < 1 or kd.shape[1] % heads or qd.shape != kd.shape
+            or vd.shape != kd.shape or mu.data.ndim != 2 or mu.data.shape[1] != 1):
+        raise ValueError(f"attend: unsupported shapes: keys {keys.shape}, queries {queries.shape}, "
+                         f"messages {messages.shape} and mu {mu.shape} in {heads} heads")
+    e, dim = kd.shape
+    d = dim // heads
+    prior_rows, ids = _indices(mu_idx, mu.data.shape[0]), _indices(dst, n)
+    if len(prior_rows) != e or len(ids) != e:
+        raise ValueError(f"attend: need one prior row and one target per edge: "
+                         f"{len(prior_rows)} and {len(ids)} for {e} edges")
+    k3, q3, v3 = (t.reshape(e, heads, d) for t in (kd, qd, vd))
+    scale = 1.0 / math.sqrt(d)
+    raw = (k3 * q3).sum(axis=2)                             # (E, H) key-query products
+    prior = mu.data[prior_rows]                             # (E, 1)
+    logits = _finite("attend", "logits", raw * prior * scale)
+
+    flat = _flat_index(ids, heads)      # shared by the three (n, H) scatters
+    top = np.full((n, heads), -np.inf)
+    _scatter(np.maximum, top.reshape(-1), flat, logits.reshape(-1))
+    ex = np.exp(logits - top[ids])
+    total = np.zeros((n, heads))
+    _scatter(np.add, total.reshape(-1), flat, ex.reshape(-1))
+    p = ex / total[ids]
+    out = np.zeros((n, dim))
+    _scatter(np.add, out, ids, (v3 * p[:, :, None]).reshape(e, dim))
+
     def bwd(g):
-        return (g[ids],)
-    return _make(tape, out, (a,), bwd)
+        g3 = g[ids].reshape(e, heads, d)
+        d_messages = (g3 * p[:, :, None]).reshape(e, dim)
+        d_p = (g3 * v3).sum(axis=2)
+        dot = np.zeros((n, heads))
+        _scatter(np.add, dot.reshape(-1), flat, (p * d_p).reshape(-1))
+        d_scaled = p * (d_p - dot[ids]) * scale
+        d_mu = np.zeros(mu.data.shape)
+        _scatter(np.add, d_mu.reshape(-1), prior_rows, (d_scaled * raw).sum(axis=1))
+        d_raw = (d_scaled * prior)[:, :, None]
+        return (q3 * d_raw).reshape(e, dim), (k3 * d_raw).reshape(e, dim), d_mu, d_messages
+    return _make(tape, out, (keys, queries, mu, messages), bwd)
 
 
-def segment_softmax(tape: Tape | None, a: Tensor, segment_ids: np.ndarray,
-                    num_segments: int) -> Tensor:
-    """Softmax over the rows of each segment, independently per column.
+def pair_loss(tape: Tape | None, scores: Tensor, pair_i: np.ndarray, pair_j: np.ndarray,
+              labels: np.ndarray, sigma: float) -> Tensor:
+    """RankNet cross-entropy summed over pairs of entries of ``scores``, a scalar.
 
-    Max subtraction per segment and column makes it shift invariant and
-    keeps it from overflowing.
+    With logit x = sigma * (scores[pair_i] - scores[pair_j]) and label y
+    in [0, 1], each pair costs -(y log sigmoid(x) + (1 - y) log sigmoid(-x)),
+    with log sigmoid(x) formed as min(x, 0) - log1p(exp(-|x|)): exact, and
+    with a live gradient however confidently a pair is misranked.  One tape
+    record with a closed-form backward.  Forward and gradient perform the
+    float operations of the same loss composed from take_rows, sub,
+    scalar_mul, log_sigmoid, mul, add and a sum, in the same order, so they
+    are bit-identical to it.
     """
-    x = a.data
-    if x.ndim != 2:
-        raise ValueError(f"segment_softmax: rank-2 input required, got shape {x.shape}")
-    ids = _segment_ids(segment_ids, x.shape[0], num_segments)
-    flat = _flat_index(ids, x.shape[1])     # shared by all three scatters
-    top = np.full((num_segments, x.shape[1]), -np.inf)
-    _scatter(np.maximum, top.reshape(-1), flat, x.reshape(-1))
-    e = np.exp(x - top[ids])
-    total = np.zeros_like(top)
-    _scatter(np.add, total.reshape(-1), flat, e.reshape(-1))
-    p = e / total[ids]
+    s = scores.data
+    if s.ndim != 1:
+        raise ValueError(f"pair_loss: scores must be a vector, got shape {scores.shape}")
+    rows_i, rows_j = _indices(pair_i, len(s)), _indices(pair_j, len(s))
+    y = np.asarray(labels, dtype=np.float64)
+    if not rows_i.shape == rows_j.shape == y.shape:
+        raise ValueError(f"pair_loss: need one label per pair: {len(rows_i)} and {len(rows_j)} "
+                         f"rows for labels of shape {y.shape}")
+    c = float(sigma)
+    x = _finite("pair_loss", "logits", (s[rows_i] - s[rows_j]) * c)
+    x_neg = x * -1.0
+    e = np.exp(-np.abs(x))      # also exp(-|x_neg|)
+    log1p_e = np.log1p(e)
+    not_y = 1.0 - y
+    out = ((np.minimum(x, 0.0) - log1p_e) * y
+           + (np.minimum(x_neg, 0.0) - log1p_e) * not_y).sum() * -1.0
+
     def bwd(g):
-        dot = np.zeros_like(top)
-        _scatter(np.add, dot.reshape(-1), flat, (p * g).reshape(-1))
-        return (p * (g - dot[ids]),)
-    return _make(tape, p, (a,), bwd)
+        # d/dx log sigmoid(x) = sigmoid(-x), formed without cancellation
+        high, low = e / (1.0 + e), 1.0 / (1.0 + e)
+        g_pairs = np.broadcast_to(g * -1.0, x.shape)
+        d_x = ((g_pairs * not_y) * np.where(x_neg >= 0, high, low) * -1.0
+               + (g_pairs * y) * np.where(x >= 0, high, low))
+        d_diff = d_x * c
+        full_j = np.zeros(s.shape)
+        _scatter(np.add, full_j, rows_j, -d_diff)
+        full_i = np.zeros(s.shape)
+        _scatter(np.add, full_i, rows_i, d_diff)
+        return (full_j + full_i,)
+    return _make(tape, out, (scores,), bwd)
 
 
 def grad_check(f: Callable[[Tape | None, Sequence[Tensor]], Tensor],

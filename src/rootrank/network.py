@@ -60,7 +60,11 @@ class ModelConfig:
         if self.dim % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide dim ({self.dim})")
         for name in ("sigma", "lr"):
-            if not 0 < getattr(self, name) < math.inf:  # also false for NaN
+            try:
+                value = float(getattr(self, name))
+            except OverflowError:  # an integer beyond the float64 range
+                value = math.inf
+            if not 0 < value < math.inf:  # also false for NaN
                 raise ValueError(f"{name} must be positive and finite")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
@@ -272,6 +276,8 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
     """Read a checkpoint; each map must be D x D with zeros outside its head blocks."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
@@ -303,14 +309,16 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
         if shape != want:
             raise CheckpointError(f"{where}: shape {shape} != {want}")
         data = _field(entry, "data", list, where)
+        problem = f"{where}: field 'data' must hold {math.prod(shape)} finite float64 numbers"
+        # JSON numbers only: no bools, strings or nested lists
+        if len(data) != math.prod(shape) or not set(map(type, data)) <= {int, float}:
+            raise CheckpointError(problem)
         try:
             arr = np.asarray(data, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"{where}: field 'data' must hold numbers: {exc}") from exc
-        if arr.shape != (math.prod(shape),):
-            raise CheckpointError(f"{where}: field 'data' must hold {math.prod(shape)} numbers")
+        except OverflowError:  # an integer beyond the float64 range
+            raise CheckpointError(problem) from None
         if not np.isfinite(arr).all():
-            raise CheckpointError(f"{where}: non-finite values")
+            raise CheckpointError(problem)
         tensor.data = arr.reshape(shape)
         if id(tensor) in maps:
             tensor.data = head_blocks(tensor.data, cfg.heads)

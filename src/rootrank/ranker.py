@@ -169,15 +169,11 @@ def _pair_loss_from_scores(tape: Tape | None, scores: Tensor, batch: _CommitBatc
 
     With logit x = sigma * (s_i - s_j) and label y, each pair costs
     -(y log sigmoid(x) + (1 - y) log sigmoid(-x)), exact and with a live
-    gradient however confidently a pair is misranked.
+    gradient however confidently a pair is misranked; one
+    ``autodiff.pair_loss`` record.
     """
-    pair_i, pair_j, labels = batch.pair_i[subset], batch.pair_j[subset], batch.labels[subset]
-    diff = ad.sub(tape, ad.take_rows(tape, scores, pair_i), ad.take_rows(tape, scores, pair_j))
-    logit = ad.scalar_mul(tape, diff, cfg.sigma)
-    pos = ad.mul(tape, ad.log_sigmoid(tape, logit), constant(labels))
-    neg = ad.mul(tape, ad.log_sigmoid(tape, ad.scalar_mul(tape, logit, -1.0)),
-                 constant(1.0 - labels))
-    return ad.scalar_mul(tape, ad.reduce_sum(tape, ad.add(tape, pos, neg)), -1.0)
+    return ad.pair_loss(tape, scores, batch.pair_i[subset], batch.pair_j[subset],
+                        batch.labels[subset], cfg.sigma)
 
 
 def commit_loss(tape: Tape | None, batch: _CommitBatch, params: NetworkParams,

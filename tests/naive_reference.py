@@ -3,10 +3,17 @@
 Most of what is here works on plain numpy arrays with explicit Python
 loops over nodes, edges and heads, following the layer definitions
 directly and never touching the tape machinery it is used to check.
-The masked per-kind forms (``naive_typed_rows``, ``naive_edge_rows``)
-and ``composed_gru`` are the exception: they are the tape compositions
-the grouped ``block_matmul`` and the fused ``gru`` op replaced, kept so
-their gradients can be checked against them.
+The masked per-kind forms (``naive_typed_rows``, ``naive_edge_rows``),
+``composed_gru``, the composed attention stages (``attention_logits``,
+``attention_weights``, ``edge_messages``, ``aggregate``,
+``composed_attend``, ``composed_attention``) and ``composed_pair_loss``
+are the exception: they are the tape compositions the grouped
+``block_matmul`` and the fused ``gru``, ``attend`` and ``pair_loss`` ops
+replaced, kept so their values and gradients can be checked against
+them.  The elementwise, reduction and segment tape ops they are built
+from (``sub``, ``mul``, ``scalar_mul``, ``log_sigmoid``, ``reduce_sum``,
+``segment_sum``, ``segment_softmax``, ``sigmoid``, ``tanh``) live here
+too: the model no longer calls them, so ``autodiff`` does not hold them.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rootrank import autodiff as ad
-from rootrank.aggregation import AttentionParams, GraphPlan
+from rootrank.aggregation import AttentionParams, GraphPlan, HeadVectors, _edge_rows, project_kqv
 from rootrank.autodiff import Tape, Tensor, constant
 from rootrank.graphs import (
     NUM_EDGE_KINDS,
@@ -188,16 +195,16 @@ def _mask(rows, n: int) -> Tensor:
 def naive_typed_rows(tape: Tape | None, x: Tensor, groups, heads: int) -> Tensor:
     """sum_k mask_k * (x @ W_k + b_k): every group's transform on every row of ``x``.
 
-    ``groups`` as for ``block_matmul``, with index arrays for rows; each
-    product is the per-head one of a single group over all rows.
+    ``groups`` as for ``block_matmul``; each product is the per-head one
+    of a single group over all rows.
     """
     n = x.shape[0]
     out = constant(np.zeros((n, heads * groups[0][1].shape[1])))
     for rows, w, *bias in groups:
-        y = ad.block_matmul(tape, x, [(None, w)], heads)
+        y = ad.block_matmul(tape, x, [(np.arange(n), w)], heads)
         if bias:
             y = ad.add(tape, y, bias[0])
-        out = ad.add(tape, out, ad.mul(tape, y, _mask(rows, n)))
+        out = ad.add(tape, out, mul(tape, y, _mask(rows, n)))
     return out
 
 
@@ -206,8 +213,8 @@ def naive_edge_rows(tape: Tape | None, plan: GraphPlan, states: Tensor,
     """Per edge kind, every node mapped, gathered at the edge sources and masked; summed."""
     out = None
     for kind, rows in plan.edge_rows.items():
-        mapped = ad.block_matmul(tape, states, [(None, maps[kind])], heads)
-        part = ad.mul(tape, ad.take_rows(tape, mapped, plan.src), _mask(rows, len(plan.src)))
+        mapped = ad.block_matmul(tape, states, [(np.arange(states.shape[0]), maps[kind])], heads)
+        part = mul(tape, ad.take_rows(tape, mapped, plan.src), _mask(rows, len(plan.src)))
         out = part if out is None else ad.add(tape, out, part)
     return out
 
@@ -229,6 +236,94 @@ def naive_adam_step(params: list[np.ndarray], grads: list[np.ndarray], m: list[n
         v_t += (1.0 - beta2) * (g * g)
         out.append(p - lr * (m_t / correct1) / (np.sqrt(v_t / correct2) + eps))
     return out
+
+
+def sub(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
+    out = a.data - b.data
+    def bwd(g):
+        return ad._unbroadcast(g, a.data.shape), -ad._unbroadcast(g, b.data.shape)
+    return ad._make(tape, out, (a, b), bwd)
+
+
+def mul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise (Hadamard) product, with numpy broadcasting."""
+    out = a.data * b.data
+    def bwd(g):
+        return (ad._unbroadcast(g * b.data, a.data.shape),
+                ad._unbroadcast(g * a.data, b.data.shape))
+    return ad._make(tape, out, (a, b), bwd)
+
+
+def scalar_mul(tape: Tape | None, a: Tensor, c: float) -> Tensor:
+    c = float(c)
+    out = a.data * c
+    def bwd(g):
+        return (g * c,)
+    return ad._make(tape, out, (a,), bwd)
+
+
+def log_sigmoid(tape: Tape | None, a: Tensor) -> Tensor:
+    """log(sigmoid(a)) = -softplus(-a), exact for saturated inputs of either sign."""
+    x = a.data
+    e = np.exp(-np.abs(x))
+    out = np.minimum(x, 0.0) - np.log1p(e)
+    def bwd(g):
+        # d/da log(sigmoid(a)) = sigmoid(-a), formed without cancellation
+        return (g * np.where(x >= 0, e / (1.0 + e), 1.0 / (1.0 + e)),)
+    return ad._make(tape, out, (a,), bwd)
+
+
+def reduce_sum(tape: Tape | None, a: Tensor) -> Tensor:
+    """Sum of every element, a scalar."""
+    out = a.data.sum()
+    def bwd(g):
+        return (np.broadcast_to(g, a.data.shape).copy(),)
+    return ad._make(tape, out, (a,), bwd)
+
+
+def _segment_ids(segment_ids, rows: int, num_segments: int) -> np.ndarray:
+    ids = ad._indices(segment_ids, num_segments)
+    if len(ids) != rows:
+        raise ValueError(f"need one segment id per row: {len(ids)} ids for {rows} rows")
+    return ids
+
+
+def segment_sum(tape: Tape | None, a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+    """Row ``s`` of the result is the sum of the rows of ``a`` whose id is ``s``.
+
+    Rows are added in row order; a segment without rows is zero.
+    """
+    ids = _segment_ids(segment_ids, a.data.shape[0], num_segments)
+    out = np.zeros((num_segments,) + a.data.shape[1:])
+    ad._scatter(np.add, out, ids, a.data)
+    def bwd(g):
+        return (g[ids],)
+    return ad._make(tape, out, (a,), bwd)
+
+
+def segment_softmax(tape: Tape | None, a: Tensor, segment_ids: np.ndarray,
+                    num_segments: int) -> Tensor:
+    """Softmax over the rows of each segment, independently per column.
+
+    Max subtraction per segment and column makes it shift invariant and
+    keeps it from overflowing.
+    """
+    x = a.data
+    if x.ndim != 2:
+        raise ValueError(f"segment_softmax: rank-2 input required, got shape {x.shape}")
+    ids = _segment_ids(segment_ids, x.shape[0], num_segments)
+    flat = ad._flat_index(ids, x.shape[1])     # shared by all three scatters
+    top = np.full((num_segments, x.shape[1]), -np.inf)
+    ad._scatter(np.maximum, top.reshape(-1), flat, x.reshape(-1))
+    e = np.exp(x - top[ids])
+    total = np.zeros_like(top)
+    ad._scatter(np.add, total.reshape(-1), flat, e.reshape(-1))
+    p = e / total[ids]
+    def bwd(g):
+        dot = np.zeros_like(top)
+        ad._scatter(np.add, dot.reshape(-1), flat, (p * g).reshape(-1))
+        return (p * (g - dot[ids]),)
+    return ad._make(tape, p, (a,), bwd)
 
 
 def sigmoid(tape: Tape | None, a: Tensor) -> Tensor:
@@ -260,10 +355,90 @@ def composed_gru(tape: Tape | None, h_tilde: Tensor, h_prev: Tensor, p: GruParam
     r = sigmoid(tape, ad.add(tape, affine(h_tilde, p.w_ir, p.b_ir), affine(h_prev, p.w_hr, p.b_hr)))
     z = sigmoid(tape, ad.add(tape, affine(h_tilde, p.w_iz, p.b_iz), affine(h_prev, p.w_hz, p.b_hz)))
     n = tanh(tape, ad.add(tape, affine(h_tilde, p.w_in, p.b_in),
-                          ad.mul(tape, r, affine(h_prev, p.w_hn, p.b_hn))))
-    keep = ad.mul(tape, z, h_prev)
-    update = ad.mul(tape, ad.sub(tape, constant(np.ones(z.shape)), z), n)
+                          mul(tape, r, affine(h_prev, p.w_hn, p.b_hn))))
+    keep = mul(tape, z, h_prev)
+    update = mul(tape, sub(tape, constant(np.ones(z.shape)), z), n)
     return ad.add(tape, update, keep)
+
+
+def composed_logits(tape: Tape | None, keys: Tensor, queries: Tensor, mu: Tensor,
+                    mu_idx: np.ndarray, heads: int) -> Tensor:
+    """Per-edge, per-head scaled logits (E, H), as five tape ops: the sum over each
+    head's columns is a product with an all-ones (D, 1) selector."""
+    dim = keys.shape[1]
+    head_sum = constant(np.ones((dim, 1)))
+    raw = ad.block_matmul(tape, mul(tape, keys, queries), [(np.arange(keys.shape[0]), head_sum)],
+                          heads)
+    prior = ad.take_rows(tape, mu, mu_idx)
+    return scalar_mul(tape, mul(tape, raw, prior), 1.0 / math.sqrt(dim / heads))
+
+
+def composed_aggregate(tape: Tape | None, weights: Tensor, messages: Tensor, dst: np.ndarray,
+                       n: int) -> Tensor:
+    """Weighted messages summed into their targets (n, D), as three tape ops: each
+    head's weight is spread over its columns by an all-ones (H, D/H) selector."""
+    heads = weights.shape[1]
+    head_expand = constant(np.ones((heads, messages.shape[1] // heads)))
+    w_full = ad.block_matmul(tape, weights, [(np.arange(weights.shape[0]), head_expand)], heads)
+    return segment_sum(tape, mul(tape, w_full, messages), dst, n)
+
+
+def composed_attend(tape: Tape | None, keys: Tensor, queries: Tensor, mu: Tensor,
+                    messages: Tensor, mu_idx: np.ndarray, dst: np.ndarray, n: int,
+                    heads: int) -> Tensor:
+    """``autodiff.attend`` as the nine tape ops it replaced."""
+    logits = composed_logits(tape, keys, queries, mu, mu_idx, heads)
+    weights = segment_softmax(tape, logits, dst, n)
+    return composed_aggregate(tape, weights, messages, dst, n)
+
+
+def attention_logits(tape: Tape | None, plan: GraphPlan, kv: HeadVectors,
+                     params: AttentionParams) -> Tensor:
+    """Per-edge, per-head scaled attention logits, shape (E, H), in the plan's edge order.
+
+    Each logit is K_head(src) @ W_att_block @ Q_head(dst), scaled by the
+    (source kind, edge kind, target kind) prior and 1/sqrt(D/H).
+    """
+    keys = _edge_rows(tape, plan, kv.k, params.w_att, params.heads)
+    queries = ad.take_rows(tape, kv.q, plan.dst)
+    return composed_logits(tape, keys, queries, params.mu, plan.mu_idx, params.heads)
+
+
+def attention_weights(tape: Tape | None, logits: Tensor, plan: GraphPlan) -> Tensor:
+    """Softmax over each target's incoming edges, independently per head, shape (E, H)."""
+    return segment_softmax(tape, logits, plan.dst, plan.n)
+
+
+def edge_messages(tape: Tape | None, plan: GraphPlan, kv: HeadVectors,
+                  params: AttentionParams) -> Tensor:
+    """Per-edge message content, shape (E, D): V_head(src) @ W_msg_block per head."""
+    return _edge_rows(tape, plan, kv.v, params.w_msg, params.heads)
+
+
+def aggregate(tape: Tape | None, plan: GraphPlan, weights: Tensor, messages: Tensor) -> Tensor:
+    """Attention-weighted sum of messages into each target, shape (n, D)."""
+    return composed_aggregate(tape, weights, messages, plan.dst, plan.n)
+
+
+def composed_attention(tape: Tape | None, h_prev: Tensor, plan: GraphPlan,
+                       params: AttentionParams) -> Tensor:
+    """``aggregation.attention_forward`` through the composed stages: 17 tape ops."""
+    if not plan.edge_rows:
+        return constant(np.zeros(h_prev.shape))
+    kv = project_kqv(tape, h_prev, params, plan)
+    logits = attention_logits(tape, plan, kv, params)
+    weights = attention_weights(tape, logits, plan)
+    return aggregate(tape, plan, weights, edge_messages(tape, plan, kv, params))
+
+
+def composed_pair_loss(tape: Tape | None, scores: Tensor, pair_i: np.ndarray,
+                       pair_j: np.ndarray, labels: np.ndarray, sigma: float) -> Tensor:
+    """``autodiff.pair_loss`` as the twelve tape ops it replaced."""
+    diff = sub(tape, ad.take_rows(tape, scores, pair_i), ad.take_rows(tape, scores, pair_j))
+    logit = scalar_mul(tape, diff, sigma)
+    pos = mul(tape, log_sigmoid(tape, logit), constant(labels))
+    neg = mul(tape, log_sigmoid(tape, scalar_mul(tape, logit, -1.0)), constant(1.0 - labels))
+    return scalar_mul(tape, reduce_sum(tape, ad.add(tape, pos, neg)), -1.0)
 
 
 def naive_gru(h_tilde: np.ndarray, h_prev: np.ndarray, p: GruParams) -> np.ndarray:

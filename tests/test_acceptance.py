@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from rootrank import autodiff as ad
-from rootrank.aggregation import attention_forward, attention_weights, attention_logits, build_plan, init_attention_params, project_kqv
+from rootrank.aggregation import _edge_rows, attention_forward, build_plan, init_attention_params, project_kqv
 from rootrank.autodiff import constant
 from rootrank.cli import main
 from rootrank.embedding import HashingEmbedder, embed_dataset
@@ -98,12 +98,19 @@ class TestCriterion2AttentionNormalization:
             params = init_attention_params(8, 4, rng)
             h0 = rng.normal(size=(len(g.nodes), 8))
             if len(plan.dst):
+                # the layer's own weights, read through attend: with all-ones messages,
+                # every column of head i in a target's row is the sum of its head-i weights
                 kv = project_kqv(None, constant(h0), params, plan)
-                w = attention_weights(None, attention_logits(None, plan, kv, params), plan)
-                assert w.data.shape == (len(g.edges), 4)
+                keys = _edge_rows(None, plan, kv.k, params.w_att, 4)
+                queries = ad.take_rows(None, kv.q, plan.dst)
+                ones = constant(np.ones((len(g.edges), 8)))
+                sums = ad.attend(None, keys, queries, params.mu, ones, plan.mu_idx, plan.dst,
+                                 plan.n, 4).data
+                assert keys.shape == queries.shape == (len(g.edges), 8)
+                assert sums.shape == (len(g.nodes), 8)
+                assert not sums[np.setdiff1d(np.arange(len(g.nodes)), plan.dst)].any()
                 for t in np.unique(plan.dst):
-                    sums = w.data[plan.dst == t].sum(axis=0)
-                    assert np.all(np.abs(sums - 1.0) <= 1e-9)
+                    assert np.all(np.abs(sums[t] - 1.0) <= 1e-9)
                     targets_checked += 1
             h_tilde = attention_forward(None, constant(h0), plan, params)
             for node in range(len(g.nodes)):

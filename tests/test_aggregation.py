@@ -8,11 +8,8 @@ from rootrank import autodiff as ad
 from rootrank.aggregation import (
     AttentionParams,
     attention_forward,
-    attention_logits,
-    attention_weights,
     _edge_rows,
     build_plan,
-    edge_messages,
     init_attention_params,
     project_kqv,
 )
@@ -20,12 +17,19 @@ from rootrank.autodiff import Tensor, constant
 from rootrank.graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind
 
 from naive_reference import (
+    attention_logits,
+    attention_weights,
+    composed_attention,
+    edge_messages,
+    mul,
     naive_attention_forward,
     naive_build_plan,
     naive_edge_rows,
     mu_index,
     naive_typed_rows,
     random_graph,
+    reduce_sum,
+    segment_softmax,
 )
 
 
@@ -272,7 +276,7 @@ class TestAttentionWeights:
     def test_ln2_logit_gap(self):
         # softmax([ln 2, 0]) = [2/3, 1/3], frozen from the softmax definition
         logits = constant(np.array([[math.log(2.0)], [0.0]]))
-        w = ad.segment_softmax(None, logits, np.array([0, 0]), 1)
+        w = segment_softmax(None, logits, np.array([0, 0]), 1)
         np.testing.assert_allclose(w.data[:, 0], [2 / 3, 1 / 3], atol=1e-15)
 
     def test_single_edge_weight_is_one(self):
@@ -438,7 +442,7 @@ class TestForwardAgainstNaiveOracle:
         h0 = Tensor(rng.normal(size=(len(g.nodes), 8)), requires_grad=True)
         tape = ad.Tape()
         out = attention_forward(tape, h0, plan, params)
-        loss = ad.reduce_sum(tape, ad.mul(tape, out, out))
+        loss = reduce_sum(tape, mul(tape, out, out))
         grads = ad.backward(tape, loss)
         assert np.abs(grads[h0]).sum() > 0
         assert np.abs(grads[params.mu]).sum() > 0
@@ -454,7 +458,7 @@ class TestTypedRowsAgainstMaskedOracle:
     def _forward_and_grads(build, leaves, weights):
         tape = ad.Tape()
         out = build(tape)
-        grads = ad.backward(tape, ad.reduce_sum(tape, ad.mul(tape, out, constant(weights))))
+        grads = ad.backward(tape, reduce_sum(tape, mul(tape, out, constant(weights))))
         return out.data, [grads[t] for t in leaves]
 
     def _check(self, build, oracle, leaves, shape, rng):
@@ -490,3 +494,34 @@ class TestTypedRowsAgainstMaskedOracle:
             self._check(lambda tape: _edge_rows(tape, plan, h, params.w_att, 4),
                         lambda tape: naive_edge_rows(tape, plan, h, params.w_att, 4),
                         [h, *params.w_att.values()], (len(g.edges), 8), rng)
+
+
+class TestComposedStagesPinnedToAttend:
+    """The composed stages that the logit and weight tests read (``naive_reference``)
+    compute the layer that ``attention_forward`` runs as one ``autodiff.attend`` record."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), heads=st.sampled_from([1, 2, 4]),
+           prior=st.sampled_from([1.0, 300.0]))
+    def test_same_layer_and_gradients(self, seed, heads, prior):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng)
+        while not g.edges:
+            g = random_graph(rng)
+        params = init_attention_params(8, heads, rng)
+        params.mu.data = prior * rng.uniform(0.5, 1.5, size=params.mu.shape)
+        plan = build_plan(g)
+        h = Tensor(rng.normal(size=(len(g.nodes), 8)), requires_grad=True)
+        weights = rng.normal(size=h.shape)
+        leaves = [h, params.mu, *params.w_k.values(), *params.b_k.values(),
+                  *params.w_q.values(), *params.b_q.values(), *params.w_v.values(),
+                  *params.b_v.values(), *params.w_att.values(), *params.w_msg.values()]
+
+        def run(layer):
+            tape = ad.Tape()
+            out = layer(tape, h, plan, params)
+            grads = ad.backward(tape, reduce_sum(tape, mul(tape, out, constant(weights))))
+            return [out.data] + [grads[t] for t in leaves]
+
+        for got, want in zip(run(attention_forward), run(composed_attention)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -13,17 +13,31 @@ from rootrank.autodiff import Tape, Tensor, backward, constant, grad_check
 
 from rootrank.network import _GRU_TENSORS, init_gru_params
 
-from naive_reference import composed_gru, naive_scatter, naive_segment_softmax, naive_typed_rows
+from naive_reference import (
+    composed_attend,
+    composed_gru,
+    composed_pair_loss,
+    log_sigmoid,
+    mul,
+    naive_scatter,
+    naive_segment_softmax,
+    naive_typed_rows,
+    reduce_sum,
+    scalar_mul,
+    segment_softmax,
+    segment_sum,
+    sub,
+)
 
 
 def column_softmax(tape, a):
-    """Softmax down each column of a matrix: one segment holding every row."""
-    return ad.segment_softmax(tape, a, np.zeros(a.data.shape[0], dtype=int), 1)
+    """Softmax down each column of a matrix: one segment holding every row (test-side op)."""
+    return segment_softmax(tape, a, np.zeros(a.data.shape[0], dtype=int), 1)
 
 
 def scalarize(tape, t, weights):
-    """Weighted sum so the loss is sensitive to every output entry."""
-    return ad.reduce_sum(tape, ad.mul(tape, t, constant(weights)))
+    """Weighted sum so the loss is sensitive to every output entry (test-side ops)."""
+    return reduce_sum(tape, mul(tape, t, constant(weights)))
 
 
 def check_op(build, params, tol=1e-7, h=1e-5):
@@ -57,7 +71,7 @@ class TestForwardExamples:
 
     def test_segment_sum_adds_rows_per_segment(self):
         a = constant([[1.0], [2.0], [4.0]])
-        out = ad.segment_sum(None, a, np.array([2, 0, 2]), 4)
+        out = segment_sum(None, a, np.array([2, 0, 2]), 4)
         assert out.data.tolist() == [[2.0], [0.0], [5.0], [0.0]]
 
 
@@ -65,7 +79,7 @@ class TestBackwardExamples:
     def test_square_sum_gradient(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         tape = Tape()
-        loss = ad.reduce_sum(tape, ad.mul(tape, x, x))
+        loss = reduce_sum(tape, mul(tape, x, x))
         grads = backward(tape, loss)
         np.testing.assert_allclose(grads[x], [2.0, 4.0, 6.0])
 
@@ -86,7 +100,7 @@ class TestBackwardExamples:
 
         w = Tensor(0.0, requires_grad=True)
         tape = Tape()
-        loss = ad.log_sigmoid(tape, w)
+        loss = log_sigmoid(tape, w)
         grads = backward(tape, loss)
         assert abs(grads[w] - 0.5) < 1e-9
         assert abs(grads[w] - numeric) < 1e-9
@@ -95,14 +109,14 @@ class TestBackwardExamples:
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = Tensor([3.0, 4.0], requires_grad=True)
         tape = Tape()
-        loss = ad.reduce_sum(tape, ad.mul(tape, x, x))
+        loss = reduce_sum(tape, mul(tape, x, x))
         grads = backward(tape, loss)
         np.testing.assert_allclose(grads[y], [0.0, 0.0])
 
     def test_loss_must_be_scalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         tape = Tape()
-        out = ad.mul(tape, x, x)
+        out = mul(tape, x, x)
         with pytest.raises(ValueError, match="scalar"):
             backward(tape, out)
 
@@ -116,13 +130,13 @@ class TestBackwardExamples:
         x = Tensor(rng.uniform(-2, 2, size=(3, 4)), requires_grad=True)
         w = constant(rng.uniform(-1, 1, size=(3, 4)))
         tape = Tape()
-        mid = ad.log_sigmoid(tape, x)
+        mid = log_sigmoid(tape, x)
         loss = scalarize(tape, mid, w.data)
         before = mid.data.copy()
         backward(tape, loss)
         assert np.array_equal(mid.data, before)
         tape2 = Tape()
-        mid2 = ad.log_sigmoid(tape2, x)
+        mid2 = log_sigmoid(tape2, x)
         assert np.array_equal(mid2.data, before)
 
 
@@ -145,7 +159,7 @@ class TestSharedGradientArrays:
         x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
         w = np.array([0.5, 2.0, -1.0])
         tape = Tape()
-        loss = scalarize(tape, ad.mul(tape, x, x), w)
+        loss = scalarize(tape, mul(tape, x, x), w)
         np.testing.assert_array_equal(backward(tape, loss)[x], 2.0 * w * x.data)
 
     def test_sub_gradient_reused_by_a_later_accumulation(self):
@@ -157,9 +171,9 @@ class TestSharedGradientArrays:
         y = Tensor(rng.uniform(-1, 1, size=(2, 3)), requires_grad=True)
         w = rng.uniform(-1, 1, size=(2, 3))
         tape = Tape()
-        q = ad.log_sigmoid(tape, x)
-        r = ad.scalar_mul(tape, x, 2.0)
-        p = ad.sub(tape, x, y)
+        q = log_sigmoid(tape, x)
+        r = scalar_mul(tape, x, 2.0)
+        p = sub(tape, x, y)
         m = ad.add(tape, p, q)
         loss = scalarize(tape, ad.add(tape, m, r), w)
         grads = backward(tape, loss)
@@ -178,7 +192,7 @@ class TestSharedGradientArrays:
         tape = Tape()
         # add(x, y) gives x, y and z's add the same gradient array
         first = scalarize(tape, ad.add(tape, ad.add(tape, x, y), z), w)
-        second = scalarize(tape, ad.mul(tape, x, constant(c)), v)
+        second = scalarize(tape, mul(tape, x, constant(c)), v)
         grads = backward(tape, ad.add(tape, first, second))
         np.testing.assert_array_equal(grads[x], w + v * c)
         np.testing.assert_array_equal(grads[y], w)
@@ -242,7 +256,7 @@ class TestScatterAgainstRowOracle:
         segments, ids, values, _g, _shift = case
         expected = np.zeros((segments,) + values.shape[1:])
         naive_scatter(np.add, expected, ids, values)
-        assert_same_bits(ad.segment_sum(None, constant(values), ids, segments).data, expected)
+        assert_same_bits(segment_sum(None, constant(values), ids, segments).data, expected)
 
     @settings(max_examples=300, deadline=None)
     @given(case=scatter_cases())
@@ -254,7 +268,7 @@ class TestScatterAgainstRowOracle:
             values, g = values[:, None], g[:, None]
         x = Tensor(values + shift, requires_grad=True)
         tape = Tape()
-        p = ad.segment_softmax(tape, x, ids, segments)
+        p = segment_softmax(tape, x, ids, segments)
         grads = backward(tape, scalarize(tape, p, g))
         expected_p, expected_dx = naive_segment_softmax(x.data, ids, segments, g)
         assert_same_bits(p.data, expected_p)
@@ -293,7 +307,7 @@ class TestPerOpGradients:
         a = Tensor(self._rand(4, heads * k), requires_grad=True)
         w = Tensor(self._rand(heads * k, m), requires_grad=True)
         weights = self._rand(4, heads * m)
-        check_op(lambda tape, _: scalarize(tape, ad.block_matmul(tape, a, [(None, w)], heads),
+        check_op(lambda tape, _: scalarize(tape, ad.block_matmul(tape, a, [(np.arange(4), w)], heads),
                                            weights),
                  [a, w])
 
@@ -336,18 +350,18 @@ class TestPerOpGradients:
         a = Tensor(self._rand(2, 5), requires_grad=True)
         b = Tensor(self._rand(2, 5), requires_grad=True)
         w = self._rand(2, 5)
-        check_op(lambda tape, _: scalarize(tape, ad.sub(tape, a, b), w), [a, b])
+        check_op(lambda tape, _: scalarize(tape, sub(tape, a, b), w), [a, b])
 
     def test_mul(self):
         a = Tensor(self._rand(4, 3), requires_grad=True)
         b = Tensor(self._rand(4, 3), requires_grad=True)
         w = self._rand(4, 3)
-        check_op(lambda tape, _: scalarize(tape, ad.mul(tape, a, b), w), [a, b])
+        check_op(lambda tape, _: scalarize(tape, mul(tape, a, b), w), [a, b])
 
     def test_scalar_mul(self):
         a = Tensor(self._rand(4), requires_grad=True)
         w = self._rand(4)
-        check_op(lambda tape, _: scalarize(tape, ad.scalar_mul(tape, a, -1.7), w), [a])
+        check_op(lambda tape, _: scalarize(tape, scalar_mul(tape, a, -1.7), w), [a])
 
     def test_relu_away_from_kink(self):
         vals = self._rand(8)
@@ -385,7 +399,7 @@ class TestPerOpGradients:
         w = self._rand(6, 3)
 
         def build(tape, _):
-            out = ad.segment_sum(tape, a, ids, 6)
+            out = segment_sum(tape, a, ids, 6)
             assert np.all(out.data[[0, 2, 5]] == 0.0)
             return scalarize(tape, out, w)
 
@@ -397,18 +411,18 @@ class TestPerOpGradients:
         a = Tensor(self._rand(6, 2) + shift, requires_grad=True)
         ids = np.array([2, 1, 2, 4, 2, 1])
         w = self._rand(6, 2)
-        check_op(lambda tape, _: scalarize(tape, ad.segment_softmax(tape, a, ids, 5), w),
+        check_op(lambda tape, _: scalarize(tape, segment_softmax(tape, a, ids, 5), w),
                  [a], tol=1e-6)
 
     def test_stable_log_sigmoid(self):
         a = Tensor(self._rand(5), requires_grad=True)
         w = self._rand(5)
-        check_op(lambda tape, _: scalarize(tape, ad.log_sigmoid(tape, a), w), [a])
+        check_op(lambda tape, _: scalarize(tape, log_sigmoid(tape, a), w), [a])
 
     @pytest.mark.parametrize("x", [30.0, -30.0, 1e3, -1e3])
     def test_stable_log_sigmoid_saturated(self, x):
         a = Tensor(np.array([x]), requires_grad=True)
-        check_op(lambda tape, _: ad.reduce_sum(tape, ad.log_sigmoid(tape, a)), [a])
+        check_op(lambda tape, _: reduce_sum(tape, log_sigmoid(tape, a)), [a])
 
     def test_layer_norm(self):
         a = Tensor(self._rand(3, 6), requires_grad=True)
@@ -425,10 +439,10 @@ class TestPerOpGradients:
         # log sigmoid(x) = -log1p(exp(-x)); slope sigmoid(-x) = 1 / (1 + exp(x))
         x = Tensor(np.array([30.0, -30.0, 1e3, -1e3]), requires_grad=True)
         tape = Tape()
-        out = ad.log_sigmoid(tape, x)
+        out = log_sigmoid(tape, x)
         expected = [-math.log1p(math.exp(-30.0)), -30.0 - math.log1p(math.exp(-30.0)), 0.0, -1e3]
         np.testing.assert_allclose(out.data, expected, rtol=1e-15, atol=0.0)
-        grads = backward(tape, ad.reduce_sum(tape, out))
+        grads = backward(tape, reduce_sum(tape, out))
         slopes = [1.0 / (1.0 + math.exp(30.0)), 1.0 / (1.0 + math.exp(-30.0)), 0.0, 1.0]
         np.testing.assert_allclose(grads[x], slopes, rtol=1e-15, atol=0.0)
 
@@ -440,7 +454,7 @@ class TestSoftmaxProperties:
             rows = int(rng.integers(1, 9))
             x = constant(rng.uniform(-10, 10, size=(rows, 3)))
             ids = rng.integers(0, 4, size=rows)
-            p = ad.segment_softmax(None, x, ids, 4).data
+            p = segment_softmax(None, x, ids, 4).data
             for seg in set(ids.tolist()):
                 assert np.all(np.abs(p[ids == seg].sum(axis=0) - 1.0) < 1e-12)
 
@@ -450,15 +464,15 @@ class TestSoftmaxProperties:
         for _ in range(50):
             x = rng.uniform(-5, 5, size=(6, 2))
             c = rng.uniform(-100, 100)
-            p1 = ad.segment_softmax(None, constant(x), ids, 3).data
-            p2 = ad.segment_softmax(None, constant(x + c), ids, 3).data
+            p1 = segment_softmax(None, constant(x), ids, 3).data
+            p2 = segment_softmax(None, constant(x + c), ids, 3).data
             np.testing.assert_allclose(p1, p2, atol=1e-12)
 
     def test_segments_are_independent(self):
         # the same logits give the same weights whatever other segments hold
         x = np.array([[1.0], [2.0], [50.0], [3.0]])
-        p = ad.segment_softmax(None, constant(x), np.array([0, 0, 1, 1]), 2).data
-        alone = ad.segment_softmax(None, constant(x[:2]), np.array([0, 0]), 1).data
+        p = segment_softmax(None, constant(x), np.array([0, 0, 1, 1]), 2).data
+        alone = segment_softmax(None, constant(x[:2]), np.array([0, 0]), 1).data
         np.testing.assert_array_equal(p[:2], alone)
 
 
@@ -483,7 +497,7 @@ class TestBlockMatmul:
         dense = block_diagonal_of(w.data, heads)
 
         tape = Tape()
-        out = ad.block_matmul(tape, a, [(None, w)], heads)
+        out = ad.block_matmul(tape, a, [(np.arange(n), w)], heads)
         np.testing.assert_allclose(out.data, a.data @ dense, rtol=0, atol=1e-12)
         grads = backward(tape, scalarize(tape, out, g))
         np.testing.assert_allclose(grads[a], g @ dense.T, rtol=0, atol=1e-12)
@@ -522,11 +536,13 @@ class TestBlockMatmul:
 
     def test_shape_checks(self):
         with pytest.raises(ValueError, match="block_matmul"):
-            ad.block_matmul(None, constant(np.zeros((2, 4))), [(None, constant(np.zeros((3, 1))))], 2)
+            ad.block_matmul(None, constant(np.zeros((2, 4))),
+                            [(np.arange(2), constant(np.zeros((3, 1))))], 2)
         with pytest.raises(ValueError, match="block_matmul"):
-            ad.block_matmul(None, constant(np.zeros((2, 3))), [(None, constant(np.zeros((3, 1))))], 2)
+            ad.block_matmul(None, constant(np.zeros((2, 3))),
+                            [(np.arange(2), constant(np.zeros((3, 1))))], 2)
         with pytest.raises(ValueError, match="block_matmul"):
-            ad.block_matmul(None, constant(np.zeros(4)), [(None, constant(np.zeros((4, 1))))], 2)
+            ad.block_matmul(None, constant(np.zeros(4)), [(np.arange(4), constant(np.zeros((4, 1))))], 2)
 
     def test_group_checks(self):
         a = constant(np.zeros((3, 4)))
@@ -534,15 +550,15 @@ class TestBlockMatmul:
         with pytest.raises(ValueError, match="block_matmul"):
             ad.block_matmul(None, a, [], 2)
         with pytest.raises(ValueError, match="block_matmul"):
-            ad.block_matmul(None, a, [(None, w, constant(np.zeros(3)))], 2)
+            ad.block_matmul(None, a, [(np.arange(3), w, constant(np.zeros(3)))], 2)
         with pytest.raises(ValueError, match="block_matmul"):
-            ad.block_matmul(None, a, [(None, w), (np.array([0]), constant(np.zeros((4, 2))))], 2)
+            ad.block_matmul(None, a, [(np.arange(3), w), (np.array([0]), constant(np.zeros((4, 2))))], 2)
         with pytest.raises(ValueError, match="distinct rows"):
             ad.block_matmul(None, a, [(np.array([0, 1]), w), (np.array([1]), w)], 2)
         with pytest.raises(ValueError, match="distinct rows"):
             ad.block_matmul(None, a, [(np.array([2, 2]), w)], 2)
         with pytest.raises(ValueError, match="distinct rows"):
-            ad.block_matmul(None, a, [(None, w), (np.array([], dtype=int), w)], 2)
+            ad.block_matmul(None, a, [(np.arange(3), w), (np.array([2]), w)], 2)
         with pytest.raises(ValueError, match=r"\[0, 3\)"):
             ad.block_matmul(None, a, [(np.array([3]), w)], 2)
 
@@ -666,6 +682,192 @@ class TestGru:
             ad.gru(None, constant(np.zeros((2, 3))), constant(np.zeros((2, 3))), weights)
 
 
+@st.composite
+def attend_cases(draw):
+    """Edges into n targets with 0-3 incoming edges each, so isolated and
+    single-edge targets occur, and logits shifted by -1000, 0 or +1000."""
+    degrees = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    heads = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    shift = draw(st.sampled_from([-1e3, 0.0, 1e3]))
+    rng = np.random.default_rng(seed)
+    dst = np.repeat(np.arange(len(degrees)), degrees)
+    e, dim = len(dst), heads * d
+    keys = rng.uniform(-2, 2, size=(e, dim))
+    queries = rng.uniform(-2, 2, size=(e, dim))
+    # column 0 of each head adds shift * sqrt(d) to every key-query sum
+    keys[:, ::d] += shift * math.sqrt(d)
+    queries[:, ::d] = 1.0
+    mu = rng.uniform(0.5, 1.5, size=(5, 1))
+    return (keys, queries, mu, rng.uniform(-2, 2, size=(e, dim)), rng.integers(0, 5, size=e),
+            dst, len(degrees), heads, rng.uniform(-2, 2, size=(len(degrees), dim)))
+
+
+def attend_inputs(case):
+    keys, queries, mu, messages, mu_idx, dst, n, heads, g = case
+    leaves = [Tensor(x.copy(), requires_grad=True) for x in (keys, queries, mu, messages)]
+    return leaves, mu_idx, dst, n, heads, g
+
+
+class TestAttend:
+    """The fused attention core against the nine-op chain it replaced (``composed_attend``)."""
+
+    def test_gradcheck_every_input(self):
+        # targets 0 and 3 have no incoming edge, target 1 has one, target 2 four
+        rng = np.random.default_rng(31)
+        dst = np.array([1, 2, 2, 4, 2, 2, 4])
+        leaves = [Tensor(rng.uniform(-2, 2, size=shape), requires_grad=True)
+                  for shape in ((7, 4), (7, 4), (3, 1), (7, 4))]
+        mu_idx = np.array([0, 2, 1, 1, 0, 2, 2])
+        g = rng.uniform(-2, 2, size=(5, 4))
+        check_op(lambda tape, _: scalarize(tape, ad.attend(tape, *leaves, mu_idx, dst, 5, 2), g),
+                 leaves)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=attend_cases())
+    def test_equals_composed_chain(self, case):
+        leaves, mu_idx, dst, n, heads, g = attend_inputs(case)
+
+        def run(op):
+            tape = Tape()
+            out = op(tape, *leaves, mu_idx, dst, n, heads)
+            grads = backward(tape, scalarize(tape, out, g))
+            return [out.data] + [grads[t] for t in leaves]
+
+        fused, composed = run(ad.attend), run(composed_attend)
+        for got, want in zip(fused, composed):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        isolated = np.setdiff1d(np.arange(n), dst)
+        assert not fused[0][isolated].any()
+
+    def test_one_tape_record(self):
+        leaves, mu_idx, dst, n, heads = self._inputs()
+        tape = Tape()
+        ad.attend(tape, *leaves, mu_idx, dst, n, heads)
+        assert len(tape) == 1
+        tape = Tape()
+        composed_attend(tape, *leaves, mu_idx, dst, n, heads)
+        assert len(tape) == 9
+
+    @staticmethod
+    def _inputs():
+        """Three edges into two targets, two heads of width 2, unit priors."""
+        rng = np.random.default_rng(32)
+        leaves = [Tensor(x, requires_grad=True) for x in (
+            rng.uniform(-1, 1, size=(3, 4)), rng.uniform(-1, 1, size=(3, 4)), np.ones((2, 1)),
+            rng.uniform(-1, 1, size=(3, 4)))]
+        return leaves, np.zeros(3, dtype=int), np.array([0, 1, 0]), 2, 2
+
+    def test_overflowing_logits_are_named(self):
+        (keys, queries, mu, messages), mu_idx, dst, n, heads = self._inputs()
+        mu.data = np.full((2, 1), 1.7e308)
+        keys.data = np.full(keys.shape, 10.0)
+        queries.data = np.full(queries.shape, 10.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError, match=r"^attend produced non-finite values in "
+                                                         r"its \(3, 2\) logits$"):
+                ad.attend(None, keys, queries, mu, messages, mu_idx, dst, n, heads)
+            with pytest.raises(FloatingPointError, match="^mul produced non-finite values"):
+                composed_attend(None, keys, queries, mu, messages, mu_idx, dst, n, heads)
+
+    def test_shape_checks(self):
+        (keys, queries, mu, messages), mu_idx, dst, n, heads = self._inputs()
+        with pytest.raises(ValueError, match="^attend: unsupported shapes"):
+            ad.attend(None, keys, queries, mu, messages, mu_idx, dst, n, 3)
+        with pytest.raises(ValueError, match="^attend: unsupported shapes"):
+            ad.attend(None, keys, constant(queries.data[:2]), mu, messages, mu_idx, dst, n, heads)
+        with pytest.raises(ValueError, match="^attend: unsupported shapes"):
+            ad.attend(None, keys, queries, constant(np.ones(2)), messages, mu_idx, dst, n, heads)
+        with pytest.raises(ValueError, match="one prior row and one target per edge"):
+            ad.attend(None, keys, queries, mu, messages, mu_idx[:2], dst, n, heads)
+        with pytest.raises(ValueError, match=r"indices must lie in \[0, 2\)"):
+            ad.attend(None, keys, queries, mu, messages, mu_idx, dst + 1, n, heads)
+
+
+@st.composite
+def pair_loss_cases(draw):
+    """Scores with ties and saturating gaps, random pairs, labels 0, 1/2 or 1, sigma != 1."""
+    k = draw(st.integers(1, 6))
+    scores = draw(st.lists(st.one_of(st.floats(-50, 50), st.sampled_from([0.0, 1.0, 1e3, -1e3])),
+                           min_size=k, max_size=k))
+    rows = st.lists(st.integers(0, k - 1), min_size=0, max_size=8)
+    pair_i = draw(rows)
+    p = len(pair_i)
+    pair_j = draw(st.lists(st.integers(0, k - 1), min_size=p, max_size=p))
+    labels = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=p, max_size=p))
+    sigma = draw(st.sampled_from([1.0, 0.25, 2.0, 3.7]))
+    g = draw(st.sampled_from([1.0, -0.5, 3.0]))
+    return (np.array(scores), np.array(pair_i, dtype=np.intp), np.array(pair_j, dtype=np.intp),
+            np.array(labels), sigma, g)
+
+
+SATURATED_PAIRS = (np.array([1e3, -1e3, 0.0]), np.array([0, 1, 2, 0]), np.array([1, 0, 0, 0]),
+                   np.array([1.0, 1.0, 0.5, 0.0]), 1.0, 1.0)
+
+
+class TestPairLoss:
+    """The fused RankNet loss against the twelve-op chain it replaced (``composed_pair_loss``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=pair_loss_cases())
+    @example(case=SATURATED_PAIRS)
+    def test_bit_identical_to_composed_chain(self, case):
+        scores, pair_i, pair_j, labels, sigma, g = case
+
+        def run(op):
+            s = Tensor(scores, requires_grad=True)
+            tape = Tape()
+            loss = op(tape, s, pair_i, pair_j, labels, sigma)
+            # scale the output gradient through a test-side op, so g != 1 reaches the rule
+            grads = backward(tape, scalar_mul(tape, loss, g))
+            return loss.data, grads[s]
+
+        (loss, grad), (want_loss, want_grad) = run(ad.pair_loss), run(composed_pair_loss)
+        assert_same_bits(np.asarray(loss), np.asarray(want_loss))
+        assert_same_bits(grad, want_grad)
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.5])
+    @pytest.mark.parametrize("gap", [0.0, 3.0, 1e3, -1e3])
+    def test_gradcheck(self, sigma, gap):
+        s = Tensor(np.array([gap, 0.0, 0.5]), requires_grad=True)
+        pair_i, pair_j = np.array([0, 1, 0, 2]), np.array([1, 0, 2, 1])
+        labels = np.array([1.0, 0.5, 0.0, 1.0])
+        check_op(lambda tape, _: ad.pair_loss(tape, s, pair_i, pair_j, labels, sigma), [s])
+
+    def test_one_tape_record(self):
+        s = Tensor(np.array([0.3, -0.2]), requires_grad=True)
+        args = (np.array([0]), np.array([1]), np.array([1.0]), 1.0)
+        tape = Tape()
+        ad.pair_loss(tape, s, *args)
+        assert len(tape) == 1
+        tape = Tape()
+        composed_pair_loss(tape, s, *args)
+        assert len(tape) == 12
+
+    def test_overflowing_logits_are_named(self):
+        s = constant(np.array([1.5e308, -1.5e308]))
+        args = (np.array([0]), np.array([1]), np.array([1.0]), 1.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError, match=r"^pair_loss produced non-finite values "
+                                                         r"in its \(1,\) logits$"):
+                ad.pair_loss(None, s, *args)
+            with pytest.raises(FloatingPointError, match="^sub produced non-finite values"):
+                composed_pair_loss(None, s, *args)
+
+    def test_shape_checks(self):
+        s = constant(np.zeros(3))
+        with pytest.raises(ValueError, match="^pair_loss: scores must be a vector"):
+            ad.pair_loss(None, constant(np.zeros((3, 1))), np.array([0]), np.array([1]),
+                         np.array([1.0]), 1.0)
+        with pytest.raises(ValueError, match="^pair_loss: need one label per pair"):
+            ad.pair_loss(None, s, np.array([0, 1]), np.array([1]), np.array([1.0]), 1.0)
+        with pytest.raises(ValueError, match="^pair_loss: need one label per pair"):
+            ad.pair_loss(None, s, np.array([0]), np.array([1]), np.array([1.0, 0.0]), 1.0)
+        with pytest.raises(ValueError, match=r"indices must lie in \[0, 3\)"):
+            ad.pair_loss(None, s, np.array([3]), np.array([1]), np.array([1.0]), 1.0)
+
+
 class TestGradCheck:
     def test_quadratic_form(self):
         rng = np.random.default_rng(11)
@@ -674,7 +876,7 @@ class TestGradCheck:
 
         def build(tape, _):
             xa = ad.matmul(tape, x, constant(a_mat))
-            return ad.reduce_sum(tape, ad.mul(tape, xa, x))
+            return reduce_sum(tape, mul(tape, xa, x))
 
         assert grad_check(build, [x]) < 1e-7
 
@@ -682,8 +884,8 @@ class TestGradCheck:
         x = Tensor([1.0, 2.0], requires_grad=True)
 
         def build(tape, _):
-            y = ad.mul(tape, x, constant([0.0, 0.0]))
-            return ad.reduce_sum(tape, y)
+            y = mul(tape, x, constant([0.0, 0.0]))
+            return reduce_sum(tape, y)
 
         assert grad_check(build, [x]) < 1e-9
 
@@ -698,7 +900,7 @@ class TestErrors:
                 FloatingPointError, match=r"^matmul produced non-finite values in its \(1, 1\) output$"):
             ad.matmul(None, constant([[1e200]]), constant([[1e200]]))
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="^scalar_mul "):
-            ad.scalar_mul(None, constant([1e200, 1.0]), 1e200)
+            scalar_mul(None, constant([1e200, 1.0]), 1e200)
 
     def test_rank3_rejected(self):
         with pytest.raises(ValueError, match="rank"):
@@ -716,9 +918,9 @@ class TestErrors:
 
     def test_one_segment_id_per_row(self):
         with pytest.raises(ValueError, match="one segment id per row"):
-            ad.segment_sum(None, constant(np.zeros((3, 2))), np.array([0, 1]), 2)
+            segment_sum(None, constant(np.zeros((3, 2))), np.array([0, 1]), 2)
         with pytest.raises(ValueError, match="one segment id per row"):
-            ad.segment_softmax(None, constant(np.zeros((3, 2))), np.array([0, 1]), 2)
+            segment_softmax(None, constant(np.zeros((3, 2))), np.array([0, 1]), 2)
 
 
 class TestDeterminism:
@@ -731,7 +933,7 @@ class TestDeterminism:
             tape = Tape()
             ta = Tensor(a.copy(), requires_grad=True)
             out = ad.matmul(tape, ta, constant(b.copy()))
-            loss = ad.reduce_sum(tape, ad.mul(tape, out, out))
+            loss = reduce_sum(tape, mul(tape, out, out))
             grads = backward(tape, loss)
             return loss.item(), grads[ta].copy()
 
@@ -742,15 +944,19 @@ class TestDeterminism:
 
 
 class TestOpSetIsClosed:
-    def test_every_public_op_has_a_caller_in_src(self):
-        # a public op is a public function of autodiff taking the tape first
-        ops = {
+    @staticmethod
+    def public_ops():
+        """The public functions of autodiff taking the tape first."""
+        return {
             name for name, fn in vars(ad).items()
             if not name.startswith("_") and inspect.isfunction(fn)
             and fn.__module__ == ad.__name__
             and list(inspect.signature(fn).parameters)[:1] == ["tape"]
             and name != "backward"
         }
+
+    def test_every_public_op_has_a_caller_in_src(self):
+        ops = self.public_ops()
         called = set()
         package = Path(ad.__file__).parent
         for path in package.glob("*.py"):
@@ -765,6 +971,10 @@ class TestOpSetIsClosed:
                     called.add(node.func.attr)
         assert ops, "no tape ops found"
         assert ops <= called, f"tape ops without a caller in src: {sorted(ops - called)}"
+
+    def test_op_set_is_exactly_the_nine(self):
+        assert self.public_ops() == {"matmul", "block_matmul", "add", "relu", "layer_norm", "gru", "take_rows",
+                       "attend", "pair_loss"}
 
     def test_scatters_only_in_the_1d_helper(self):
         # ufunc.at is fast only on 1-D operands, so every scatter goes

@@ -1,0 +1,41 @@
+"""The benchmark's tracer spans functions of rootrank by name; each name must resolve.
+
+``bench/tracing.py`` reports a function it cannot find as "not traced
+(absent)" and goes on, so a rename in the package would silently drop a
+per-layer metric from traced runs.  Its ``SPANNED`` table is read here
+with ``ast``, without importing the benchmark.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def spanned_targets() -> dict[str, tuple[str, str]]:
+    """``SPANNED`` of bench/tracing.py: span name -> (module, dotted attribute path)."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if (isinstance(node, (ast.Assign, ast.AnnAssign))
+                and any(isinstance(t, ast.Name) and t.id == "SPANNED"
+                        for t in (node.targets if isinstance(node, ast.Assign) else [node.target]))):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no SPANNED table in {TRACING}")
+
+
+def test_every_spanned_target_resolves_in_rootrank():
+    targets = spanned_targets()
+    assert {"ranker.pair_loss", "aggregation.attention_forward"} <= set(targets)
+    missing = []
+    for span, (module, path) in targets.items():
+        assert module.startswith("rootrank."), span
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+            if owner is None:
+                missing.append(f"{span}: {module}.{path}")
+                break
+        else:
+            assert callable(owner), span
+    assert not missing, f"spanned targets absent from rootrank: {missing}"

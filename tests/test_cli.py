@@ -468,6 +468,60 @@ class TestCheckpointHeader:
         assert err == f"error: {broken}: sigma must be positive and finite\n"
 
 
+class TestCheckpointValues:
+    """Mutants of the v1 fixture checkpoint: each exits 1 naming the file and the tensor."""
+
+    data = Path(__file__).parent / "data"
+
+    def _rank_mutant(self, tmp_path, capsys, mutate):
+        payload = json.loads((self.data / "v1_model.ckpt").read_text(encoding="utf-8"))
+        mutate(payload)
+        broken = tmp_path / "mutant.ckpt"
+        broken.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, "rank", "-d", str(self.data / "v1_dataset.json"),
+                             "-m", str(broken))
+        assert (code, out) == (1, "")
+        return broken, err
+
+    @pytest.mark.parametrize("value", ["1.5", True, 10**400, [1.5], None],
+                             ids=["string", "bool", "10**400", "nested-list", "null"])
+    def test_tensor_value_must_be_a_finite_json_number(self, tmp_path, capsys, value):
+        def mutate(payload):
+            entry = payload["tensors"][1]
+            assert entry["name"] == "layer0.attn.b_k.deleted"
+            entry["data"][2] = value
+
+        broken, err = self._rank_mutant(tmp_path, capsys, mutate)
+        assert err == (f"error: {broken}: layer0.attn.b_k.deleted: field 'data' must hold 8 "
+                       f"finite float64 numbers\n")
+
+    def test_header_sigma_past_float64_is_named(self, tmp_path, capsys):
+        def mutate(payload):
+            payload["sigma"] = 10**400
+
+        broken, err = self._rank_mutant(tmp_path, capsys, mutate)
+        assert err == f"error: {broken}: sigma must be positive and finite\n"
+
+
+class TestNonUtf8Files:
+    def test_checkpoint_is_named(self, small_data, tmp_path, capsys):
+        broken = tmp_path / "latin1.ckpt"
+        broken.write_bytes(b"\xff{}")
+        code, _out, err = run(capsys, "rank", "-d", str(small_data), "-m", str(broken))
+        assert code == 1
+        assert err.startswith(f"error: {broken}: not UTF-8 text: ")
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(broken))}: not UTF-8"):
+            load_checkpoint(broken)
+
+    def test_config_file_is_named(self, small_data, tmp_path, capsys):
+        cfg_file = tmp_path / "latin1.cfg"
+        cfg_file.write_bytes(b"dim=16\n# caf\xe9\n")
+        code, _out, err = run(capsys, "train", "-d", str(small_data), "-o",
+                              str(tmp_path / "m.ckpt"), "--config", str(cfg_file))
+        assert code == 1
+        assert err.startswith(f"error: {cfg_file}: not UTF-8 text: ")
+
+
 class TestForwardOverflow:
     @pytest.mark.parametrize("command", ["rank", "evaluate"])
     def test_names_commit_and_op_without_traceback(self, small_data, trained, tmp_path, capsys,
@@ -502,6 +556,40 @@ class TestForwardOverflow:
         assert proc.stdout == ""
         assert proc.stderr == ("error: commit 'synthetic-5-00005': matmul produced non-finite "
                                "values in its (10,) output\n")
+
+
+    @pytest.mark.parametrize("command", ["rank", "evaluate"])
+    def test_attention_overflow_names_commit_and_op(self, small_data, trained, tmp_path, capsys,
+                                                    command):
+        payload = json.loads(trained.read_text())
+        for entry in payload["tensors"]:
+            if entry["name"] == "layer0.attn.mu":
+                entry["data"] = [1.5e308] * len(entry["data"])
+            elif entry["name"].startswith(("layer0.attn.w_k.", "layer0.attn.w_q.")):
+                entry["data"] = [x * 1e3 for x in entry["data"]]
+        huge = tmp_path / "huge.ckpt"
+        huge.write_text(json.dumps(payload), encoding="utf-8")
+        code, stdout, err = run(capsys, command, "-d", str(small_data), "-m", str(huge))
+        assert (code, stdout) == (1, "")
+        first = json.loads(small_data.read_text())["graphs"][0]["commit_id"]
+        assert re.fullmatch(rf"error: commit {re.escape(repr(first))}: attend produced "
+                            r"non-finite values in its \(\d+, 2\) logits\n", err)
+
+    def test_attention_overflow_stderr_holds_only_the_error_line(self, tmp_path):
+        data = Path(__file__).parent / "data"
+        payload = json.loads((data / "v1_model.ckpt").read_text(encoding="utf-8"))
+        for entry in payload["tensors"]:
+            if entry["name"] == "layer0.attn.mu":
+                entry["data"] = [1.5e308] * len(entry["data"])
+            elif entry["name"].startswith(("layer0.attn.w_k.", "layer0.attn.w_q.")):
+                entry["data"] = [x * 1e3 for x in entry["data"]]
+        huge = tmp_path / "huge.ckpt"
+        huge.write_text(json.dumps(payload), encoding="utf-8")
+        proc = fresh_process(["-m", "rootrank.cli", "rank", "-d", str(data / "v1_dataset.json"),
+                              "-m", str(huge)], cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == ("error: commit 'synthetic-5-00000': attend produced non-finite "
+                               "values in its (18, 2) logits\n")
 
 
 class TestDenseMapCheckpoint:

@@ -395,7 +395,10 @@ class TestCheckpoints:
         ModelConfig().validate()
 
     @pytest.mark.parametrize("name", ["sigma", "lr"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0,
+                                       # JSON integers past float64, as a checkpoint header holds
+                                       pytest.param(10**400, id="10**400"),
+                                       pytest.param(-10**400, id="-10**400")])
     def test_sigma_and_lr_must_be_positive_and_finite(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
             ModelConfig(**{name: value}).validate()

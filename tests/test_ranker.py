@@ -30,7 +30,14 @@ from rootrank.ranker import (
 )
 from rootrank.synthetic import GenConfig, generate
 
-from naive_reference import composed_gru, naive_adam_step, naive_build_pairs, pair_label
+from naive_reference import (
+    composed_gru,
+    composed_pair_loss,
+    naive_adam_step,
+    naive_build_pairs,
+    pair_label,
+    random_graph,
+)
 
 
 def pair_loss(s_i, s_j, label, sigma=1.0):
@@ -306,6 +313,24 @@ class TestTrain:
                                                     r"matmul produced non-finite values"):
                 train(self._embedded(), cfg, params=params)
 
+    @pytest.mark.parametrize("op", ["attend", "pair_loss"])
+    def test_fused_op_overflow_is_named_without_numpy_warnings(self, op):
+        cfg = self._cfg(sigma=1e308) if op == "pair_loss" else self._cfg()
+        params = init_network_params(cfg, np.random.default_rng(cfg.seed), random_scorer=True)
+        if op == "attend":
+            attn = params.layers[0][0]
+            attn.mu.data[...] = 1.5e308
+            for w in (*attn.w_k.values(), *attn.w_q.values()):
+                w.data *= 1e3
+        else:  # score gaps above 1.8 overflow sigma * gap
+            params.scorer_w.data *= 1e3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match=rf"^non-finite loss at epoch 0, commit 'c\d': "
+                                                    rf"{op} produced non-finite values in its "
+                                                    r"\(\d+(,|, 2)\) logits$"):
+                train(self._embedded(), cfg, params=params)
+
     def test_one_step_decreases_loss_on_same_commit(self):
         embedded = self._embedded(n_graphs=1)
         cfg = self._cfg(epochs=0, lr=1e-6)
@@ -401,6 +426,22 @@ class TestTapeSize:
         assert lengths[0] == lengths[1]
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_full_two_layer_commit_records_28_ops(self, seed):
+        # per layer 3 projections, 2 + 1 + 2 edge gathers and maps, attend and gru;
+        # then norm, projection (3), deleted-row gather, scorer (2) and pair_loss
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, max_nodes=8)
+        while not g.edges:
+            g = random_graph(rng, max_nodes=8)
+        cfg = ModelConfig(dim=4, heads=2, layers=2, proj_dim=2, mode=Mode.FULL)
+        params = init_network_params(cfg, np.random.default_rng(0))
+        tape = Tape()
+        commit_loss(tape, _prepare(embed_graph(g, HashingEmbedder(4)), cfg), params, cfg)
+        assert len(tape) == 28
+
+
 class TestFusedGate:
     """The fused ``gru`` op in place of the 23-op chain, through the whole loss."""
 
@@ -419,6 +460,7 @@ class TestFusedGate:
             commit_loss(tape, batch, params, cfg)
             lengths.append(len(tape))
         assert lengths[1] - lengths[0] == 2 * 22
+        assert lengths == [28, 28 + 2 * 22]
 
     @pytest.mark.parametrize("mode", [Mode.FULL, Mode.RETENTION_ONLY])
     def test_training_matches_the_composed_chain(self, monkeypatch, mode):
@@ -436,6 +478,28 @@ class TestFusedGate:
             assert fused.training_log == composed.training_log
             for (name, a), (_n, b) in pairs:
                 assert np.array_equal(a.data, b.data), name
+
+
+def composed_pair_loss_from_scores(tape, scores, batch, cfg, subset=slice(None)):
+    """``ranker._pair_loss_from_scores`` through the twelve-op chain."""
+    return composed_pair_loss(tape, scores, batch.pair_i[subset], batch.pair_j[subset],
+                              batch.labels[subset], cfg.sigma)
+
+
+class TestFusedLoss:
+    """The fused ``pair_loss`` op in place of the twelve-op chain, through training."""
+
+    @pytest.mark.parametrize("step_per_pair", [False, True])
+    def test_training_with_the_composed_loss_is_bit_identical(self, monkeypatch, step_per_pair):
+        embedded = embed_dataset(generate(GenConfig(n_commits=4, seed=5)), HashingEmbedder(8))
+        cfg = ModelConfig(dim=8, heads=2, layers=2, proj_dim=4, epochs=2, lr=1e-3, sigma=1.5,
+                          include_tie_pairs=True, step_per_pair=step_per_pair)
+        fused = train(embedded, cfg)
+        monkeypatch.setattr(ranker, "_pair_loss_from_scores", composed_pair_loss_from_scores)
+        composed = train(embedded, cfg)
+        assert fused.training_log == composed.training_log
+        for (name, a), (_n, b) in zip(named_tensors(fused.params), named_tensors(composed.params)):
+            assert np.array_equal(a.data, b.data), name
 
 
 class TestPlanCache:
