@@ -30,7 +30,6 @@ across training steps and rankings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +58,6 @@ class AttentionParams:
     ``mu`` is the flattened (kind, kind, kind) prior, shape (MU_SIZE, 1).
     """
 
-    dim: int
     heads: int
     w_k: dict[NodeKind, Tensor]
     b_k: dict[NodeKind, Tensor]
@@ -70,44 +68,6 @@ class AttentionParams:
     w_att: dict[EdgeKind, Tensor]
     w_msg: dict[EdgeKind, Tensor]
     mu: Tensor
-
-
-def init_attention_params(dim: int, heads: int, rng: np.random.Generator) -> AttentionParams:
-    """Fresh layer parameters.
-
-    Projections draw symmetric-uniform Xavier bounds; each head block
-    of the per-edge-kind maps starts at identity plus small uniform
-    noise; priors start at 1.
-    """
-    if dim % heads != 0:
-        raise ValueError(f"heads ({heads}) must divide dim ({dim})")
-    d = dim // heads
-    bound = math.sqrt(6.0 / (dim + dim))
-
-    def proj():
-        return Tensor(rng.uniform(-bound, bound, size=(dim, dim)), requires_grad=True)
-
-    def bias():
-        return Tensor(np.zeros(dim), requires_grad=True)
-
-    def blocks():
-        return Tensor(np.tile(np.eye(d), (heads, 1)) + rng.uniform(-0.01, 0.01, size=(dim, d)),
-                      requires_grad=True)
-
-    w_k = {k: proj() for k in NodeKind}
-    b_k = {k: bias() for k in NodeKind}
-    w_q = {k: proj() for k in NodeKind}
-    b_q = {k: bias() for k in NodeKind}
-    w_v = {k: proj() for k in NodeKind}
-    b_v = {k: bias() for k in NodeKind}
-    w_att = {e: blocks() for e in EdgeKind}
-    w_msg = {e: blocks() for e in EdgeKind}
-    mu = Tensor(np.ones((MU_SIZE, 1)), requires_grad=True)
-    return AttentionParams(
-        dim=dim, heads=heads,
-        w_k=w_k, b_k=b_k, w_q=w_q, b_q=b_q, w_v=w_v, b_v=b_v,
-        w_att=w_att, w_msg=w_msg, mu=mu,
-    )
 
 
 def block_diagonal(blocks: np.ndarray) -> np.ndarray:

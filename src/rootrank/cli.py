@@ -28,7 +28,7 @@ from .evaluation import (
     report_table,
 )
 from .graphs import load_dataset, save_dataset
-from .network import Mode, ModelConfig, load_checkpoint, save_checkpoint
+from .network import ConfigError, Mode, ModelConfig, load_checkpoint, save_checkpoint
 from .ranker import (
     TrainedModel,
     TrainingError,
@@ -106,13 +106,18 @@ def _given(args: argparse.Namespace, fields: dict[str, str]) -> dict:
             if getattr(args, dest) is not None}
 
 
-def _model_config(args: argparse.Namespace) -> tuple[ModelConfig, set[str]]:
-    """Flags over the --config overlay over ``ModelConfig()``, validated; also the fields given."""
+def _model_config(args: argparse.Namespace,
+                  dataset_dim: int | None = None) -> tuple[ModelConfig, set[str]]:
+    """Flags over the --config overlay over ``ModelConfig()``, validated; also the fields given.
+
+    ``dataset_dim`` (a dataset's own vector width) replaces the default dim.  A failing
+    check that read --config values names the file, and the key when it read one.
+    """
     overlay = _parse_config_file(args.config) if args.config else {}
     unknown = set(overlay) - set(_HYPER_SPECS)
     if unknown:
         raise CliError(f"{args.config}: unknown config key(s) {sorted(unknown)}")
-    values = {}
+    values, file_keys = {}, {}
     for key, (field, parse) in _HYPER_SPECS.items():
         if getattr(args, key) is not None:
             values[field] = getattr(args, key)
@@ -121,13 +126,21 @@ def _model_config(args: argparse.Namespace) -> tuple[ModelConfig, set[str]]:
                 values[field] = parse(overlay[key])
             except ValueError as exc:
                 raise CliError(f"{args.config}: key {key!r}: {exc}") from None
-    cfg = replace(ModelConfig(), **values)
+            file_keys[field] = key
+    cfg = replace(ModelConfig() if dataset_dim is None else ModelConfig(dim=dataset_dim), **values)
     try:
         cfg.mode = Mode(cfg.mode)
-    except ValueError:
-        raise CliError(f"unknown mode {cfg.mode!r}; choose from "
+    except ValueError:   # not a --mode flag, which argparse limits to the choices
+        raise CliError(f"{args.config}: key 'mode': unknown mode {cfg.mode!r}; choose from "
                        f"{', '.join(m.value for m in Mode)}") from None
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        keys = [file_keys[field] for field in exc.fields if field in file_keys]
+        if not keys:
+            raise
+        where = f"{args.config}: key {keys[0]!r}" if len(keys) == 1 else args.config
+        raise CliError(f"{where}: {exc}") from None
     return cfg, set(values)
 
 
@@ -142,12 +155,9 @@ def _provider_for(precomputed: int | None, dim: int, source: str) -> HashingEmbe
 
 def _training_inputs(args: argparse.Namespace):
     """Config, dataset and provider to train on; a dataset's own vectors set dim unless it was given."""
-    cfg, explicit = _model_config(args)
     ds = load_dataset(args.dataset)
     precomputed = detect_precomputed_dim(ds)
-    if precomputed is not None and "dim" not in explicit:
-        cfg.dim = precomputed
-        cfg.validate()
+    cfg = _model_config(args, precomputed)[0]
     return cfg, ds, _provider_for(precomputed, cfg.dim, "model")
 
 
@@ -270,12 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("-o", "--output", required=True)
     p_gen.set_defaults(func=cmd_generate)
 
+    def add_size_flags(p):
+        for flag in ("--dim", "--heads", "--layers", "--proj-dim", "--seed"):
+            p.add_argument(flag, type=int)   # dest proj_dim for --proj-dim
+
     def add_hyper_flags(p):
-        p.add_argument("--dim", type=int, default=None)
-        p.add_argument("--heads", type=int, default=None)
-        p.add_argument("--layers", type=int, default=None)
-        p.add_argument("--proj-dim", dest="proj_dim", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        add_size_flags(p)
         p.add_argument("--config", default=None, help="key=value overlay file")
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--lr", type=float, default=None)
@@ -316,11 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("gradcheck", help="verify gradients on a small random instance")
     # unset flags stay None, leaving each at gradient_check_full_loss's default
-    p_check.add_argument("--dim", type=int)
-    p_check.add_argument("--heads", type=int)
-    p_check.add_argument("--layers", type=int)
-    p_check.add_argument("--proj-dim", dest="proj_dim", type=int)
-    p_check.add_argument("--seed", type=int)
+    add_size_flags(p_check)
     p_check.add_argument("--tolerance", type=float, default=1e-5)
     p_check.set_defaults(func=cmd_gradcheck)
 

@@ -254,7 +254,7 @@ def load_dataset(path: str | Path, require_root_cause: bool = True) -> Dataset:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's int-from-text digit limit
         raise DatasetFormatError(f"{path}: not valid JSON: {exc}") from exc
 
     if not isinstance(raw, dict):

@@ -5,12 +5,16 @@ then gating the aggregated neighborhood against the previous state with
 a GRU cell, so line-local semantics learned early survive stacking.
 After the last layer the states are layer-normalized and projected into
 task embeddings.
+
+:func:`param_shapes` is the one declaration of the learnable tensors'
+names, shapes and order; initialization, naming and checkpoints follow it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -19,12 +23,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .aggregation import (
+    MU_SIZE,
     AttentionParams,
     GraphPlan,
     attention_forward,
     block_diagonal,
     head_blocks,
-    init_attention_params,
 )
 from .autodiff import Tape, Tensor
 from .graphs import EdgeKind, NodeKind
@@ -55,19 +59,30 @@ class ModelConfig:
         return self.dim if self.proj_dim is None else self.proj_dim
 
     def validate(self) -> None:
-        if self.dim < 1 or self.heads < 1 or self.layers < 1 or self.out_dim < 1:
-            raise ValueError("dim, heads, layers and proj_dim must be positive")
+        sizes = dict(dim=self.dim, heads=self.heads, layers=self.layers, proj_dim=self.out_dim)
+        if min(sizes.values()) < 1:
+            raise ConfigError("dim, heads, layers and proj_dim must be positive",
+                              *[name for name, size in sizes.items() if size < 1])
         if self.dim % self.heads != 0:
-            raise ValueError(f"heads ({self.heads}) must divide dim ({self.dim})")
+            raise ConfigError(f"heads ({self.heads}) must divide dim ({self.dim})", "dim", "heads")
         for name in ("sigma", "lr"):
             try:
                 value = float(getattr(self, name))
             except OverflowError:  # an integer beyond the float64 range
                 value = math.inf
             if not 0 < value < math.inf:  # also false for NaN
-                raise ValueError(f"{name} must be positive and finite")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+                raise ConfigError(f"{name} must be positive and finite", name)
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0", name)
+
+
+class ConfigError(ValueError):
+    """A ``ModelConfig`` check failed; ``fields`` names the fields it read."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
 
 
 @dataclass
@@ -93,22 +108,6 @@ class GruParams:
     b_hn: Tensor
 
 
-def init_gru_params(dim: int, rng: np.random.Generator) -> GruParams:
-    bound = 1.0 / math.sqrt(dim)
-
-    def w():
-        return Tensor(rng.uniform(-bound, bound, size=(dim, dim)), requires_grad=True)
-
-    def b():
-        return Tensor(rng.uniform(-bound, bound, size=dim), requires_grad=True)
-
-    return GruParams(
-        w_ir=w(), b_ir=b(), w_hr=w(), b_hr=b(),
-        w_iz=w(), b_iz=b(), w_hz=w(), b_hz=b(),
-        w_in=w(), b_in=b(), w_hn=w(), b_hn=b(),
-    )
-
-
 @dataclass
 class NetworkParams:
     layers: list[tuple[AttentionParams, GruParams]]
@@ -118,42 +117,97 @@ class NetworkParams:
     b_proj: Tensor   # (D_out,)
     scorer_w: Tensor  # (D_out,)
     scorer_b: Tensor  # scalar
+    named: list[tuple[str, Tensor]]  # the tensors above, in ``param_shapes`` order
+
+
+_NODE_KIND_TENSORS = ("w_k", "b_k", "w_q", "b_q", "w_v", "b_v")
+_EDGE_KIND_MAPS = ("w_att", "w_msg")
+_GRU_TENSORS = ("w_ir", "b_ir", "w_hr", "b_hr", "w_iz", "b_iz",
+                "w_hz", "b_hz", "w_in", "b_in", "w_hn", "b_hn")
+_TENSORS_PER_LAYER = (len(NodeKind) * len(_NODE_KIND_TENSORS)
+                      + len(_EDGE_KIND_MAPS) * len(EdgeKind) + 1 + len(_GRU_TENSORS))
+
+
+def param_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """``(name, shape)`` of each learnable tensor, in checkpoint order; allocates nothing."""
+    dim, out_dim = cfg.dim, cfg.out_dim
+    for li in range(cfg.layers):
+        p = f"layer{li}.attn"
+        yield from ((f"{p}.{field}.{kind.value}", (dim, dim) if field[0] == "w" else (dim,))
+                    for kind in NodeKind for field in _NODE_KIND_TENSORS)
+        yield from ((f"{p}.{field}.{kind.value}", (dim, dim // cfg.heads))
+                    for field in _EDGE_KIND_MAPS for kind in EdgeKind)
+        yield f"{p}.mu", (MU_SIZE, 1)
+        yield from ((f"layer{li}.gru.{field}", (dim, dim) if field[0] == "w" else (dim,))
+                    for field in _GRU_TENSORS)
+    yield from (("final_norm.gain", (dim,)), ("final_norm.bias", (dim,)),
+                ("proj.w", (dim, out_dim)), ("proj.b", (out_dim,)),
+                ("scorer.w", (out_dim,)), ("scorer.b", ()))
+
+
+def _is_head_map(name: str) -> bool:
+    """Whether ``name`` is a per-edge-kind head-block map, held D x D in checkpoints."""
+    return name.split(".")[-2] in _EDGE_KIND_MAPS
+
+
+def _assemble(cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> NetworkParams:
+    """``NetworkParams`` over ``arrays``, one learnable tensor per ``param_shapes`` name."""
+    named = [(name, Tensor(arrays[name], requires_grad=True)) for name, _shape in param_shapes(cfg)]
+    t = dict(named)
+    layers = []
+    for li in range(cfg.layers):
+        p = f"layer{li}.attn"
+        by_kind = {field: {kind: t[f"{p}.{field}.{kind.value}"] for kind in kinds}
+                   for group, kinds in ((_NODE_KIND_TENSORS, NodeKind), (_EDGE_KIND_MAPS, EdgeKind))
+                   for field in group}
+        attn = AttentionParams(heads=cfg.heads, mu=t[f"{p}.mu"], **by_kind)
+        layers.append((attn, GruParams(**{field: t[f"layer{li}.gru.{field}"]
+                                          for field in _GRU_TENSORS})))
+    return NetworkParams(
+        layers=layers, named=named, norm_gain=t["final_norm.gain"], norm_bias=t["final_norm.bias"],
+        w_proj=t["proj.w"], b_proj=t["proj.b"], scorer_w=t["scorer.w"], scorer_b=t["scorer.b"],
+    )
+
+
+def named_tensors(params: NetworkParams) -> list[tuple[str, Tensor]]:
+    """Every learnable tensor with its ``param_shapes`` name, in that order."""
+    return list(params.named)
 
 
 def init_network_params(cfg: ModelConfig, rng: np.random.Generator | None = None,
                         random_scorer: bool = False) -> NetworkParams:
-    """Seeded parameter initialization.
+    """Seeded parameter initialization, drawn in the order listed below.
 
-    The scorer starts at zero by default: ranking only depends on the
-    scorer's direction, and a zero start lets training set that
-    direction without fighting random initial score noise.
-    ``random_scorer=True`` draws it like any projection instead (used by
-    gradient checking so every tensor gets a live gradient path).
+    Per layer: ``w_k``, ``w_q``, ``w_v`` Xavier-uniform, each head block of
+    ``w_att`` and ``w_msg`` identity plus small noise, the gates within
+    1/sqrt(D); then ``proj.w``.  Biases start at 0, priors and the norm gain
+    at 1.  The scorer starts at zero: ranking depends only on its direction,
+    which training then sets without fighting random initial score noise.
+    ``random_scorer=True`` draws it like a projection instead (gradient
+    checking wants a live gradient path to every tensor).
     """
     cfg.validate()
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    layers = [
-        (init_attention_params(cfg.dim, cfg.heads, rng), init_gru_params(cfg.dim, rng))
-        for _ in range(cfg.layers)
-    ]
-    out_dim = cfg.out_dim
-    proj_bound = math.sqrt(6.0 / (cfg.dim + out_dim))
-    w_proj = Tensor(rng.uniform(-proj_bound, proj_bound, size=(cfg.dim, out_dim)), requires_grad=True)
+    xavier = math.sqrt(6.0 / (cfg.dim + cfg.dim))
+    drawn: list[tuple[str, float]] = []   # (name, bound) in draw order
+    for li in range(cfg.layers):
+        drawn += [(f"layer{li}.attn.{field}.{kind.value}", xavier)
+                  for field in ("w_k", "w_q", "w_v") for kind in NodeKind]
+        drawn += [(f"layer{li}.attn.{field}.{kind.value}", 0.01)
+                  for field in _EDGE_KIND_MAPS for kind in EdgeKind]
+        drawn += [(f"layer{li}.gru.{field}", 1.0 / math.sqrt(cfg.dim)) for field in _GRU_TENSORS]
+    drawn.append(("proj.w", math.sqrt(6.0 / (cfg.dim + cfg.out_dim))))
     if random_scorer:
-        scorer_bound = math.sqrt(6.0 / (out_dim + 1))
-        scorer_w = Tensor(rng.uniform(-scorer_bound, scorer_bound, size=out_dim), requires_grad=True)
-    else:
-        scorer_w = Tensor(np.zeros(out_dim), requires_grad=True)
-    return NetworkParams(
-        layers=layers,
-        norm_gain=Tensor(np.ones(cfg.dim), requires_grad=True),
-        norm_bias=Tensor(np.zeros(cfg.dim), requires_grad=True),
-        w_proj=w_proj,
-        b_proj=Tensor(np.zeros(out_dim), requires_grad=True),
-        scorer_w=scorer_w,
-        scorer_b=Tensor(0.0, requires_grad=True),
-    )
+        drawn.append(("scorer.w", math.sqrt(6.0 / (cfg.out_dim + 1))))
+    shapes = dict(param_shapes(cfg))
+    arrays = {name: rng.uniform(-bound, bound, size=shapes[name]) for name, bound in drawn}
+    for name, shape in shapes.items():
+        if _is_head_map(name):
+            arrays[name] += np.tile(np.eye(cfg.dim // cfg.heads), (cfg.heads, 1))
+        elif name not in arrays:
+            arrays[name] = np.ones(shape) if name.endswith((".mu", ".gain")) else np.zeros(shape)
+    return _assemble(cfg, arrays)
 
 
 def gru_cell(tape: Tape | None, h_tilde: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
@@ -200,29 +254,7 @@ def network_forward(tape: Tape | None, h0: Tensor, plan: GraphPlan,
 
 
 # ---------------------------------------------------------------------------
-# Named parameter traversal and checkpoints
-
-
-_NODE_KIND_TENSORS = ("w_k", "b_k", "w_q", "b_q", "w_v", "b_v")
-_GRU_TENSORS = ("w_ir", "b_ir", "w_hr", "b_hr", "w_iz", "b_iz",
-                "w_hz", "b_hz", "w_in", "b_in", "w_hn", "b_hn")
-
-
-def named_tensors(params: NetworkParams) -> list[tuple[str, Tensor]]:
-    """Every learnable tensor with a stable name, in a fixed order."""
-    out: list[tuple[str, Tensor]] = []
-    for li, (attn, gru) in enumerate(params.layers):
-        p = f"layer{li}.attn"
-        out += [(f"{p}.{field}.{kind.value}", getattr(attn, field)[kind])
-                for kind in NodeKind for field in _NODE_KIND_TENSORS]
-        out += [(f"{p}.{field}.{kind.value}", getattr(attn, field)[kind])
-                for field in ("w_att", "w_msg") for kind in EdgeKind]
-        out.append((f"{p}.mu", attn.mu))
-        out += [(f"layer{li}.gru.{field}", getattr(gru, field)) for field in _GRU_TENSORS]
-    out += [("final_norm.gain", params.norm_gain), ("final_norm.bias", params.norm_bias),
-            ("proj.w", params.w_proj), ("proj.b", params.b_proj),
-            ("scorer.w", params.scorer_w), ("scorer.b", params.scorer_b)]
-    return out
+# Checkpoints
 
 
 CHECKPOINT_FORMAT = "rootrank-checkpoint-v1"
@@ -239,15 +271,8 @@ class CheckpointError(ValueError):
     """Raised when a checkpoint file is malformed or inconsistent."""
 
 
-def _head_map_ids(params: NetworkParams) -> set[int]:
-    """Identities of the per-edge-kind head-block maps, stored block-diagonal in checkpoints."""
-    return {id(t) for attn, _gru in params.layers
-            for t in (*attn.w_att.values(), *attn.w_msg.values())}
-
-
 def save_checkpoint(path: str | Path, params: NetworkParams, cfg: ModelConfig) -> None:
     """Write params + config as JSON, maps block-diagonal; float64 values round-trip bit-exactly."""
-    maps = _head_map_ids(params)
     header = {key: getattr(cfg, key) for key in _HEADER_TYPES}
     header.update(proj_dim=cfg.out_dim, mode=cfg.mode.value)
     payload = {
@@ -255,7 +280,7 @@ def save_checkpoint(path: str | Path, params: NetworkParams, cfg: ModelConfig) -
         **header,
         "tensors": [
             {"name": name, "shape": list(data.shape), "data": data.reshape(-1).tolist()}
-            for name, data in ((name, block_diagonal(t.data) if id(t) in maps else t.data)
+            for name, data in ((name, block_diagonal(t.data) if _is_head_map(name) else t.data)
                                for name, t in named_tensors(params))
         ],
     }
@@ -273,12 +298,16 @@ def _field(obj: dict, key: str, types, where: str):
 
 
 def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
-    """Read a checkpoint; each map must be D x D with zeros outside its head blocks."""
+    """Read a checkpoint; each map must be D x D with zeros outside its head blocks.
+
+    The tensor count and every name and shape are checked against the header before any
+    value is read, so a header implying a huge model is rejected without allocating it.
+    """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"{path}: not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's int-from-text digit limit
         raise CheckpointError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
@@ -291,13 +320,12 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
         cfg.validate()
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    params = init_network_params(cfg, np.random.default_rng(0))
-    maps = _head_map_ids(params)
-    expected = named_tensors(params)
     stored = _field(payload, "tensors", list, str(path))
-    if len(stored) != len(expected):
-        raise CheckpointError(f"{path}: expected {len(expected)} tensors, found {len(stored)}")
-    for index, ((name, tensor), entry) in enumerate(zip(expected, stored)):
+    count = cfg.layers * _TENSORS_PER_LAYER + 6   # + final norm, projection, scorer
+    if len(stored) != count:
+        raise CheckpointError(f"{path}: expected {count} tensors, found {len(stored)}")
+    checked = []   # every name and shape, before any value is read
+    for index, ((name, live_shape), entry) in enumerate(zip(param_shapes(cfg), stored)):
         where = f"{path}: tensors[{index}]"
         if not isinstance(entry, dict):
             raise CheckpointError(f"{where}: entry must be an object")
@@ -305,9 +333,12 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
             raise CheckpointError(f"{path}: tensor order mismatch: {entry['name']!r} != {name!r}")
         where = f"{path}: {name}"
         shape = tuple(_field(entry, "shape", list, where))
-        want = (cfg.dim, cfg.dim) if id(tensor) in maps else tensor.data.shape
+        want = (cfg.dim, cfg.dim) if _is_head_map(name) else live_shape
         if shape != want:
             raise CheckpointError(f"{where}: shape {shape} != {want}")
+        checked.append((name, want, entry, where))   # ints, where the file may hold 1.0 or true
+    arrays = {}
+    for name, shape, entry, where in checked:
         data = _field(entry, "data", list, where)
         problem = f"{where}: field 'data' must hold {math.prod(shape)} finite float64 numbers"
         # JSON numbers only: no bools, strings or nested lists
@@ -319,9 +350,11 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
             raise CheckpointError(problem) from None
         if not np.isfinite(arr).all():
             raise CheckpointError(problem)
-        tensor.data = arr.reshape(shape)
-        if id(tensor) in maps:
-            tensor.data = head_blocks(tensor.data, cfg.heads)
-            if not np.array_equal(block_diagonal(tensor.data), arr.reshape(shape)):
+        arr = arr.reshape(shape)
+        if _is_head_map(name):
+            blocks = head_blocks(arr, cfg.heads)
+            if not np.array_equal(block_diagonal(blocks), arr):
                 raise CheckpointError(f"{where}: nonzero entries outside the head blocks")
-    return params, cfg
+            arr = blocks
+        arrays[name] = arr
+    return _assemble(cfg, arrays), cfg

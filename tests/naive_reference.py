@@ -34,8 +34,14 @@ from rootrank.graphs import (
     LineNode,
     NodeKind,
 )
-from rootrank.network import GruParams, Mode, NetworkParams
+from rootrank.network import GruParams, Mode, ModelConfig, NetworkParams, init_network_params
 from rootrank.synthetic import SIGNAL_VOCAB
+
+
+def layer_params(dim: int, heads: int,
+                 rng: np.random.Generator) -> tuple[AttentionParams, GruParams]:
+    """One freshly initialized layer: its (attention, gate) parameters."""
+    return init_network_params(ModelConfig(dim=dim, heads=heads, layers=1), rng).layers[0]
 
 
 def mu_index(src_kind: NodeKind, edge_kind: EdgeKind, dst_kind: NodeKind) -> int:

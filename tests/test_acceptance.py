@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from rootrank import autodiff as ad
-from rootrank.aggregation import _edge_rows, attention_forward, build_plan, init_attention_params, project_kqv
+from rootrank.aggregation import _edge_rows, attention_forward, build_plan, project_kqv
 from rootrank.autodiff import constant
 from rootrank.cli import main
 from rootrank.embedding import HashingEmbedder, embed_dataset
@@ -31,7 +31,6 @@ from rootrank.network import (
     Mode,
     ModelConfig,
     forward_states,
-    init_gru_params,
     init_network_params,
     gru_cell,
     named_tensors,
@@ -45,7 +44,13 @@ from rootrank.ranker import (
 )
 from rootrank.synthetic import GenConfig, generate
 
-from naive_reference import naive_attention_forward, naive_gru, neighbors_in, random_graph
+from naive_reference import (
+    layer_params,
+    naive_attention_forward,
+    naive_gru,
+    neighbors_in,
+    random_graph,
+)
 
 
 def pair_loss(s_i, s_j, label, sigma=1.0):
@@ -95,7 +100,7 @@ class TestCriterion2AttentionNormalization:
         for _ in range(200):
             g = random_graph(rng)
             plan = build_plan(g)
-            params = init_attention_params(8, 4, rng)
+            params = layer_params(8, 4, rng)[0]
             h0 = rng.normal(size=(len(g.nodes), 8))
             if len(plan.dst):
                 # the layer's own weights, read through attend: with all-ones messages,
@@ -128,14 +133,14 @@ class TestCriterion3OracleEquivalence:
         rng = np.random.default_rng(77)
         for _ in range(100):
             g = random_graph(rng, max_nodes=6)
-            params = init_attention_params(8, 2, rng)
+            params = layer_params(8, 2, rng)[0]
             plan = build_plan(g)
             h0 = rng.normal(size=(len(g.nodes), 8))
             fast = attention_forward(None, constant(h0), plan, params).data
             slow = naive_attention_forward(h0, g, params)
             np.testing.assert_allclose(fast, slow, atol=1e-12)
 
-            gru = init_gru_params(8, rng)
+            gru = layer_params(8, 1, rng)[1]
             h_tilde = rng.normal(size=(len(g.nodes), 8))
             fast_g = gru_cell(None, constant(h_tilde), constant(h0), gru).data
             np.testing.assert_allclose(fast_g, naive_gru(h_tilde, h0, gru), atol=1e-12)

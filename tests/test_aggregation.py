@@ -10,7 +10,6 @@ from rootrank.aggregation import (
     attention_forward,
     _edge_rows,
     build_plan,
-    init_attention_params,
     project_kqv,
 )
 from rootrank.autodiff import Tensor, constant
@@ -21,6 +20,7 @@ from naive_reference import (
     attention_weights,
     composed_attention,
     edge_messages,
+    layer_params,
     mul,
     naive_attention_forward,
     naive_build_plan,
@@ -35,7 +35,7 @@ from naive_reference import (
 
 def identity_params(dim, heads):
     """Identity projections, zero biases, identity head blocks, unit priors."""
-    params = init_attention_params(dim, heads, np.random.default_rng(0))
+    params = layer_params(dim, heads, np.random.default_rng(0))[0]
     eye = np.eye(dim)
     eye_blocks = np.tile(np.eye(dim // heads), (heads, 1))
     for kind in NodeKind:
@@ -238,7 +238,7 @@ class TestAttentionLogits:
         g = random_graph(rng)
         while not g.edges:
             g = random_graph(rng)
-        params = init_attention_params(8, 2, rng)
+        params = layer_params(8, 2, rng)[0]
         plan = build_plan(g)
         h = constant(rng.normal(size=(len(g.nodes), 8)))
         kv = project_kqv(None, h, params, plan)
@@ -304,7 +304,7 @@ class TestAttentionWeights:
             g = random_graph(rng)
             if not g.edges:
                 continue
-            params = init_attention_params(8, 4, rng)
+            params = layer_params(8, 4, rng)[0]
             plan = build_plan(g)
             h = constant(rng.normal(size=(len(g.nodes), 8)))
             kv = project_kqv(None, h, params, plan)
@@ -396,7 +396,7 @@ class TestForwardAgainstNaiveOracle:
         rng = np.random.default_rng(123)
         for _ in range(30):
             g = random_graph(rng)
-            params = init_attention_params(8, 2, rng)
+            params = layer_params(8, 2, rng)[0]
             plan = build_plan(g)
             h0 = rng.normal(size=(len(g.nodes), 8))
             fast = attention_forward(None, constant(h0), plan, params).data
@@ -408,7 +408,7 @@ class TestForwardAgainstNaiveOracle:
         g = random_graph(rng)
         while len(g.edges) < 2:
             g = random_graph(rng)
-        params = init_attention_params(8, 2, rng)
+        params = layer_params(8, 2, rng)[0]
         h0 = rng.normal(size=(len(g.nodes), 8))
 
         n = len(g.nodes)
@@ -437,7 +437,7 @@ class TestForwardAgainstNaiveOracle:
         g = random_graph(rng)
         while len({e.kind for e in g.edges}) < 2:
             g = random_graph(rng)
-        params = init_attention_params(8, 2, rng)
+        params = layer_params(8, 2, rng)[0]
         plan = build_plan(g)
         h0 = Tensor(rng.normal(size=(len(g.nodes), 8)), requires_grad=True)
         tape = ad.Tape()
@@ -474,7 +474,7 @@ class TestTypedRowsAgainstMaskedOracle:
         for _ in range(20):
             g = random_graph(rng)
             plan = build_plan(g)
-            params = init_attention_params(8, 2, rng)
+            params = layer_params(8, 2, rng)[0]
             h = Tensor(rng.normal(size=(len(g.nodes), 8)), requires_grad=True)
             groups = [(rows, params.w_k[kind], params.b_k[kind])
                       for kind, rows in plan.node_rows.items()]
@@ -489,7 +489,7 @@ class TestTypedRowsAgainstMaskedOracle:
             if not g.edges:
                 continue
             plan = build_plan(g)
-            params = init_attention_params(8, 4, rng)
+            params = layer_params(8, 4, rng)[0]
             h = Tensor(rng.normal(size=(len(g.nodes), 8)), requires_grad=True)
             self._check(lambda tape: _edge_rows(tape, plan, h, params.w_att, 4),
                         lambda tape: naive_edge_rows(tape, plan, h, params.w_att, 4),
@@ -508,7 +508,7 @@ class TestComposedStagesPinnedToAttend:
         g = random_graph(rng)
         while not g.edges:
             g = random_graph(rng)
-        params = init_attention_params(8, heads, rng)
+        params = layer_params(8, heads, rng)[0]
         params.mu.data = prior * rng.uniform(0.5, 1.5, size=params.mu.shape)
         plan = build_plan(g)
         h = Tensor(rng.normal(size=(len(g.nodes), 8)), requires_grad=True)

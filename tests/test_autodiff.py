@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from rootrank import autodiff as ad
 from rootrank.autodiff import Tape, Tensor, backward, constant, grad_check
 
-from rootrank.network import _GRU_TENSORS, init_gru_params
+from rootrank.network import _GRU_TENSORS
 
 from naive_reference import (
     composed_attend,
     composed_gru,
     composed_pair_loss,
+    layer_params,
     log_sigmoid,
     mul,
     naive_scatter,
@@ -589,7 +590,7 @@ class TestGru:
     @pytest.mark.parametrize("case", ["distinct", "x_is_h", "saturated"])
     def test_gradcheck_every_input(self, case):
         rng = np.random.default_rng(21)
-        p = init_gru_params(4, rng)
+        p = layer_params(4, 1, rng)[1]
         if case == "saturated":
             saturate(p)
         x, h = self._inputs(rng, 3, 4, same=case == "x_is_h")
@@ -604,7 +605,7 @@ class TestGru:
            scale=st.sampled_from([0.5, 3.0, 40.0]), seed=st.integers(0, 2**32 - 1))
     def test_equals_composed_chain(self, n, d, same, h_grad, scale, seed):
         rng = np.random.default_rng(seed)
-        p = init_gru_params(d, rng)
+        p = layer_params(d, 1, rng)[1]
         for t in gru_weights(p):
             t.data = t.data * scale
         x, h = self._inputs(rng, n, d, same, h_grad)
@@ -626,7 +627,7 @@ class TestGru:
 
     def test_one_tape_record(self):
         rng = np.random.default_rng(23)
-        p = init_gru_params(3, rng)
+        p = layer_params(3, 1, rng)[1]
         x, h = self._inputs(rng, 2, 3, same=False)
         tape = Tape()
         ad.gru(tape, x, h, gru_weights(p))
@@ -642,7 +643,7 @@ class TestGru:
     ])
     def test_overflowing_sum_of_affine_maps_is_named(self, gate, names):
         # each affine map is finite; their sum overflows, and the gate would saturate it
-        p = init_gru_params(3, np.random.default_rng(24))
+        p = layer_params(3, 1, np.random.default_rng(24))[1]
         for t in gru_weights(p):
             t.data = np.zeros_like(t.data)
         for name in names:
@@ -656,7 +657,7 @@ class TestGru:
                 composed_gru(None, x, h, p)
 
     def test_overflowing_affine_map_is_named(self):
-        p = init_gru_params(3, np.random.default_rng(25))
+        p = layer_params(3, 1, np.random.default_rng(25))[1]
         p.w_in.data = np.full((3, 3), 1e200)
         x = constant(np.full((2, 3), 1e200))
         h = constant(np.zeros((2, 3)))
@@ -667,7 +668,7 @@ class TestGru:
                 composed_gru(None, x, h, p)
 
     def test_shape_checks(self):
-        p = init_gru_params(4, np.random.default_rng(0))
+        p = layer_params(4, 1, np.random.default_rng(0))[1]
         weights = gru_weights(p)
         with pytest.raises(ValueError, match="shapes differ"):
             ad.gru(None, constant(np.zeros((2, 4))), constant(np.zeros((3, 4))), weights)

@@ -1,3 +1,5 @@
+import contextlib
+import copy
 import csv
 import io
 import json
@@ -10,6 +12,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import rootrank
 from rootrank import cli
@@ -20,6 +24,8 @@ from rootrank.graphs import load_dataset, save_dataset
 from rootrank.network import CheckpointError, Mode, ModelConfig, load_checkpoint
 from rootrank.synthetic import GenConfig, generate
 
+DATA = Path(__file__).parent / "data"
+V1_CHECKPOINT = json.loads((DATA / "v1_model.ckpt").read_text(encoding="utf-8"))
 CV_FLAGS = ("--dim", "16", "--heads", "2", "--layers", "1", "--epochs", "1", "--seed", "42")
 CV_CONFIG = ModelConfig(dim=16, heads=2, layers=1, epochs=1, seed=42)
 
@@ -262,7 +268,8 @@ class TestTrain:
                               "--dim", "16", "--heads", "2", "--layers", "1", "--epochs", "0",
                               *setting)
         assert code == 1
-        assert err == f"error: {key} must be positive and finite\n"
+        where = f"{cfg_file}: key '{key}': " if via_config else ""
+        assert err == f"error: {where}{key} must be positive and finite\n"
         assert not ckpt.exists()
 
     def test_determinism_bitwise_identical_checkpoints(self, small_data, tmp_path, capsys):
@@ -520,6 +527,233 @@ class TestNonUtf8Files:
                               str(tmp_path / "m.ckpt"), "--config", str(cfg_file))
         assert code == 1
         assert err.startswith(f"error: {cfg_file}: not UTF-8 text: ")
+
+
+class TestCheckpointHeaderSizes:
+    """Header sizes are checked by arithmetic against the stored tensors, so a header implying
+    a huge model is rejected at once, without allocating or drawing it."""
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("dim", 10**12, "layer0.attn.w_k.deleted: shape (8, 8) != (1000000000000, 1000000000000)"),
+        ("dim", 10**400, f"layer0.attn.w_k.deleted: shape (8, 8) != ({10**400}, {10**400})"),
+        ("proj_dim", 10**12, "proj.w: shape (8, 8) != (8, 1000000000000)"),
+        ("proj_dim", 10**400, f"proj.w: shape (8, 8) != (8, {10**400})"),
+        ("layers", 3000, "expected 105006 tensors, found 41"),
+        ("layers", 10**9, "expected 35000000006 tensors, found 41"),
+    ], ids=["dim-1e12", "dim-1e400", "proj_dim-1e12", "proj_dim-1e400", "layers-3000",
+            "layers-1e9"])
+    def test_huge_size_exits_1_naming_the_tensor_or_count(self, tmp_path, capsys, key, value,
+                                                          problem):
+        broken = tmp_path / "huge.ckpt"
+        broken.write_text(json.dumps({**V1_CHECKPOINT, key: value}), encoding="utf-8")
+        code, out, err = run(capsys, "rank", "-d", str(DATA / "v1_dataset.json"),
+                             "-m", str(broken))
+        assert (code, out, err) == (1, "", f"error: {broken}: {problem}\n")
+
+    @pytest.mark.parametrize("value", [1.0, True], ids=["float", "bool"])
+    def test_shape_entry_equal_to_an_int_is_read_as_that_int(self, tmp_path, value):
+        mutant = mutated(V1_CHECKPOINT, (("tensors", 22, "shape"), "replace", 1, value))
+        assert mutant["tensors"][22]["name"] == "layer0.attn.mu"
+        path = tmp_path / "odd_shape.ckpt"
+        path.write_text(json.dumps(mutant), encoding="utf-8")
+        params, _cfg = load_checkpoint(path)
+        assert params.layers[0][0].mu.data.shape == (20, 1)
+
+    def test_integer_past_the_digit_limit_is_named(self, tmp_path, capsys):
+        text = (DATA / "v1_model.ckpt").read_text(encoding="utf-8")
+        broken = tmp_path / "digits.ckpt"
+        broken.write_text(text.replace('"seed": 9', '"seed": ' + "9" * 5000), encoding="utf-8")
+        code, _out, err = run(capsys, "rank", "-d", str(DATA / "v1_dataset.json"),
+                              "-m", str(broken))
+        assert code == 1
+        assert err.startswith(f"error: {broken}: not valid JSON: ")
+        assert err.count("\n") == 1
+
+
+# Values a mutated checkpoint entry takes: huge ints, 0, negatives, bools, strings, null,
+# nested lists and objects.
+ODD_JSON = st.sampled_from([10**12, 10**400, -10**400, 2**63, 0, -1, 1.0, True, False, "",
+                            "x", "full", None, [], [1.5], [[1.0]], {}]) | st.integers(-3, 20)
+
+
+def _container_paths(node, path=()):
+    """The key path of every dict and list inside a JSON value, the value's own ``()`` first."""
+    if not isinstance(node, (dict, list)):
+        return []
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    return [path] + [p for key, child in items for p in _container_paths(child, path + (key,))]
+
+
+@st.composite
+def json_mutations(draw, doc):
+    """``(container path, action, key, value)``: replace, delete or add one value of ``doc``.
+
+    The top level is drawn half the time, so header fields are mutated as often as tensors.
+    """
+    path = draw(st.just(()) | st.sampled_from(_container_paths(doc)))
+    target = doc
+    for key in path:
+        target = target[key]
+    keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+    action = draw(st.sampled_from(["replace", "delete", "add"] if keys else ["add"]))
+    if action == "add":
+        key = draw(st.text(max_size=8)) if isinstance(target, dict) else len(target)
+    else:
+        key = draw(st.sampled_from(keys))
+    return path, action, key, None if action == "delete" else draw(ODD_JSON)
+
+
+def mutated(doc, mutation):
+    """A deep copy of ``doc`` with one ``json_mutations`` change applied."""
+    path, action, key, value = mutation
+    doc = copy.deepcopy(doc)
+    target = doc
+    for step in path:
+        target = target[step]
+    if action == "delete":
+        del target[key]
+    elif action == "add" and isinstance(target, list):
+        target.append(value)
+    else:
+        target[key] = value
+    return doc
+
+
+def main_quietly(argv):
+    """``cli.main(argv)`` with stdout and stderr captured: (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture()
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants")
+
+
+class TestCheckpointProperty:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutation=json_mutations(V1_CHECKPOINT))
+    # header sizes that escaped or hung before the loader checked shapes by arithmetic
+    @example(mutation=((), "replace", "dim", 10**12))
+    @example(mutation=((), "replace", "dim", 10**400))
+    @example(mutation=((), "replace", "proj_dim", 10**400))
+    @example(mutation=((), "replace", "proj_dim", 10**12))
+    @example(mutation=((), "replace", "layers", 3000))
+    @example(mutation=((), "replace", "layers", 10**9))
+    def test_mutated_checkpoint_exits_0_or_1_naming_the_file(self, scratch_dir, mutation):
+        path = scratch_dir / "mutant.ckpt"
+        path.write_text(json.dumps(mutated(V1_CHECKPOINT, mutation)), encoding="utf-8")
+        code, err = main_quietly(["rank", "-d", str(DATA / "v1_dataset.json"), "-m", str(path)])
+        assert code in (0, 1)
+        if code == 1:
+            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+
+class TestConfigValuesNameTheFile:
+    """A --config value that parses but fails ``ModelConfig.validate`` or the mode lookup."""
+
+    @pytest.mark.parametrize("line, problem", [
+        ("heads = 3", "key 'heads': heads (3) must divide dim (64)"),
+        ("epochs = -1", "key 'epochs': epochs must be >= 0"),
+        ("sigma = 0", "key 'sigma': sigma must be positive and finite"),
+        ("lr = nan", "key 'lr': lr must be positive and finite"),
+        ("dim = 0", "key 'dim': dim, heads, layers and proj_dim must be positive"),
+        ("mode = bogus", "key 'mode': unknown mode 'bogus'; "
+                         "choose from full, aggregation-only, retention-only"),
+        ("seed = -1", "key 'seed': seed must be >= 0"),
+        ("dim = 12\nheads = 5", "heads (5) must divide dim (12)"),
+    ], ids=["heads", "epochs", "sigma", "lr", "dim", "mode", "seed", "dim-and-heads"])
+    def test_names_the_file_and_key(self, small_data, tmp_path, capsys, line, problem):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(line + "\n", encoding="utf-8")
+        ckpt = tmp_path / "m.ckpt"
+        code, _out, err = run(capsys, "train", "-d", str(small_data), "-o", str(ckpt),
+                              "--config", str(cfg_file))
+        assert (code, err) == (1, f"error: {cfg_file}: {problem}\n")
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("flags, problem", [
+        (["--heads", "3"], "heads (3) must divide dim (64)"),
+        (["--epochs", "-1"], "epochs must be >= 0"),
+        (["--seed", "-1"], "seed must be >= 0"),
+    ], ids=["heads", "epochs", "seed"])
+    def test_a_flag_value_does_not_blame_the_file(self, small_data, tmp_path, capsys, flags,
+                                                  problem):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("layers = 1\nsigma = 2\n", encoding="utf-8")
+        code, _out, err = run(capsys, "train", "-d", str(small_data), "-o",
+                              str(tmp_path / "m.ckpt"), "--config", str(cfg_file), *flags)
+        assert (code, err) == (1, f"error: {problem}\n")
+
+    def test_a_flag_beats_a_bad_file_value(self, small_data, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("heads = 3\ndim = 16\nlayers = 1\nepochs = 0\n", encoding="utf-8")
+        code, _out, err = run(capsys, "train", "-d", str(small_data), "-o",
+                              str(tmp_path / "m.ckpt"), "--config", str(cfg_file), "--heads", "2")
+        assert code == 0, err
+
+    def test_a_check_of_a_flag_and_one_file_value_names_that_key(self, small_data, tmp_path,
+                                                                  capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("dim = 12\n", encoding="utf-8")
+        code, _out, err = run(capsys, "train", "-d", str(small_data), "-o",
+                              str(tmp_path / "m.ckpt"), "--config", str(cfg_file), "--heads", "5")
+        assert (code, err) == (1, f"error: {cfg_file}: key 'dim': heads (5) must divide dim (12)\n")
+
+
+# --config values: the size keys only as non-numbers or ints <= 16 (a valid large config
+# really allocates), epochs <= 2 so each example trains for moments
+NON_INTS = st.sampled_from(["", "x", "1.5", "nan", "inf", "true", "0x10", "1e3", "--"])
+SMALL_INTS = st.integers(-3, 16).map(str)
+CONFIG_VALUES = {
+    "dim": NON_INTS | SMALL_INTS,
+    "heads": NON_INTS | SMALL_INTS,
+    "layers": NON_INTS | SMALL_INTS,
+    "proj_dim": NON_INTS | SMALL_INTS,
+    "epochs": NON_INTS | st.integers(-3, 2).map(str),
+    "lr": st.sampled_from(["nan", "inf", "-inf", "1e400", "0", "-1", "1e-3", "0.5", "x", ""]),
+    "sigma": st.sampled_from(["nan", "inf", "-inf", "1e400", "0", "-1", "1", "2.5", "x", ""]),
+    "mode": st.sampled_from(["full", "aggregation-only", "retention-only", "bogus", "", "FULL"]),
+    "seed": NON_INTS | st.integers(-3, 2**70).map(str),
+    "ties": st.sampled_from(["yes", "off", "1", "maybe", ""]),
+    "step_per_pair": st.sampled_from(["on", "no", "0", "2", ""]),
+}
+CONFIG_LINES = (
+    st.sampled_from(sorted(CONFIG_VALUES)).flatmap(
+        lambda key: CONFIG_VALUES[key].map(lambda value: f"{key} = {value}"))
+    | st.sampled_from(["", "# comment", "no equals sign", "learning = fast", "= 3"])
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "data.json"
+    save_dataset(generate(GenConfig(n_commits=2, deleted_per_commit=3, added_per_commit=2,
+                                    seed=5)), path)
+    return path
+
+
+class TestConfigProperty:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(CONFIG_LINES, max_size=6))
+    # a validate error, a mode lookup error and numpy's 'expected non-negative integer',
+    # none of which named the file
+    @example(lines=["heads = 3"])
+    @example(lines=["mode = bogus"])
+    @example(lines=["seed = -1"])
+    def test_config_file_exits_0_or_1_naming_the_file(self, scratch_dir, tiny_dataset, lines):
+        cfg_file = scratch_dir / "run.cfg"
+        cfg_file.write_text("\n".join(["epochs = 1", "dim = 4", "heads = 2", *lines]) + "\n",
+                            encoding="utf-8")
+        code, err = main_quietly(["train", "-d", str(tiny_dataset), "-o",
+                                  str(scratch_dir / "m.ckpt"), "--config", str(cfg_file)])
+        assert code in (0, 1)
+        if code == 1:
+            assert err.startswith(f"error: {cfg_file}:") and err.count("\n") == 1, err
 
 
 class TestForwardOverflow:

@@ -117,6 +117,13 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match="latin1.json: not UTF-8"):
             load_dataset(path)
 
+    def test_integer_past_the_digit_limit_names_the_path(self, tmp_path):
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(MINIMAL).replace('"id": 0', '"id": ' + "9" * 5000, 1),
+                        encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match="digits.json: not valid JSON: "):
+            load_dataset(path)
+
     @pytest.mark.parametrize("value", [10 ** 400, float("nan"), float("inf")],
                              ids=["int-1e400", "nan", "inf"])
     def test_embedding_outside_float64_rejected(self, tmp_path, value):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootrank import autodiff as ad
-from rootrank.aggregation import build_plan, init_attention_params
+from rootrank.aggregation import MU_SIZE, build_plan
 from rootrank.autodiff import constant
 from rootrank.graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind
 from rootrank.network import (
@@ -16,10 +17,10 @@ from rootrank.network import (
     Mode,
     ModelConfig,
     gru_cell,
-    init_gru_params,
     init_network_params,
     load_checkpoint,
     named_tensors,
+    param_shapes,
     network_forward,
     forward_states,
     save_checkpoint,
@@ -27,6 +28,7 @@ from rootrank.network import (
 )
 
 from naive_reference import (
+    layer_params,
     naive_gru,
     naive_layer_norm,
     naive_network_forward,
@@ -35,7 +37,7 @@ from naive_reference import (
 
 
 def zero_gru(dim):
-    p = init_gru_params(dim, np.random.default_rng(0))
+    p = layer_params(dim, 1, np.random.default_rng(0))[1]
     for t in (p.w_ir, p.w_hr, p.w_iz, p.w_hz, p.w_in, p.w_hn):
         t.data = np.zeros((dim, dim))
     for t in (p.b_ir, p.b_hr, p.b_iz, p.b_hz, p.b_in, p.b_hn):
@@ -78,7 +80,7 @@ class TestGruCell:
         rng = np.random.default_rng(4)
         for _ in range(20):
             dim = int(rng.integers(2, 9))
-            p = init_gru_params(dim, rng)
+            p = layer_params(dim, 1, rng)[1]
             h_tilde = rng.normal(size=(3, dim))
             h_prev = rng.normal(size=(3, dim))
             fast = gru_cell(None, constant(h_tilde), constant(h_prev), p).data
@@ -86,14 +88,14 @@ class TestGruCell:
 
     def test_bounded_when_history_bounded(self):
         rng = np.random.default_rng(5)
-        p = init_gru_params(6, rng)
+        p = layer_params(6, 1, rng)[1]
         h_tilde = constant(rng.normal(size=(5, 6)) * 3)
         h_prev = constant(rng.uniform(-1, 1, size=(5, 6)))
         out = gru_cell(None, h_tilde, h_prev, p).data
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
     def test_shape_mismatch_raises(self):
-        p = init_gru_params(4, np.random.default_rng(0))
+        p = layer_params(4, 1, np.random.default_rng(0))[1]
         with pytest.raises(ValueError, match="shapes differ"):
             gru_cell(None, constant(np.zeros((2, 4))), constant(np.zeros((3, 4))), p)
 
@@ -285,7 +287,7 @@ class TestHeadBlockMaps:
         dim, heads = 8, 4
         d = dim // heads
         rng = np.random.default_rng(3)
-        params = init_attention_params(dim, heads, rng)
+        params = init_network_params(ModelConfig(dim=dim, heads=heads, layers=1), rng).layers[0][0]
         ref = np.random.default_rng(3)
         bound = math.sqrt(6.0 / (dim + dim))
         for _ in range(3 * len(NodeKind)):      # the w_k, w_q, w_v projections
@@ -295,7 +297,40 @@ class TestHeadBlockMaps:
                 for i in range(heads):
                     block = np.eye(d) + ref.uniform(-0.01, 0.01, size=(d, d))
                     assert np.array_equal(maps[kind].data[i * d:(i + 1) * d], block)
+        gate = 1.0 / math.sqrt(dim)
+        for field in ("w_ir", "b_ir", "w_hr", "b_hr", "w_iz", "b_iz",
+                      "w_hz", "b_hz", "w_in", "b_in", "w_hn", "b_hn"):   # the gate tensors
+            ref.uniform(-gate, gate, size=(dim, dim) if field[0] == "w" else dim)
+        ref.uniform(-bound, bound, size=(dim, dim))   # proj.w, with D_out = D
         assert rng.random() == ref.random()
+
+
+class TestParamLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(heads=st.integers(1, 4), head_dim=st.integers(1, 4), layers=st.integers(1, 3),
+           proj_dim=st.none() | st.integers(1, 6), random_scorer=st.booleans())
+    def test_param_shapes_declares_every_initialized_tensor(self, heads, head_dim, layers,
+                                                            proj_dim, random_scorer):
+        cfg = ModelConfig(dim=heads * head_dim, heads=heads, layers=layers, proj_dim=proj_dim)
+        params = init_network_params(cfg, np.random.default_rng(0), random_scorer=random_scorer)
+        layout = [(name, t.data.shape) for name, t in named_tensors(params)]
+        assert layout == list(param_shapes(cfg))
+
+    def test_param_shapes_of_a_huge_config_allocates_nothing(self):
+        shapes = param_shapes(ModelConfig(dim=10**12, heads=10**6, layers=10**9))
+        first = list(itertools.islice(shapes, 23))
+        assert first[0] == ("layer0.attn.w_k.deleted", (10**12, 10**12))
+        assert first[12] == ("layer0.attn.w_att.control_flow", (10**12, 10**6))
+        assert first[22] == ("layer0.attn.mu", (MU_SIZE, 1))
+
+    def test_load_draws_nothing(self, monkeypatch):
+        def no_rng(*_args, **_kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        params, cfg = load_checkpoint(DATA / "v1_model.ckpt")
+        layout = [(name, t.data.shape) for name, t in named_tensors(params)]
+        assert layout == list(param_shapes(cfg))
 
 
 class TestCheckpoints:
