@@ -13,6 +13,7 @@ explicit flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import sys
@@ -106,12 +107,11 @@ def _given(args: argparse.Namespace, fields: dict[str, str]) -> dict:
             if getattr(args, dest) is not None}
 
 
-def _model_config(args: argparse.Namespace,
-                  dataset_dim: int | None = None) -> tuple[ModelConfig, set[str]]:
-    """Flags over the --config overlay over ``ModelConfig()``, validated; also the fields given.
+def _model_config(args: argparse.Namespace, dataset_dim: int | None = None) -> ModelConfig:
+    """Flags over the --config overlay over ``ModelConfig()``, validated.
 
-    ``dataset_dim`` (a dataset's own vector width) replaces the default dim.  A failing
-    check that read --config values names the file, and the key when it read one.
+    ``dataset_dim``, a dataset's own vector width, is the default dim and must equal a given
+    one.  A failing check that read --config values names the file, and the key if it read one.
     """
     overlay = _parse_config_file(args.config) if args.config else {}
     unknown = set(overlay) - set(_HYPER_SPECS)
@@ -141,24 +141,41 @@ def _model_config(args: argparse.Namespace,
             raise
         where = f"{args.config}: key {keys[0]!r}" if len(keys) == 1 else args.config
         raise CliError(f"{where}: {exc}") from None
-    return cfg, set(values)
+    if dataset_dim is not None and cfg.dim != dataset_dim:
+        where = f"{args.config}: key 'dim': " if "dim" in file_keys else ""
+        raise CliError(f"{where}dimension mismatch: model expects dim {cfg.dim}, "
+                       f"dataset embeddings have dim {dataset_dim}")
+    return cfg
 
 
-def _provider_for(precomputed: int | None, dim: int, source: str) -> HashingEmbedder:
-    """Hashing provider; a dataset's own vectors (of width ``precomputed``) must have width ``dim``."""
-    if precomputed is not None and precomputed != dim:
-        raise CliError(
-            f"dimension mismatch: {source} expects dim {dim}, dataset embeddings have dim {precomputed}"
-        )
-    return HashingEmbedder(dim)
+@contextlib.contextmanager
+def _blaming(dataset: str):
+    """Report a ValueError about a loaded dataset's contents against its file."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(f"{dataset}: {exc}") from None
+
+
+def _checkpoint_inputs(args: argparse.Namespace, require_root_cause: bool):
+    """The model in -m and the dataset in -d, embedded at the model's width."""
+    params, cfg = load_checkpoint(args.model)
+    ds = load_dataset(args.dataset, require_root_cause=require_root_cause)
+    with _blaming(args.dataset):
+        precomputed = detect_precomputed_dim(ds)
+        if precomputed is not None and precomputed != cfg.dim:
+            raise ValueError(f"dimension mismatch: checkpoint {args.model} expects dim "
+                             f"{cfg.dim}, dataset embeddings have dim {precomputed}")
+        embedded = embed_dataset(ds, HashingEmbedder(cfg.dim))
+    return TrainedModel(params=params, cfg=cfg, training_log=[]), embedded
 
 
 def _training_inputs(args: argparse.Namespace):
-    """Config, dataset and provider to train on; a dataset's own vectors set dim unless it was given."""
+    """Config and dataset to train on; a dataset's own vectors set dim unless it was given."""
     ds = load_dataset(args.dataset)
-    precomputed = detect_precomputed_dim(ds)
-    cfg = _model_config(args, precomputed)[0]
-    return cfg, ds, _provider_for(precomputed, cfg.dim, "model")
+    with _blaming(args.dataset):
+        precomputed = detect_precomputed_dim(ds)
+    return _model_config(args, precomputed), ds
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -171,8 +188,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg, ds, provider = _training_inputs(args)
-    embedded = embed_dataset(ds, provider)
+    cfg, ds = _training_inputs(args)
+    with _blaming(args.dataset):
+        embedded = embed_dataset(ds, HashingEmbedder(cfg.dim))
 
     log_lines: list[str] = []
 
@@ -193,9 +211,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.cv is not None:
-        cfg, ds, provider = _training_inputs(args)
+        cfg, ds = _training_inputs(args)
         mean, folds = cross_validate(
-            ds, cfg, provider, k=args.cv, seed=cfg.seed,
+            ds, cfg, HashingEmbedder(cfg.dim), k=args.cv, seed=cfg.seed,
             chronological=args.chronological,
             with_classification=args.classification,
             mfr_first_only=not args.mfr_all,
@@ -209,11 +227,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     if not args.model:
         raise CliError("evaluate needs -m/--model (or --cv N to cross-validate)")
-    params, cfg = load_checkpoint(args.model)
-    ds = load_dataset(args.dataset)
-    provider = _provider_for(detect_precomputed_dim(ds), cfg.dim, f"checkpoint {args.model}")
-    embedded = embed_dataset(ds, provider)
-    model = TrainedModel(params=params, cfg=cfg, training_log=[])
+    model, embedded = _checkpoint_inputs(args, require_root_cause=True)
     report = evaluate_model(model, embedded,
                             with_classification=args.classification,
                             mfr_first_only=not args.mfr_all)
@@ -224,11 +238,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    params, cfg = load_checkpoint(args.model)
-    ds = load_dataset(args.dataset, require_root_cause=False)
-    provider = _provider_for(detect_precomputed_dim(ds), cfg.dim, f"checkpoint {args.model}")
-    embedded = embed_dataset(ds, provider)
-    model = TrainedModel(params=params, cfg=cfg, training_log=[])
+    model, embedded = _checkpoint_inputs(args, require_root_cause=False)
 
     body = io.StringIO()
     writer = csv.writer(body, lineterminator="\n")

@@ -222,15 +222,15 @@ def _parse_edge(raw: object, where: str) -> DepEdge:
     return DepEdge(src=raw["src"], dst=raw["dst"], kind=_EDGE_KIND_BY_NAME[kind_name])
 
 
-def _parse_graph(raw: object, index: int) -> CommitGraph:
-    where = f"graphs[{index}]"
+def _parse_graph(raw: object, index: int, path: Path) -> CommitGraph:
+    where = f"{path}: graphs[{index}]"
     if not isinstance(raw, dict):
         raise DatasetFormatError(f"{where}: graph must be an object")
     _reject_unknown(raw, _GRAPH_FIELDS, where)
     commit_id = raw.get("commit_id")
     if not isinstance(commit_id, str) or not commit_id:
         raise DatasetFormatError(f"{where}: field 'commit_id' must be a non-empty string")
-    where = f"commit {commit_id!r}"
+    where = f"{path}: commit {commit_id!r}"
     ts = raw.get("timestamp")
     if ts is not None and (not isinstance(ts, int) or isinstance(ts, bool)):
         raise DatasetFormatError(f"{where}: field 'timestamp' must be an integer or null")
@@ -247,7 +247,7 @@ def load_dataset(path: str | Path, require_root_cause: bool = True) -> Dataset:
     """Load and validate a dataset file.
 
     Raises :class:`DatasetFormatError` on any schema or invariant
-    violation, naming the offending commit and field.
+    violation, naming ``path`` first, then the offending commit and field.
     """
     path = Path(path)
     try:
@@ -267,17 +267,17 @@ def load_dataset(path: str | Path, require_root_cause: bool = True) -> Dataset:
     if not isinstance(graphs_raw, list):
         raise DatasetFormatError(f"{path}: field 'graphs' must be a list")
 
-    graphs = tuple(_parse_graph(gr, i) for i, gr in enumerate(graphs_raw))
+    graphs = tuple(_parse_graph(gr, i, path) for i, gr in enumerate(graphs_raw))
 
     seen_ids: set[str] = set()
     for g in graphs:
         if g.commit_id in seen_ids:
-            raise DatasetFormatError(f"duplicate commit_id {g.commit_id!r}")
+            raise DatasetFormatError(f"{path}: duplicate commit_id {g.commit_id!r}")
         seen_ids.add(g.commit_id)
         violations = validate_graph(g, require_root_cause=require_root_cause)
         if violations:
             raise DatasetFormatError(
-                f"commit {g.commit_id!r}: " + "; ".join(violations)
+                f"{path}: commit {g.commit_id!r}: " + "; ".join(violations)
             )
     return Dataset(graphs=graphs, name=name)
 

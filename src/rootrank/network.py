@@ -297,6 +297,14 @@ def _field(obj: dict, key: str, types, where: str):
     return value
 
 
+def _count_text(n: int, formula: str) -> str:
+    """``n`` as text, or ``formula`` when ``n`` is past Python's int-to-text digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return formula
+
+
 def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
     """Read a checkpoint; each map must be D x D with zeros outside its head blocks.
 
@@ -323,7 +331,8 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
     stored = _field(payload, "tensors", list, str(path))
     count = cfg.layers * _TENSORS_PER_LAYER + 6   # + final norm, projection, scorer
     if len(stored) != count:
-        raise CheckpointError(f"{path}: expected {count} tensors, found {len(stored)}")
+        expected = _count_text(count, f"{cfg.layers} x {_TENSORS_PER_LAYER} + 6")
+        raise CheckpointError(f"{path}: expected {expected} tensors, found {len(stored)}")
     checked = []   # every name and shape, before any value is read
     for index, ((name, live_shape), entry) in enumerate(zip(param_shapes(cfg), stored)):
         where = f"{path}: tensors[{index}]"
@@ -340,9 +349,11 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
     arrays = {}
     for name, shape, entry, where in checked:
         data = _field(entry, "data", list, where)
-        problem = f"{where}: field 'data' must hold {math.prod(shape)} finite float64 numbers"
+        size = math.prod(shape)
+        problem = (f"{where}: field 'data' must hold "
+                   f"{_count_text(size, ' x '.join(map(str, shape)))} finite float64 numbers")
         # JSON numbers only: no bools, strings or nested lists
-        if len(data) != math.prod(shape) or not set(map(type, data)) <= {int, float}:
+        if len(data) != size or not set(map(type, data)) <= {int, float}:
             raise CheckpointError(problem)
         try:
             arr = np.asarray(data, dtype=np.float64)

@@ -4,6 +4,11 @@ Each deleted line of a commit receives a scalar score from its task
 embedding; training pulls root-cause lines above their siblings by
 pushing the logistic of score differences toward pair labels with a
 cross-entropy loss, one optimizer step per commit.
+
+Training, evaluation and ranking share one scoring path, which reads an
+``EmbeddedGraph`` directly: its initial vectors and its cached plan,
+whose deleted-kind rows are the lines scored.  ``train`` builds each
+commit's pairs once per call.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .aggregation import GraphPlan
 from .autodiff import Tape, Tensor, constant
 from .embedding import EmbeddedGraph
 from .graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind
@@ -122,65 +126,35 @@ class AdamState:
         self.params[...] = upd
 
 
-@dataclass(frozen=True)
-class _CommitBatch:
-    """Per-commit constants reused every epoch."""
-
-    graph: CommitGraph
-    h0: Tensor
-    plan: GraphPlan
-    deleted: np.ndarray            # (k,) node ids of the deleted lines, in id order
-    pair_i: np.ndarray | None      # (P,) row in ``deleted`` of each pair's first line
-    pair_j: np.ndarray | None
-    labels: np.ndarray | None      # (P,)
-
-    @property
-    def n_pairs(self) -> int:
-        return 0 if self.labels is None else len(self.labels)
-
-
-def _prepare(eg: EmbeddedGraph, cfg: ModelConfig, with_pairs: bool = True) -> _CommitBatch:
-    g = eg.graph
-    pair_i = pair_j = labels = None
-    if with_pairs:
-        pair_i, pair_j, labels = build_pairs(g, include_ties=cfg.include_tie_pairs)
-    return _CommitBatch(
-        graph=g,
-        h0=constant(eg.h0),
-        plan=eg.plan,
-        deleted=np.array(g.deleted_ids(), dtype=np.intp),
-        pair_i=pair_i,
-        pair_j=pair_j,
-        labels=labels,
-    )
-
-
-def _deleted_scores(tape: Tape | None, batch: _CommitBatch, params: NetworkParams,
+def _deleted_scores(tape: Tape | None, eg: EmbeddedGraph, params: NetworkParams,
                     cfg: ModelConfig) -> Tensor:
-    """Scalar score of each deleted line, shape (k,), in ``batch.deleted`` order."""
-    embeddings = network_forward(tape, batch.h0, batch.plan, params, cfg.mode)
-    picked = ad.take_rows(tape, embeddings, batch.deleted)
+    """Scalar score of each deleted line, shape (k,), in node id order."""
+    plan = eg.plan
+    embeddings = network_forward(tape, constant(eg.h0), plan, params, cfg.mode)
+    picked = ad.take_rows(tape, embeddings, plan.node_rows[NodeKind.DELETED])
     return ad.add(tape, ad.matmul(tape, picked, params.scorer_w), params.scorer_b)
 
 
-def _pair_loss_from_scores(tape: Tape | None, scores: Tensor, batch: _CommitBatch,
-                           cfg: ModelConfig, subset: slice = slice(None)) -> Tensor:
-    """RankNet cross-entropy summed over the pairs that ``subset`` selects (all by default).
+def _pair_loss_from_scores(tape: Tape | None, scores: Tensor,
+                           pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
+                           cfg: ModelConfig) -> Tensor:
+    """RankNet cross-entropy summed over ``pairs``, a ``(pair_i, pair_j, labels)`` tuple.
 
     With logit x = sigma * (s_i - s_j) and label y, each pair costs
     -(y log sigmoid(x) + (1 - y) log sigmoid(-x)), exact and with a live
     gradient however confidently a pair is misranked; one
     ``autodiff.pair_loss`` record.
     """
-    return ad.pair_loss(tape, scores, batch.pair_i[subset], batch.pair_j[subset],
-                        batch.labels[subset], cfg.sigma)
+    pair_i, pair_j, labels = pairs
+    return ad.pair_loss(tape, scores, pair_i, pair_j, labels, cfg.sigma)
 
 
-def commit_loss(tape: Tape | None, batch: _CommitBatch, params: NetworkParams,
-                cfg: ModelConfig, subset: slice = slice(None)) -> Tensor:
-    """Summed pair cross-entropy of one commit, over the pairs that ``subset`` selects."""
-    scores = _deleted_scores(tape, batch, params, cfg)
-    return _pair_loss_from_scores(tape, scores, batch, cfg, subset)
+def commit_loss(tape: Tape | None, eg: EmbeddedGraph,
+                pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
+                params: NetworkParams, cfg: ModelConfig) -> Tensor:
+    """Summed pair cross-entropy of one commit over ``pairs`` (see :func:`build_pairs`)."""
+    scores = _deleted_scores(tape, eg, params, cfg)
+    return _pair_loss_from_scores(tape, scores, pairs, cfg)
 
 
 @dataclass
@@ -197,7 +171,8 @@ def train(embedded: list[EmbeddedGraph], cfg: ModelConfig,
 
     Commits are visited in a seeded shuffled order each epoch; every
     commit with at least one pair contributes one optimizer step (or one
-    step per pair with ``cfg.step_per_pair``).  ``on_epoch(epoch, loss)``
+    step per pair with ``cfg.step_per_pair``); each commit's pairs are
+    built once, before the first epoch.  ``on_epoch(epoch, loss)``
     is called after each epoch with the mean per-commit loss.
     """
     cfg.validate()
@@ -214,31 +189,32 @@ def train(embedded: list[EmbeddedGraph], cfg: ModelConfig,
     named = named_tensors(params)
     tensors = [t for _name, t in named]
     adam = AdamState(named)
-    batches = [_prepare(eg, cfg) for eg in embedded]
+    pairs = [build_pairs(eg.graph, cfg.include_tie_pairs) for eg in embedded]
     rng = np.random.default_rng(cfg.seed)
 
     log: list[float] = []
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(batches))
+        order = rng.permutation(len(embedded))
         losses = []
         for idx in order:
-            batch = batches[idx]
-            if not batch.n_pairs:
+            eg, commit_pairs = embedded[idx], pairs[idx]
+            n_pairs = len(commit_pairs[2])
+            if not n_pairs:
                 continue
-            subsets = ([slice(row, row + 1) for row in range(batch.n_pairs)]
-                       if cfg.step_per_pair else [slice(None)])
+            steps = ([tuple(a[row:row + 1] for a in commit_pairs) for row in range(n_pairs)]
+                     if cfg.step_per_pair else [commit_pairs])
             total = 0.0
             try:
                 with np.errstate(**_QUIET_FP_WARNINGS):
-                    for subset in subsets:
+                    for step_pairs in steps:
                         tape = Tape()
-                        loss = commit_loss(tape, batch, params, cfg, subset)
+                        loss = commit_loss(tape, eg, step_pairs, params, cfg)
                         grads = ad.backward(tape, loss)
                         adam.step(tensors, [grads[t] for t in tensors], cfg.lr)
                         total += loss.item()
             except FloatingPointError as exc:
                 raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, commit {batch.graph.commit_id!r}: {exc}"
+                    f"non-finite loss at epoch {epoch}, commit {eg.graph.commit_id!r}: {exc}"
                 ) from exc
             losses.append(total)
         mean_loss = float(np.mean(losses)) if losses else 0.0
@@ -281,11 +257,11 @@ def gradient_check_full_loss(dim: int = 8, heads: int = 2, layers: int = 1,
     h0 = rng.normal(size=(4, dim))
     eg = EmbeddedGraph(graph=graph, h0=h0)
     params = init_network_params(cfg, rng, random_scorer=True)
-    batch = _prepare(eg, cfg)
+    pairs = build_pairs(graph, cfg.include_tie_pairs)
     tensors = [t for _name, t in named_tensors(params)]
 
     def loss_fn(tape, _params):
-        return commit_loss(tape, batch, params, cfg)
+        return commit_loss(tape, eg, pairs, params, cfg)
 
     return ad.grad_check(loss_fn, tensors, h=h)
 
@@ -303,10 +279,9 @@ def rank_commit(model: TrainedModel, eg: EmbeddedGraph) -> list[tuple[int, float
         raise ValueError(
             f"commit {g.commit_id!r}: embedding dim {eg.h0.shape[1]} != model dim {model.cfg.dim}"
         )
-    batch = _prepare(eg, model.cfg, with_pairs=False)
     try:
         with np.errstate(**_QUIET_FP_WARNINGS):
-            scores = _deleted_scores(None, batch, model.params, model.cfg).data
+            scores = _deleted_scores(None, eg, model.params, model.cfg).data
     except FloatingPointError as exc:
         raise ValueError(f"commit {g.commit_id!r}: {exc}") from exc
     scored = [(node_id, float(s)) for node_id, s in zip(deleted, scores)]

@@ -10,7 +10,6 @@ import math
 import re
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,7 +54,7 @@ from naive_reference import (
 
 def pair_loss(s_i, s_j, label, sigma=1.0):
     """The training loss of one pair with scores (s_i, s_j)."""
-    pairs = SimpleNamespace(pair_i=np.array([0]), pair_j=np.array([1]), labels=np.array([label]))
+    pairs = (np.array([0]), np.array([1]), np.array([label]))
     scores = constant(np.array([s_i, s_j]))
     return _pair_loss_from_scores(None, scores, pairs, ModelConfig(sigma=sigma)).item()
 

@@ -143,6 +143,8 @@ class TestGraphPlan:
             assert set(plan.edge_rows) == {edge.kind for edge in g.edges}
             for kind, rows in plan.node_rows.items():
                 assert all(g.nodes[i].kind is kind for i in rows)
+            # the scorer reads the deleted lines straight from the plan, in node id order
+            assert plan.node_rows[NodeKind.DELETED].tolist() == g.deleted_ids()
 
     def test_edges_sorted_by_target_then_source_then_kind(self):
         g = CommitGraph(

@@ -3,11 +3,15 @@
 ``bench/tracing.py`` reports a function it cannot find as "not traced
 (absent)" and goes on, so a rename in the package would silently drop a
 per-layer metric from traced runs.  Its ``SPANNED`` table is read here
-with ``ast``, without importing the benchmark.
+with ``ast``, without importing the benchmark.  A smoke run of one
+workload checks the rest of the benchmark's calls into the package.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -39,3 +43,14 @@ def test_every_spanned_target_resolves_in_rootrank():
         else:
             assert callable(owner), span
     assert not missing, f"spanned targets absent from rootrank: {missing}"
+
+
+def test_benchmark_smoke_run_is_correct():
+    """The benchmark drives the library through its public calls; a change in ``src`` that
+    breaks one of them fails here rather than only in a full benchmark run."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--smoke", "--trace", "0", "--workload", "small-commits"],
+        cwd=TRACING.parent.parent, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), proc.stdout

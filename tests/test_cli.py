@@ -26,6 +26,7 @@ from rootrank.synthetic import GenConfig, generate
 
 DATA = Path(__file__).parent / "data"
 V1_CHECKPOINT = json.loads((DATA / "v1_model.ckpt").read_text(encoding="utf-8"))
+V1_DATASET = json.loads((DATA / "v1_dataset.json").read_text(encoding="utf-8"))
 CV_FLAGS = ("--dim", "16", "--heads", "2", "--layers", "1", "--epochs", "1", "--seed", "42")
 CV_CONFIG = ModelConfig(dim=16, heads=2, layers=1, epochs=1, seed=42)
 
@@ -205,9 +206,9 @@ class TestTrain:
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_no_hyperparameter_flags_give_model_config_defaults(self, small_data):
-        assert parsed_config() == (ModelConfig(), set())
+        assert parsed_config() == ModelConfig()
         args = build_parser().parse_args(["evaluate", "-d", str(small_data), "--cv", "2"])
-        assert cli._model_config(args) == (ModelConfig(), set())
+        assert cli._model_config(args) == ModelConfig()
 
     @pytest.mark.parametrize("key, field, in_file, from_file, flag, from_flag", HYPER_CASES,
                              ids=[case[0] for case in HYPER_CASES])
@@ -215,13 +216,13 @@ class TestTrain:
             self, tmp_path, key, field, in_file, from_file, flag, from_flag):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"{key}={in_file}\n", encoding="utf-8")
-        assert parsed_config("--config", str(cfg_file)) == (
-            replace(ModelConfig(), **{field: from_file}), {field})
+        assert parsed_config("--config", str(cfg_file)) == replace(ModelConfig(),
+                                                                  **{field: from_file})
         # a boolean flag can only set True, so the file it beats says off
         beaten = "off" if from_flag is True else in_file
         cfg_file.write_text(f"{key}={beaten}\n", encoding="utf-8")
-        assert parsed_config("--config", str(cfg_file), *flag) == (
-            replace(ModelConfig(), **{field: from_flag}), {field})
+        assert parsed_config("--config", str(cfg_file), *flag) == replace(ModelConfig(),
+                                                                         **{field: from_flag})
 
     @pytest.fixture()
     def precomputed_data(self, small_data, tmp_path):
@@ -250,7 +251,8 @@ class TestTrain:
         code, _out, err = run(capsys, "train", "-d", str(precomputed_data), "-o", str(ckpt),
                               "--heads", "2", "--layers", "1", "--epochs", "1", *dim_args)
         assert code == 1
-        assert err == ("error: dimension mismatch: model expects dim 16, "
+        where = f"{cfg_file}: key 'dim': " if via_config else ""
+        assert err == (f"error: {where}dimension mismatch: model expects dim 16, "
                        "dataset embeddings have dim 8\n")
         assert not ckpt.exists()
 
@@ -413,7 +415,8 @@ class TestRank:
         code, stdout, err = run(capsys, "rank", "-d", str(added_only), "-m", str(trained))
         assert code == 1
         assert stdout == ""
-        assert err.startswith(f"error: commit {graph['commit_id']!r}: no deleted lines")
+        assert err.startswith(f"error: {added_only}: commit {graph['commit_id']!r}: "
+                              "no deleted lines")
 
     def test_output_file(self, small_data, trained, tmp_path, capsys):
         out = tmp_path / "ranked.csv"
@@ -540,8 +543,10 @@ class TestCheckpointHeaderSizes:
         ("proj_dim", 10**400, f"proj.w: shape (8, 8) != (8, {10**400})"),
         ("layers", 3000, "expected 105006 tensors, found 41"),
         ("layers", 10**9, "expected 35000000006 tensors, found 41"),
+        # the count has one digit more than Python turns into text
+        ("layers", 10**4299, f"expected {10**4299} x 35 + 6 tensors, found 41"),
     ], ids=["dim-1e12", "dim-1e400", "proj_dim-1e12", "proj_dim-1e400", "layers-3000",
-            "layers-1e9"])
+            "layers-1e9", "layers-at-the-digit-limit"])
     def test_huge_size_exits_1_naming_the_tensor_or_count(self, tmp_path, capsys, key, value,
                                                           problem):
         broken = tmp_path / "huge.ckpt"
@@ -549,6 +554,21 @@ class TestCheckpointHeaderSizes:
         code, out, err = run(capsys, "rank", "-d", str(DATA / "v1_dataset.json"),
                              "-m", str(broken))
         assert (code, out, err) == (1, "", f"error: {broken}: {problem}\n")
+
+    def test_tensor_size_past_the_digit_limit_is_named(self, tmp_path, capsys):
+        # shapes that match a dim at json's digit limit, whose square Python cannot print
+        dim = 10**4299
+        mutant = copy.deepcopy({**V1_CHECKPOINT, "dim": dim, "proj_dim": dim})
+        for entry in mutant["tensors"]:
+            entry["shape"] = [dim if size == V1_CHECKPOINT["dim"] else size
+                              for size in entry["shape"]]
+        broken = tmp_path / "wide.ckpt"
+        broken.write_text(json.dumps(mutant), encoding="utf-8")
+        code, out, err = run(capsys, "rank", "-d", str(DATA / "v1_dataset.json"),
+                             "-m", str(broken))
+        assert (code, out, err) == (1, "", f"error: {broken}: layer0.attn.w_k.deleted: field "
+                                           f"'data' must hold {dim} x {dim} finite float64 "
+                                           "numbers\n")
 
     @pytest.mark.parametrize("value", [1.0, True], ids=["float", "bool"])
     def test_shape_entry_equal_to_an_int_is_read_as_that_int(self, tmp_path, value):
@@ -643,10 +663,30 @@ class TestCheckpointProperty:
     @example(mutation=((), "replace", "proj_dim", 10**12))
     @example(mutation=((), "replace", "layers", 3000))
     @example(mutation=((), "replace", "layers", 10**9))
+    @example(mutation=((), "replace", "layers", 10**4299))
     def test_mutated_checkpoint_exits_0_or_1_naming_the_file(self, scratch_dir, mutation):
         path = scratch_dir / "mutant.ckpt"
         path.write_text(json.dumps(mutated(V1_CHECKPOINT, mutation)), encoding="utf-8")
         code, err = main_quietly(["rank", "-d", str(DATA / "v1_dataset.json"), "-m", str(path)])
+        assert code in (0, 1)
+        if code == 1:
+            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+
+class TestDatasetProperty:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutation=json_mutations(V1_DATASET))
+    # the loader's node kind, edge target and commit id checks, and the embedder's width check
+    @example(mutation=(("graphs", 0, "nodes", 0), "replace", "kind", "x"))
+    @example(mutation=(("graphs", 0, "edges"), "add", 0,
+                       {"src": 0, "dst": 99, "kind": "data_dependency"}))
+    @example(mutation=(("graphs", 1), "replace", "commit_id", "synthetic-5-00000"))
+    @example(mutation=(("graphs", 0, "nodes", 0), "replace", "embedding", [1.5]))
+    def test_mutated_dataset_exits_0_or_1_naming_the_file(self, scratch_dir, mutation):
+        path = scratch_dir / "mutant.json"
+        path.write_text(json.dumps(mutated(V1_DATASET, mutation)), encoding="utf-8")
+        code, err = main_quietly(["rank", "-d", str(path), "-m", str(DATA / "v1_model.ckpt")])
         assert code in (0, 1)
         if code == 1:
             assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err

@@ -3,7 +3,6 @@ import math
 import pickle
 import re
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from rootrank.ranker import (
     rank_commit,
     train,
     _pair_loss_from_scores,
-    _prepare,
 )
 from rootrank.synthetic import GenConfig, generate
 
@@ -42,7 +40,7 @@ from naive_reference import (
 
 def pair_loss(s_i, s_j, label, sigma=1.0):
     """Tape pair loss of one pair with scores (s_i, s_j) and label ``label``."""
-    pairs = SimpleNamespace(pair_i=np.array([0]), pair_j=np.array([1]), labels=np.array([label]))
+    pairs = (np.array([0]), np.array([1]), np.array([label]))
     scores = constant(np.array([s_i, s_j]))
     return _pair_loss_from_scores(None, scores, pairs, ModelConfig(sigma=sigma)).item()
 
@@ -196,8 +194,7 @@ class TestPairLossSaturation:
     @pytest.mark.parametrize("logit", [30.0, -30.0, 1e3, -1e3])
     def test_gradient_check(self, logit):
         scores = Tensor(np.array([logit, 0.0]), requires_grad=True)
-        pairs = SimpleNamespace(pair_i=np.array([0, 1]), pair_j=np.array([1, 0]),
-                                labels=np.array([1.0, 0.5]))
+        pairs = (np.array([0, 1]), np.array([1, 0]), np.array([1.0, 0.5]))
         cfg = ModelConfig()
 
         def loss(tape, _params):
@@ -208,7 +205,7 @@ class TestPairLossSaturation:
     def test_misranked_pair_keeps_unit_slope(self):
         # d loss / d logit = -sigmoid(-x) -> -1 for a confidently wrong pair
         scores = Tensor(np.array([-30.0, 0.0]), requires_grad=True)
-        pairs = SimpleNamespace(pair_i=np.array([0]), pair_j=np.array([1]), labels=np.array([1.0]))
+        pairs = (np.array([0]), np.array([1]), np.array([1.0]))
         tape = Tape()
         loss = _pair_loss_from_scores(tape, scores, pairs, ModelConfig())
         grads = ad.backward(tape, loss)
@@ -335,15 +332,16 @@ class TestTrain:
         embedded = self._embedded(n_graphs=1)
         cfg = self._cfg(epochs=0, lr=1e-6)
         params = init_network_params(cfg, np.random.default_rng(1), random_scorer=True)
-        batch = _prepare(embedded[0], cfg)
+        eg = embedded[0]
+        pairs = build_pairs(eg.graph, cfg.include_tie_pairs)
 
         tape = Tape()
-        loss_before = commit_loss(tape, batch, params, cfg)
+        loss_before = commit_loss(tape, eg, pairs, params, cfg)
         grads = ad.backward(tape, loss_before)
         named = named_tensors(params)
         tensors = [t for _n, t in named]
         AdamState(named).step(tensors, [grads[t] for t in tensors], cfg.lr)
-        loss_after = commit_loss(None, batch, params, cfg)
+        loss_after = commit_loss(None, eg, pairs, params, cfg)
         assert loss_after.item() < loss_before.item()
 
     @pytest.mark.parametrize("step_per_pair", [False, True])
@@ -356,25 +354,26 @@ class TestTrain:
         named = named_tensors(params)
         tensors = [t for _n, t in named]
         adam = AdamState(named)
-        batches = [_prepare(eg, cfg) for eg in embedded]
         rng = np.random.default_rng(cfg.seed)
         log = []
         for _epoch in range(cfg.epochs):
             losses = []
-            for idx in rng.permutation(len(batches)):
-                batch = batches[idx]
+            for idx in rng.permutation(len(embedded)):
+                eg = embedded[idx]
+                pair_i, pair_j, labels = build_pairs(eg.graph, cfg.include_tie_pairs)
                 if step_per_pair:
                     total = 0.0
-                    for row in range(batch.n_pairs):
+                    for row in range(len(labels)):
                         tape = Tape()
-                        loss = commit_loss(tape, batch, params, cfg, slice(row, row + 1))
+                        one = (pair_i[row:row + 1], pair_j[row:row + 1], labels[row:row + 1])
+                        loss = commit_loss(tape, eg, one, params, cfg)
                         grads = ad.backward(tape, loss)
                         adam.step(tensors, [grads[t] for t in tensors], cfg.lr)
                         total += loss.item()
                     losses.append(total)
                 else:
                     tape = Tape()
-                    loss = commit_loss(tape, batch, params, cfg)
+                    loss = commit_loss(tape, eg, (pair_i, pair_j, labels), params, cfg)
                     grads = ad.backward(tape, loss)
                     adam.step(tensors, [grads[t] for t in tensors], cfg.lr)
                     losses.append(loss.item())
@@ -419,9 +418,8 @@ class TestTapeSize:
         for kinds in ([kind] * len(EdgeKind), list(EdgeKind)):
             edges = tuple(DepEdge(s, d, k) for (s, d), k in zip(chosen, kinds))
             g = CommitGraph(commit_id="tape", nodes=nodes, edges=edges)
-            batch = _prepare(embed_graph(g, HashingEmbedder(4)), cfg)
             tape = Tape()
-            commit_loss(tape, batch, params, cfg)
+            commit_loss(tape, embed_graph(g, HashingEmbedder(4)), build_pairs(g), params, cfg)
             lengths.append(len(tape))
         assert lengths[0] == lengths[1]
 
@@ -438,7 +436,7 @@ class TestTapeSize:
         cfg = ModelConfig(dim=4, heads=2, layers=2, proj_dim=2, mode=Mode.FULL)
         params = init_network_params(cfg, np.random.default_rng(0))
         tape = Tape()
-        commit_loss(tape, _prepare(embed_graph(g, HashingEmbedder(4)), cfg), params, cfg)
+        commit_loss(tape, embed_graph(g, HashingEmbedder(4)), build_pairs(g), params, cfg)
         assert len(tape) == 28
 
 
@@ -452,12 +450,13 @@ class TestFusedGate:
     def test_two_layer_commit_records_44_fewer_tape_ops(self, monkeypatch):
         cfg = ModelConfig(dim=8, heads=2, layers=2, proj_dim=4)
         params = init_network_params(cfg, np.random.default_rng(0))
-        batch = _prepare(self._commit(), cfg)
+        eg = self._commit()
+        pairs = build_pairs(eg.graph)
         lengths = []
         for cell in (network.gru_cell, composed_gru):
             monkeypatch.setattr(network, "gru_cell", cell)
             tape = Tape()
-            commit_loss(tape, batch, params, cfg)
+            commit_loss(tape, eg, pairs, params, cfg)
             lengths.append(len(tape))
         assert lengths[1] - lengths[0] == 2 * 22
         assert lengths == [28, 28 + 2 * 22]
@@ -480,10 +479,9 @@ class TestFusedGate:
                 assert np.array_equal(a.data, b.data), name
 
 
-def composed_pair_loss_from_scores(tape, scores, batch, cfg, subset=slice(None)):
+def composed_pair_loss_from_scores(tape, scores, pairs, cfg):
     """``ranker._pair_loss_from_scores`` through the twelve-op chain."""
-    return composed_pair_loss(tape, scores, batch.pair_i[subset], batch.pair_j[subset],
-                              batch.labels[subset], cfg.sigma)
+    return composed_pair_loss(tape, scores, *pairs, cfg.sigma)
 
 
 class TestFusedLoss:
@@ -572,6 +570,8 @@ class TestRankCommit:
         eg = embed_graph(g, HashingEmbedder(8))
         ranked = rank_commit(model, eg)
         assert sorted(nid for nid, _s in ranked) == g.deleted_ids()
+        # plain ints, which json can write (the plan holds numpy ints)
+        assert all(type(nid) is int for nid, _s in ranked)
 
     def test_all_equal_scores_fall_back_to_id_order(self):
         model = self._model()
