@@ -7,6 +7,13 @@ gradients of a scalar loss with respect to every leaf that requires
 them.  Passing ``tape=None`` runs the same forward math without
 recording, for inference.
 
+A tape is used once.  :func:`backward` releases each record as soon as
+its rule has run (the op's output, its inputs and the arrays the rule
+captured) and each intermediate gradient once the record that produced
+that tensor has read it, so a training step's memory falls as the walk
+proceeds instead of peaking at the end of it.  ``len(tape)`` keeps
+counting the ops that were recorded.
+
 The op set holds what the model calls and nothing more, nine ops:
 matmul, block_matmul (one product per head, on column blocks, with each
 listed group of rows through its own weights, so a typed transform runs
@@ -76,20 +83,28 @@ _Backward = Callable[[np.ndarray], tuple]
 
 
 class Tape:
-    """Append-only record of executed ops, replayed in reverse by backward()."""
+    """Record of executed ops, replayed once, in reverse, by backward().
 
-    __slots__ = ("_records", "_produced")
+    :func:`backward` empties the record list as it goes; ``len(tape)`` still
+    counts every op that was recorded.
+    """
+
+    __slots__ = ("_records", "_produced", "_count")
 
     def __init__(self):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], _Backward]] = []
-        self._produced: set[int] = set()
+        self._produced: set[int] | None = set()   # None once backward has used the tape
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._count
 
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], bwd: _Backward) -> None:
+        if self._produced is None:
+            raise ValueError("this tape was already used by backward; record on a new one")
         self._records.append((out, inputs, bwd))
         self._produced.add(id(out))
+        self._count += 1
 
 
 class Gradients:
@@ -111,18 +126,34 @@ class Gradients:
 
 
 def backward(tape: Tape, loss: Tensor) -> Gradients:
-    """Exact reverse-mode gradients of a scalar loss over the whole tape."""
+    """Exact reverse-mode gradients of a scalar loss over the whole tape, which it uses up.
+
+    Each record is dropped as soon as its rule has run, and with it the
+    op's output, its inputs and every array its rule captured; each
+    intermediate tensor's gradient is dropped once that tensor's own
+    record has used it.  So memory falls as the walk proceeds, and only
+    leaf gradients are left at the end.  A tape serves one backward: a
+    second call, or a new op recorded on it, raises ValueError.
+    """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
-    if id(loss) not in tape._produced:
+    produced = tape._produced
+    if produced is None:
+        raise ValueError("this tape was already used by backward; record on a new one")
+    if id(loss) not in produced:
         raise ValueError("loss was not produced on this tape")
+    tape._produced = None
+    records = tape._records
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     # A rule may hand one array to several inputs, or pass its output
     # gradient straight through, so only arrays allocated here (their
     # keys are in ``owned``) are accumulated into in place.
     owned: set[int] = set()
-    for out, inputs, bwd in reversed(tape._records):
-        g_out = grads.get(id(out))
+    while records:
+        out, inputs, bwd = records.pop()
+        # Every record that reads ``out`` ran earlier in this walk, so its
+        # gradient is complete; the record that made it is the last user.
+        g_out = grads.pop(id(out), None)
         if g_out is None:
             continue
         for inp, g_in in zip(inputs, bwd(g_out)):
@@ -137,11 +168,11 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
             else:
                 grads[key] = acc + g_in
                 owned.add(key)
-    # Leaves handed the same array (add(x, y) gives both the same one)
-    # each get their own.
+    # Only leaves are left.  Leaves handed the same array (add(x, y) gives
+    # both the same one) each get their own.
     buffers: set[int] = set()
     for key, g in grads.items():
-        if key in tape._produced or key in owned:
+        if key in owned:
             continue
         buffer = id(g if g.base is None else g.base)
         if buffer in buffers:
@@ -209,6 +240,10 @@ def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: i
     column block i of ``a[r]`` through row block i of ``w`` into output
     column block i.  Groups are disjoint, rows within a group distinct; a
     row in no group comes out as exact zeros.
+
+    The record keeps each group's index array, not a copy of its rows of
+    ``a``; backward gathers those rows again, and only for a ``w`` that
+    needs a gradient.
     """
     if a.data.ndim != 2 or heads < 1 or a.data.shape[1] % heads or not groups:
         raise ValueError(f"block_matmul: unsupported input {a.shape} in {heads} heads "
@@ -216,24 +251,25 @@ def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: i
     n, k = a.data.shape[0], a.data.shape[1] // heads
     m = groups[0][1].data.shape[-1]
     inputs = [a]
-    parts = []                  # (rows, (H, r, k) input blocks, (H, k, m) weight blocks, w, b)
+    parts = []                  # (rows, (H, k, m) weight blocks, w, b)
     for rows, w, *bias in groups:
         b = bias[0] if bias else None
         if (w.data.ndim != 2 or w.data.shape != (heads * k, m) or len(bias) > 1
                 or (b is not None and b.data.shape != (heads * m,))):
             raise ValueError(f"block_matmul: unsupported shapes {a.shape} @ {w.shape}"
                              f"{''.join(f' + {t.shape}' for t in bias)} in {heads} heads")
-        rows = _indices(rows, n)
-        x = a.data[rows]
-        parts.append((rows, x.reshape(len(x), heads, k).transpose(1, 0, 2),
-                      w.data.reshape(heads, k, m), w, b))
+        parts.append((_indices(rows, n), w.data.reshape(heads, k, m), w, b))
         inputs += [w, *bias]
     if np.bincount(np.concatenate([part[0] for part in parts]), minlength=n).max(initial=0) > 1:
         raise ValueError("block_matmul: groups must hold distinct rows and not overlap")
 
+    def head_rows(rows):
+        """Rows ``rows`` of ``a`` as (H, r, k) head blocks, a copy."""
+        return a.data[rows].reshape(len(rows), heads, k).transpose(1, 0, 2)
+
     out = np.zeros((n, heads * m))
-    for rows, x, blocks, _w, b in parts:
-        y = np.matmul(x, blocks).transpose(1, 0, 2).reshape(x.shape[1], heads * m)
+    for rows, blocks, _w, b in parts:
+        y = np.matmul(head_rows(rows), blocks).transpose(1, 0, 2).reshape(len(rows), heads * m)
         if b is not None:
             y += b.data
         out[rows] = y
@@ -241,13 +277,13 @@ def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: i
     def bwd(g):
         da = np.zeros_like(a.data) if a.requires_grad else None
         grads = [da]
-        for rows, x, blocks, w, b in parts:
+        for rows, blocks, w, b in parts:
             gy = g[rows]
             gh = gy.reshape(len(gy), heads, m).transpose(1, 0, 2)      # (H, r, m)
             if a.requires_grad:
                 dx = np.matmul(gh, blocks.transpose(0, 2, 1)).transpose(1, 0, 2)
                 da[rows] = dx.reshape(len(gy), heads * k)
-            grads.append(np.matmul(x.transpose(0, 2, 1), gh).reshape(heads * k, m)
+            grads.append(np.matmul(head_rows(rows).transpose(0, 2, 1), gh).reshape(heads * k, m)
                          if w.requires_grad else None)
             if b is not None:
                 grads.append(gy.sum(axis=0))

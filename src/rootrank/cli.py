@@ -111,7 +111,8 @@ def _model_config(args: argparse.Namespace, dataset_dim: int | None = None) -> M
     """Flags over the --config overlay over ``ModelConfig()``, validated.
 
     ``dataset_dim``, a dataset's own vector width, is the default dim and must equal a given
-    one.  A failing check that read --config values names the file, and the key if it read one.
+    one.  A failing check that read --config values names the file, and the key if it read one;
+    one that read a dim taken from the dataset's vectors names the dataset in -d.
     """
     overlay = _parse_config_file(args.config) if args.config else {}
     unknown = set(overlay) - set(_HYPER_SPECS)
@@ -137,10 +138,13 @@ def _model_config(args: argparse.Namespace, dataset_dim: int | None = None) -> M
         cfg.validate()
     except ConfigError as exc:
         keys = [file_keys[field] for field in exc.fields if field in file_keys]
-        if not keys:
-            raise
-        where = f"{args.config}: key {keys[0]!r}" if len(keys) == 1 else args.config
-        raise CliError(f"{where}: {exc}") from None
+        if keys:
+            where = f"{args.config}: key {keys[0]!r}" if len(keys) == 1 else args.config
+            raise CliError(f"{where}: {exc}") from None
+        if "dim" in exc.fields and dataset_dim is not None and "dim" not in values:
+            raise CliError(f"{args.dataset}: {exc}; dim {dataset_dim} is the length of the "
+                           "dataset's precomputed embeddings") from None
+        raise
     if dataset_dim is not None and cfg.dim != dataset_dim:
         where = f"{args.config}: key 'dim': " if "dim" in file_keys else ""
         raise CliError(f"{where}dimension mismatch: model expects dim {cfg.dim}, "
@@ -211,13 +215,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.cv is not None:
+        if args.cv < 2:   # a flag's value, so reported without the dataset's path
+            raise CliError("k must be >= 2")
         cfg, ds = _training_inputs(args)
-        mean, folds = cross_validate(
-            ds, cfg, HashingEmbedder(cfg.dim), k=args.cv, seed=cfg.seed,
-            chronological=args.chronological,
-            with_classification=args.classification,
-            mfr_first_only=not args.mfr_all,
-        )
+        with _blaming(args.dataset):   # the folds' embedding, split and training checks
+            mean, folds = cross_validate(
+                ds, cfg, HashingEmbedder(cfg.dim), k=args.cv, seed=cfg.seed,
+                chronological=args.chronological,
+                with_classification=args.classification,
+                mfr_first_only=not args.mfr_all,
+            )
         labels = [f"fold{i}" for i in range(len(folds))] + ["mean"]
         print(multi_report_table(labels, folds + [mean]))
         if args.output:

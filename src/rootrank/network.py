@@ -272,19 +272,24 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path: str | Path, params: NetworkParams, cfg: ModelConfig) -> None:
-    """Write params + config as JSON, maps block-diagonal; float64 values round-trip bit-exactly."""
+    """Write params + config as JSON, maps block-diagonal; float64 values round-trip bit-exactly.
+
+    The file is ``json.dumps`` of one object: the format tag, the header
+    fields, then ``"tensors"``, a list of ``{"name", "shape", "data"}``
+    entries in :func:`param_shapes` order.  It is written one tensor entry
+    at a time, so only one tensor's values are ever held as Python floats
+    and text; the bytes are those of dumping the whole object at once.
+    """
     header = {key: getattr(cfg, key) for key in _HEADER_TYPES}
     header.update(proj_dim=cfg.out_dim, mode=cfg.mode.value)
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        **header,
-        "tensors": [
-            {"name": name, "shape": list(data.shape), "data": data.reshape(-1).tolist()}
-            for name, data in ((name, block_diagonal(t.data) if _is_head_map(name) else t.data)
-                               for name, t in named_tensors(params))
-        ],
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    opening = json.dumps({"format": CHECKPOINT_FORMAT, **header})[:-1]   # without its "}"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(opening + ', "tensors": [')
+        for index, (name, t) in enumerate(named_tensors(params)):
+            data = block_diagonal(t.data) if _is_head_map(name) else t.data
+            f.write((", " if index else "") + json.dumps(
+                {"name": name, "shape": list(data.shape), "data": data.reshape(-1).tolist()}))
+        f.write("]}")
 
 
 def _field(obj: dict, key: str, types, where: str):

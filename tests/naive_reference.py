@@ -10,7 +10,10 @@ The masked per-kind forms (``naive_typed_rows``, ``naive_edge_rows``),
 are the exception: they are the tape compositions the grouped
 ``block_matmul`` and the fused ``gru``, ``attend`` and ``pair_loss`` ops
 replaced, kept so their values and gradients can be checked against
-them.  The elementwise, reduction and segment tape ops they are built
+them.  ``naive_backward`` and ``naive_checkpoint_text`` are likewise the
+earlier forms of ``autodiff.backward`` (which kept the whole tape and
+every gradient until it returned) and of ``network.save_checkpoint``
+(which built the whole JSON text in memory).  The elementwise, reduction and segment tape ops they are built
 from (``sub``, ``mul``, ``scalar_mul``, ``log_sigmoid``, ``reduce_sum``,
 ``segment_sum``, ``segment_softmax``, ``sigmoid``, ``tanh``) live here
 too: the model no longer calls them, so ``autodiff`` does not hold them.
@@ -18,13 +21,21 @@ too: the model no longer calls them, so ``autodiff`` does not hold them.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from rootrank import autodiff as ad
-from rootrank.aggregation import AttentionParams, GraphPlan, HeadVectors, _edge_rows, project_kqv
+from rootrank.aggregation import (
+    AttentionParams,
+    GraphPlan,
+    HeadVectors,
+    _edge_rows,
+    block_diagonal,
+    project_kqv,
+)
 from rootrank.autodiff import Tape, Tensor, constant
 from rootrank.graphs import (
     NUM_EDGE_KINDS,
@@ -34,7 +45,16 @@ from rootrank.graphs import (
     LineNode,
     NodeKind,
 )
-from rootrank.network import GruParams, Mode, ModelConfig, NetworkParams, init_network_params
+from rootrank.network import (
+    CHECKPOINT_FORMAT,
+    GruParams,
+    Mode,
+    ModelConfig,
+    NetworkParams,
+    _is_head_map,
+    init_network_params,
+    named_tensors,
+)
 from rootrank.synthetic import SIGNAL_VOCAB
 
 
@@ -242,6 +262,59 @@ def naive_adam_step(params: list[np.ndarray], grads: list[np.ndarray], m: list[n
         v_t += (1.0 - beta2) * (g * g)
         out.append(p - lr * (m_t / correct1) / (np.sqrt(v_t / correct2) + eps))
     return out
+
+
+def naive_backward(tape: Tape, loss: Tensor) -> ad.Gradients:
+    """Reverse-mode gradients that read the tape without consuming it.
+
+    Walks every record in reverse and keeps every gradient, intermediate
+    ones included, until it returns; accumulation and the separation of
+    leaves handed one array follow ``autodiff.backward``.  Run it before
+    ``autodiff.backward``, which empties the tape.
+    """
+    grads = {id(loss): np.ones_like(loss.data)}
+    owned = set()
+    for out, inputs, bwd in reversed(tape._records):
+        g_out = grads.get(id(out))
+        if g_out is None:
+            continue
+        for inp, g_in in zip(inputs, bwd(g_out)):
+            if g_in is None or not inp.requires_grad:
+                continue
+            key = id(inp)
+            acc = grads.get(key)
+            if acc is None:
+                grads[key] = g_in
+            elif key in owned:
+                acc += g_in
+            else:
+                grads[key] = acc + g_in
+                owned.add(key)
+    buffers = set()
+    for key, g in grads.items():
+        if key in tape._produced or key in owned:
+            continue
+        buffer = id(g if g.base is None else g.base)
+        if buffer in buffers:
+            grads[key] = g.copy()
+        else:
+            buffers.add(buffer)
+    return ad.Gradients(grads)
+
+
+def naive_checkpoint_text(params: NetworkParams, cfg: ModelConfig) -> str:
+    """A checkpoint's whole text as one ``json.dumps`` of its payload object."""
+    payload = {
+        "format": CHECKPOINT_FORMAT,
+        "dim": cfg.dim, "heads": cfg.heads, "layers": cfg.layers, "proj_dim": cfg.out_dim,
+        "mode": cfg.mode.value, "seed": cfg.seed, "sigma": cfg.sigma,
+        "tensors": [
+            {"name": name, "shape": list(data.shape), "data": data.reshape(-1).tolist()}
+            for name, data in ((name, block_diagonal(t.data) if _is_head_map(name) else t.data)
+                               for name, t in named_tensors(params))
+        ],
+    }
+    return json.dumps(payload)
 
 
 def sub(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:

@@ -1,6 +1,9 @@
 import ast
+import contextlib
+import gc
 import inspect
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,10 @@ from hypothesis import strategies as st
 from rootrank import autodiff as ad
 from rootrank.autodiff import Tape, Tensor, backward, constant, grad_check
 
-from rootrank.network import _GRU_TENSORS
+from rootrank.embedding import EmbeddedGraph, HashingEmbedder, embed_graph
+from rootrank.network import _GRU_TENSORS, Mode, ModelConfig, init_network_params, named_tensors
+from rootrank.ranker import build_pairs, commit_loss
+from rootrank.synthetic import GenConfig, generate
 
 from naive_reference import (
     composed_attend,
@@ -20,10 +26,12 @@ from naive_reference import (
     layer_params,
     log_sigmoid,
     mul,
+    naive_backward,
     naive_scatter,
     naive_segment_softmax,
     naive_typed_rows,
     reduce_sum,
+    random_graph,
     scalar_mul,
     segment_softmax,
     segment_sum,
@@ -39,6 +47,19 @@ def column_softmax(tape, a):
 def scalarize(tape, t, weights):
     """Weighted sum so the loss is sensitive to every output entry (test-side ops)."""
     return reduce_sum(tape, mul(tape, t, constant(weights)))
+
+
+@contextlib.contextmanager
+def traced_allocations():
+    """tracemalloc on, with no garbage collection to free earlier tests' objects meanwhile."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        yield
+    finally:
+        tracemalloc.stop()
+        gc.enable()
 
 
 def check_op(build, params, tol=1e-7, h=1e-5):
@@ -201,6 +222,96 @@ class TestSharedGradientArrays:
         self.assert_no_shared_leaf_memory(grads, [x, y, z])
         grads[y][0, 0] = 99.0
         np.testing.assert_array_equal(grads[z], w)
+
+
+def shared_gradient_losses(tape):
+    """Losses whose rules hand one gradient array to several inputs, and their leaves."""
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.uniform(-1, 1, size=(2, 3)), requires_grad=True)
+    y = Tensor(rng.uniform(-1, 1, size=(2, 3)), requires_grad=True)
+    z = Tensor(rng.uniform(-1, 1, size=(2, 3)), requires_grad=True)
+    w, v = rng.uniform(-1, 1, size=(2, 2, 3))
+    p = sub(tape, x, y)
+    m = ad.add(tape, p, log_sigmoid(tape, x))
+    first = scalarize(tape, ad.add(tape, ad.add(tape, m, scalar_mul(tape, x, 2.0)), z), w)
+    second = scalarize(tape, ad.add(tape, mul(tape, y, y), ad.add(tape, x, x)), v)
+    return ad.add(tape, first, second), [x, y, z]
+
+
+class TestBackwardUsesUpTheTape:
+    """``backward`` frees the tape as it walks it; its leaf gradients are those of the walk
+    that kept every record and every gradient (``naive_reference.naive_backward``)."""
+
+    @staticmethod
+    def both_backwards(tape, loss, leaves):
+        recorded = len(tape)
+        assert recorded == len(tape._records)
+        kept = naive_backward(tape, loss)
+        expected = [kept[t].copy() for t in leaves]
+        grads = backward(tape, loss)
+        assert len(tape) == recorded and not tape._records
+        for t, want in zip(leaves, expected):
+            assert_same_bits(grads[t], want)
+        return grads
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)),
+           ties=st.booleans())
+    def test_random_commit_loss_matches_the_oracle_bit_for_bit(self, seed, mode, ties):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, max_nodes=8)
+        cfg = ModelConfig(dim=8, heads=2, layers=2, proj_dim=4, mode=mode, include_tie_pairs=ties)
+        params = init_network_params(cfg, rng, random_scorer=True)
+        eg = EmbeddedGraph(graph=g, h0=rng.normal(size=(len(g.nodes), 8)))
+        tape = Tape()
+        loss = commit_loss(tape, eg, build_pairs(g, ties), params, cfg)
+        self.both_backwards(tape, loss, [t for _name, t in named_tensors(params)])
+
+    def test_shared_gradient_arrays_match_the_oracle(self):
+        tape = Tape()
+        loss, leaves = shared_gradient_losses(tape)
+        grads = self.both_backwards(tape, loss, leaves)
+        for i, a in enumerate(leaves):
+            for b in leaves[i + 1:]:
+                assert not np.shares_memory(grads[a], grads[b])
+
+    def test_a_used_tape_refuses_a_second_backward(self):
+        tape = Tape()
+        loss, leaves = shared_gradient_losses(tape)
+        recorded = len(tape)
+        backward(tape, loss)
+        with pytest.raises(ValueError, match="^this tape was already used by backward"):
+            backward(tape, loss)
+        assert len(tape) == recorded
+
+    def test_a_used_tape_refuses_new_records(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        tape = Tape()
+        backward(tape, reduce_sum(tape, mul(tape, x, x)))
+        with pytest.raises(ValueError, match="^this tape was already used by backward"):
+            mul(tape, x, x)
+        assert len(tape) == 2
+
+    def test_backward_peak_stays_near_the_forward_live_memory(self):
+        # one training step on a 300-node, 871-edge commit; a walk that kept the tape and
+        # every intermediate gradient until it returned peaked at about 1.7x
+        g = generate(GenConfig(n_commits=1, deleted_per_commit=200, added_per_commit=100,
+                               edge_density=0.01, seed=101)).graphs[0]
+        cfg = ModelConfig(dim=64, heads=8, layers=2)
+        params = init_network_params(cfg, np.random.default_rng(101))
+        eg = embed_graph(g, HashingEmbedder(64))
+        pairs = build_pairs(g)
+        assert (len(g.nodes), len(g.edges)) == (300, 871)
+        with traced_allocations():
+            base = tracemalloc.get_traced_memory()[0]
+            tape = Tape()
+            loss = commit_loss(tape, eg, pairs, params, cfg)
+            live = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            grads = backward(tape, loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        assert np.abs(grads[params.scorer_w]).sum() > 0
+        assert peak <= 1.25 * live, f"backward peaked at {peak / live:.2f}x the forward's memory"
 
 
 def assert_same_bits(actual, expected):
@@ -487,6 +598,27 @@ def block_diagonal_of(w, heads):
 
 
 class TestBlockMatmul:
+    def test_record_holds_row_indices_not_row_copies(self):
+        # the record keeps a and each group's index array; a copy of a's rows per group
+        # would add a.data.nbytes more
+        rng = np.random.default_rng(8)
+        a = Tensor(rng.normal(size=(4000, 16)), requires_grad=True)
+        groups = [(np.arange(0, 4000, 2), Tensor(rng.normal(size=(16, 2)), requires_grad=True)),
+                  (np.arange(1, 4000, 2), Tensor(rng.normal(size=(16, 2)), requires_grad=True))]
+        tape = Tape()
+        with traced_allocations():
+            base = tracemalloc.get_traced_memory()[0]
+            out = ad.block_matmul(tape, a, groups, 4)
+            held = tracemalloc.get_traced_memory()[0] - base
+        limit = out.data.nbytes + sum(rows.nbytes for rows, _w in groups) + a.data.nbytes // 4
+        assert held < limit, f"the record holds {held} bytes, over {limit}"
+        weights = rng.normal(size=out.shape)
+        grads = backward(tape, scalarize(tape, out, weights))
+        for rows, w in groups:
+            x = a.data[rows].reshape(len(rows), 4, 4).transpose(1, 2, 0)        # (H, k, r)
+            gh = weights[rows].reshape(len(rows), 4, 2).transpose(1, 0, 2)     # (H, r, m)
+            assert np.array_equal(grads[w], np.matmul(x, gh).reshape(16, 2))
+
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(0, 5), heads=st.integers(1, 4), k=st.integers(1, 4),
            m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))

@@ -45,12 +45,26 @@ def test_every_spanned_target_resolves_in_rootrank():
     assert not missing, f"spanned targets absent from rootrank: {missing}"
 
 
+def smoke_run(trace: int) -> dict:
+    """The last line of a ``--smoke`` benchmark run of small-commits, parsed."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--smoke", "--trace", str(trace),
+         "--workload", "small-commits"],
+        cwd=TRACING.parent.parent, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_benchmark_smoke_run_is_correct():
     """The benchmark drives the library through its public calls; a change in ``src`` that
     breaks one of them fails here rather than only in a full benchmark run."""
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--smoke", "--trace", "0", "--workload", "small-commits"],
-        cwd=TRACING.parent.parent, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert (result["correct"], result["failed"]) == (True, 0), proc.stdout
+    result = smoke_run(trace=0)
+    assert (result["correct"], result["failed"]) == (True, 0), result
+
+
+def test_traced_smoke_run_counts_every_tape_op():
+    """The tracer reads ``len(tape)`` after ``autodiff.backward`` has used the tape up, so the
+    length must still count every recorded op: 28 for a two-layer commit."""
+    result = smoke_run(trace=1)
+    assert result["correct"] is True, result
+    assert result["metrics"]["autodiff.tape_ops_per_commit"]["value"] == 28, result

@@ -155,6 +155,20 @@ class TestTrain:
         assert code == 1
         assert "divide" in err
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_a_dim_read_from_the_dataset_names_the_dataset(self, tmp_path, capsys, command):
+        ds = copy.deepcopy(V1_DATASET)
+        for g in ds["graphs"]:
+            for node in g["nodes"]:
+                node["embedding"] = [0.1]
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(ds), encoding="utf-8")
+        rest = ["-o", str(tmp_path / "m.ckpt")] if command == "train" else ["--cv", "2"]
+        code, _out, err = run(capsys, command, "-d", str(path), *rest)
+        assert (code, err) == (1, f"error: {path}: heads (8) must divide dim (1); dim 1 is the "
+                                  "length of the dataset's precomputed embeddings\n")
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_mode_flag_accepts_variants(self, small_data, tmp_path, capsys):
         for mode in ("full", "aggregation-only", "retention-only"):
             code, _out, _err = run(
@@ -335,6 +349,16 @@ class TestEvaluate:
         code, _out, err = run(capsys, "evaluate", "-d", str(pre), "-m", str(ckpt))
         assert code == 1
         assert "32" in err and "8" in err
+
+    def test_cross_validation_names_the_dataset_of_a_bad_embedding(self, tmp_path, capsys):
+        ds = copy.deepcopy(V1_DATASET)
+        ds["graphs"][0]["nodes"][0]["embedding"] = [1.5]
+        path = tmp_path / "mutant.json"
+        path.write_text(json.dumps(ds), encoding="utf-8")
+        code, _out, err = run(capsys, "evaluate", "-d", str(path), "--cv", "2", "--dim", "8",
+                              "--heads", "2")
+        assert (code, err) == (1, f"error: {path}: commit 'synthetic-5-00000' node 0: "
+                                  "precomputed embedding has length 1, expected 8\n")
 
     @pytest.mark.parametrize("k", ["0", "1"])
     def test_cross_validation_with_fewer_than_two_folds_exits_1(self, small_data, k, capsys):

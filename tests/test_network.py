@@ -29,6 +29,7 @@ from rootrank.network import (
 
 from naive_reference import (
     layer_params,
+    naive_checkpoint_text,
     naive_gru,
     naive_layer_norm,
     naive_network_forward,
@@ -331,6 +332,34 @@ class TestParamLayout:
         params, cfg = load_checkpoint(DATA / "v1_model.ckpt")
         layout = [(name, t.data.shape) for name, t in named_tensors(params)]
         assert layout == list(param_shapes(cfg))
+
+
+class TestCheckpointWriter:
+    """``save_checkpoint`` writes one tensor entry at a time; the bytes are those of dumping
+    the whole payload object at once (``naive_reference.naive_checkpoint_text``)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(heads=st.integers(1, 4), head_dim=st.integers(1, 3), layers=st.integers(1, 3),
+           proj_dim=st.none() | st.integers(1, 5), mode=st.sampled_from(list(Mode)),
+           seed=st.integers(0, 2**40), sigma=st.floats(1e-3, 1e3) | st.integers(1, 10),
+           scale=st.sampled_from([1e-300, 1e-5, 1.0, 1e5, 1e300]),
+           specials=st.lists(st.sampled_from([0.0, -0.0, 5e-324, -1.7976931348623157e308, 0.1]),
+                             max_size=4))
+    def test_bytes_equal_one_dump_of_the_payload(self, tmp_path_factory, heads, head_dim, layers,
+                                                 proj_dim, mode, seed, sigma, scale, specials):
+        cfg = ModelConfig(dim=heads * head_dim, heads=heads, layers=layers, proj_dim=proj_dim,
+                          mode=mode, seed=seed, sigma=sigma)
+        rng = np.random.default_rng(seed)
+        params = init_network_params(cfg, rng, random_scorer=True)
+        tensors = [t for _name, t in named_tensors(params)]
+        for t in tensors:
+            t.data *= scale
+        for value in specials:   # one entry of a drawn tensor set to an edge-case float
+            t = tensors[int(rng.integers(len(tensors)))]
+            t.data.reshape(-1)[int(rng.integers(t.data.size))] = value
+        path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+        save_checkpoint(path, params, cfg)
+        assert path.read_bytes() == naive_checkpoint_text(params, cfg).encode("utf-8")
 
 
 class TestCheckpoints:
