@@ -15,7 +15,14 @@ hold the equivalent D x D block-diagonal matrix (see
 
 A graph enters the layer as a :class:`GraphPlan`: per-edge integer
 arrays (source, target, prior row) plus the sorted rows of each node
-kind and each edge kind present, so every plan array is O(n + E).  Each
+kind and each edge kind present, so every plan array is O(n + E).  The
+plan is the one place a graph's indices are checked: its constructor
+checks every array once, by arithmetic, and keeps each as a read-only
+``autodiff.CheckedIndex``, which the ops then trust instead of checking
+it on every call.  A kind whose rows are one ascending run (synthetic
+graphs list deleted lines first) is gathered and scattered as a slice.
+Width-D flat scatter indices are not kept: the plan stays O(n + E)
+integers, and they are built per call.  Each
 typed transform runs once per kind, on that kind's rows only: each of
 K, Q and V is one ``block_matmul`` with a group per node kind, and the
 attention and message maps are one each, with a group per edge kind,
@@ -85,15 +92,23 @@ def head_blocks(dense: np.ndarray, heads: int) -> np.ndarray:
     return np.concatenate([dense[lo:lo + d, lo:lo + d] for lo in range(0, dense.shape[0], d)])
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphPlan:
-    """Integer index arrays derived from one graph's structure.
+    """Integer index arrays derived from one graph's structure, checked once.
 
     Edges are ordered canonically by (dst, src, kind ordinal), so each
     target's incoming edges are contiguous and ordered by source id and
     then edge kind.  ``node_rows``/``edge_rows`` hold one sorted row array
     per kind present in the graph; together they partition the node ids
     and the edge rows.
+
+    Construction checks that ``src`` and ``dst`` lie in [0, n), ``mu_idx``
+    in [0, MU_SIZE), that the three have one entry per edge, and that each
+    kind's rows are non-empty and increasing and the kinds partition the
+    nodes and the edges; a failed check raises ValueError naming the
+    array.  Every array is then held as a read-only
+    ``autodiff.CheckedIndex``.  A plan pickles as its arrays and is
+    checked again when loaded.
     """
 
     n: int
@@ -102,6 +117,41 @@ class GraphPlan:
     mu_idx: np.ndarray                     # (E,) row of the edge's prior in ``mu``
     node_rows: dict[NodeKind, np.ndarray]  # node ids of each present node kind
     edge_rows: dict[EdgeKind, np.ndarray]  # edge rows of each present edge kind
+
+    def __post_init__(self) -> None:
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"GraphPlan n: must be a non-negative integer, got {n!r}")
+        checked = {name: _named(name, ad.checked_index, getattr(self, name), bound)
+                   for name, bound in (("src", n), ("dst", n), ("mu_idx", MU_SIZE))}
+        e = len(checked["src"])
+        if not len(checked["dst"]) == len(checked["mu_idx"]) == e:
+            raise ValueError(f"GraphPlan src, dst, mu_idx: need one entry per edge, got "
+                             f"{e}, {len(checked['dst'])} and {len(checked['mu_idx'])}")
+        checked["node_rows"] = _kind_partition("node_rows", self.node_rows, NodeKind, n)
+        checked["edge_rows"] = _kind_partition("edge_rows", self.edge_rows, EdgeKind, e)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), (self.n, self.src, self.dst, self.mu_idx, self.node_rows,
+                            self.edge_rows)
+
+
+def _named(name: str, check, *args):
+    """``check(*args)``, with a ValueError naming the plan array ``name``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ValueError(f"GraphPlan {name}: {exc}") from None
+
+
+def _kind_partition(name: str, rows_by_kind: dict, kinds, bound: int) -> dict:
+    """``rows_by_kind`` as members of one checked partition of range(bound)."""
+    if not isinstance(rows_by_kind, dict) or not all(isinstance(k, kinds) for k in rows_by_kind):
+        raise ValueError(f"GraphPlan {name}: must map {kinds.__name__} members to rows")
+    members = _named(name, ad.checked_partition, list(rows_by_kind.values()), bound)
+    return dict(zip(rows_by_kind, members))
 
 
 def _rows_by_kind(ordinals: np.ndarray, kinds) -> dict:

@@ -26,6 +26,18 @@ to the scatter of weighted messages into their targets) and pair_loss
 integer index arrays and reshapes, never on dense one-hot, block-diagonal
 or all-ones selector matrices.  All ops reject non-finite results.
 
+Index checks run where an index array is made, not each time it is used.
+:func:`checked_index` and :func:`checked_partition` check an array once
+and return a read-only :class:`CheckedIndex` that remembers the length it
+was checked against; a graph's plan holds its index arrays in this form
+only, and ``ranker.train`` its pairs.  take_rows, block_matmul, attend
+and pair_loss skip the range check for a CheckedIndex of the length they
+index, and block_matmul skips its overlap check when its groups are
+distinct members of one checked partition.  A partition member that is
+one ascending run of rows is taken as a slice, so its gathers and
+scatters are views.  Any other index, including an array derived from a
+CheckedIndex, is checked on every call, as before.
+
 Every scatter (the backward of take_rows, the per-target reductions of
 attend and the scatters of pair_loss's backward) goes through
 :func:`_scatter`, which hands numpy's ``ufunc.at`` 1-D operands: a row
@@ -239,7 +251,9 @@ def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: i
     becomes ``a[r] @ blockdiag(H row blocks of w) + b``: head i maps
     column block i of ``a[r]`` through row block i of ``w`` into output
     column block i.  Groups are disjoint, rows within a group distinct; a
-    row in no group comes out as exact zeros.
+    row in no group comes out as exact zeros.  Row indices are checked on
+    every call unless they are distinct members of one
+    :func:`checked_partition` of the rows of ``a``.
 
     The record keeps each group's index array, not a copy of its rows of
     ``a``; backward gathers those rows again, and only for a ``w`` that
@@ -252,24 +266,28 @@ def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: i
     m = groups[0][1].data.shape[-1]
     inputs = [a]
     parts = []                  # (rows, (H, k, m) weight blocks, w, b)
+    trusted = _one_partition([group[0] for group in groups], n)
     for rows, w, *bias in groups:
         b = bias[0] if bias else None
         if (w.data.ndim != 2 or w.data.shape != (heads * k, m) or len(bias) > 1
                 or (b is not None and b.data.shape != (heads * m,))):
             raise ValueError(f"block_matmul: unsupported shapes {a.shape} @ {w.shape}"
                              f"{''.join(f' + {t.shape}' for t in bias)} in {heads} heads")
-        parts.append((_indices(rows, n), w.data.reshape(heads, k, m), w, b))
+        parts.append((_rows(rows, n) if trusted else _indices(rows, n),
+                      w.data.reshape(heads, k, m), w, b))
         inputs += [w, *bias]
-    if np.bincount(np.concatenate([part[0] for part in parts]), minlength=n).max(initial=0) > 1:
+    if not trusted and _overlap([part[0] for part in parts], n):
         raise ValueError("block_matmul: groups must hold distinct rows and not overlap")
 
     def head_rows(rows):
-        """Rows ``rows`` of ``a`` as (H, r, k) head blocks, a copy."""
-        return a.data[rows].reshape(len(rows), heads, k).transpose(1, 0, 2)
+        """Rows ``rows`` of ``a`` as (H, r, k) head blocks: a copy, or a view for a slice."""
+        x = a.data[rows]
+        return x.reshape(len(x), heads, k).transpose(1, 0, 2)
 
     out = np.zeros((n, heads * m))
     for rows, blocks, _w, b in parts:
-        y = np.matmul(head_rows(rows), blocks).transpose(1, 0, 2).reshape(len(rows), heads * m)
+        x = head_rows(rows)
+        y = np.matmul(x, blocks).transpose(1, 0, 2).reshape(x.shape[1], heads * m)
         if b is not None:
             y += b.data
         out[rows] = y
@@ -413,8 +431,80 @@ def _scatter(ufunc: np.ufunc, out: np.ndarray, idx: np.ndarray, values: np.ndarr
     ufunc.at(out.reshape(-1), _flat_index(idx, out.shape[1]), values.reshape(-1))
 
 
+class CheckedIndex(np.ndarray):
+    """A read-only 1-D intp index array, checked once to lie in [0, ``bound``).
+
+    Made only by :func:`checked_index` and :func:`checked_partition`.  An
+    array derived from one (a view, a copy, an arithmetic result, an
+    unpickled one) has ``bound`` None and is checked like any raw array.
+    ``take`` is the slice an op indexes with when the array is a partition
+    member holding one ascending run of rows, else None; ``part`` is shared
+    by the members of one partition.  The array owns its data and has no
+    ``__dict__``, so a checked index costs three slots more than a plain one.
+    """
+
+    __slots__ = ("bound", "take", "part")
+
+    def __array_finalize__(self, obj) -> None:
+        self.bound = self.take = self.part = None
+
+
+def _checked(idx: np.ndarray, bound: int) -> CheckedIndex:
+    """A read-only copy of ``idx``, already checked against ``bound``, as a CheckedIndex."""
+    out = np.ndarray.__new__(CheckedIndex, idx.shape, dtype=np.intp)
+    out[...] = idx
+    out.setflags(write=False)
+    out.bound = bound
+    return out
+
+
+def checked_index(index, bound: int) -> CheckedIndex:
+    """``index`` as a CheckedIndex, once its entries are checked to lie in [0, bound)."""
+    return _checked(_indices(index, bound), bound)
+
+
+def checked_partition(groups: Sequence, bound: int) -> list[CheckedIndex]:
+    """``groups`` as CheckedIndex members of one partition of range(bound).
+
+    Each group must be 1-D, in range, non-empty and increasing, and
+    together they must hold every row of range(bound) exactly once.  A
+    group whose rows are one run, ``r, r + 1, ...``, is taken as a slice.
+    """
+    arrays = [_indices(rows, bound) for rows in groups]
+    for rows in arrays:
+        if not len(rows) or (rows[1:] <= rows[:-1]).any():
+            raise ValueError("groups must be non-empty and increasing")
+    if _overlap(arrays, bound):
+        raise ValueError("groups must hold distinct rows and not overlap")
+    held = sum(len(rows) for rows in arrays)
+    if held != bound:
+        raise ValueError(f"groups must cover [0, {bound}), but hold {held} rows")
+    part = object()
+    members = []
+    for rows in arrays:
+        member = _checked(rows, bound)
+        first, last = int(rows[0]), int(rows[-1])
+        if last - first == len(rows) - 1:       # increasing, so one run
+            member.take = slice(first, last + 1)
+        member.part = part
+        members.append(member)
+    return members
+
+
+def _overlap(arrays: Sequence[np.ndarray], bound: int) -> bool:
+    """Whether in-range index arrays repeat a row, within one or across them."""
+    if not arrays:
+        return False
+    return bool(np.bincount(np.concatenate(arrays), minlength=bound).max(initial=0) > 1)
+
+
 def _indices(index, bound: int) -> np.ndarray:
-    """A 1-D integer index array whose entries all lie in [0, bound)."""
+    """A 1-D integer index array whose entries all lie in [0, bound).
+
+    A CheckedIndex of this bound passes through unchecked, as a plain array.
+    """
+    if type(index) is CheckedIndex and index.bound == bound:
+        return index.view(np.ndarray)
     idx = np.asarray(index, dtype=np.intp)
     if idx.ndim != 1:
         raise ValueError(f"indices must be 1-D, got shape {idx.shape}")
@@ -423,13 +513,37 @@ def _indices(index, bound: int) -> np.ndarray:
     return idx
 
 
+def _rows(index, bound: int) -> np.ndarray | slice:
+    """As :func:`_indices`, but a checked contiguous partition member comes back as a slice."""
+    if type(index) is CheckedIndex and index.bound == bound and index.take is not None:
+        return index.take
+    return _indices(index, bound)
+
+
+def _one_partition(indices: Sequence, bound: int) -> bool:
+    """Whether ``indices`` are distinct members of one partition checked against ``bound``."""
+    part = getattr(indices[0], "part", None)
+    if part is None:
+        return False
+    for rows in indices:
+        if type(rows) is not CheckedIndex or rows.part is not part or rows.bound != bound:
+            return False
+    return len(set(map(id, indices))) == len(indices)
+
+
 def take_rows(tape: Tape | None, a: Tensor, index: np.ndarray) -> Tensor:
-    """Gather ``a[index]``: rows of a matrix or entries of a vector; indices may repeat."""
-    idx = _indices(index, a.data.shape[0])
+    """Gather ``a[index]``: rows of a matrix or entries of a vector; indices may repeat.
+
+    A checked contiguous partition member gathers a view of ``a``'s rows.
+    """
+    idx = _rows(index, a.data.shape[0])
     out = a.data[idx]
     def bwd(g):
         full = np.zeros(a.data.shape)
-        _scatter(np.add, full, idx, g)
+        if type(idx) is slice:
+            full[idx] += g      # distinct rows: the one addition ufunc.at would make to each
+        else:
+            _scatter(np.add, full, idx, g)
         return (full,)
     return _make(tape, out, (a,), bwd)
 

@@ -16,6 +16,7 @@ from typing import Protocol
 import numpy as np
 
 from .aggregation import GraphPlan, build_plan
+from .autodiff import Tensor, constant
 from .graphs import CommitGraph, Dataset
 
 # FNV-1a 64-bit, with the offset basis xored against a fixed seed so the
@@ -83,21 +84,39 @@ class HashingEmbedder:
 class EmbeddedGraph:
     """A commit graph plus its n x D matrix of initial node vectors.
 
-    ``plan``, the graph's attention plan, is built on first use and kept,
-    so training and every ranking of the same graph share one.
+    ``h0`` is made read-only once checked finite, so the check holds for
+    the graph's life: the graph takes a C-ordered float64 array it is
+    given over (freezing it for its caller too), and copies anything else,
+    a view included, as its base could write through it.  ``h0_tensor``
+    is the constant over ``h0`` that every forward pass starts from, made
+    once.  ``plan``, the graph's attention plan, is built on first use and
+    kept, so training and every ranking of the same graph share one.
     """
 
     graph: CommitGraph
     h0: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.h0.shape[0] != len(self.graph.nodes):
+        h0 = np.ascontiguousarray(self.h0, dtype=np.float64)
+        if h0.base is not None:
+            h0 = h0.copy()
+        if h0.shape[0] != len(self.graph.nodes):
             raise ValueError(
-                f"commit {self.graph.commit_id!r}: {self.h0.shape[0]} embedding rows "
+                f"commit {self.graph.commit_id!r}: {h0.shape[0]} embedding rows "
                 f"for {len(self.graph.nodes)} nodes"
             )
-        if not np.isfinite(self.h0).all():
+        if not np.isfinite(h0).all():
             raise ValueError(f"commit {self.graph.commit_id!r}: non-finite embedding values")
+        h0.setflags(write=False)
+        object.__setattr__(self, "h0", h0)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.h0.setflags(write=False)      # numpy unpickles arrays writable
+
+    @functools.cached_property
+    def h0_tensor(self) -> Tensor:
+        return constant(self.h0)
 
     @functools.cached_property
     def plan(self) -> GraphPlan:

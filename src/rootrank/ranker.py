@@ -8,7 +8,7 @@ cross-entropy loss, one optimizer step per commit.
 Training, evaluation and ranking share one scoring path, which reads an
 ``EmbeddedGraph`` directly: its initial vectors and its cached plan,
 whose deleted-kind rows are the lines scored.  ``train`` builds each
-commit's pairs once per call.
+commit's pairs once per call, with their indices checked then.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor, constant
+from .autodiff import Tape, Tensor
 from .embedding import EmbeddedGraph
 from .graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind
 from .network import (
@@ -55,6 +55,16 @@ def build_pairs(g: CommitGraph, include_ties: bool = False
         keep = labels != 0.5
         pair_i, pair_j, labels = pair_i[keep], pair_j[keep], labels[keep]
     return pair_i, pair_j, labels
+
+
+def _checked_pairs(g: CommitGraph, pairs: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple:
+    """``pairs`` with both index arrays checked, once, against ``g``'s deleted lines.
+
+    A one-pair step (``step_per_pair``) slices them, and a slice is checked per call.
+    """
+    pair_i, pair_j, labels = pairs
+    k = len(g.deleted_ids())
+    return ad.checked_index(pair_i, k), ad.checked_index(pair_j, k), labels
 
 
 class AdamState:
@@ -130,7 +140,7 @@ def _deleted_scores(tape: Tape | None, eg: EmbeddedGraph, params: NetworkParams,
                     cfg: ModelConfig) -> Tensor:
     """Scalar score of each deleted line, shape (k,), in node id order."""
     plan = eg.plan
-    embeddings = network_forward(tape, constant(eg.h0), plan, params, cfg.mode)
+    embeddings = network_forward(tape, eg.h0_tensor, plan, params, cfg.mode)
     picked = ad.take_rows(tape, embeddings, plan.node_rows[NodeKind.DELETED])
     return ad.add(tape, ad.matmul(tape, picked, params.scorer_w), params.scorer_b)
 
@@ -189,7 +199,8 @@ def train(embedded: list[EmbeddedGraph], cfg: ModelConfig,
     named = named_tensors(params)
     tensors = [t for _name, t in named]
     adam = AdamState(named)
-    pairs = [build_pairs(eg.graph, cfg.include_tie_pairs) for eg in embedded]
+    pairs = [_checked_pairs(eg.graph, build_pairs(eg.graph, cfg.include_tie_pairs))
+             for eg in embedded]
     rng = np.random.default_rng(cfg.seed)
 
     log: list[float] = []
@@ -272,8 +283,8 @@ def rank_commit(model: TrainedModel, eg: EmbeddedGraph) -> list[tuple[int, float
     A non-finite score raises ValueError naming the commit and the op.
     """
     g = eg.graph
-    deleted = g.deleted_ids()
-    if not deleted:
+    deleted = eg.plan.node_rows.get(NodeKind.DELETED)   # g.deleted_ids(): node ids are 0..n-1
+    if deleted is None:
         raise ValueError(f"commit {g.commit_id!r} has no deleted lines")
     if eg.h0.shape[1] != model.cfg.dim:
         raise ValueError(
@@ -284,6 +295,6 @@ def rank_commit(model: TrainedModel, eg: EmbeddedGraph) -> list[tuple[int, float
             scores = _deleted_scores(None, eg, model.params, model.cfg).data
     except FloatingPointError as exc:
         raise ValueError(f"commit {g.commit_id!r}: {exc}") from exc
-    scored = [(node_id, float(s)) for node_id, s in zip(deleted, scores)]
+    scored = [(node_id, float(s)) for node_id, s in zip(deleted.tolist(), scores)]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored

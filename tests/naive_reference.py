@@ -13,10 +13,13 @@ replaced, kept so their values and gradients can be checked against
 them.  ``naive_backward`` and ``naive_checkpoint_text`` are likewise the
 earlier forms of ``autodiff.backward`` (which kept the whole tape and
 every gradient until it returned) and of ``network.save_checkpoint``
-(which built the whole JSON text in memory).  The elementwise, reduction and segment tape ops they are built
-from (``sub``, ``mul``, ``scalar_mul``, ``log_sigmoid``, ``reduce_sum``,
-``segment_sum``, ``segment_softmax``, ``sigmoid``, ``tanh``) live here
-too: the model no longer calls them, so ``autodiff`` does not hold them.
+(which built the whole JSON text in memory).  ``raw_plan`` is a graph
+plan as the plain index arrays it held before plans checked them once,
+which every op then checks on every call.  The elementwise, reduction
+and segment tape ops they are built from (``sub``, ``mul``,
+``scalar_mul``, ``log_sigmoid``, ``reduce_sum``, ``segment_sum``,
+``segment_softmax``, ``sigmoid``, ``tanh``) live here too: the model no
+longer calls them, so ``autodiff`` does not hold them.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -300,6 +304,22 @@ def naive_backward(tape: Tape, loss: Tensor) -> ad.Gradients:
         else:
             buffers.add(buffer)
     return ad.Gradients(grads)
+
+
+def raw_plan(plan: GraphPlan) -> SimpleNamespace:
+    """``plan``'s arrays as plain writable ndarrays, which every op checks on every call."""
+    return SimpleNamespace(
+        n=plan.n, src=np.array(plan.src), dst=np.array(plan.dst), mu_idx=np.array(plan.mu_idx),
+        node_rows={kind: np.array(rows) for kind, rows in plan.node_rows.items()},
+        edge_rows={kind: np.array(rows) for kind, rows in plan.edge_rows.items()},
+    )
+
+
+def with_plan(eg, plan):
+    """A copy of the EmbeddedGraph ``eg`` that scores through ``plan`` in place of its own."""
+    copy = type(eg)(graph=eg.graph, h0=eg.h0)
+    vars(copy)["plan"] = plan     # where the cached property keeps the plan it built
+    return copy
 
 
 def naive_checkpoint_text(params: NetworkParams, cfg: ModelConfig) -> str:

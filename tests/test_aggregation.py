@@ -1,18 +1,23 @@
+import copy
 import math
+import pickle
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootrank import autodiff as ad
 from rootrank.aggregation import (
+    MU_SIZE,
     AttentionParams,
+    GraphPlan,
     attention_forward,
     _edge_rows,
     build_plan,
     project_kqv,
 )
-from rootrank.autodiff import Tensor, constant
+from rootrank.autodiff import CheckedIndex, Tensor, constant
 from rootrank.graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind
 
 from naive_reference import (
@@ -28,9 +33,11 @@ from naive_reference import (
     mu_index,
     naive_typed_rows,
     random_graph,
+    raw_plan,
     reduce_sum,
     segment_softmax,
 )
+from rootrank.synthetic import GenConfig, generate
 
 
 def identity_params(dim, heads):
@@ -527,3 +534,122 @@ class TestComposedStagesPinnedToAttend:
 
         for got, want in zip(run(attention_forward), run(composed_attention)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def plan_arrays(**changes):
+    """The arrays of a valid 4-node, 3-edge plan, with ``changes`` applied."""
+    arrays = dict(n=4, src=[1, 0, 2], dst=[0, 1, 1], mu_idx=[0, 5, MU_SIZE - 1],
+                  node_rows={NodeKind.DELETED: [0, 1], NodeKind.ADDED: [2, 3]},
+                  edge_rows={EdgeKind.CALL: [0, 2], EdgeKind.CONTROL_FLOW: [1]})
+    arrays.update(changes)
+    return arrays
+
+
+class TestPlanChecksItsArraysOnce:
+    """A plan checks every index array when it is made and holds only checked ones."""
+
+    def test_a_plan_holds_read_only_checked_indices(self):
+        plan = GraphPlan(**plan_arrays())
+        bounds = dict(src=4, dst=4, mu_idx=MU_SIZE)
+        for name, bound in bounds.items():
+            arr = getattr(plan, name)
+            assert type(arr) is CheckedIndex and arr.bound == bound and arr.part is None, name
+        deleted, added = plan.node_rows.values()
+        calls, control = plan.edge_rows.values()
+        for rows, bound in ((deleted, 4), (added, 4), (calls, 3), (control, 3)):
+            assert type(rows) is CheckedIndex and rows.bound == bound
+            assert rows.dtype == np.intp and not rows.flags.writeable
+        assert deleted.part is added.part is not None and calls.part is control.part
+        assert deleted.part is not calls.part
+        # contiguous kinds are taken as slices, the rest as arrays
+        assert (deleted.take, added.take, control.take) == (slice(0, 2), slice(2, 4), slice(1, 2))
+        assert calls.take is None
+        with pytest.raises(ValueError, match="read-only"):
+            plan.src[0] = 3
+
+    def test_the_plan_keeps_its_own_copies(self):
+        arrays = plan_arrays(src=np.array([1, 0, 2]))
+        plan = GraphPlan(**arrays)
+        arrays["src"][0] = 99
+        assert plan.src.tolist() == [1, 0, 2] and arrays["src"].flags.writeable
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(src=[1, 0, 4]), r"GraphPlan src: indices must lie in \[0, 4\)"),
+        (dict(src=[1, -1, 2]), r"GraphPlan src: indices must lie in \[0, 4\)"),
+        (dict(src=[[1, 0, 2]]), r"GraphPlan src: indices must be 1-D"),
+        (dict(dst=[0, 4, 1]), r"GraphPlan dst: indices must lie in \[0, 4\)"),
+        (dict(dst=[0, -4, 1]), r"GraphPlan dst: indices must lie in \[0, 4\)"),
+        (dict(mu_idx=[0, 5, MU_SIZE]), rf"GraphPlan mu_idx: indices must lie in \[0, {MU_SIZE}\)"),
+        (dict(mu_idx=[0, -1, 5]), rf"GraphPlan mu_idx: indices must lie in \[0, {MU_SIZE}\)"),
+        (dict(dst=[0, 1]), r"GraphPlan src, dst, mu_idx: need one entry per edge, got 3, 2 and 3"),
+        (dict(n=-1), r"GraphPlan n: must be a non-negative integer"),
+        (dict(node_rows={NodeKind.DELETED: [0, 1], NodeKind.ADDED: [1, 2, 3]}),
+         r"GraphPlan node_rows: groups must hold distinct rows and not overlap"),
+        (dict(node_rows={NodeKind.DELETED: [0, 1], NodeKind.ADDED: [3]}),
+         r"GraphPlan node_rows: groups must cover \[0, 4\), but hold 3 rows"),
+        (dict(node_rows={NodeKind.DELETED: [0, 1], NodeKind.ADDED: [2, 4]}),
+         r"GraphPlan node_rows: indices must lie in \[0, 4\)"),
+        (dict(node_rows={NodeKind.DELETED: [-1, 0], NodeKind.ADDED: [2, 3]}),
+         r"GraphPlan node_rows: indices must lie in \[0, 4\)"),
+        (dict(node_rows={NodeKind.DELETED: [1, 0], NodeKind.ADDED: [2, 3]}),
+         r"GraphPlan node_rows: groups must be non-empty and increasing"),
+        (dict(node_rows={NodeKind.DELETED: [0, 1, 2, 3], NodeKind.ADDED: []}),
+         r"GraphPlan node_rows: groups must be non-empty and increasing"),
+        (dict(node_rows={NodeKind.DELETED: [[0, 1]], NodeKind.ADDED: [2, 3]}),
+         r"GraphPlan node_rows: indices must be 1-D"),
+        (dict(node_rows={EdgeKind.CALL: [0, 1, 2, 3]}),
+         r"GraphPlan node_rows: must map NodeKind members to rows"),
+        (dict(edge_rows={EdgeKind.CALL: [0, 2], EdgeKind.CONTROL_FLOW: [2]}),
+         r"GraphPlan edge_rows: groups must hold distinct rows and not overlap"),
+        (dict(edge_rows={EdgeKind.CALL: [0, 2]}),
+         r"GraphPlan edge_rows: groups must cover \[0, 3\), but hold 2 rows"),
+        (dict(edge_rows={EdgeKind.CALL: [0, 3], EdgeKind.CONTROL_FLOW: [1]}),
+         r"GraphPlan edge_rows: indices must lie in \[0, 3\)"),
+    ], ids=["src-high", "src-negative", "src-2d", "dst-high", "dst-negative", "mu_idx-high",
+            "mu_idx-negative", "edge-count", "n-negative", "node_rows-overlap", "node_rows-cover",
+            "node_rows-high", "node_rows-negative", "node_rows-order", "node_rows-empty",
+            "node_rows-2d", "node_rows-kinds", "edge_rows-overlap", "edge_rows-cover",
+            "edge_rows-high"])
+    def test_a_bad_array_is_named_when_the_plan_is_made(self, changes, message):
+        with pytest.raises(ValueError, match="^" + message):
+            GraphPlan(**plan_arrays(**changes))
+
+    def test_arrays_derived_from_a_plan_are_checked_on_every_call(self):
+        plan = GraphPlan(**plan_arrays())
+        x = constant(np.arange(8.0).reshape(4, 2))
+        shifted, head = plan.src + 2, plan.src[:2]
+        assert type(shifted) is CheckedIndex and shifted.bound is None and head.bound is None
+        assert ad.take_rows(None, x, head).data.tolist() == [[2.0, 3.0], [0.0, 1.0]]
+        with pytest.raises(ValueError, match=r"^indices must lie in \[0, 4\)$"):
+            ad.take_rows(None, x, shifted)
+        # checked against another length, an index is checked as a raw one
+        with pytest.raises(ValueError, match=r"^indices must lie in \[0, 2\)$"):
+            ad.take_rows(None, constant(np.ones((2, 2))), plan.src)
+
+    def test_a_pickled_plan_is_checked_again(self):
+        plan = GraphPlan(**plan_arrays())
+        for restored in (pickle.loads(pickle.dumps(plan)), copy.deepcopy(plan)):
+            assert restored is not plan and restored.src.bound == 4
+            assert restored.node_rows[NodeKind.DELETED].take == slice(0, 2)
+            assert restored.node_rows[NodeKind.DELETED].part is not plan.node_rows[
+                NodeKind.DELETED].part
+        # a pickled index alone comes back unchecked
+        assert pickle.loads(pickle.dumps(plan.src)).bound is None
+
+    def test_synthetic_commits_have_contiguous_node_kind_rows(self):
+        ds = generate(GenConfig(n_commits=200, deleted_per_commit=10, added_per_commit=5,
+                                edge_density=0.08, seed=1))
+        for g in ds.graphs:
+            plan = build_plan(g)
+            assert [rows.take for rows in plan.node_rows.values()] == [slice(0, 10), slice(10, 15)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=plan_graphs())
+    def test_a_checked_plan_runs_the_layer_as_its_raw_arrays_do(self, g):
+        rng = np.random.default_rng(len(g.nodes) + 7 * len(g.edges))
+        params = layer_params(8, 2, rng)[0]
+        h = constant(rng.normal(size=(len(g.nodes), 8)))
+        plan = build_plan(g)
+        got = attention_forward(None, h, plan, params).data
+        want = attention_forward(None, h, raw_plan(plan), params).data
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))

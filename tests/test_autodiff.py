@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import gc
 import inspect
 import math
@@ -12,11 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootrank import autodiff as ad
-from rootrank.autodiff import Tape, Tensor, backward, constant, grad_check
+from rootrank.aggregation import MU_SIZE
+from rootrank.autodiff import CheckedIndex, Tape, Tensor, backward, constant, grad_check
 
 from rootrank.embedding import EmbeddedGraph, HashingEmbedder, embed_graph
+from rootrank.graphs import CommitGraph, NodeKind
 from rootrank.network import _GRU_TENSORS, Mode, ModelConfig, init_network_params, named_tensors
-from rootrank.ranker import build_pairs, commit_loss
+from rootrank.ranker import TrainedModel, _checked_pairs, build_pairs, commit_loss, rank_commit
 from rootrank.synthetic import GenConfig, generate
 
 from naive_reference import (
@@ -32,10 +35,12 @@ from naive_reference import (
     naive_typed_rows,
     reduce_sum,
     random_graph,
+    raw_plan,
     scalar_mul,
     segment_softmax,
     segment_sum,
     sub,
+    with_plan,
 )
 
 
@@ -1131,3 +1136,155 @@ class TestOpSetIsClosed:
                         elsewhere.append(f"{path.name}:{node.lineno}")
         assert in_helper, "autodiff._scatter makes no ufunc.at call"
         assert not elsewhere, f"ufunc.at calls outside autodiff._scatter: {elsewhere}"
+
+
+def deleted_first(g: CommitGraph) -> CommitGraph:
+    """``g`` with its nodes renumbered so that its deleted lines come first, in order."""
+    order = sorted(range(len(g.nodes)), key=lambda i: g.nodes[i].kind is not NodeKind.DELETED)
+    new_id = {old: new for new, old in enumerate(order)}
+    return CommitGraph(
+        commit_id=g.commit_id,
+        nodes=tuple(dataclasses.replace(g.nodes[old], id=new) for new, old in enumerate(order)),
+        edges=tuple(dataclasses.replace(e, src=new_id[e.src], dst=new_id[e.dst]) for e in g.edges),
+    )
+
+
+class TestCheckedIndices:
+    """Indices checked once (a plan's arrays, ``train``'s pairs) give the numbers of the
+    same arrays passed raw and checked on every call, and raw arrays are still checked."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)),
+           ties=st.booleans(), contiguous=st.booleans())
+    def test_loss_gradients_and_scores_equal_those_of_raw_indices(self, seed, mode, ties,
+                                                                    contiguous):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, max_nodes=8)
+        if contiguous:          # deleted lines first: the deleted rows are taken as a slice
+            g = deleted_first(g)
+        cfg = ModelConfig(dim=8, heads=2, layers=2, proj_dim=4, mode=mode, include_tie_pairs=ties)
+        params = init_network_params(cfg, rng, random_scorer=True)
+        leaves = [t for _name, t in named_tensors(params)]
+        model = TrainedModel(params=params, cfg=cfg, training_log=[])
+        eg = EmbeddedGraph(graph=g, h0=rng.normal(size=(len(g.nodes), 8)))
+        pairs = build_pairs(g, ties)
+        checked_pairs = _checked_pairs(g, pairs)
+        assert type(eg.plan.src) is type(checked_pairs[0]) is CheckedIndex
+        if contiguous:
+            assert eg.plan.node_rows[NodeKind.DELETED].take is not None
+        raw = with_plan(eg, raw_plan(eg.plan))
+        runs = []
+        for graph, step_pairs in ((eg, checked_pairs), (raw, pairs)):
+            tape = Tape()
+            loss = commit_loss(tape, graph, step_pairs, params, cfg)
+            grads = backward(tape, loss)
+            runs.append((loss.data, [grads[t] for t in leaves], rank_commit(model, graph)))
+        (loss, grads, ranked), (raw_loss, raw_grads, raw_ranked) = runs
+        assert_same_bits(loss, raw_loss)
+        for got, want in zip(grads, raw_grads):
+            assert_same_bits(got, want)
+        assert [(i, s.hex()) for i, s in ranked] == [(i, s.hex()) for i, s in raw_ranked]
+        assert sorted(i for i, _s in ranked) == g.deleted_ids()
+
+    @pytest.mark.parametrize("array, value, message", [
+        ("src", -1, r"indices must lie in \[0, 6\)"),
+        ("src", 6, r"indices must lie in \[0, 6\)"),
+        ("dst", -2, r"indices must lie in \[0, 6\)"),
+        ("mu_idx", MU_SIZE, rf"indices must lie in \[0, {MU_SIZE}\)"),
+        ("node_rows", None, r"block_matmul: groups must hold distinct rows and not overlap"),
+        ("edge_rows", None, r"block_matmul: groups must hold distinct rows and not overlap"),
+    ])
+    def test_raw_bad_indices_still_raise_on_every_call(self, array, value, message):
+        rng = np.random.default_rng(3)
+        g = random_graph(rng, max_nodes=6)
+        while len(g.nodes) != 6 or len({e.kind for e in g.edges}) < 2 or len(
+                {node.kind for node in g.nodes}) < 2:
+            g = random_graph(rng, max_nodes=6)
+        cfg = ModelConfig(dim=8, heads=2, layers=1, proj_dim=4)
+        params = init_network_params(cfg, rng, random_scorer=True)
+        eg = EmbeddedGraph(graph=g, h0=rng.normal(size=(6, 8)))
+        plan = raw_plan(eg.plan)
+        if value is None:       # the first kind's rows also take the second kind's first row
+            first, second, *_rest = getattr(plan, array).values()
+            first[0] = second[0]
+        else:
+            getattr(plan, array)[0] = value
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^" + message):
+                commit_loss(Tape(), with_plan(eg, plan), build_pairs(g, True), params, cfg)
+
+    def test_a_checked_index_of_another_length_is_checked(self):
+        x = constant(np.ones((3, 2)))
+        index = ad.checked_index([0, 3], 4)
+        assert type(index) is CheckedIndex and index.bound == 4 and not index.flags.writeable
+        with pytest.raises(ValueError, match=r"^indices must lie in \[0, 3\)$"):
+            ad.take_rows(None, x, index)
+        with pytest.raises(ValueError, match=r"^indices must lie in \[0, 3\)$"):
+            ad.pair_loss(None, constant(np.ones(3)), index, index, np.ones(2), 1.0)
+        with pytest.raises(ValueError, match=r"^indices must lie in \[0, 4\)$"):
+            ad.checked_index([0, 4], 4)
+
+    def test_block_matmul_trusts_only_distinct_members_of_one_partition(self):
+        a = constant(np.arange(12.0).reshape(4, 3))
+        w = constant(np.ones((3, 2)))
+        first, second = ad.checked_partition([[0, 1], [2, 3]], 4)
+        assert first.part is second.part and first.take == slice(0, 2)
+        out = ad.block_matmul(None, a, [(first, w), (second, w)], 1).data
+        assert np.array_equal(out, a.data @ w.data)
+        others = ad.checked_partition([[1, 2], [0, 3]], 4)
+        overlapping = ([(first, w), (first, w)], [(first, w), (others[0], w)],
+                       [(first, w), (np.array([1]), w)])
+        for groups in overlapping:
+            with pytest.raises(ValueError, match="^block_matmul: groups must hold distinct rows"):
+                ad.block_matmul(None, a, groups, 1)
+        with pytest.raises(ValueError, match=r"^groups must cover \[0, 4\), but hold 3 rows$"):
+            ad.checked_partition([[0, 1], [3]], 4)
+        with pytest.raises(ValueError, match="^groups must hold distinct rows and not overlap$"):
+            ad.checked_partition([[0, 1], [1, 2, 3]], 4)
+
+    def test_a_slice_gather_scatters_back_like_ufunc_at(self):
+        # the backward of a gather through a slice adds into zeros, as ufunc.at does:
+        # a -0.0 output gradient leaves +0.0
+        a = Tensor(np.ones((4, 2)), requires_grad=True)
+        rows = ad.checked_partition([[1, 2], [0, 3]], 4)[0]
+        assert rows.take == slice(1, 3)
+        g = np.array([[-0.0, 2.0], [3.0, -0.0]])
+        grads = []
+        for index in (rows, np.array([1, 2])):
+            tape = Tape()
+            picked = ad.take_rows(tape, a, index)
+            grads.append(backward(tape, scalarize(tape, picked, g))[a])
+        assert_same_bits(grads[0], grads[1])
+        assert not np.signbit(grads[0]).any()
+
+    def test_a_used_plan_keeps_only_its_index_arrays(self):
+        # the plan of a 300-node, 871-edge commit, after a training step and a ranking, holds
+        # O(n + E) integers; one width-64 flat scatter index over its edges would be
+        # 8 * 64 * E = 446,000 bytes
+        g = generate(GenConfig(n_commits=1, deleted_per_commit=200, added_per_commit=100,
+                               edge_density=0.01, seed=101)).graphs[0]
+        n, e = len(g.nodes), len(g.edges)
+        assert (n, e) == (300, 871)
+        cfg = ModelConfig(dim=64, heads=8, layers=2)
+        model = TrainedModel(params=init_network_params(cfg, np.random.default_rng(101)),
+                             cfg=cfg, training_log=[])
+        eg = embed_graph(g, HashingEmbedder(64))
+        pairs = _checked_pairs(g, build_pairs(g))
+        # numpy's own tracemalloc domain holds array buffers only, not Python objects that
+        # interpreter free lists keep
+        arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        with traced_allocations():
+            before = tracemalloc.take_snapshot().filter_traces(arrays)
+            plan = eg.plan
+            tape = Tape()
+            backward(tape, commit_loss(tape, eg, pairs, model.params, cfg))
+            ranked = rank_commit(model, eg)
+            del tape, ranked
+            after = tracemalloc.take_snapshot().filter_traces(arrays)
+        retained = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        held = sum(arr.nbytes for arr in (plan.src, plan.dst, plan.mu_idx, *plan.node_rows.values(),
+                                          *plan.edge_rows.values()))
+        assert held == 8 * (n + 4 * e)
+        bound = 8 * 8 * (n + e)             # eight integers per node and per edge
+        assert held <= retained < bound < 8 * 64 * e, f"{retained} bytes retained, over {bound}"
+        assert plan is eg.plan

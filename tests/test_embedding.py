@@ -1,7 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from rootrank.embedding import (
+    EmbeddedGraph,
     HashingEmbedder,
     detect_precomputed_dim,
     embed_dataset,
@@ -119,6 +122,42 @@ class TestEmbedDataset:
         rev = embed_dataset(_dataset([b, a]), HashingEmbedder(32))
         assert np.array_equal(fwd[0].h0, rev[1].h0)
         assert np.array_equal(fwd[1].h0, rev[0].h0)
+
+
+class TestEmbeddedGraph:
+    """An embedded graph's initial vectors are its own, checked finite once and read-only."""
+
+    def test_writing_to_the_initial_vectors_raises(self):
+        g = _dataset([[LineNode(0, NodeKind.DELETED, text="a b", is_root_cause=True),
+                       LineNode(1, NodeKind.ADDED, text="c")]]).graphs[0]
+        h0 = np.ones((2, 4))
+        eg = EmbeddedGraph(graph=g, h0=h0)
+        for restored in (eg, pickle.loads(pickle.dumps(eg))):
+            assert not restored.h0.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                restored.h0[0, 0] = np.nan
+            with pytest.raises(ValueError, match="read-only"):
+                restored.h0 += 1.0
+            assert np.array_equal(restored.h0, np.ones((2, 4)))
+        # the graph takes a float64 array over, so its caller cannot write to it either,
+        # and copies a view, whose base could
+        assert eg.h0 is h0 and not h0.flags.writeable
+        for base in (np.ones((2, 8)), np.ones((4, 2))):
+            eg = EmbeddedGraph(graph=g, h0=base[:, :4] if len(base) == 2 else base.T)
+            base[0, 0] = np.nan
+            assert np.isfinite(eg.h0).all() and not eg.h0.flags.writeable
+            assert eg.h0.flags.c_contiguous
+
+    def test_the_forward_pass_input_is_made_once_over_the_vectors(self):
+        [eg] = embed_dataset(_dataset([[LineNode(0, NodeKind.DELETED, text="x",
+                                                  is_root_cause=True)]]), HashingEmbedder(8))
+        assert eg.h0_tensor is eg.h0_tensor and eg.h0_tensor.data is eg.h0
+        assert not eg.h0_tensor.requires_grad
+
+    def test_non_finite_vectors_are_rejected(self):
+        g = _dataset([[LineNode(0, NodeKind.DELETED, text="x", is_root_cause=True)]]).graphs[0]
+        with pytest.raises(ValueError, match="non-finite embedding values"):
+            EmbeddedGraph(graph=g, h0=np.array([[1.0, np.inf]]))
 
 
 class TestDetectPrecomputedDim:

@@ -613,6 +613,38 @@ class TestRankCommit:
         assert re.fullmatch(rf"commit {re.escape(repr(eg.graph.commit_id))}: matmul produced "
                             r"non-finite values in its \(\d+,\) output", str(exc.value))
 
+    def test_deleted_ids_come_from_the_plan(self, monkeypatch):
+        # the plan's deleted-kind rows are the graph's deleted ids, as node ids are 0..n-1
+        model = self._model()
+        rng = np.random.default_rng(12)
+        graphs = [random_graph(rng, max_nodes=8) for _ in range(20)]
+        embedded = [embed_graph(g, HashingEmbedder(8)) for g in graphs]
+        expected = [rank_commit(model, eg) for eg in embedded]
+        for g, eg in zip(graphs, embedded):
+            assert eg.plan.node_rows[NodeKind.DELETED].tolist() == g.deleted_ids()
+
+        def unused(_self):
+            raise AssertionError("rank_commit read CommitGraph.deleted_ids")
+
+        monkeypatch.setattr(CommitGraph, "deleted_ids", unused)
+        assert [rank_commit(model, eg) for eg in embedded] == expected
+
+    def test_train_checks_each_commits_pairs_once(self, monkeypatch):
+        calls = []
+        real = ad.checked_index
+
+        def counted(index, bound):
+            calls.append(bound)
+            return real(index, bound)
+
+        monkeypatch.setattr(ad, "checked_index", counted)
+        embedded = embed_dataset(tiny_dataset(n_graphs=3, deleted=4), HashingEmbedder(8))
+        for eg in embedded:
+            assert eg.plan.n
+        calls.clear()
+        train(embedded, ModelConfig(dim=8, heads=2, layers=1, proj_dim=4, epochs=3))
+        assert calls == [4] * 2 * len(embedded)     # pair_i and pair_j of each commit
+
     def test_single_deleted_node(self):
         model = self._model()
         g = CommitGraph(
