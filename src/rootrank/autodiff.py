@@ -36,7 +36,7 @@ index, and block_matmul skips its overlap check when its groups are
 distinct members of one checked partition.  A partition member that is
 one ascending run of rows is taken as a slice, so its gathers and
 scatters are views.  Any other index, including an array derived from a
-CheckedIndex, is checked on every call, as before.
+CheckedIndex, is checked on every call.
 
 Every scatter (the backward of take_rows, the per-target reductions of
 attend and the scatters of pair_loss's backward) goes through
@@ -324,7 +324,7 @@ def relu(tape: Tape | None, a: Tensor) -> Tensor:
     return _make(tape, out, (a,), bwd)
 
 
-def layer_norm(tape: Tape | None, a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(tape: Tape | None, a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-vector normalization over the last axis with learned gain and bias."""
     x = a.data
     d = x.shape[-1]
@@ -333,7 +333,7 @@ def layer_norm(tape: Tape | None, a: Tensor, gain: Tensor, bias: Tensor, eps: fl
     mean = x.mean(axis=-1, keepdims=True)
     xc = x - mean
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)    # epsilon 1e-5 keeps a constant row finite
     xhat = xc * inv
     out = xhat * gain.data + bias.data
     def bwd(g):
@@ -499,15 +499,19 @@ def _overlap(arrays: Sequence[np.ndarray], bound: int) -> bool:
 
 
 def _indices(index, bound: int) -> np.ndarray:
-    """A 1-D integer index array whose entries all lie in [0, bound).
+    """A 1-D intp index array whose entries all lie in [0, bound).
 
-    A CheckedIndex of this bound passes through unchecked, as a plain array.
+    A CheckedIndex of this bound passes through unchecked, as a plain array.  Any other
+    non-empty one needs an integer dtype (not bool); an empty one, even float64, indexes nothing.
     """
     if type(index) is CheckedIndex and index.bound == bound:
         return index.view(np.ndarray)
-    idx = np.asarray(index, dtype=np.intp)
+    idx = np.asarray(index)
     if idx.ndim != 1:
         raise ValueError(f"indices must be 1-D, got shape {idx.shape}")
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.intp, copy=False)
     if idx.size and (idx.min() < 0 or idx.max() >= bound):
         raise ValueError(f"indices must lie in [0, {bound})")
     return idx
@@ -562,13 +566,13 @@ def attend(tape: Tape | None, keys: Tensor, queries: Tensor, mu: Tensor, message
         out[t, i] = sum of p[e, i] * messages[e, i] over edges e into t
 
     A target without incoming edges gets an exactly zero row.  One tape
-    record with a closed-form backward, in place of nine composed ones;
-    head sums are reshapes and head spreads broadcasts, so results agree
-    with that chain to rounding, not bit for bit.  The logits are checked
-    finite before the max-subtracted softmax, which would otherwise turn
-    an overflow into NaN weights.  The (E, H) weights ``p`` exist only
-    inside this op: the attention-entropy probe of ROADMAP item 4 will
-    have to read them here.
+    record with a closed-form backward; head sums are reshapes and head
+    spreads broadcasts, so results agree to rounding, not bit for bit, with
+    the same computation written as a chain of elementwise ops, per-head
+    sums and scatters.  The logits are checked finite before the
+    max-subtracted softmax, which would otherwise turn an overflow into NaN
+    weights.  The (E, H) weights ``p`` exist only inside this op, so a
+    probe of attention entropy per edge kind has to read them here.
     """
     kd, qd, vd = keys.data, queries.data, messages.data
     if (kd.ndim != 2 or heads < 1 or kd.shape[1] % heads or qd.shape != kd.shape
@@ -657,12 +661,13 @@ def pair_loss(tape: Tape | None, scores: Tensor, pair_i: np.ndarray, pair_j: np.
 
 
 def grad_check(f: Callable[[Tape | None, Sequence[Tensor]], Tensor],
-               params: Sequence[Tensor], h: float = 1e-5) -> float:
-    """Max relative error between tape gradients and central differences.
+               params: Sequence[Tensor]) -> float:
+    """Max relative error between tape gradients and central differences of step 1e-5.
 
     ``f(tape, params)`` must build a scalar loss from scratch on each
     call.  Parameter entries are perturbed in place and restored.
     """
+    h = 1e-5
     tape = Tape()
     loss = f(tape, params)
     grads = backward(tape, loss)

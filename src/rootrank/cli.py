@@ -17,7 +17,6 @@ import contextlib
 import csv
 import io
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .embedding import HashingEmbedder, detect_precomputed_dim, embed_dataset
@@ -26,7 +25,6 @@ from .evaluation import (
     evaluate_model,
     multi_report_table,
     report_json,
-    report_table,
 )
 from .graphs import load_dataset, save_dataset
 from .network import ConfigError, Mode, ModelConfig, load_checkpoint, save_checkpoint
@@ -108,7 +106,7 @@ def _given(args: argparse.Namespace, fields: dict[str, str]) -> dict:
 
 
 def _model_config(args: argparse.Namespace, dataset_dim: int | None = None) -> ModelConfig:
-    """Flags over the --config overlay over ``ModelConfig()``, validated.
+    """One ``ModelConfig``: its defaults, then ``dataset_dim``, then --config, then the flags.
 
     ``dataset_dim``, a dataset's own vector width, is the default dim and must equal a given
     one.  A failing check that read --config values names the file, and the key if it read one;
@@ -128,14 +126,9 @@ def _model_config(args: argparse.Namespace, dataset_dim: int | None = None) -> M
             except ValueError as exc:
                 raise CliError(f"{args.config}: key {key!r}: {exc}") from None
             file_keys[field] = key
-    cfg = replace(ModelConfig() if dataset_dim is None else ModelConfig(dim=dataset_dim), **values)
+    dataset_default = {} if dataset_dim is None else {"dim": dataset_dim}
     try:
-        cfg.mode = Mode(cfg.mode)
-    except ValueError:   # not a --mode flag, which argparse limits to the choices
-        raise CliError(f"{args.config}: key 'mode': unknown mode {cfg.mode!r}; choose from "
-                       f"{', '.join(m.value for m in Mode)}") from None
-    try:
-        cfg.validate()
+        cfg = ModelConfig(**{**dataset_default, **values})
     except ConfigError as exc:
         keys = [file_keys[field] for field in exc.fields if field in file_keys]
         if keys:
@@ -183,9 +176,7 @@ def _training_inputs(args: argparse.Namespace):
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    cfg = replace(GenConfig(), **_given(args, _GEN_FIELDS))
-    cfg.validate()
-    ds = generate(cfg)
+    ds = generate(GenConfig(**_given(args, _GEN_FIELDS)))
     save_dataset(ds, args.output)
     print(f"wrote {len(ds)} commits to {args.output}")
     return 0
@@ -220,8 +211,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         cfg, ds = _training_inputs(args)
         with _blaming(args.dataset):   # the folds' embedding, split and training checks
             mean, folds = cross_validate(
-                ds, cfg, HashingEmbedder(cfg.dim), k=args.cv, seed=cfg.seed,
-                chronological=args.chronological,
+                ds, cfg, HashingEmbedder(cfg.dim), k=args.cv, chronological=args.chronological,
                 with_classification=args.classification,
                 mfr_first_only=not args.mfr_all,
             )
@@ -238,7 +228,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluate_model(model, embedded,
                             with_classification=args.classification,
                             mfr_first_only=not args.mfr_all)
-    print(report_table(report))
+    print(multi_report_table(["model"], [report]))
     if args.output:
         Path(args.output).write_text(report_json(report) + "\n", encoding="utf-8")
     return 0

@@ -129,16 +129,19 @@ class EvalReport:
         return out
 
 
-def evaluate_rankings(rankings: list[CommitRanking], ns=(1, 2, 3),
-                      with_classification: bool = False,
+_CUTOFFS = (1, 2, 3)   # a report's n of each recall@n and k of each classification at k
+
+
+def evaluate_rankings(rankings: list[CommitRanking], with_classification: bool = False,
                       mfr_first_only: bool = True) -> EvalReport:
+    """Recall@n (and, if asked, classification at k) for n, k in ``_CUTOFFS``, and MFR."""
     report = EvalReport(
-        recall_at={n: recall_at_n(rankings, n) for n in ns},
+        recall_at={n: recall_at_n(rankings, n) for n in _CUTOFFS},
         mfr=mfr(rankings, first_only=mfr_first_only),
         per_commit_first_rank=[first_rank(r) for r in rankings],
     )
     if with_classification:
-        report.classification = {k: classification_at_k(rankings, k) for k in ns}
+        report.classification = {k: classification_at_k(rankings, k) for k in _CUTOFFS}
     return report
 
 
@@ -247,19 +250,19 @@ def _fold_report(held_rows: list[int]) -> EvalReport:
 
 
 def cross_validate(ds: Dataset, cfg: ModelConfig, provider: EmbeddingProvider,
-                   k: int = 10, seed: int | None = None,
-                   chronological: bool = False,
+                   k: int = 10, chronological: bool = False,
                    with_classification: bool = False,
                    mfr_first_only: bool = True) -> tuple[EvalReport, list[EvalReport]]:
     """k-fold protocol: train on k-1 folds, evaluate on the held-out fold, average.
 
-    Folds run in ``min(k, _usable_cpus())`` worker processes forked from a
-    fork server: a separate interpreter that preloads this package and
-    numpy, runs no numerical code (so holds no BLAS threads, which makes
-    the fork safe even when the caller does) and lives as long as the
-    caller, so later calls start their workers in milliseconds.  Each
-    worker still imports the caller's main module, so a script that calls
-    this must do so under ``if __name__ == "__main__":``.
+    Folds are split with ``cfg.seed`` (see :func:`kfold_split`) and run in
+    ``min(k, _usable_cpus())`` worker processes forked from a fork server:
+    a separate interpreter that preloads this package and numpy, runs no
+    numerical code (so holds no BLAS threads, which makes the fork safe
+    even when the caller does) and lives as long as the caller, so later
+    calls start their workers in milliseconds.  Each worker still imports
+    the caller's main module, so a script that calls this must do so under
+    ``if __name__ == "__main__":``.
 
     On Python 3.11 the server imports its preloads with the ``sys.path``
     a new interpreter starts with (``PYTHONPATH`` included, run-time
@@ -269,11 +272,9 @@ def cross_validate(ds: Dataset, cfg: ModelConfig, provider: EmbeddingProvider,
 
     An exception raised by a fold is re-raised here.
     """
-    if seed is None:
-        seed = cfg.seed
     embedded = embed_dataset(ds, provider)
     row_of = {eg.graph.commit_id: row for row, eg in enumerate(embedded)}
-    folds = kfold_split(ds, k=k, seed=seed, chronological=chronological)
+    folds = kfold_split(ds, k=k, seed=cfg.seed, chronological=chronological)
     held_rows = [[row_of[cid] for cid in fold] for fold in folds]
     context = multiprocessing.get_context("forkserver")
     context.set_forkserver_preload(["__main__", "rootrank.evaluation"])
@@ -307,8 +308,3 @@ def multi_report_table(labels: list[str], reports: list[EvalReport]) -> str:
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
     lines.extend("  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in rows)
     return "\n".join(lines)
-
-
-def report_table(report: EvalReport, label: str = "model") -> str:
-    """Aligned text table with a single row."""
-    return multi_report_table([label], [report])

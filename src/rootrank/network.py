@@ -40,8 +40,24 @@ class Mode(str, Enum):
     RETENTION_ONLY = "retention-only"
 
 
-@dataclass
+class ConfigError(ValueError):
+    """A ``ModelConfig`` check failed; ``fields`` names the fields it read."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
+# The exact types each ModelConfig field besides mode accepts, so a bool is no int here.
+_FIELD_TYPES = {**dict.fromkeys(("dim", "heads", "layers", "epochs", "seed"), (int,)),
+                "proj_dim": (int, type(None)), "lr": (int, float), "sigma": (int, float),
+                "include_tie_pairs": (bool,), "step_per_pair": (bool,)}
+
+
+@dataclass(frozen=True)
 class ModelConfig:
+    """Settings checked when made, so one that exists is valid; ``mode`` may be its string value."""
+
     dim: int = 64
     heads: int = 8
     layers: int = 2
@@ -58,7 +74,16 @@ class ModelConfig:
     def out_dim(self) -> int:
         return self.dim if self.proj_dim is None else self.proj_dim
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "mode", Mode(self.mode))
+        except ValueError:
+            raise ConfigError(f"unknown mode {self.mode!r}; choose from "
+                              f"{', '.join(m.value for m in Mode)}", "mode") from None
+        for name, types in _FIELD_TYPES.items():
+            if type(getattr(self, name)) not in types:
+                raise ConfigError(f"{name} must be {' or '.join(t.__name__ for t in types)}, "
+                                  f"got {getattr(self, name)!r}", name)
         sizes = dict(dim=self.dim, heads=self.heads, layers=self.layers, proj_dim=self.out_dim)
         if min(sizes.values()) < 1:
             raise ConfigError("dim, heads, layers and proj_dim must be positive",
@@ -75,14 +100,6 @@ class ModelConfig:
         for name in ("epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0", name)
-
-
-class ConfigError(ValueError):
-    """A ``ModelConfig`` check failed; ``fields`` names the fields it read."""
-
-    def __init__(self, message: str, *fields: str):
-        super().__init__(message)
-        self.fields = fields
 
 
 @dataclass
@@ -186,7 +203,6 @@ def init_network_params(cfg: ModelConfig, rng: np.random.Generator | None = None
     ``random_scorer=True`` draws it like a projection instead (gradient
     checking wants a live gradient path to every tensor).
     """
-    cfg.validate()
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     xavier = math.sqrt(6.0 / (cfg.dim + cfg.dim))
@@ -325,13 +341,9 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     header = {key: _field(payload, key, types, str(path)) for key, types in _HEADER_TYPES.items()}
-    modes = {m.value: m for m in Mode}
-    if header["mode"] not in modes:
-        raise CheckpointError(f"{path}: field 'mode' must be one of {sorted(modes)}")
-    cfg = ModelConfig(**{**header, "mode": modes[header["mode"]]})
     try:
-        cfg.validate()
-    except ValueError as exc:
+        cfg = ModelConfig(**header)
+    except ConfigError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     stored = _field(payload, "tensors", list, str(path))
     count = cfg.layers * _TENSORS_PER_LAYER + 6   # + final norm, projection, scorer

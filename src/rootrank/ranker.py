@@ -174,18 +174,15 @@ class TrainedModel:
     training_log: list[float]
 
 
-def train(embedded: list[EmbeddedGraph], cfg: ModelConfig,
-          params: NetworkParams | None = None,
-          on_epoch=None) -> TrainedModel:
+def train(embedded: list[EmbeddedGraph], cfg: ModelConfig, on_epoch=None) -> TrainedModel:
     """Deterministic pairwise training over a list of embedded commits.
 
-    Commits are visited in a seeded shuffled order each epoch; every
-    commit with at least one pair contributes one optimizer step (or one
-    step per pair with ``cfg.step_per_pair``); each commit's pairs are
-    built once, before the first epoch.  ``on_epoch(epoch, loss)``
-    is called after each epoch with the mean per-commit loss.
+    Parameters start from ``init_network_params(cfg)``.  Commits are visited in a seeded
+    shuffled order each epoch; every commit with at least one pair contributes one optimizer
+    step (or one step per pair with ``cfg.step_per_pair``); each commit's pairs are built
+    once, before the first epoch.  ``on_epoch(epoch, loss)`` is called after each epoch with
+    the mean per-commit loss.
     """
-    cfg.validate()
     for eg in embedded:
         if eg.h0.shape[1] != cfg.dim:
             raise ValueError(
@@ -194,8 +191,7 @@ def train(embedded: list[EmbeddedGraph], cfg: ModelConfig,
         if not eg.graph.root_cause_ids():
             raise ValueError(f"commit {eg.graph.commit_id!r} has no root-cause label")
 
-    if params is None:
-        params = init_network_params(cfg, np.random.default_rng(cfg.seed))
+    params = init_network_params(cfg)
     named = named_tensors(params)
     tensors = [t for _name, t in named]
     adam = AdamState(named)
@@ -236,8 +232,7 @@ def train(embedded: list[EmbeddedGraph], cfg: ModelConfig,
 
 
 def gradient_check_full_loss(dim: int = 8, heads: int = 2, layers: int = 1,
-                             proj_dim: int = 4, seed: int = 42,
-                             h: float = 1e-5) -> float:
+                             proj_dim: int = 4, seed: int = 42) -> float:
     """Max relative error of tape gradients vs central differences.
 
     Runs the whole pipeline loss (attention, gating, normalization,
@@ -246,7 +241,6 @@ def gradient_check_full_loss(dim: int = 8, heads: int = 2, layers: int = 1,
     learnable tensor.
     """
     cfg = ModelConfig(dim=dim, heads=heads, layers=layers, proj_dim=proj_dim, seed=seed)
-    cfg.validate()
     rng = np.random.default_rng(seed)
     graph = CommitGraph(
         commit_id="gradcheck",
@@ -274,7 +268,7 @@ def gradient_check_full_loss(dim: int = 8, heads: int = 2, layers: int = 1,
     def loss_fn(tape, _params):
         return commit_loss(tape, eg, pairs, params, cfg)
 
-    return ad.grad_check(loss_fn, tensors, h=h)
+    return ad.grad_check(loss_fn, tensors)
 
 
 def rank_commit(model: TrainedModel, eg: EmbeddedGraph) -> list[tuple[int, float]]:

@@ -52,7 +52,7 @@ class GenConfig:
     seed: int = 0
     structure_only: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_commits < 1:
             raise ValueError("n_commits must be >= 1")
         if self.deleted_per_commit < 2:
@@ -78,7 +78,6 @@ def _signal_text(rng: np.random.Generator) -> str:
 
 def generate(cfg: GenConfig) -> Dataset:
     """Deterministic labeled dataset for the given configuration."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     k = cfg.deleted_per_commit
     m = cfg.added_per_commit

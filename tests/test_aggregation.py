@@ -614,6 +614,19 @@ class TestPlanChecksItsArraysOnce:
         with pytest.raises(ValueError, match="^" + message):
             GraphPlan(**plan_arrays(**changes))
 
+    @pytest.mark.parametrize("name", ["src", "dst", "mu_idx", "node_rows", "edge_rows"])
+    @pytest.mark.parametrize("dtype", [float, bool, object])
+    def test_a_non_integer_array_is_named(self, name, dtype):
+        arrays = plan_arrays()
+        if name.endswith("_rows"):
+            kind, rows = next(iter(arrays[name].items()))
+            change = {**arrays[name], kind: np.array(rows, dtype=dtype)}
+        else:
+            change = np.array(arrays[name], dtype=dtype)
+        with pytest.raises(ValueError, match=f"^GraphPlan {name}: indices must be integers, "
+                                             f"got dtype {np.dtype(dtype)}$"):
+            GraphPlan(**plan_arrays(**{name: change}))
+
     def test_arrays_derived_from_a_plan_are_checked_on_every_call(self):
         plan = GraphPlan(**plan_arrays())
         x = constant(np.arange(8.0).reshape(4, 2))

@@ -67,8 +67,8 @@ def traced_allocations():
         gc.enable()
 
 
-def check_op(build, params, tol=1e-7, h=1e-5):
-    err = grad_check(build, params, h=h)
+def check_op(build, params, tol=1e-7):
+    err = grad_check(build, params)
     assert err < tol, f"max relative error {err}"
 
 
@@ -1059,6 +1059,48 @@ class TestErrors:
             segment_sum(None, constant(np.zeros((3, 2))), np.array([0, 1]), 2)
         with pytest.raises(ValueError, match="one segment id per row"):
             segment_softmax(None, constant(np.zeros((3, 2))), np.array([0, 1]), 2)
+
+
+# Index arrays of non-integer dtypes; cast to intp, each would name rows in [0, 3).
+NON_INTEGER_INDICES = [
+    pytest.param(np.array([0.9, 2.2]), "float64", id="float"),
+    pytest.param(np.array([True, False]), "bool", id="bool"),
+    pytest.param(np.array([1, 0], dtype=object), "object", id="object"),
+]
+
+
+class TestNonIntegerIndices:
+    """A non-empty index array must have an integer dtype; an empty one indexes nothing."""
+
+    @pytest.mark.parametrize("index, dtype", NON_INTEGER_INDICES)
+    def test_checked_index(self, index, dtype):
+        with pytest.raises(ValueError, match=f"^indices must be integers, got dtype {dtype}$"):
+            ad.checked_index(index, 3)
+
+    @pytest.mark.parametrize("index, dtype", NON_INTEGER_INDICES)
+    def test_checked_partition(self, index, dtype):
+        with pytest.raises(ValueError, match=f"^indices must be integers, got dtype {dtype}$"):
+            ad.checked_partition([np.array([2]), index], 3)
+
+    @pytest.mark.parametrize("index, dtype", NON_INTEGER_INDICES)
+    def test_take_rows(self, index, dtype):
+        with pytest.raises(ValueError, match=f"^indices must be integers, got dtype {dtype}$"):
+            ad.take_rows(None, constant(np.zeros((3, 2))), index)
+
+    @pytest.mark.parametrize("index, dtype", NON_INTEGER_INDICES)
+    @pytest.mark.parametrize("side", ["pair_i", "pair_j"])
+    def test_pair_loss(self, index, dtype, side):
+        pairs = {"pair_i": np.array([2, 2]), "pair_j": np.array([2, 2]), side: index}
+        with pytest.raises(ValueError, match=f"^indices must be integers, got dtype {dtype}$"):
+            ad.pair_loss(None, constant([0.0, 1.0, 2.0]), pairs["pair_i"], pairs["pair_j"],
+                         np.ones(2), 1.0)
+
+    def test_unsigned_and_empty_indices_are_accepted(self):
+        assert ad.checked_index(np.array([2, 0], dtype=np.uint8), 3).tolist() == [2, 0]
+        assert ad.checked_index(np.asarray([]), 3).shape == (0,)
+        assert ad.take_rows(None, constant(np.zeros((3, 2))), np.asarray([])).shape == (0, 2)
+        empty = np.asarray([])
+        assert ad.pair_loss(None, constant([0.0, 1.0]), empty, empty, empty, 1.0).item() == 0.0
 
 
 class TestDeterminism:

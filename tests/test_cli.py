@@ -717,7 +717,7 @@ class TestDatasetProperty:
 
 
 class TestConfigValuesNameTheFile:
-    """A --config value that parses but fails ``ModelConfig.validate`` or the mode lookup."""
+    """A --config value that parses but that ``ModelConfig`` rejects when it is made."""
 
     @pytest.mark.parametrize("line, problem", [
         ("heads = 3", "key 'heads': heads (3) must divide dim (64)"),
@@ -966,8 +966,7 @@ class TestFreshProcess:
     """Cross-validation from a new interpreter, whose main module the fold workers import."""
 
     def _expected_report(self, dataset):
-        mean, folds = cross_validate(load_dataset(dataset), CV_CONFIG, HashingEmbedder(16), k=2,
-                                     seed=42)
+        mean, folds = cross_validate(load_dataset(dataset), CV_CONFIG, HashingEmbedder(16), k=2)
         return report_json(mean, per_fold=folds) + "\n"
 
     def test_module_cli_writes_in_process_report(self, small_data, tmp_path):
@@ -989,7 +988,7 @@ class TestFreshProcess:
             "if __name__ == '__main__':\n"
             "    cfg = ModelConfig(dim=16, heads=2, layers=1, epochs=1, seed=42)\n"
             "    mean, folds = cross_validate(load_dataset(sys.argv[1]), cfg, HashingEmbedder(16),\n"
-            "                                 k=2, seed=42)\n"
+            "                                 k=2)\n"
             "    print(report_json(mean, per_fold=folds))\n",
             encoding="utf-8")
         proc = fresh_process([str(script), str(small_data)], cwd=tmp_path)

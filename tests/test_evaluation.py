@@ -18,9 +18,9 @@ from rootrank.evaluation import (
     kfold_split,
     mean_report,
     mfr,
+    multi_report_table,
     recall_at_n,
     report_json,
-    report_table,
     train_test_report,
 )
 from rootrank.graphs import CommitGraph, Dataset, DepEdge, EdgeKind, LineNode, NodeKind
@@ -191,7 +191,7 @@ class TestHarness:
     def test_cross_validate_small(self):
         ds = generate(GenConfig(n_commits=8, deleted_per_commit=3,
                                 added_per_commit=2, seed=4))
-        mean, per_fold = cross_validate(ds, self._cfg(), HashingEmbedder(16), k=2, seed=0)
+        mean, per_fold = cross_validate(ds, self._cfg(), HashingEmbedder(16), k=2)
         assert len(per_fold) == 2
         for rep in per_fold + [mean]:
             assert 0.0 <= rep.recall_at[1] <= rep.recall_at[2] <= rep.recall_at[3] <= 1.0
@@ -204,7 +204,7 @@ class TestHarness:
                                 added_per_commit=2, seed=2))
         reports = {}
         for mode in Mode:
-            mean, _folds = cross_validate(ds, self._cfg(mode), HashingEmbedder(16), k=2, seed=0)
+            mean, _folds = cross_validate(ds, self._cfg(mode), HashingEmbedder(16), k=2)
             reports[mode] = mean
         assert len(reports) == 3
 
@@ -227,11 +227,11 @@ class TestHarness:
                                 added_per_commit=2, seed=6))
         cfg = self._cfg()
         provider = HashingEmbedder(16)
-        mean, per_fold = cross_validate(ds, cfg, provider, k=3, seed=1,
+        mean, per_fold = cross_validate(ds, cfg, provider, k=3,
                                         chronological=chronological, with_classification=True)
         embedded = embed_dataset(ds, provider)
         expected = []
-        for fold in kfold_split(ds, k=3, seed=1, chronological=chronological):
+        for fold in kfold_split(ds, k=3, seed=cfg.seed, chronological=chronological):
             held = set(fold)
             train_part = [eg for eg in embedded if eg.graph.commit_id not in held]
             test_part = [next(eg for eg in embedded if eg.graph.commit_id == cid) for cid in fold]
@@ -254,7 +254,7 @@ class TestHarness:
         monkeypatch.setattr(evaluation, "ProcessPoolExecutor", SpyPool)
         ds = generate(GenConfig(n_commits=4, deleted_per_commit=3,
                                 added_per_commit=2, seed=3))
-        _mean, per_fold = cross_validate(ds, self._cfg(), HashingEmbedder(16), k=k, seed=0)
+        _mean, per_fold = cross_validate(ds, self._cfg(), HashingEmbedder(16), k=k)
         assert len(per_fold) == k
         assert len(started) == workers
         assert start_methods == ["forkserver"]
@@ -262,9 +262,9 @@ class TestHarness:
     def test_repeated_calls_reuse_one_fork_server(self):
         ds = generate(GenConfig(n_commits=4, deleted_per_commit=3,
                                 added_per_commit=2, seed=3))
-        first = cross_validate(ds, self._cfg(), HashingEmbedder(16), k=2, seed=0)
+        first = cross_validate(ds, self._cfg(), HashingEmbedder(16), k=2)
         server_pid = multiprocessing.forkserver._forkserver._forkserver_pid
-        second = cross_validate(ds, self._cfg(), HashingEmbedder(16), k=2, seed=0)
+        second = cross_validate(ds, self._cfg(), HashingEmbedder(16), k=2)
         assert second == first
         assert server_pid is not None
         assert multiprocessing.forkserver._forkserver._forkserver_pid == server_pid
@@ -295,7 +295,7 @@ class TestHarness:
         assert payload["recall@1"] == 1.0
         assert payload["mfr"] == 1.0
         assert "per_fold" in payload and len(payload["per_fold"]) == 1
-        table = report_table(report)
+        table = multi_report_table(["model"], [report])
         assert "Recall@1" in table and "MFR" in table
 
     def test_mean_report_pools_first_ranks(self):

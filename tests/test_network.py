@@ -1,19 +1,23 @@
+import dataclasses
 import itertools
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rootrank import autodiff as ad
 from rootrank.aggregation import MU_SIZE, build_plan
 from rootrank.autodiff import constant
+from rootrank.embedding import HashingEmbedder, embed_dataset
 from rootrank.graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind
 from rootrank.network import (
     CheckpointError,
+    ConfigError,
     Mode,
     ModelConfig,
     gru_cell,
@@ -26,6 +30,8 @@ from rootrank.network import (
     save_checkpoint,
     task_projection,
 )
+from rootrank.ranker import train
+from rootrank.synthetic import GenConfig, generate
 
 from naive_reference import (
     layer_params,
@@ -453,10 +459,10 @@ class TestCheckpoints:
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="divide"):
-            ModelConfig(dim=64, heads=7).validate()
+            ModelConfig(dim=64, heads=7)
         with pytest.raises(ValueError, match="sigma"):
-            ModelConfig(sigma=0.0).validate()
-        ModelConfig().validate()
+            ModelConfig(sigma=0.0)
+        ModelConfig()
 
     @pytest.mark.parametrize("name", ["sigma", "lr"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0,
@@ -465,7 +471,7 @@ class TestCheckpoints:
                                        pytest.param(-10**400, id="-10**400")])
     def test_sigma_and_lr_must_be_positive_and_finite(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
-            ModelConfig(**{name: value}).validate()
+            ModelConfig(**{name: value})
 
     def test_header_holds_the_config_fields_in_table_order(self, tmp_path):
         cfg = ModelConfig(dim=4, heads=2, layers=1, mode=Mode.RETENTION_ONLY, seed=5, sigma=2.5)
@@ -479,3 +485,110 @@ class TestCheckpoints:
         _params, loaded = load_checkpoint(path)
         assert loaded == ModelConfig(dim=4, heads=2, layers=1, proj_dim=4,
                                      mode=Mode.RETENTION_ONLY, seed=5, sigma=2.5)
+
+
+# ModelConfig keywords for the property below: values a config takes, then up to two
+# fields set to values that may break it.  Sizes stay <= 16 unless spoiled (a valid config
+# with a larger size would really allocate its model, so the property skips one).
+GOOD_VALUES = {
+    "dim": st.integers(1, 16), "heads": st.sampled_from([1, 2]), "layers": st.integers(1, 3),
+    "proj_dim": st.none() | st.integers(1, 16), "epochs": st.integers(0, 3),
+    "seed": st.integers(0, 2**70) | st.just(10**400),
+    "sigma": st.floats(1e-300, 1e300) | st.integers(1, 3) | st.just(10**300),
+    "lr": st.floats(1e-300, 1e300) | st.integers(1, 3),
+    "mode": st.sampled_from(list(Mode) + [m.value for m in Mode]),
+    "include_tie_pairs": st.booleans(), "step_per_pair": st.booleans(),
+}
+ODD_INTS = st.sampled_from([0, -1, 10**400, -10**400, math.nan, math.inf, -math.inf, True, False,
+                            2.0, "1", None])
+ODD_NUMBERS = st.sampled_from([0, -1, 0.0, -0.5, math.nan, math.inf, -math.inf, 10**400,
+                               -10**400, True, "0.5", None])
+BAD_VALUES = {
+    **dict.fromkeys(("dim", "heads", "layers", "proj_dim", "epochs", "seed"), ODD_INTS),
+    "sigma": ODD_NUMBERS, "lr": ODD_NUMBERS,
+    "mode": st.text(max_size=4) | st.sampled_from(["FULL", None, 1, True]),
+    "include_tie_pairs": st.sampled_from([0, 1, "no", None]),
+    "step_per_pair": st.sampled_from([0, 1, "no", None]),
+}
+
+
+@st.composite
+def config_kwargs(draw):
+    kwargs = {name: draw(values) for name, values in GOOD_VALUES.items()
+              if name in ("dim", "heads") or draw(st.booleans())}
+    for name in draw(st.lists(st.sampled_from(sorted(BAD_VALUES)), max_size=2, unique=True)):
+        kwargs[name] = draw(BAD_VALUES[name])
+    return kwargs
+
+
+class TestModelConfigChecksItself:
+    def test_a_mode_string_trains_saves_and_loads_as_its_mode(self, tmp_path):
+        cfg = ModelConfig(dim=8, heads=2, layers=1, epochs=2, mode="aggregation-only")
+        assert cfg.mode is Mode.AGGREGATION_ONLY
+        ds = generate(GenConfig(n_commits=3, deleted_per_commit=3, added_per_commit=2, seed=1))
+        model = train(embed_dataset(ds, HashingEmbedder(8)), cfg)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model.params, cfg)
+        assert json.loads(path.read_text())["mode"] == "aggregation-only"
+        params, loaded = load_checkpoint(path)
+        assert loaded.mode is Mode.AGGREGATION_ONLY
+        assert loaded == dataclasses.replace(cfg, proj_dim=8, epochs=ModelConfig().epochs)
+        for (name, saved), (_name, read) in zip(named_tensors(model.params),
+                                                named_tensors(params)):
+            assert np.array_equal(saved.data, read.data), name
+
+    def test_an_unknown_mode_is_named_before_any_size(self):
+        with pytest.raises(ConfigError, match="^unknown mode 'bogus'; choose from full, "
+                                              "aggregation-only, retention-only$") as info:
+            ModelConfig(dim=0, heads=3, mode="bogus")
+        assert info.value.fields == ("mode",)
+
+    def test_a_checkpoint_mode_is_checked_by_the_config(self, tmp_path):
+        cfg = ModelConfig(dim=4, heads=2, layers=1)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_network_params(cfg), cfg)
+        path.write_text(path.read_text().replace('"mode": "full"', '"mode": "bogus"'))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == (f"{path}: unknown mode 'bogus'; "
+                                   "choose from full, aggregation-only, retention-only")
+
+    @pytest.mark.parametrize("name", [field.name for field in dataclasses.fields(ModelConfig)])
+    def test_no_field_can_be_assigned(self, name):
+        cfg = ModelConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
+
+    @pytest.mark.parametrize("name, value, expected", [
+        ("dim", True, "int"), ("heads", 2.0, "int"), ("layers", math.nan, "int"),
+        ("proj_dim", math.inf, "int or NoneType"), ("epochs", "1", "int"),
+        ("seed", None, "int"), ("sigma", True, "int or float"), ("lr", "1e-3", "int or float"),
+        ("include_tie_pairs", 1, "bool"), ("step_per_pair", None, "bool"),
+    ])
+    def test_a_value_of_another_type_is_named(self, name, value, expected):
+        with pytest.raises(ConfigError, match=rf"^{name} must be {expected}, got ") as info:
+            ModelConfig(**{name: value})
+        assert info.value.fields == (name,)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kwargs=config_kwargs())
+    def test_keywords_make_a_config_that_round_trips_or_a_config_error(self, kwargs):
+        try:
+            cfg = ModelConfig(**kwargs)
+        except ConfigError as exc:
+            assert exc.fields
+            assert set(exc.fields) <= {field.name for field in dataclasses.fields(ModelConfig)}
+            return
+        assert isinstance(cfg.mode, Mode)
+        assume(max(cfg.dim, cfg.heads, cfg.layers, cfg.out_dim) <= 16)
+        params = init_network_params(cfg)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "m.ckpt"
+            save_checkpoint(path, params, cfg)
+            loaded, loaded_cfg = load_checkpoint(path)
+        assert loaded_cfg == dataclasses.replace(
+            ModelConfig(), **{name: getattr(cfg, name) for name in
+                              ("dim", "heads", "layers", "mode", "seed", "sigma")},
+            proj_dim=cfg.out_dim)
+        for (name, saved), (_name, read) in zip(named_tensors(params), named_tensors(loaded)):
+            assert np.array_equal(saved.data, read.data), name

@@ -153,7 +153,7 @@ class TestPairProbability:
     def test_sigma_must_be_positive(self):
         # the loss reads sigma from the model config, which rejects sigma <= 0
         with pytest.raises(ValueError, match="sigma"):
-            ModelConfig(sigma=0.0).validate()
+            ModelConfig(sigma=0.0)
 
 
 class TestPairwiseLoss:
@@ -299,19 +299,20 @@ class TestTrain:
         with pytest.raises(ValueError, match="dim"):
             train(embedded, self._cfg(dim=8))
 
-    def test_forward_overflow_is_named_without_numpy_warnings(self):
+    def test_forward_overflow_is_named_without_numpy_warnings(self, monkeypatch):
         cfg = self._cfg()
         params = init_network_params(cfg, np.random.default_rng(cfg.seed), random_scorer=True)
         params.w_proj.data[...] = 1e200
         params.scorer_w.data[...] = 1e200
+        monkeypatch.setattr(ranker, "init_network_params", lambda _cfg: params)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingError, match=r"^non-finite loss at epoch 0, commit 'c\d': "
                                                     r"matmul produced non-finite values"):
-                train(self._embedded(), cfg, params=params)
+                train(self._embedded(), cfg)
 
     @pytest.mark.parametrize("op", ["attend", "pair_loss"])
-    def test_fused_op_overflow_is_named_without_numpy_warnings(self, op):
+    def test_fused_op_overflow_is_named_without_numpy_warnings(self, monkeypatch, op):
         cfg = self._cfg(sigma=1e308) if op == "pair_loss" else self._cfg()
         params = init_network_params(cfg, np.random.default_rng(cfg.seed), random_scorer=True)
         if op == "attend":
@@ -321,12 +322,13 @@ class TestTrain:
                 w.data *= 1e3
         else:  # score gaps above 1.8 overflow sigma * gap
             params.scorer_w.data *= 1e3
+        monkeypatch.setattr(ranker, "init_network_params", lambda _cfg: params)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingError, match=rf"^non-finite loss at epoch 0, commit 'c\d': "
                                                     rf"{op} produced non-finite values in its "
                                                     r"\(\d+(,|, 2)\) logits$"):
-                train(self._embedded(), cfg, params=params)
+                train(self._embedded(), cfg)
 
     def test_one_step_decreases_loss_on_same_commit(self):
         embedded = self._embedded(n_graphs=1)
@@ -707,10 +709,11 @@ class TestAdam:
 
         monkeypatch.setattr(ranker, "_deleted_scores", scores)
         monkeypatch.setattr(AdamState, "step", step)
+        monkeypatch.setattr(ranker, "init_network_params", lambda _cfg: params)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(TrainingError, match="^non-finite loss at epoch 0") as info:
-                train(embedded, cfg, params=params)
+                train(embedded, cfg)
         assert len(failed) == 1
         assert f"commit {failed[0]!r}: adam_step produced non-finite values" in str(info.value)
         assert all(np.isfinite(t.data).all() for _n, t in named_tensors(params))

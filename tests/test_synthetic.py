@@ -60,11 +60,11 @@ class TestGenerate:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            GenConfig(deleted_per_commit=1).validate()
+            GenConfig(deleted_per_commit=1)
         with pytest.raises(ValueError):
-            GenConfig(edge_density=1.5).validate()
+            GenConfig(edge_density=1.5)
         with pytest.raises(ValueError):
-            GenConfig(signal_strength=-0.1).validate()
+            GenConfig(signal_strength=-0.1)
 
 
 class TestStructureOnly:
