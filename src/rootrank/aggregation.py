@@ -6,12 +6,15 @@ incoming edges, with projections selected by node kind and attention /
 message maps selected by edge kind, plus a learnable prior per
 (source kind, edge kind, target kind) triple.
 
-All per-head structure lives in contiguous column slices of width D/H.
-Per-edge-kind maps are stored as their head blocks only: a (D, D/H)
-tensor whose rows [i*D/H, (i+1)*D/H) are head i's square block, applied
-with ``block_matmul`` so head i only ever sees its own block.  Checkpoints
-hold the equivalent D x D block-diagonal matrix (see
-:func:`block_diagonal` and :func:`head_blocks`).
+The layer reads its learnable tensors from the model's name -> tensor
+dict, by their ``network.param_shapes`` names: ``layer{l}.attn.w_k.{node
+kind}`` and the like.  Weights apply by right multiplication on row
+vectors (state @ W + b).  All per-head structure lives in contiguous
+column slices of width D/H.  Per-edge-kind maps are stored as their head
+blocks only: a (D, D/H) tensor whose rows [i*D/H, (i+1)*D/H) are head
+i's square block, applied with ``block_matmul`` so head i only ever sees
+its own block.  Checkpoints hold the equivalent D x D block-diagonal
+matrix (see :func:`block_diagonal` and :func:`head_blocks`).
 
 A graph enters the layer as a :class:`GraphPlan`: per-edge integer
 arrays (source, target, prior row) plus the sorted rows of each node
@@ -52,29 +55,6 @@ from .graphs import (
 )
 
 MU_SIZE = NUM_NODE_KINDS * NUM_EDGE_KINDS * NUM_NODE_KINDS
-
-
-@dataclass
-class AttentionParams:
-    """Learnable tensors of one attention layer.
-
-    ``w_k``/``w_q``/``w_v`` and their biases are per node kind; weights
-    apply by right multiplication on row vectors (state @ W + b).
-    ``w_att``/``w_msg`` are per edge kind, shape (D, D/H): rows
-    [i*D/H, (i+1)*D/H) hold head i's square map.
-    ``mu`` is the flattened (kind, kind, kind) prior, shape (MU_SIZE, 1).
-    """
-
-    heads: int
-    w_k: dict[NodeKind, Tensor]
-    b_k: dict[NodeKind, Tensor]
-    w_q: dict[NodeKind, Tensor]
-    b_q: dict[NodeKind, Tensor]
-    w_v: dict[NodeKind, Tensor]
-    b_v: dict[NodeKind, Tensor]
-    w_att: dict[EdgeKind, Tensor]
-    w_msg: dict[EdgeKind, Tensor]
-    mu: Tensor
 
 
 def block_diagonal(blocks: np.ndarray) -> np.ndarray:
@@ -176,48 +156,38 @@ def build_plan(g: CommitGraph) -> GraphPlan:
     )
 
 
-@dataclass
-class HeadVectors:
-    """Key/query/value states, n x D each; head i is columns [i*D/H, (i+1)*D/H)."""
+def project_kqv(tape: Tape | None, h_prev: Tensor, plan: GraphPlan, params: dict[str, Tensor],
+                layer: int) -> tuple[Tensor, Tensor, Tensor]:
+    """Keys, queries and values (n x D each): node states through their own kind's projection."""
+    p = f"layer{layer}.attn"
 
-    k: Tensor
-    q: Tensor
-    v: Tensor
-
-
-def project_kqv(tape: Tape | None, h_prev: Tensor, params: AttentionParams,
-                plan: GraphPlan) -> HeadVectors:
-    """Project node states through the projection of each node's own kind."""
-
-    def typed(w: dict[NodeKind, Tensor], b: dict[NodeKind, Tensor]) -> Tensor:
-        groups = [(rows, w[kind], b[kind]) for kind, rows in plan.node_rows.items()]
+    def typed(field: str) -> Tensor:
+        groups = [(rows, params[f"{p}.w_{field}.{kind.value}"],
+                   params[f"{p}.b_{field}.{kind.value}"]) for kind, rows in plan.node_rows.items()]
         return ad.block_matmul(tape, h_prev, groups, 1)
 
-    return HeadVectors(
-        k=typed(params.w_k, params.b_k),
-        q=typed(params.w_q, params.b_q),
-        v=typed(params.w_v, params.b_v),
-    )
+    return typed("k"), typed("q"), typed("v")
 
 
-def _edge_rows(tape: Tape | None, plan: GraphPlan, states: Tensor,
-               maps: dict[EdgeKind, Tensor], heads: int) -> Tensor:
-    """Per edge, the source state through its edge kind's head blocks, shape (E, D)."""
+def _edge_rows(tape: Tape | None, plan: GraphPlan, states: Tensor, params: dict[str, Tensor],
+               maps: str, heads: int) -> Tensor:
+    """Per edge, the source state through the head blocks ``{maps}.{edge kind}``, shape (E, D)."""
     if not plan.edge_rows:
         raise ValueError("edge rows of a graph without edges")
     sources = ad.take_rows(tape, states, plan.src)
-    groups = [(rows, maps[kind]) for kind, rows in plan.edge_rows.items()]
+    groups = [(rows, params[f"{maps}.{kind.value}"]) for kind, rows in plan.edge_rows.items()]
     return ad.block_matmul(tape, sources, groups, heads)
 
 
 def attention_forward(tape: Tape | None, h_prev: Tensor, plan: GraphPlan,
-                      params: AttentionParams) -> Tensor:
-    """Full layer: project, map each edge's key and message, then ``autodiff.attend``."""
+                      params: dict[str, Tensor], layer: int, heads: int) -> Tensor:
+    """Layer ``layer``: project, map each edge's key and message, then ``autodiff.attend``."""
     if not plan.edge_rows:
         return constant(np.zeros(h_prev.shape))
-    kv = project_kqv(tape, h_prev, params, plan)
-    keys = _edge_rows(tape, plan, kv.k, params.w_att, params.heads)
-    queries = ad.take_rows(tape, kv.q, plan.dst)
-    messages = _edge_rows(tape, plan, kv.v, params.w_msg, params.heads)
-    return ad.attend(tape, keys, queries, params.mu, messages, plan.mu_idx, plan.dst, plan.n,
-                     params.heads)
+    k, q, v = project_kqv(tape, h_prev, plan, params, layer)
+    p = f"layer{layer}.attn"
+    keys = _edge_rows(tape, plan, k, params, f"{p}.w_att", heads)
+    queries = ad.take_rows(tape, q, plan.dst)
+    messages = _edge_rows(tape, plan, v, params, f"{p}.w_msg", heads)
+    return ad.attend(tape, keys, queries, params[f"{p}.mu"], messages, plan.mu_idx, plan.dst,
+                     plan.n, heads)

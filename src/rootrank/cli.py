@@ -43,20 +43,24 @@ class CliError(ValueError):
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
-    """Flat key=value overlay; blank lines and # comments ignored."""
+    """Flat key=value overlay; blank lines and # comments ignored, and no key set twice."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: not UTF-8 text: {exc}") from None
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}   # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in set_on:
+            raise CliError(f"{path}:{lineno}: key {key!r} repeats line {set_on[key]}")
+        set_on[key] = lineno
+        values[key] = value
     return values
 
 

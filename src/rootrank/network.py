@@ -7,7 +7,10 @@ After the last layer the states are layer-normalized and projected into
 task embeddings.
 
 :func:`param_shapes` is the one declaration of the learnable tensors'
-names, shapes and order; initialization, naming and checkpoints follow it.
+names, shapes and order.  The model's parameters are one dict from those
+names to tensors, in that order (:data:`NetworkParams`): initialization,
+checkpoints and the optimizer follow it, and the forward reads each
+tensor by its name.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 from . import autodiff as ad
 from .aggregation import (
     MU_SIZE,
-    AttentionParams,
     GraphPlan,
     attention_forward,
     block_diagonal,
@@ -41,11 +43,20 @@ class Mode(str, Enum):
 
 
 class ConfigError(ValueError):
-    """A ``ModelConfig`` check failed; ``fields`` names the fields it read."""
+    """A config check failed; ``fields`` names the fields it read."""
 
     def __init__(self, message: str, *fields: str):
         super().__init__(message)
         self.fields = fields
+
+
+def check_field_types(config, types: dict[str, tuple[type, ...]]) -> None:
+    """ConfigError naming the first field of ``config`` whose exact type is not in ``types``."""
+    for name, allowed in types.items():
+        value = getattr(config, name)
+        if type(value) not in allowed:
+            raise ConfigError(f"{name} must be {' or '.join(t.__name__ for t in allowed)}, "
+                              f"got {value!r}", name)
 
 
 # The exact types each ModelConfig field besides mode accepts, so a bool is no int here.
@@ -80,10 +91,7 @@ class ModelConfig:
         except ValueError:
             raise ConfigError(f"unknown mode {self.mode!r}; choose from "
                               f"{', '.join(m.value for m in Mode)}", "mode") from None
-        for name, types in _FIELD_TYPES.items():
-            if type(getattr(self, name)) not in types:
-                raise ConfigError(f"{name} must be {' or '.join(t.__name__ for t in types)}, "
-                                  f"got {getattr(self, name)!r}", name)
+        check_field_types(self, _FIELD_TYPES)
         sizes = dict(dim=self.dim, heads=self.heads, layers=self.layers, proj_dim=self.out_dim)
         if min(sizes.values()) < 1:
             raise ConfigError("dim, heads, layers and proj_dim must be positive",
@@ -102,40 +110,8 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 0", name)
 
 
-@dataclass
-class GruParams:
-    """Gate tensors; each weight right-multiplies row states, biases broadcast.
-
-    ``*_r``: reset gate (how much history feeds the candidate state),
-    ``*_z``: update gate (how much history survives unchanged),
-    ``*_n``: candidate state.
-    """
-
-    w_ir: Tensor
-    b_ir: Tensor
-    w_hr: Tensor
-    b_hr: Tensor
-    w_iz: Tensor
-    b_iz: Tensor
-    w_hz: Tensor
-    b_hz: Tensor
-    w_in: Tensor
-    b_in: Tensor
-    w_hn: Tensor
-    b_hn: Tensor
-
-
-@dataclass
-class NetworkParams:
-    layers: list[tuple[AttentionParams, GruParams]]
-    norm_gain: Tensor
-    norm_bias: Tensor
-    w_proj: Tensor   # (D, D_out), right-multiplies row states
-    b_proj: Tensor   # (D_out,)
-    scorer_w: Tensor  # (D_out,)
-    scorer_b: Tensor  # scalar
-    named: list[tuple[str, Tensor]]  # the tensors above, in ``param_shapes`` order
-
+# One learnable tensor per ``param_shapes`` name, in that order.
+NetworkParams = dict[str, Tensor]
 
 _NODE_KIND_TENSORS = ("w_k", "b_k", "w_q", "b_q", "w_v", "b_v")
 _EDGE_KIND_MAPS = ("w_att", "w_msg")
@@ -146,7 +122,15 @@ _TENSORS_PER_LAYER = (len(NodeKind) * len(_NODE_KIND_TENSORS)
 
 
 def param_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """``(name, shape)`` of each learnable tensor, in checkpoint order; allocates nothing."""
+    """``(name, shape)`` of each learnable tensor, in checkpoint order; allocates nothing.
+
+    Per layer: the key, query and value weights and biases of each node
+    kind; the attention and message maps of each edge kind, each held as
+    its H head blocks, a (D, D/H) tensor whose rows [i*D/H, (i+1)*D/H) are
+    head i's square block; the (MU_SIZE, 1) prior ``mu`` over (source kind,
+    edge kind, target kind); then the gate tensors.  Weights right-multiply
+    row states.
+    """
     dim, out_dim = cfg.dim, cfg.out_dim
     for li in range(cfg.layers):
         p = f"layer{li}.attn"
@@ -167,28 +151,9 @@ def _is_head_map(name: str) -> bool:
     return name.split(".")[-2] in _EDGE_KIND_MAPS
 
 
-def _assemble(cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> NetworkParams:
-    """``NetworkParams`` over ``arrays``, one learnable tensor per ``param_shapes`` name."""
-    named = [(name, Tensor(arrays[name], requires_grad=True)) for name, _shape in param_shapes(cfg)]
-    t = dict(named)
-    layers = []
-    for li in range(cfg.layers):
-        p = f"layer{li}.attn"
-        by_kind = {field: {kind: t[f"{p}.{field}.{kind.value}"] for kind in kinds}
-                   for group, kinds in ((_NODE_KIND_TENSORS, NodeKind), (_EDGE_KIND_MAPS, EdgeKind))
-                   for field in group}
-        attn = AttentionParams(heads=cfg.heads, mu=t[f"{p}.mu"], **by_kind)
-        layers.append((attn, GruParams(**{field: t[f"layer{li}.gru.{field}"]
-                                          for field in _GRU_TENSORS})))
-    return NetworkParams(
-        layers=layers, named=named, norm_gain=t["final_norm.gain"], norm_bias=t["final_norm.bias"],
-        w_proj=t["proj.w"], b_proj=t["proj.b"], scorer_w=t["scorer.w"], scorer_b=t["scorer.b"],
-    )
-
-
 def named_tensors(params: NetworkParams) -> list[tuple[str, Tensor]]:
     """Every learnable tensor with its ``param_shapes`` name, in that order."""
-    return list(params.named)
+    return list(params.items())
 
 
 def init_network_params(cfg: ModelConfig, rng: np.random.Generator | None = None,
@@ -223,49 +188,40 @@ def init_network_params(cfg: ModelConfig, rng: np.random.Generator | None = None
             arrays[name] += np.tile(np.eye(cfg.dim // cfg.heads), (cfg.heads, 1))
         elif name not in arrays:
             arrays[name] = np.ones(shape) if name.endswith((".mu", ".gain")) else np.zeros(shape)
-    return _assemble(cfg, arrays)
+    return {name: Tensor(arrays[name], requires_grad=True) for name in shapes}
 
 
-def gru_cell(tape: Tape | None, h_tilde: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
-    """One gated update, applied row-wise per node, as one ``autodiff.gru`` record.
+def gru_cell(tape: Tape | None, h_tilde: Tensor, h_prev: Tensor, params: NetworkParams,
+             layer: int) -> Tensor:
+    """Layer ``layer``'s gated update, applied row-wise per node, as one ``autodiff.gru`` record.
 
-    r = sigma(h_tilde W_ir + b_ir + h_prev W_hr + b_hr)
-    z = sigma(h_tilde W_iz + b_iz + h_prev W_hz + b_hz)
-    n = tanh(h_tilde W_in + b_in + r * (h_prev W_hn + b_hn))
+    r = sigma(h_tilde W_ir + b_ir + h_prev W_hr + b_hr)    (reset gate)
+    z = sigma(h_tilde W_iz + b_iz + h_prev W_hz + b_hz)    (update gate)
+    n = tanh(h_tilde W_in + b_in + r * (h_prev W_hn + b_hn))   (candidate state)
     out = (1 - z) * n + z * h_prev
     """
-    return ad.gru(tape, h_tilde, h_prev, [getattr(p, name) for name in _GRU_TENSORS])
+    weights = [params[f"layer{layer}.gru.{name}"] for name in _GRU_TENSORS]
+    return ad.gru(tape, h_tilde, h_prev, weights)
 
 
 def task_projection(tape: Tape | None, h_final: Tensor, params: NetworkParams) -> Tensor:
     """Row-wise affine map into the task space, then ReLU."""
-    return ad.relu(tape, ad.add(tape, ad.matmul(tape, h_final, params.w_proj), params.b_proj))
-
-
-def forward_states(tape: Tape | None, h0: Tensor, plan: GraphPlan,
-                   params: NetworkParams, mode: Mode) -> list[Tensor]:
-    """Node states H^0 .. H^L, before the final normalization."""
-    states = [h0]
-    h = h0
-    for attn, gru in params.layers:
-        if mode is Mode.FULL:
-            h_tilde = attention_forward(tape, h, plan, attn)
-            h = gru_cell(tape, h_tilde, h, gru)
-        elif mode is Mode.AGGREGATION_ONLY:
-            h = attention_forward(tape, h, plan, attn)
-        elif mode is Mode.RETENTION_ONLY:
-            h = gru_cell(tape, h, h, gru)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown mode {mode}")
-        states.append(h)
-    return states
+    return ad.relu(tape, ad.add(tape, ad.matmul(tape, h_final, params["proj.w"]), params["proj.b"]))
 
 
 def network_forward(tape: Tape | None, h0: Tensor, plan: GraphPlan,
-                    params: NetworkParams, mode: Mode = Mode.FULL) -> Tensor:
-    """Task embeddings (n x D_out) for every node of one graph."""
-    h_last = forward_states(tape, h0, plan, params, mode)[-1]
-    normed = ad.layer_norm(tape, h_last, params.norm_gain, params.norm_bias)
+                    params: NetworkParams, cfg: ModelConfig) -> Tensor:
+    """Task embeddings (n x D_out) for every node of one graph, through ``cfg.mode``'s layers."""
+    h = h0
+    for layer in range(cfg.layers):
+        if cfg.mode is Mode.RETENTION_ONLY:
+            h = gru_cell(tape, h, h, params, layer)
+        elif cfg.mode is Mode.AGGREGATION_ONLY:
+            h = attention_forward(tape, h, plan, params, layer, cfg.heads)
+        else:
+            h_tilde = attention_forward(tape, h, plan, params, layer, cfg.heads)
+            h = gru_cell(tape, h_tilde, h, params, layer)
+    normed = ad.layer_norm(tape, h, params["final_norm.gain"], params["final_norm.bias"])
     return task_projection(tape, normed, params)
 
 
@@ -385,4 +341,4 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
                 raise CheckpointError(f"{where}: nonzero entries outside the head blocks")
             arr = blocks
         arrays[name] = arr
-    return _assemble(cfg, arrays), cfg
+    return {name: Tensor(arrays[name], requires_grad=True) for name, _ in param_shapes(cfg)}, cfg

@@ -140,9 +140,9 @@ def _deleted_scores(tape: Tape | None, eg: EmbeddedGraph, params: NetworkParams,
                     cfg: ModelConfig) -> Tensor:
     """Scalar score of each deleted line, shape (k,), in node id order."""
     plan = eg.plan
-    embeddings = network_forward(tape, eg.h0_tensor, plan, params, cfg.mode)
+    embeddings = network_forward(tape, eg.h0_tensor, plan, params, cfg)
     picked = ad.take_rows(tape, embeddings, plan.node_rows[NodeKind.DELETED])
-    return ad.add(tape, ad.matmul(tape, picked, params.scorer_w), params.scorer_b)
+    return ad.add(tape, ad.matmul(tape, picked, params["scorer.w"]), params["scorer.b"])
 
 
 def _pair_loss_from_scores(tape: Tape | None, scores: Tensor,
@@ -263,7 +263,7 @@ def gradient_check_full_loss(dim: int = 8, heads: int = 2, layers: int = 1,
     eg = EmbeddedGraph(graph=graph, h0=h0)
     params = init_network_params(cfg, rng, random_scorer=True)
     pairs = build_pairs(graph, cfg.include_tie_pairs)
-    tensors = [t for _name, t in named_tensors(params)]
+    tensors = list(params.values())
 
     def loss_fn(tape, _params):
         return commit_loss(tape, eg, pairs, params, cfg)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import CommitGraph, Dataset, DepEdge, EdgeKind, LineNode, NodeKind
+from .network import ConfigError, check_field_types
 
 SIGNAL_VOCAB = (
     "nullcheck", "sentinel", "guardflag", "quorum", "fencepost", "watermark",
@@ -42,8 +43,16 @@ _RANDOM_EDGE_KINDS = (
 )
 
 
+# The exact types each GenConfig field accepts, so a bool is no int and "no" no bool.
+_FIELD_TYPES = {"n_commits": (int,), "deleted_per_commit": (int,), "added_per_commit": (int,),
+                "edge_density": (int, float), "signal_strength": (int, float), "seed": (int,),
+                "structure_only": (bool,)}
+
+
 @dataclass(frozen=True)
 class GenConfig:
+    """Settings checked when made, so one that exists is valid."""
+
     n_commits: int = 200
     deleted_per_commit: int = 10
     added_per_commit: int = 5
@@ -53,16 +62,14 @@ class GenConfig:
     structure_only: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_commits < 1:
-            raise ValueError("n_commits must be >= 1")
-        if self.deleted_per_commit < 2:
-            raise ValueError("deleted_per_commit must be >= 2")
-        if self.added_per_commit < 1:
-            raise ValueError("added_per_commit must be >= 1")
-        if not 0.0 <= self.edge_density <= 1.0:
-            raise ValueError("edge_density must be in [0, 1]")
-        if not 0.0 <= self.signal_strength <= 1.0:
-            raise ValueError("signal_strength must be in [0, 1]")
+        check_field_types(self, _FIELD_TYPES)
+        for name, least in (("n_commits", 1), ("deleted_per_commit", 2), ("added_per_commit", 1),
+                            ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}", name)
+        for name in ("edge_density", "signal_strength"):
+            if not 0.0 <= getattr(self, name) <= 1.0:   # also false for NaN
+                raise ConfigError(f"{name} must be in [0, 1]", name)
 
 
 def _noise_text(rng: np.random.Generator) -> str:

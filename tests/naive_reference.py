@@ -33,9 +33,7 @@ import numpy as np
 
 from rootrank import autodiff as ad
 from rootrank.aggregation import (
-    AttentionParams,
     GraphPlan,
-    HeadVectors,
     _edge_rows,
     block_diagonal,
     project_kqv,
@@ -51,7 +49,7 @@ from rootrank.graphs import (
 )
 from rootrank.network import (
     CHECKPOINT_FORMAT,
-    GruParams,
+    _GRU_TENSORS,
     Mode,
     ModelConfig,
     NetworkParams,
@@ -62,10 +60,9 @@ from rootrank.network import (
 from rootrank.synthetic import SIGNAL_VOCAB
 
 
-def layer_params(dim: int, heads: int,
-                 rng: np.random.Generator) -> tuple[AttentionParams, GruParams]:
-    """One freshly initialized layer: its (attention, gate) parameters."""
-    return init_network_params(ModelConfig(dim=dim, heads=heads, layers=1), rng).layers[0]
+def layer_params(dim: int, heads: int, rng: np.random.Generator) -> NetworkParams:
+    """A freshly initialized one-layer model: its ``layer0.*`` tensors and the head's."""
+    return init_network_params(ModelConfig(dim=dim, heads=heads, layers=1), rng)
 
 
 def mu_index(src_kind: NodeKind, edge_kind: EdgeKind, dst_kind: NodeKind) -> int:
@@ -170,24 +167,28 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def naive_project(h_prev: np.ndarray, kinds, w, b) -> np.ndarray:
+def naive_project(h_prev: np.ndarray, kinds, params: NetworkParams, layer: int,
+                  field: str) -> np.ndarray:
+    """Row by row, ``h_prev[i] @ w_{field} + b_{field}`` of node i's kind in layer ``layer``."""
+    p = f"layer{layer}.attn"
     out = np.zeros_like(h_prev)
     for i, kind in enumerate(kinds):
-        out[i] = h_prev[i] @ w[kind].data + b[kind].data
+        out[i] = (h_prev[i] @ params[f"{p}.w_{field}.{kind.value}"].data
+                  + params[f"{p}.b_{field}.{kind.value}"].data)
     return out
 
 
-def naive_attention_forward(h_prev: np.ndarray, g: CommitGraph,
-                            params: AttentionParams) -> np.ndarray:
-    """Edge-by-edge, head-by-head attention layer."""
+def naive_attention_forward(h_prev: np.ndarray, g: CommitGraph, params: NetworkParams,
+                            layer: int, heads: int) -> np.ndarray:
+    """Edge-by-edge, head-by-head attention layer ``layer``."""
     n, dim = h_prev.shape
-    heads = params.heads
     d = dim // heads
     kinds = [node.kind for node in g.nodes]
+    p = f"layer{layer}.attn"
 
-    k_full = naive_project(h_prev, kinds, params.w_k, params.b_k)
-    q_full = naive_project(h_prev, kinds, params.w_q, params.b_q)
-    v_full = naive_project(h_prev, kinds, params.w_v, params.b_v)
+    k_full = naive_project(h_prev, kinds, params, layer, "k")
+    q_full = naive_project(h_prev, kinds, params, layer, "q")
+    v_full = naive_project(h_prev, kinds, params, layer, "v")
 
     h_tilde = np.zeros((n, dim))
     for t in range(n):
@@ -199,9 +200,9 @@ def naive_attention_forward(h_prev: np.ndarray, g: CommitGraph,
             logits = []
             messages = []
             for s, ekind in incoming:
-                w_att_block = params.w_att[ekind].data[sl]
-                w_msg_block = params.w_msg[ekind].data[sl]
-                prior = params.mu.data[mu_index(kinds[s], ekind, kinds[t]), 0]
+                w_att_block = params[f"{p}.w_att.{ekind.value}"].data[sl]
+                w_msg_block = params[f"{p}.w_msg.{ekind.value}"].data[sl]
+                prior = params[f"{p}.mu"].data[mu_index(kinds[s], ekind, kinds[t]), 0]
                 logit = (k_full[s, sl] @ w_att_block @ q_full[t, sl]) * prior / math.sqrt(d)
                 logits.append(logit)
                 messages.append(v_full[s, sl] @ w_msg_block)
@@ -238,12 +239,13 @@ def naive_typed_rows(tape: Tape | None, x: Tensor, groups, heads: int) -> Tensor
     return out
 
 
-def naive_edge_rows(tape: Tape | None, plan: GraphPlan, states: Tensor,
-                    maps: dict[EdgeKind, Tensor], heads: int) -> Tensor:
+def naive_edge_rows(tape: Tape | None, plan: GraphPlan, states: Tensor, params: NetworkParams,
+                    maps: str, heads: int) -> Tensor:
     """Per edge kind, every node mapped, gathered at the edge sources and masked; summed."""
     out = None
     for kind, rows in plan.edge_rows.items():
-        mapped = ad.block_matmul(tape, states, [(np.arange(states.shape[0]), maps[kind])], heads)
+        w = params[f"{maps}.{kind.value}"]
+        mapped = ad.block_matmul(tape, states, [(np.arange(states.shape[0]), w)], heads)
         part = mul(tape, ad.take_rows(tape, mapped, plan.src), _mask(rows, len(plan.src)))
         out = part if out is None else ad.add(tape, out, part)
     return out
@@ -443,10 +445,17 @@ def tanh(tape: Tape | None, a: Tensor) -> Tensor:
     return ad._make(tape, t, (a,), bwd)
 
 
-def composed_gru(tape: Tape | None, h_tilde: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
+def gru_tensors(params: NetworkParams, layer: int) -> dict[str, Tensor]:
+    """Layer ``layer``'s 12 gate tensors, by their names within the layer (``w_ir`` ...)."""
+    return {name: params[f"layer{layer}.gru.{name}"] for name in _GRU_TENSORS}
+
+
+def composed_gru(tape: Tape | None, h_tilde: Tensor, h_prev: Tensor, params: NetworkParams,
+                 layer: int) -> Tensor:
     """The gated update as 23 tape ops: matmul, add, mul, sub, sigmoid and tanh."""
     if h_tilde.shape != h_prev.shape:
         raise ValueError(f"gru_cell: shapes differ: {h_tilde.shape} vs {h_prev.shape}")
+    p = SimpleNamespace(**gru_tensors(params, layer))
 
     def affine(x, w, b):
         return ad.add(tape, ad.matmul(tape, x, w), b)
@@ -491,16 +500,18 @@ def composed_attend(tape: Tape | None, keys: Tensor, queries: Tensor, mu: Tensor
     return composed_aggregate(tape, weights, messages, dst, n)
 
 
-def attention_logits(tape: Tape | None, plan: GraphPlan, kv: HeadVectors,
-                     params: AttentionParams) -> Tensor:
+def attention_logits(tape: Tape | None, plan: GraphPlan, kqv: tuple[Tensor, Tensor, Tensor],
+                     params: NetworkParams, layer: int, heads: int) -> Tensor:
     """Per-edge, per-head scaled attention logits, shape (E, H), in the plan's edge order.
 
     Each logit is K_head(src) @ W_att_block @ Q_head(dst), scaled by the
     (source kind, edge kind, target kind) prior and 1/sqrt(D/H).
     """
-    keys = _edge_rows(tape, plan, kv.k, params.w_att, params.heads)
-    queries = ad.take_rows(tape, kv.q, plan.dst)
-    return composed_logits(tape, keys, queries, params.mu, plan.mu_idx, params.heads)
+    k, q, _v = kqv
+    keys = _edge_rows(tape, plan, k, params, f"layer{layer}.attn.w_att", heads)
+    queries = ad.take_rows(tape, q, plan.dst)
+    return composed_logits(tape, keys, queries, params[f"layer{layer}.attn.mu"], plan.mu_idx,
+                           heads)
 
 
 def attention_weights(tape: Tape | None, logits: Tensor, plan: GraphPlan) -> Tensor:
@@ -508,10 +519,10 @@ def attention_weights(tape: Tape | None, logits: Tensor, plan: GraphPlan) -> Ten
     return segment_softmax(tape, logits, plan.dst, plan.n)
 
 
-def edge_messages(tape: Tape | None, plan: GraphPlan, kv: HeadVectors,
-                  params: AttentionParams) -> Tensor:
+def edge_messages(tape: Tape | None, plan: GraphPlan, kqv: tuple[Tensor, Tensor, Tensor],
+                  params: NetworkParams, layer: int, heads: int) -> Tensor:
     """Per-edge message content, shape (E, D): V_head(src) @ W_msg_block per head."""
-    return _edge_rows(tape, plan, kv.v, params.w_msg, params.heads)
+    return _edge_rows(tape, plan, kqv[2], params, f"layer{layer}.attn.w_msg", heads)
 
 
 def aggregate(tape: Tape | None, plan: GraphPlan, weights: Tensor, messages: Tensor) -> Tensor:
@@ -520,14 +531,14 @@ def aggregate(tape: Tape | None, plan: GraphPlan, weights: Tensor, messages: Ten
 
 
 def composed_attention(tape: Tape | None, h_prev: Tensor, plan: GraphPlan,
-                       params: AttentionParams) -> Tensor:
+                       params: NetworkParams, layer: int, heads: int) -> Tensor:
     """``aggregation.attention_forward`` through the composed stages: 17 tape ops."""
     if not plan.edge_rows:
         return constant(np.zeros(h_prev.shape))
-    kv = project_kqv(tape, h_prev, params, plan)
-    logits = attention_logits(tape, plan, kv, params)
+    kqv = project_kqv(tape, h_prev, plan, params, layer)
+    logits = attention_logits(tape, plan, kqv, params, layer, heads)
     weights = attention_weights(tape, logits, plan)
-    return aggregate(tape, plan, weights, edge_messages(tape, plan, kv, params))
+    return aggregate(tape, plan, weights, edge_messages(tape, plan, kqv, params, layer, heads))
 
 
 def composed_pair_loss(tape: Tape | None, scores: Tensor, pair_i: np.ndarray,
@@ -540,7 +551,10 @@ def composed_pair_loss(tape: Tape | None, scores: Tensor, pair_i: np.ndarray,
     return scalar_mul(tape, reduce_sum(tape, ad.add(tape, pos, neg)), -1.0)
 
 
-def naive_gru(h_tilde: np.ndarray, h_prev: np.ndarray, p: GruParams) -> np.ndarray:
+def naive_gru(h_tilde: np.ndarray, h_prev: np.ndarray, params: NetworkParams,
+              layer: int) -> np.ndarray:
+    """Row by row, layer ``layer``'s gated update."""
+    p = SimpleNamespace(**gru_tensors(params, layer))
     out = np.zeros_like(h_prev)
     for row in range(h_prev.shape[0]):
         x = h_tilde[row]
@@ -563,18 +577,23 @@ def naive_layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     return out
 
 
+def naive_head(h: np.ndarray, params: NetworkParams) -> np.ndarray:
+    """The final norm and the ReLU task projection of the last node states ``h``."""
+    normed = naive_layer_norm(h, params["final_norm.gain"].data, params["final_norm.bias"].data)
+    return np.maximum(normed @ params["proj.w"].data + params["proj.b"].data, 0.0)
+
+
 def naive_network_forward(h0: np.ndarray, g: CommitGraph, params: NetworkParams,
-                          mode: Mode = Mode.FULL) -> np.ndarray:
+                          cfg: ModelConfig) -> np.ndarray:
     h = h0.copy()
-    for attn, gru in params.layers:
-        if mode is Mode.FULL:
-            h = naive_gru(naive_attention_forward(h, g, attn), h, gru)
-        elif mode is Mode.AGGREGATION_ONLY:
-            h = naive_attention_forward(h, g, attn)
+    for layer in range(cfg.layers):
+        if cfg.mode is Mode.FULL:
+            h = naive_gru(naive_attention_forward(h, g, params, layer, cfg.heads), h, params, layer)
+        elif cfg.mode is Mode.AGGREGATION_ONLY:
+            h = naive_attention_forward(h, g, params, layer, cfg.heads)
         else:
-            h = naive_gru(h, h, gru)
-    normed = naive_layer_norm(h, params.norm_gain.data, params.norm_bias.data)
-    return np.maximum(normed @ params.w_proj.data + params.b_proj.data, 0.0)
+            h = naive_gru(h, h, params, layer)
+    return naive_head(h, params)
 
 
 def signal_token_count(text: str) -> int:

@@ -29,10 +29,10 @@ from rootrank.evaluation import (
 from rootrank.network import (
     Mode,
     ModelConfig,
-    forward_states,
     init_network_params,
     gru_cell,
     named_tensors,
+    network_forward,
 )
 from rootrank.ranker import (
     TrainedModel,
@@ -44,9 +44,11 @@ from rootrank.ranker import (
 from rootrank.synthetic import GenConfig, generate
 
 from naive_reference import (
+    gru_tensors,
     layer_params,
     naive_attention_forward,
     naive_gru,
+    naive_head,
     neighbors_in,
     random_graph,
 )
@@ -99,24 +101,24 @@ class TestCriterion2AttentionNormalization:
         for _ in range(200):
             g = random_graph(rng)
             plan = build_plan(g)
-            params = layer_params(8, 4, rng)[0]
+            params = layer_params(8, 4, rng)
             h0 = rng.normal(size=(len(g.nodes), 8))
             if len(plan.dst):
                 # the layer's own weights, read through attend: with all-ones messages,
                 # every column of head i in a target's row is the sum of its head-i weights
-                kv = project_kqv(None, constant(h0), params, plan)
-                keys = _edge_rows(None, plan, kv.k, params.w_att, 4)
-                queries = ad.take_rows(None, kv.q, plan.dst)
+                k, q, _v = project_kqv(None, constant(h0), plan, params, 0)
+                keys = _edge_rows(None, plan, k, params, "layer0.attn.w_att", 4)
+                queries = ad.take_rows(None, q, plan.dst)
                 ones = constant(np.ones((len(g.edges), 8)))
-                sums = ad.attend(None, keys, queries, params.mu, ones, plan.mu_idx, plan.dst,
-                                 plan.n, 4).data
+                sums = ad.attend(None, keys, queries, params["layer0.attn.mu"], ones, plan.mu_idx,
+                                 plan.dst, plan.n, 4).data
                 assert keys.shape == queries.shape == (len(g.edges), 8)
                 assert sums.shape == (len(g.nodes), 8)
                 assert not sums[np.setdiff1d(np.arange(len(g.nodes)), plan.dst)].any()
                 for t in np.unique(plan.dst):
                     assert np.all(np.abs(sums[t] - 1.0) <= 1e-9)
                     targets_checked += 1
-            h_tilde = attention_forward(None, constant(h0), plan, params)
+            h_tilde = attention_forward(None, constant(h0), plan, params, 0, 4)
             for node in range(len(g.nodes)):
                 if not neighbors_in(g, node):
                     assert np.all(h_tilde.data[node] == 0.0)
@@ -132,17 +134,17 @@ class TestCriterion3OracleEquivalence:
         rng = np.random.default_rng(77)
         for _ in range(100):
             g = random_graph(rng, max_nodes=6)
-            params = layer_params(8, 2, rng)[0]
+            params = layer_params(8, 2, rng)
             plan = build_plan(g)
             h0 = rng.normal(size=(len(g.nodes), 8))
-            fast = attention_forward(None, constant(h0), plan, params).data
-            slow = naive_attention_forward(h0, g, params)
+            fast = attention_forward(None, constant(h0), plan, params, 0, 2).data
+            slow = naive_attention_forward(h0, g, params, 0, 2)
             np.testing.assert_allclose(fast, slow, atol=1e-12)
 
-            gru = layer_params(8, 1, rng)[1]
+            gru = layer_params(8, 1, rng)
             h_tilde = rng.normal(size=(len(g.nodes), 8))
-            fast_g = gru_cell(None, constant(h_tilde), constant(h0), gru).data
-            np.testing.assert_allclose(fast_g, naive_gru(h_tilde, h0, gru), atol=1e-12)
+            fast_g = gru_cell(None, constant(h_tilde), constant(h0), gru, 0).data
+            np.testing.assert_allclose(fast_g, naive_gru(h_tilde, h0, gru, 0), atol=1e-12)
         with capsys.disabled():
             ok(3, "100 random graphs <= 6 nodes, both layers, 1e-12")
 
@@ -166,7 +168,7 @@ class TestCriterion4RankNetIdentities:
         ds = generate(GenConfig(n_commits=5, deleted_per_commit=6, added_per_commit=3, seed=9))
         embedded = embed_dataset(ds, HashingEmbedder(16))
         before = [[nid for nid, _s in rank_commit(model, eg)] for eg in embedded]
-        model.params.scorer_b.data = np.asarray(917.25)
+        model.params["scorer.b"].data = np.asarray(917.25)
         after = [[nid for nid, _s in rank_commit(model, eg)] for eg in embedded]
         assert before == after
         with capsys.disabled():
@@ -179,15 +181,16 @@ class TestCriterion5GateLimits:
         g = random_graph(rng)
         cfg = ModelConfig(dim=8, heads=2, layers=3, proj_dim=4)
         params = init_network_params(cfg, rng, random_scorer=True)
-        for _attn, gru in params.layers:
-            gru.w_iz.data = np.zeros((8, 8))
-            gru.w_hz.data = np.zeros((8, 8))
-            gru.b_iz.data = np.full(8, 30.0)
-            gru.b_hz.data = np.zeros(8)
+        for layer in range(cfg.layers):
+            gru = gru_tensors(params, layer)
+            gru["w_iz"].data = np.zeros((8, 8))
+            gru["w_hz"].data = np.zeros((8, 8))
+            gru["b_iz"].data = np.full(8, 30.0)
+            gru["b_hz"].data = np.zeros(8)
         plan = build_plan(g)
         h0 = rng.normal(size=(len(g.nodes), 8))
-        states = forward_states(None, constant(h0), plan, params, Mode.FULL)
-        deviation = np.abs(states[-1].data - h0).max()
+        out = network_forward(None, constant(h0), plan, params, cfg)
+        deviation = np.abs(out.data - naive_head(h0, params)).max()
         assert deviation <= 1e-9
         with capsys.disabled():
             ok(5, f"L=3 saturated gate, max deviation {deviation:.1e}")

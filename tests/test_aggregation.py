@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from rootrank import autodiff as ad
 from rootrank.aggregation import (
     MU_SIZE,
-    AttentionParams,
     GraphPlan,
     attention_forward,
     _edge_rows,
@@ -42,20 +41,17 @@ from rootrank.synthetic import GenConfig, generate
 
 def identity_params(dim, heads):
     """Identity projections, zero biases, identity head blocks, unit priors."""
-    params = layer_params(dim, heads, np.random.default_rng(0))[0]
+    params = layer_params(dim, heads, np.random.default_rng(0))
     eye = np.eye(dim)
     eye_blocks = np.tile(np.eye(dim // heads), (heads, 1))
     for kind in NodeKind:
-        params.w_k[kind].data = eye.copy()
-        params.w_q[kind].data = eye.copy()
-        params.w_v[kind].data = eye.copy()
-        params.b_k[kind].data = np.zeros(dim)
-        params.b_q[kind].data = np.zeros(dim)
-        params.b_v[kind].data = np.zeros(dim)
+        for field in ("k", "q", "v"):
+            params[f"layer0.attn.w_{field}.{kind.value}"].data = eye.copy()
+            params[f"layer0.attn.b_{field}.{kind.value}"].data = np.zeros(dim)
     for kind in EdgeKind:
-        params.w_att[kind].data = eye_blocks.copy()
-        params.w_msg[kind].data = eye_blocks.copy()
-    params.mu.data = np.ones_like(params.mu.data)
+        params[f"layer0.attn.w_att.{kind.value}"].data = eye_blocks.copy()
+        params[f"layer0.attn.w_msg.{kind.value}"].data = eye_blocks.copy()
+    params["layer0.attn.mu"].data = np.ones_like(params["layer0.attn.mu"].data)
     return params
 
 
@@ -182,10 +178,8 @@ class TestProjectKqv:
         plan = build_plan(g)
         params = identity_params(4, 2)
         h = constant(np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]))
-        kv = project_kqv(None, h, params, plan)
-        np.testing.assert_array_equal(kv.k.data, h.data)
-        np.testing.assert_array_equal(kv.q.data, h.data)
-        np.testing.assert_array_equal(kv.v.data, h.data)
+        for projected in project_kqv(None, h, plan, params, 0):
+            np.testing.assert_array_equal(projected.data, h.data)
 
     def test_heads_are_contiguous_slices(self):
         # head 1 owns columns 2:4, so changing them leaves head 0's logit alone
@@ -193,9 +187,11 @@ class TestProjectKqv:
         plan = build_plan(g)
         params = identity_params(4, 2)
         h = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0]])
-        base = attention_logits(None, plan, project_kqv(None, constant(h), params, plan), params)
+        base = attention_logits(None, plan, project_kqv(None, constant(h), plan, params, 0),
+                                params, 0, 2)
         h[0, 2:] = [-7.0, 9.0]
-        moved = attention_logits(None, plan, project_kqv(None, constant(h), params, plan), params)
+        moved = attention_logits(None, plan, project_kqv(None, constant(h), plan, params, 0),
+                                 params, 0, 2)
         np.testing.assert_allclose(base.data[0], [3.0 / math.sqrt(2), 7.0 / math.sqrt(2)])
         np.testing.assert_allclose(moved.data[0], [3.0 / math.sqrt(2), 2.0 / math.sqrt(2)])
 
@@ -203,11 +199,11 @@ class TestProjectKqv:
         g = chain_graph()
         plan = build_plan(g)
         params = identity_params(4, 2)
-        params.w_k[NodeKind.ADDED].data = 2.0 * np.eye(4)
+        params["layer0.attn.w_k.added"].data = 2.0 * np.eye(4)
         h = constant(np.ones((2, 4)))
-        kv = project_kqv(None, h, params, plan)
-        np.testing.assert_array_equal(kv.k.data[0], np.ones(4))
-        np.testing.assert_array_equal(kv.k.data[1], 2.0 * np.ones(4))
+        k, _q, _v = project_kqv(None, h, plan, params, 0)
+        np.testing.assert_array_equal(k.data[0], np.ones(4))
+        np.testing.assert_array_equal(k.data[1], 2.0 * np.ones(4))
 
 
 class TestAttentionLogits:
@@ -217,18 +213,19 @@ class TestAttentionLogits:
         plan = build_plan(g)
         params = identity_params(4, 2)
         h = constant(np.array([[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 0.0]]))
-        kv = project_kqv(None, h, params, plan)
-        logits = attention_logits(None, plan, kv, params)
+        kv = project_kqv(None, h, plan, params, 0)
+        logits = attention_logits(None, plan, kv, params, 0, 2)
         np.testing.assert_allclose(logits.data, np.full((1, 2), 1.0 / math.sqrt(2)), atol=1e-15)
 
     def test_zero_prior_kills_logit(self):
         g = chain_graph()
         plan = build_plan(g)
         params = identity_params(4, 2)
-        params.mu.data[mu_index(NodeKind.DELETED, EdgeKind.DATA_DEPENDENCY, NodeKind.ADDED), 0] = 0.0
+        row = mu_index(NodeKind.DELETED, EdgeKind.DATA_DEPENDENCY, NodeKind.ADDED)
+        params["layer0.attn.mu"].data[row, 0] = 0.0
         h = constant(np.ones((2, 4)) * 3.0)
-        kv = project_kqv(None, h, params, plan)
-        logits = attention_logits(None, plan, kv, params)
+        kv = project_kqv(None, h, plan, params, 0)
+        logits = attention_logits(None, plan, kv, params, 0, 2)
         np.testing.assert_array_equal(logits.data, np.zeros((1, 2)))
 
     def test_orthogonal_key_query_gives_zero(self):
@@ -238,8 +235,8 @@ class TestAttentionLogits:
         h = np.zeros((2, 4))
         h[0] = [1.0, 0.0, 1.0, 0.0]   # source keys
         h[1] = [0.0, 1.0, 0.0, 1.0]   # target queries, orthogonal per head
-        kv = project_kqv(None, constant(h), params, plan)
-        logits = attention_logits(None, plan, kv, params)
+        kv = project_kqv(None, constant(h), plan, params, 0)
+        logits = attention_logits(None, plan, kv, params, 0, 2)
         np.testing.assert_allclose(logits.data, np.zeros((1, 2)), atol=1e-15)
 
     def test_prior_scaling_is_linear(self):
@@ -247,13 +244,13 @@ class TestAttentionLogits:
         g = random_graph(rng)
         while not g.edges:
             g = random_graph(rng)
-        params = layer_params(8, 2, rng)[0]
+        params = layer_params(8, 2, rng)
         plan = build_plan(g)
         h = constant(rng.normal(size=(len(g.nodes), 8)))
-        kv = project_kqv(None, h, params, plan)
-        base = attention_logits(None, plan, kv, params).data.copy()
-        params.mu.data *= 3.0
-        scaled = attention_logits(None, plan, kv, params).data
+        kv = project_kqv(None, h, plan, params, 0)
+        base = attention_logits(None, plan, kv, params, 0, 2).data.copy()
+        params["layer0.attn.mu"].data *= 3.0
+        scaled = attention_logits(None, plan, kv, params, 0, 2).data
         np.testing.assert_allclose(scaled, 3.0 * base, rtol=1e-12)
 
 
@@ -277,8 +274,8 @@ class TestAttentionWeights:
         plan = build_plan(g)
         params = identity_params(4, 2)
         h = constant(np.ones((4, 4)))
-        kv = project_kqv(None, h, params, plan)
-        logits = attention_logits(None, plan, kv, params)
+        kv = project_kqv(None, h, plan, params, 0)
+        logits = attention_logits(None, plan, kv, params, 0, 2)
         w = attention_weights(None, logits, plan)
         np.testing.assert_allclose(w.data, np.full((3, 2), 1 / 3), atol=1e-12)
 
@@ -293,8 +290,8 @@ class TestAttentionWeights:
         plan = build_plan(g)
         params = identity_params(4, 2)
         h = constant(np.random.default_rng(0).normal(size=(2, 4)))
-        kv = project_kqv(None, h, params, plan)
-        logits = attention_logits(None, plan, kv, params)
+        kv = project_kqv(None, h, plan, params, 0)
+        logits = attention_logits(None, plan, kv, params, 0, 2)
         w = attention_weights(None, logits, plan)
         np.testing.assert_allclose(w.data, np.ones((1, 2)), atol=1e-15)
 
@@ -302,8 +299,8 @@ class TestAttentionWeights:
         g = chain_graph()
         plan = build_plan(g)
         params = identity_params(4, 2)
-        kv = project_kqv(None, constant(np.ones((2, 4))), params, plan)
-        w = attention_weights(None, attention_logits(None, plan, kv, params), plan)
+        kv = project_kqv(None, constant(np.ones((2, 4))), plan, params, 0)
+        w = attention_weights(None, attention_logits(None, plan, kv, params, 0, 2), plan)
         assert plan.dst.tolist() == [1]
         assert w.data[plan.dst == 0].shape == (0, 2)
 
@@ -313,11 +310,11 @@ class TestAttentionWeights:
             g = random_graph(rng)
             if not g.edges:
                 continue
-            params = layer_params(8, 4, rng)[0]
+            params = layer_params(8, 4, rng)
             plan = build_plan(g)
             h = constant(rng.normal(size=(len(g.nodes), 8)))
-            kv = project_kqv(None, h, params, plan)
-            w = attention_weights(None, attention_logits(None, plan, kv, params), plan)
+            kv = project_kqv(None, h, plan, params, 0)
+            w = attention_weights(None, attention_logits(None, plan, kv, params, 0, 4), plan)
             for t in set(plan.dst.tolist()):
                 np.testing.assert_allclose(w.data[plan.dst == t].sum(axis=0), 1.0, atol=1e-9)
 
@@ -328,17 +325,17 @@ class TestMessagesAndAggregate:
         plan = build_plan(g)
         params = identity_params(4, 2)
         h = constant(np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]]))
-        kv = project_kqv(None, h, params, plan)
-        msgs = edge_messages(None, plan, kv, params)
+        kv = project_kqv(None, h, plan, params, 0)
+        msgs = edge_messages(None, plan, kv, params, 0, 2)
         np.testing.assert_array_equal(msgs.data, [[1.0, 2.0, 3.0, 4.0]])
 
     def test_zero_message_map_gives_zero(self):
         g = chain_graph()
         plan = build_plan(g)
         params = identity_params(4, 2)
-        params.w_msg[EdgeKind.DATA_DEPENDENCY].data = np.zeros((4, 2))
-        kv = project_kqv(None, constant(np.ones((2, 4))), params, plan)
-        msgs = edge_messages(None, plan, kv, params)
+        params["layer0.attn.w_msg.data_dependency"].data = np.zeros((4, 2))
+        kv = project_kqv(None, constant(np.ones((2, 4))), plan, params, 0)
+        msgs = edge_messages(None, plan, kv, params, 0, 2)
         np.testing.assert_array_equal(msgs.data, np.zeros((1, 4)))
 
     def test_diagonal_message_map(self):
@@ -346,9 +343,9 @@ class TestMessagesAndAggregate:
         g = chain_graph()
         plan = build_plan(g)
         params = identity_params(2, 1)
-        params.w_msg[EdgeKind.DATA_DEPENDENCY].data = np.diag([2.0, 3.0])
-        kv = project_kqv(None, constant(np.array([[1.0, 1.0], [0.0, 0.0]])), params, plan)
-        msgs = edge_messages(None, plan, kv, params)
+        params["layer0.attn.w_msg.data_dependency"].data = np.diag([2.0, 3.0])
+        kv = project_kqv(None, constant(np.array([[1.0, 1.0], [0.0, 0.0]])), plan, params, 0)
+        msgs = edge_messages(None, plan, kv, params, 0, 1)
         np.testing.assert_array_equal(msgs.data, [[2.0, 3.0]])
 
     def test_single_edge_aggregation_copies_message(self):
@@ -356,7 +353,7 @@ class TestMessagesAndAggregate:
         plan = build_plan(g)
         params = identity_params(4, 2)
         h = constant(np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]]))
-        out = attention_forward(None, h, plan, params)
+        out = attention_forward(None, h, plan, params, 0, 2)
         np.testing.assert_allclose(out.data[1], [1.0, 2.0, 3.0, 4.0], atol=1e-15)
 
     def test_isolated_node_gets_zero_row(self):
@@ -364,7 +361,7 @@ class TestMessagesAndAggregate:
         plan = build_plan(g)
         params = identity_params(4, 2)
         h = constant(np.ones((2, 4)))
-        out = attention_forward(None, h, plan, params)
+        out = attention_forward(None, h, plan, params, 0, 2)
         np.testing.assert_array_equal(out.data[0], np.zeros(4))
 
     def test_two_equal_weights_average_messages(self):
@@ -382,10 +379,10 @@ class TestMessagesAndAggregate:
         params = identity_params(2, 1)
         # zero keys -> equal logits -> weights 1/2 each
         h = np.array([[2.0, 4.0], [6.0, 8.0], [0.0, 0.0]])
-        kv = project_kqv(None, constant(h), params, plan)
-        logits = attention_logits(None, plan, kv, params)
+        kv = project_kqv(None, constant(h), plan, params, 0)
+        logits = attention_logits(None, plan, kv, params, 0, 1)
         np.testing.assert_array_equal(logits.data, np.zeros((2, 1)))
-        out = attention_forward(None, constant(h), plan, params)
+        out = attention_forward(None, constant(h), plan, params, 0, 1)
         np.testing.assert_allclose(out.data[2], [(2 + 6) / 2, (4 + 8) / 2], atol=1e-15)
 
 
@@ -398,18 +395,18 @@ class TestForwardAgainstNaiveOracle:
         )
         plan = build_plan(g)
         params = identity_params(4, 2)
-        out = attention_forward(None, constant(np.ones((1, 4))), plan, params)
+        out = attention_forward(None, constant(np.ones((1, 4))), plan, params, 0, 2)
         np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
     def test_matches_naive_on_random_graphs(self):
         rng = np.random.default_rng(123)
         for _ in range(30):
             g = random_graph(rng)
-            params = layer_params(8, 2, rng)[0]
+            params = layer_params(8, 2, rng)
             plan = build_plan(g)
             h0 = rng.normal(size=(len(g.nodes), 8))
-            fast = attention_forward(None, constant(h0), plan, params).data
-            slow = naive_attention_forward(h0, g, params)
+            fast = attention_forward(None, constant(h0), plan, params, 0, 2).data
+            slow = naive_attention_forward(h0, g, params, 0, 2)
             np.testing.assert_allclose(fast, slow, atol=1e-12)
 
     def test_permutation_equivariance(self):
@@ -417,7 +414,7 @@ class TestForwardAgainstNaiveOracle:
         g = random_graph(rng)
         while len(g.edges) < 2:
             g = random_graph(rng)
-        params = layer_params(8, 2, rng)[0]
+        params = layer_params(8, 2, rng)
         h0 = rng.normal(size=(len(g.nodes), 8))
 
         n = len(g.nodes)
@@ -437,8 +434,8 @@ class TestForwardAgainstNaiveOracle:
         g2 = CommitGraph(commit_id="perm", nodes=nodes, edges=edges)
         h0_perm = h0[perm.argsort()][:]
 
-        out1 = attention_forward(None, constant(h0), build_plan(g), params).data
-        out2 = attention_forward(None, constant(h0_perm), build_plan(g2), params).data
+        out1 = attention_forward(None, constant(h0), build_plan(g), params, 0, 2).data
+        out2 = attention_forward(None, constant(h0_perm), build_plan(g2), params, 0, 2).data
         np.testing.assert_allclose(out2, out1[perm.argsort()], atol=1e-12)
 
     def test_gradients_flow_to_every_parameter_family(self):
@@ -446,18 +443,19 @@ class TestForwardAgainstNaiveOracle:
         g = random_graph(rng)
         while len({e.kind for e in g.edges}) < 2:
             g = random_graph(rng)
-        params = layer_params(8, 2, rng)[0]
+        params = layer_params(8, 2, rng)
         plan = build_plan(g)
         h0 = Tensor(rng.normal(size=(len(g.nodes), 8)), requires_grad=True)
         tape = ad.Tape()
-        out = attention_forward(tape, h0, plan, params)
+        out = attention_forward(tape, h0, plan, params, 0, 2)
         loss = reduce_sum(tape, mul(tape, out, out))
         grads = ad.backward(tape, loss)
         assert np.abs(grads[h0]).sum() > 0
-        assert np.abs(grads[params.mu]).sum() > 0
+        assert np.abs(grads[params["layer0.attn.mu"]]).sum() > 0
         present = {e.kind for e in g.edges}
-        assert any(np.abs(grads[params.w_att[k]]).sum() > 0 for k in present)
-        assert any(np.abs(grads[params.w_msg[k]]).sum() > 0 for k in present)
+        for maps in ("w_att", "w_msg"):
+            assert any(np.abs(grads[params[f"layer0.attn.{maps}.{k.value}"]]).sum() > 0
+                       for k in present)
 
 
 class TestTypedRowsAgainstMaskedOracle:
@@ -483,13 +481,15 @@ class TestTypedRowsAgainstMaskedOracle:
         for _ in range(20):
             g = random_graph(rng)
             plan = build_plan(g)
-            params = layer_params(8, 2, rng)[0]
+            params = layer_params(8, 2, rng)
             h = Tensor(rng.normal(size=(len(g.nodes), 8)), requires_grad=True)
-            groups = [(rows, params.w_k[kind], params.b_k[kind])
+            groups = [(rows, params[f"layer0.attn.w_k.{kind.value}"],
+                       params[f"layer0.attn.b_k.{kind.value}"])
                       for kind, rows in plan.node_rows.items()]
-            self._check(lambda tape: project_kqv(tape, h, params, plan).k,
+            self._check(lambda tape: project_kqv(tape, h, plan, params, 0)[0],
                         lambda tape: naive_typed_rows(tape, h, groups, 1),
-                        [h, *params.w_k.values(), *params.b_k.values()], h.shape, rng)
+                        [h, *(params[f"layer0.attn.{field}.{kind.value}"]
+                              for field in ("w_k", "b_k") for kind in NodeKind)], h.shape, rng)
 
     def test_edge_rows(self):
         rng = np.random.default_rng(18)
@@ -498,11 +498,13 @@ class TestTypedRowsAgainstMaskedOracle:
             if not g.edges:
                 continue
             plan = build_plan(g)
-            params = layer_params(8, 4, rng)[0]
+            params = layer_params(8, 4, rng)
             h = Tensor(rng.normal(size=(len(g.nodes), 8)), requires_grad=True)
-            self._check(lambda tape: _edge_rows(tape, plan, h, params.w_att, 4),
-                        lambda tape: naive_edge_rows(tape, plan, h, params.w_att, 4),
-                        [h, *params.w_att.values()], (len(g.edges), 8), rng)
+            maps = "layer0.attn.w_att"
+            self._check(lambda tape: _edge_rows(tape, plan, h, params, maps, 4),
+                        lambda tape: naive_edge_rows(tape, plan, h, params, maps, 4),
+                        [h, *(params[f"{maps}.{kind.value}"] for kind in EdgeKind)],
+                        (len(g.edges), 8), rng)
 
 
 class TestComposedStagesPinnedToAttend:
@@ -517,18 +519,17 @@ class TestComposedStagesPinnedToAttend:
         g = random_graph(rng)
         while not g.edges:
             g = random_graph(rng)
-        params = layer_params(8, heads, rng)[0]
-        params.mu.data = prior * rng.uniform(0.5, 1.5, size=params.mu.shape)
+        params = layer_params(8, heads, rng)
+        mu = params["layer0.attn.mu"]
+        mu.data = prior * rng.uniform(0.5, 1.5, size=mu.shape)
         plan = build_plan(g)
         h = Tensor(rng.normal(size=(len(g.nodes), 8)), requires_grad=True)
         weights = rng.normal(size=h.shape)
-        leaves = [h, params.mu, *params.w_k.values(), *params.b_k.values(),
-                  *params.w_q.values(), *params.b_q.values(), *params.w_v.values(),
-                  *params.b_v.values(), *params.w_att.values(), *params.w_msg.values()]
+        leaves = [h, *(t for name, t in params.items() if name.startswith("layer0.attn."))]
 
         def run(layer):
             tape = ad.Tape()
-            out = layer(tape, h, plan, params)
+            out = layer(tape, h, plan, params, 0, heads)
             grads = ad.backward(tape, reduce_sum(tape, mul(tape, out, constant(weights))))
             return [out.data] + [grads[t] for t in leaves]
 
@@ -660,9 +661,9 @@ class TestPlanChecksItsArraysOnce:
     @given(g=plan_graphs())
     def test_a_checked_plan_runs_the_layer_as_its_raw_arrays_do(self, g):
         rng = np.random.default_rng(len(g.nodes) + 7 * len(g.edges))
-        params = layer_params(8, 2, rng)[0]
+        params = layer_params(8, 2, rng)
         h = constant(rng.normal(size=(len(g.nodes), 8)))
         plan = build_plan(g)
-        got = attention_forward(None, h, plan, params).data
-        want = attention_forward(None, h, raw_plan(plan), params).data
+        got = attention_forward(None, h, plan, params, 0, 2).data
+        want = attention_forward(None, h, raw_plan(plan), params, 0, 2).data
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))

@@ -18,7 +18,7 @@ from rootrank.autodiff import CheckedIndex, Tape, Tensor, backward, constant, gr
 
 from rootrank.embedding import EmbeddedGraph, HashingEmbedder, embed_graph
 from rootrank.graphs import CommitGraph, NodeKind
-from rootrank.network import _GRU_TENSORS, Mode, ModelConfig, init_network_params, named_tensors
+from rootrank.network import Mode, ModelConfig, init_network_params, named_tensors
 from rootrank.ranker import TrainedModel, _checked_pairs, build_pairs, commit_loss, rank_commit
 from rootrank.synthetic import GenConfig, generate
 
@@ -26,6 +26,7 @@ from naive_reference import (
     composed_attend,
     composed_gru,
     composed_pair_loss,
+    gru_tensors,
     layer_params,
     log_sigmoid,
     mul,
@@ -315,7 +316,7 @@ class TestBackwardUsesUpTheTape:
             tracemalloc.reset_peak()
             grads = backward(tape, loss)
             peak = tracemalloc.get_traced_memory()[1] - base
-        assert np.abs(grads[params.scorer_w]).sum() > 0
+        assert np.abs(grads[params["scorer.w"]]).sum() > 0
         assert peak <= 1.25 * live, f"backward peaked at {peak / live:.2f}x the forward's memory"
 
 
@@ -702,18 +703,19 @@ class TestBlockMatmul:
 
 
 def gru_weights(p):
-    """The 12 gate tensors of ``p`` in the order ``autodiff.gru`` takes them."""
-    return [getattr(p, name) for name in _GRU_TENSORS]
+    """Layer 0's 12 gate tensors of ``p`` in the order ``autodiff.gru`` takes them."""
+    return list(gru_tensors(p, 0).values())
 
 
 def saturate(p, value=30.0):
     """Pre-activations near +-value: biases alternate in sign, weights shrink."""
-    d = p.b_ir.shape[0]
+    gru = gru_tensors(p, 0)
+    d = gru["b_ir"].shape[0]
     signs = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
     for name in ("b_ir", "b_iz", "b_in"):
-        getattr(p, name).data = value * signs
+        gru[name].data = value * signs
     for name in ("w_ir", "w_hr", "w_iz", "w_hz", "w_in", "w_hn"):
-        getattr(p, name).data *= 0.1
+        gru[name].data *= 0.1
 
 
 class TestGru:
@@ -727,7 +729,7 @@ class TestGru:
     @pytest.mark.parametrize("case", ["distinct", "x_is_h", "saturated"])
     def test_gradcheck_every_input(self, case):
         rng = np.random.default_rng(21)
-        p = layer_params(4, 1, rng)[1]
+        p = layer_params(4, 1, rng)
         if case == "saturated":
             saturate(p)
         x, h = self._inputs(rng, 3, 4, same=case == "x_is_h")
@@ -742,7 +744,7 @@ class TestGru:
            scale=st.sampled_from([0.5, 3.0, 40.0]), seed=st.integers(0, 2**32 - 1))
     def test_equals_composed_chain(self, n, d, same, h_grad, scale, seed):
         rng = np.random.default_rng(seed)
-        p = layer_params(d, 1, rng)[1]
+        p = layer_params(d, 1, rng)
         for t in gru_weights(p):
             t.data = t.data * scale
         x, h = self._inputs(rng, n, d, same, h_grad)
@@ -751,11 +753,11 @@ class TestGru:
 
         def run(f):
             tape = Tape()
-            out = f(tape, x, h, p)
+            out = f(tape, x, h, p, 0)
             grads = backward(tape, scalarize(tape, out, g))
             return [out.data] + [grads[t] for t in leaves]
 
-        fused = run(lambda tape, x, h, p: ad.gru(tape, x, h, gru_weights(p)))
+        fused = run(lambda tape, x, h, p, _layer: ad.gru(tape, x, h, gru_weights(p)))
         for got, want in zip(fused, run(composed_gru)):
             if same:  # x's and h's parts are summed in another order
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -764,13 +766,13 @@ class TestGru:
 
     def test_one_tape_record(self):
         rng = np.random.default_rng(23)
-        p = layer_params(3, 1, rng)[1]
+        p = layer_params(3, 1, rng)
         x, h = self._inputs(rng, 2, 3, same=False)
         tape = Tape()
         ad.gru(tape, x, h, gru_weights(p))
         assert len(tape) == 1
         tape = Tape()
-        composed_gru(tape, x, h, p)
+        composed_gru(tape, x, h, p, 0)
         assert len(tape) == 23
 
     @pytest.mark.parametrize("gate,names", [
@@ -780,32 +782,32 @@ class TestGru:
     ])
     def test_overflowing_sum_of_affine_maps_is_named(self, gate, names):
         # each affine map is finite; their sum overflows, and the gate would saturate it
-        p = layer_params(3, 1, np.random.default_rng(24))[1]
+        p = layer_params(3, 1, np.random.default_rng(24))
         for t in gru_weights(p):
             t.data = np.zeros_like(t.data)
         for name in names:
-            getattr(p, name).data = np.full(3, 1.5e308)
+            p[f"layer0.gru.{name}"].data = np.full(3, 1.5e308)
         x = h = constant(np.ones((2, 3)))
         with np.errstate(over="ignore"):
             with pytest.raises(FloatingPointError, match=rf"^gru produced non-finite values in "
                                                          rf"its \(2, 3\) {gate} pre-activation$"):
                 ad.gru(None, x, h, gru_weights(p))
             with pytest.raises(FloatingPointError, match="^add produced non-finite values"):
-                composed_gru(None, x, h, p)
+                composed_gru(None, x, h, p, 0)
 
     def test_overflowing_affine_map_is_named(self):
-        p = layer_params(3, 1, np.random.default_rng(25))[1]
-        p.w_in.data = np.full((3, 3), 1e200)
+        p = layer_params(3, 1, np.random.default_rng(25))
+        p["layer0.gru.w_in"].data = np.full((3, 3), 1e200)
         x = constant(np.full((2, 3), 1e200))
         h = constant(np.zeros((2, 3)))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match=r"^gru .* candidate pre-activation$"):
                 ad.gru(None, x, h, gru_weights(p))
             with pytest.raises(FloatingPointError, match="^matmul produced non-finite values"):
-                composed_gru(None, x, h, p)
+                composed_gru(None, x, h, p, 0)
 
     def test_shape_checks(self):
-        p = layer_params(4, 1, np.random.default_rng(0))[1]
+        p = layer_params(4, 1, np.random.default_rng(0))
         weights = gru_weights(p)
         with pytest.raises(ValueError, match="shapes differ"):
             ad.gru(None, constant(np.zeros((2, 4))), constant(np.zeros((3, 4))), weights)

@@ -3,7 +3,7 @@
 ``bench/tracing.py`` reports a function it cannot find as "not traced
 (absent)" and goes on, so a rename in the package would silently drop a
 per-layer metric from traced runs.  Its ``SPANNED`` table is read here
-with ``ast``, without importing the benchmark.  A smoke run of one
+with ``ast``, without importing the benchmark.  A smoke run of each
 workload checks the rest of the benchmark's calls into the package.
 """
 
@@ -13,6 +13,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -45,20 +47,22 @@ def test_every_spanned_target_resolves_in_rootrank():
     assert not missing, f"spanned targets absent from rootrank: {missing}"
 
 
-def smoke_run(trace: int) -> dict:
-    """The last line of a ``--smoke`` benchmark run of small-commits, parsed."""
+def smoke_run(trace: int, workload: str = "small-commits") -> dict:
+    """The last line of a ``--smoke`` benchmark run of ``workload``, parsed."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--smoke", "--trace", str(trace),
-         "--workload", "small-commits"],
+         "--workload", workload],
         cwd=TRACING.parent.parent, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_benchmark_smoke_run_is_correct():
+@pytest.mark.parametrize("workload", ["small-commits", "large-commits", "cv-mixed"])
+def test_benchmark_smoke_run_is_correct(workload):
     """The benchmark drives the library through its public calls; a change in ``src`` that
-    breaks one of them fails here rather than only in a full benchmark run."""
-    result = smoke_run(trace=0)
+    breaks one of them fails here, on the workload it breaks, rather than only in a full
+    benchmark run."""
+    result = smoke_run(trace=0, workload=workload)
     assert (result["correct"], result["failed"]) == (True, 0), result
 
 

@@ -97,6 +97,12 @@ class TestGenerate:
             main(["generate", "--commits", "4"])
         assert exc.value.code == 2
 
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        out = tmp_path / "d.json"
+        code, stdout, err = run(capsys, "generate", "--seed", "-1", "-o", str(out))
+        assert (code, stdout, err) == (1, "", "error: seed must be >= 0\n")
+        assert not out.exists()
+
     def test_zero_signal_accepted(self, tmp_path, capsys):
         out = tmp_path / "d.json"
         code, _, _ = run(capsys, "generate", "--commits", "3", "--deleted", "3",
@@ -200,6 +206,16 @@ class TestTrain:
         )
         assert code == 1
         assert "unknown config key" in err
+
+    def test_repeated_config_key_names_both_lines(self, small_data, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("dim = 16\n# smaller\nheads = 2\ndim = 8\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "train", "-d", str(small_data), "-o", str(tmp_path / "m.ckpt"),
+            "--config", str(cfg_file),
+        )
+        assert (code, out, err) == (1, "", f"error: {cfg_file}:4: key 'dim' repeats line 1\n")
+        assert not (tmp_path / "m.ckpt").exists()
 
     @pytest.mark.parametrize("line, problem", [
         ("epochs=abc", "invalid literal for int()"),
@@ -601,7 +617,7 @@ class TestCheckpointHeaderSizes:
         path = tmp_path / "odd_shape.ckpt"
         path.write_text(json.dumps(mutant), encoding="utf-8")
         params, _cfg = load_checkpoint(path)
-        assert params.layers[0][0].mu.data.shape == (20, 1)
+        assert params["layer0.attn.mu"].data.shape == (20, 1)
 
     def test_integer_past_the_digit_limit_is_named(self, tmp_path, capsys):
         text = (DATA / "v1_model.ckpt").read_text(encoding="utf-8")
@@ -809,10 +825,13 @@ class TestConfigProperty:
     @example(lines=["heads = 3"])
     @example(lines=["mode = bogus"])
     @example(lines=["seed = -1"])
+    @example(lines=["seed = 1", "seed = 1"])
     def test_config_file_exits_0_or_1_naming_the_file(self, scratch_dir, tiny_dataset, lines):
         cfg_file = scratch_dir / "run.cfg"
-        cfg_file.write_text("\n".join(["epochs = 1", "dim = 4", "heads = 2", *lines]) + "\n",
-                            encoding="utf-8")
+        drawn = {line.partition("=")[0].strip() for line in lines}
+        small = [f"{key} = {value}" for key, value in (("epochs", 1), ("dim", 4), ("heads", 2))
+                 if key not in drawn]   # a key is set twice only where the draw repeats it
+        cfg_file.write_text("\n".join([*small, *lines]) + "\n", encoding="utf-8")
         code, err = main_quietly(["train", "-d", str(tiny_dataset), "-o",
                                   str(scratch_dir / "m.ckpt"), "--config", str(cfg_file)])
         assert code in (0, 1)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from rootrank import autodiff as ad
 from rootrank.aggregation import MU_SIZE, build_plan
 from rootrank.autodiff import constant
-from rootrank.embedding import HashingEmbedder, embed_dataset
+from rootrank.embedding import EmbeddedGraph, HashingEmbedder, embed_dataset
 from rootrank.graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind
 from rootrank.network import (
     CheckpointError,
@@ -26,29 +26,27 @@ from rootrank.network import (
     named_tensors,
     param_shapes,
     network_forward,
-    forward_states,
     save_checkpoint,
     task_projection,
 )
-from rootrank.ranker import train
+from rootrank.ranker import TrainedModel, rank_commit, train
 from rootrank.synthetic import GenConfig, generate
 
 from naive_reference import (
+    gru_tensors,
     layer_params,
     naive_checkpoint_text,
     naive_gru,
-    naive_layer_norm,
+    naive_head,
     naive_network_forward,
     random_graph,
 )
 
 
 def zero_gru(dim):
-    p = layer_params(dim, 1, np.random.default_rng(0))[1]
-    for t in (p.w_ir, p.w_hr, p.w_iz, p.w_hz, p.w_in, p.w_hn):
-        t.data = np.zeros((dim, dim))
-    for t in (p.b_ir, p.b_hr, p.b_iz, p.b_hz, p.b_in, p.b_hn):
-        t.data = np.zeros(dim)
+    p = layer_params(dim, 1, np.random.default_rng(0))
+    for t in gru_tensors(p, 0).values():
+        t.data = np.zeros_like(t.data)
     return p
 
 
@@ -56,21 +54,21 @@ class TestGruCell:
     def test_saturated_update_gate_preserves_history(self):
         dim = 6
         p = zero_gru(dim)
-        p.b_iz.data = np.full(dim, 30.0)
+        p["layer0.gru.b_iz"].data = np.full(dim, 30.0)
         rng = np.random.default_rng(1)
         h_tilde = constant(rng.normal(size=(3, dim)))
         h_prev = constant(rng.normal(size=(3, dim)))
-        out = gru_cell(None, h_tilde, h_prev, p)
+        out = gru_cell(None, h_tilde, h_prev, p, 0)
         np.testing.assert_allclose(out.data, h_prev.data, atol=1e-9)
 
     def test_closed_gates_give_zero(self):
         dim = 4
         p = zero_gru(dim)
-        p.b_iz.data = np.full(dim, -30.0)  # z -> 0
-        p.b_ir.data = np.full(dim, -30.0)  # r -> 0
+        p["layer0.gru.b_iz"].data = np.full(dim, -30.0)  # z -> 0
+        p["layer0.gru.b_ir"].data = np.full(dim, -30.0)  # r -> 0
         rng = np.random.default_rng(2)
         out = gru_cell(None, constant(rng.normal(size=(2, dim))),
-                       constant(rng.normal(size=(2, dim))), p)
+                       constant(rng.normal(size=(2, dim))), p, 0)
         np.testing.assert_allclose(out.data, np.zeros((2, dim)), atol=1e-12)
 
     def test_all_zero_params_halve_history(self):
@@ -80,31 +78,31 @@ class TestGruCell:
         rng = np.random.default_rng(3)
         h_tilde = constant(rng.normal(size=(4, dim)))
         h_prev = constant(rng.normal(size=(4, dim)))
-        out = gru_cell(None, h_tilde, h_prev, p)
+        out = gru_cell(None, h_tilde, h_prev, p, 0)
         np.testing.assert_allclose(out.data, 0.5 * h_prev.data, atol=1e-15)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             dim = int(rng.integers(2, 9))
-            p = layer_params(dim, 1, rng)[1]
+            p = layer_params(dim, 1, rng)
             h_tilde = rng.normal(size=(3, dim))
             h_prev = rng.normal(size=(3, dim))
-            fast = gru_cell(None, constant(h_tilde), constant(h_prev), p).data
-            np.testing.assert_allclose(fast, naive_gru(h_tilde, h_prev, p), atol=1e-12)
+            fast = gru_cell(None, constant(h_tilde), constant(h_prev), p, 0).data
+            np.testing.assert_allclose(fast, naive_gru(h_tilde, h_prev, p, 0), atol=1e-12)
 
     def test_bounded_when_history_bounded(self):
         rng = np.random.default_rng(5)
-        p = layer_params(6, 1, rng)[1]
+        p = layer_params(6, 1, rng)
         h_tilde = constant(rng.normal(size=(5, 6)) * 3)
         h_prev = constant(rng.uniform(-1, 1, size=(5, 6)))
-        out = gru_cell(None, h_tilde, h_prev, p).data
+        out = gru_cell(None, h_tilde, h_prev, p, 0).data
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
     def test_shape_mismatch_raises(self):
-        p = layer_params(4, 1, np.random.default_rng(0))[1]
+        p = layer_params(4, 1, np.random.default_rng(0))
         with pytest.raises(ValueError, match="shapes differ"):
-            gru_cell(None, constant(np.zeros((2, 4))), constant(np.zeros((3, 4))), p)
+            gru_cell(None, constant(np.zeros((2, 4))), constant(np.zeros((3, 4))), p, 0)
 
 
 class TestTaskProjection:
@@ -114,22 +112,22 @@ class TestTaskProjection:
 
     def test_relu_clips_identity_projection(self):
         params = self._params(2, 2)
-        params.w_proj.data = np.eye(2)
-        params.b_proj.data = np.zeros(2)
+        params["proj.w"].data = np.eye(2)
+        params["proj.b"].data = np.zeros(2)
         out = task_projection(None, constant(np.array([[-1.0, 2.0]])), params)
         np.testing.assert_array_equal(out.data, [[0.0, 2.0]])
 
     def test_pure_bias(self):
         params = self._params(3, 1)
-        params.w_proj.data = np.zeros((3, 1))
-        params.b_proj.data = np.array([5.0])
+        params["proj.w"].data = np.zeros((3, 1))
+        params["proj.b"].data = np.array([5.0])
         out = task_projection(None, constant(np.ones((4, 3))), params)
         np.testing.assert_array_equal(out.data, np.full((4, 1), 5.0))
 
     def test_negative_bias_clipped(self):
         params = self._params(3, 1)
-        params.w_proj.data = np.zeros((3, 1))
-        params.b_proj.data = np.array([-3.0])
+        params["proj.w"].data = np.zeros((3, 1))
+        params["proj.b"].data = np.array([-3.0])
         out = task_projection(None, constant(np.zeros((2, 3))), params)
         np.testing.assert_array_equal(out.data, np.zeros((2, 1)))
 
@@ -152,11 +150,9 @@ class TestNetworkForward:
         plan = build_plan(g)
         h0 = np.random.default_rng(1).normal(size=(1, 4))
 
-        out = network_forward(None, constant(h0), plan, params, Mode.FULL).data
+        out = network_forward(None, constant(h0), plan, params, cfg).data
 
-        gated = naive_gru(np.zeros((1, 4)), h0, params.layers[0][1])
-        normed = naive_layer_norm(gated, params.norm_gain.data, params.norm_bias.data)
-        expected = np.maximum(normed @ params.w_proj.data + params.b_proj.data, 0.0)
+        expected = naive_head(naive_gru(np.zeros((1, 4)), h0, params, 0), params)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_modes_match_naive_oracle_on_random_graphs(self):
@@ -164,12 +160,12 @@ class TestNetworkForward:
         for mode in Mode:
             for _ in range(10):
                 g = random_graph(rng)
-                cfg = ModelConfig(dim=8, heads=2, layers=2, proj_dim=5)
+                cfg = ModelConfig(dim=8, heads=2, layers=2, proj_dim=5, mode=mode)
                 params = init_network_params(cfg, rng, random_scorer=True)
                 plan = build_plan(g)
                 h0 = rng.normal(size=(len(g.nodes), 8))
-                fast = network_forward(None, constant(h0), plan, params, mode).data
-                slow = naive_network_forward(h0, g, params, mode)
+                fast = network_forward(None, constant(h0), plan, params, cfg).data
+                slow = naive_network_forward(h0, g, params, cfg)
                 np.testing.assert_allclose(fast, slow, atol=1e-12)
 
     def test_full_vs_retention_only_differ_only_on_edgeless_input_port(self):
@@ -186,31 +182,30 @@ class TestNetworkForward:
         plan = build_plan(g)
         h0 = np.random.default_rng(4).normal(size=(2, 4))
 
-        full = network_forward(None, constant(h0), plan, params, Mode.FULL).data
-        retention = network_forward(None, constant(h0), plan, params, Mode.RETENTION_ONLY).data
+        full = network_forward(None, constant(h0), plan, params, cfg).data
+        retention = network_forward(None, constant(h0), plan, params,
+                                    dataclasses.replace(cfg, mode=Mode.RETENTION_ONLY)).data
 
-        gru = params.layers[0][1]
-        exp_full = naive_gru(np.zeros((2, 4)), h0, gru)
-        exp_ret = naive_gru(h0, h0, gru)
+        exp_full = naive_gru(np.zeros((2, 4)), h0, params, 0)
+        exp_ret = naive_gru(h0, h0, params, 0)
         for out, hidden in ((full, exp_full), (retention, exp_ret)):
-            normed = naive_layer_norm(hidden, params.norm_gain.data, params.norm_bias.data)
-            expected = np.maximum(normed @ params.w_proj.data + params.b_proj.data, 0.0)
-            np.testing.assert_allclose(out, expected, atol=1e-12)
+            np.testing.assert_allclose(out, naive_head(hidden, params), atol=1e-12)
 
     def test_saturated_update_gate_makes_depth_inert(self):
         rng = np.random.default_rng(6)
         g = random_graph(rng)
         cfg = ModelConfig(dim=8, heads=2, layers=3, proj_dim=4)
         params = init_network_params(cfg, rng, random_scorer=True)
-        for _attn, gru in params.layers:
-            for t in (gru.w_iz, gru.w_hz):
-                t.data = np.zeros((8, 8))
-            gru.b_iz.data = np.full(8, 30.0)
-            gru.b_hz.data = np.zeros(8)
+        for layer in range(cfg.layers):
+            gru = gru_tensors(params, layer)
+            for name in ("w_iz", "w_hz"):
+                gru[name].data = np.zeros((8, 8))
+            gru["b_iz"].data = np.full(8, 30.0)
+            gru["b_hz"].data = np.zeros(8)
         plan = build_plan(g)
         h0 = rng.normal(size=(len(g.nodes), 8))
-        states = forward_states(None, constant(h0), plan, params, Mode.FULL)
-        np.testing.assert_allclose(states[-1].data, h0, atol=1e-9)
+        out = network_forward(None, constant(h0), plan, params, cfg)
+        np.testing.assert_allclose(out.data, naive_head(h0, params), atol=1e-9)
 
     def test_aggregation_only_single_layer_equals_attention_plus_head(self):
         from rootrank.aggregation import attention_forward
@@ -219,15 +214,15 @@ class TestNetworkForward:
         g = random_graph(rng)
         while not g.edges:
             g = random_graph(rng)
-        cfg = ModelConfig(dim=8, heads=2, layers=1, proj_dim=6)
+        cfg = ModelConfig(dim=8, heads=2, layers=1, proj_dim=6, mode=Mode.AGGREGATION_ONLY)
         params = init_network_params(cfg, rng, random_scorer=True)
         plan = build_plan(g)
         h0 = constant(rng.normal(size=(len(g.nodes), 8)))
 
-        out = network_forward(None, h0, plan, params, Mode.AGGREGATION_ONLY).data
+        out = network_forward(None, h0, plan, params, cfg).data
 
-        h_tilde = attention_forward(None, h0, plan, params.layers[0][0])
-        normed = ad.layer_norm(None, h_tilde, params.norm_gain, params.norm_bias)
+        h_tilde = attention_forward(None, h0, plan, params, 0, 2)
+        normed = ad.layer_norm(None, h_tilde, params["final_norm.gain"], params["final_norm.bias"])
         expected = task_projection(None, normed, params).data
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -272,10 +267,11 @@ class TestRelabellingEquivariance:
         h0_relabelled = np.empty_like(h0)
         h0_relabelled[perm] = h0
         for mode in Mode:
+            cfg = dataclasses.replace(self.cfg, mode=mode)
             out = network_forward(None, constant(h0), build_plan(_graph(kinds, edges)),
-                                  self.params, mode).data
+                                  self.params, cfg).data
             out_relabelled = network_forward(None, constant(h0_relabelled), build_plan(relabelled),
-                                             self.params, mode).data
+                                             self.params, cfg).data
             np.testing.assert_allclose(out_relabelled[perm], out, rtol=0, atol=1e-12)
 
 
@@ -294,16 +290,17 @@ class TestHeadBlockMaps:
         dim, heads = 8, 4
         d = dim // heads
         rng = np.random.default_rng(3)
-        params = init_network_params(ModelConfig(dim=dim, heads=heads, layers=1), rng).layers[0][0]
+        params = init_network_params(ModelConfig(dim=dim, heads=heads, layers=1), rng)
         ref = np.random.default_rng(3)
         bound = math.sqrt(6.0 / (dim + dim))
         for _ in range(3 * len(NodeKind)):      # the w_k, w_q, w_v projections
             ref.uniform(-bound, bound, size=(dim, dim))
-        for maps in (params.w_att, params.w_msg):
+        for maps in ("w_att", "w_msg"):
             for kind in EdgeKind:
                 for i in range(heads):
                     block = np.eye(d) + ref.uniform(-0.01, 0.01, size=(d, d))
-                    assert np.array_equal(maps[kind].data[i * d:(i + 1) * d], block)
+                    held = params[f"layer0.attn.{maps}.{kind.value}"].data
+                    assert np.array_equal(held[i * d:(i + 1) * d], block)
         gate = 1.0 / math.sqrt(dim)
         for field in ("w_ir", "b_ir", "w_hr", "b_hr", "w_iz", "b_iz",
                       "w_hz", "b_hz", "w_in", "b_in", "w_hn", "b_hn"):   # the gate tensors
@@ -338,6 +335,45 @@ class TestParamLayout:
         params, cfg = load_checkpoint(DATA / "v1_model.ckpt")
         layout = [(name, t.data.shape) for name, t in named_tensors(params)]
         assert layout == list(param_shapes(cfg))
+
+
+class ReadRecorder(dict):
+    """A name -> tensor dict that records every name read through ``[]``."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+class TestForwardReadsTheDeclaredNames:
+    """Scoring reads each tensor by its ``param_shapes`` name, so a misspelt name fails here."""
+
+    GRAPH = CommitGraph(    # both node kinds and all five edge kinds
+        commit_id="every-kind",
+        nodes=(LineNode(0, NodeKind.DELETED, text="a", is_root_cause=True),
+               LineNode(1, NodeKind.DELETED, text="b"),
+               LineNode(2, NodeKind.ADDED, text="c"),
+               LineNode(3, NodeKind.ADDED, text="d")),
+        edges=(DepEdge(0, 1, EdgeKind.CONTROL_FLOW), DepEdge(2, 0, EdgeKind.DATA_DEPENDENCY),
+               DepEdge(3, 0, EdgeKind.CALL), DepEdge(1, 0, EdgeKind.CLASS_MEMBER_REF),
+               DepEdge(0, 2, EdgeKind.LINE_MAPPING), DepEdge(3, 1, EdgeKind.DATA_DEPENDENCY)),
+    )
+
+    @pytest.mark.parametrize("mode, unread", [
+        (Mode.FULL, None), (Mode.AGGREGATION_ONLY, ".gru."), (Mode.RETENTION_ONLY, ".attn."),
+    ])
+    def test_scoring_reads_every_name_its_mode_uses_and_no_other(self, mode, unread):
+        cfg = ModelConfig(dim=4, heads=2, layers=2, proj_dim=3, mode=mode)
+        params = ReadRecorder(init_network_params(cfg, np.random.default_rng(0)))
+        h0 = np.random.default_rng(1).normal(size=(4, 4))
+        rank_commit(TrainedModel(params=params, cfg=cfg, training_log=[]),
+                    EmbeddedGraph(graph=self.GRAPH, h0=h0))
+        names = [name for name, _shape in param_shapes(cfg)]
+        assert params.read == {name for name in names if unread is None or unread not in name}
 
 
 class TestCheckpointWriter:
@@ -398,14 +434,14 @@ class TestCheckpoints:
         assert entry["name"] == "layer0.attn.w_att.control_flow"
         assert entry["shape"] == [4, 4]
         dense = np.array(entry["data"]).reshape(4, 4)
-        blocks = params.layers[0][0].w_att[EdgeKind.CONTROL_FLOW].data
+        blocks = params["layer0.attn.w_att.control_flow"].data
         assert np.array_equal(dense[:2, :2], blocks[:2]) and np.array_equal(dense[2:, 2:], blocks[2:])
         assert not dense[:2, 2:].any() and not dense[2:, :2].any()
 
     def test_dense_map_checkpoint_resaves_byte_identical(self, tmp_path):
         # written while maps were held as dense D x D tensors (dim 8, heads 2, layers 1)
         params, cfg = load_checkpoint(DATA / "v1_model.ckpt")
-        assert params.layers[0][0].w_msg[EdgeKind.CALL].data.shape == (8, 4)
+        assert params["layer0.attn.w_msg.call"].data.shape == (8, 4)
         save_checkpoint(tmp_path / "again.ckpt", params, cfg)
         assert (tmp_path / "again.ckpt").read_bytes() == (DATA / "v1_model.ckpt").read_bytes()
 

@@ -221,10 +221,10 @@ class TestScore:
     def _scores(self, proj_b, scorer_w, scorer_b=0.0):
         cfg = ModelConfig(dim=4, heads=2, layers=1, proj_dim=3)
         params = init_network_params(cfg, np.random.default_rng(0))
-        params.w_proj.data = np.zeros((4, 3))
-        params.b_proj.data = np.array(proj_b, dtype=float)
-        params.scorer_w.data = np.array(scorer_w, dtype=float)
-        params.scorer_b.data = np.asarray(scorer_b)
+        params["proj.w"].data = np.zeros((4, 3))
+        params["proj.b"].data = np.array(proj_b, dtype=float)
+        params["scorer.w"].data = np.array(scorer_w, dtype=float)
+        params["scorer.b"].data = np.asarray(scorer_b)
         model = TrainedModel(params=params, cfg=cfg, training_log=[])
         eg = embed_graph(graph_with_deleted([True, False]), HashingEmbedder(4))
         return [s for _nid, s in rank_commit(model, eg)]
@@ -302,8 +302,8 @@ class TestTrain:
     def test_forward_overflow_is_named_without_numpy_warnings(self, monkeypatch):
         cfg = self._cfg()
         params = init_network_params(cfg, np.random.default_rng(cfg.seed), random_scorer=True)
-        params.w_proj.data[...] = 1e200
-        params.scorer_w.data[...] = 1e200
+        params["proj.w"].data[...] = 1e200
+        params["scorer.w"].data[...] = 1e200
         monkeypatch.setattr(ranker, "init_network_params", lambda _cfg: params)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -316,12 +316,12 @@ class TestTrain:
         cfg = self._cfg(sigma=1e308) if op == "pair_loss" else self._cfg()
         params = init_network_params(cfg, np.random.default_rng(cfg.seed), random_scorer=True)
         if op == "attend":
-            attn = params.layers[0][0]
-            attn.mu.data[...] = 1.5e308
-            for w in (*attn.w_k.values(), *attn.w_q.values()):
-                w.data *= 1e3
+            params["layer0.attn.mu"].data[...] = 1.5e308
+            for kind in NodeKind:
+                for field in ("w_k", "w_q"):
+                    params[f"layer0.attn.{field}.{kind.value}"].data *= 1e3
         else:  # score gaps above 1.8 overflow sigma * gap
-            params.scorer_w.data *= 1e3
+            params["scorer.w"].data *= 1e3
         monkeypatch.setattr(ranker, "init_network_params", lambda _cfg: params)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -577,8 +577,8 @@ class TestRankCommit:
 
     def test_all_equal_scores_fall_back_to_id_order(self):
         model = self._model()
-        model.params.scorer_w.data = np.zeros(4)
-        model.params.scorer_b.data = np.asarray(0.0)
+        model.params["scorer.w"].data = np.zeros(4)
+        model.params["scorer.b"].data = np.asarray(0.0)
         g = tiny_dataset(n_graphs=1, deleted=4).graphs[0]
         eg = embed_graph(g, HashingEmbedder(8))
         ranked = rank_commit(model, eg)
@@ -589,7 +589,7 @@ class TestRankCommit:
         g = tiny_dataset(n_graphs=1, deleted=4, seed=3).graphs[0]
         eg = embed_graph(g, HashingEmbedder(8))
         before = [nid for nid, _s in rank_commit(model, eg)]
-        model.params.scorer_b.data = np.asarray(1234.5)
+        model.params["scorer.b"].data = np.asarray(1234.5)
         after = [nid for nid, _s in rank_commit(model, eg)]
         assert before == after
 
@@ -606,8 +606,8 @@ class TestRankCommit:
 
     def test_forward_overflow_names_the_commit(self):
         model = self._model()
-        model.params.w_proj.data[...] = 1e200
-        model.params.scorer_w.data[...] = 1e200
+        model.params["proj.w"].data[...] = 1e200
+        model.params["scorer.w"].data[...] = 1e200
         eg = embed_graph(tiny_dataset(n_graphs=1).graphs[0], HashingEmbedder(8))
         with np.errstate(over="ignore"), pytest.raises(ValueError) as exc:
             rank_commit(model, eg)

@@ -1,6 +1,12 @@
+import dataclasses
+import math
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rootrank.graphs import EdgeKind, NodeKind, dataset_to_dict, validate_graph
+from rootrank.network import ConfigError
 from rootrank.synthetic import (
     NOISE_VOCAB,
     SIGNAL_VOCAB,
@@ -65,6 +71,63 @@ class TestGenerate:
             GenConfig(edge_density=1.5)
         with pytest.raises(ValueError):
             GenConfig(signal_strength=-0.1)
+
+
+GEN_VALUES = {
+    "n_commits": st.integers(1, 3), "deleted_per_commit": st.integers(2, 5),
+    "added_per_commit": st.integers(1, 4), "seed": st.integers(0, 2**70),
+    "edge_density": st.floats(0, 1) | st.sampled_from([0, 1]),
+    "signal_strength": st.floats(0, 1) | st.sampled_from([0, 1]), "structure_only": st.booleans(),
+}
+ODD_VALUES = st.sampled_from([0, 1, -1, 2, 10**400, -10**400, 0.5, -0.5, 1.5, math.nan, math.inf,
+                              -math.inf, True, False, "no", "", "1", None])
+
+
+@st.composite
+def gen_kwargs(draw):
+    kwargs = {name: draw(values) for name, values in GEN_VALUES.items() if draw(st.booleans())}
+    for name in draw(st.lists(st.sampled_from(sorted(GEN_VALUES)), max_size=2, unique=True)):
+        kwargs[name] = draw(ODD_VALUES)
+    return kwargs
+
+
+class TestGenConfigChecksItself:
+    @pytest.mark.parametrize("name, value, expected", [
+        ("structure_only", "no", "bool"), ("structure_only", 1, "bool"), ("n_commits", True, "int"),
+        ("seed", 1.5, "int"), ("edge_density", "0.1", "int or float"),
+        ("signal_strength", None, "int or float"),
+    ])
+    def test_a_value_of_another_type_is_named(self, name, value, expected):
+        with pytest.raises(ConfigError, match=rf"^{name} must be {expected}, got ") as info:
+            GenConfig(**{name: value})
+        assert info.value.fields == (name,)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("n_commits", 0, "n_commits must be >= 1"),
+        ("deleted_per_commit", 1, "deleted_per_commit must be >= 2"),
+        ("added_per_commit", 0, "added_per_commit must be >= 1"),
+        ("seed", -1, "seed must be >= 0"),
+        ("edge_density", 1.5, "edge_density must be in [0, 1]"),
+        ("edge_density", math.nan, "edge_density must be in [0, 1]"),
+        ("signal_strength", -0.1, "signal_strength must be in [0, 1]"),
+    ])
+    def test_a_value_out_of_range_is_named(self, name, value, message):
+        with pytest.raises(ConfigError) as info:
+            GenConfig(**{name: value})
+        assert (str(info.value), info.value.fields) == (message, (name,))
+
+    @settings(max_examples=150, deadline=None)
+    @given(kwargs=gen_kwargs())
+    def test_keywords_make_a_config_that_generates_or_a_config_error(self, kwargs):
+        try:
+            cfg = GenConfig(**kwargs)
+        except ConfigError as exc:
+            assert exc.fields
+            assert set(exc.fields) <= {field.name for field in dataclasses.fields(GenConfig)}
+            return
+        assume(max(cfg.n_commits, cfg.deleted_per_commit, cfg.added_per_commit) <= 5)
+        for g in generate(cfg).graphs:
+            assert validate_graph(g) == [], g.commit_id
 
 
 class TestStructureOnly:
