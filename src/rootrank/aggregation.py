@@ -21,8 +21,8 @@ arrays (source, target, prior row) plus the sorted rows of each node
 kind and each edge kind present, so every plan array is O(n + E).  The
 plan is the one place a graph's indices are checked: its constructor
 checks every array once, by arithmetic, and keeps each as a read-only
-``autodiff.CheckedIndex``, which the ops then trust instead of checking
-it on every call.  A kind whose rows are one ascending run (synthetic
+``autodiff.CheckedIndex``, the only index the ops take, so no op checks
+an index again.  A kind whose rows are one ascending run (synthetic
 graphs list deleted lines first) is gathered and scattered as a slice.
 Width-D flat scatter indices are not kept: the plan stays O(n + E)
 integers, and they are built per call.  Each
@@ -172,8 +172,6 @@ def project_kqv(tape: Tape | None, h_prev: Tensor, plan: GraphPlan, params: dict
 def _edge_rows(tape: Tape | None, plan: GraphPlan, states: Tensor, params: dict[str, Tensor],
                maps: str, heads: int) -> Tensor:
     """Per edge, the source state through the head blocks ``{maps}.{edge kind}``, shape (E, D)."""
-    if not plan.edge_rows:
-        raise ValueError("edge rows of a graph without edges")
     sources = ad.take_rows(tape, states, plan.src)
     groups = [(rows, params[f"{maps}.{kind.value}"]) for kind, rows in plan.edge_rows.items()]
     return ad.block_matmul(tape, sources, groups, heads)

@@ -26,17 +26,16 @@ to the scatter of weighted messages into their targets) and pair_loss
 integer index arrays and reshapes, never on dense one-hot, block-diagonal
 or all-ones selector matrices.  All ops reject non-finite results.
 
-Index checks run where an index array is made, not each time it is used.
+Index checks run where an index array is made, never where it is used.
 :func:`checked_index` and :func:`checked_partition` check an array once
 and return a read-only :class:`CheckedIndex` that remembers the length it
-was checked against; a graph's plan holds its index arrays in this form
-only, and ``ranker.train`` its pairs.  take_rows, block_matmul, attend
-and pair_loss skip the range check for a CheckedIndex of the length they
-index, and block_matmul skips its overlap check when its groups are
-distinct members of one checked partition.  A partition member that is
-one ascending run of rows is taken as a slice, so its gathers and
-scatters are views.  Any other index, including an array derived from a
-CheckedIndex, is checked on every call.
+was checked against; a graph's plan and ``ranker.build_pairs`` make their
+arrays this way.  take_rows, attend and pair_loss take only a
+CheckedIndex of the length they index, and block_matmul only distinct
+members of one checked partition of its input's rows; any other array,
+even one derived from a CheckedIndex, raises ValueError naming the op
+and the argument.  A partition member that is one ascending run of rows
+is taken as a slice, so its gathers and scatters are views.
 
 Every scatter (the backward of take_rows, the per-target reductions of
 attend and the scatters of pair_loss's backward) goes through
@@ -246,14 +245,13 @@ def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
 def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: int) -> Tensor:
     """Per-group, per-head product (n, H*k) -> (n, H*m).
 
-    ``groups`` lists ``(rows, w)`` or ``(rows, w, b)``: ``rows`` is a 1-D
-    index array, ``w`` is (H*k, m) and ``b`` is (H*m,).  Each listed row r
+    ``groups`` lists ``(rows, w)`` or ``(rows, w, b)``: the ``rows`` are
+    distinct members of one :func:`checked_partition` of the rows of
+    ``a``, ``w`` is (H*k, m) and ``b`` is (H*m,).  Each listed row r
     becomes ``a[r] @ blockdiag(H row blocks of w) + b``: head i maps
     column block i of ``a[r]`` through row block i of ``w`` into output
-    column block i.  Groups are disjoint, rows within a group distinct; a
-    row in no group comes out as exact zeros.  Row indices are checked on
-    every call unless they are distinct members of one
-    :func:`checked_partition` of the rows of ``a``.
+    column block i.  The rows of a member left out of ``groups`` come out
+    as exact zeros; the model lists every member.
 
     The record keeps each group's index array, not a copy of its rows of
     ``a``; backward gathers those rows again, and only for a ``w`` that
@@ -264,20 +262,20 @@ def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: i
                          f"with {len(groups)} groups")
     n, k = a.data.shape[0], a.data.shape[1] // heads
     m = groups[0][1].data.shape[-1]
+    if not _one_partition([group[0] for group in groups], n):
+        raise ValueError(f"block_matmul: groups must be distinct members of one checked "
+                         f"partition of [0, {n})")
     inputs = [a]
     parts = []                  # (rows, (H, k, m) weight blocks, w, b)
-    trusted = _one_partition([group[0] for group in groups], n)
     for rows, w, *bias in groups:
         b = bias[0] if bias else None
         if (w.data.ndim != 2 or w.data.shape != (heads * k, m) or len(bias) > 1
                 or (b is not None and b.data.shape != (heads * m,))):
             raise ValueError(f"block_matmul: unsupported shapes {a.shape} @ {w.shape}"
                              f"{''.join(f' + {t.shape}' for t in bias)} in {heads} heads")
-        parts.append((_rows(rows, n) if trusted else _indices(rows, n),
+        parts.append((_rows("block_matmul", "groups", rows, n),
                       w.data.reshape(heads, k, m), w, b))
         inputs += [w, *bias]
-    if not trusted and _overlap([part[0] for part in parts], n):
-        raise ValueError("block_matmul: groups must hold distinct rows and not overlap")
 
     def head_rows(rows):
         """Rows ``rows`` of ``a`` as (H, r, k) head blocks: a copy, or a view for a slice."""
@@ -436,7 +434,7 @@ class CheckedIndex(np.ndarray):
 
     Made only by :func:`checked_index` and :func:`checked_partition`.  An
     array derived from one (a view, a copy, an arithmetic result, an
-    unpickled one) has ``bound`` None and is checked like any raw array.
+    unpickled one) has ``bound`` None, and no op takes it.
     ``take`` is the slice an op indexes with when the array is a partition
     member holding one ascending run of rows, else None; ``part`` is shared
     by the members of one partition.  The array owns its data and has no
@@ -474,7 +472,7 @@ def checked_partition(groups: Sequence, bound: int) -> list[CheckedIndex]:
     for rows in arrays:
         if not len(rows) or (rows[1:] <= rows[:-1]).any():
             raise ValueError("groups must be non-empty and increasing")
-    if _overlap(arrays, bound):
+    if arrays and np.bincount(np.concatenate(arrays), minlength=bound).max() > 1:
         raise ValueError("groups must hold distinct rows and not overlap")
     held = sum(len(rows) for rows in arrays)
     if held != bound:
@@ -491,21 +489,11 @@ def checked_partition(groups: Sequence, bound: int) -> list[CheckedIndex]:
     return members
 
 
-def _overlap(arrays: Sequence[np.ndarray], bound: int) -> bool:
-    """Whether in-range index arrays repeat a row, within one or across them."""
-    if not arrays:
-        return False
-    return bool(np.bincount(np.concatenate(arrays), minlength=bound).max(initial=0) > 1)
-
-
 def _indices(index, bound: int) -> np.ndarray:
     """A 1-D intp index array whose entries all lie in [0, bound).
 
-    A CheckedIndex of this bound passes through unchecked, as a plain array.  Any other
-    non-empty one needs an integer dtype (not bool); an empty one, even float64, indexes nothing.
+    A non-empty one needs an integer dtype (not bool); an empty one, even float64, indexes nothing.
     """
-    if type(index) is CheckedIndex and index.bound == bound:
-        return index.view(np.ndarray)
     idx = np.asarray(index)
     if idx.ndim != 1:
         raise ValueError(f"indices must be 1-D, got shape {idx.shape}")
@@ -517,30 +505,34 @@ def _indices(index, bound: int) -> np.ndarray:
     return idx
 
 
-def _rows(index, bound: int) -> np.ndarray | slice:
-    """As :func:`_indices`, but a checked contiguous partition member comes back as a slice."""
-    if type(index) is CheckedIndex and index.bound == bound and index.take is not None:
-        return index.take
-    return _indices(index, bound)
+def _trusted(op: str, name: str, index, bound: int) -> np.ndarray:
+    """``index`` as a plain array if it is a CheckedIndex of ``bound``; else ValueError."""
+    if type(index) is not CheckedIndex or index.bound != bound:
+        raise ValueError(f"{op}: {name} must be a CheckedIndex of [0, {bound})")
+    return index.view(np.ndarray)
+
+
+def _rows(op: str, name: str, index, bound: int) -> np.ndarray | slice:
+    """As :func:`_trusted`, but a contiguous partition member comes back as its slice."""
+    idx = _trusted(op, name, index, bound)
+    return idx if index.take is None else index.take
 
 
 def _one_partition(indices: Sequence, bound: int) -> bool:
     """Whether ``indices`` are distinct members of one partition checked against ``bound``."""
     part = getattr(indices[0], "part", None)
-    if part is None:
-        return False
-    for rows in indices:
-        if type(rows) is not CheckedIndex or rows.part is not part or rows.bound != bound:
-            return False
-    return len(set(map(id, indices))) == len(indices)
+    return part is not None and len(set(map(id, indices))) == len(indices) and all(
+        type(rows) is CheckedIndex and rows.part is part and rows.bound == bound
+        for rows in indices)
 
 
-def take_rows(tape: Tape | None, a: Tensor, index: np.ndarray) -> Tensor:
+def take_rows(tape: Tape | None, a: Tensor, index: CheckedIndex) -> Tensor:
     """Gather ``a[index]``: rows of a matrix or entries of a vector; indices may repeat.
 
-    A checked contiguous partition member gathers a view of ``a``'s rows.
+    ``index`` is a CheckedIndex of ``len(a)``; a contiguous partition
+    member gathers a view of ``a``'s rows.
     """
-    idx = _rows(index, a.data.shape[0])
+    idx = _rows("take_rows", "index", index, a.data.shape[0])
     out = a.data[idx]
     def bwd(g):
         full = np.zeros(a.data.shape)
@@ -553,7 +545,7 @@ def take_rows(tape: Tape | None, a: Tensor, index: np.ndarray) -> Tensor:
 
 
 def attend(tape: Tape | None, keys: Tensor, queries: Tensor, mu: Tensor, messages: Tensor,
-           mu_idx: np.ndarray, dst: np.ndarray, n: int, heads: int) -> Tensor:
+           mu_idx: CheckedIndex, dst: CheckedIndex, n: int, heads: int) -> Tensor:
     """Each target's attention over its incoming edges, summed into an (n, D) result.
 
     ``keys``, ``queries`` and ``messages`` are (E, D), one row per edge,
@@ -581,7 +573,8 @@ def attend(tape: Tape | None, keys: Tensor, queries: Tensor, mu: Tensor, message
                          f"messages {messages.shape} and mu {mu.shape} in {heads} heads")
     e, dim = kd.shape
     d = dim // heads
-    prior_rows, ids = _indices(mu_idx, mu.data.shape[0]), _indices(dst, n)
+    prior_rows = _trusted("attend", "mu_idx", mu_idx, mu.data.shape[0])
+    ids = _trusted("attend", "dst", dst, n)
     if len(prior_rows) != e or len(ids) != e:
         raise ValueError(f"attend: need one prior row and one target per edge: "
                          f"{len(prior_rows)} and {len(ids)} for {e} edges")
@@ -615,7 +608,7 @@ def attend(tape: Tape | None, keys: Tensor, queries: Tensor, mu: Tensor, message
     return _make(tape, out, (keys, queries, mu, messages), bwd)
 
 
-def pair_loss(tape: Tape | None, scores: Tensor, pair_i: np.ndarray, pair_j: np.ndarray,
+def pair_loss(tape: Tape | None, scores: Tensor, pair_i: CheckedIndex, pair_j: CheckedIndex,
               labels: np.ndarray, sigma: float) -> Tensor:
     """RankNet cross-entropy summed over pairs of entries of ``scores``, a scalar.
 
@@ -631,7 +624,8 @@ def pair_loss(tape: Tape | None, scores: Tensor, pair_i: np.ndarray, pair_j: np.
     s = scores.data
     if s.ndim != 1:
         raise ValueError(f"pair_loss: scores must be a vector, got shape {scores.shape}")
-    rows_i, rows_j = _indices(pair_i, len(s)), _indices(pair_j, len(s))
+    rows_i = _trusted("pair_loss", "pair_i", pair_i, len(s))
+    rows_j = _trusted("pair_loss", "pair_j", pair_j, len(s))
     y = np.asarray(labels, dtype=np.float64)
     if not rows_i.shape == rows_j.shape == y.shape:
         raise ValueError(f"pair_loss: need one label per pair: {len(rows_i)} and {len(rows_j)} "

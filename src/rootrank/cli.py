@@ -215,7 +215,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         cfg, ds = _training_inputs(args)
         with _blaming(args.dataset):   # the folds' embedding, split and training checks
             mean, folds = cross_validate(
-                ds, cfg, HashingEmbedder(cfg.dim), k=args.cv, chronological=args.chronological,
+                ds, cfg, HashingEmbedder(cfg.dim), k=args.cv,
+                chronological=bool(args.chronological),
                 with_classification=args.classification,
                 mfr_first_only=not args.mfr_all,
             )
@@ -228,6 +229,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     if not args.model:
         raise CliError("evaluate needs -m/--model (or --cv N to cross-validate)")
+    for dest in ("config", *_HYPER_SPECS, "chronological"):   # the checkpoint sets them
+        if getattr(args, dest) is not None:
+            raise CliError(f"--{dest.replace('_', '-')} applies only with --cv")
     model, embedded = _checkpoint_inputs(args, require_root_cause=True)
     report = evaluate_model(model, embedded,
                             with_classification=args.classification,
@@ -264,6 +268,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if not 0.0 < args.tolerance < float("inf"):     # NaN fails both comparisons
+        raise CliError("tolerance must be positive and finite")
     err = gradient_check_full_loss(**_given(args, _GRADCHECK_FIELDS))
     ok = err < args.tolerance
     print(f"max_rel_err={err:.3e} {'PASS' if ok else 'FAIL'}")
@@ -320,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("-o", "--output", default=None, help="write the JSON report here")
     p_eval.add_argument("--cv", type=int, default=None,
                         help="k-fold cross-validation (trains per fold, ignores -m)")
-    p_eval.add_argument("--chronological", action="store_true")
+    p_eval.add_argument("--chronological", action="store_true", default=None)
     p_eval.add_argument("--classification", action="store_true",
                         help="include precision/recall/F1 at k in {1,2,3}")
     p_eval.add_argument("--mfr-all", dest="mfr_all", action="store_true",
@@ -349,7 +355,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TrainingError, ValueError, OSError) as exc:
+    except (TrainingError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,8 +7,9 @@ cross-entropy loss, one optimizer step per commit.
 
 Training, evaluation and ranking share one scoring path, which reads an
 ``EmbeddedGraph`` directly: its initial vectors and its cached plan,
-whose deleted-kind rows are the lines scored.  ``train`` builds each
-commit's pairs once per call, with their indices checked then.
+whose deleted-kind rows are the lines scored.  ``build_pairs`` checks
+a commit's pair indices as it makes them, and ``train`` builds each
+commit's pairs once per call.
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ class TrainingError(RuntimeError):
 
 
 def build_pairs(g: CommitGraph, include_ties: bool = False
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                ) -> tuple[ad.CheckedIndex, ad.CheckedIndex, np.ndarray]:
     """All unordered deleted-line pairs of one commit, as ``(pair_i, pair_j, labels)``.
 
     ``pair_i[p] < pair_j[p]`` are rows of ``g.deleted_ids()``, listed in
-    row-major order.  A label is 1.0 when only the first line of the pair
+    row-major order, and both are CheckedIndex arrays bound to the number
+    of deleted lines.  A label is 1.0 when only the first line of the pair
     is a root cause, 0.0 when only the second is, and 0.5 otherwise (a
     tie); tie pairs are kept only when ``include_ties`` is set.
     """
@@ -54,17 +56,7 @@ def build_pairs(g: CommitGraph, include_ties: bool = False
     if not include_ties:
         keep = labels != 0.5
         pair_i, pair_j, labels = pair_i[keep], pair_j[keep], labels[keep]
-    return pair_i, pair_j, labels
-
-
-def _checked_pairs(g: CommitGraph, pairs: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple:
-    """``pairs`` with both index arrays checked, once, against ``g``'s deleted lines.
-
-    A one-pair step (``step_per_pair``) slices them, and a slice is checked per call.
-    """
-    pair_i, pair_j, labels = pairs
-    k = len(g.deleted_ids())
-    return ad.checked_index(pair_i, k), ad.checked_index(pair_j, k), labels
+    return ad.checked_index(pair_i, len(root)), ad.checked_index(pair_j, len(root)), labels
 
 
 class AdamState:
@@ -146,7 +138,7 @@ def _deleted_scores(tape: Tape | None, eg: EmbeddedGraph, params: NetworkParams,
 
 
 def _pair_loss_from_scores(tape: Tape | None, scores: Tensor,
-                           pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
+                           pairs: tuple[ad.CheckedIndex, ad.CheckedIndex, np.ndarray],
                            cfg: ModelConfig) -> Tensor:
     """RankNet cross-entropy summed over ``pairs``, a ``(pair_i, pair_j, labels)`` tuple.
 
@@ -160,7 +152,7 @@ def _pair_loss_from_scores(tape: Tape | None, scores: Tensor,
 
 
 def commit_loss(tape: Tape | None, eg: EmbeddedGraph,
-                pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
+                pairs: tuple[ad.CheckedIndex, ad.CheckedIndex, np.ndarray],
                 params: NetworkParams, cfg: ModelConfig) -> Tensor:
     """Summed pair cross-entropy of one commit over ``pairs`` (see :func:`build_pairs`)."""
     scores = _deleted_scores(tape, eg, params, cfg)
@@ -195,8 +187,7 @@ def train(embedded: list[EmbeddedGraph], cfg: ModelConfig, on_epoch=None) -> Tra
     named = named_tensors(params)
     tensors = [t for _name, t in named]
     adam = AdamState(named)
-    pairs = [_checked_pairs(eg.graph, build_pairs(eg.graph, cfg.include_tie_pairs))
-             for eg in embedded]
+    pairs = [build_pairs(eg.graph, cfg.include_tie_pairs) for eg in embedded]
     rng = np.random.default_rng(cfg.seed)
 
     log: list[float] = []
@@ -205,11 +196,12 @@ def train(embedded: list[EmbeddedGraph], cfg: ModelConfig, on_epoch=None) -> Tra
         losses = []
         for idx in order:
             eg, commit_pairs = embedded[idx], pairs[idx]
-            n_pairs = len(commit_pairs[2])
-            if not n_pairs:
+            pair_i, pair_j, labels = commit_pairs
+            if not len(labels):
                 continue
-            steps = ([tuple(a[row:row + 1] for a in commit_pairs) for row in range(n_pairs)]
-                     if cfg.step_per_pair else [commit_pairs])
+            steps = ([(ad.checked_index(pair_i[p:p + 1], pair_i.bound),
+                       ad.checked_index(pair_j[p:p + 1], pair_j.bound), labels[p:p + 1])
+                      for p in range(len(labels))] if cfg.step_per_pair else [commit_pairs])
             total = 0.0
             try:
                 with np.errstate(**_QUIET_FP_WARNINGS):

@@ -13,9 +13,10 @@ replaced, kept so their values and gradients can be checked against
 them.  ``naive_backward`` and ``naive_checkpoint_text`` are likewise the
 earlier forms of ``autodiff.backward`` (which kept the whole tape and
 every gradient until it returned) and of ``network.save_checkpoint``
-(which built the whole JSON text in memory).  ``raw_plan`` is a graph
-plan as the plain index arrays it held before plans checked them once,
-which every op then checks on every call.  The elementwise, reduction
+(which built the whole JSON text in memory).  ``array_rows_plan`` is a
+graph plan whose partition members gather through their index arrays,
+never as slices.  Ops take only checked indices, so where a composed form
+indexes every row it passes ``every_row(n)``.  The elementwise, reduction
 and segment tape ops they are built from (``sub``, ``mul``,
 ``scalar_mul``, ``log_sigmoid``, ``reduce_sum``, ``segment_sum``,
 ``segment_softmax``, ``sigmoid``, ``tanh``) live here too: the model no
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -223,6 +225,18 @@ def _mask(rows, n: int) -> Tensor:
     return constant(mask)
 
 
+def every_row(n: int) -> ad.CheckedIndex:
+    """range(n) as the one member of a checked partition: all rows of an (n, c) input."""
+    return ad.checked_partition([np.arange(n)], n)[0]
+
+
+def block_matmul_all_rows(tape: Tape | None, x: Tensor, w: Tensor, heads: int) -> Tensor:
+    """``block_matmul`` of every row of ``x`` through ``w``; an ``x`` without rows maps to none."""
+    if not x.shape[0]:      # range(0) has no partition member to pass
+        return constant(np.zeros((0, heads * w.shape[1])))
+    return ad.block_matmul(tape, x, [(every_row(x.shape[0]), w)], heads)
+
+
 def naive_typed_rows(tape: Tape | None, x: Tensor, groups, heads: int) -> Tensor:
     """sum_k mask_k * (x @ W_k + b_k): every group's transform on every row of ``x``.
 
@@ -232,7 +246,7 @@ def naive_typed_rows(tape: Tape | None, x: Tensor, groups, heads: int) -> Tensor
     n = x.shape[0]
     out = constant(np.zeros((n, heads * groups[0][1].shape[1])))
     for rows, w, *bias in groups:
-        y = ad.block_matmul(tape, x, [(np.arange(n), w)], heads)
+        y = block_matmul_all_rows(tape, x, w, heads)
         if bias:
             y = ad.add(tape, y, bias[0])
         out = ad.add(tape, out, mul(tape, y, _mask(rows, n)))
@@ -245,7 +259,7 @@ def naive_edge_rows(tape: Tape | None, plan: GraphPlan, states: Tensor, params: 
     out = None
     for kind, rows in plan.edge_rows.items():
         w = params[f"{maps}.{kind.value}"]
-        mapped = ad.block_matmul(tape, states, [(np.arange(states.shape[0]), w)], heads)
+        mapped = block_matmul_all_rows(tape, states, w, heads)
         part = mul(tape, ad.take_rows(tape, mapped, plan.src), _mask(rows, len(plan.src)))
         out = part if out is None else ad.add(tape, out, part)
     return out
@@ -308,13 +322,13 @@ def naive_backward(tape: Tape, loss: Tensor) -> ad.Gradients:
     return ad.Gradients(grads)
 
 
-def raw_plan(plan: GraphPlan) -> SimpleNamespace:
-    """``plan``'s arrays as plain writable ndarrays, which every op checks on every call."""
-    return SimpleNamespace(
-        n=plan.n, src=np.array(plan.src), dst=np.array(plan.dst), mu_idx=np.array(plan.mu_idx),
-        node_rows={kind: np.array(rows) for kind, rows in plan.node_rows.items()},
-        edge_rows={kind: np.array(rows) for kind, rows in plan.edge_rows.items()},
-    )
+def array_rows_plan(plan: GraphPlan) -> GraphPlan:
+    """``plan``, checked again as a copy whose partition members gather through their index
+    arrays: each member's slice is dropped, so every op takes the array path."""
+    copy = pickle.loads(pickle.dumps(plan))
+    for rows in (*copy.node_rows.values(), *copy.edge_rows.values()):
+        rows.take = None
+    return copy
 
 
 def with_plan(eg, plan):
@@ -470,13 +484,12 @@ def composed_gru(tape: Tape | None, h_tilde: Tensor, h_prev: Tensor, params: Net
 
 
 def composed_logits(tape: Tape | None, keys: Tensor, queries: Tensor, mu: Tensor,
-                    mu_idx: np.ndarray, heads: int) -> Tensor:
+                    mu_idx: ad.CheckedIndex, heads: int) -> Tensor:
     """Per-edge, per-head scaled logits (E, H), as five tape ops: the sum over each
     head's columns is a product with an all-ones (D, 1) selector."""
     dim = keys.shape[1]
     head_sum = constant(np.ones((dim, 1)))
-    raw = ad.block_matmul(tape, mul(tape, keys, queries), [(np.arange(keys.shape[0]), head_sum)],
-                          heads)
+    raw = block_matmul_all_rows(tape, mul(tape, keys, queries), head_sum, heads)
     prior = ad.take_rows(tape, mu, mu_idx)
     return scalar_mul(tape, mul(tape, raw, prior), 1.0 / math.sqrt(dim / heads))
 
@@ -487,12 +500,12 @@ def composed_aggregate(tape: Tape | None, weights: Tensor, messages: Tensor, dst
     head's weight is spread over its columns by an all-ones (H, D/H) selector."""
     heads = weights.shape[1]
     head_expand = constant(np.ones((heads, messages.shape[1] // heads)))
-    w_full = ad.block_matmul(tape, weights, [(np.arange(weights.shape[0]), head_expand)], heads)
+    w_full = block_matmul_all_rows(tape, weights, head_expand, heads)
     return segment_sum(tape, mul(tape, w_full, messages), dst, n)
 
 
 def composed_attend(tape: Tape | None, keys: Tensor, queries: Tensor, mu: Tensor,
-                    messages: Tensor, mu_idx: np.ndarray, dst: np.ndarray, n: int,
+                    messages: Tensor, mu_idx: ad.CheckedIndex, dst: ad.CheckedIndex, n: int,
                     heads: int) -> Tensor:
     """``autodiff.attend`` as the nine tape ops it replaced."""
     logits = composed_logits(tape, keys, queries, mu, mu_idx, heads)
@@ -541,8 +554,8 @@ def composed_attention(tape: Tape | None, h_prev: Tensor, plan: GraphPlan,
     return aggregate(tape, plan, weights, edge_messages(tape, plan, kqv, params, layer, heads))
 
 
-def composed_pair_loss(tape: Tape | None, scores: Tensor, pair_i: np.ndarray,
-                       pair_j: np.ndarray, labels: np.ndarray, sigma: float) -> Tensor:
+def composed_pair_loss(tape: Tape | None, scores: Tensor, pair_i: ad.CheckedIndex,
+                       pair_j: ad.CheckedIndex, labels: np.ndarray, sigma: float) -> Tensor:
     """``autodiff.pair_loss`` as the twelve tape ops it replaced."""
     diff = sub(tape, ad.take_rows(tape, scores, pair_i), ad.take_rows(tape, scores, pair_j))
     logit = scalar_mul(tape, diff, sigma)

@@ -56,7 +56,7 @@ from naive_reference import (
 
 def pair_loss(s_i, s_j, label, sigma=1.0):
     """The training loss of one pair with scores (s_i, s_j)."""
-    pairs = (np.array([0]), np.array([1]), np.array([label]))
+    pairs = (ad.checked_index([0], 2), ad.checked_index([1], 2), np.array([label]))
     scores = constant(np.array([s_i, s_j]))
     return _pair_loss_from_scores(None, scores, pairs, ModelConfig(sigma=sigma)).item()
 

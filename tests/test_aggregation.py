@@ -31,8 +31,8 @@ from naive_reference import (
     naive_edge_rows,
     mu_index,
     naive_typed_rows,
+    array_rows_plan,
     random_graph,
-    raw_plan,
     reduce_sum,
     segment_softmax,
 )
@@ -628,17 +628,28 @@ class TestPlanChecksItsArraysOnce:
                                              f"got dtype {np.dtype(dtype)}$"):
             GraphPlan(**plan_arrays(**{name: change}))
 
-    def test_arrays_derived_from_a_plan_are_checked_on_every_call(self):
+    def test_arrays_derived_from_a_plan_are_rejected(self):
         plan = GraphPlan(**plan_arrays())
         x = constant(np.arange(8.0).reshape(4, 2))
         shifted, head = plan.src + 2, plan.src[:2]
         assert type(shifted) is CheckedIndex and shifted.bound is None and head.bound is None
-        assert ad.take_rows(None, x, head).data.tolist() == [[2.0, 3.0], [0.0, 1.0]]
-        with pytest.raises(ValueError, match=r"^indices must lie in \[0, 4\)$"):
-            ad.take_rows(None, x, shifted)
-        # checked against another length, an index is checked as a raw one
-        with pytest.raises(ValueError, match=r"^indices must lie in \[0, 2\)$"):
+        assert ad.take_rows(None, x, plan.src).data.tolist() == [[2.0, 3.0], [0.0, 1.0],
+                                                                 [4.0, 5.0]]
+        for derived in (shifted, head, np.array(plan.src)):
+            with pytest.raises(ValueError, match=r"^take_rows: index must be a CheckedIndex "
+                                                 r"of \[0, 4\)$"):
+                ad.take_rows(None, x, derived)
+        # checked against another length, an index is rejected too
+        with pytest.raises(ValueError, match=r"^take_rows: index must be a CheckedIndex "
+                                             r"of \[0, 2\)$"):
             ad.take_rows(None, constant(np.ones((2, 2))), plan.src)
+
+    def test_edge_rows_of_an_edgeless_plan_raise(self):
+        plan = build_plan(CommitGraph(commit_id="bare", nodes=(LineNode(0, NodeKind.DELETED),),
+                                      edges=()))
+        params = layer_params(4, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^block_matmul: .* with 0 groups$"):
+            _edge_rows(None, plan, constant(np.ones((1, 4))), params, "layer0.attn.w_att", 2)
 
     def test_a_pickled_plan_is_checked_again(self):
         plan = GraphPlan(**plan_arrays())
@@ -647,8 +658,11 @@ class TestPlanChecksItsArraysOnce:
             assert restored.node_rows[NodeKind.DELETED].take == slice(0, 2)
             assert restored.node_rows[NodeKind.DELETED].part is not plan.node_rows[
                 NodeKind.DELETED].part
-        # a pickled index alone comes back unchecked
-        assert pickle.loads(pickle.dumps(plan.src)).bound is None
+        # a pickled index alone comes back unchecked, and no op takes it
+        restored = pickle.loads(pickle.dumps(plan.src))
+        assert restored.bound is None
+        with pytest.raises(ValueError, match="^take_rows: index must be a CheckedIndex"):
+            ad.take_rows(None, constant(np.ones((4, 2))), restored)
 
     def test_synthetic_commits_have_contiguous_node_kind_rows(self):
         ds = generate(GenConfig(n_commits=200, deleted_per_commit=10, added_per_commit=5,
@@ -659,11 +673,11 @@ class TestPlanChecksItsArraysOnce:
 
     @settings(max_examples=100, deadline=None)
     @given(g=plan_graphs())
-    def test_a_checked_plan_runs_the_layer_as_its_raw_arrays_do(self, g):
+    def test_slices_run_the_layer_as_index_arrays_do(self, g):
         rng = np.random.default_rng(len(g.nodes) + 7 * len(g.edges))
         params = layer_params(8, 2, rng)
         h = constant(rng.normal(size=(len(g.nodes), 8)))
         plan = build_plan(g)
         got = attention_forward(None, h, plan, params, 0, 2).data
-        want = attention_forward(None, h, raw_plan(plan), params, 0, 2).data
+        want = attention_forward(None, h, array_rows_plan(plan), params, 0, 2).data
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))

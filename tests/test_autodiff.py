@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import inspect
 import math
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -13,16 +14,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootrank import autodiff as ad
-from rootrank.aggregation import MU_SIZE
 from rootrank.autodiff import CheckedIndex, Tape, Tensor, backward, constant, grad_check
 
 from rootrank.embedding import EmbeddedGraph, HashingEmbedder, embed_graph
 from rootrank.graphs import CommitGraph, NodeKind
 from rootrank.network import Mode, ModelConfig, init_network_params, named_tensors
-from rootrank.ranker import TrainedModel, _checked_pairs, build_pairs, commit_loss, rank_commit
+from rootrank.ranker import TrainedModel, build_pairs, commit_loss, rank_commit
 from rootrank.synthetic import GenConfig, generate
 
 from naive_reference import (
+    array_rows_plan,
     composed_attend,
     composed_gru,
     composed_pair_loss,
@@ -36,11 +37,11 @@ from naive_reference import (
     naive_typed_rows,
     reduce_sum,
     random_graph,
-    raw_plan,
     scalar_mul,
     segment_softmax,
     segment_sum,
     sub,
+    every_row,
     with_plan,
 )
 
@@ -94,7 +95,7 @@ class TestForwardExamples:
 
     def test_take_rows_repeats_and_reorders(self):
         a = constant([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        out = ad.take_rows(None, a, np.array([2, 0, 2]))
+        out = ad.take_rows(None, a, ad.checked_index([2, 0, 2], 3))
         assert out.data.tolist() == [[5.0, 6.0], [1.0, 2.0], [5.0, 6.0]]
 
     def test_segment_sum_adds_rows_per_segment(self):
@@ -361,7 +362,7 @@ class TestScatterAgainstRowOracle:
         segments, ids, _values, g, _shift = case
         a = Tensor(np.ones((segments,) + g.shape[1:]), requires_grad=True)
         tape = Tape()
-        loss = scalarize(tape, ad.take_rows(tape, a, ids), g)
+        loss = scalarize(tape, ad.take_rows(tape, a, ad.checked_index(ids, segments)), g)
         expected = np.zeros(a.shape)
         naive_scatter(np.add, expected, ids, g)
         assert_same_bits(backward(tape, loss)[a], expected)
@@ -425,17 +426,17 @@ class TestPerOpGradients:
         a = Tensor(self._rand(4, heads * k), requires_grad=True)
         w = Tensor(self._rand(heads * k, m), requires_grad=True)
         weights = self._rand(4, heads * m)
-        check_op(lambda tape, _: scalarize(tape, ad.block_matmul(tape, a, [(np.arange(4), w)], heads),
+        check_op(lambda tape, _: scalarize(tape, ad.block_matmul(tape, a, [(every_row(4), w)], heads),
                                            weights),
                  [a, w])
 
     @pytest.mark.parametrize("heads", [1, 2, 8])
     @pytest.mark.parametrize("biased", [False, True])
     def test_grouped_block_matmul(self, heads, biased):
-        # rows 1 and 3 are in no group; one group is empty, one holds a single row
+        # rows 1 and 3 are in a member left out of the groups; one group holds a single row
         k, m = 2, 3
         a = Tensor(self._rand(6, heads * k), requires_grad=True)
-        rows = [np.array([0, 4, 2]), np.array([], dtype=int), np.array([5])]
+        *rows, _left_out = ad.checked_partition([[0, 2, 4], [5], [1, 3]], 6)
         ws = [Tensor(self._rand(heads * k, m), requires_grad=True) for _ in rows]
         bs = [Tensor(self._rand(heads * m), requires_grad=True) for _ in rows]
         groups = [(r, w, b) if biased else (r, w) for r, w, b in zip(rows, ws, bs)]
@@ -450,7 +451,6 @@ class TestPerOpGradients:
         tape = Tape()
         grads = backward(tape, build(tape, None))
         assert not grads[a][[1, 3]].any()
-        assert not grads[ws[1]].any() and not grads[bs[1]].any()
 
     def test_add_same_shape(self):
         a = Tensor(self._rand(3, 4), requires_grad=True)
@@ -500,13 +500,13 @@ class TestPerOpGradients:
 
     def test_take_rows_with_repeated_indices(self):
         a = Tensor(self._rand(4, 3), requires_grad=True)
-        idx = np.array([1, 3, 1, 1, 0])
+        idx = ad.checked_index([1, 3, 1, 1, 0], 4)
         w = self._rand(5, 3)
         check_op(lambda tape, _: scalarize(tape, ad.take_rows(tape, a, idx), w), [a])
 
     def test_take_rows_of_a_vector(self):
         a = Tensor(self._rand(4), requires_grad=True)
-        idx = np.array([2, 2, 0])
+        idx = ad.checked_index([2, 2, 0], 4)
         w = self._rand(3)
         check_op(lambda tape, _: scalarize(tape, ad.take_rows(tape, a, idx), w), [a])
 
@@ -609,8 +609,9 @@ class TestBlockMatmul:
         # would add a.data.nbytes more
         rng = np.random.default_rng(8)
         a = Tensor(rng.normal(size=(4000, 16)), requires_grad=True)
-        groups = [(np.arange(0, 4000, 2), Tensor(rng.normal(size=(16, 2)), requires_grad=True)),
-                  (np.arange(1, 4000, 2), Tensor(rng.normal(size=(16, 2)), requires_grad=True))]
+        evens, odds = ad.checked_partition([np.arange(0, 4000, 2), np.arange(1, 4000, 2)], 4000)
+        groups = [(evens, Tensor(rng.normal(size=(16, 2)), requires_grad=True)),
+                  (odds, Tensor(rng.normal(size=(16, 2)), requires_grad=True))]
         tape = Tape()
         with traced_allocations():
             base = tracemalloc.get_traced_memory()[0]
@@ -626,7 +627,7 @@ class TestBlockMatmul:
             assert np.array_equal(grads[w], np.matmul(x, gh).reshape(16, 2))
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(0, 5), heads=st.integers(1, 4), k=st.integers(1, 4),
+    @given(n=st.integers(1, 5), heads=st.integers(1, 4), k=st.integers(1, 4),
            m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_equals_dense_block_diagonal_product(self, n, heads, k, m, seed):
         rng = np.random.default_rng(seed)
@@ -636,7 +637,7 @@ class TestBlockMatmul:
         dense = block_diagonal_of(w.data, heads)
 
         tape = Tape()
-        out = ad.block_matmul(tape, a, [(np.arange(n), w)], heads)
+        out = ad.block_matmul(tape, a, [(every_row(n), w)], heads)
         np.testing.assert_allclose(out.data, a.data @ dense, rtol=0, atol=1e-12)
         grads = backward(tape, scalarize(tape, out, g))
         np.testing.assert_allclose(grads[a], g @ dense.T, rtol=0, atol=1e-12)
@@ -650,16 +651,22 @@ class TestBlockMatmul:
            seed=st.integers(0, 2**32 - 1))
     def test_groups_equal_masked_per_kind_sum(self, n, heads, k, m, n_groups, biased, seed):
         rng = np.random.default_rng(seed)
-        # each row joins one group or (-1) none; groups may come out empty
+        # each row joins one group or (-1) a partition member left out of the groups
         owner = rng.integers(-1, n_groups, size=n)
+        owners = np.unique(owner)
+        members = dict(zip(owners.tolist(), ad.checked_partition(
+            [np.flatnonzero(owner == i) for i in owners], n)))
+        listed = [i for i in range(n_groups) if i in members]
         a = Tensor(rng.uniform(-2, 2, size=(n, heads * k)), requires_grad=True)
-        ws = [Tensor(rng.uniform(-2, 2, size=(heads * k, m)), requires_grad=True)
-              for _ in range(n_groups)]
-        bs = [Tensor(rng.uniform(-2, 2, size=heads * m), requires_grad=True)
-              for _ in range(n_groups)]
-        groups = [(np.flatnonzero(owner == i), w, b) if biased else (np.flatnonzero(owner == i), w)
-                  for i, (w, b) in enumerate(zip(ws, bs))]
+        ws = [Tensor(rng.uniform(-2, 2, size=(heads * k, m)), requires_grad=True) for _ in listed]
+        bs = [Tensor(rng.uniform(-2, 2, size=heads * m), requires_grad=True) for _ in listed]
+        groups = [(members[i], w, b) if biased else (members[i], w)
+                  for i, w, b in zip(listed, ws, bs)]
         g = rng.uniform(-2, 2, size=(n, heads * m))
+        if not groups:      # no row is in a listed group
+            with pytest.raises(ValueError, match="^block_matmul: .* with 0 groups$"):
+                ad.block_matmul(None, a, groups, heads)
+            return
 
         def run(f):
             tape = Tape()
@@ -676,30 +683,28 @@ class TestBlockMatmul:
     def test_shape_checks(self):
         with pytest.raises(ValueError, match="block_matmul"):
             ad.block_matmul(None, constant(np.zeros((2, 4))),
-                            [(np.arange(2), constant(np.zeros((3, 1))))], 2)
+                            [(every_row(2), constant(np.zeros((3, 1))))], 2)
         with pytest.raises(ValueError, match="block_matmul"):
             ad.block_matmul(None, constant(np.zeros((2, 3))),
-                            [(np.arange(2), constant(np.zeros((3, 1))))], 2)
+                            [(every_row(2), constant(np.zeros((3, 1))))], 2)
         with pytest.raises(ValueError, match="block_matmul"):
-            ad.block_matmul(None, constant(np.zeros(4)), [(np.arange(4), constant(np.zeros((4, 1))))], 2)
+            ad.block_matmul(None, constant(np.zeros(4)), [(every_row(4), constant(np.zeros((4, 1))))], 2)
 
     def test_group_checks(self):
         a = constant(np.zeros((3, 4)))
         w = constant(np.zeros((4, 1)))
+        first, second = ad.checked_partition([[0, 1], [2]], 3)
         with pytest.raises(ValueError, match="block_matmul"):
             ad.block_matmul(None, a, [], 2)
         with pytest.raises(ValueError, match="block_matmul"):
-            ad.block_matmul(None, a, [(np.arange(3), w, constant(np.zeros(3)))], 2)
+            ad.block_matmul(None, a, [(every_row(3), w, constant(np.zeros(3)))], 2)
         with pytest.raises(ValueError, match="block_matmul"):
-            ad.block_matmul(None, a, [(np.arange(3), w), (np.array([0]), constant(np.zeros((4, 2))))], 2)
-        with pytest.raises(ValueError, match="distinct rows"):
-            ad.block_matmul(None, a, [(np.array([0, 1]), w), (np.array([1]), w)], 2)
-        with pytest.raises(ValueError, match="distinct rows"):
-            ad.block_matmul(None, a, [(np.array([2, 2]), w)], 2)
-        with pytest.raises(ValueError, match="distinct rows"):
-            ad.block_matmul(None, a, [(np.arange(3), w), (np.array([2]), w)], 2)
-        with pytest.raises(ValueError, match=r"\[0, 3\)"):
-            ad.block_matmul(None, a, [(np.array([3]), w)], 2)
+            ad.block_matmul(None, a, [(first, w), (second, constant(np.zeros((4, 2))))], 2)
+        member = r"^block_matmul: groups must be distinct members of one checked partition of \[0, 3\)$"
+        for groups in ([(first, w), (first, w)], [(first, w), (every_row(3), w)],
+                       [(first, w), (np.array([2]), w)], [(every_row(4), w)]):
+            with pytest.raises(ValueError, match=member):
+                ad.block_matmul(None, a, groups, 2)
 
 
 def gru_weights(p):
@@ -840,8 +845,9 @@ def attend_cases(draw):
     keys[:, ::d] += shift * math.sqrt(d)
     queries[:, ::d] = 1.0
     mu = rng.uniform(0.5, 1.5, size=(5, 1))
-    return (keys, queries, mu, rng.uniform(-2, 2, size=(e, dim)), rng.integers(0, 5, size=e),
-            dst, len(degrees), heads, rng.uniform(-2, 2, size=(len(degrees), dim)))
+    return (keys, queries, mu, rng.uniform(-2, 2, size=(e, dim)),
+            ad.checked_index(rng.integers(0, 5, size=e), 5), ad.checked_index(dst, len(degrees)),
+            len(degrees), heads, rng.uniform(-2, 2, size=(len(degrees), dim)))
 
 
 def attend_inputs(case):
@@ -856,10 +862,10 @@ class TestAttend:
     def test_gradcheck_every_input(self):
         # targets 0 and 3 have no incoming edge, target 1 has one, target 2 four
         rng = np.random.default_rng(31)
-        dst = np.array([1, 2, 2, 4, 2, 2, 4])
+        dst = ad.checked_index([1, 2, 2, 4, 2, 2, 4], 5)
         leaves = [Tensor(rng.uniform(-2, 2, size=shape), requires_grad=True)
                   for shape in ((7, 4), (7, 4), (3, 1), (7, 4))]
-        mu_idx = np.array([0, 2, 1, 1, 0, 2, 2])
+        mu_idx = ad.checked_index([0, 2, 1, 1, 0, 2, 2], 3)
         g = rng.uniform(-2, 2, size=(5, 4))
         check_op(lambda tape, _: scalarize(tape, ad.attend(tape, *leaves, mu_idx, dst, 5, 2), g),
                  leaves)
@@ -897,7 +903,7 @@ class TestAttend:
         leaves = [Tensor(x, requires_grad=True) for x in (
             rng.uniform(-1, 1, size=(3, 4)), rng.uniform(-1, 1, size=(3, 4)), np.ones((2, 1)),
             rng.uniform(-1, 1, size=(3, 4)))]
-        return leaves, np.zeros(3, dtype=int), np.array([0, 1, 0]), 2, 2
+        return leaves, ad.checked_index([0, 0, 0], 2), ad.checked_index([0, 1, 0], 2), 2, 2
 
     def test_overflowing_logits_are_named(self):
         (keys, queries, mu, messages), mu_idx, dst, n, heads = self._inputs()
@@ -920,9 +926,9 @@ class TestAttend:
         with pytest.raises(ValueError, match="^attend: unsupported shapes"):
             ad.attend(None, keys, queries, constant(np.ones(2)), messages, mu_idx, dst, n, heads)
         with pytest.raises(ValueError, match="one prior row and one target per edge"):
-            ad.attend(None, keys, queries, mu, messages, mu_idx[:2], dst, n, heads)
-        with pytest.raises(ValueError, match=r"indices must lie in \[0, 2\)"):
-            ad.attend(None, keys, queries, mu, messages, mu_idx, dst + 1, n, heads)
+            ad.attend(None, keys, queries, mu, messages, ad.checked_index([0, 0], 2), dst, n, heads)
+        with pytest.raises(ValueError, match=r"^indices must lie in \[0, 2\)"):
+            ad.checked_index(dst + 1, n)
 
 
 @st.composite
@@ -955,10 +961,12 @@ class TestPairLoss:
     def test_bit_identical_to_composed_chain(self, case):
         scores, pair_i, pair_j, labels, sigma, g = case
 
+        rows_i, rows_j = (ad.checked_index(rows, len(scores)) for rows in (pair_i, pair_j))
+
         def run(op):
             s = Tensor(scores, requires_grad=True)
             tape = Tape()
-            loss = op(tape, s, pair_i, pair_j, labels, sigma)
+            loss = op(tape, s, rows_i, rows_j, labels, sigma)
             # scale the output gradient through a test-side op, so g != 1 reaches the rule
             grads = backward(tape, scalar_mul(tape, loss, g))
             return loss.data, grads[s]
@@ -971,13 +979,13 @@ class TestPairLoss:
     @pytest.mark.parametrize("gap", [0.0, 3.0, 1e3, -1e3])
     def test_gradcheck(self, sigma, gap):
         s = Tensor(np.array([gap, 0.0, 0.5]), requires_grad=True)
-        pair_i, pair_j = np.array([0, 1, 0, 2]), np.array([1, 0, 2, 1])
+        pair_i, pair_j = ad.checked_index([0, 1, 0, 2], 3), ad.checked_index([1, 0, 2, 1], 3)
         labels = np.array([1.0, 0.5, 0.0, 1.0])
         check_op(lambda tape, _: ad.pair_loss(tape, s, pair_i, pair_j, labels, sigma), [s])
 
     def test_one_tape_record(self):
         s = Tensor(np.array([0.3, -0.2]), requires_grad=True)
-        args = (np.array([0]), np.array([1]), np.array([1.0]), 1.0)
+        args = (ad.checked_index([0], 2), ad.checked_index([1], 2), np.array([1.0]), 1.0)
         tape = Tape()
         ad.pair_loss(tape, s, *args)
         assert len(tape) == 1
@@ -987,7 +995,7 @@ class TestPairLoss:
 
     def test_overflowing_logits_are_named(self):
         s = constant(np.array([1.5e308, -1.5e308]))
-        args = (np.array([0]), np.array([1]), np.array([1.0]), 1.0)
+        args = (ad.checked_index([0], 2), ad.checked_index([1], 2), np.array([1.0]), 1.0)
         with np.errstate(over="ignore"):
             with pytest.raises(FloatingPointError, match=r"^pair_loss produced non-finite values "
                                                          r"in its \(1,\) logits$"):
@@ -997,15 +1005,15 @@ class TestPairLoss:
 
     def test_shape_checks(self):
         s = constant(np.zeros(3))
+        zero, one, both = (ad.checked_index(rows, 3) for rows in ([0], [1], [0, 1]))
         with pytest.raises(ValueError, match="^pair_loss: scores must be a vector"):
-            ad.pair_loss(None, constant(np.zeros((3, 1))), np.array([0]), np.array([1]),
-                         np.array([1.0]), 1.0)
+            ad.pair_loss(None, constant(np.zeros((3, 1))), zero, one, np.array([1.0]), 1.0)
         with pytest.raises(ValueError, match="^pair_loss: need one label per pair"):
-            ad.pair_loss(None, s, np.array([0, 1]), np.array([1]), np.array([1.0]), 1.0)
+            ad.pair_loss(None, s, both, one, np.array([1.0]), 1.0)
         with pytest.raises(ValueError, match="^pair_loss: need one label per pair"):
-            ad.pair_loss(None, s, np.array([0]), np.array([1]), np.array([1.0, 0.0]), 1.0)
-        with pytest.raises(ValueError, match=r"indices must lie in \[0, 3\)"):
-            ad.pair_loss(None, s, np.array([3]), np.array([1]), np.array([1.0]), 1.0)
+            ad.pair_loss(None, s, zero, one, np.array([1.0, 0.0]), 1.0)
+        with pytest.raises(ValueError, match=r"^indices must lie in \[0, 3\)"):
+            ad.checked_index([3], 3)
 
 
 class TestGradCheck:
@@ -1051,10 +1059,10 @@ class TestErrors:
             Tensor([np.nan])
 
     def test_index_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="indices"):
-            ad.take_rows(None, constant(np.zeros((3, 2))), np.array([0, 3]))
-        with pytest.raises(ValueError, match="indices"):
-            ad.take_rows(None, constant(np.zeros((3, 2))), np.array([-1]))
+        with pytest.raises(ValueError, match=r"^indices must lie in \[0, 3\)$"):
+            ad.checked_index(np.array([0, 3]), 3)
+        with pytest.raises(ValueError, match=r"^indices must lie in \[0, 3\)$"):
+            ad.checked_index(np.array([-1]), 3)
 
     def test_one_segment_id_per_row(self):
         with pytest.raises(ValueError, match="one segment id per row"):
@@ -1086,23 +1094,25 @@ class TestNonIntegerIndices:
 
     @pytest.mark.parametrize("index, dtype", NON_INTEGER_INDICES)
     def test_take_rows(self, index, dtype):
-        with pytest.raises(ValueError, match=f"^indices must be integers, got dtype {dtype}$"):
+        with pytest.raises(ValueError, match=r"^take_rows: index must be a CheckedIndex of \[0, 3\)$"):
             ad.take_rows(None, constant(np.zeros((3, 2))), index)
 
     @pytest.mark.parametrize("index, dtype", NON_INTEGER_INDICES)
     @pytest.mark.parametrize("side", ["pair_i", "pair_j"])
     def test_pair_loss(self, index, dtype, side):
-        pairs = {"pair_i": np.array([2, 2]), "pair_j": np.array([2, 2]), side: index}
-        with pytest.raises(ValueError, match=f"^indices must be integers, got dtype {dtype}$"):
+        both = ad.checked_index([2, 2], 3)
+        pairs = {"pair_i": both, "pair_j": both, side: index}
+        with pytest.raises(ValueError, match=rf"^pair_loss: {side} must be a CheckedIndex of \[0, 3\)$"):
             ad.pair_loss(None, constant([0.0, 1.0, 2.0]), pairs["pair_i"], pairs["pair_j"],
                          np.ones(2), 1.0)
 
     def test_unsigned_and_empty_indices_are_accepted(self):
         assert ad.checked_index(np.array([2, 0], dtype=np.uint8), 3).tolist() == [2, 0]
-        assert ad.checked_index(np.asarray([]), 3).shape == (0,)
-        assert ad.take_rows(None, constant(np.zeros((3, 2))), np.asarray([])).shape == (0, 2)
-        empty = np.asarray([])
-        assert ad.pair_loss(None, constant([0.0, 1.0]), empty, empty, empty, 1.0).item() == 0.0
+        empty_rows = ad.checked_index(np.asarray([]), 3)
+        assert empty_rows.shape == (0,)
+        assert ad.take_rows(None, constant(np.zeros((3, 2))), empty_rows).shape == (0, 2)
+        empty, no_pairs = np.asarray([]), ad.checked_index(np.asarray([]), 2)
+        assert ad.pair_loss(None, constant([0.0, 1.0]), no_pairs, no_pairs, empty, 1.0).item() == 0.0
 
 
 class TestDeterminism:
@@ -1182,6 +1192,82 @@ class TestOpSetIsClosed:
         assert not elsewhere, f"ufunc.at calls outside autodiff._scatter: {elsewhere}"
 
 
+def index_calls():
+    """Per index argument of each op that indexes: (its checked index, a call of the op with
+    ``index`` in its place and valid other inputs, the message that rejects any other index)."""
+    x, keys, mu = constant(np.ones((4, 2))), constant(np.ones((3, 2))), constant(np.ones((2, 1)))
+    mu_idx, dst = ad.checked_index([0, 1, 1], 2), ad.checked_index([0, 2, 2], 4)
+    scores, labels = constant([0.0, 1.0, 2.0]), np.ones(2)
+    pair_i, pair_j = ad.checked_index([0, 1], 3), ad.checked_index([2, 2], 3)
+    w = constant(np.ones((2, 2)))
+    first, second = ad.checked_partition([[0, 1], [2, 3]], 4)
+
+    def rejects(op, name, bound):
+        return rf"^{op}: {name} must be a CheckedIndex of \[0, {bound}\)$"
+
+    return {
+        "take_rows-index": (dst, lambda index: ad.take_rows(None, x, index),
+                            rejects("take_rows", "index", 4)),
+        "attend-mu_idx": (mu_idx, lambda index: ad.attend(None, keys, keys, mu, keys, index, dst,
+                                                          4, 1),
+                          rejects("attend", "mu_idx", 2)),
+        "attend-dst": (dst, lambda index: ad.attend(None, keys, keys, mu, keys, mu_idx, index, 4, 1),
+                       rejects("attend", "dst", 4)),
+        "pair_loss-pair_i": (pair_i, lambda index: ad.pair_loss(None, scores, index, pair_j,
+                                                                labels, 1.0),
+                             rejects("pair_loss", "pair_i", 3)),
+        "pair_loss-pair_j": (pair_j, lambda index: ad.pair_loss(None, scores, pair_i, index,
+                                                                labels, 1.0),
+                             rejects("pair_loss", "pair_j", 3)),
+        "block_matmul-groups": (second,
+                                lambda index: ad.block_matmul(None, x, [(first, w), (index, w)], 1),
+                                r"^block_matmul: groups must be distinct members of one checked "
+                                r"partition of \[0, 4\)$"),
+    }
+
+
+# Arrays made from a checked index, none of them checked themselves.
+DERIVED_INDICES = {
+    "list": lambda index: index.tolist(),
+    "ndarray": lambda index: np.array(index),
+    "view": lambda index: index[:],
+    "copy": lambda index: index.copy(),
+    "plus-zero": lambda index: index + 0,
+    "unpickled": lambda index: pickle.loads(pickle.dumps(index)),
+    "other-bound": lambda index: ad.checked_index(index, index.bound + 1),
+}
+
+
+class TestOneIndexPath:
+    """Each op that indexes takes only the checked index of the length it indexes."""
+
+    @pytest.mark.parametrize("target", list(index_calls()))
+    def test_the_checked_index_is_taken(self, target):
+        index, call, _message = index_calls()[target]
+        call(index)
+
+    @pytest.mark.parametrize("derive", list(DERIVED_INDICES))
+    @pytest.mark.parametrize("target", list(index_calls()))
+    def test_any_other_index_is_rejected_naming_the_op(self, target, derive):
+        index, call, message = index_calls()[target]
+        derived = DERIVED_INDICES[derive](index)
+        assert np.array_equal(derived, index)
+        with pytest.raises(ValueError, match=message):
+            call(derived)
+
+    @pytest.mark.parametrize("partitions", [
+        pytest.param(lambda: 2 * ad.checked_partition([[0, 1], [2, 3]], 4)[:1], id="repeated"),
+        pytest.param(lambda: [ad.checked_partition([[0, 1], [2, 3]], 4)[0],
+                              ad.checked_partition([[0, 1], [2, 3]], 4)[1]], id="two-partitions"),
+        pytest.param(lambda: ad.checked_partition([[0, 1], [2, 3], [4]], 5)[:2], id="other-bound"),
+    ])
+    def test_block_matmul_rejects_members_not_of_one_partition(self, partitions):
+        _index, _call, message = index_calls()["block_matmul-groups"]
+        x, w = constant(np.ones((4, 2))), constant(np.ones((2, 2)))
+        with pytest.raises(ValueError, match=message):
+            ad.block_matmul(None, x, [(rows, w) for rows in partitions()], 1)
+
+
 def deleted_first(g: CommitGraph) -> CommitGraph:
     """``g`` with its nodes renumbered so that its deleted lines come first, in order."""
     order = sorted(range(len(g.nodes)), key=lambda i: g.nodes[i].kind is not NodeKind.DELETED)
@@ -1194,14 +1280,14 @@ def deleted_first(g: CommitGraph) -> CommitGraph:
 
 
 class TestCheckedIndices:
-    """Indices checked once (a plan's arrays, ``train``'s pairs) give the numbers of the
-    same arrays passed raw and checked on every call, and raw arrays are still checked."""
+    """Ops take only indices checked once, where they are made (a plan's arrays,
+    ``build_pairs``' pairs), and a slice gives the numbers of the same rows as an array."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)),
            ties=st.booleans(), contiguous=st.booleans())
-    def test_loss_gradients_and_scores_equal_those_of_raw_indices(self, seed, mode, ties,
-                                                                    contiguous):
+    def test_loss_gradients_and_scores_of_slices_equal_those_of_arrays(self, seed, mode, ties,
+                                                                       contiguous):
         rng = np.random.default_rng(seed)
         g = random_graph(rng, max_nodes=8)
         if contiguous:          # deleted lines first: the deleted rows are taken as a slice
@@ -1212,63 +1298,36 @@ class TestCheckedIndices:
         model = TrainedModel(params=params, cfg=cfg, training_log=[])
         eg = EmbeddedGraph(graph=g, h0=rng.normal(size=(len(g.nodes), 8)))
         pairs = build_pairs(g, ties)
-        checked_pairs = _checked_pairs(g, pairs)
-        assert type(eg.plan.src) is type(checked_pairs[0]) is CheckedIndex
+        assert type(eg.plan.src) is type(pairs[0]) is type(pairs[1]) is CheckedIndex
         if contiguous:
             assert eg.plan.node_rows[NodeKind.DELETED].take is not None
-        raw = with_plan(eg, raw_plan(eg.plan))
+        arrays = with_plan(eg, array_rows_plan(eg.plan))
+        assert all(rows.take is None for rows in arrays.plan.node_rows.values())
         runs = []
-        for graph, step_pairs in ((eg, checked_pairs), (raw, pairs)):
+        for graph in (eg, arrays):
             tape = Tape()
-            loss = commit_loss(tape, graph, step_pairs, params, cfg)
+            loss = commit_loss(tape, graph, pairs, params, cfg)
             grads = backward(tape, loss)
             runs.append((loss.data, [grads[t] for t in leaves], rank_commit(model, graph)))
-        (loss, grads, ranked), (raw_loss, raw_grads, raw_ranked) = runs
-        assert_same_bits(loss, raw_loss)
-        for got, want in zip(grads, raw_grads):
+        (loss, grads, ranked), (array_loss, array_grads, array_ranked) = runs
+        assert_same_bits(loss, array_loss)
+        for got, want in zip(grads, array_grads):
             assert_same_bits(got, want)
-        assert [(i, s.hex()) for i, s in ranked] == [(i, s.hex()) for i, s in raw_ranked]
+        assert [(i, s.hex()) for i, s in ranked] == [(i, s.hex()) for i, s in array_ranked]
         assert sorted(i for i, _s in ranked) == g.deleted_ids()
 
-    @pytest.mark.parametrize("array, value, message", [
-        ("src", -1, r"indices must lie in \[0, 6\)"),
-        ("src", 6, r"indices must lie in \[0, 6\)"),
-        ("dst", -2, r"indices must lie in \[0, 6\)"),
-        ("mu_idx", MU_SIZE, rf"indices must lie in \[0, {MU_SIZE}\)"),
-        ("node_rows", None, r"block_matmul: groups must hold distinct rows and not overlap"),
-        ("edge_rows", None, r"block_matmul: groups must hold distinct rows and not overlap"),
-    ])
-    def test_raw_bad_indices_still_raise_on_every_call(self, array, value, message):
-        rng = np.random.default_rng(3)
-        g = random_graph(rng, max_nodes=6)
-        while len(g.nodes) != 6 or len({e.kind for e in g.edges}) < 2 or len(
-                {node.kind for node in g.nodes}) < 2:
-            g = random_graph(rng, max_nodes=6)
-        cfg = ModelConfig(dim=8, heads=2, layers=1, proj_dim=4)
-        params = init_network_params(cfg, rng, random_scorer=True)
-        eg = EmbeddedGraph(graph=g, h0=rng.normal(size=(6, 8)))
-        plan = raw_plan(eg.plan)
-        if value is None:       # the first kind's rows also take the second kind's first row
-            first, second, *_rest = getattr(plan, array).values()
-            first[0] = second[0]
-        else:
-            getattr(plan, array)[0] = value
-        for _ in range(2):
-            with pytest.raises(ValueError, match="^" + message):
-                commit_loss(Tape(), with_plan(eg, plan), build_pairs(g, True), params, cfg)
-
-    def test_a_checked_index_of_another_length_is_checked(self):
+    def test_a_checked_index_of_another_length_is_rejected(self):
         x = constant(np.ones((3, 2)))
         index = ad.checked_index([0, 3], 4)
         assert type(index) is CheckedIndex and index.bound == 4 and not index.flags.writeable
-        with pytest.raises(ValueError, match=r"^indices must lie in \[0, 3\)$"):
+        with pytest.raises(ValueError, match=r"^take_rows: index must be a CheckedIndex of \[0, 3\)$"):
             ad.take_rows(None, x, index)
-        with pytest.raises(ValueError, match=r"^indices must lie in \[0, 3\)$"):
+        with pytest.raises(ValueError, match=r"^pair_loss: pair_i must be a CheckedIndex of \[0, 3\)$"):
             ad.pair_loss(None, constant(np.ones(3)), index, index, np.ones(2), 1.0)
         with pytest.raises(ValueError, match=r"^indices must lie in \[0, 4\)$"):
             ad.checked_index([0, 4], 4)
 
-    def test_block_matmul_trusts_only_distinct_members_of_one_partition(self):
+    def test_block_matmul_takes_only_distinct_members_of_one_partition(self):
         a = constant(np.arange(12.0).reshape(4, 3))
         w = constant(np.ones((3, 2)))
         first, second = ad.checked_partition([[0, 1], [2, 3]], 4)
@@ -1276,30 +1335,53 @@ class TestCheckedIndices:
         out = ad.block_matmul(None, a, [(first, w), (second, w)], 1).data
         assert np.array_equal(out, a.data @ w.data)
         others = ad.checked_partition([[1, 2], [0, 3]], 4)
-        overlapping = ([(first, w), (first, w)], [(first, w), (others[0], w)],
-                       [(first, w), (np.array([1]), w)])
-        for groups in overlapping:
-            with pytest.raises(ValueError, match="^block_matmul: groups must hold distinct rows"):
+        for groups in ([(first, w), (first, w)], [(first, w), (others[0], w)],
+                       [(first, w), (np.array([2, 3]), w)]):
+            with pytest.raises(ValueError, match="^block_matmul: groups must be distinct members "
+                                                 r"of one checked partition of \[0, 4\)$"):
                 ad.block_matmul(None, a, groups, 1)
         with pytest.raises(ValueError, match=r"^groups must cover \[0, 4\), but hold 3 rows$"):
             ad.checked_partition([[0, 1], [3]], 4)
         with pytest.raises(ValueError, match="^groups must hold distinct rows and not overlap$"):
             ad.checked_partition([[0, 1], [1, 2, 3]], 4)
 
-    def test_a_slice_gather_scatters_back_like_ufunc_at(self):
-        # the backward of a gather through a slice adds into zeros, as ufunc.at does:
-        # a -0.0 output gradient leaves +0.0
-        a = Tensor(np.ones((4, 2)), requires_grad=True)
+    def test_a_slice_gather_equals_an_array_gather(self):
+        # forward equal; the backward of a gather through a slice adds into zeros, as
+        # ufunc.at does: a -0.0 output gradient leaves +0.0
+        a = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
         rows = ad.checked_partition([[1, 2], [0, 3]], 4)[0]
         assert rows.take == slice(1, 3)
         g = np.array([[-0.0, 2.0], [3.0, -0.0]])
-        grads = []
-        for index in (rows, np.array([1, 2])):
+        runs = []
+        for index in (rows, ad.checked_index([1, 2], 4)):
             tape = Tape()
             picked = ad.take_rows(tape, a, index)
-            grads.append(backward(tape, scalarize(tape, picked, g))[a])
-        assert_same_bits(grads[0], grads[1])
-        assert not np.signbit(grads[0]).any()
+            runs.append((picked.data, backward(tape, scalarize(tape, picked, g))[a]))
+        for got, want in zip(*runs):
+            assert_same_bits(got, want)
+        assert not np.signbit(runs[0][1]).any()
+
+    @pytest.mark.parametrize("biased", [False, True])
+    def test_a_slice_block_product_equals_an_array_block_product(self, biased):
+        # the same partition, once with its one-run members as slices and once as arrays
+        rng = np.random.default_rng(41)
+        a = Tensor(rng.uniform(-2, 2, size=(5, 4)), requires_grad=True)
+        ws = [Tensor(rng.uniform(-2, 2, size=(4, 3)), requires_grad=True) for _ in range(2)]
+        bs = [Tensor(rng.uniform(-2, 2, size=6), requires_grad=True) for _ in range(2)]
+        g = rng.uniform(-2, 2, size=(5, 6))
+        sliced = ad.checked_partition([[1, 2, 3], [0, 4]], 5)
+        arrays = ad.checked_partition([[1, 2, 3], [0, 4]], 5)
+        arrays[0].take = None
+        assert sliced[0].take == slice(1, 4) and sliced[1].take is None
+        runs = []
+        for members in (sliced, arrays):
+            groups = [(rows, w, b) if biased else (rows, w) for rows, w, b in zip(members, ws, bs)]
+            tape = Tape()
+            out = ad.block_matmul(tape, a, groups, 2)
+            grads = backward(tape, scalarize(tape, out, g))
+            runs.append([out.data] + [grads[t] for t in (a, *ws, *bs)])
+        for got, want in zip(*runs):
+            assert_same_bits(got, want)
 
     def test_a_used_plan_keeps_only_its_index_arrays(self):
         # the plan of a 300-node, 871-edge commit, after a training step and a ranking, holds
@@ -1313,7 +1395,7 @@ class TestCheckedIndices:
         model = TrainedModel(params=init_network_params(cfg, np.random.default_rng(101)),
                              cfg=cfg, training_log=[])
         eg = embed_graph(g, HashingEmbedder(64))
-        pairs = _checked_pairs(g, build_pairs(g))
+        pairs = build_pairs(g)
         # numpy's own tracemalloc domain holds array buffers only, not Python objects that
         # interpreter free lists keep
         arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import rootrank
-from rootrank import cli
+from rootrank import cli, ranker
 from rootrank.cli import build_parser, main
 from rootrank.embedding import HashingEmbedder, embed_dataset
 from rootrank.evaluation import cross_validate, kfold_split, report_json, train_test_report
@@ -152,6 +152,20 @@ class TestTrain:
         assert lines[0] == "epoch,mean_loss"
         assert len(lines) == 3
         assert "epoch,mean_loss" in stdout
+
+    def test_a_model_too_large_to_allocate_exits_1_without_a_traceback(self, small_data, tmp_path,
+                                                                       capsys, monkeypatch):
+        message = ("Unable to allocate 298. GiB for an array with shape (200000, 200000) and "
+                   "data type float64")
+
+        def too_large(*_args, **_kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(ranker, "init_network_params", too_large)
+        code, _out, err = run(capsys, "train", "-d", str(small_data), "-o",
+                              str(tmp_path / "m.ckpt"), "--dim", "16", "--heads", "1")
+        assert (code, err) == (1, f"error: {message}\n")
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_heads_must_divide_dim(self, small_data, tmp_path, capsys):
         code, _out, err = run(
@@ -413,6 +427,15 @@ class TestEvaluate:
         code, _out, err = run(capsys, "evaluate", "-d", str(small_data))
         assert code == 1
         assert "--model" in err or "--cv" in err
+
+    @pytest.mark.parametrize("argv", [["--config", "absent.cfg"], ["--chronological"]]
+                             + [case[4] for case in HYPER_CASES],
+                             ids=lambda argv: argv[0])
+    def test_a_training_flag_without_cv_is_named(self, small_data, trained, argv, capsys):
+        # the checkpoint in -m fixes the model; only --cv trains, so only it reads these
+        code, stdout, err = run(capsys, "evaluate", "-d", str(small_data), "-m", str(trained),
+                                *argv)
+        assert (code, stdout, err) == (1, "", f"error: {argv[0]} applies only with --cv\n")
 
 
 class TestRank:
@@ -964,6 +987,14 @@ class TestGradcheck:
         assert run(capsys, "gradcheck", "--dim", "4", "--heads", "1", "--layers", "2",
                    "--proj-dim", "3", "--seed", "5")[0] == 0
         assert calls == [{}, {"dim": 4, "heads": 1, "layers": 2, "proj_dim": 3, "seed": 5}]
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf", "-inf"])
+    def test_a_tolerance_that_is_not_positive_and_finite_is_rejected(self, tolerance, capsys,
+                                                                     monkeypatch):
+        monkeypatch.setattr(cli, "gradient_check_full_loss",
+                            lambda **kwargs: pytest.fail("gradcheck ran"))
+        code, stdout, err = run(capsys, "gradcheck", f"--tolerance={tolerance}")
+        assert (code, stdout, err) == (1, "", "error: tolerance must be positive and finite\n")
 
     def test_tolerance_below_noise_floor_fails_with_exit_1(self, capsys):
         # central differences in float64 cannot certify 1e-12

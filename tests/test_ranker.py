@@ -40,7 +40,7 @@ from naive_reference import (
 
 def pair_loss(s_i, s_j, label, sigma=1.0):
     """Tape pair loss of one pair with scores (s_i, s_j) and label ``label``."""
-    pairs = (np.array([0]), np.array([1]), np.array([label]))
+    pairs = (ad.checked_index([0], 2), ad.checked_index([1], 2), np.array([label]))
     scores = constant(np.array([s_i, s_j]))
     return _pair_loss_from_scores(None, scores, pairs, ModelConfig(sigma=sigma)).item()
 
@@ -124,6 +124,9 @@ class TestBuildPairs:
             assert pair_triples(g, include_ties) == expected
             pair_i, pair_j, labels = build_pairs(g, include_ties)
             assert pair_i.dtype == pair_j.dtype == np.intp and labels.dtype == np.float64
+            # checked where they are made, against the commit's deleted lines
+            assert type(pair_i) is type(pair_j) is ad.CheckedIndex
+            assert pair_i.bound == pair_j.bound == len(g.deleted_ids())
 
 
 class TestPairProbability:
@@ -194,7 +197,7 @@ class TestPairLossSaturation:
     @pytest.mark.parametrize("logit", [30.0, -30.0, 1e3, -1e3])
     def test_gradient_check(self, logit):
         scores = Tensor(np.array([logit, 0.0]), requires_grad=True)
-        pairs = (np.array([0, 1]), np.array([1, 0]), np.array([1.0, 0.5]))
+        pairs = (ad.checked_index([0, 1], 2), ad.checked_index([1, 0], 2), np.array([1.0, 0.5]))
         cfg = ModelConfig()
 
         def loss(tape, _params):
@@ -205,7 +208,7 @@ class TestPairLossSaturation:
     def test_misranked_pair_keeps_unit_slope(self):
         # d loss / d logit = -sigmoid(-x) -> -1 for a confidently wrong pair
         scores = Tensor(np.array([-30.0, 0.0]), requires_grad=True)
-        pairs = (np.array([0]), np.array([1]), np.array([1.0]))
+        pairs = (ad.checked_index([0], 2), ad.checked_index([1], 2), np.array([1.0]))
         tape = Tape()
         loss = _pair_loss_from_scores(tape, scores, pairs, ModelConfig())
         grads = ad.backward(tape, loss)
@@ -367,7 +370,9 @@ class TestTrain:
                     total = 0.0
                     for row in range(len(labels)):
                         tape = Tape()
-                        one = (pair_i[row:row + 1], pair_j[row:row + 1], labels[row:row + 1])
+                        one = (ad.checked_index(pair_i[row:row + 1], pair_i.bound),
+                               ad.checked_index(pair_j[row:row + 1], pair_j.bound),
+                               labels[row:row + 1])
                         loss = commit_loss(tape, eg, one, params, cfg)
                         grads = ad.backward(tape, loss)
                         adam.step(tensors, [grads[t] for t in tensors], cfg.lr)
