@@ -36,10 +36,18 @@ target's incoming edges, and the weighted messages added into the rows
 of their targets.  A layer records nine tape ops.  Each
 ``EmbeddedGraph`` builds its plan once, on first use, and reuses it
 across training steps and rankings.
+
+Several commits score as one graph through :func:`union_plan`, their
+disjoint union in the way PyTorch Geometric batches graphs: node ids and
+edge rows are offset and the arrays concatenated, and the union is a
+``GraphPlan`` like any other, checked once when it is made.  No edge
+joins two commits, so each node's attention and state see only its own
+commit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +161,39 @@ def build_plan(g: CommitGraph) -> GraphPlan:
         mu_idx=(node_kind[src] * NUM_EDGE_KINDS + edge_kind) * NUM_NODE_KINDS + node_kind[dst],
         node_rows=_rows_by_kind(node_kind, NodeKind),
         edge_rows=_rows_by_kind(edge_kind, EdgeKind),
+    )
+
+
+def union_plan(plans: Sequence[GraphPlan]) -> GraphPlan:
+    """The plan of the disjoint union of ``plans``' graphs, in list order.
+
+    Each plan's node ids are offset by the node count of the plans before
+    it and its edge rows by their edge count, so its nodes and edges keep
+    their relative order and the edges stay sorted by target.  The result
+    is made by the :class:`GraphPlan` constructor, which checks its arrays
+    once like any plan's.  A union of one plan is that plan.
+    """
+    if len(plans) == 1:
+        return plans[0]
+    node_base = np.cumsum([0] + [p.n for p in plans])
+    edge_base = np.cumsum([0] + [len(p.src) for p in plans])
+
+    def offset(field: str, bases) -> np.ndarray:
+        return np.concatenate([getattr(p, field) + base for p, base in zip(plans, bases)])
+
+    def kind_rows(field: str, kinds, bases) -> dict:
+        """Each kind's rows of every plan that holds the kind, offset, in plan order."""
+        rows = {kind: [getattr(p, field)[kind] + base for p, base in zip(plans, bases)
+                       if kind in getattr(p, field)] for kind in kinds}
+        return {kind: np.concatenate(parts) for kind, parts in rows.items() if parts}
+
+    return GraphPlan(
+        n=int(node_base[-1]),
+        src=offset("src", node_base),
+        dst=offset("dst", node_base),
+        mu_idx=np.concatenate([p.mu_idx for p in plans]),
+        node_rows=kind_rows("node_rows", NodeKind, node_base),
+        edge_rows=kind_rows("edge_rows", EdgeKind, edge_base),
     )
 
 

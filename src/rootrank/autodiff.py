@@ -16,7 +16,7 @@ counting the ops that were recorded.
 
 The op set holds what the model calls and nothing more, nine ops:
 matmul, block_matmul (one product per head, on column blocks, with each
-listed group of rows through its own weights, so a typed transform runs
+group of rows through its own weights, so a typed transform runs
 only on the rows of its kind), add, relu, layer_norm, take_rows (gather
 by an integer index array), and three fused ops that each record a whole
 model stage with a closed-form backward: gru (the gated retention
@@ -31,7 +31,7 @@ Index checks run where an index array is made, never where it is used.
 and return a read-only :class:`CheckedIndex` that remembers the length it
 was checked against; a graph's plan and ``ranker.build_pairs`` make their
 arrays this way.  take_rows, attend and pair_loss take only a
-CheckedIndex of the length they index, and block_matmul only distinct
+CheckedIndex of the length they index, and block_matmul only all the
 members of one checked partition of its input's rows; any other array,
 even one derived from a CheckedIndex, raises ValueError naming the op
 and the argument.  A partition member that is one ascending run of rows
@@ -246,12 +246,10 @@ def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: i
     """Per-group, per-head product (n, H*k) -> (n, H*m).
 
     ``groups`` lists ``(rows, w)`` or ``(rows, w, b)``: the ``rows`` are
-    distinct members of one :func:`checked_partition` of the rows of
-    ``a``, ``w`` is (H*k, m) and ``b`` is (H*m,).  Each listed row r
-    becomes ``a[r] @ blockdiag(H row blocks of w) + b``: head i maps
-    column block i of ``a[r]`` through row block i of ``w`` into output
-    column block i.  The rows of a member left out of ``groups`` come out
-    as exact zeros; the model lists every member.
+    every member of one :func:`checked_partition` of the rows of ``a``,
+    each once, ``w`` is (H*k, m) and ``b`` is (H*m,).  Each row r becomes
+    ``a[r] @ blockdiag(H row blocks of w) + b``: head i maps column block
+    i of ``a[r]`` through row block i of ``w`` into output column block i.
 
     The record keeps each group's index array, not a copy of its rows of
     ``a``; backward gathers those rows again, and only for a ``w`` that
@@ -265,6 +263,10 @@ def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: i
     if not _one_partition([group[0] for group in groups], n):
         raise ValueError(f"block_matmul: groups must be distinct members of one checked "
                          f"partition of [0, {n})")
+    held = sum(len(group[0]) for group in groups)
+    if held != n:
+        raise ValueError(f"block_matmul: groups must list every member of their partition "
+                         f"of [0, {n}), but hold {held} rows")
     inputs = [a]
     parts = []                  # (rows, (H, k, m) weight blocks, w, b)
     for rows, w, *bias in groups:
@@ -282,7 +284,7 @@ def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: i
         x = a.data[rows]
         return x.reshape(len(x), heads, k).transpose(1, 0, 2)
 
-    out = np.zeros((n, heads * m))
+    out = np.empty((n, heads * m))
     for rows, blocks, _w, b in parts:
         x = head_rows(rows)
         y = np.matmul(x, blocks).transpose(1, 0, 2).reshape(x.shape[1], heads * m)
@@ -291,7 +293,7 @@ def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: i
         out[rows] = y
 
     def bwd(g):
-        da = np.zeros_like(a.data) if a.requires_grad else None
+        da = np.empty_like(a.data) if a.requires_grad else None
         grads = [da]
         for rows, blocks, w, b in parts:
             gy = g[rows]

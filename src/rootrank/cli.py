@@ -212,6 +212,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.cv is not None:
         if args.cv < 2:   # a flag's value, so reported without the dataset's path
             raise CliError("k must be >= 2")
+        if args.model is not None:   # each fold trains its own model
+            raise CliError("-m/--model applies only without --cv")
         cfg, ds = _training_inputs(args)
         with _blaming(args.dataset):   # the folds' embedding, split and training checks
             mean, folds = cross_validate(
@@ -325,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("-m", "--model", default=None)
     p_eval.add_argument("-o", "--output", default=None, help="write the JSON report here")
     p_eval.add_argument("--cv", type=int, default=None,
-                        help="k-fold cross-validation (trains per fold, ignores -m)")
+                        help="k-fold cross-validation (trains a model per fold)")
     p_eval.add_argument("--chronological", action="store_true", default=None)
     p_eval.add_argument("--classification", action="store_true",
                         help="include precision/recall/F1 at k in {1,2,3}")

@@ -1,9 +1,11 @@
 """Initial semantic vectors for line nodes.
 
-Providers turn a line of source text into a fixed-length float vector.
-The default provider is a deterministic feature-hashing embedder; nodes
-that carry a precomputed ``embedding`` in the dataset file bypass the
-provider entirely.
+Providers turn lines of source text into fixed-length float vectors, all
+of one graph's lines in one call.  The default provider is a
+deterministic feature-hashing embedder, which hashes each distinct
+unigram or bigram once (a bounded cache) and fills a graph's rows with
+one scatter; nodes that carry a precomputed ``embedding`` in the dataset
+file bypass the provider entirely.
 """
 
 from __future__ import annotations
@@ -38,33 +40,46 @@ def _fnv1a(data: bytes) -> int:
     return h
 
 
-def embed_hash(text: str, dim: int) -> np.ndarray:
-    """Deterministic feature-hashing embedding of one line of code.
+@functools.lru_cache(maxsize=4096)
+def _feature_hash(feat: str) -> int:
+    """FNV-1a of one unigram or bigram, computed once while the feature stays in the cache."""
+    return _fnv1a(feat.encode("utf-8"))
+
+
+def embed_lines(texts: list[str], dim: int) -> np.ndarray:
+    """Deterministic feature-hashing embeddings of lines of code, one row per line.
 
     Tokenizes on non-alphanumeric boundaries, hashes token unigrams and
-    adjacent bigrams into ``dim`` signed buckets, and scales the result
-    to unit Euclidean norm.  A line with no tokens embeds to the zero
-    vector.
+    adjacent bigrams into ``dim`` buckets, signed by hash bit 63, and
+    scales each row to unit Euclidean norm.  A line with no tokens embeds
+    to the zero vector.  Every bucket holds a small integer count, so sums
+    and norms are exact in any order and a row does not depend on the
+    lines embedded with it.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    tokens = _TOKEN_RE.findall(text)
-    vec = np.zeros(dim, dtype=np.float64)
-    features = tokens + [f"{a}\x1f{b}" for a, b in zip(tokens, tokens[1:])]
-    for feat in features:
-        h = _fnv1a(feat.encode("utf-8"))
-        sign = 1.0 if h & (1 << 63) else -1.0
-        vec[h % dim] += sign
-    norm = float(np.linalg.norm(vec))
-    if norm > 0.0:
-        vec /= norm
-    return vec
+    hashes: list[int] = []
+    per_line: list[int] = []    # features of each line
+    for text in texts:
+        tokens = _TOKEN_RE.findall(text)
+        features = tokens + [f"{a}\x1f{b}" for a, b in zip(tokens, tokens[1:])]
+        hashes.extend(map(_feature_hash, features))
+        per_line.append(len(features))
+    h = np.array(hashes, dtype=np.uint64)
+    cells = np.repeat(np.arange(len(texts)) * dim, per_line) + (h % np.uint64(dim)).astype(np.intp)
+    counts = np.bincount(cells, weights=np.where(h >> 63, 1.0, -1.0), minlength=len(texts) * dim)
+    vecs = counts.astype(np.float64, copy=False).reshape(len(texts), dim)  # int64 if no features
+    norms = np.sqrt((vecs * vecs).sum(axis=1))
+    np.divide(vecs, norms[:, None], out=vecs, where=norms[:, None] > 0.0)
+    return vecs
 
 
 class EmbeddingProvider(Protocol):
+    """Initial node vectors: ``embed_lines`` maps one graph's line texts to a (lines, dim) array."""
+
     def dim(self) -> int: ...
 
-    def embed(self, text: str) -> np.ndarray: ...
+    def embed_lines(self, texts: list[str]) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -76,8 +91,8 @@ class HashingEmbedder:
     def dim(self) -> int:
         return self.dimension
 
-    def embed(self, text: str) -> np.ndarray:
-        return embed_hash(text, self.dimension)
+    def embed_lines(self, texts: list[str]) -> np.ndarray:
+        return embed_lines(texts, self.dimension)
 
 
 @dataclass(frozen=True)
@@ -124,8 +139,10 @@ class EmbeddedGraph:
 
 
 def embed_graph(g: CommitGraph, provider: EmbeddingProvider) -> EmbeddedGraph:
+    """``g`` with its precomputed vectors, and its text lines embedded in one provider call."""
     dim = provider.dim()
     h0 = np.zeros((len(g.nodes), dim), dtype=np.float64)
+    text_rows, texts = [], []
     for i, node in enumerate(g.nodes):
         if node.embedding is not None:
             if len(node.embedding) != dim:
@@ -135,11 +152,14 @@ def embed_graph(g: CommitGraph, provider: EmbeddingProvider) -> EmbeddedGraph:
                 )
             h0[i] = node.embedding
         elif node.text is not None:
-            h0[i] = provider.embed(node.text)
+            text_rows.append(i)
+            texts.append(node.text)
         else:
             raise ValueError(
                 f"commit {g.commit_id!r} node {node.id}: neither text nor embedding"
             )
+    if texts:
+        h0[text_rows] = provider.embed_lines(texts)
     return EmbeddedGraph(graph=g, h0=h0)
 
 

@@ -9,10 +9,12 @@ Cross-validation trains its folds in parallel worker processes, at most
 one per fold and per CPU this process may run on.  Workers are forked
 from a fork server that has numpy and this package imported and that
 lives as long as the calling process, so only the first call pays the
-import.  Each fold is seeded on its own and sees its training commits
+import, and every worker of a call loads the embedded dataset from one
+pickle.  Each fold is seeded on its own and sees its training commits
 in dataset order, and reports are collected in fold order, so the
 result is the same, bit for bit, as training the folds one after
-another.
+another.  Each fold, like ``evaluate -m``, ranks its held-out commits
+in disjoint-union batches.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -28,7 +31,7 @@ import numpy as np
 from .embedding import EmbeddedGraph, EmbeddingProvider, embed_dataset
 from .graphs import Dataset
 from .network import ModelConfig
-from .ranker import TrainedModel, rank_commit, train
+from .ranker import TrainedModel, rank_commits, train
 
 
 @dataclass(frozen=True)
@@ -42,15 +45,6 @@ class CommitRanking:
             raise ValueError(f"commit {self.commit_id!r}: ranked list has duplicates")
         if not self.truth <= set(self.ranked):
             raise ValueError(f"commit {self.commit_id!r}: truth nodes missing from ranking")
-
-
-def ranking_for(model: TrainedModel, eg: EmbeddedGraph) -> CommitRanking:
-    ranked = tuple(node_id for node_id, _score in rank_commit(model, eg))
-    return CommitRanking(
-        commit_id=eg.graph.commit_id,
-        ranked=ranked,
-        truth=frozenset(eg.graph.root_cause_ids()),
-    )
 
 
 def recall_at_n(rankings: list[CommitRanking], n: int) -> float:
@@ -148,7 +142,16 @@ def evaluate_rankings(rankings: list[CommitRanking], with_classification: bool =
 def evaluate_model(model: TrainedModel, embedded: list[EmbeddedGraph],
                    with_classification: bool = False,
                    mfr_first_only: bool = True) -> EvalReport:
-    rankings = [ranking_for(model, eg) for eg in embedded]
+    """The report of ``model``'s rankings of ``embedded`` (see :func:`evaluate_rankings`).
+
+    The commits are ranked by ``ranker.rank_commits``, in disjoint-union
+    batches.  A report depends only on the order of each commit's lines,
+    which batching leaves as one-commit scoring has it.
+    """
+    rankings = [CommitRanking(commit_id=eg.graph.commit_id,
+                              ranked=tuple(node_id for node_id, _score in ranked),
+                              truth=frozenset(eg.graph.root_cause_ids()))
+                for eg, ranked in zip(embedded, rank_commits(model, embedded))]
     return evaluate_rankings(rankings, with_classification=with_classification,
                              mfr_first_only=mfr_first_only)
 
@@ -232,10 +235,10 @@ def _usable_cpus() -> int:
 _worker_state: tuple[list[EmbeddedGraph], ModelConfig, bool, bool] | None = None
 
 
-def _init_fold_worker(embedded: list[EmbeddedGraph], cfg: ModelConfig,
-                      with_classification: bool, mfr_first_only: bool) -> None:
+def _init_fold_worker(state: bytes) -> None:
+    """Unpickle the worker state that cross_validate() pickled once for every worker."""
     global _worker_state
-    _worker_state = (embedded, cfg, with_classification, mfr_first_only)
+    _worker_state = pickle.loads(state)
 
 
 def _fold_report(held_rows: list[int]) -> EvalReport:
@@ -270,19 +273,29 @@ def cross_validate(ds: Dataset, cfg: ModelConfig, provider: EmbeddingProvider,
     only through such an insert, each worker imports it itself: the same
     result, at the start-up cost of a fresh interpreter per worker.
 
+    The embedded dataset, the config and the report flags are pickled
+    once, here, and each worker unpickles those bytes: the pool pickles
+    its initializer's arguments again for every worker it starts, which
+    for the list itself would cost the caller one full pickle per worker
+    before the next can start.  The call keeps only the pickled copy.
+    Each fold ranks its held-out commits with :func:`evaluate_model`, in
+    disjoint-union batches.
+
     An exception raised by a fold is re-raised here.
     """
     embedded = embed_dataset(ds, provider)
     row_of = {eg.graph.commit_id: row for row, eg in enumerate(embedded)}
     folds = kfold_split(ds, k=k, seed=cfg.seed, chronological=chronological)
     held_rows = [[row_of[cid] for cid in fold] for fold in folds]
+    state = pickle.dumps((embedded, cfg, with_classification, mfr_first_only),
+                         protocol=pickle.HIGHEST_PROTOCOL)
+    del embedded
     context = multiprocessing.get_context("forkserver")
     context.set_forkserver_preload(["__main__", "rootrank.evaluation"])
     with ProcessPoolExecutor(max_workers=min(len(folds), _usable_cpus()),
                              mp_context=context,
                              initializer=_init_fold_worker,
-                             initargs=(embedded, cfg, with_classification,
-                                       mfr_first_only)) as pool:
+                             initargs=(state,)) as pool:
         reports = list(pool.map(_fold_report, held_rows))
     return mean_report(reports), reports
 

@@ -5,11 +5,12 @@ embedding; training pulls root-cause lines above their siblings by
 pushing the logistic of score differences toward pair labels with a
 cross-entropy loss, one optimizer step per commit.
 
-Training, evaluation and ranking share one scoring path, which reads an
-``EmbeddedGraph`` directly: its initial vectors and its cached plan,
-whose deleted-kind rows are the lines scored.  ``build_pairs`` checks
-a commit's pair indices as it makes them, and ``train`` builds each
-commit's pairs once per call.
+Training, evaluation and ranking share one scoring path, which reads a
+graph's initial vectors and its plan, whose deleted-kind rows are the
+lines scored: an ``EmbeddedGraph``'s own, or, in ``rank_commits``, those
+of a batch of commits stacked into one disjoint-union graph.
+``build_pairs`` checks a commit's pair indices as it makes them, and
+``train`` builds each commit's pairs once per call.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .aggregation import GraphPlan, union_plan
+from .autodiff import Tape, Tensor, constant
 from .embedding import EmbeddedGraph
 from .graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind
 from .network import (
@@ -128,11 +130,10 @@ class AdamState:
         self.params[...] = upd
 
 
-def _deleted_scores(tape: Tape | None, eg: EmbeddedGraph, params: NetworkParams,
+def _deleted_scores(tape: Tape | None, h0: Tensor, plan: GraphPlan, params: NetworkParams,
                     cfg: ModelConfig) -> Tensor:
-    """Scalar score of each deleted line, shape (k,), in node id order."""
-    plan = eg.plan
-    embeddings = network_forward(tape, eg.h0_tensor, plan, params, cfg)
+    """Scalar score of each deleted line of the graph of ``plan``, shape (k,), in node id order."""
+    embeddings = network_forward(tape, h0, plan, params, cfg)
     picked = ad.take_rows(tape, embeddings, plan.node_rows[NodeKind.DELETED])
     return ad.add(tape, ad.matmul(tape, picked, params["scorer.w"]), params["scorer.b"])
 
@@ -155,7 +156,7 @@ def commit_loss(tape: Tape | None, eg: EmbeddedGraph,
                 pairs: tuple[ad.CheckedIndex, ad.CheckedIndex, np.ndarray],
                 params: NetworkParams, cfg: ModelConfig) -> Tensor:
     """Summed pair cross-entropy of one commit over ``pairs`` (see :func:`build_pairs`)."""
-    scores = _deleted_scores(tape, eg, params, cfg)
+    scores = _deleted_scores(tape, eg.h0_tensor, eg.plan, params, cfg)
     return _pair_loss_from_scores(tape, scores, pairs, cfg)
 
 
@@ -263,24 +264,81 @@ def gradient_check_full_loss(dim: int = 8, heads: int = 2, layers: int = 1,
     return ad.grad_check(loss_fn, tensors)
 
 
-def rank_commit(model: TrainedModel, eg: EmbeddedGraph) -> list[tuple[int, float]]:
-    """Deleted nodes of one commit, highest score first, ties by node id.
+# Node and edge rows a batch of rank_commits() is filled up to.  Per-op overhead
+# favours large unions, cache misses small ones: on bench-shaped data (D=64,
+# H=8, L=2) 15-node commits score about 3x faster in batches than one at a
+# time, while four 300-node commits score more slowly together than apart.
+# Budgets from 512 to 2048 edges, or 1024 to 2048 rows, scored alike; counting
+# nodes as well as edges bounds a batch of edgeless commits.
+BATCH_ROWS = 2048
 
-    A non-finite score raises ValueError naming the commit and the op.
+
+def _batches(embedded: list[EmbeddedGraph]) -> list[list[EmbeddedGraph]]:
+    """``embedded`` cut, in order, into runs of at most BATCH_ROWS nodes plus edges.
+
+    A commit over the budget runs alone.
     """
-    g = eg.graph
-    deleted = eg.plan.node_rows.get(NodeKind.DELETED)   # g.deleted_ids(): node ids are 0..n-1
-    if deleted is None:
-        raise ValueError(f"commit {g.commit_id!r} has no deleted lines")
-    if eg.h0.shape[1] != model.cfg.dim:
-        raise ValueError(
-            f"commit {g.commit_id!r}: embedding dim {eg.h0.shape[1]} != model dim {model.cfg.dim}"
-        )
+    batches: list[list[EmbeddedGraph]] = []
+    rows = 0
+    for eg in embedded:
+        size = eg.plan.n + len(eg.plan.src)
+        if not batches or rows + size > BATCH_ROWS:
+            batches.append([])
+            rows = 0
+        batches[-1].append(eg)
+        rows += size
+    return batches
+
+
+def _rank_batch(model: TrainedModel, batch: list[EmbeddedGraph]) -> list[list[tuple[int, float]]]:
+    """The rankings of ``batch``'s commits, scored as one disjoint-union graph."""
+    if len(batch) == 1:
+        h0, plan = batch[0].h0_tensor, batch[0].plan
+    else:
+        h0 = constant(np.concatenate([eg.h0 for eg in batch]))
+        plan = union_plan([eg.plan for eg in batch])
     try:
         with np.errstate(**_QUIET_FP_WARNINGS):
-            scores = _deleted_scores(None, eg, model.params, model.cfg).data
+            scores = _deleted_scores(None, h0, plan, model.params, model.cfg).data
     except FloatingPointError as exc:
-        raise ValueError(f"commit {g.commit_id!r}: {exc}") from exc
-    scored = [(node_id, float(s)) for node_id, s in zip(deleted.tolist(), scores)]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored
+        if len(batch) > 1:      # find the commit, and name it
+            return [ranked for eg in batch for ranked in _rank_batch(model, [eg])]
+        raise ValueError(f"commit {batch[0].graph.commit_id!r}: {exc}") from exc
+    rankings = []
+    start = 0
+    for eg in batch:
+        deleted = eg.plan.node_rows[NodeKind.DELETED].tolist()
+        scored = list(zip(deleted, scores[start:start + len(deleted)].tolist()))
+        scored.sort(key=lambda item: (-item[1], item[0]))
+        rankings.append(scored)
+        start += len(deleted)
+    return rankings
+
+
+def rank_commits(model: TrainedModel, embedded: list[EmbeddedGraph]
+                 ) -> list[list[tuple[int, float]]]:
+    """Each commit's deleted nodes, highest score first, ties by node id; in input order.
+
+    Commits are scored in disjoint-union batches of up to BATCH_ROWS
+    nodes plus edges.  A batch's scores agree with one-commit scoring to
+    rounding, not bit for bit, and rank the lines alike; a batch of one
+    commit is scored on that commit's own plan, so :func:`rank_commit` is
+    exact.  A commit without deleted lines, or with vectors of the wrong
+    width, raises ValueError naming it; so does a non-finite score, after
+    its batch is scored again one commit at a time to find the commit.
+    """
+    for eg in embedded:
+        g = eg.graph
+        if NodeKind.DELETED not in eg.plan.node_rows:    # g.deleted_ids(): node ids are 0..n-1
+            raise ValueError(f"commit {g.commit_id!r} has no deleted lines")
+        if eg.h0.shape[1] != model.cfg.dim:
+            raise ValueError(
+                f"commit {g.commit_id!r}: embedding dim {eg.h0.shape[1]} != model dim "
+                f"{model.cfg.dim}"
+            )
+    return [ranked for batch in _batches(embedded) for ranked in _rank_batch(model, batch)]
+
+
+def rank_commit(model: TrainedModel, eg: EmbeddedGraph) -> list[tuple[int, float]]:
+    """Deleted nodes of one commit, highest score first, ties by node id; see rank_commits."""
+    return rank_commits(model, [eg])[0]

@@ -433,10 +433,10 @@ class TestPerOpGradients:
     @pytest.mark.parametrize("heads", [1, 2, 8])
     @pytest.mark.parametrize("biased", [False, True])
     def test_grouped_block_matmul(self, heads, biased):
-        # rows 1 and 3 are in a member left out of the groups; one group holds a single row
+        # every member of one partition, listed out of row order; one group holds a single row
         k, m = 2, 3
         a = Tensor(self._rand(6, heads * k), requires_grad=True)
-        *rows, _left_out = ad.checked_partition([[0, 2, 4], [5], [1, 3]], 6)
+        rows = ad.checked_partition([[0, 2, 4], [5], [1, 3]], 6)
         ws = [Tensor(self._rand(heads * k, m), requires_grad=True) for _ in rows]
         bs = [Tensor(self._rand(heads * m), requires_grad=True) for _ in rows]
         groups = [(r, w, b) if biased else (r, w) for r, w, b in zip(rows, ws, bs)]
@@ -446,11 +446,6 @@ class TestPerOpGradients:
             return scalarize(tape, ad.block_matmul(tape, a, groups, heads), weights)
 
         check_op(build, [a, *ws, *(bs if biased else [])])
-        out = ad.block_matmul(None, a, groups, heads)
-        assert not out.data[[1, 3]].any()
-        tape = Tape()
-        grads = backward(tape, build(tape, None))
-        assert not grads[a][[1, 3]].any()
 
     def test_add_same_shape(self):
         a = Tensor(self._rand(3, 4), requires_grad=True)
@@ -651,8 +646,8 @@ class TestBlockMatmul:
            seed=st.integers(0, 2**32 - 1))
     def test_groups_equal_masked_per_kind_sum(self, n, heads, k, m, n_groups, biased, seed):
         rng = np.random.default_rng(seed)
-        # each row joins one group or (-1) a partition member left out of the groups
-        owner = rng.integers(-1, n_groups, size=n)
+        # each row joins one group; every group that holds a row is listed
+        owner = rng.integers(0, n_groups, size=n)
         owners = np.unique(owner)
         members = dict(zip(owners.tolist(), ad.checked_partition(
             [np.flatnonzero(owner == i) for i in owners], n)))
@@ -663,7 +658,7 @@ class TestBlockMatmul:
         groups = [(members[i], w, b) if biased else (members[i], w)
                   for i, w, b in zip(listed, ws, bs)]
         g = rng.uniform(-2, 2, size=(n, heads * m))
-        if not groups:      # no row is in a listed group
+        if not groups:      # no rows, so no partition member
             with pytest.raises(ValueError, match="^block_matmul: .* with 0 groups$"):
                 ad.block_matmul(None, a, groups, heads)
             return
@@ -689,6 +684,18 @@ class TestBlockMatmul:
                             [(every_row(2), constant(np.zeros((3, 1))))], 2)
         with pytest.raises(ValueError, match="block_matmul"):
             ad.block_matmul(None, constant(np.zeros(4)), [(every_row(4), constant(np.zeros((4, 1))))], 2)
+
+    def test_a_strict_subset_of_a_partition_is_rejected(self):
+        a = constant(np.zeros((5, 4)))
+        w = constant(np.zeros((4, 1)))
+        first, second, third = ad.checked_partition([[0, 1], [2], [3, 4]], 5)
+        for groups, held in (([(first, w), (second, w)], 3), ([(third, w)], 2),
+                             ([(second, w), (third, w)], 3)):
+            with pytest.raises(ValueError, match=r"^block_matmul: groups must list every member "
+                               rf"of their partition of \[0, 5\), but hold {held} rows$"):
+                ad.block_matmul(None, a, groups, 2)
+        out = ad.block_matmul(None, a, [(third, w), (first, w), (second, w)], 2)
+        assert out.shape == (5, 2)
 
     def test_group_checks(self):
         a = constant(np.zeros((3, 4)))

@@ -1,0 +1,202 @@
+"""Disjoint-union scoring: ``aggregation.union_plan`` and ``ranker.rank_commits``.
+
+A batch of commits scores as one graph whose plan is the union of theirs.
+Its scores agree with one-commit scoring to rounding and its rankings are
+equal; a batch of one commit is scored bit for bit as that commit alone.
+"""
+
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rootrank import autodiff as ad
+from rootrank import ranker
+from rootrank.aggregation import MU_SIZE, union_plan
+from rootrank.autodiff import CheckedIndex, constant
+from rootrank.embedding import EmbeddedGraph, HashingEmbedder, embed_dataset
+from rootrank.evaluation import CommitRanking, evaluate_model, evaluate_rankings, report_json
+from rootrank.graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind, load_dataset
+from rootrank.network import ModelConfig, init_network_params, load_checkpoint
+from rootrank.ranker import TrainedModel, rank_commit, rank_commits, train
+from rootrank.synthetic import GenConfig, generate
+
+DATA = Path(__file__).parent / "data"
+CFG = ModelConfig(dim=8, heads=2, layers=2, proj_dim=4, seed=3)
+MODEL = TrainedModel(params=init_network_params(CFG, np.random.default_rng(3), random_scorer=True),
+                     cfg=CFG, training_log=[])
+
+
+def commit(rng, cid, deleted, added, density, dim=CFG.dim):
+    """An embedded commit with ``deleted`` and ``added`` lines in shuffled id order."""
+    kinds = [NodeKind.DELETED] * deleted + [NodeKind.ADDED] * added
+    rng.shuffle(kinds)
+    ids = [i for i, kind in enumerate(kinds) if kind is NodeKind.DELETED]
+    root = int(rng.choice(ids)) if ids else -1
+    nodes = tuple(LineNode(i, kind, text=f"line {i}", is_root_cause=i == root)
+                  for i, kind in enumerate(kinds))
+    edges = tuple(DepEdge(src, dst, list(EdgeKind)[int(rng.integers(len(EdgeKind)))])
+                  for src in range(len(kinds)) for dst in range(len(kinds))
+                  if src != dst and rng.random() < density)
+    graph = CommitGraph(commit_id=cid, nodes=nodes, edges=edges)
+    return EmbeddedGraph(graph=graph, h0=rng.normal(size=(len(kinds), dim)))
+
+
+# (deleted, added, density) of the commits every drawn list holds: one without
+# edges, one with a single node kind, and one over the smallest drawn budget
+SPECIAL = [(3, 2, 0.0), (4, 0, 0.5), (20, 10, 0.1)]
+SMALL_BUDGET = 40
+
+
+@st.composite
+def commit_lists(draw):
+    drawn = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 4),
+                                    st.sampled_from([0.0, 0.2, 0.6])), max_size=5))
+    shapes = draw(st.permutations(drawn + SPECIAL))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [commit(rng, f"c{i}", *shape) for i, shape in enumerate(shapes)]
+
+
+def alone(model, eg):
+    """One commit's ranking, scored on its own plan without ``rank_commits``."""
+    scores = ranker._deleted_scores(None, eg.h0_tensor, eg.plan, model.params, model.cfg).data
+    return sorted(zip(eg.graph.deleted_ids(), scores.tolist()), key=lambda s: (-s[1], s[0]))
+
+
+def assert_close_and_equally_ranked(got, want):
+    assert [node for node, _s in got] == [node for node, _s in want]
+    assert max(abs(a - b) for (_n, a), (_m, b) in zip(got, want)) <= 1e-12
+
+
+class TestUnionScoring:
+    @settings(max_examples=40, deadline=None)
+    @given(embedded=commit_lists(), budget=st.sampled_from([0, SMALL_BUDGET, 200,
+                                                            ranker.BATCH_ROWS]))
+    def test_batches_rank_as_single_commits_do(self, embedded, budget):
+        with mock.patch.object(ranker, "BATCH_ROWS", budget):
+            got = rank_commits(MODEL, embedded)
+            backwards = rank_commits(MODEL, embedded[::-1])
+        assert len(got) == len(embedded)
+        for eg, ranked, reranked in zip(embedded, got, backwards[::-1]):    # input order
+            want = alone(MODEL, eg)
+            assert_close_and_equally_ranked(ranked, want)
+            assert_close_and_equally_ranked(reranked, want)
+            exact = [(node, score.hex()) for node, score in want]
+            assert [(node, score.hex()) for node, score in rank_commit(MODEL, eg)] == exact
+            assert [(node, s.hex()) for node, s in rank_commits(MODEL, [eg])[0]] == exact
+
+    @settings(max_examples=40, deadline=None)
+    @given(embedded=commit_lists())
+    def test_the_union_plan_is_checked_once_and_offset(self, embedded):
+        plans = [eg.plan for eg in embedded]
+        union = union_plan(plans)
+        n = sum(p.n for p in plans)
+        e = sum(len(p.src) for p in plans)
+        node_base = np.cumsum([0] + [p.n for p in plans])[:-1]
+        edge_base = np.cumsum([0] + [len(p.src) for p in plans])[:-1]
+        assert union.n == n
+        for name, bound in (("src", n), ("dst", n), ("mu_idx", MU_SIZE)):
+            array = getattr(union, name)
+            assert type(array) is CheckedIndex and array.bound == bound and len(array) == e
+        by_hand = {name: np.concatenate([getattr(p, name) + base
+                                         for p, base in zip(plans, node_base)])
+                   for name in ("src", "dst")}
+        assert np.array_equal(union.src, by_hand["src"])
+        assert np.array_equal(union.dst, by_hand["dst"])
+        assert np.array_equal(union.mu_idx, np.concatenate([p.mu_idx for p in plans]))
+        assert (np.diff(union.dst) >= 0).all()          # still sorted by target
+        for field, bound, bases in (("node_rows", n, node_base), ("edge_rows", e, edge_base)):
+            members = getattr(union, field)
+            assert len({id(rows.part) for rows in members.values()}) == 1
+            assert sum(len(rows) for rows in members.values()) == bound
+            for kind, rows in members.items():
+                assert type(rows) is CheckedIndex and rows.bound == bound
+                assert np.array_equal(rows, np.concatenate(
+                    [getattr(p, field)[kind] + base for p, base in zip(plans, bases)
+                     if kind in getattr(p, field)]))
+        # the same arrays offset by hand were never checked, so no op takes them
+        with pytest.raises(ValueError, match=r"^take_rows: index must be a CheckedIndex"):
+            ad.take_rows(None, constant(np.zeros((n, 2))), by_hand["src"])
+        deleted = np.concatenate([p.node_rows[NodeKind.DELETED] + base
+                                  for p, base in zip(plans, node_base)
+                                  if NodeKind.DELETED in p.node_rows])
+        with pytest.raises(ValueError, match=r"^block_matmul: groups must be distinct members"):
+            ad.block_matmul(None, constant(np.zeros((n, 2))),
+                            [(deleted, constant(np.ones((2, 1))))], 1)
+
+    def test_a_union_of_one_plan_is_that_plan(self):
+        eg = commit(np.random.default_rng(0), "one", 3, 2, 0.5)
+        assert union_plan([eg.plan]) is eg.plan
+
+    def test_batches_fill_up_to_the_budget_and_a_larger_commit_runs_alone(self):
+        rng = np.random.default_rng(5)
+        embedded = [commit(rng, f"c{i}", *shape) for i, shape in enumerate(
+            [(3, 2, 0.3), (3, 2, 0.3), (20, 10, 0.1), (2, 1, 0.0), (3, 2, 0.3)])]
+        size = [eg.plan.n + len(eg.plan.src) for eg in embedded]
+        assert size[2] > SMALL_BUDGET and size[0] + size[1] <= SMALL_BUDGET
+        with mock.patch.object(ranker, "BATCH_ROWS", SMALL_BUDGET):
+            batches = ranker._batches(embedded)
+        assert [[eg.graph.commit_id for eg in batch] for batch in batches] == [
+            ["c0", "c1"], ["c2"], ["c3", "c4"]]
+        assert ranker._batches([]) == []
+
+
+class TestErrorsNameTheCommit:
+    def embedded(self, bad):
+        rng = np.random.default_rng(11)
+        return [bad(rng) if i == 2 else commit(rng, f"c{i}", 3, 2, 0.4) for i in range(4)]
+
+    def test_no_deleted_lines(self):
+        embedded = self.embedded(lambda rng: commit(rng, "c2", 0, 3, 0.5))
+        with pytest.raises(ValueError, match=r"^commit 'c2' has no deleted lines$"):
+            rank_commits(MODEL, embedded)
+
+    def test_wrong_embedding_dim(self):
+        embedded = self.embedded(lambda rng: commit(rng, "c2", 3, 2, 0.4, dim=4))
+        with pytest.raises(ValueError, match=r"^commit 'c2': embedding dim 4 != model dim 8$"):
+            rank_commits(MODEL, embedded)
+
+    def test_a_non_finite_score_inside_a_batch(self):
+        def huge(rng):
+            eg = commit(rng, "c2", 3, 2, 0.6)
+            return EmbeddedGraph(graph=eg.graph, h0=eg.h0 * 1e200)
+
+        embedded = self.embedded(huge)
+        assert len(ranker._batches(embedded)) == 1
+        with pytest.raises(ValueError, match=r"^commit 'c2': \w+ produced non-finite values "
+                                             r"in its \(.*\) \w+"):
+            rank_commits(MODEL, embedded)
+        assert len(rank_commits(MODEL, embedded[:2] + embedded[3:])) == 3
+
+
+def per_commit_report(model, embedded, **flags):
+    """The report of rankings made one commit at a time with ``rank_commit``."""
+    rankings = [CommitRanking(commit_id=eg.graph.commit_id,
+                              ranked=tuple(node for node, _s in rank_commit(model, eg)),
+                              truth=frozenset(eg.graph.root_cause_ids())) for eg in embedded]
+    return evaluate_rankings(rankings, **flags)
+
+
+class TestEvaluateModelBatches:
+    FLAGS = [dict(), dict(with_classification=True, mfr_first_only=False)]
+
+    def check(self, model, embedded):
+        assert len(ranker._batches(embedded)) < len(embedded)
+        for flags in self.FLAGS:
+            report = evaluate_model(model, embedded, **flags)
+            expected = per_commit_report(model, embedded, **flags)
+            assert report == expected
+            assert report_json(report) == report_json(expected)
+
+    def test_v1_fixture(self):
+        params, cfg = load_checkpoint(DATA / "v1_model.ckpt")
+        embedded = embed_dataset(load_dataset(DATA / "v1_dataset.json"), HashingEmbedder(cfg.dim))
+        self.check(TrainedModel(params=params, cfg=cfg, training_log=[]), embedded)
+
+    def test_generated_60_commits(self):
+        cfg = ModelConfig(dim=16, heads=2, layers=2, epochs=2, lr=1e-3, seed=101)
+        embedded = embed_dataset(generate(GenConfig(n_commits=60, seed=101)), HashingEmbedder(16))
+        self.check(train(embedded, cfg), embedded)

@@ -423,6 +423,12 @@ class TestEvaluate:
         assert all(a > f for a, f in zip(expected, (fold["mfr"] for fold in first["per_fold"])))
         assert every["recall@1"] == first["recall@1"]
 
+    def test_a_model_with_cv_is_named(self, small_data, tmp_path, capsys):
+        # each fold trains its own model, so a checkpoint in -m would go unread
+        code, stdout, err = run(capsys, "evaluate", "-d", str(small_data), "--cv", "2",
+                                "-m", str(tmp_path / "absent.ckpt"), *CV_FLAGS)
+        assert (code, stdout, err) == (1, "", "error: -m/--model applies only without --cv\n")
+
     def test_evaluate_without_model_or_cv_fails(self, small_data, capsys):
         code, _out, err = run(capsys, "evaluate", "-d", str(small_data))
         assert code == 1

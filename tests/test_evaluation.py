@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rootrank import evaluation
-from rootrank.embedding import HashingEmbedder, embed_dataset
+from rootrank.embedding import EmbeddedGraph, HashingEmbedder, embed_dataset
 from rootrank.evaluation import (
     CommitRanking,
     EvalReport,
@@ -258,6 +258,24 @@ class TestHarness:
         assert len(per_fold) == k
         assert len(started) == workers
         assert start_methods == ["forkserver"]
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_each_embedded_graph_is_pickled_once_per_call(self, monkeypatch, cpus):
+        # the pool pickles its initializer's arguments once per worker it starts
+        pickled = []
+        real = EmbeddedGraph.__getstate__
+
+        def counting(self):
+            pickled.append(self.graph.commit_id)
+            return real(self)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(EmbeddedGraph, "__getstate__", counting)
+        ds = generate(GenConfig(n_commits=6, deleted_per_commit=3,
+                                added_per_commit=2, seed=3))
+        _mean, per_fold = cross_validate(ds, self._cfg(), HashingEmbedder(16), k=3)
+        assert len(per_fold) == 3
+        assert pickled == [g.commit_id for g in ds.graphs]
 
     def test_repeated_calls_reuse_one_fork_server(self):
         ds = generate(GenConfig(n_commits=4, deleted_per_commit=3,

@@ -699,11 +699,11 @@ class TestAdam:
         cfg = ModelConfig(dim=16, heads=2, layers=2, lr=1e300, epochs=1)
         params = init_network_params(cfg)
         scored, failed = [], []
-        real_scores, real_step = ranker._deleted_scores, AdamState.step
+        real_loss, real_step = ranker.commit_loss, AdamState.step
 
-        def scores(tape, batch, params, cfg):
-            scored.append(batch.graph.commit_id)
-            return real_scores(tape, batch, params, cfg)
+        def loss(tape, eg, pairs, params, cfg):
+            scored.append(eg.graph.commit_id)
+            return real_loss(tape, eg, pairs, params, cfg)
 
         def step(self, tensors, grads, lr):
             try:
@@ -712,7 +712,7 @@ class TestAdam:
                 failed.append(scored[-1])
                 raise
 
-        monkeypatch.setattr(ranker, "_deleted_scores", scores)
+        monkeypatch.setattr(ranker, "commit_loss", loss)
         monkeypatch.setattr(AdamState, "step", step)
         monkeypatch.setattr(ranker, "init_network_params", lambda _cfg: params)
         with warnings.catch_warnings():
