@@ -13,8 +13,7 @@ vectors (state @ W + b).  All per-head structure lives in contiguous
 column slices of width D/H.  Per-edge-kind maps are stored as their head
 blocks only: a (D, D/H) tensor whose rows [i*D/H, (i+1)*D/H) are head
 i's square block, applied with ``block_matmul`` so head i only ever sees
-its own block.  Checkpoints hold the equivalent D x D block-diagonal
-matrix (see :func:`block_diagonal` and :func:`head_blocks`).
+its own block.  Checkpoints store them in that same (D, D/H) shape.
 
 A graph enters the layer as a :class:`GraphPlan`: per-edge integer
 arrays (source, target, prior row) plus the sorted rows of each node
@@ -63,21 +62,6 @@ from .graphs import (
 )
 
 MU_SIZE = NUM_NODE_KINDS * NUM_EDGE_KINDS * NUM_NODE_KINDS
-
-
-def block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """The (D, D) block-diagonal matrix of a (D, D/H) head-block map."""
-    dim, d = blocks.shape
-    dense = np.zeros((dim, dim))
-    for lo in range(0, dim, d):
-        dense[lo:lo + d, lo:lo + d] = blocks[lo:lo + d]
-    return dense
-
-
-def head_blocks(dense: np.ndarray, heads: int) -> np.ndarray:
-    """The (D, D/H) head blocks of a (D, D) matrix; entries outside them are dropped."""
-    d = dense.shape[0] // heads
-    return np.concatenate([dense[lo:lo + d, lo:lo + d] for lo in range(0, dense.shape[0], d)])
 
 
 @dataclass(frozen=True)

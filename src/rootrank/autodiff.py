@@ -351,9 +351,9 @@ def layer_norm(tape: Tape | None, a: Tensor, gain: Tensor, bias: Tensor) -> Tens
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, formed without overflow for inputs of either sign."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """Logistic function without overflow for either sign and with no select: with e =
+    exp(-|x|), the value is 1 / (1 + e) for x >= 0 and e / (1 + e) below, bit for bit."""
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def gru(tape: Tape | None, x: Tensor, h: Tensor, weights: Sequence[Tensor]) -> Tensor:

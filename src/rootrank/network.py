@@ -15,8 +15,11 @@ tensor by its name.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import os
+import secrets
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -25,13 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .aggregation import (
-    MU_SIZE,
-    GraphPlan,
-    attention_forward,
-    block_diagonal,
-    head_blocks,
-)
+from .aggregation import MU_SIZE, GraphPlan, attention_forward
 from .autodiff import Tape, Tensor
 from .graphs import EdgeKind, NodeKind
 
@@ -147,7 +144,7 @@ def param_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
 
 
 def _is_head_map(name: str) -> bool:
-    """Whether ``name`` is a per-edge-kind head-block map, held D x D in checkpoints."""
+    """Whether ``name`` is a per-edge-kind head-block map."""
     return name.split(".")[-2] in _EDGE_KIND_MAPS
 
 
@@ -229,7 +226,7 @@ def network_forward(tape: Tape | None, h0: Tensor, plan: GraphPlan,
 # Checkpoints
 
 
-CHECKPOINT_FORMAT = "rootrank-checkpoint-v1"
+CHECKPOINT_FORMAT = "rootrank-checkpoint-v2"
 
 # The ModelConfig fields a checkpoint header holds, in file order, with their JSON types;
 # ``proj_dim`` is written as ``out_dim`` and ``mode`` as its value.
@@ -243,25 +240,38 @@ class CheckpointError(ValueError):
     """Raised when a checkpoint file is malformed or inconsistent."""
 
 
+def _encode(data: np.ndarray) -> str:
+    """Padded base64 of ``data``'s values as little-endian float64, in C order."""
+    return base64.b64encode(data.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
 def save_checkpoint(path: str | Path, params: NetworkParams, cfg: ModelConfig) -> None:
-    """Write params + config as JSON, maps block-diagonal; float64 values round-trip bit-exactly.
+    """Write params + config as JSON, each tensor in its live shape; values round-trip bit-exactly.
 
     The file is ``json.dumps`` of one object: the format tag, the header
     fields, then ``"tensors"``, a list of ``{"name", "shape", "data"}``
-    entries in :func:`param_shapes` order.  It is written one tensor entry
-    at a time, so only one tensor's values are ever held as Python floats
-    and text; the bytes are those of dumping the whole object at once.
+    entries in :func:`param_shapes` order, ``"data"`` as :func:`_encode`
+    writes it.  It is written one tensor entry at a time, so only one
+    tensor's text is held at once; the bytes are those of dumping the
+    whole object at once.  It goes to a new file beside ``path`` that then
+    replaces it, so a failed save leaves any checkpoint at ``path`` as it was.
     """
     header = {key: getattr(cfg, key) for key in _HEADER_TYPES}
     header.update(proj_dim=cfg.out_dim, mode=cfg.mode.value)
     opening = json.dumps({"format": CHECKPOINT_FORMAT, **header})[:-1]   # without its "}"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(opening + ', "tensors": [')
-        for index, (name, t) in enumerate(named_tensors(params)):
-            data = block_diagonal(t.data) if _is_head_map(name) else t.data
-            f.write((", " if index else "") + json.dumps(
-                {"name": name, "shape": list(data.shape), "data": data.reshape(-1).tolist()}))
-        f.write("]}")
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(partial, "x", encoding="utf-8") as f:
+            f.write(opening + ', "tensors": [')
+            for index, (name, t) in enumerate(named_tensors(params)):
+                f.write((", " if index else "") + json.dumps(
+                    {"name": name, "shape": list(t.data.shape), "data": _encode(t.data)}))
+            f.write("]}")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _field(obj: dict, key: str, types, where: str):
@@ -282,11 +292,33 @@ def _count_text(n: int, formula: str) -> str:
         return formula
 
 
+def _decode(entry: dict, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """The owned, writable float64 array of shape ``shape`` that ``entry["data"]`` encodes."""
+    text = _field(entry, "data", str, where)
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:   # binascii.Error, or a character outside ASCII
+        raise CheckpointError(f"{where}: field 'data' is not base64: {exc}") from None
+    size = math.prod(shape)
+    if len(raw) != 8 * size:
+        expected = _count_text(size, " x ".join(map(str, shape)))
+        raise CheckpointError(f"{where}: field 'data' must encode {expected} float64 values "
+                              f"of 8 bytes each, found {len(raw)} bytes")
+    if base64.b64encode(raw).decode("ascii") != text:
+        raise CheckpointError(f"{where}: field 'data' is not canonical padded base64")
+    arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)   # a native copy
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise CheckpointError(f"{where}: field 'data' holds the non-finite value "
+                              f"{arr.flat[bad[0]]} at flat index {bad[0]}")
+    return arr
+
+
 def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
-    """Read a checkpoint; each map must be D x D with zeros outside its head blocks.
+    """Read a checkpoint that :func:`save_checkpoint` wrote.
 
     The tensor count and every name and shape are checked against the header before any
-    value is read, so a header implying a huge model is rejected without allocating it.
+    value is decoded, so a header implying a huge model is rejected without allocating it.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -294,8 +326,10 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
         raise CheckpointError(f"{path}: not UTF-8 text: {exc}") from exc
     except ValueError as exc:  # also an integer past Python's int-from-text digit limit
         raise CheckpointError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != CHECKPOINT_FORMAT:
+        named = f" (its format is {found!r})" if isinstance(found, str) else ""
+        raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file{named}")
     header = {key: _field(payload, key, types, str(path)) for key, types in _HEADER_TYPES.items()}
     try:
         cfg = ModelConfig(**header)
@@ -306,8 +340,8 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
     if len(stored) != count:
         expected = _count_text(count, f"{cfg.layers} x {_TENSORS_PER_LAYER} + 6")
         raise CheckpointError(f"{path}: expected {expected} tensors, found {len(stored)}")
-    checked = []   # every name and shape, before any value is read
-    for index, ((name, live_shape), entry) in enumerate(zip(param_shapes(cfg), stored)):
+    checked = []   # every name and shape, before any value is decoded
+    for index, ((name, want), entry) in enumerate(zip(param_shapes(cfg), stored)):
         where = f"{path}: tensors[{index}]"
         if not isinstance(entry, dict):
             raise CheckpointError(f"{where}: entry must be an object")
@@ -315,30 +349,9 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
             raise CheckpointError(f"{path}: tensor order mismatch: {entry['name']!r} != {name!r}")
         where = f"{path}: {name}"
         shape = tuple(_field(entry, "shape", list, where))
-        want = (cfg.dim, cfg.dim) if _is_head_map(name) else live_shape
         if shape != want:
             raise CheckpointError(f"{where}: shape {shape} != {want}")
         checked.append((name, want, entry, where))   # ints, where the file may hold 1.0 or true
-    arrays = {}
-    for name, shape, entry, where in checked:
-        data = _field(entry, "data", list, where)
-        size = math.prod(shape)
-        problem = (f"{where}: field 'data' must hold "
-                   f"{_count_text(size, ' x '.join(map(str, shape)))} finite float64 numbers")
-        # JSON numbers only: no bools, strings or nested lists
-        if len(data) != size or not set(map(type, data)) <= {int, float}:
-            raise CheckpointError(problem)
-        try:
-            arr = np.asarray(data, dtype=np.float64)
-        except OverflowError:  # an integer beyond the float64 range
-            raise CheckpointError(problem) from None
-        if not np.isfinite(arr).all():
-            raise CheckpointError(problem)
-        arr = arr.reshape(shape)
-        if _is_head_map(name):
-            blocks = head_blocks(arr, cfg.heads)
-            if not np.array_equal(block_diagonal(blocks), arr):
-                raise CheckpointError(f"{where}: nonzero entries outside the head blocks")
-            arr = blocks
-        arrays[name] = arr
-    return {name: Tensor(arrays[name], requires_grad=True) for name, _ in param_shapes(cfg)}, cfg
+    params = {name: Tensor(_decode(entry, shape, where), requires_grad=True)
+              for name, shape, entry, where in checked}
+    return params, cfg

@@ -25,6 +25,7 @@ longer calls them, so ``autodiff`` does not hold them.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import pickle
@@ -37,7 +38,6 @@ from rootrank import autodiff as ad
 from rootrank.aggregation import (
     GraphPlan,
     _edge_rows,
-    block_diagonal,
     project_kqv,
 )
 from rootrank.autodiff import Tape, Tensor, constant
@@ -55,7 +55,6 @@ from rootrank.network import (
     Mode,
     ModelConfig,
     NetworkParams,
-    _is_head_map,
     init_network_params,
     named_tensors,
 )
@@ -338,17 +337,24 @@ def with_plan(eg, plan):
     return copy
 
 
+def encode_data(values) -> str:
+    """A checkpoint entry's ``"data"``: base64 of ``values`` as little-endian float64, C order."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_data(text: str) -> np.ndarray:
+    """The flat float64 values of a checkpoint entry's ``"data"``."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").astype(np.float64)
+
+
 def naive_checkpoint_text(params: NetworkParams, cfg: ModelConfig) -> str:
     """A checkpoint's whole text as one ``json.dumps`` of its payload object."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "dim": cfg.dim, "heads": cfg.heads, "layers": cfg.layers, "proj_dim": cfg.out_dim,
         "mode": cfg.mode.value, "seed": cfg.seed, "sigma": cfg.sigma,
-        "tensors": [
-            {"name": name, "shape": list(data.shape), "data": data.reshape(-1).tolist()}
-            for name, data in ((name, block_diagonal(t.data) if _is_head_map(name) else t.data)
-                               for name, t in named_tensors(params))
-        ],
+        "tensors": [{"name": name, "shape": list(t.data.shape), "data": encode_data(t.data)}
+                    for name, t in named_tensors(params)],
     }
     return json.dumps(payload)
 

@@ -730,6 +730,28 @@ def saturate(p, value=30.0):
         gru[name].data *= 0.1
 
 
+def where_sigmoid(x):
+    """The logistic function as ``autodiff._sigmoid`` formed it with a branch select."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 750.0, -750.0, 5e-324, -5e-324,
+             1.7976931348623157e308, -1.7976931348623157e308]
+
+    def test_edge_values_equal_the_select_form_bit_for_bit(self):
+        x = np.array(self.EDGES)
+        assert ad._sigmoid(x).tobytes() == where_sigmoid(x).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 30.0, 800.0]),
+           shape=st.sampled_from([(1,), (7,), (300, 64)]))
+    def test_random_values_equal_the_select_form_bit_for_bit(self, seed, scale, shape):
+        x = np.random.default_rng(seed).normal(scale=scale, size=shape)
+        assert ad._sigmoid(x).tobytes() == where_sigmoid(x).tobytes()
+
+
 class TestGru:
     """The fused gate against the 23-op chain it replaced (``composed_gru``)."""
 

@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import copy
 import csv
@@ -11,6 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -21,11 +23,13 @@ from rootrank.cli import build_parser, main
 from rootrank.embedding import HashingEmbedder, embed_dataset
 from rootrank.evaluation import cross_validate, kfold_split, report_json, train_test_report
 from rootrank.graphs import load_dataset, save_dataset
-from rootrank.network import CheckpointError, Mode, ModelConfig, load_checkpoint
+from rootrank.network import CheckpointError, Mode, ModelConfig, load_checkpoint, param_shapes
 from rootrank.synthetic import GenConfig, generate
 
+from naive_reference import decode_data, encode_data
+
 DATA = Path(__file__).parent / "data"
-V1_CHECKPOINT = json.loads((DATA / "v1_model.ckpt").read_text(encoding="utf-8"))
+V2_CHECKPOINT = json.loads((DATA / "v2_model.ckpt").read_text(encoding="utf-8"))
 V1_DATASET = json.loads((DATA / "v1_dataset.json").read_text(encoding="utf-8"))
 CV_FLAGS = ("--dim", "16", "--heads", "2", "--layers", "1", "--epochs", "1", "--seed", "42")
 CV_CONFIG = ModelConfig(dim=16, heads=2, layers=1, epochs=1, seed=42)
@@ -532,7 +536,7 @@ class TestCheckpointHeader:
         code, _out, err = run(capsys, "rank", "-d", str(small_data), "-m", str(broken))
         assert code == 1
         assert err.startswith("error: ")
-        assert (key if key != "format" else "rootrank-checkpoint-v1") in err
+        assert (key if key != "format" else "rootrank-checkpoint-v2") in err
 
 
     def test_nan_sigma_names_the_file(self, small_data, trained, tmp_path, capsys):
@@ -548,31 +552,72 @@ class TestCheckpointHeader:
 
 
 class TestCheckpointValues:
-    """Mutants of the v1 fixture checkpoint: each exits 1 naming the file and the tensor."""
+    """Mutants of the fixture checkpoint: each exits 1 naming the file and the tensor."""
 
     data = Path(__file__).parent / "data"
 
     def _rank_mutant(self, tmp_path, capsys, mutate):
-        payload = json.loads((self.data / "v1_model.ckpt").read_text(encoding="utf-8"))
+        payload = json.loads((self.data / "v2_model.ckpt").read_text(encoding="utf-8"))
         mutate(payload)
         broken = tmp_path / "mutant.ckpt"
         broken.write_text(json.dumps(payload), encoding="utf-8")
         code, out, err = run(capsys, "rank", "-d", str(self.data / "v1_dataset.json"),
                              "-m", str(broken))
         assert (code, out) == (1, "")
+        assert "Traceback" not in err and err.count("\n") == 1
         return broken, err
 
-    @pytest.mark.parametrize("value", ["1.5", True, 10**400, [1.5], None],
-                             ids=["string", "bool", "10**400", "nested-list", "null"])
-    def test_tensor_value_must_be_a_finite_json_number(self, tmp_path, capsys, value):
+    def _rank_data_mutant(self, tmp_path, capsys, data):
+        """Exit 1 with ``data`` as the 8 values of ``layer0.attn.b_k.deleted``: the message."""
         def mutate(payload):
             entry = payload["tensors"][1]
-            assert entry["name"] == "layer0.attn.b_k.deleted"
-            entry["data"][2] = value
+            assert entry["name"] == "layer0.attn.b_k.deleted" and entry["shape"] == [8]
+            entry["data"] = data
 
         broken, err = self._rank_mutant(tmp_path, capsys, mutate)
-        assert err == (f"error: {broken}: layer0.attn.b_k.deleted: field 'data' must hold 8 "
-                       f"finite float64 numbers\n")
+        prefix = f"error: {broken}: layer0.attn.b_k.deleted: field 'data' "
+        assert err.startswith(prefix)
+        return err[len(prefix):-1]
+
+    @pytest.mark.parametrize("value", [[1.5] * 8, 1.5, True, None, {}],
+                             ids=["json-numbers", "number", "bool", "null", "object"])
+    def test_data_must_be_a_string(self, tmp_path, capsys, value):
+        assert self._rank_data_mutant(tmp_path, capsys, value) == f"has invalid value {value!r}"
+
+    @pytest.mark.parametrize("text, problem", [
+        ("\u00e9" + encode_data([0.5] * 8)[1:], "string argument should contain only ASCII "
+                                                 "characters"),
+        ("*" + encode_data([0.5] * 8)[1:], "Only base64 data is allowed"),
+        (encode_data([0.5] * 8)[:-1], "Incorrect padding"),
+        (encode_data([0.5] * 8) + "=", "Excess data after padding"),
+        (encode_data([0.5] * 8)[:20] + " " + encode_data([0.5] * 8)[20:],
+         "Only base64 data is allowed"),
+    ], ids=["non-ascii", "bad-alphabet", "short-padding", "excess-padding", "space"])
+    def test_data_must_be_base64(self, tmp_path, capsys, text, problem):
+        message = self._rank_data_mutant(tmp_path, capsys, text)
+        assert message.startswith("is not base64: ") and problem in message, message
+
+    @pytest.mark.parametrize("raw", [bytes(63), bytes(65), bytes(0), bytes(128)],
+                             ids=["one-byte-short", "one-byte-long", "empty", "twice-as-long"])
+    def test_data_must_hold_8_bytes_per_value(self, tmp_path, capsys, raw):
+        text = base64.b64encode(raw).decode("ascii")
+        assert self._rank_data_mutant(tmp_path, capsys, text) == (
+            f"must encode 8 float64 values of 8 bytes each, found {len(raw)} bytes")
+
+    def test_data_must_be_canonical(self, tmp_path, capsys):
+        # 64 bytes: the last quantum "Pw==" holds one byte in 12 bits, the low 4 of them zero
+        text = encode_data([0.5] * 8)
+        assert text.endswith("Pw==")
+        message = self._rank_data_mutant(tmp_path, capsys, text[:-3] + "x==")   # a low bit set
+        assert message == "is not canonical padded base64"
+
+    @pytest.mark.parametrize("value, shown", [(math.nan, "nan"), (math.inf, "inf"),
+                                              (-math.inf, "-inf")])
+    def test_data_must_be_finite(self, tmp_path, capsys, value, shown):
+        values = [0.5] * 8
+        values[2] = value
+        message = self._rank_data_mutant(tmp_path, capsys, encode_data(values))
+        assert message == f"holds the non-finite value {shown} at flat index 2"
 
     def test_header_sigma_past_float64_is_named(self, tmp_path, capsys):
         def mutate(payload):
@@ -580,6 +625,14 @@ class TestCheckpointValues:
 
         broken, err = self._rank_mutant(tmp_path, capsys, mutate)
         assert err == f"error: {broken}: sigma must be positive and finite\n"
+
+    def test_v1_file_exits_1_naming_its_format(self, capsys):
+        old = self.data / "v1_model.ckpt"
+        code, out, err = run(capsys, "rank", "-d", str(self.data / "v1_dataset.json"),
+                             "-m", str(old))
+        assert (code, out) == (1, "")
+        assert err == (f"error: {old}: not a rootrank-checkpoint-v2 file "
+                       "(its format is 'rootrank-checkpoint-v1')\n")
 
 
 class TestNonUtf8Files:
@@ -619,7 +672,7 @@ class TestCheckpointHeaderSizes:
     def test_huge_size_exits_1_naming_the_tensor_or_count(self, tmp_path, capsys, key, value,
                                                           problem):
         broken = tmp_path / "huge.ckpt"
-        broken.write_text(json.dumps({**V1_CHECKPOINT, key: value}), encoding="utf-8")
+        broken.write_text(json.dumps({**V2_CHECKPOINT, key: value}), encoding="utf-8")
         code, out, err = run(capsys, "rank", "-d", str(DATA / "v1_dataset.json"),
                              "-m", str(broken))
         assert (code, out, err) == (1, "", f"error: {broken}: {problem}\n")
@@ -627,21 +680,22 @@ class TestCheckpointHeaderSizes:
     def test_tensor_size_past_the_digit_limit_is_named(self, tmp_path, capsys):
         # shapes that match a dim at json's digit limit, whose square Python cannot print
         dim = 10**4299
-        mutant = copy.deepcopy({**V1_CHECKPOINT, "dim": dim, "proj_dim": dim})
-        for entry in mutant["tensors"]:
-            entry["shape"] = [dim if size == V1_CHECKPOINT["dim"] else size
-                              for size in entry["shape"]]
+        mutant = copy.deepcopy({**V2_CHECKPOINT, "dim": dim, "proj_dim": dim})
+        wide = ModelConfig(dim=dim, heads=2, layers=1, proj_dim=dim)
+        for entry, (name, shape) in zip(mutant["tensors"], param_shapes(wide)):
+            assert entry["name"] == name
+            entry["shape"] = list(shape)
         broken = tmp_path / "wide.ckpt"
         broken.write_text(json.dumps(mutant), encoding="utf-8")
         code, out, err = run(capsys, "rank", "-d", str(DATA / "v1_dataset.json"),
                              "-m", str(broken))
         assert (code, out, err) == (1, "", f"error: {broken}: layer0.attn.w_k.deleted: field "
-                                           f"'data' must hold {dim} x {dim} finite float64 "
-                                           "numbers\n")
+                                           f"'data' must encode {dim} x {dim} float64 values "
+                                           "of 8 bytes each, found 512 bytes\n")
 
     @pytest.mark.parametrize("value", [1.0, True], ids=["float", "bool"])
     def test_shape_entry_equal_to_an_int_is_read_as_that_int(self, tmp_path, value):
-        mutant = mutated(V1_CHECKPOINT, (("tensors", 22, "shape"), "replace", 1, value))
+        mutant = mutated(V2_CHECKPOINT, (("tensors", 22, "shape"), "replace", 1, value))
         assert mutant["tensors"][22]["name"] == "layer0.attn.mu"
         path = tmp_path / "odd_shape.ckpt"
         path.write_text(json.dumps(mutant), encoding="utf-8")
@@ -649,7 +703,7 @@ class TestCheckpointHeaderSizes:
         assert params["layer0.attn.mu"].data.shape == (20, 1)
 
     def test_integer_past_the_digit_limit_is_named(self, tmp_path, capsys):
-        text = (DATA / "v1_model.ckpt").read_text(encoding="utf-8")
+        text = (DATA / "v2_model.ckpt").read_text(encoding="utf-8")
         broken = tmp_path / "digits.ckpt"
         broken.write_text(text.replace('"seed": 9', '"seed": ' + "9" * 5000), encoding="utf-8")
         code, _out, err = run(capsys, "rank", "-d", str(DATA / "v1_dataset.json"),
@@ -724,7 +778,7 @@ def scratch_dir(tmp_path_factory):
 class TestCheckpointProperty:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(mutation=json_mutations(V1_CHECKPOINT))
+    @given(mutation=json_mutations(V2_CHECKPOINT))
     # header sizes that escaped or hung before the loader checked shapes by arithmetic
     @example(mutation=((), "replace", "dim", 10**12))
     @example(mutation=((), "replace", "dim", 10**400))
@@ -733,9 +787,16 @@ class TestCheckpointProperty:
     @example(mutation=((), "replace", "layers", 3000))
     @example(mutation=((), "replace", "layers", 10**9))
     @example(mutation=((), "replace", "layers", 10**4299))
+    # the v2 data faults: not base64, a value short, a NaN and an inf pattern, a v1 number list
+    @example(mutation=(("tensors", 1), "replace", "data", "x"))
+    @example(mutation=(("tensors", 1), "replace", "data", encode_data([0.5] * 7)))
+    @example(mutation=(("tensors", 1), "replace", "data", encode_data([math.nan] * 8)))
+    @example(mutation=(("tensors", 40), "replace", "data", encode_data(math.inf)))
+    @example(mutation=(("tensors", 1), "replace", "data", [0.5] * 8))
+    @example(mutation=((), "replace", "format", "rootrank-checkpoint-v1"))
     def test_mutated_checkpoint_exits_0_or_1_naming_the_file(self, scratch_dir, mutation):
         path = scratch_dir / "mutant.ckpt"
-        path.write_text(json.dumps(mutated(V1_CHECKPOINT, mutation)), encoding="utf-8")
+        path.write_text(json.dumps(mutated(V2_CHECKPOINT, mutation)), encoding="utf-8")
         code, err = main_quietly(["rank", "-d", str(DATA / "v1_dataset.json"), "-m", str(path)])
         assert code in (0, 1)
         if code == 1:
@@ -755,7 +816,7 @@ class TestDatasetProperty:
     def test_mutated_dataset_exits_0_or_1_naming_the_file(self, scratch_dir, mutation):
         path = scratch_dir / "mutant.json"
         path.write_text(json.dumps(mutated(V1_DATASET, mutation)), encoding="utf-8")
-        code, err = main_quietly(["rank", "-d", str(path), "-m", str(DATA / "v1_model.ckpt")])
+        code, err = main_quietly(["rank", "-d", str(path), "-m", str(DATA / "v2_model.ckpt")])
         assert code in (0, 1)
         if code == 1:
             assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
@@ -875,7 +936,7 @@ class TestForwardOverflow:
         payload = json.loads(trained.read_text())
         for entry in payload["tensors"]:
             if entry["name"] in ("proj.w", "scorer.w"):
-                entry["data"] = [1e200] * len(entry["data"])
+                entry["data"] = encode_data(np.full(math.prod(entry["shape"]), 1e200))
         huge = tmp_path / "huge.ckpt"
         huge.write_text(json.dumps(payload), encoding="utf-8")
         code, stdout, err = run(capsys, command, "-d", str(small_data), "-m", str(huge))
@@ -890,10 +951,10 @@ class TestForwardOverflow:
     def test_stderr_holds_only_the_error_line(self, tmp_path):
         # numpy's RuntimeWarning (and its source line) used to print ahead of the error
         data = Path(__file__).parent / "data"
-        payload = json.loads((data / "v1_model.ckpt").read_text(encoding="utf-8"))
+        payload = json.loads((data / "v2_model.ckpt").read_text(encoding="utf-8"))
         for entry in payload["tensors"]:
             if entry["name"] in ("proj.w", "scorer.w"):
-                entry["data"] = [1e200] * len(entry["data"])
+                entry["data"] = encode_data(np.full(math.prod(entry["shape"]), 1e200))
         huge = tmp_path / "huge.ckpt"
         huge.write_text(json.dumps(payload), encoding="utf-8")
         proc = fresh_process(["-m", "rootrank.cli", "rank", "-d", str(data / "v1_dataset.json"),
@@ -910,9 +971,9 @@ class TestForwardOverflow:
         payload = json.loads(trained.read_text())
         for entry in payload["tensors"]:
             if entry["name"] == "layer0.attn.mu":
-                entry["data"] = [1.5e308] * len(entry["data"])
+                entry["data"] = encode_data(np.full(math.prod(entry["shape"]), 1.5e308))
             elif entry["name"].startswith(("layer0.attn.w_k.", "layer0.attn.w_q.")):
-                entry["data"] = [x * 1e3 for x in entry["data"]]
+                entry["data"] = encode_data(decode_data(entry["data"]) * 1e3)
         huge = tmp_path / "huge.ckpt"
         huge.write_text(json.dumps(payload), encoding="utf-8")
         code, stdout, err = run(capsys, command, "-d", str(small_data), "-m", str(huge))
@@ -923,12 +984,12 @@ class TestForwardOverflow:
 
     def test_attention_overflow_stderr_holds_only_the_error_line(self, tmp_path):
         data = Path(__file__).parent / "data"
-        payload = json.loads((data / "v1_model.ckpt").read_text(encoding="utf-8"))
+        payload = json.loads((data / "v2_model.ckpt").read_text(encoding="utf-8"))
         for entry in payload["tensors"]:
             if entry["name"] == "layer0.attn.mu":
-                entry["data"] = [1.5e308] * len(entry["data"])
+                entry["data"] = encode_data(np.full(math.prod(entry["shape"]), 1.5e308))
             elif entry["name"].startswith(("layer0.attn.w_k.", "layer0.attn.w_q.")):
-                entry["data"] = [x * 1e3 for x in entry["data"]]
+                entry["data"] = encode_data(decode_data(entry["data"]) * 1e3)
         huge = tmp_path / "huge.ckpt"
         huge.write_text(json.dumps(payload), encoding="utf-8")
         proc = fresh_process(["-m", "rootrank.cli", "rank", "-d", str(data / "v1_dataset.json"),
@@ -938,16 +999,16 @@ class TestForwardOverflow:
                                "values in its (18, 2) logits\n")
 
 
-class TestDenseMapCheckpoint:
-    """A checkpoint and its ``rank`` output, both written while the per-edge-kind
-    maps were held as dense D x D tensors (dim 8, heads 2, layers 1)."""
+class TestConvertedCheckpoint:
+    """The v2 fixture: the checkpoint that was written as v1 while the per-edge-kind maps
+    were held as dense D x D tensors (dim 8, heads 2, layers 1), converted once."""
 
     data = Path(__file__).parent / "data"
 
     def test_ranks_as_recorded(self, tmp_path, capsys):
         out = tmp_path / "ranking.csv"
         code, _out, _err = run(capsys, "rank", "-d", str(self.data / "v1_dataset.json"),
-                               "-m", str(self.data / "v1_model.ckpt"), "-o", str(out))
+                               "-m", str(self.data / "v2_model.ckpt"), "-o", str(out))
         assert code == 0
         got, want = (list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
                      for path in (out, self.data / "v1_ranking.csv"))
@@ -957,18 +1018,21 @@ class TestDenseMapCheckpoint:
             assert row[:3] + row[4:] == ref[:3] + ref[4:]
             assert abs(float(row[3]) - float(ref[3])) <= 1e-12
 
-    def test_nonzero_entry_outside_head_blocks_exits_1(self, tmp_path, capsys):
-        payload = json.loads((self.data / "v1_model.ckpt").read_text(encoding="utf-8"))
+    def test_map_in_the_v1_dense_layout_exits_1(self, tmp_path, capsys):
+        payload = json.loads((self.data / "v2_model.ckpt").read_text(encoding="utf-8"))
         entry = payload["tensors"][13]
         assert entry["name"] == "layer0.attn.w_att.data_dependency"
-        entry["data"][5 * 8 + 1] = 0.5                 # row 5 (head 1), column 1 (head 0)
+        dense = np.zeros((8, 8))
+        dense[:4, :4], dense[4:, 4:] = np.split(decode_data(entry["data"]).reshape(8, 4), 2)
+        dense[5, 1] = 0.5                              # row 5 (head 1), column 1 (head 0)
+        entry.update(shape=[8, 8], data=encode_data(dense))
         broken = tmp_path / "broken.ckpt"
         broken.write_text(json.dumps(payload), encoding="utf-8")
         code, _out, err = run(capsys, "rank", "-d", str(self.data / "v1_dataset.json"),
                               "-m", str(broken))
         assert code == 1
-        assert err.startswith("error: ")
-        assert "layer0.attn.w_att.data_dependency: nonzero entries outside the head blocks" in err
+        assert err == (f"error: {broken}: layer0.attn.w_att.data_dependency: "
+                       "shape (8, 8) != (8, 4)\n")
 
 
 class TestGradcheck:

@@ -2,7 +2,8 @@
 
 Across OpenBLAS kernels only the rankings are promised.  On the v1 fixture,
 training under the default kernel and under ``OPENBLAS_CORETYPE=Prescott``
-gave checkpoints that differ in the last bits of 6,204 of 186,153 values
+gave v1 checkpoints (each head map stored D x D, zeros included) that
+differ in the last bits of 6,204 of 186,153 values
 after 20 epochs (by at most 1.5e-16, except ``scorer.b``, whose gradient is
 zero up to rounding because a score shift leaves the loss unchanged:
 4.6e-13), loss logs that were equal bit for bit over 50 epochs, and the same

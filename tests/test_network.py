@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rootrank import autodiff as ad
+from rootrank import network as network_module
 from rootrank.aggregation import MU_SIZE, build_plan
 from rootrank.autodiff import constant
 from rootrank.embedding import EmbeddedGraph, HashingEmbedder, embed_dataset
@@ -33,6 +34,8 @@ from rootrank.ranker import TrainedModel, rank_commit, train
 from rootrank.synthetic import GenConfig, generate
 
 from naive_reference import (
+    decode_data,
+    encode_data,
     gru_tensors,
     layer_params,
     naive_checkpoint_text,
@@ -332,7 +335,7 @@ class TestParamLayout:
             raise AssertionError("load_checkpoint drew random numbers")
 
         monkeypatch.setattr(np.random, "default_rng", no_rng)
-        params, cfg = load_checkpoint(DATA / "v1_model.ckpt")
+        params, cfg = load_checkpoint(DATA / "v2_model.ckpt")
         layout = [(name, t.data.shape) for name, t in named_tensors(params)]
         assert layout == list(param_shapes(cfg))
 
@@ -426,43 +429,75 @@ class TestCheckpoints:
         save_checkpoint(p2, loaded, loaded_cfg)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_maps_are_written_block_diagonal(self, tmp_path):
+    def test_maps_are_written_in_their_live_shape(self, tmp_path):
         cfg = ModelConfig(dim=4, heads=2, layers=1, proj_dim=4, seed=3)
         params = init_network_params(cfg, np.random.default_rng(3))
         save_checkpoint(tmp_path / "m.ckpt", params, cfg)
         entry = json.loads((tmp_path / "m.ckpt").read_text())["tensors"][12]
         assert entry["name"] == "layer0.attn.w_att.control_flow"
-        assert entry["shape"] == [4, 4]
-        dense = np.array(entry["data"]).reshape(4, 4)
+        assert entry["shape"] == [4, 2]
         blocks = params["layer0.attn.w_att.control_flow"].data
-        assert np.array_equal(dense[:2, :2], blocks[:2]) and np.array_equal(dense[2:, 2:], blocks[2:])
-        assert not dense[:2, 2:].any() and not dense[2:, :2].any()
+        assert decode_data(entry["data"]).tobytes() == blocks.tobytes()
 
-    def test_dense_map_checkpoint_resaves_byte_identical(self, tmp_path):
-        # written while maps were held as dense D x D tensors (dim 8, heads 2, layers 1)
-        params, cfg = load_checkpoint(DATA / "v1_model.ckpt")
+    def test_fixture_resaves_byte_identical(self, tmp_path):
+        params, cfg = load_checkpoint(DATA / "v2_model.ckpt")   # dim 8, heads 2, layers 1
         assert params["layer0.attn.w_msg.call"].data.shape == (8, 4)
         save_checkpoint(tmp_path / "again.ckpt", params, cfg)
-        assert (tmp_path / "again.ckpt").read_bytes() == (DATA / "v1_model.ckpt").read_bytes()
+        assert (tmp_path / "again.ckpt").read_bytes() == (DATA / "v2_model.ckpt").read_bytes()
 
-    @pytest.mark.parametrize("row,col", [(0, 4), (7, 3)])
-    def test_nonzero_entry_outside_head_blocks_is_named(self, tmp_path, row, col):
-        payload = json.loads((DATA / "v1_model.ckpt").read_text())
-        entry = next(e for e in payload["tensors"] if e["name"] == "layer0.attn.w_msg.call")
-        entry["data"][row * 8 + col] = 1e-300
-        path = tmp_path / "bad.ckpt"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(CheckpointError, match=r"layer0\.attn\.w_msg\.call: nonzero entries"):
+    def test_fixture_holds_the_v1_fixtures_values_bit_for_bit(self):
+        # v1 stored each map as its D x D block-diagonal matrix, in JSON numbers
+        v1 = json.loads((DATA / "v1_model.ckpt").read_text())
+        params, cfg = load_checkpoint(DATA / "v2_model.ckpt")
+        assert [v1[key] for key in ("dim", "heads", "layers", "proj_dim", "mode", "seed",
+                                    "sigma")] == [cfg.dim, cfg.heads, cfg.layers, cfg.out_dim,
+                                                  cfg.mode.value, cfg.seed, cfg.sigma]
+        assert [entry["name"] for entry in v1["tensors"]] == list(params)
+        for entry in v1["tensors"]:
+            values = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            if entry["name"].split(".")[-2] in ("w_att", "w_msg"):
+                assert not values[:4, 4:].any() and not values[4:, :4].any(), entry["name"]
+                values = np.concatenate([values[:4, :4], values[4:, 4:]])   # its head blocks
+            assert values.tobytes() == params[entry["name"]].data.tobytes(), entry["name"]
+
+    def test_v1_file_is_rejected_naming_its_format(self):
+        path = DATA / "v1_model.ckpt"
+        with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)
+        assert str(info.value) == (f"{path}: not a rootrank-checkpoint-v2 file "
+                                   "(its format is 'rootrank-checkpoint-v1')")
 
-    def test_map_must_be_square(self, tmp_path):
+    def test_loaded_tensors_are_owned_writable_float64(self):
+        params, _cfg = load_checkpoint(DATA / "v2_model.ckpt")
+        for name, t in params.items():
+            flags = t.data.flags
+            assert t.data.dtype == np.float64 and t.data.dtype.isnative, name
+            assert flags.owndata and flags.writeable and flags.c_contiguous, name
+
+    @pytest.mark.parametrize("shape", [[4, 4], [2, 4]], ids=["dense-v1-layout", "transposed"])
+    def test_map_must_have_its_live_shape(self, tmp_path, shape):
         cfg = ModelConfig(dim=4, heads=2, layers=1, proj_dim=4)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_network_params(cfg, np.random.default_rng(0)), cfg)
         payload = json.loads(path.read_text())
-        payload["tensors"][12].update(shape=[4, 2], data=[0.0] * 8)
+        payload["tensors"][12].update(shape=shape, data=encode_data(np.zeros(math.prod(shape))))
         path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(CheckpointError, match=r"w_att.control_flow: shape \(4, 2\) != \(4, 4\)"):
+        with pytest.raises(CheckpointError,
+                           match=rf"w_att.control_flow: shape \({shape[0]}, {shape[1]}\) "
+                                 r"!= \(4, 2\)$"):
+            load_checkpoint(path)
+
+    def test_map_in_the_v1_dense_layout_is_named(self, tmp_path):
+        # the v1 fixture's D x D map, entries outside the head blocks included, in v2 data
+        dense = next(e for e in json.loads((DATA / "v1_model.ckpt").read_text())["tensors"]
+                     if e["name"] == "layer0.attn.w_msg.call")
+        payload = json.loads((DATA / "v2_model.ckpt").read_text())
+        entry = next(e for e in payload["tensors"] if e["name"] == "layer0.attn.w_msg.call")
+        entry.update(shape=dense["shape"], data=encode_data(dense["data"]))
+        path = tmp_path / "bad.ckpt"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CheckpointError,
+                           match=r"layer0\.attn\.w_msg\.call: shape \(8, 8\) != \(8, 4\)$"):
             load_checkpoint(path)
 
     def test_malformed_rejected(self, tmp_path):
@@ -482,7 +517,10 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=repr(field)):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("data", [["x"] * 4, [1.0] * 3, [[1.0]] * 4, None])
+    @pytest.mark.parametrize("data", [[1.0] * 4, encode_data([1.0] * 3), "@" * 44,
+                                      encode_data([1.0] * 4).rstrip("="), None],
+                             ids=["json-numbers", "three-values", "bad-alphabet", "unpadded",
+                                  "null"])
     def test_bad_tensor_data_rejected(self, tmp_path, data):
         cfg = ModelConfig(dim=4, heads=2, layers=1, proj_dim=4)
         path = tmp_path / "model.ckpt"
@@ -521,6 +559,94 @@ class TestCheckpoints:
         _params, loaded = load_checkpoint(path)
         assert loaded == ModelConfig(dim=4, heads=2, layers=1, proj_dim=4,
                                      mode=Mode.RETENTION_ONLY, seed=5, sigma=2.5)
+
+
+# Finite float64 values at the edges of the format: signed zeros, subnormals, the extremes.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1.0, -1.0]
+
+
+class TestCheckpointRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(heads=st.integers(1, 4), head_dim=st.integers(1, 3), layers=st.integers(1, 3),
+           proj_dim=st.none() | st.integers(1, 5), mode=st.sampled_from(list(Mode)),
+           seed=st.integers(0, 2**32), edges=st.lists(st.sampled_from(EDGE_FLOATS), max_size=8))
+    def test_save_load_save_is_byte_identical_and_bit_exact(self, tmp_path_factory, heads,
+                                                           head_dim, layers, proj_dim, mode,
+                                                           seed, edges):
+        cfg = ModelConfig(dim=heads * head_dim, heads=heads, layers=layers, proj_dim=proj_dim,
+                          mode=mode, seed=seed)
+        rng = np.random.default_rng(seed)
+        params = init_network_params(cfg, rng)
+        for t in params.values():   # uniform bit patterns, each non-finite one made finite
+            bits = rng.integers(0, 2**64, size=t.data.shape, dtype=np.uint64)
+            values = bits.view(np.float64)
+            t.data = np.where(np.isfinite(values), values, np.copysign(0.0, values))
+        tensors = list(params.values())
+        for value in edges:
+            t = tensors[int(rng.integers(len(tensors)))]
+            t.data.reshape(-1)[int(rng.integers(t.data.size))] = value
+        first, second = (tmp_path_factory.mktemp("ckpt") / "m.ckpt" for _ in range(2))
+        save_checkpoint(first, params, cfg)
+        loaded, loaded_cfg = load_checkpoint(first)
+        save_checkpoint(second, loaded, loaded_cfg)
+        assert first.read_bytes() == second.read_bytes()
+        assert list(loaded) == list(params)
+        for name, t in params.items():
+            assert loaded[name].data.shape == t.data.shape, name
+            assert loaded[name].data.tobytes() == t.data.tobytes(), name
+
+
+class TestSaveReplacesTheFileWhole:
+    """A save that fails part way leaves no partial file and an earlier checkpoint as it was."""
+
+    @staticmethod
+    def _failing_writer(monkeypatch, after, error):
+        real = network_module._encode
+        calls = []
+
+        def encode(data):
+            calls.append(1)
+            if len(calls) > after:
+                raise error
+            return real(data)
+
+        monkeypatch.setattr(network_module, "_encode", encode)
+        return calls
+
+    @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()],
+                             ids=["error", "interrupt"])
+    def test_no_file_is_left_where_none_was(self, tmp_path, monkeypatch, error):
+        cfg = ModelConfig(dim=4, heads=2, layers=1)
+        params = init_network_params(cfg, np.random.default_rng(0))
+        calls = self._failing_writer(monkeypatch, 5, error)
+        with pytest.raises(type(error)):
+            save_checkpoint(tmp_path / "m.ckpt", params, cfg)
+        assert len(calls) == 6
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()],
+                             ids=["error", "interrupt"])
+    def test_an_existing_checkpoint_is_left_untouched(self, tmp_path, monkeypatch, error):
+        cfg = ModelConfig(dim=4, heads=2, layers=1)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_network_params(cfg, np.random.default_rng(0)), cfg)
+        before = path.read_bytes()
+        self._failing_writer(monkeypatch, 5, error)
+        with pytest.raises(type(error)):
+            save_checkpoint(path, init_network_params(cfg, np.random.default_rng(1)), cfg)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
+        load_checkpoint(path)
+
+    def test_a_save_replaces_an_existing_checkpoint(self, tmp_path):
+        cfg = ModelConfig(dim=4, heads=2, layers=1)
+        path = tmp_path / "m.ckpt"
+        path.write_text("an older file", encoding="utf-8")
+        params = init_network_params(cfg, np.random.default_rng(0))
+        save_checkpoint(path, params, cfg)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == naive_checkpoint_text(params, cfg).encode("utf-8")
 
 
 # ModelConfig keywords for the property below: values a config takes, then up to two
