@@ -32,7 +32,7 @@ from .ranker import (
     TrainedModel,
     TrainingError,
     gradient_check_full_loss,
-    rank_commit,
+    rank_commits,
     train,
 )
 from .synthetic import GenConfig, generate
@@ -253,8 +253,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if args.show_truth:
         header.append("is_root_cause")
     writer.writerow(header)
-    for eg in embedded:
-        for position, (node_id, node_score) in enumerate(rank_commit(model, eg), start=1):
+    for eg, ranked in zip(embedded, rank_commits(model, embedded)):
+        for position, (node_id, node_score) in enumerate(ranked, start=1):
             node = eg.graph.nodes[node_id]
             row = [eg.graph.commit_id, position, node_id, repr(node_score), node.text or ""]
             if args.show_truth:

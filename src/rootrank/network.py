@@ -7,8 +7,9 @@ After the last layer the states are layer-normalized and projected into
 task embeddings.
 
 :func:`param_shapes` is the one declaration of the learnable tensors'
-names, shapes and order.  The model's parameters are one dict from those
-names to tensors, in that order (:data:`NetworkParams`): initialization,
+names, shapes and order: exactly the tensors the forward of the config's
+mode reads.  The model's parameters are one dict from those names to
+tensors, in that order (:data:`NetworkParams`): initialization,
 checkpoints and the optimizer follow it, and the forward reads each
 tensor by its name.
 """
@@ -21,7 +22,7 @@ import math
 import os
 import secrets
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -114,33 +115,47 @@ _NODE_KIND_TENSORS = ("w_k", "b_k", "w_q", "b_q", "w_v", "b_v")
 _EDGE_KIND_MAPS = ("w_att", "w_msg")
 _GRU_TENSORS = ("w_ir", "b_ir", "w_hr", "b_hr", "w_iz", "b_iz",
                 "w_hz", "b_hz", "w_in", "b_in", "w_hn", "b_hn")
-_TENSORS_PER_LAYER = (len(NodeKind) * len(_NODE_KIND_TENSORS)
-                      + len(_EDGE_KIND_MAPS) * len(EdgeKind) + 1 + len(_GRU_TENSORS))
 
 
-def param_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """``(name, shape)`` of each learnable tensor, in checkpoint order; allocates nothing.
-
-    Per layer: the key, query and value weights and biases of each node
-    kind; the attention and message maps of each edge kind, each held as
-    its H head blocks, a (D, D/H) tensor whose rows [i*D/H, (i+1)*D/H) are
-    head i's square block; the (MU_SIZE, 1) prior ``mu`` over (source kind,
-    edge kind, target kind); then the gate tensors.  Weights right-multiply
-    row states.
-    """
-    dim, out_dim = cfg.dim, cfg.out_dim
-    for li in range(cfg.layers):
+def _layer_shapes(cfg: ModelConfig, li: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """``(name, shape)`` of each tensor layer ``li`` of ``cfg.mode`` reads, in file order."""
+    dim = cfg.dim
+    if cfg.mode is not Mode.RETENTION_ONLY:
         p = f"layer{li}.attn"
         yield from ((f"{p}.{field}.{kind.value}", (dim, dim) if field[0] == "w" else (dim,))
                     for kind in NodeKind for field in _NODE_KIND_TENSORS)
         yield from ((f"{p}.{field}.{kind.value}", (dim, dim // cfg.heads))
                     for field in _EDGE_KIND_MAPS for kind in EdgeKind)
         yield f"{p}.mu", (MU_SIZE, 1)
+    if cfg.mode is not Mode.AGGREGATION_ONLY:
         yield from ((f"layer{li}.gru.{field}", (dim, dim) if field[0] == "w" else (dim,))
                     for field in _GRU_TENSORS)
-    yield from (("final_norm.gain", (dim,)), ("final_norm.bias", (dim,)),
-                ("proj.w", (dim, out_dim)), ("proj.b", (out_dim,)),
-                ("scorer.w", (out_dim,)), ("scorer.b", ()))
+
+
+def _tail_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """``(name, shape)`` of the tensors after the layers: final norm, projection, scorer."""
+    yield from (("final_norm.gain", (cfg.dim,)), ("final_norm.bias", (cfg.dim,)),
+                ("proj.w", (cfg.dim, cfg.out_dim)), ("proj.b", (cfg.out_dim,)),
+                ("scorer.w", (cfg.out_dim,)))
+
+
+def param_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """``(name, shape)`` of each tensor ``cfg.mode``'s forward reads, in checkpoint order;
+    allocates nothing.
+
+    Per layer: the key, query and value weights and biases of each node
+    kind; the attention and message maps of each edge kind, each held as
+    its H head blocks, a (D, D/H) tensor whose rows [i*D/H, (i+1)*D/H) are
+    head i's square block; the (MU_SIZE, 1) prior ``mu`` over (source kind,
+    edge kind, target kind); then the gate tensors.  ``retention-only``
+    declares no attention tensors and ``aggregation-only`` no gate tensors.
+    Then the final norm, the projection and the scorer's weights; the
+    scorer has no bias, because the pair loss reads only score
+    differences.  Weights right-multiply row states.
+    """
+    for li in range(cfg.layers):
+        yield from _layer_shapes(cfg, li)
+    yield from _tail_shapes(cfg)
 
 
 def _is_head_map(name: str) -> bool:
@@ -164,6 +179,10 @@ def init_network_params(cfg: ModelConfig, rng: np.random.Generator | None = None
     which training then sets without fighting random initial score noise.
     ``random_scorer=True`` draws it like a projection instead (gradient
     checking wants a live gradient path to every tensor).
+
+    Every mode draws the full model's tensors, in this order, and keeps
+    those ``param_shapes(cfg)`` declares, so an ablation mode's tensors
+    hold the values they would hold in the full model.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -178,8 +197,9 @@ def init_network_params(cfg: ModelConfig, rng: np.random.Generator | None = None
     drawn.append(("proj.w", math.sqrt(6.0 / (cfg.dim + cfg.out_dim))))
     if random_scorer:
         drawn.append(("scorer.w", math.sqrt(6.0 / (cfg.out_dim + 1))))
+    full_shapes = dict(param_shapes(replace(cfg, mode=Mode.FULL)))
+    arrays = {name: rng.uniform(-bound, bound, size=full_shapes[name]) for name, bound in drawn}
     shapes = dict(param_shapes(cfg))
-    arrays = {name: rng.uniform(-bound, bound, size=shapes[name]) for name, bound in drawn}
     for name, shape in shapes.items():
         if _is_head_map(name):
             arrays[name] += np.tile(np.eye(cfg.dim // cfg.heads), (cfg.heads, 1))
@@ -226,7 +246,7 @@ def network_forward(tape: Tape | None, h0: Tensor, plan: GraphPlan,
 # Checkpoints
 
 
-CHECKPOINT_FORMAT = "rootrank-checkpoint-v2"
+CHECKPOINT_FORMAT = "rootrank-checkpoint-v3"
 
 # The ModelConfig fields a checkpoint header holds, in file order, with their JSON types;
 # ``proj_dim`` is written as ``out_dim`` and ``mode`` as its value.
@@ -336,9 +356,11 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
     except ConfigError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     stored = _field(payload, "tensors", list, str(path))
-    count = cfg.layers * _TENSORS_PER_LAYER + 6   # + final norm, projection, scorer
+    per_layer = sum(1 for _ in _layer_shapes(cfg, 0))
+    tail = sum(1 for _ in _tail_shapes(cfg))
+    count = cfg.layers * per_layer + tail
     if len(stored) != count:
-        expected = _count_text(count, f"{cfg.layers} x {_TENSORS_PER_LAYER} + 6")
+        expected = _count_text(count, f"{cfg.layers} x {per_layer} + {tail}")
         raise CheckpointError(f"{path}: expected {expected} tensors, found {len(stored)}")
     checked = []   # every name and shape, before any value is decoded
     for index, ((name, want), entry) in enumerate(zip(param_shapes(cfg), stored)):

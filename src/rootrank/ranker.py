@@ -1,9 +1,11 @@
 """Pairwise ranking of deleted lines.
 
-Each deleted line of a commit receives a scalar score from its task
-embedding; training pulls root-cause lines above their siblings by
-pushing the logistic of score differences toward pair labels with a
-cross-entropy loss, one optimizer step per commit.
+Each deleted line of a commit receives a scalar score, the dot product
+of its task embedding with the scorer's weights; training pulls
+root-cause lines above their siblings by pushing the logistic of score
+differences toward pair labels with a cross-entropy loss, one optimizer
+step per commit.  The loss reads only score differences, so a score
+bias would get an exactly zero gradient, and the scorer has none.
 
 Training, evaluation and ranking share one scoring path, which reads a
 graph's initial vectors and its plan, whose deleted-kind rows are the
@@ -135,7 +137,7 @@ def _deleted_scores(tape: Tape | None, h0: Tensor, plan: GraphPlan, params: Netw
     """Scalar score of each deleted line of the graph of ``plan``, shape (k,), in node id order."""
     embeddings = network_forward(tape, h0, plan, params, cfg)
     picked = ad.take_rows(tape, embeddings, plan.node_rows[NodeKind.DELETED])
-    return ad.add(tape, ad.matmul(tape, picked, params["scorer.w"]), params["scorer.b"])
+    return ad.matmul(tape, picked, params["scorer.w"])
 
 
 def _pair_loss_from_scores(tape: Tape | None, scores: Tensor,
@@ -302,7 +304,7 @@ def _rank_batch(model: TrainedModel, batch: list[EmbeddedGraph]) -> list[list[tu
             scores = _deleted_scores(None, h0, plan, model.params, model.cfg).data
     except FloatingPointError as exc:
         if len(batch) > 1:      # find the commit, and name it
-            return [ranked for eg in batch for ranked in _rank_batch(model, [eg])]
+            return [rank_commit(model, eg) for eg in batch]
         raise ValueError(f"commit {batch[0].graph.commit_id!r}: {exc}") from exc
     rankings = []
     start = 0

@@ -35,10 +35,8 @@ from rootrank.network import (
     network_forward,
 )
 from rootrank.ranker import (
-    TrainedModel,
     _pair_loss_from_scores,
     gradient_check_full_loss,
-    rank_commit,
     train,
 )
 from rootrank.synthetic import GenConfig, generate
@@ -86,7 +84,7 @@ class TestCriterion1Gradients:
                          "w_ir", "b_ir", "w_hr", "b_hr", "w_iz", "b_iz",
                          "w_hz", "b_hz", "w_in", "b_in", "w_hn", "b_hn",
                          "final_norm.gain", "final_norm.bias",
-                         "proj.w", "proj.b", "scorer.w", "scorer.b"):
+                         "proj.w", "proj.b", "scorer.w"):
             assert any(fragment in n for n in names), fragment
         with capsys.disabled():
             ok(1, f"max_rel_err={err:.2e} in {elapsed:.1f}s over {len(names)} tensors")
@@ -161,18 +159,8 @@ class TestCriterion4RankNetIdentities:
             s = float(rng.uniform(-50, 50))
             assert abs(pair_probability(s, s) - 0.5) <= 1e-12
         assert abs(pair_loss(0.0, 0.0, 1.0) - math.log(2.0)) <= 1e-12
-
-        cfg = ModelConfig(dim=16, heads=2, layers=1, proj_dim=8, epochs=0)
-        params = init_network_params(cfg, np.random.default_rng(0), random_scorer=True)
-        model = TrainedModel(params=params, cfg=cfg, training_log=[])
-        ds = generate(GenConfig(n_commits=5, deleted_per_commit=6, added_per_commit=3, seed=9))
-        embedded = embed_dataset(ds, HashingEmbedder(16))
-        before = [[nid for nid, _s in rank_commit(model, eg)] for eg in embedded]
-        model.params["scorer.b"].data = np.asarray(917.25)
-        after = [[nid for nid, _s in rank_commit(model, eg)] for eg in embedded]
-        assert before == after
         with capsys.disabled():
-            ok(4, "1000 complement pairs, tie point, ln2 loss, shift-invariant ranking")
+            ok(4, "1000 complement pairs, tie point, ln2 loss")
 
 
 class TestCriterion5GateLimits:

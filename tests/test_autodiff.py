@@ -1004,6 +1004,31 @@ class TestPairLoss:
         assert_same_bits(np.asarray(loss), np.asarray(want_loss))
         assert_same_bits(grad, want_grad)
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=pair_loss_cases(),
+           shift=st.floats(-1e3, 1e3) | st.sampled_from([917.25, 1234.5, -1e6]))
+    @example(case=SATURATED_PAIRS, shift=917.25)
+    def test_a_global_score_shift_moves_nothing_but_rounding(self, case, shift):
+        # the loss reads only score differences, so no score bias could be learned
+        scores, pair_i, pair_j, labels, sigma, _g = case
+        rows_i, rows_j = (ad.checked_index(rows, len(scores)) for rows in (pair_i, pair_j))
+        eps, p = np.finfo(np.float64).eps, len(labels)
+
+        def run(values):
+            s = Tensor(values, requires_grad=True)
+            tape = Tape()
+            loss = ad.pair_loss(tape, s, rows_i, rows_j, labels, sigma)
+            return loss.item(), backward(tape, loss)[s]
+
+        loss, grad = run(scores)
+        shifted, shifted_grad = run(scores + shift)
+        # each logit moves by at most sigma * 2 ulp of |score| + |shift|, at slope <= 1
+        spread = abs(shift) + np.abs(scores).max()
+        assert abs(shifted - loss) <= 4 * p * eps * (sigma * spread + loss)
+        # every pair adds d and -d; each entry and the sum round at most n + p times
+        bound = 4 * (len(scores) + p) * p * sigma * eps
+        assert abs(grad.sum()) <= bound and abs(shifted_grad.sum()) <= bound
+
     @pytest.mark.parametrize("sigma", [1.0, 2.5])
     @pytest.mark.parametrize("gap", [0.0, 3.0, 1e3, -1e3])
     def test_gradcheck(self, sigma, gap):

@@ -192,7 +192,7 @@ class TestEvaluateModelBatches:
             assert report_json(report) == report_json(expected)
 
     def test_v1_fixture(self):
-        params, cfg = load_checkpoint(DATA / "v2_model.ckpt")
+        params, cfg = load_checkpoint(DATA / "v3_model.ckpt")
         embedded = embed_dataset(load_dataset(DATA / "v1_dataset.json"), HashingEmbedder(cfg.dim))
         self.check(TrainedModel(params=params, cfg=cfg, training_log=[]), embedded)
 

@@ -29,7 +29,7 @@ from rootrank.synthetic import GenConfig, generate
 from naive_reference import decode_data, encode_data
 
 DATA = Path(__file__).parent / "data"
-V2_CHECKPOINT = json.loads((DATA / "v2_model.ckpt").read_text(encoding="utf-8"))
+V3_CHECKPOINT = json.loads((DATA / "v3_model.ckpt").read_text(encoding="utf-8"))
 V1_DATASET = json.loads((DATA / "v1_dataset.json").read_text(encoding="utf-8"))
 CV_FLAGS = ("--dim", "16", "--heads", "2", "--layers", "1", "--epochs", "1", "--seed", "42")
 CV_CONFIG = ModelConfig(dim=16, heads=2, layers=1, epochs=1, seed=42)
@@ -536,7 +536,7 @@ class TestCheckpointHeader:
         code, _out, err = run(capsys, "rank", "-d", str(small_data), "-m", str(broken))
         assert code == 1
         assert err.startswith("error: ")
-        assert (key if key != "format" else "rootrank-checkpoint-v2") in err
+        assert (key if key != "format" else "rootrank-checkpoint-v3") in err
 
 
     def test_nan_sigma_names_the_file(self, small_data, trained, tmp_path, capsys):
@@ -557,7 +557,7 @@ class TestCheckpointValues:
     data = Path(__file__).parent / "data"
 
     def _rank_mutant(self, tmp_path, capsys, mutate):
-        payload = json.loads((self.data / "v2_model.ckpt").read_text(encoding="utf-8"))
+        payload = json.loads((self.data / "v3_model.ckpt").read_text(encoding="utf-8"))
         mutate(payload)
         broken = tmp_path / "mutant.ckpt"
         broken.write_text(json.dumps(payload), encoding="utf-8")
@@ -626,13 +626,14 @@ class TestCheckpointValues:
         broken, err = self._rank_mutant(tmp_path, capsys, mutate)
         assert err == f"error: {broken}: sigma must be positive and finite\n"
 
-    def test_v1_file_exits_1_naming_its_format(self, capsys):
-        old = self.data / "v1_model.ckpt"
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_file_exits_1_naming_its_format(self, capsys, version):
+        old = self.data / f"v{version}_model.ckpt"
         code, out, err = run(capsys, "rank", "-d", str(self.data / "v1_dataset.json"),
                              "-m", str(old))
         assert (code, out) == (1, "")
-        assert err == (f"error: {old}: not a rootrank-checkpoint-v2 file "
-                       "(its format is 'rootrank-checkpoint-v1')\n")
+        assert err == (f"error: {old}: not a rootrank-checkpoint-v3 file "
+                       f"(its format is 'rootrank-checkpoint-v{version}')\n")
 
 
 class TestNonUtf8Files:
@@ -654,33 +655,81 @@ class TestNonUtf8Files:
         assert err.startswith(f"error: {cfg_file}: not UTF-8 text: ")
 
 
+def mode_checkpoint(mode):
+    """The fixture checkpoint as a ``mode`` file: its header's mode set, and only the tensors
+    that mode declares (dim 8, heads 2, layers 1)."""
+    cfg = ModelConfig(dim=8, heads=2, layers=1, proj_dim=8, mode=mode)
+    names = {name for name, _shape in param_shapes(cfg)}
+    return {**V3_CHECKPOINT, "mode": mode.value,
+            "tensors": [entry for entry in V3_CHECKPOINT["tensors"] if entry["name"] in names]}
+
+
+# mode -> (tensors per layer, name of the first tensor); every mode adds 5 after the layers,
+# so a full-mode header with 3,000 layers implies 105,005 tensors
+MODE_LAYOUTS = {Mode.FULL: (35, "layer0.attn.w_k.deleted"),
+                Mode.AGGREGATION_ONLY: (23, "layer0.attn.w_k.deleted"),
+                Mode.RETENTION_ONLY: (12, "layer0.gru.w_ir")}
+
+
 class TestCheckpointHeaderSizes:
     """Header sizes are checked by arithmetic against the stored tensors, so a header implying
     a huge model is rejected at once, without allocating or drawing it."""
 
+    @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
     @pytest.mark.parametrize("key, value, problem", [
-        ("dim", 10**12, "layer0.attn.w_k.deleted: shape (8, 8) != (1000000000000, 1000000000000)"),
-        ("dim", 10**400, f"layer0.attn.w_k.deleted: shape (8, 8) != ({10**400}, {10**400})"),
+        ("dim", 10**12, "{first}: shape (8, 8) != (1000000000000, 1000000000000)"),
+        ("dim", 10**400, f"{{first}}: shape (8, 8) != ({10**400}, {10**400})"),
         ("proj_dim", 10**12, "proj.w: shape (8, 8) != (8, 1000000000000)"),
         ("proj_dim", 10**400, f"proj.w: shape (8, 8) != (8, {10**400})"),
-        ("layers", 3000, "expected 105006 tensors, found 41"),
-        ("layers", 10**9, "expected 35000000006 tensors, found 41"),
+        ("layers", 3000, "expected {count} tensors, found {found}"),
+        ("layers", 10**9, "expected {count} tensors, found {found}"),
         # the count has one digit more than Python turns into text
-        ("layers", 10**4299, f"expected {10**4299} x 35 + 6 tensors, found 41"),
+        ("layers", 10**4299, f"expected {10**4299} x {{per_layer}} + 5 tensors, found {{found}}"),
     ], ids=["dim-1e12", "dim-1e400", "proj_dim-1e12", "proj_dim-1e400", "layers-3000",
             "layers-1e9", "layers-at-the-digit-limit"])
     def test_huge_size_exits_1_naming_the_tensor_or_count(self, tmp_path, capsys, key, value,
-                                                          problem):
+                                                          problem, mode):
+        per_layer, first = MODE_LAYOUTS[mode]
+        problem = problem.format(first=first, per_layer=per_layer, found=per_layer + 5,
+                                 count=value * per_layer + 5)
         broken = tmp_path / "huge.ckpt"
-        broken.write_text(json.dumps({**V2_CHECKPOINT, key: value}), encoding="utf-8")
+        broken.write_text(json.dumps({**mode_checkpoint(mode), key: value}), encoding="utf-8")
         code, out, err = run(capsys, "rank", "-d", str(DATA / "v1_dataset.json"),
                              "-m", str(broken))
         assert (code, out, err) == (1, "", f"error: {broken}: {problem}\n")
 
+    @pytest.mark.parametrize("mode, extra", [
+        (Mode.FULL, "scorer.b"), (Mode.AGGREGATION_ONLY, "layer0.gru.w_ir"),
+        (Mode.RETENTION_ONLY, "layer0.attn.mu"),
+    ], ids=["full-scorer-bias", "aggregation-only-gate", "retention-only-prior"])
+    def test_one_undeclared_tensor_exits_1_naming_the_count(self, tmp_path, capsys, mode,
+                                                            extra):
+        payload = mode_checkpoint(mode)
+        v2_entries = json.loads((DATA / "v2_model.ckpt").read_text(encoding="utf-8"))["tensors"]
+        payload["tensors"].append(next(e for e in v2_entries if e["name"] == extra))
+        broken = tmp_path / "extra.ckpt"
+        broken.write_text(json.dumps(payload), encoding="utf-8")
+        per_layer, _first = MODE_LAYOUTS[mode]
+        code, out, err = run(capsys, "rank", "-d", str(DATA / "v1_dataset.json"),
+                             "-m", str(broken))
+        assert (code, out, err) == (1, "", f"error: {broken}: expected {per_layer + 5} tensors, "
+                                           f"found {per_layer + 6}\n")
+
+    @pytest.mark.parametrize("mode", [Mode.AGGREGATION_ONLY, Mode.RETENTION_ONLY],
+                             ids=["aggregation-only", "retention-only"])
+    def test_ablation_file_ranks(self, tmp_path, capsys, mode):
+        path = tmp_path / "ablation.ckpt"
+        path.write_text(json.dumps(mode_checkpoint(mode)), encoding="utf-8")
+        params, cfg = load_checkpoint(path)
+        assert cfg.mode is mode and list(params) == [name for name, _ in param_shapes(cfg)]
+        code, _out, err = run(capsys, "rank", "-d", str(DATA / "v1_dataset.json"),
+                              "-m", str(path))
+        assert (code, err) == (0, "8 commits ranked\n")
+
     def test_tensor_size_past_the_digit_limit_is_named(self, tmp_path, capsys):
         # shapes that match a dim at json's digit limit, whose square Python cannot print
         dim = 10**4299
-        mutant = copy.deepcopy({**V2_CHECKPOINT, "dim": dim, "proj_dim": dim})
+        mutant = copy.deepcopy({**V3_CHECKPOINT, "dim": dim, "proj_dim": dim})
         wide = ModelConfig(dim=dim, heads=2, layers=1, proj_dim=dim)
         for entry, (name, shape) in zip(mutant["tensors"], param_shapes(wide)):
             assert entry["name"] == name
@@ -695,7 +744,7 @@ class TestCheckpointHeaderSizes:
 
     @pytest.mark.parametrize("value", [1.0, True], ids=["float", "bool"])
     def test_shape_entry_equal_to_an_int_is_read_as_that_int(self, tmp_path, value):
-        mutant = mutated(V2_CHECKPOINT, (("tensors", 22, "shape"), "replace", 1, value))
+        mutant = mutated(V3_CHECKPOINT, (("tensors", 22, "shape"), "replace", 1, value))
         assert mutant["tensors"][22]["name"] == "layer0.attn.mu"
         path = tmp_path / "odd_shape.ckpt"
         path.write_text(json.dumps(mutant), encoding="utf-8")
@@ -703,7 +752,7 @@ class TestCheckpointHeaderSizes:
         assert params["layer0.attn.mu"].data.shape == (20, 1)
 
     def test_integer_past_the_digit_limit_is_named(self, tmp_path, capsys):
-        text = (DATA / "v2_model.ckpt").read_text(encoding="utf-8")
+        text = (DATA / "v3_model.ckpt").read_text(encoding="utf-8")
         broken = tmp_path / "digits.ckpt"
         broken.write_text(text.replace('"seed": 9', '"seed": ' + "9" * 5000), encoding="utf-8")
         code, _out, err = run(capsys, "rank", "-d", str(DATA / "v1_dataset.json"),
@@ -778,7 +827,7 @@ def scratch_dir(tmp_path_factory):
 class TestCheckpointProperty:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(mutation=json_mutations(V2_CHECKPOINT))
+    @given(mutation=json_mutations(V3_CHECKPOINT))
     # header sizes that escaped or hung before the loader checked shapes by arithmetic
     @example(mutation=((), "replace", "dim", 10**12))
     @example(mutation=((), "replace", "dim", 10**400))
@@ -791,12 +840,13 @@ class TestCheckpointProperty:
     @example(mutation=(("tensors", 1), "replace", "data", "x"))
     @example(mutation=(("tensors", 1), "replace", "data", encode_data([0.5] * 7)))
     @example(mutation=(("tensors", 1), "replace", "data", encode_data([math.nan] * 8)))
-    @example(mutation=(("tensors", 40), "replace", "data", encode_data(math.inf)))
+    @example(mutation=(("tensors", 39), "replace", "data", encode_data([math.inf] * 8)))
     @example(mutation=(("tensors", 1), "replace", "data", [0.5] * 8))
     @example(mutation=((), "replace", "format", "rootrank-checkpoint-v1"))
+    @example(mutation=((), "replace", "format", "rootrank-checkpoint-v2"))
     def test_mutated_checkpoint_exits_0_or_1_naming_the_file(self, scratch_dir, mutation):
         path = scratch_dir / "mutant.ckpt"
-        path.write_text(json.dumps(mutated(V2_CHECKPOINT, mutation)), encoding="utf-8")
+        path.write_text(json.dumps(mutated(V3_CHECKPOINT, mutation)), encoding="utf-8")
         code, err = main_quietly(["rank", "-d", str(DATA / "v1_dataset.json"), "-m", str(path)])
         assert code in (0, 1)
         if code == 1:
@@ -816,7 +866,7 @@ class TestDatasetProperty:
     def test_mutated_dataset_exits_0_or_1_naming_the_file(self, scratch_dir, mutation):
         path = scratch_dir / "mutant.json"
         path.write_text(json.dumps(mutated(V1_DATASET, mutation)), encoding="utf-8")
-        code, err = main_quietly(["rank", "-d", str(path), "-m", str(DATA / "v2_model.ckpt")])
+        code, err = main_quietly(["rank", "-d", str(path), "-m", str(DATA / "v3_model.ckpt")])
         assert code in (0, 1)
         if code == 1:
             assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
@@ -951,7 +1001,7 @@ class TestForwardOverflow:
     def test_stderr_holds_only_the_error_line(self, tmp_path):
         # numpy's RuntimeWarning (and its source line) used to print ahead of the error
         data = Path(__file__).parent / "data"
-        payload = json.loads((data / "v2_model.ckpt").read_text(encoding="utf-8"))
+        payload = json.loads((data / "v3_model.ckpt").read_text(encoding="utf-8"))
         for entry in payload["tensors"]:
             if entry["name"] in ("proj.w", "scorer.w"):
                 entry["data"] = encode_data(np.full(math.prod(entry["shape"]), 1e200))
@@ -984,7 +1034,7 @@ class TestForwardOverflow:
 
     def test_attention_overflow_stderr_holds_only_the_error_line(self, tmp_path):
         data = Path(__file__).parent / "data"
-        payload = json.loads((data / "v2_model.ckpt").read_text(encoding="utf-8"))
+        payload = json.loads((data / "v3_model.ckpt").read_text(encoding="utf-8"))
         for entry in payload["tensors"]:
             if entry["name"] == "layer0.attn.mu":
                 entry["data"] = encode_data(np.full(math.prod(entry["shape"]), 1.5e308))
@@ -1000,15 +1050,16 @@ class TestForwardOverflow:
 
 
 class TestConvertedCheckpoint:
-    """The v2 fixture: the checkpoint that was written as v1 while the per-edge-kind maps
-    were held as dense D x D tensors (dim 8, heads 2, layers 1), converted once."""
+    """The v3 fixture: the checkpoint that was written as v1 while the per-edge-kind maps
+    were held as dense D x D tensors (dim 8, heads 2, layers 1), converted once to v2 and
+    once to v3, which dropped its scorer bias."""
 
     data = Path(__file__).parent / "data"
 
     def test_ranks_as_recorded(self, tmp_path, capsys):
         out = tmp_path / "ranking.csv"
         code, _out, _err = run(capsys, "rank", "-d", str(self.data / "v1_dataset.json"),
-                               "-m", str(self.data / "v2_model.ckpt"), "-o", str(out))
+                               "-m", str(self.data / "v3_model.ckpt"), "-o", str(out))
         assert code == 0
         got, want = (list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
                      for path in (out, self.data / "v1_ranking.csv"))
@@ -1019,7 +1070,7 @@ class TestConvertedCheckpoint:
             assert abs(float(row[3]) - float(ref[3])) <= 1e-12
 
     def test_map_in_the_v1_dense_layout_exits_1(self, tmp_path, capsys):
-        payload = json.loads((self.data / "v2_model.ckpt").read_text(encoding="utf-8"))
+        payload = json.loads((self.data / "v3_model.ckpt").read_text(encoding="utf-8"))
         entry = payload["tensors"][13]
         assert entry["name"] == "layer0.attn.w_att.data_dependency"
         dense = np.zeros((8, 8))

@@ -1,14 +1,11 @@
 """The determinism contract: bit-exact from ``--seed`` per numpy build and OpenBLAS kernel.
 
 Across OpenBLAS kernels only the rankings are promised.  On the v1 fixture,
-training under the default kernel and under ``OPENBLAS_CORETYPE=Prescott``
-gave v1 checkpoints (each head map stored D x D, zeros included) that
-differ in the last bits of 6,204 of 186,153 values
-after 20 epochs (by at most 1.5e-16, except ``scorer.b``, whose gradient is
-zero up to rounding because a score shift leaves the loss unchanged:
-4.6e-13), loss logs that were equal bit for bit over 50 epochs, and the same
-order for every commit.  The kernel is set only in the child processes'
-environment.
+training for 10 epochs under the default kernel (SkylakeX) and under
+``OPENBLAS_CORETYPE=Prescott`` gave checkpoints that differ in the last
+bits of 3,749 of 114,472 values, by at most 8.4e-17, loss logs that were
+equal bit for bit, and the same order for every commit.  The kernel is set
+only in the child processes' environment.
 """
 
 import csv

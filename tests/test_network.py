@@ -287,7 +287,13 @@ class TestHeadBlockMaps:
         maps = [t for name, t in named if ".w_att." in name or ".w_msg." in name]
         assert len(maps) == 2 * 2 * len(EdgeKind)
         assert all(t.data.shape == (64, 8) for t in maps)
-        assert sum(t.data.size for _name, t in named) == 114_473
+
+    @pytest.mark.parametrize("mode, values", [
+        (Mode.FULL, 114_472), (Mode.AGGREGATION_ONLY, 64_552), (Mode.RETENTION_ONLY, 54_272),
+    ])
+    def test_default_model_holds_only_its_modes_values(self, mode, values):
+        named = named_tensors(init_network_params(ModelConfig(mode=mode)))
+        assert sum(t.data.size for _name, t in named) == values
 
     def test_init_draws_each_head_block_in_turn(self):
         dim, heads = 8, 4
@@ -315,10 +321,12 @@ class TestHeadBlockMaps:
 class TestParamLayout:
     @settings(max_examples=60, deadline=None)
     @given(heads=st.integers(1, 4), head_dim=st.integers(1, 4), layers=st.integers(1, 3),
-           proj_dim=st.none() | st.integers(1, 6), random_scorer=st.booleans())
+           proj_dim=st.none() | st.integers(1, 6), mode=st.sampled_from(list(Mode)),
+           random_scorer=st.booleans())
     def test_param_shapes_declares_every_initialized_tensor(self, heads, head_dim, layers,
-                                                            proj_dim, random_scorer):
-        cfg = ModelConfig(dim=heads * head_dim, heads=heads, layers=layers, proj_dim=proj_dim)
+                                                            proj_dim, mode, random_scorer):
+        cfg = ModelConfig(dim=heads * head_dim, heads=heads, layers=layers, proj_dim=proj_dim,
+                          mode=mode)
         params = init_network_params(cfg, np.random.default_rng(0), random_scorer=random_scorer)
         layout = [(name, t.data.shape) for name, t in named_tensors(params)]
         assert layout == list(param_shapes(cfg))
@@ -330,12 +338,26 @@ class TestParamLayout:
         assert first[12] == ("layer0.attn.w_att.control_flow", (10**12, 10**6))
         assert first[22] == ("layer0.attn.mu", (MU_SIZE, 1))
 
+    @settings(max_examples=30, deadline=None)
+    @given(heads=st.integers(1, 3), head_dim=st.integers(1, 3), layers=st.integers(1, 3),
+           proj_dim=st.none() | st.integers(1, 4), mode=st.sampled_from(list(Mode)),
+           seed=st.integers(0, 2**32), random_scorer=st.booleans())
+    def test_ablation_tensors_hold_the_full_models_values(self, heads, head_dim, layers,
+                                                          proj_dim, mode, seed, random_scorer):
+        cfg = ModelConfig(dim=heads * head_dim, heads=heads, layers=layers, proj_dim=proj_dim,
+                          mode=mode, seed=seed)
+        full = init_network_params(dataclasses.replace(cfg, mode=Mode.FULL),
+                                   random_scorer=random_scorer)
+        params = init_network_params(cfg, random_scorer=random_scorer)
+        for name, t in params.items():
+            assert t.data.tobytes() == full[name].data.tobytes(), name
+
     def test_load_draws_nothing(self, monkeypatch):
         def no_rng(*_args, **_kwargs):
             raise AssertionError("load_checkpoint drew random numbers")
 
         monkeypatch.setattr(np.random, "default_rng", no_rng)
-        params, cfg = load_checkpoint(DATA / "v2_model.ckpt")
+        params, cfg = load_checkpoint(DATA / "v3_model.ckpt")
         layout = [(name, t.data.shape) for name, t in named_tensors(params)]
         assert layout == list(param_shapes(cfg))
 
@@ -353,7 +375,8 @@ class ReadRecorder(dict):
 
 
 class TestForwardReadsTheDeclaredNames:
-    """Scoring reads each tensor by its ``param_shapes`` name, so a misspelt name fails here."""
+    """Scoring reads each tensor by its ``param_shapes`` name, so a misspelt name fails here,
+    and every tensor a mode declares, so a tensor its forward never reads fails here too."""
 
     GRAPH = CommitGraph(    # both node kinds and all five edge kinds
         commit_id="every-kind",
@@ -366,17 +389,15 @@ class TestForwardReadsTheDeclaredNames:
                DepEdge(0, 2, EdgeKind.LINE_MAPPING), DepEdge(3, 1, EdgeKind.DATA_DEPENDENCY)),
     )
 
-    @pytest.mark.parametrize("mode, unread", [
-        (Mode.FULL, None), (Mode.AGGREGATION_ONLY, ".gru."), (Mode.RETENTION_ONLY, ".attn."),
-    ])
-    def test_scoring_reads_every_name_its_mode_uses_and_no_other(self, mode, unread):
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_scoring_reads_every_declared_name_and_no_other(self, mode):
         cfg = ModelConfig(dim=4, heads=2, layers=2, proj_dim=3, mode=mode)
         params = ReadRecorder(init_network_params(cfg, np.random.default_rng(0)))
         h0 = np.random.default_rng(1).normal(size=(4, 4))
         rank_commit(TrainedModel(params=params, cfg=cfg, training_log=[]),
                     EmbeddedGraph(graph=self.GRAPH, h0=h0))
         names = [name for name, _shape in param_shapes(cfg)]
-        assert params.read == {name for name in names if unread is None or unread not in name}
+        assert params.read == set(names)
 
 
 class TestCheckpointWriter:
@@ -440,18 +461,29 @@ class TestCheckpoints:
         assert decode_data(entry["data"]).tobytes() == blocks.tobytes()
 
     def test_fixture_resaves_byte_identical(self, tmp_path):
-        params, cfg = load_checkpoint(DATA / "v2_model.ckpt")   # dim 8, heads 2, layers 1
+        params, cfg = load_checkpoint(DATA / "v3_model.ckpt")   # dim 8, heads 2, layers 1
         assert params["layer0.attn.w_msg.call"].data.shape == (8, 4)
         save_checkpoint(tmp_path / "again.ckpt", params, cfg)
-        assert (tmp_path / "again.ckpt").read_bytes() == (DATA / "v2_model.ckpt").read_bytes()
+        assert (tmp_path / "again.ckpt").read_bytes() == (DATA / "v3_model.ckpt").read_bytes()
+
+    def test_fixture_is_the_v2_fixture_without_its_scorer_bias(self):
+        v2 = json.loads((DATA / "v2_model.ckpt").read_text())
+        v3 = json.loads((DATA / "v3_model.ckpt").read_text())
+        assert v2.pop("format") == "rootrank-checkpoint-v2"
+        assert v3.pop("format") == "rootrank-checkpoint-v3"
+        bias = v2["tensors"].pop()
+        assert (bias["name"], bias["shape"]) == ("scorer.b", [])
+        assert v2 == v3
 
     def test_fixture_holds_the_v1_fixtures_values_bit_for_bit(self):
         # v1 stored each map as its D x D block-diagonal matrix, in JSON numbers
         v1 = json.loads((DATA / "v1_model.ckpt").read_text())
-        params, cfg = load_checkpoint(DATA / "v2_model.ckpt")
+        params, cfg = load_checkpoint(DATA / "v3_model.ckpt")
         assert [v1[key] for key in ("dim", "heads", "layers", "proj_dim", "mode", "seed",
                                     "sigma")] == [cfg.dim, cfg.heads, cfg.layers, cfg.out_dim,
                                                   cfg.mode.value, cfg.seed, cfg.sigma]
+        bias = v1["tensors"].pop()   # the scorer bias, which v3 does not hold
+        assert bias["name"] == "scorer.b"
         assert [entry["name"] for entry in v1["tensors"]] == list(params)
         for entry in v1["tensors"]:
             values = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
@@ -460,15 +492,16 @@ class TestCheckpoints:
                 values = np.concatenate([values[:4, :4], values[4:, 4:]])   # its head blocks
             assert values.tobytes() == params[entry["name"]].data.tobytes(), entry["name"]
 
-    def test_v1_file_is_rejected_naming_its_format(self):
-        path = DATA / "v1_model.ckpt"
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_file_is_rejected_naming_its_format(self, version):
+        path = DATA / f"v{version}_model.ckpt"
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)
-        assert str(info.value) == (f"{path}: not a rootrank-checkpoint-v2 file "
-                                   "(its format is 'rootrank-checkpoint-v1')")
+        assert str(info.value) == (f"{path}: not a rootrank-checkpoint-v3 file "
+                                   f"(its format is 'rootrank-checkpoint-v{version}')")
 
     def test_loaded_tensors_are_owned_writable_float64(self):
-        params, _cfg = load_checkpoint(DATA / "v2_model.ckpt")
+        params, _cfg = load_checkpoint(DATA / "v3_model.ckpt")
         for name, t in params.items():
             flags = t.data.flags
             assert t.data.dtype == np.float64 and t.data.dtype.isnative, name
@@ -491,7 +524,7 @@ class TestCheckpoints:
         # the v1 fixture's D x D map, entries outside the head blocks included, in v2 data
         dense = next(e for e in json.loads((DATA / "v1_model.ckpt").read_text())["tensors"]
                      if e["name"] == "layer0.attn.w_msg.call")
-        payload = json.loads((DATA / "v2_model.ckpt").read_text())
+        payload = json.loads((DATA / "v3_model.ckpt").read_text())
         entry = next(e for e in payload["tensors"] if e["name"] == "layer0.attn.w_msg.call")
         entry.update(shape=dense["shape"], data=encode_data(dense["data"]))
         path = tmp_path / "bad.ckpt"

@@ -221,19 +221,18 @@ class TestScore:
     """Scores through rank_commit; a zero projection map makes every task
     embedding relu(proj.b), so the scorer sees a chosen vector."""
 
-    def _scores(self, proj_b, scorer_w, scorer_b=0.0):
+    def _scores(self, proj_b, scorer_w):
         cfg = ModelConfig(dim=4, heads=2, layers=1, proj_dim=3)
         params = init_network_params(cfg, np.random.default_rng(0))
         params["proj.w"].data = np.zeros((4, 3))
         params["proj.b"].data = np.array(proj_b, dtype=float)
         params["scorer.w"].data = np.array(scorer_w, dtype=float)
-        params["scorer.b"].data = np.asarray(scorer_b)
         model = TrainedModel(params=params, cfg=cfg, training_log=[])
         eg = embed_graph(graph_with_deleted([True, False]), HashingEmbedder(4))
         return [s for _nid, s in rank_commit(model, eg)]
 
-    def test_constant_scorer(self):
-        assert self._scores([9.0, 2.0, 4.0], [0.0, 0.0, 0.0], 3.0) == [3.0, 3.0]
+    def test_zero_scorer_scores_zero(self):
+        assert self._scores([9.0, 2.0, 4.0], [0.0, 0.0, 0.0]) == [0.0, 0.0]
 
     def test_picks_single_dimension(self):
         assert self._scores([7.0, 5.0, 1.0], [1.0, 0.0, 0.0]) == [7.0, 7.0]
@@ -433,9 +432,9 @@ class TestTapeSize:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_full_two_layer_commit_records_28_ops(self, seed):
+    def test_full_two_layer_commit_records_27_ops(self, seed):
         # per layer 3 projections, 2 + 1 + 2 edge gathers and maps, attend and gru;
-        # then norm, projection (3), deleted-row gather, scorer (2) and pair_loss
+        # then norm, projection (3), deleted-row gather, scorer and pair_loss
         rng = np.random.default_rng(seed)
         g = random_graph(rng, max_nodes=8)
         while not g.edges:
@@ -444,7 +443,7 @@ class TestTapeSize:
         params = init_network_params(cfg, np.random.default_rng(0))
         tape = Tape()
         commit_loss(tape, embed_graph(g, HashingEmbedder(4)), build_pairs(g), params, cfg)
-        assert len(tape) == 28
+        assert len(tape) == 27
 
 
 class TestFusedGate:
@@ -466,7 +465,7 @@ class TestFusedGate:
             commit_loss(tape, eg, pairs, params, cfg)
             lengths.append(len(tape))
         assert lengths[1] - lengths[0] == 2 * 22
-        assert lengths == [28, 28 + 2 * 22]
+        assert lengths == [27, 27 + 2 * 22]
 
     @pytest.mark.parametrize("mode", [Mode.FULL, Mode.RETENTION_ONLY])
     def test_training_matches_the_composed_chain(self, monkeypatch, mode):
@@ -583,20 +582,10 @@ class TestRankCommit:
     def test_all_equal_scores_fall_back_to_id_order(self):
         model = self._model()
         model.params["scorer.w"].data = np.zeros(4)
-        model.params["scorer.b"].data = np.asarray(0.0)
         g = tiny_dataset(n_graphs=1, deleted=4).graphs[0]
         eg = embed_graph(g, HashingEmbedder(8))
         ranked = rank_commit(model, eg)
         assert [nid for nid, _s in ranked] == g.deleted_ids()
-
-    def test_global_score_shift_leaves_ranking_identical(self):
-        model = self._model()
-        g = tiny_dataset(n_graphs=1, deleted=4, seed=3).graphs[0]
-        eg = embed_graph(g, HashingEmbedder(8))
-        before = [nid for nid, _s in rank_commit(model, eg)]
-        model.params["scorer.b"].data = np.asarray(1234.5)
-        after = [nid for nid, _s in rank_commit(model, eg)]
-        assert before == after
 
     def test_no_deleted_lines_raises(self):
         model = self._model()
