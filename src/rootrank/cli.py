@@ -6,8 +6,8 @@ gradient self-check.  Every command is deterministic given its flags;
 all randomness flows from --seed.
 
 Hyperparameters resolve in three layers: ``ModelConfig``'s defaults, then
-a flat key=value config file (--config, keys named like the flags), then
-explicit flags.
+a flat key=value config file (--config, keys named like ModelConfig's fields
+and the flags), then explicit flags.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import contextlib
 import csv
 import io
 import sys
+import typing
+from dataclasses import replace
 from pathlib import Path
 
 from .embedding import HashingEmbedder, detect_precomputed_dim, embed_dataset
@@ -29,6 +31,7 @@ from .evaluation import (
 from .graphs import load_dataset, save_dataset
 from .network import ConfigError, Mode, ModelConfig, load_checkpoint, save_checkpoint
 from .ranker import (
+    GRADCHECK_CONFIG,
     TrainedModel,
     TrainingError,
     gradient_check_full_loss,
@@ -73,20 +76,13 @@ def _parse_bool(raw: str) -> bool:
     raise CliError(f"not a boolean: {raw!r}")
 
 
-# config key (and flag dest) -> (ModelConfig field, parser of a config-file value)
-_HYPER_SPECS = {
-    "dim": ("dim", int),
-    "heads": ("heads", int),
-    "layers": ("layers", int),
-    "proj_dim": ("proj_dim", int),
-    "epochs": ("epochs", int),
-    "lr": ("lr", float),
-    "sigma": ("sigma", float),
-    "mode": ("mode", str),
-    "seed": ("seed", int),
-    "ties": ("include_tie_pairs", _parse_bool),
-    "step_per_pair": ("step_per_pair", _parse_bool),
-}
+# How a config-file value is read for each ModelConfig annotation; any other (mode) as text.
+_PARSERS = {int: int, float: float, bool: _parse_bool, int | None: int}
+
+# config key (and flag dest) -> (ModelConfig field, parser of a config-file value); a key is
+# its field's name, except ``ties``.
+_CONFIG_KEYS = {("ties" if name == "include_tie_pairs" else name): (name, _PARSERS.get(hint, str))
+                for name, hint in typing.get_type_hints(ModelConfig).items()}
 
 # generate flag dest -> GenConfig field
 _GEN_FIELDS = {
@@ -99,8 +95,8 @@ _GEN_FIELDS = {
     "structure_only": "structure_only",
 }
 
-# gradcheck flag dest -> gradient_check_full_loss parameter
-_GRADCHECK_FIELDS = {name: name for name in ("dim", "heads", "layers", "proj_dim", "seed")}
+# The size flags' dests, each the name of the ModelConfig field its flag sets
+_SIZE_FIELDS = ("dim", "heads", "layers", "proj_dim", "seed")
 
 
 def _given(args: argparse.Namespace, fields: dict[str, str]) -> dict:
@@ -117,11 +113,11 @@ def _model_config(args: argparse.Namespace, dataset_dim: int | None = None) -> M
     one that read a dim taken from the dataset's vectors names the dataset in -d.
     """
     overlay = _parse_config_file(args.config) if args.config else {}
-    unknown = set(overlay) - set(_HYPER_SPECS)
+    unknown = set(overlay) - set(_CONFIG_KEYS)
     if unknown:
         raise CliError(f"{args.config}: unknown config key(s) {sorted(unknown)}")
     values, file_keys = {}, {}
-    for key, (field, parse) in _HYPER_SPECS.items():
+    for key, (field, parse) in _CONFIG_KEYS.items():
         if getattr(args, key) is not None:
             values[field] = getattr(args, key)
         elif key in overlay:
@@ -231,7 +227,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     if not args.model:
         raise CliError("evaluate needs -m/--model (or --cv N to cross-validate)")
-    for dest in ("config", *_HYPER_SPECS, "chronological"):   # the checkpoint sets them
+    for dest in ("config", *_CONFIG_KEYS, "chronological"):   # the checkpoint sets them
         if getattr(args, dest) is not None:
             raise CliError(f"--{dest.replace('_', '-')} applies only with --cv")
     model, embedded = _checkpoint_inputs(args, require_root_cause=True)
@@ -272,7 +268,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     if not 0.0 < args.tolerance < float("inf"):     # NaN fails both comparisons
         raise CliError("tolerance must be positive and finite")
-    err = gradient_check_full_loss(**_given(args, _GRADCHECK_FIELDS))
+    sizes = _given(args, {field: field for field in _SIZE_FIELDS})
+    err = gradient_check_full_loss(replace(GRADCHECK_CONFIG, **sizes))
     ok = err < args.tolerance
     print(f"max_rel_err={err:.3e} {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -300,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_generate)
 
     def add_size_flags(p):
-        for flag in ("--dim", "--heads", "--layers", "--proj-dim", "--seed"):
-            p.add_argument(flag, type=int)   # dest proj_dim for --proj-dim
+        for dest in _SIZE_FIELDS:
+            p.add_argument(f"--{dest.replace('_', '-')}", type=int)
 
     def add_hyper_flags(p):
         add_size_flags(p)
@@ -344,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.set_defaults(func=cmd_rank)
 
     p_check = sub.add_parser("gradcheck", help="verify gradients on a small random instance")
-    # unset flags stay None, leaving each at gradient_check_full_loss's default
+    # unset flags stay None, leaving each field at its GRADCHECK_CONFIG value
     add_size_flags(p_check)
     p_check.add_argument("--tolerance", type=float, default=1e-5)
     p_check.set_defaults(func=cmd_gradcheck)

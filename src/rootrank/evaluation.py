@@ -178,20 +178,11 @@ def kfold_split(ds: Dataset, k: int = 10, seed: int = 0,
         if missing:
             raise ValueError(f"chronological split needs timestamps; missing on {missing[:3]}")
         ids = [g.commit_id for g in sorted(ds.graphs, key=lambda g: (g.timestamp, g.commit_id))]
-        folds: list[list[str]] = []
-        base, extra = divmod(len(ids), k)
-        start = 0
-        for i in range(k):
-            size = base + (1 if i < extra else 0)
-            folds.append(ids[start:start + size])
-            start += size
-        return folds
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(ids))
-    folds = [[] for _ in range(k)]
-    for pos, idx in enumerate(order):
-        folds[pos % k].append(ids[int(idx)])
-    return folds
+        base, extra = divmod(len(ids), k)   # the first ``extra`` folds take one more
+        return [ids[i * base + min(i, extra):(i + 1) * base + min(i + 1, extra)]
+                for i in range(k)]
+    order = [ids[i] for i in np.random.default_rng(seed).permutation(len(ids))]
+    return [order[f::k] for f in range(k)]
 
 
 def mean_report(reports: list[EvalReport]) -> EvalReport:

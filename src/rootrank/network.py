@@ -17,10 +17,12 @@ tensor by its name.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
 import os
 import secrets
+import typing
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -48,19 +50,27 @@ class ConfigError(ValueError):
         self.fields = fields
 
 
-def check_field_types(config, types: dict[str, tuple[type, ...]]) -> None:
-    """ConfigError naming the first field of ``config`` whose exact type is not in ``types``."""
-    for name, allowed in types.items():
+# The exact types a field of each annotation accepts, so a bool is no int here; a field of any
+# other annotation (``mode: Mode``) is left to its config's own checks.
+_ACCEPTED = {int: (int,), float: (int, float), bool: (bool,), int | None: (int, type(None))}
+
+
+@functools.cache
+def _accepted_types(cls: type) -> dict[str, tuple[type, ...]]:
+    """Each field of ``cls`` annotated as a key of ``_ACCEPTED`` -> the types it accepts, in
+    declaration order; slow to evaluate, the annotations are read once per class."""
+    hints = typing.get_type_hints(cls)
+    return {name: _ACCEPTED[hint] for name, hint in hints.items() if hint in _ACCEPTED}
+
+
+def check_field_types(config) -> None:
+    """ConfigError naming the first field of ``config``, in declaration order, whose value's
+    exact type its annotation does not accept (see ``_ACCEPTED``)."""
+    for name, allowed in _accepted_types(type(config)).items():
         value = getattr(config, name)
         if type(value) not in allowed:
             raise ConfigError(f"{name} must be {' or '.join(t.__name__ for t in allowed)}, "
                               f"got {value!r}", name)
-
-
-# The exact types each ModelConfig field besides mode accepts, so a bool is no int here.
-_FIELD_TYPES = {**dict.fromkeys(("dim", "heads", "layers", "epochs", "seed"), (int,)),
-                "proj_dim": (int, type(None)), "lr": (int, float), "sigma": (int, float),
-                "include_tie_pairs": (bool,), "step_per_pair": (bool,)}
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,7 @@ class ModelConfig:
         except ValueError:
             raise ConfigError(f"unknown mode {self.mode!r}; choose from "
                               f"{', '.join(m.value for m in Mode)}", "mode") from None
-        check_field_types(self, _FIELD_TYPES)
+        check_field_types(self)
         sizes = dict(dim=self.dim, heads=self.heads, layers=self.layers, proj_dim=self.out_dim)
         if min(sizes.values()) < 1:
             raise ConfigError("dim, heads, layers and proj_dim must be positive",

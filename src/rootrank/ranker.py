@@ -174,9 +174,9 @@ def train(embedded: list[EmbeddedGraph], cfg: ModelConfig, on_epoch=None) -> Tra
 
     Parameters start from ``init_network_params(cfg)``.  Commits are visited in a seeded
     shuffled order each epoch; every commit with at least one pair contributes one optimizer
-    step (or one step per pair with ``cfg.step_per_pair``); each commit's pairs are built
-    once, before the first epoch.  ``on_epoch(epoch, loss)`` is called after each epoch with
-    the mean per-commit loss.
+    step (or one step per pair with ``cfg.step_per_pair``); each commit's pairs, and the
+    pairs each of its steps reads, are built once, before the first epoch.
+    ``on_epoch(epoch, loss)`` is called after each epoch with the mean per-commit loss.
     """
     for eg in embedded:
         if eg.h0.shape[1] != cfg.dim:
@@ -190,7 +190,15 @@ def train(embedded: list[EmbeddedGraph], cfg: ModelConfig, on_epoch=None) -> Tra
     named = named_tensors(params)
     tensors = [t for _name, t in named]
     adam = AdamState(named)
-    pairs = [build_pairs(eg.graph, cfg.include_tie_pairs) for eg in embedded]
+    steps = []   # per commit, the pairs that each of its optimizer steps reads
+    for eg in embedded:
+        pair_i, pair_j, labels = build_pairs(eg.graph, cfg.include_tie_pairs)
+        if cfg.step_per_pair:
+            steps.append([(ad.checked_index(pair_i[p:p + 1], pair_i.bound),
+                           ad.checked_index(pair_j[p:p + 1], pair_j.bound), labels[p:p + 1])
+                          for p in range(len(labels))])
+        else:
+            steps.append([(pair_i, pair_j, labels)] if len(labels) else [])
     rng = np.random.default_rng(cfg.seed)
 
     log: list[float] = []
@@ -198,17 +206,13 @@ def train(embedded: list[EmbeddedGraph], cfg: ModelConfig, on_epoch=None) -> Tra
         order = rng.permutation(len(embedded))
         losses = []
         for idx in order:
-            eg, commit_pairs = embedded[idx], pairs[idx]
-            pair_i, pair_j, labels = commit_pairs
-            if not len(labels):
+            eg = embedded[idx]
+            if not steps[idx]:
                 continue
-            steps = ([(ad.checked_index(pair_i[p:p + 1], pair_i.bound),
-                       ad.checked_index(pair_j[p:p + 1], pair_j.bound), labels[p:p + 1])
-                      for p in range(len(labels))] if cfg.step_per_pair else [commit_pairs])
             total = 0.0
             try:
                 with np.errstate(**_QUIET_FP_WARNINGS):
-                    for step_pairs in steps:
+                    for step_pairs in steps[idx]:
                         tape = Tape()
                         loss = commit_loss(tape, eg, step_pairs, params, cfg)
                         grads = ad.backward(tape, loss)
@@ -226,17 +230,19 @@ def train(embedded: list[EmbeddedGraph], cfg: ModelConfig, on_epoch=None) -> Tra
     return TrainedModel(params=params, cfg=cfg, training_log=log)
 
 
-def gradient_check_full_loss(dim: int = 8, heads: int = 2, layers: int = 1,
-                             proj_dim: int = 4, seed: int = 42) -> float:
+GRADCHECK_CONFIG = ModelConfig(dim=8, heads=2, layers=1, proj_dim=4)
+
+
+def gradient_check_full_loss(cfg: ModelConfig = GRADCHECK_CONFIG) -> float:
     """Max relative error of tape gradients vs central differences.
 
     Runs the whole pipeline loss (attention, gating, normalization,
-    projection, scoring, pair cross-entropy) on a fixed 4-node graph
-    with mixed edge kinds and seeded random parameters, checking every
-    learnable tensor.
+    projection, scoring, pair cross-entropy) of a ``cfg`` model on a fixed
+    4-node graph with mixed edge kinds, with vectors and parameters drawn
+    from ``cfg.seed``, checking every learnable tensor.  The default
+    (:data:`GRADCHECK_CONFIG`) has dim 8, 2 heads, 1 layer, proj_dim 4, seed 42.
     """
-    cfg = ModelConfig(dim=dim, heads=heads, layers=layers, proj_dim=proj_dim, seed=seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     graph = CommitGraph(
         commit_id="gradcheck",
         nodes=(
@@ -254,7 +260,7 @@ def gradient_check_full_loss(dim: int = 8, heads: int = 2, layers: int = 1,
             DepEdge(3, 1, EdgeKind.DATA_DEPENDENCY),
         ),
     )
-    h0 = rng.normal(size=(4, dim))
+    h0 = rng.normal(size=(4, cfg.dim))
     eg = EmbeddedGraph(graph=graph, h0=h0)
     params = init_network_params(cfg, rng, random_scorer=True)
     pairs = build_pairs(graph, cfg.include_tie_pairs)

@@ -43,12 +43,6 @@ _RANDOM_EDGE_KINDS = (
 )
 
 
-# The exact types each GenConfig field accepts, so a bool is no int and "no" no bool.
-_FIELD_TYPES = {"n_commits": (int,), "deleted_per_commit": (int,), "added_per_commit": (int,),
-                "edge_density": (int, float), "signal_strength": (int, float), "seed": (int,),
-                "structure_only": (bool,)}
-
-
 @dataclass(frozen=True)
 class GenConfig:
     """Settings checked when made, so one that exists is valid."""
@@ -62,7 +56,7 @@ class GenConfig:
     structure_only: bool = False
 
     def __post_init__(self) -> None:
-        check_field_types(self, _FIELD_TYPES)
+        check_field_types(self)
         for name, least in (("n_commits", 1), ("deleted_per_commit", 2), ("added_per_commit", 1),
                             ("seed", 0)):
             if getattr(self, name) < least:

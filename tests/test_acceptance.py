@@ -71,7 +71,7 @@ def ok(criterion, detail):
 class TestCriterion1Gradients:
     def test_full_loss_gradient_check(self, capsys):
         start = time.monotonic()
-        err = gradient_check_full_loss(dim=8, heads=2, layers=1, proj_dim=4, seed=42)
+        err = gradient_check_full_loss(ModelConfig(dim=8, heads=2, layers=1, proj_dim=4, seed=42))
         elapsed = time.monotonic() - start
         assert err < 1e-5, f"max relative error {err}"
         assert elapsed < 30.0, f"took {elapsed:.1f}s"

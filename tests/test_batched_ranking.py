@@ -127,6 +127,39 @@ class TestUnionScoring:
             ad.block_matmul(None, constant(np.zeros((n, 2))),
                             [(deleted, constant(np.ones((2, 1))))], 1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), a_shape=st.tuples(st.integers(1, 5), st.integers(0, 4)),
+           b_shape=st.tuples(st.integers(2, 5), st.integers(0, 4)),
+           density=st.sampled_from([0.0, 0.2, 0.6]), b_first=st.booleans())
+    def test_perturbing_one_commit_of_a_union_leaves_the_others_scores(
+            self, seed, a_shape, b_shape, density, b_first):
+        # new vectors on every node of b and one more edge, which shifts a's edge rows when
+        # b comes first: a wrong offset in the union would make a read b's rows
+        rng = np.random.default_rng(seed)
+        a, b = commit(rng, "a", *a_shape, density), commit(rng, "b", *b_shape, density)
+        n = len(b.graph.nodes)
+        present = {(e.src, e.dst, e.kind) for e in b.graph.edges}
+        new = [(src, dst, kind) for src in range(n) for dst in range(n)
+               for kind in EdgeKind if kind is not EdgeKind.LINE_MAPPING
+               and src != dst and (src, dst, kind) not in present]
+        edge = DepEdge(*new[int(rng.integers(len(new)))])
+        graph = CommitGraph(commit_id="b", nodes=b.graph.nodes, edges=b.graph.edges + (edge,))
+        b2 = EmbeddedGraph(graph=graph, h0=rng.normal(size=b.h0.shape))
+
+        def a_scores(other):
+            batch = [other, a] if b_first else [a, other]
+            assert len(ranker._batches(batch)) == 1     # scored as one union
+            return rank_commits(MODEL, batch)[batch.index(a)]
+
+        before, after = a_scores(b), a_scores(b2)
+        if sum(e.kind is edge.kind for eg in (a, b) for e in eg.graph.edges) == 1:
+            # the union's rows of the edge's kind go from one to two, and numpy multiplies a
+            # single row through BLAS's matrix-vector kernel, which rounds unlike the
+            # matrix-matrix one (see test_locality.py)
+            assert_close_and_equally_ranked(after, before)
+        else:
+            assert after == before
+
     def test_a_union_of_one_plan_is_that_plan(self):
         eg = commit(np.random.default_rng(0), "one", 3, 2, 0.5)
         assert union_plan([eg.plan]) is eg.plan

@@ -9,7 +9,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +257,11 @@ class TestTrain:
         assert parsed_config() == ModelConfig()
         args = build_parser().parse_args(["evaluate", "-d", str(small_data), "--cv", "2"])
         assert cli._model_config(args) == ModelConfig()
+
+    def test_hyper_cases_list_every_model_config_field_once(self):
+        # so a new setting cannot go untested through the config file and its flag
+        assert sorted(case[1] for case in HYPER_CASES) == sorted(
+            field.name for field in fields(ModelConfig))
 
     @pytest.mark.parametrize("key, field, in_file, from_file, flag, from_flag", HYPER_CASES,
                              ids=[case[0] for case in HYPER_CASES])
@@ -1103,17 +1108,21 @@ class TestGradcheck:
                                                                          monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "gradient_check_full_loss",
-                            lambda **kwargs: calls.append(kwargs) or 0.0)
+                            lambda cfg: calls.append(cfg) or 0.0)
         assert run(capsys, "gradcheck")[0] == 0
+        assert run(capsys, "gradcheck", "--heads", "1", "--seed", "5")[0] == 0
         assert run(capsys, "gradcheck", "--dim", "4", "--heads", "1", "--layers", "2",
                    "--proj-dim", "3", "--seed", "5")[0] == 0
-        assert calls == [{}, {"dim": 4, "heads": 1, "layers": 2, "proj_dim": 3, "seed": 5}]
+        assert calls == [ModelConfig(dim=8, heads=2, layers=1, proj_dim=4, seed=42),
+                         ModelConfig(dim=8, heads=1, layers=1, proj_dim=4, seed=5),
+                         ModelConfig(dim=4, heads=1, layers=2, proj_dim=3, seed=5)]
+        assert calls[0] == ranker.GRADCHECK_CONFIG
 
     @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf", "-inf"])
     def test_a_tolerance_that_is_not_positive_and_finite_is_rejected(self, tolerance, capsys,
                                                                      monkeypatch):
         monkeypatch.setattr(cli, "gradient_check_full_loss",
-                            lambda **kwargs: pytest.fail("gradcheck ran"))
+                            lambda cfg: pytest.fail("gradcheck ran"))
         code, stdout, err = run(capsys, "gradcheck", f"--tolerance={tolerance}")
         assert (code, stdout, err) == (1, "", "error: tolerance must be positive and finite\n")
 

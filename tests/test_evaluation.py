@@ -173,6 +173,13 @@ class TestKfoldSplit:
                     assert ts >= previous
                 previous = ts
 
+    @pytest.mark.parametrize("chronological, expected", [
+        (False, [["c7", "c4", "c8", "c6"], ["c10", "c0", "c2", "c3"], ["c5", "c1", "c9"]]),
+        (True, [["c10", "c9", "c8", "c7"], ["c6", "c5", "c4", "c3"], ["c2", "c1", "c0"]]),
+    ])
+    def test_exact_folds_of_one_seed(self, chronological, expected):
+        assert kfold_split(self._dataset(11), k=3, seed=1, chronological=chronological) == expected
+
     def test_chronological_needs_timestamps(self):
         ds = self._dataset(10, with_timestamps=False)
         with pytest.raises(ValueError, match="timestamps"):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -694,6 +695,13 @@ GOOD_VALUES = {
     "mode": st.sampled_from(list(Mode) + [m.value for m in Mode]),
     "include_tie_pairs": st.booleans(), "step_per_pair": st.booleans(),
 }
+# For each field annotation: the types a wrong type's message names, and values of other types
+WRONG_TYPES = {
+    int: ("int", [True, 2.0, math.nan, "1", None]),
+    int | None: ("int or NoneType", [math.inf, False, "3"]),
+    float: ("int or float", [True, "1e-3", None]),
+    bool: ("bool", [1, None, "no"]),
+}
 ODD_INTS = st.sampled_from([0, -1, 10**400, -10**400, math.nan, math.inf, -math.inf, True, False,
                             2.0, "1", None])
 ODD_NUMBERS = st.sampled_from([0, -1, 0.0, -0.5, math.nan, math.inf, -math.inf, 10**400,
@@ -755,11 +763,10 @@ class TestModelConfigChecksItself:
             setattr(cfg, name, getattr(cfg, name))
 
     @pytest.mark.parametrize("name, value, expected", [
-        ("dim", True, "int"), ("heads", 2.0, "int"), ("layers", math.nan, "int"),
-        ("proj_dim", math.inf, "int or NoneType"), ("epochs", "1", "int"),
-        ("seed", None, "int"), ("sigma", True, "int or float"), ("lr", "1e-3", "int or float"),
-        ("include_tie_pairs", 1, "bool"), ("step_per_pair", None, "bool"),
-    ])
+        (field.name, value, expected) for field in dataclasses.fields(ModelConfig)
+        if field.name != "mode"   # checked by Mode itself, above
+        for expected, values in [WRONG_TYPES[typing.get_type_hints(ModelConfig)[field.name]]]
+        for value in values])
     def test_a_value_of_another_type_is_named(self, name, value, expected):
         with pytest.raises(ConfigError, match=rf"^{name} must be {expected}, got ") as info:
             ModelConfig(**{name: value})

@@ -404,6 +404,23 @@ class TestTrain:
         model = train(self._embedded(n_graphs=2), self._cfg(epochs=1, step_per_pair=True))
         assert len(model.training_log) == 1
 
+    def test_each_steps_pairs_are_checked_once_not_every_epoch(self, monkeypatch):
+        embedded = self._embedded(n_graphs=3)
+        n_pairs = sum(len(build_pairs(eg.graph)[2]) for eg in embedded)
+        for eg in embedded:
+            eg.plan   # built, and its indices checked, before counting
+        calls = []
+        checked_index = ad.checked_index
+        monkeypatch.setattr(ad, "checked_index",
+                            lambda *args: calls.append(args) or checked_index(*args))
+        counts = []
+        for epochs in (1, 3):
+            calls.clear()
+            train(embedded, self._cfg(epochs=epochs, step_per_pair=True))
+            counts.append(len(calls))
+        # two per commit in build_pairs, then two per pair for its one-pair step
+        assert counts == [2 * len(embedded) + 2 * n_pairs] * 2
+
 
 class TestTapeSize:
     @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import typing
 
 import pytest
 from hypothesis import assume, given, settings
@@ -91,12 +92,19 @@ def gen_kwargs(draw):
     return kwargs
 
 
+# For each field annotation: the types a wrong type's message names, and values of other types
+WRONG_TYPES = {
+    int: ("int", [True, 1.5, "1", None]),
+    float: ("int or float", [True, "0.1", None]),
+    bool: ("bool", [1, "no", None]),
+}
+
+
 class TestGenConfigChecksItself:
     @pytest.mark.parametrize("name, value, expected", [
-        ("structure_only", "no", "bool"), ("structure_only", 1, "bool"), ("n_commits", True, "int"),
-        ("seed", 1.5, "int"), ("edge_density", "0.1", "int or float"),
-        ("signal_strength", None, "int or float"),
-    ])
+        (field.name, value, expected) for field in dataclasses.fields(GenConfig)
+        for expected, values in [WRONG_TYPES[typing.get_type_hints(GenConfig)[field.name]]]
+        for value in values])
     def test_a_value_of_another_type_is_named(self, name, value, expected):
         with pytest.raises(ConfigError, match=rf"^{name} must be {expected}, got ") as info:
             GenConfig(**{name: value})
