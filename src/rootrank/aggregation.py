@@ -36,6 +36,16 @@ of their targets.  A layer records nine tape ops.  Each
 ``EmbeddedGraph`` builds its plan once, on first use, and reuses it
 across training steps and rankings.
 
+Only the deleted lines are scored, so the last layer runs on a bipartite
+block, :class:`ScoredBlock`: every node as a source, the deleted lines as
+targets, and only the edges that end at a deleted line.  Each plan
+derives its block when it is made (``GraphPlan.scored``), with arrays
+checked like the plan's own; keys and values still come from every node,
+but queries, the edge maps and ``attend`` see only the block, and the
+layer gives one row per deleted line.  A plan is itself the block of a
+layer whose targets are all its nodes, so one attention code path serves
+both.
+
 Several commits score as one graph through :func:`union_plan`, their
 disjoint union in the way PyTorch Geometric batches graphs: node ids and
 edge rows are offset and the arrays concatenated, and the union is a
@@ -47,7 +57,7 @@ commit.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +75,34 @@ MU_SIZE = NUM_NODE_KINDS * NUM_EDGE_KINDS * NUM_NODE_KINDS
 
 
 @dataclass(frozen=True)
+class ScoredBlock:
+    """The edges into a plan's deleted lines, indexed for the last layer, which updates them
+    alone because only they are scored.
+
+    ``targets`` holds the deleted lines' node ids, ascending (the plan's
+    ``node_rows`` member, or an empty index when there is none); the kept
+    edges are the plan's edges that end at one of them, in plan order.
+    ``dst`` gives each kept edge's target as a position in ``targets``, so
+    attention over the block yields one row per deleted line, in node id
+    order.  ``node_rows`` and ``edge_rows`` partition the k targets and the
+    kept edges by kind, as a plan's do its nodes and edges; with ``n`` = k,
+    the block reads like a plan whose nodes are the targets.  Made only by
+    :class:`GraphPlan`, which derives it from its own checked arrays.
+    """
+
+    targets: ad.CheckedIndex                    # (k,) node id of each deleted line, bound n
+    src: ad.CheckedIndex                        # (E_k,) source node of each kept edge, bound n
+    dst: ad.CheckedIndex                        # (E_k,) position of its target in targets
+    mu_idx: ad.CheckedIndex                     # (E_k,) row of the edge's prior in ``mu``
+    node_rows: dict[NodeKind, ad.CheckedIndex]  # {DELETED: [0, k)}, or {} when k is 0
+    edge_rows: dict[EdgeKind, ad.CheckedIndex]  # kept-edge rows of each present edge kind
+
+    @property
+    def n(self) -> int:
+        return len(self.targets)
+
+
+@dataclass(frozen=True)
 class GraphPlan:
     """Integer index arrays derived from one graph's structure, checked once.
 
@@ -79,8 +117,11 @@ class GraphPlan:
     kind's rows are non-empty and increasing and the kinds partition the
     nodes and the edges; a failed check raises ValueError naming the
     array.  Every array is then held as a read-only
-    ``autodiff.CheckedIndex``.  A plan pickles as its arrays and is
-    checked again when loaded.
+    ``autodiff.CheckedIndex``.  It then derives ``scored``, the
+    :class:`ScoredBlock` of its deleted lines, rejecting a ``line_mapping``
+    edge that ends at a deleted line (``graphs.validate_graph`` makes each
+    end at an added one, so the last layer holds no ``line_mapping`` maps).
+    A plan pickles as its arrays and is checked again when loaded.
     """
 
     n: int
@@ -89,6 +130,7 @@ class GraphPlan:
     mu_idx: np.ndarray                     # (E,) row of the edge's prior in ``mu``
     node_rows: dict[NodeKind, np.ndarray]  # node ids of each present node kind
     edge_rows: dict[EdgeKind, np.ndarray]  # edge rows of each present edge kind
+    scored: ScoredBlock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -104,6 +146,7 @@ class GraphPlan:
         checked["edge_rows"] = _kind_partition("edge_rows", self.edge_rows, EdgeKind, e)
         for name, value in checked.items():
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "scored", _scored_block(self))
 
     def __reduce__(self):
         return type(self), (self.n, self.src, self.dst, self.mu_idx, self.node_rows,
@@ -124,6 +167,36 @@ def _kind_partition(name: str, rows_by_kind: dict, kinds, bound: int) -> dict:
         raise ValueError(f"GraphPlan {name}: must map {kinds.__name__} members to rows")
     members = _named(name, ad.checked_partition, list(rows_by_kind.values()), bound)
     return dict(zip(rows_by_kind, members))
+
+
+def _scored_block(plan: GraphPlan) -> ScoredBlock:
+    """The :class:`ScoredBlock` of ``plan``'s deleted lines, from its checked arrays."""
+    n = plan.n
+    targets = plan.node_rows.get(NodeKind.DELETED)
+    if targets is None:
+        targets = ad.checked_index(np.empty(0, np.intp), n)
+    k = len(targets)
+    position = np.full(n, -1)
+    position[targets] = np.arange(k)
+    kept = np.flatnonzero(position[plan.dst] >= 0)
+    edge_kind = np.empty(len(plan.src), np.intp)
+    for kind, rows in plan.edge_rows.items():
+        edge_kind[rows] = kind.ordinal
+    kept_kind = edge_kind[kept]
+    mapped = np.flatnonzero(kept_kind == EdgeKind.LINE_MAPPING.ordinal)
+    if mapped.size:
+        raise ValueError(f"GraphPlan edge_rows: a line_mapping edge must end at an added line, "
+                         f"but one ends at deleted node {plan.dst[kept[mapped[0]]]}")
+    return ScoredBlock(
+        targets=targets,
+        src=ad.checked_index(plan.src[kept], n),
+        dst=ad.checked_index(position[plan.dst[kept]], k),
+        mu_idx=ad.checked_index(plan.mu_idx[kept], MU_SIZE),
+        node_rows=_kind_partition("scored node_rows", _rows_by_kind(
+            np.full(k, NodeKind.DELETED.ordinal), NodeKind), NodeKind, k),
+        edge_rows=_kind_partition("scored edge_rows", _rows_by_kind(kept_kind, EdgeKind),
+                                  EdgeKind, len(kept)),
+    )
 
 
 def _rows_by_kind(ordinals: np.ndarray, kinds) -> dict:
@@ -155,7 +228,8 @@ def union_plan(plans: Sequence[GraphPlan]) -> GraphPlan:
     it and its edge rows by their edge count, so its nodes and edges keep
     their relative order and the edges stay sorted by target.  The result
     is made by the :class:`GraphPlan` constructor, which checks its arrays
-    once like any plan's.  A union of one plan is that plan.
+    once like any plan's and derives its scored block from them, so the
+    block is that of the union too.  A union of one plan is that plan.
     """
     if len(plans) == 1:
         return plans[0]
@@ -181,36 +255,56 @@ def union_plan(plans: Sequence[GraphPlan]) -> GraphPlan:
     )
 
 
+def _layer_block(plan: GraphPlan, h_prev: Tensor, targets: Tensor | None):
+    """The block a layer attends into, and its targets' states: the whole plan and
+    ``h_prev`` without ``targets``, else ``plan.scored`` and ``targets``."""
+    return (plan, h_prev) if targets is None else (plan.scored, targets)
+
+
 def project_kqv(tape: Tape | None, h_prev: Tensor, plan: GraphPlan, params: dict[str, Tensor],
-                layer: int) -> tuple[Tensor, Tensor, Tensor]:
-    """Keys, queries and values (n x D each): node states through their own kind's projection."""
+                layer: int, targets: Tensor | None = None) -> tuple[Tensor, Tensor, Tensor]:
+    """Keys and values (n x D) of every node, and queries of the layer's targets (see
+    :func:`attention_forward`): states through their own kind's projection."""
     p = f"layer{layer}.attn"
+    block, h_dst = _layer_block(plan, h_prev, targets)
 
-    def typed(field: str) -> Tensor:
-        groups = [(rows, params[f"{p}.w_{field}.{kind.value}"],
-                   params[f"{p}.b_{field}.{kind.value}"]) for kind, rows in plan.node_rows.items()]
-        return ad.block_matmul(tape, h_prev, groups, 1)
+    def typed(name: str, states: Tensor, node_rows: dict) -> Tensor:
+        groups = [(rows, params[f"{p}.w_{name}.{kind.value}"],
+                   params[f"{p}.b_{name}.{kind.value}"]) for kind, rows in node_rows.items()]
+        return ad.block_matmul(tape, states, groups, 1)
 
-    return typed("k"), typed("q"), typed("v")
+    return (typed("k", h_prev, plan.node_rows), typed("q", h_dst, block.node_rows),
+            typed("v", h_prev, plan.node_rows))
 
 
-def _edge_rows(tape: Tape | None, plan: GraphPlan, states: Tensor, params: dict[str, Tensor],
+def _edge_rows(tape: Tape | None, block, states: Tensor, params: dict[str, Tensor],
                maps: str, heads: int) -> Tensor:
-    """Per edge, the source state through the head blocks ``{maps}.{edge kind}``, shape (E, D)."""
-    sources = ad.take_rows(tape, states, plan.src)
-    groups = [(rows, params[f"{maps}.{kind.value}"]) for kind, rows in plan.edge_rows.items()]
+    """Per edge of ``block`` (a plan or its scored block), the source state through the head
+    blocks ``{maps}.{edge kind}``, shape (E, D)."""
+    sources = ad.take_rows(tape, states, block.src)
+    groups = [(rows, params[f"{maps}.{kind.value}"]) for kind, rows in block.edge_rows.items()]
     return ad.block_matmul(tape, sources, groups, heads)
 
 
 def attention_forward(tape: Tape | None, h_prev: Tensor, plan: GraphPlan,
-                      params: dict[str, Tensor], layer: int, heads: int) -> Tensor:
-    """Layer ``layer``: project, map each edge's key and message, then ``autodiff.attend``."""
-    if not plan.edge_rows:
-        return constant(np.zeros(h_prev.shape))
-    k, q, v = project_kqv(tape, h_prev, plan, params, layer)
+                      params: dict[str, Tensor], layer: int, heads: int,
+                      targets: Tensor | None = None) -> Tensor:
+    """Layer ``layer``: project, map each edge's key and message, then ``autodiff.attend``.
+
+    Without ``targets`` every node attends over its incoming edges, giving
+    (n, D).  With ``targets``, the (k, D) states of ``plan.scored.targets``,
+    only the deleted lines attend, over the edges of ``plan.scored``: keys
+    and values still come from every node of ``h_prev``, queries from
+    ``targets``, and the result is (k, D), in node id order.  A block
+    without edges gives zeros of its targets' shape.
+    """
+    block, h_dst = _layer_block(plan, h_prev, targets)
+    if not block.edge_rows:
+        return constant(np.zeros(h_dst.shape))
+    k, q, v = project_kqv(tape, h_prev, plan, params, layer, targets)
     p = f"layer{layer}.attn"
-    keys = _edge_rows(tape, plan, k, params, f"{p}.w_att", heads)
-    queries = ad.take_rows(tape, q, plan.dst)
-    messages = _edge_rows(tape, plan, v, params, f"{p}.w_msg", heads)
-    return ad.attend(tape, keys, queries, params[f"{p}.mu"], messages, plan.mu_idx, plan.dst,
-                     plan.n, heads)
+    keys = _edge_rows(tape, block, k, params, f"{p}.w_att", heads)
+    queries = ad.take_rows(tape, q, block.dst)
+    messages = _edge_rows(tape, block, v, params, f"{p}.w_msg", heads)
+    return ad.attend(tape, keys, queries, params[f"{p}.mu"], messages, block.mu_idx, block.dst,
+                     block.n, heads)

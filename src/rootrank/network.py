@@ -3,8 +3,9 @@
 Each layer refreshes node states by attending over the commit graph and
 then gating the aggregated neighborhood against the previous state with
 a GRU cell, so line-local semantics learned early survive stacking.
-After the last layer the states are layer-normalized and projected into
-task embeddings.
+Only the deleted lines are scored, so the last layer updates only their
+rows (``aggregation.ScoredBlock``), which are then layer-normalized and
+projected into task embeddings.
 
 :func:`param_shapes` is the one declaration of the learnable tensors'
 names, shapes and order: exactly the tensors the forward of the config's
@@ -122,20 +123,29 @@ class ModelConfig:
 NetworkParams = dict[str, Tensor]
 
 _NODE_KIND_TENSORS = ("w_k", "b_k", "w_q", "b_q", "w_v", "b_v")
+_QUERY_TENSORS = ("w_q", "b_q")
 _EDGE_KIND_MAPS = ("w_att", "w_msg")
 _GRU_TENSORS = ("w_ir", "b_ir", "w_hr", "b_hr", "w_iz", "b_iz",
                 "w_hz", "b_hz", "w_in", "b_in", "w_hn", "b_hn")
 
 
-def _layer_shapes(cfg: ModelConfig, li: int) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """``(name, shape)`` of each tensor layer ``li`` of ``cfg.mode`` reads, in file order."""
+def _layer_shapes(cfg: ModelConfig, li: int, last: bool
+                  ) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """``(name, shape)`` of each tensor layer ``li`` of ``cfg.mode`` reads, in file order.
+
+    The ``last`` layer attends into the deleted lines alone, so it reads
+    no added-line query tensors and no ``line_mapping`` maps: every
+    ``line_mapping`` edge ends at an added line.
+    """
     dim = cfg.dim
     if cfg.mode is not Mode.RETENTION_ONLY:
         p = f"layer{li}.attn"
         yield from ((f"{p}.{field}.{kind.value}", (dim, dim) if field[0] == "w" else (dim,))
-                    for kind in NodeKind for field in _NODE_KIND_TENSORS)
+                    for kind in NodeKind for field in _NODE_KIND_TENSORS
+                    if not (last and kind is NodeKind.ADDED and field in _QUERY_TENSORS))
         yield from ((f"{p}.{field}.{kind.value}", (dim, dim // cfg.heads))
-                    for field in _EDGE_KIND_MAPS for kind in EdgeKind)
+                    for field in _EDGE_KIND_MAPS for kind in EdgeKind
+                    if not (last and kind is EdgeKind.LINE_MAPPING))
         yield f"{p}.mu", (MU_SIZE, 1)
     if cfg.mode is not Mode.AGGREGATION_ONLY:
         yield from ((f"layer{li}.gru.{field}", (dim, dim) if field[0] == "w" else (dim,))
@@ -157,14 +167,16 @@ def param_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     kind; the attention and message maps of each edge kind, each held as
     its H head blocks, a (D, D/H) tensor whose rows [i*D/H, (i+1)*D/H) are
     head i's square block; the (MU_SIZE, 1) prior ``mu`` over (source kind,
-    edge kind, target kind); then the gate tensors.  ``retention-only``
-    declares no attention tensors and ``aggregation-only`` no gate tensors.
+    edge kind, target kind); then the gate tensors.  The last layer, which
+    updates only the deleted lines, has no added-line query weights and
+    bias and no ``line_mapping`` maps.  ``retention-only`` declares no
+    attention tensors and ``aggregation-only`` no gate tensors.
     Then the final norm, the projection and the scorer's weights; the
     scorer has no bias, because the pair loss reads only score
     differences.  Weights right-multiply row states.
     """
     for li in range(cfg.layers):
-        yield from _layer_shapes(cfg, li)
+        yield from _layer_shapes(cfg, li, li == cfg.layers - 1)
     yield from _tail_shapes(cfg)
 
 
@@ -190,9 +202,11 @@ def init_network_params(cfg: ModelConfig, rng: np.random.Generator | None = None
     ``random_scorer=True`` draws it like a projection instead (gradient
     checking wants a live gradient path to every tensor).
 
-    Every mode draws the full model's tensors, in this order, and keeps
-    those ``param_shapes(cfg)`` declares, so an ablation mode's tensors
-    hold the values they would hold in the full model.
+    Every mode draws every layer's full set of tensors, the last layer's
+    too, in this order, and keeps those ``param_shapes(cfg)`` declares, so
+    an ablation mode's tensors hold the values they would hold in the full
+    model, and each kept tensor the value it held when the last layer still
+    declared its added-line queries and ``line_mapping`` maps.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -207,7 +221,10 @@ def init_network_params(cfg: ModelConfig, rng: np.random.Generator | None = None
     drawn.append(("proj.w", math.sqrt(6.0 / (cfg.dim + cfg.out_dim))))
     if random_scorer:
         drawn.append(("scorer.w", math.sqrt(6.0 / (cfg.out_dim + 1))))
-    full_shapes = dict(param_shapes(replace(cfg, mode=Mode.FULL)))
+    full = replace(cfg, mode=Mode.FULL)
+    full_shapes = {name: shape for li in range(cfg.layers)
+                   for name, shape in _layer_shapes(full, li, last=False)}
+    full_shapes.update(_tail_shapes(cfg))
     arrays = {name: rng.uniform(-bound, bound, size=full_shapes[name]) for name, bound in drawn}
     shapes = dict(param_shapes(cfg))
     for name, shape in shapes.items():
@@ -238,16 +255,25 @@ def task_projection(tape: Tape | None, h_final: Tensor, params: NetworkParams) -
 
 def network_forward(tape: Tape | None, h0: Tensor, plan: GraphPlan,
                     params: NetworkParams, cfg: ModelConfig) -> Tensor:
-    """Task embeddings (n x D_out) for every node of one graph, through ``cfg.mode``'s layers."""
+    """Task embeddings (k x D_out) of the deleted lines of one graph, in node id order,
+    through ``cfg.mode``'s layers.
+
+    Layers before the last update every node.  The last updates only the
+    deleted lines, the rows the scorer reads: it gathers their states once,
+    attends into them over ``plan.scored`` and gates them against those
+    states.
+    """
     h = h0
     for layer in range(cfg.layers):
+        targets = ad.take_rows(tape, h, plan.scored.targets) if layer == cfg.layers - 1 else None
+        own = h if targets is None else targets     # the updated rows' previous states
         if cfg.mode is Mode.RETENTION_ONLY:
-            h = gru_cell(tape, h, h, params, layer)
+            h = gru_cell(tape, own, own, params, layer)
         elif cfg.mode is Mode.AGGREGATION_ONLY:
-            h = attention_forward(tape, h, plan, params, layer, cfg.heads)
+            h = attention_forward(tape, h, plan, params, layer, cfg.heads, targets)
         else:
-            h_tilde = attention_forward(tape, h, plan, params, layer, cfg.heads)
-            h = gru_cell(tape, h_tilde, h, params, layer)
+            h_tilde = attention_forward(tape, h, plan, params, layer, cfg.heads, targets)
+            h = gru_cell(tape, h_tilde, own, params, layer)
     normed = ad.layer_norm(tape, h, params["final_norm.gain"], params["final_norm.bias"])
     return task_projection(tape, normed, params)
 
@@ -256,7 +282,7 @@ def network_forward(tape: Tape | None, h0: Tensor, plan: GraphPlan,
 # Checkpoints
 
 
-CHECKPOINT_FORMAT = "rootrank-checkpoint-v3"
+CHECKPOINT_FORMAT = "rootrank-checkpoint-v4"
 
 # The ModelConfig fields a checkpoint header holds, in file order, with their JSON types;
 # ``proj_dim`` is written as ``out_dim`` and ``mode`` as its value.
@@ -366,11 +392,12 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkParams, ModelConfig]:
     except ConfigError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     stored = _field(payload, "tensors", list, str(path))
-    per_layer = sum(1 for _ in _layer_shapes(cfg, 0))
+    per_layer = sum(1 for _ in _layer_shapes(cfg, 0, last=False))
+    last = sum(1 for _ in _layer_shapes(cfg, cfg.layers - 1, last=True))
     tail = sum(1 for _ in _tail_shapes(cfg))
-    count = cfg.layers * per_layer + tail
+    count = (cfg.layers - 1) * per_layer + last + tail
     if len(stored) != count:
-        expected = _count_text(count, f"{cfg.layers} x {per_layer} + {tail}")
+        expected = _count_text(count, f"{cfg.layers - 1} x {per_layer} + {last} + {tail}")
         raise CheckpointError(f"{path}: expected {expected} tensors, found {len(stored)}")
     checked = []   # every name and shape, before any value is decoded
     for index, ((name, want), entry) in enumerate(zip(param_shapes(cfg), stored)):

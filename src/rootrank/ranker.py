@@ -135,9 +135,7 @@ class AdamState:
 def _deleted_scores(tape: Tape | None, h0: Tensor, plan: GraphPlan, params: NetworkParams,
                     cfg: ModelConfig) -> Tensor:
     """Scalar score of each deleted line of the graph of ``plan``, shape (k,), in node id order."""
-    embeddings = network_forward(tape, h0, plan, params, cfg)
-    picked = ad.take_rows(tape, embeddings, plan.node_rows[NodeKind.DELETED])
-    return ad.matmul(tape, picked, params["scorer.w"])
+    return ad.matmul(tape, network_forward(tape, h0, plan, params, cfg), params["scorer.w"])
 
 
 def _pair_loss_from_scores(tape: Tape | None, scores: Tensor,

@@ -62,8 +62,9 @@ from rootrank.synthetic import SIGNAL_VOCAB
 
 
 def layer_params(dim: int, heads: int, rng: np.random.Generator) -> NetworkParams:
-    """A freshly initialized one-layer model: its ``layer0.*`` tensors and the head's."""
-    return init_network_params(ModelConfig(dim=dim, heads=heads, layers=1), rng)
+    """A freshly initialized two-layer model, whose ``layer0.*`` tensors are those of a layer
+    that updates every node (the last layer updates only the deleted lines), and the head's."""
+    return init_network_params(ModelConfig(dim=dim, heads=heads, layers=2), rng)
 
 
 def mu_index(src_kind: NodeKind, edge_kind: EdgeKind, dst_kind: NodeKind) -> int:
@@ -180,19 +181,21 @@ def naive_project(h_prev: np.ndarray, kinds, params: NetworkParams, layer: int,
 
 
 def naive_attention_forward(h_prev: np.ndarray, g: CommitGraph, params: NetworkParams,
-                            layer: int, heads: int) -> np.ndarray:
-    """Edge-by-edge, head-by-head attention layer ``layer``."""
+                            layer: int, heads: int, targets=None) -> np.ndarray:
+    """Edge-by-edge, head-by-head attention layer ``layer``: one row per node of ``targets``,
+    in that order (every node by default)."""
     n, dim = h_prev.shape
     d = dim // heads
     kinds = [node.kind for node in g.nodes]
+    targets = list(range(n)) if targets is None else list(targets)
     p = f"layer{layer}.attn"
 
     k_full = naive_project(h_prev, kinds, params, layer, "k")
-    q_full = naive_project(h_prev, kinds, params, layer, "q")
     v_full = naive_project(h_prev, kinds, params, layer, "v")
+    q_rows = naive_project(h_prev[targets], [kinds[t] for t in targets], params, layer, "q")
 
-    h_tilde = np.zeros((n, dim))
-    for t in range(n):
+    h_tilde = np.zeros((len(targets), dim))
+    for row, t in enumerate(targets):
         incoming = neighbors_in(g, t)
         if not incoming:
             continue
@@ -204,7 +207,7 @@ def naive_attention_forward(h_prev: np.ndarray, g: CommitGraph, params: NetworkP
                 w_att_block = params[f"{p}.w_att.{ekind.value}"].data[sl]
                 w_msg_block = params[f"{p}.w_msg.{ekind.value}"].data[sl]
                 prior = params[f"{p}.mu"].data[mu_index(kinds[s], ekind, kinds[t]), 0]
-                logit = (k_full[s, sl] @ w_att_block @ q_full[t, sl]) * prior / math.sqrt(d)
+                logit = (k_full[s, sl] @ w_att_block @ q_rows[row, sl]) * prior / math.sqrt(d)
                 logits.append(logit)
                 messages.append(v_full[s, sl] @ w_msg_block)
             logits = np.array(logits)
@@ -213,7 +216,7 @@ def naive_attention_forward(h_prev: np.ndarray, g: CommitGraph, params: NetworkP
             acc = np.zeros(d)
             for w_edge, msg in zip(weights, messages):
                 acc += w_edge * msg
-            h_tilde[t, sl] = acc
+            h_tilde[row, sl] = acc
     return h_tilde
 
 
@@ -325,8 +328,9 @@ def array_rows_plan(plan: GraphPlan) -> GraphPlan:
     """``plan``, checked again as a copy whose partition members gather through their index
     arrays: each member's slice is dropped, so every op takes the array path."""
     copy = pickle.loads(pickle.dumps(plan))
-    for rows in (*copy.node_rows.values(), *copy.edge_rows.values()):
-        rows.take = None
+    for block in (copy, copy.scored):
+        for rows in (*block.node_rows.values(), *block.edge_rows.values()):
+            rows.take = None
     return copy
 
 
@@ -603,16 +607,43 @@ def naive_head(h: np.ndarray, params: NetworkParams) -> np.ndarray:
 
 
 def naive_network_forward(h0: np.ndarray, g: CommitGraph, params: NetworkParams,
-                          cfg: ModelConfig) -> np.ndarray:
+                          cfg: ModelConfig, all_rows: bool = False) -> np.ndarray:
+    """Task embeddings of the deleted lines, in node id order: every layer but the last
+    updates every node, the last only the deleted lines.  With ``all_rows`` the last layer
+    updates every node too, which reads the tensors the model does not declare (see
+    ``with_unread_tensors``), and every node's embedding is returned."""
     h = h0.copy()
     for layer in range(cfg.layers):
+        targets = (list(range(len(g.nodes))) if all_rows or layer < cfg.layers - 1
+                   else g.deleted_ids())
+        own = h[targets]
         if cfg.mode is Mode.FULL:
-            h = naive_gru(naive_attention_forward(h, g, params, layer, cfg.heads), h, params, layer)
+            h = naive_gru(naive_attention_forward(h, g, params, layer, cfg.heads, targets), own,
+                          params, layer)
         elif cfg.mode is Mode.AGGREGATION_ONLY:
-            h = naive_attention_forward(h, g, params, layer, cfg.heads)
+            h = naive_attention_forward(h, g, params, layer, cfg.heads, targets)
         else:
-            h = naive_gru(h, h, params, layer)
+            h = naive_gru(own, own, params, layer)
     return naive_head(h, params)
+
+
+def unread_tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The last layer's tensors an attention mode does not declare, because that layer updates
+    only the deleted lines: its added-line query weight and bias and its line_mapping maps."""
+    if cfg.mode is Mode.RETENTION_ONLY:
+        return {}
+    p = f"layer{cfg.layers - 1}.attn"
+    maps = (cfg.dim, cfg.dim // cfg.heads)
+    return {f"{p}.w_q.added": (cfg.dim, cfg.dim), f"{p}.b_q.added": (cfg.dim,),
+            f"{p}.w_att.line_mapping": maps, f"{p}.w_msg.line_mapping": maps}
+
+
+def with_unread_tensors(params: NetworkParams, cfg: ModelConfig,
+                        rng: np.random.Generator) -> NetworkParams:
+    """``params`` plus random values for :func:`unread_tensor_shapes`, so that the last layer
+    can update every node."""
+    return {**params, **{name: Tensor(rng.normal(size=shape))
+                         for name, shape in unread_tensor_shapes(cfg).items()}}
 
 
 def signal_token_count(text: str) -> int:

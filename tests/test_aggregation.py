@@ -69,7 +69,8 @@ def chain_graph():
 
 @st.composite
 def plan_graphs(draw):
-    """Any node kinds; edges may repeat a pair under other kinds, or be absent."""
+    """Any node kinds; edges may repeat a pair under other kinds, or be absent.  A
+    line_mapping edge ends at an added line, as ``validate_graph`` requires."""
     n = draw(st.integers(0, 7))
     kinds = draw(st.lists(st.sampled_from(list(NodeKind)), min_size=n, max_size=n))
     edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
@@ -78,7 +79,8 @@ def plan_graphs(draw):
     return CommitGraph(
         commit_id="plan",
         nodes=tuple(LineNode(i, kind) for i, kind in enumerate(kinds)),
-        edges=tuple(DepEdge(s, d, k) for s, d, k in edges),
+        edges=tuple(DepEdge(s, d, k) for s, d, k in edges
+                    if k is not EdgeKind.LINE_MAPPING or kinds[d] is NodeKind.ADDED),
     )
 
 
@@ -432,11 +434,11 @@ class TestForwardAgainstNaiveOracle:
         nodes = tuple(sorted(nodes, key=lambda nd: nd.id))
         edges = tuple(DepEdge(int(inv[e.src]), int(inv[e.dst]), e.kind) for e in g.edges)
         g2 = CommitGraph(commit_id="perm", nodes=nodes, edges=edges)
-        h0_perm = h0[perm.argsort()][:]
+        h0_perm = h0[perm]      # node perm[j] of g is node j of g2
 
         out1 = attention_forward(None, constant(h0), build_plan(g), params, 0, 2).data
         out2 = attention_forward(None, constant(h0_perm), build_plan(g2), params, 0, 2).data
-        np.testing.assert_allclose(out2, out1[perm.argsort()], atol=1e-12)
+        np.testing.assert_allclose(out2, out1[perm], atol=1e-12)
 
     def test_gradients_flow_to_every_parameter_family(self):
         rng = np.random.default_rng(31)
@@ -568,6 +570,29 @@ class TestPlanChecksItsArraysOnce:
         with pytest.raises(ValueError, match="read-only"):
             plan.src[0] = 3
 
+    def test_the_scored_block_holds_checked_indices_of_the_deleted_lines(self):
+        # nodes 0 and 1 are deleted, 2 and 3 added; edges 1 -> 0 (call), 0 -> 1 (control flow),
+        # 2 -> 1 (call) and 3 -> 2 (control flow), which ends at an added line
+        plan = GraphPlan(**plan_arrays(src=[1, 0, 2, 3], dst=[0, 1, 1, 2], mu_idx=[0, 5, 7, 9],
+                                       edge_rows={EdgeKind.CALL: [0, 2],
+                                                  EdgeKind.CONTROL_FLOW: [1, 3]}))
+        block = plan.scored
+        assert block.targets is plan.node_rows[NodeKind.DELETED] and block.n == 2
+        for name, bound, values in (("src", 4, [1, 0, 2]), ("dst", 2, [0, 1, 1]),
+                                    ("mu_idx", MU_SIZE, [0, 5, 7])):
+            arr = getattr(block, name)
+            assert type(arr) is CheckedIndex and arr.bound == bound, name
+            assert arr.tolist() == values and not arr.flags.writeable, name
+        (deleted,) = block.node_rows.values()
+        assert list(block.node_rows) == [NodeKind.DELETED] and deleted.bound == 2
+        assert deleted.take == slice(0, 2)
+        assert {kind: rows.tolist() for kind, rows in block.edge_rows.items()} == {
+            EdgeKind.CALL: [0, 2], EdgeKind.CONTROL_FLOW: [1]}
+        assert all(rows.bound == 3 for rows in block.edge_rows.values())
+        no_deleted = GraphPlan(**plan_arrays(node_rows={NodeKind.ADDED: [0, 1, 2, 3]}))
+        assert no_deleted.scored.n == 0 and no_deleted.scored.targets.bound == 4
+        assert not no_deleted.scored.node_rows and not no_deleted.scored.edge_rows
+
     def test_the_plan_keeps_its_own_copies(self):
         arrays = plan_arrays(src=np.array([1, 0, 2]))
         plan = GraphPlan(**arrays)
@@ -606,11 +631,14 @@ class TestPlanChecksItsArraysOnce:
          r"GraphPlan edge_rows: groups must cover \[0, 3\), but hold 2 rows"),
         (dict(edge_rows={EdgeKind.CALL: [0, 3], EdgeKind.CONTROL_FLOW: [1]}),
          r"GraphPlan edge_rows: indices must lie in \[0, 3\)"),
+        (dict(edge_rows={EdgeKind.CALL: [0, 2], EdgeKind.LINE_MAPPING: [1]}),
+         r"GraphPlan edge_rows: a line_mapping edge must end at an added line, but one ends at "
+         r"deleted node 1$"),
     ], ids=["src-high", "src-negative", "src-2d", "dst-high", "dst-negative", "mu_idx-high",
             "mu_idx-negative", "edge-count", "n-negative", "node_rows-overlap", "node_rows-cover",
             "node_rows-high", "node_rows-negative", "node_rows-order", "node_rows-empty",
             "node_rows-2d", "node_rows-kinds", "edge_rows-overlap", "edge_rows-cover",
-            "edge_rows-high"])
+            "edge_rows-high", "line_mapping-into-a-deleted-line"])
     def test_a_bad_array_is_named_when_the_plan_is_made(self, changes, message):
         with pytest.raises(ValueError, match="^" + message):
             GraphPlan(**plan_arrays(**changes))

@@ -31,16 +31,20 @@ MODEL = TrainedModel(params=init_network_params(CFG, np.random.default_rng(3), r
 
 
 def commit(rng, cid, deleted, added, density, dim=CFG.dim):
-    """An embedded commit with ``deleted`` and ``added`` lines in shuffled id order."""
+    """An embedded commit with ``deleted`` and ``added`` lines in shuffled id order; a drawn
+    line_mapping edge is kept only where it runs deleted -> added, as ``validate_graph``
+    requires."""
     kinds = [NodeKind.DELETED] * deleted + [NodeKind.ADDED] * added
     rng.shuffle(kinds)
     ids = [i for i, kind in enumerate(kinds) if kind is NodeKind.DELETED]
     root = int(rng.choice(ids)) if ids else -1
     nodes = tuple(LineNode(i, kind, text=f"line {i}", is_root_cause=i == root)
                   for i, kind in enumerate(kinds))
-    edges = tuple(DepEdge(src, dst, list(EdgeKind)[int(rng.integers(len(EdgeKind)))])
-                  for src in range(len(kinds)) for dst in range(len(kinds))
-                  if src != dst and rng.random() < density)
+    drawn = [DepEdge(src, dst, list(EdgeKind)[int(rng.integers(len(EdgeKind)))])
+             for src in range(len(kinds)) for dst in range(len(kinds))
+             if src != dst and rng.random() < density]
+    edges = tuple(e for e in drawn if e.kind is not EdgeKind.LINE_MAPPING
+                  or (kinds[e.src], kinds[e.dst]) == (NodeKind.DELETED, NodeKind.ADDED))
     graph = CommitGraph(commit_id=cid, nodes=nodes, edges=edges)
     return EmbeddedGraph(graph=graph, h0=rng.normal(size=(len(kinds), dim)))
 
@@ -127,6 +131,33 @@ class TestUnionScoring:
             ad.block_matmul(None, constant(np.zeros((n, 2))),
                             [(deleted, constant(np.ones((2, 1))))], 1)
 
+    @settings(max_examples=40, deadline=None)
+    @given(embedded=commit_lists())
+    def test_the_union_block_is_the_commits_blocks_offset(self, embedded):
+        # node ids offset by the nodes before, target positions by the deleted lines before
+        # and kept-edge rows by the kept edges before
+        blocks = [eg.plan.scored for eg in embedded]
+        block = union_plan([eg.plan for eg in embedded]).scored
+        sizes = np.array([(eg.plan.n, b.n, len(b.src)) for eg, b in zip(embedded, blocks)])
+        n, k, kept = sizes.sum(axis=0)
+        node_base, target_base, edge_base = (np.cumsum(sizes, axis=0) - sizes).T
+        for name, bound, bases in (("targets", n, node_base), ("src", n, node_base),
+                                   ("dst", k, target_base), ("mu_idx", MU_SIZE, 0 * node_base)):
+            array = getattr(block, name)
+            assert type(array) is CheckedIndex and array.bound == bound, name
+            assert np.array_equal(array, np.concatenate(
+                [getattr(b, name) + base for b, base in zip(blocks, bases)])), name
+        for field, bound, bases in (("node_rows", k, target_base), ("edge_rows", kept, edge_base)):
+            members = getattr(block, field)
+            by_hand = {kind: [getattr(b, field)[kind] + base for b, base in zip(blocks, bases)
+                              if kind in getattr(b, field)] for kind in {
+                                  kind for b in blocks for kind in getattr(b, field)}}
+            assert set(members) == set(by_hand), field
+            assert len({id(rows.part) for rows in members.values()}) <= 1, field
+            for kind, rows in members.items():
+                assert type(rows) is CheckedIndex and rows.bound == bound, (field, kind)
+                assert np.array_equal(rows, np.concatenate(by_hand[kind])), (field, kind)
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), a_shape=st.tuples(st.integers(1, 5), st.integers(0, 4)),
            b_shape=st.tuples(st.integers(2, 5), st.integers(0, 4)),
@@ -152,10 +183,15 @@ class TestUnionScoring:
             return rank_commits(MODEL, batch)[batch.index(a)]
 
         before, after = a_scores(b), a_scores(b2)
-        if sum(e.kind is edge.kind for eg in (a, b) for e in eg.graph.edges) == 1:
-            # the union's rows of the edge's kind go from one to two, and numpy multiplies a
-            # single row through BLAS's matrix-vector kernel, which rounds unlike the
-            # matrix-matrix one (see test_locality.py)
+        deleted = b.graph.nodes[edge.dst].kind is NodeKind.DELETED
+        if (sum(e.kind is edge.kind for eg in (a, b) for e in eg.graph.edges) == 1
+                or deleted and sum(e.kind is edge.kind
+                                   and eg.graph.nodes[e.dst].kind is NodeKind.DELETED
+                                   for eg in (a, b) for e in eg.graph.edges) == 1):
+            # the union's rows of the edge's kind, or those of the last layer's block of edges
+            # into deleted lines, go from one to two, and numpy multiplies a single row
+            # through BLAS's matrix-vector kernel, which rounds unlike the matrix-matrix one
+            # (see test_locality.py)
             assert_close_and_equally_ranked(after, before)
         else:
             assert after == before
@@ -225,7 +261,7 @@ class TestEvaluateModelBatches:
             assert report_json(report) == report_json(expected)
 
     def test_v1_fixture(self):
-        params, cfg = load_checkpoint(DATA / "v3_model.ckpt")
+        params, cfg = load_checkpoint(DATA / "v4_model.ckpt")
         embedded = embed_dataset(load_dataset(DATA / "v1_dataset.json"), HashingEmbedder(cfg.dim))
         self.check(TrainedModel(params=params, cfg=cfg, training_log=[]), embedded)
 

@@ -29,7 +29,7 @@ from rootrank.synthetic import GenConfig, generate
 from naive_reference import decode_data, encode_data
 
 DATA = Path(__file__).parent / "data"
-V3_CHECKPOINT = json.loads((DATA / "v3_model.ckpt").read_text(encoding="utf-8"))
+V4_CHECKPOINT = json.loads((DATA / "v4_model.ckpt").read_text(encoding="utf-8"))
 V1_DATASET = json.loads((DATA / "v1_dataset.json").read_text(encoding="utf-8"))
 CV_FLAGS = ("--dim", "16", "--heads", "2", "--layers", "1", "--epochs", "1", "--seed", "42")
 CV_CONFIG = ModelConfig(dim=16, heads=2, layers=1, epochs=1, seed=42)
@@ -541,7 +541,7 @@ class TestCheckpointHeader:
         code, _out, err = run(capsys, "rank", "-d", str(small_data), "-m", str(broken))
         assert code == 1
         assert err.startswith("error: ")
-        assert (key if key != "format" else "rootrank-checkpoint-v3") in err
+        assert (key if key != "format" else "rootrank-checkpoint-v4") in err
 
 
     def test_nan_sigma_names_the_file(self, small_data, trained, tmp_path, capsys):
@@ -562,7 +562,7 @@ class TestCheckpointValues:
     data = Path(__file__).parent / "data"
 
     def _rank_mutant(self, tmp_path, capsys, mutate):
-        payload = json.loads((self.data / "v3_model.ckpt").read_text(encoding="utf-8"))
+        payload = json.loads((self.data / "v4_model.ckpt").read_text(encoding="utf-8"))
         mutate(payload)
         broken = tmp_path / "mutant.ckpt"
         broken.write_text(json.dumps(payload), encoding="utf-8")
@@ -631,13 +631,13 @@ class TestCheckpointValues:
         broken, err = self._rank_mutant(tmp_path, capsys, mutate)
         assert err == f"error: {broken}: sigma must be positive and finite\n"
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_file_exits_1_naming_its_format(self, capsys, version):
         old = self.data / f"v{version}_model.ckpt"
         code, out, err = run(capsys, "rank", "-d", str(self.data / "v1_dataset.json"),
                              "-m", str(old))
         assert (code, out) == (1, "")
-        assert err == (f"error: {old}: not a rootrank-checkpoint-v3 file "
+        assert err == (f"error: {old}: not a rootrank-checkpoint-v4 file "
                        f"(its format is 'rootrank-checkpoint-v{version}')\n")
 
 
@@ -665,15 +665,16 @@ def mode_checkpoint(mode):
     that mode declares (dim 8, heads 2, layers 1)."""
     cfg = ModelConfig(dim=8, heads=2, layers=1, proj_dim=8, mode=mode)
     names = {name for name, _shape in param_shapes(cfg)}
-    return {**V3_CHECKPOINT, "mode": mode.value,
-            "tensors": [entry for entry in V3_CHECKPOINT["tensors"] if entry["name"] in names]}
+    return {**V4_CHECKPOINT, "mode": mode.value,
+            "tensors": [entry for entry in V4_CHECKPOINT["tensors"] if entry["name"] in names]}
 
 
-# mode -> (tensors per layer, name of the first tensor); every mode adds 5 after the layers,
-# so a full-mode header with 3,000 layers implies 105,005 tensors
-MODE_LAYOUTS = {Mode.FULL: (35, "layer0.attn.w_k.deleted"),
-                Mode.AGGREGATION_ONLY: (23, "layer0.attn.w_k.deleted"),
-                Mode.RETENTION_ONLY: (12, "layer0.gru.w_ir")}
+# mode -> (tensors per layer but the last, tensors of the last layer, name of the first
+# tensor); every mode adds 5 after the layers, so a full-mode header with 3,000 layers implies
+# 2,999 x 35 + 31 + 5 = 105,001 tensors
+MODE_LAYOUTS = {Mode.FULL: (35, 31, "layer0.attn.w_k.deleted"),
+                Mode.AGGREGATION_ONLY: (23, 19, "layer0.attn.w_k.deleted"),
+                Mode.RETENTION_ONLY: (12, 12, "layer0.gru.w_ir")}
 
 
 class TestCheckpointHeaderSizes:
@@ -689,14 +690,15 @@ class TestCheckpointHeaderSizes:
         ("layers", 3000, "expected {count} tensors, found {found}"),
         ("layers", 10**9, "expected {count} tensors, found {found}"),
         # the count has one digit more than Python turns into text
-        ("layers", 10**4299, f"expected {10**4299} x {{per_layer}} + 5 tensors, found {{found}}"),
+        ("layers", 10**4299,
+         f"expected {10**4299 - 1} x {{per_layer}} + {{last}} + 5 tensors, found {{found}}"),
     ], ids=["dim-1e12", "dim-1e400", "proj_dim-1e12", "proj_dim-1e400", "layers-3000",
             "layers-1e9", "layers-at-the-digit-limit"])
     def test_huge_size_exits_1_naming_the_tensor_or_count(self, tmp_path, capsys, key, value,
                                                           problem, mode):
-        per_layer, first = MODE_LAYOUTS[mode]
-        problem = problem.format(first=first, per_layer=per_layer, found=per_layer + 5,
-                                 count=value * per_layer + 5)
+        per_layer, last, first = MODE_LAYOUTS[mode]
+        problem = problem.format(first=first, per_layer=per_layer, last=last, found=last + 5,
+                                 count=(value - 1) * per_layer + last + 5)
         broken = tmp_path / "huge.ckpt"
         broken.write_text(json.dumps({**mode_checkpoint(mode), key: value}), encoding="utf-8")
         code, out, err = run(capsys, "rank", "-d", str(DATA / "v1_dataset.json"),
@@ -714,11 +716,11 @@ class TestCheckpointHeaderSizes:
         payload["tensors"].append(next(e for e in v2_entries if e["name"] == extra))
         broken = tmp_path / "extra.ckpt"
         broken.write_text(json.dumps(payload), encoding="utf-8")
-        per_layer, _first = MODE_LAYOUTS[mode]
+        _per_layer, last, _first = MODE_LAYOUTS[mode]
         code, out, err = run(capsys, "rank", "-d", str(DATA / "v1_dataset.json"),
                              "-m", str(broken))
-        assert (code, out, err) == (1, "", f"error: {broken}: expected {per_layer + 5} tensors, "
-                                           f"found {per_layer + 6}\n")
+        assert (code, out, err) == (1, "", f"error: {broken}: expected {last + 5} tensors, "
+                                           f"found {last + 6}\n")
 
     @pytest.mark.parametrize("mode", [Mode.AGGREGATION_ONLY, Mode.RETENTION_ONLY],
                              ids=["aggregation-only", "retention-only"])
@@ -734,7 +736,7 @@ class TestCheckpointHeaderSizes:
     def test_tensor_size_past_the_digit_limit_is_named(self, tmp_path, capsys):
         # shapes that match a dim at json's digit limit, whose square Python cannot print
         dim = 10**4299
-        mutant = copy.deepcopy({**V3_CHECKPOINT, "dim": dim, "proj_dim": dim})
+        mutant = copy.deepcopy({**V4_CHECKPOINT, "dim": dim, "proj_dim": dim})
         wide = ModelConfig(dim=dim, heads=2, layers=1, proj_dim=dim)
         for entry, (name, shape) in zip(mutant["tensors"], param_shapes(wide)):
             assert entry["name"] == name
@@ -749,15 +751,15 @@ class TestCheckpointHeaderSizes:
 
     @pytest.mark.parametrize("value", [1.0, True], ids=["float", "bool"])
     def test_shape_entry_equal_to_an_int_is_read_as_that_int(self, tmp_path, value):
-        mutant = mutated(V3_CHECKPOINT, (("tensors", 22, "shape"), "replace", 1, value))
-        assert mutant["tensors"][22]["name"] == "layer0.attn.mu"
+        mutant = mutated(V4_CHECKPOINT, (("tensors", 18, "shape"), "replace", 1, value))
+        assert mutant["tensors"][18]["name"] == "layer0.attn.mu"
         path = tmp_path / "odd_shape.ckpt"
         path.write_text(json.dumps(mutant), encoding="utf-8")
         params, _cfg = load_checkpoint(path)
         assert params["layer0.attn.mu"].data.shape == (20, 1)
 
     def test_integer_past_the_digit_limit_is_named(self, tmp_path, capsys):
-        text = (DATA / "v3_model.ckpt").read_text(encoding="utf-8")
+        text = (DATA / "v4_model.ckpt").read_text(encoding="utf-8")
         broken = tmp_path / "digits.ckpt"
         broken.write_text(text.replace('"seed": 9', '"seed": ' + "9" * 5000), encoding="utf-8")
         code, _out, err = run(capsys, "rank", "-d", str(DATA / "v1_dataset.json"),
@@ -832,7 +834,7 @@ def scratch_dir(tmp_path_factory):
 class TestCheckpointProperty:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(mutation=json_mutations(V3_CHECKPOINT))
+    @given(mutation=json_mutations(V4_CHECKPOINT))
     # header sizes that escaped or hung before the loader checked shapes by arithmetic
     @example(mutation=((), "replace", "dim", 10**12))
     @example(mutation=((), "replace", "dim", 10**400))
@@ -845,13 +847,14 @@ class TestCheckpointProperty:
     @example(mutation=(("tensors", 1), "replace", "data", "x"))
     @example(mutation=(("tensors", 1), "replace", "data", encode_data([0.5] * 7)))
     @example(mutation=(("tensors", 1), "replace", "data", encode_data([math.nan] * 8)))
-    @example(mutation=(("tensors", 39), "replace", "data", encode_data([math.inf] * 8)))
+    @example(mutation=(("tensors", 35), "replace", "data", encode_data([math.inf] * 8)))
     @example(mutation=(("tensors", 1), "replace", "data", [0.5] * 8))
     @example(mutation=((), "replace", "format", "rootrank-checkpoint-v1"))
     @example(mutation=((), "replace", "format", "rootrank-checkpoint-v2"))
+    @example(mutation=((), "replace", "format", "rootrank-checkpoint-v3"))
     def test_mutated_checkpoint_exits_0_or_1_naming_the_file(self, scratch_dir, mutation):
         path = scratch_dir / "mutant.ckpt"
-        path.write_text(json.dumps(mutated(V3_CHECKPOINT, mutation)), encoding="utf-8")
+        path.write_text(json.dumps(mutated(V4_CHECKPOINT, mutation)), encoding="utf-8")
         code, err = main_quietly(["rank", "-d", str(DATA / "v1_dataset.json"), "-m", str(path)])
         assert code in (0, 1)
         if code == 1:
@@ -871,7 +874,7 @@ class TestDatasetProperty:
     def test_mutated_dataset_exits_0_or_1_naming_the_file(self, scratch_dir, mutation):
         path = scratch_dir / "mutant.json"
         path.write_text(json.dumps(mutated(V1_DATASET, mutation)), encoding="utf-8")
-        code, err = main_quietly(["rank", "-d", str(path), "-m", str(DATA / "v3_model.ckpt")])
+        code, err = main_quietly(["rank", "-d", str(path), "-m", str(DATA / "v4_model.ckpt")])
         assert code in (0, 1)
         if code == 1:
             assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
@@ -1006,7 +1009,7 @@ class TestForwardOverflow:
     def test_stderr_holds_only_the_error_line(self, tmp_path):
         # numpy's RuntimeWarning (and its source line) used to print ahead of the error
         data = Path(__file__).parent / "data"
-        payload = json.loads((data / "v3_model.ckpt").read_text(encoding="utf-8"))
+        payload = json.loads((data / "v4_model.ckpt").read_text(encoding="utf-8"))
         for entry in payload["tensors"]:
             if entry["name"] in ("proj.w", "scorer.w"):
                 entry["data"] = encode_data(np.full(math.prod(entry["shape"]), 1e200))
@@ -1039,7 +1042,7 @@ class TestForwardOverflow:
 
     def test_attention_overflow_stderr_holds_only_the_error_line(self, tmp_path):
         data = Path(__file__).parent / "data"
-        payload = json.loads((data / "v3_model.ckpt").read_text(encoding="utf-8"))
+        payload = json.loads((data / "v4_model.ckpt").read_text(encoding="utf-8"))
         for entry in payload["tensors"]:
             if entry["name"] == "layer0.attn.mu":
                 entry["data"] = encode_data(np.full(math.prod(entry["shape"]), 1.5e308))
@@ -1051,20 +1054,21 @@ class TestForwardOverflow:
                               "-m", str(huge)], cwd=tmp_path)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == ("error: commit 'synthetic-5-00000': attend produced non-finite "
-                               "values in its (18, 2) logits\n")
+                               "values in its (11, 2) logits\n")
 
 
 class TestConvertedCheckpoint:
-    """The v3 fixture: the checkpoint that was written as v1 while the per-edge-kind maps
-    were held as dense D x D tensors (dim 8, heads 2, layers 1), converted once to v2 and
-    once to v3, which dropped its scorer bias."""
+    """The v4 fixture: the checkpoint that was written as v1 while the per-edge-kind maps
+    were held as dense D x D tensors (dim 8, heads 2, layers 1), converted once to v2, once
+    to v3, which dropped its scorer bias, and once to v4, which dropped the last layer's
+    added-line queries and line_mapping maps."""
 
     data = Path(__file__).parent / "data"
 
     def test_ranks_as_recorded(self, tmp_path, capsys):
         out = tmp_path / "ranking.csv"
         code, _out, _err = run(capsys, "rank", "-d", str(self.data / "v1_dataset.json"),
-                               "-m", str(self.data / "v3_model.ckpt"), "-o", str(out))
+                               "-m", str(self.data / "v4_model.ckpt"), "-o", str(out))
         assert code == 0
         got, want = (list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
                      for path in (out, self.data / "v1_ranking.csv"))
@@ -1075,8 +1079,8 @@ class TestConvertedCheckpoint:
             assert abs(float(row[3]) - float(ref[3])) <= 1e-12
 
     def test_map_in_the_v1_dense_layout_exits_1(self, tmp_path, capsys):
-        payload = json.loads((self.data / "v3_model.ckpt").read_text(encoding="utf-8"))
-        entry = payload["tensors"][13]
+        payload = json.loads((self.data / "v4_model.ckpt").read_text(encoding="utf-8"))
+        entry = payload["tensors"][11]
         assert entry["name"] == "layer0.attn.w_att.data_dependency"
         dense = np.zeros((8, 8))
         dense[:4, :4], dense[4:, 4:] = np.split(decode_data(entry["data"]).reshape(8, 4), 2)

@@ -85,11 +85,16 @@ class TestLocality:
             grown = CommitGraph(commit_id=graph.commit_id, nodes=graph.nodes,
                                 edges=graph.edges + (edge,), timestamp=graph.timestamp)
             after = scores(model, grown, h0)[v]
-            if sum(e.kind is edge.kind for e in graph.edges) == 1:
-                # The edge's kind grows from one row to two, and numpy multiplies a single row
-                # through BLAS's matrix-vector kernel, which rounds unlike the matrix-matrix
-                # one.  Of 1,451 probed edges, the 22 that moved a score were all of this
-                # case, by 5.4e-15 relative at most.
+            # the last layer's edges: those that end at a deleted line
+            scored = [e for e in graph.edges if graph.nodes[e.dst].kind is NodeKind.DELETED]
+            if (sum(e.kind is edge.kind for e in graph.edges) == 1
+                    or (graph.nodes[edge.dst].kind is NodeKind.DELETED
+                        and sum(e.kind is edge.kind for e in scored) == 1)):
+                # The edge's kind grows from one row to two, in a layer's plan or in the last
+                # layer's block, and numpy multiplies a single row through BLAS's
+                # matrix-vector kernel, which rounds unlike the matrix-matrix one.  Of 2,027
+                # probed edges, the 33 that moved a score were all of this case, by 5.6e-15
+                # relative at most.
                 assert math.isclose(after, before[v], rel_tol=1e-12, abs_tol=1e-12), (v, edge)
             else:
                 assert after == before[v], (v, edge)

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from rootrank import autodiff as ad
 from rootrank import network as network_module
-from rootrank.aggregation import MU_SIZE, build_plan
+from rootrank.aggregation import MU_SIZE, attention_forward, build_plan
 from rootrank.autodiff import constant
 from rootrank.embedding import EmbeddedGraph, HashingEmbedder, embed_dataset
-from rootrank.graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind
+from rootrank.graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind, load_dataset
 from rootrank.network import (
     CheckpointError,
     ConfigError,
@@ -31,7 +31,7 @@ from rootrank.network import (
     save_checkpoint,
     task_projection,
 )
-from rootrank.ranker import TrainedModel, rank_commit, train
+from rootrank.ranker import TrainedModel, build_pairs, commit_loss, rank_commit, train
 from rootrank.synthetic import GenConfig, generate
 
 from naive_reference import (
@@ -44,6 +44,8 @@ from naive_reference import (
     naive_head,
     naive_network_forward,
     random_graph,
+    unread_tensor_shapes,
+    with_unread_tensors,
 )
 
 
@@ -209,11 +211,9 @@ class TestNetworkForward:
         plan = build_plan(g)
         h0 = rng.normal(size=(len(g.nodes), 8))
         out = network_forward(None, constant(h0), plan, params, cfg)
-        np.testing.assert_allclose(out.data, naive_head(h0, params), atol=1e-9)
+        np.testing.assert_allclose(out.data, naive_head(h0, params)[g.deleted_ids()], atol=1e-9)
 
     def test_aggregation_only_single_layer_equals_attention_plus_head(self):
-        from rootrank.aggregation import attention_forward
-
         rng = np.random.default_rng(7)
         g = random_graph(rng)
         while not g.edges:
@@ -225,15 +225,129 @@ class TestNetworkForward:
 
         out = network_forward(None, h0, plan, params, cfg).data
 
-        h_tilde = attention_forward(None, h0, plan, params, 0, 2)
+        targets = ad.take_rows(None, h0, plan.scored.targets)
+        h_tilde = attention_forward(None, h0, plan, params, 0, 2, targets)
         normed = ad.layer_norm(None, h_tilde, params["final_norm.gain"], params["final_norm.bias"])
         expected = task_projection(None, normed, params).data
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
+def _commit(kinds, edges):
+    """A commit of ``kinds`` lines whose first deleted line is the root cause."""
+    root = kinds.index(NodeKind.DELETED)
+    return CommitGraph(commit_id="case",
+                       nodes=tuple(LineNode(i, kind, text=f"l{i}", is_root_cause=i == root)
+                                   for i, kind in enumerate(kinds)),
+                       edges=tuple(DepEdge(s, d, kind) for s, d, kind in edges))
+
+
+D, A = NodeKind.DELETED, NodeKind.ADDED
+CF, DD, CALL, CMR, LM = EdgeKind
+
+# The edge cases of updating only the deleted lines in the last layer.
+SCORED_CASES = {
+    # deleted and added lines interleaved in node id order, so no kind's rows are one run
+    "interleaved": _commit([D, A, D, A, A, D, D, A],
+                           [(0, 1, LM), (1, 0, DD), (3, 2, CF), (4, 2, CALL), (2, 4, LM),
+                            (6, 5, CMR), (5, 6, DD), (7, 5, CALL), (1, 6, CF), (6, 7, LM),
+                            (4, 3, DD), (0, 5, CF), (3, 0, CMR)]),
+    # edges, but none into a deleted line: the last layer's block is empty
+    "no-edge-into-a-deleted-line": _commit([D, D, A, A, D],
+                                           [(0, 2, LM), (1, 3, CF), (2, 3, DD), (3, 2, CALL),
+                                            (4, 2, CMR)]),
+    # one deleted line, so every product over the scored rows has one row
+    "one-deleted-line": _commit([A, D, A, A],
+                                [(0, 1, DD), (2, 1, CF), (1, 3, LM), (3, 0, CALL), (2, 0, CMR)]),
+}
+
+
+def _ranked(embeddings, params, ids):
+    """``ids`` ordered by the scores of ``embeddings``, highest first, ties by id."""
+    scores = embeddings @ params["scorer.w"].data
+    return [node for _score, node in sorted(zip(-scores, ids))]
+
+
+class TestScoredRows:
+    """The forward computes the deleted lines' rows alone; they equal the loop oracle's and
+    the rows of a forward whose last layer updates every node, and rank alike."""
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
+    @pytest.mark.parametrize("case", list(SCORED_CASES))
+    def test_scored_rows_match_the_oracle_and_the_full_rows(self, case, mode, layers):
+        g = SCORED_CASES[case]
+        cfg = ModelConfig(dim=8, heads=2, layers=layers, proj_dim=5, mode=mode)
+        rng = np.random.default_rng(len(case) + layers)
+        params = init_network_params(cfg, rng, random_scorer=True)
+        h0 = rng.normal(size=(len(g.nodes), cfg.dim))
+        deleted = g.deleted_ids()
+        fast = network_forward(None, constant(h0), build_plan(g), params, cfg).data
+        assert fast.shape == (len(deleted), cfg.out_dim)
+        np.testing.assert_allclose(fast, naive_network_forward(h0, g, params, cfg),
+                                   rtol=0, atol=1e-12)
+        every = naive_network_forward(h0, g, with_unread_tensors(params, cfg, rng), cfg,
+                                      all_rows=True)
+        np.testing.assert_allclose(fast, every[deleted], rtol=0, atol=1e-12)
+        ranked = [node for node, _score in rank_commit(
+            TrainedModel(params=params, cfg=cfg, training_log=[]), EmbeddedGraph(g, h0))]
+        assert ranked == _ranked(fast, params, deleted) == _ranked(every[deleted], params,
+                                                                   deleted)
+
+    def test_an_empty_block_gives_zero_rows_of_the_deleted_lines(self):
+        g = SCORED_CASES["no-edge-into-a-deleted-line"]
+        plan = build_plan(g)
+        params = layer_params(8, 2, np.random.default_rng(0))
+        h = constant(np.random.default_rng(1).normal(size=(len(g.nodes), 8)))
+        assert plan.edge_rows and not plan.scored.edge_rows and plan.scored.n == 3
+        assert attention_forward(None, h, plan, params, 0, 2).data[2:4].any()
+        targets = ad.take_rows(None, h, plan.scored.targets)
+        out = attention_forward(None, h, plan, params, 0, 2, targets).data
+        assert out.shape == (3, 8) and not out.any()
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
+    def test_random_graphs_rank_as_the_full_rows_do(self, mode):
+        rng = np.random.default_rng(33)
+        cfg = ModelConfig(dim=8, heads=2, layers=2, proj_dim=5, mode=mode)
+        for _ in range(20):
+            g = random_graph(rng, max_nodes=8)
+            params = init_network_params(cfg, rng, random_scorer=True)
+            h0 = rng.normal(size=(len(g.nodes), cfg.dim))
+            fast = network_forward(None, constant(h0), build_plan(g), params, cfg).data
+            every = naive_network_forward(h0, g, with_unread_tensors(params, cfg, rng), cfg,
+                                          all_rows=True)[g.deleted_ids()]
+            np.testing.assert_allclose(fast, every, rtol=0, atol=1e-12)
+            assert _ranked(fast, params, g.deleted_ids()) == _ranked(every, params,
+                                                                     g.deleted_ids())
+
+    def test_the_unread_tensors_are_exactly_those_the_last_layer_drops(self):
+        cfg = ModelConfig(dim=8, heads=2, layers=2)
+        deep = dict(param_shapes(dataclasses.replace(cfg, layers=3)))
+        declared = dict(param_shapes(cfg))
+        inner = {name: shape for name, shape in deep.items() if name.startswith("layer1.")}
+        missing = {name: shape for name, shape in inner.items() if name not in declared}
+        assert missing == unread_tensor_shapes(cfg)
+
+
+class TestNoDeclaredTensorIsDead:
+    """Every tensor ``param_shapes`` declares feeds a score: backpropagated over every commit
+    of the v1 fixture, each gets a nonzero gradient on at least one commit."""
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
+    def test_every_declared_tensor_gets_a_gradient(self, mode):
+        cfg = ModelConfig(dim=16, heads=2, layers=2, proj_dim=8, mode=mode)
+        params = init_network_params(cfg, np.random.default_rng(0), random_scorer=True)
+        live = set()
+        for eg in embed_dataset(load_dataset(DATA / "v1_dataset.json"), HashingEmbedder(cfg.dim)):
+            tape = ad.Tape()
+            grads = ad.backward(tape, commit_loss(tape, eg, build_pairs(eg.graph), params, cfg))
+            live |= {name for name, t in params.items() if grads[t].any()}
+        assert [name for name, _shape in param_shapes(cfg) if name not in live] == []
+
+
 @st.composite
 def relabelled_graphs(draw):
-    """A graph with isolated nodes and parallel edges of different kinds, plus a relabelling."""
+    """A graph with isolated nodes and parallel edges of different kinds, plus a relabelling;
+    line_mapping edges end at added lines, as ``validate_graph`` requires."""
     n = draw(st.integers(2, 7))
     kinds = draw(st.lists(st.sampled_from(list(NodeKind)), min_size=n, max_size=n))
     isolated = draw(st.integers(1, n - 1))   # the last ``isolated`` nodes touch no edge
@@ -244,7 +358,8 @@ def relabelled_graphs(draw):
             lambda p: p[0] != p[1])
         for src, dst in draw(st.lists(pairs, max_size=10)):
             for kind in draw(st.sets(st.sampled_from(list(EdgeKind)), min_size=1, max_size=3)):
-                edges.add((src, dst, kind))
+                if kind is not EdgeKind.LINE_MAPPING or kinds[dst] is NodeKind.ADDED:
+                    edges.add((src, dst, kind))
     perm = draw(st.permutations(range(n)))
     return kinds, sorted(edges, key=lambda e: (e[0], e[1], e[2].value)), perm
 
@@ -276,7 +391,10 @@ class TestRelabellingEquivariance:
                                   self.params, cfg).data
             out_relabelled = network_forward(None, constant(h0_relabelled), build_plan(relabelled),
                                              self.params, cfg).data
-            np.testing.assert_allclose(out_relabelled[perm], out, rtol=0, atol=1e-12)
+            # rows are the deleted lines in node id order, in each graph its own
+            moved = [perm[i] for i, kind in enumerate(kinds) if kind is NodeKind.DELETED]
+            np.testing.assert_allclose(out_relabelled[np.argsort(np.argsort(moved))], out,
+                                       rtol=0, atol=1e-12)
 
 
 DATA = Path(__file__).parent / "data"
@@ -286,11 +404,11 @@ class TestHeadBlockMaps:
     def test_named_maps_hold_only_head_blocks(self):
         named = named_tensors(init_network_params(ModelConfig(dim=64, heads=8, layers=2)))
         maps = [t for name, t in named if ".w_att." in name or ".w_msg." in name]
-        assert len(maps) == 2 * 2 * len(EdgeKind)
+        assert len(maps) == 2 * 2 * len(EdgeKind) - 2     # the last layer has no line_mapping maps
         assert all(t.data.shape == (64, 8) for t in maps)
 
     @pytest.mark.parametrize("mode, values", [
-        (Mode.FULL, 114_472), (Mode.AGGREGATION_ONLY, 64_552), (Mode.RETENTION_ONLY, 54_272),
+        (Mode.FULL, 109_288), (Mode.AGGREGATION_ONLY, 59_368), (Mode.RETENTION_ONLY, 54_272),
     ])
     def test_default_model_holds_only_its_modes_values(self, mode, values):
         named = named_tensors(init_network_params(ModelConfig(mode=mode)))
@@ -309,6 +427,9 @@ class TestHeadBlockMaps:
             for kind in EdgeKind:
                 for i in range(heads):
                     block = np.eye(d) + ref.uniform(-0.01, 0.01, size=(d, d))
+                    if kind is EdgeKind.LINE_MAPPING:   # drawn, but the last layer holds none
+                        assert f"layer0.attn.{maps}.{kind.value}" not in params
+                        continue
                     held = params[f"layer0.attn.{maps}.{kind.value}"].data
                     assert np.array_equal(held[i * d:(i + 1) * d], block)
         gate = 1.0 / math.sqrt(dim)
@@ -358,7 +479,7 @@ class TestParamLayout:
             raise AssertionError("load_checkpoint drew random numbers")
 
         monkeypatch.setattr(np.random, "default_rng", no_rng)
-        params, cfg = load_checkpoint(DATA / "v3_model.ckpt")
+        params, cfg = load_checkpoint(DATA / "v4_model.ckpt")
         layout = [(name, t.data.shape) for name, t in named_tensors(params)]
         assert layout == list(param_shapes(cfg))
 
@@ -452,7 +573,7 @@ class TestCheckpoints:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_maps_are_written_in_their_live_shape(self, tmp_path):
-        cfg = ModelConfig(dim=4, heads=2, layers=1, proj_dim=4, seed=3)
+        cfg = ModelConfig(dim=4, heads=2, layers=2, proj_dim=4, seed=3)
         params = init_network_params(cfg, np.random.default_rng(3))
         save_checkpoint(tmp_path / "m.ckpt", params, cfg)
         entry = json.loads((tmp_path / "m.ckpt").read_text())["tensors"][12]
@@ -462,10 +583,21 @@ class TestCheckpoints:
         assert decode_data(entry["data"]).tobytes() == blocks.tobytes()
 
     def test_fixture_resaves_byte_identical(self, tmp_path):
-        params, cfg = load_checkpoint(DATA / "v3_model.ckpt")   # dim 8, heads 2, layers 1
+        params, cfg = load_checkpoint(DATA / "v4_model.ckpt")   # dim 8, heads 2, layers 1
         assert params["layer0.attn.w_msg.call"].data.shape == (8, 4)
         save_checkpoint(tmp_path / "again.ckpt", params, cfg)
-        assert (tmp_path / "again.ckpt").read_bytes() == (DATA / "v3_model.ckpt").read_bytes()
+        assert (tmp_path / "again.ckpt").read_bytes() == (DATA / "v4_model.ckpt").read_bytes()
+
+    def test_fixture_is_the_v3_fixture_without_the_last_layers_unread_tensors(self):
+        v3 = json.loads((DATA / "v3_model.ckpt").read_text())
+        v4 = json.loads((DATA / "v4_model.ckpt").read_text())
+        assert v3.pop("format") == "rootrank-checkpoint-v3"
+        assert v4.pop("format") == "rootrank-checkpoint-v4"
+        unread = {"layer0.attn.w_q.added", "layer0.attn.b_q.added",
+                  "layer0.attn.w_att.line_mapping", "layer0.attn.w_msg.line_mapping"}
+        assert {entry["name"] for entry in v3["tensors"]} >= unread
+        v3["tensors"] = [entry for entry in v3["tensors"] if entry["name"] not in unread]
+        assert v3 == v4
 
     def test_fixture_is_the_v2_fixture_without_its_scorer_bias(self):
         v2 = json.loads((DATA / "v2_model.ckpt").read_text())
@@ -479,30 +611,33 @@ class TestCheckpoints:
     def test_fixture_holds_the_v1_fixtures_values_bit_for_bit(self):
         # v1 stored each map as its D x D block-diagonal matrix, in JSON numbers
         v1 = json.loads((DATA / "v1_model.ckpt").read_text())
-        params, cfg = load_checkpoint(DATA / "v3_model.ckpt")
+        params, cfg = load_checkpoint(DATA / "v4_model.ckpt")
         assert [v1[key] for key in ("dim", "heads", "layers", "proj_dim", "mode", "seed",
                                     "sigma")] == [cfg.dim, cfg.heads, cfg.layers, cfg.out_dim,
                                                   cfg.mode.value, cfg.seed, cfg.sigma]
         bias = v1["tensors"].pop()   # the scorer bias, which v3 does not hold
         assert bias["name"] == "scorer.b"
-        assert [entry["name"] for entry in v1["tensors"]] == list(params)
-        for entry in v1["tensors"]:
+        # v4 does not hold the last layer's added-line queries and line_mapping maps either
+        kept = [entry for entry in v1["tensors"] if entry["name"] in params]
+        assert [entry["name"] for entry in kept] == list(params)
+        assert len(v1["tensors"]) - len(kept) == 4
+        for entry in kept:
             values = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
             if entry["name"].split(".")[-2] in ("w_att", "w_msg"):
                 assert not values[:4, 4:].any() and not values[4:, :4].any(), entry["name"]
                 values = np.concatenate([values[:4, :4], values[4:, 4:]])   # its head blocks
             assert values.tobytes() == params[entry["name"]].data.tobytes(), entry["name"]
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_file_is_rejected_naming_its_format(self, version):
         path = DATA / f"v{version}_model.ckpt"
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)
-        assert str(info.value) == (f"{path}: not a rootrank-checkpoint-v3 file "
+        assert str(info.value) == (f"{path}: not a rootrank-checkpoint-v4 file "
                                    f"(its format is 'rootrank-checkpoint-v{version}')")
 
     def test_loaded_tensors_are_owned_writable_float64(self):
-        params, _cfg = load_checkpoint(DATA / "v3_model.ckpt")
+        params, _cfg = load_checkpoint(DATA / "v4_model.ckpt")
         for name, t in params.items():
             flags = t.data.flags
             assert t.data.dtype == np.float64 and t.data.dtype.isnative, name
@@ -510,7 +645,7 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("shape", [[4, 4], [2, 4]], ids=["dense-v1-layout", "transposed"])
     def test_map_must_have_its_live_shape(self, tmp_path, shape):
-        cfg = ModelConfig(dim=4, heads=2, layers=1, proj_dim=4)
+        cfg = ModelConfig(dim=4, heads=2, layers=2, proj_dim=4)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_network_params(cfg, np.random.default_rng(0)), cfg)
         payload = json.loads(path.read_text())
@@ -525,7 +660,7 @@ class TestCheckpoints:
         # the v1 fixture's D x D map, entries outside the head blocks included, in v2 data
         dense = next(e for e in json.loads((DATA / "v1_model.ckpt").read_text())["tensors"]
                      if e["name"] == "layer0.attn.w_msg.call")
-        payload = json.loads((DATA / "v3_model.ckpt").read_text())
+        payload = json.loads((DATA / "v4_model.ckpt").read_text())
         entry = next(e for e in payload["tensors"] if e["name"] == "layer0.attn.w_msg.call")
         entry.update(shape=dense["shape"], data=encode_data(dense["data"]))
         path = tmp_path / "bad.ckpt"
