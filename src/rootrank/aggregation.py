@@ -21,8 +21,11 @@ kind and each edge kind present, so every plan array is O(n + E).  The
 plan is the one place a graph's indices are checked: its constructor
 checks every array once, by arithmetic, and keeps each as a read-only
 ``autodiff.CheckedIndex``, the only index the ops take, so no op checks
-an index again.  A kind whose rows are one ascending run (synthetic
-graphs list deleted lines first) is gathered and scattered as a slice.
+an index again.  Edges are sorted by kind first, so each edge kind's
+rows are one run; a kind whose rows are one run (every edge kind, and
+each node kind of a graph that lists its kinds in turn, as synthetic
+graphs list deleted lines first) is a slice, which ``block_matmul``
+multiplies from a view straight into its rows of the output.
 Width-D flat scatter indices are not kept: the plan stays O(n + E)
 integers, and they are built per call.  Each
 typed transform runs once per kind, on that kind's rows only: each of
@@ -51,7 +54,8 @@ disjoint union in the way PyTorch Geometric batches graphs: node ids and
 edge rows are offset and the arrays concatenated, and the union is a
 ``GraphPlan`` like any other, checked once when it is made.  No edge
 joins two commits, so each node's attention and state see only its own
-commit.
+commit.  Each commit's edges stay kind-major, so the union's edge kinds
+interleave and its typed groups are gathered and scattered by index.
 """
 
 from __future__ import annotations
@@ -81,10 +85,11 @@ class ScoredBlock:
 
     ``targets`` holds the deleted lines' node ids, ascending (the plan's
     ``node_rows`` member, or an empty index when there is none); the kept
-    edges are the plan's edges that end at one of them, in plan order.
-    ``dst`` gives each kept edge's target as a position in ``targets``, so
-    attention over the block yields one row per deleted line, in node id
-    order.  ``node_rows`` and ``edge_rows`` partition the k targets and the
+    edges are the plan's edges that end at one of them, in plan order, so
+    a plan's kind-major edges keep each edge kind one run.  ``dst`` gives
+    each kept edge's target as a position in ``targets``, so attention
+    over the block yields one row per deleted line, in node id order.
+    ``node_rows`` and ``edge_rows`` partition the k targets and the
     kept edges by kind, as a plan's do its nodes and edges; with ``n`` = k,
     the block reads like a plan whose nodes are the targets.  Made only by
     :class:`GraphPlan`, which derives it from its own checked arrays.
@@ -106,11 +111,13 @@ class ScoredBlock:
 class GraphPlan:
     """Integer index arrays derived from one graph's structure, checked once.
 
-    Edges are ordered canonically by (dst, src, kind ordinal), so each
-    target's incoming edges are contiguous and ordered by source id and
-    then edge kind.  ``node_rows``/``edge_rows`` hold one sorted row array
-    per kind present in the graph; together they partition the node ids
-    and the edge rows.
+    Edges are ordered canonically by (kind ordinal, dst, src), so each
+    edge kind's rows are one contiguous run, a slice for ``block_matmul``,
+    and within a kind the edges are ordered by target and then source.
+    ``node_rows``/``edge_rows`` hold one sorted row array per kind present
+    in the graph; together they partition the node ids and the edge rows.
+    A target's incoming edges are not contiguous: ``autodiff.attend`` sums
+    them by scatter, in (kind, src) order.
 
     Construction checks that ``src`` and ``dst`` lie in [0, n), ``mu_idx``
     in [0, MU_SIZE), that the three have one entry per edge, and that each
@@ -209,7 +216,7 @@ def build_plan(g: CommitGraph) -> GraphPlan:
     node_kind = np.array([node.kind.ordinal for node in g.nodes], dtype=np.intp)
     src, dst, edge_kind = np.array([(e.src, e.dst, e.kind.ordinal) for e in g.edges],
                                    dtype=np.intp).reshape(-1, 3).T
-    order = np.lexsort((edge_kind, src, dst))    # by dst, then src, then kind
+    order = np.lexsort((src, dst, edge_kind))    # by kind, then dst, then src
     src, dst, edge_kind = src[order], dst[order], edge_kind[order]
     return GraphPlan(
         n=len(node_kind),
@@ -226,7 +233,9 @@ def union_plan(plans: Sequence[GraphPlan]) -> GraphPlan:
 
     Each plan's node ids are offset by the node count of the plans before
     it and its edge rows by their edge count, so its nodes and edges keep
-    their relative order and the edges stay sorted by target.  The result
+    their relative order: each plan's edges stay kind-major, but the
+    union's are not, so its edge kinds with rows in two plans are index
+    groups, which ``block_matmul`` gathers and scatters.  The result
     is made by the :class:`GraphPlan` constructor, which checks its arrays
     once like any plan's and derives its scored block from them, so the
     block is that of the union too.  A union of one plan is that plan.

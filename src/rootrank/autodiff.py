@@ -35,7 +35,8 @@ CheckedIndex of the length they index, and block_matmul only all the
 members of one checked partition of its input's rows; any other array,
 even one derived from a CheckedIndex, raises ValueError naming the op
 and the argument.  A partition member that is one ascending run of rows
-is taken as a slice, so its gathers and scatters are views.
+is taken as a slice: take_rows gathers it as a view, and block_matmul
+writes its product straight into those rows of the output.
 
 Every scatter (the backward of take_rows, the per-target reductions of
 attend and the scatters of pair_loss's backward) goes through
@@ -251,6 +252,14 @@ def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: i
     ``a[r] @ blockdiag(H row blocks of w) + b``: head i maps column block
     i of ``a[r]`` through row block i of ``w`` into output column block i.
 
+    A group whose rows are one run (a member with a slice ``take``) is
+    multiplied from a view of its rows of ``a`` straight into its rows of
+    the output, through their (H, r, m) head view, and backward writes its
+    rows of ``a``'s gradient the same way.  Any other group (a union
+    plan's typed groups) is gathered into a copy and its product scattered
+    into place; the two give bit-identical results.  With one head every
+    product is a plain 2-D one.
+
     The record keeps each group's index array, not a copy of its rows of
     ``a``; backward gathers those rows again, and only for a ``w`` that
     needs a gradient.
@@ -268,7 +277,7 @@ def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: i
         raise ValueError(f"block_matmul: groups must list every member of their partition "
                          f"of [0, {n}), but hold {held} rows")
     inputs = [a]
-    parts = []                  # (rows, (H, k, m) weight blocks, w, b)
+    parts = []                  # (rows, weight blocks, w, b)
     for rows, w, *bias in groups:
         b = bias[0] if bias else None
         if (w.data.ndim != 2 or w.data.shape != (heads * k, m) or len(bias) > 1
@@ -276,33 +285,42 @@ def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: i
             raise ValueError(f"block_matmul: unsupported shapes {a.shape} @ {w.shape}"
                              f"{''.join(f' + {t.shape}' for t in bias)} in {heads} heads")
         parts.append((_rows("block_matmul", "groups", rows, n),
-                      w.data.reshape(heads, k, m), w, b))
+                      w.data if heads == 1 else w.data.reshape(heads, k, m), w, b))
         inputs += [w, *bias]
 
-    def head_rows(rows):
-        """Rows ``rows`` of ``a`` as (H, r, k) head blocks: a copy, or a view for a slice."""
-        x = a.data[rows]
-        return x.reshape(len(x), heads, k).transpose(1, 0, 2)
+    def by_head(x):
+        """(r, H*c) rows as (H, r, c) head blocks, a view of a contiguous ``x``; with one
+        head, ``x`` itself."""
+        return x if heads == 1 else x.reshape(len(x), heads, -1).transpose(1, 0, 2)
+
+    def place(target, rows):
+        """Where a group's rows of the C-ordered ``target`` are computed: ``target[rows]``
+        itself for a slice, else a scratch array the caller scatters into those rows."""
+        if type(rows) is slice:
+            return target[rows]
+        return np.empty((len(rows), target.shape[1]), target.dtype)
 
     out = np.empty((n, heads * m))
     for rows, blocks, _w, b in parts:
-        x = head_rows(rows)
-        y = np.matmul(x, blocks).transpose(1, 0, 2).reshape(x.shape[1], heads * m)
+        y = place(out, rows)
+        np.matmul(by_head(a.data[rows]), blocks, out=by_head(y))
         if b is not None:
             y += b.data
-        out[rows] = y
+        if type(rows) is not slice:
+            out[rows] = y
 
     def bwd(g):
-        da = np.empty_like(a.data) if a.requires_grad else None
+        da = np.empty_like(a.data, order="C") if a.requires_grad else None
         grads = [da]
         for rows, blocks, w, b in parts:
             gy = g[rows]
-            gh = gy.reshape(len(gy), heads, m).transpose(1, 0, 2)      # (H, r, m)
             if a.requires_grad:
-                dx = np.matmul(gh, blocks.transpose(0, 2, 1)).transpose(1, 0, 2)
-                da[rows] = dx.reshape(len(gy), heads * k)
-            grads.append(np.matmul(head_rows(rows).transpose(0, 2, 1), gh).reshape(heads * k, m)
-                         if w.requires_grad else None)
+                dx = place(da, rows)
+                np.matmul(by_head(gy), blocks.swapaxes(-1, -2), out=by_head(dx))
+                if type(rows) is not slice:
+                    da[rows] = dx
+            grads.append(np.matmul(by_head(a.data[rows]).swapaxes(-1, -2), by_head(gy))
+                         .reshape(heads * k, m) if w.requires_grad else None)
             if b is not None:
                 grads.append(gy.sum(axis=0))
         return tuple(grads)

@@ -125,10 +125,10 @@ def validate_graph(g: CommitGraph, require_root_cause: bool = True) -> list[str]
         if e.src == e.dst:
             violations.append(f"self-reference edge on node {e.src}")
             continue
-        missing = [v for v in (e.src, e.dst) if not 0 <= v < n]
-        if missing:
-            for v in missing:
-                violations.append(f"edge references missing node {v}")
+        if not (0 <= e.src < n and 0 <= e.dst < n):
+            for v in (e.src, e.dst):
+                if not 0 <= v < n:
+                    violations.append(f"edge references missing node {v}")
             continue
         key = (e.src, e.dst, e.kind)
         if key in seen:
@@ -163,63 +163,74 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
         raise DatasetFormatError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
-def _parse_embedding(raw: object, where: str) -> tuple[float, ...]:
-    problem = f"{where}: field 'embedding' must be a list of finite float64 numbers or null"
-    if not isinstance(raw, list) or not all(
+def _at(where: str, item: str, i: int) -> str:
+    """Where item ``i`` of a commit's ``item`` list sits, for an error message; built only
+    when one is raised, since most datasets raise none."""
+    return f"{where} {item}[{i}]"
+
+
+def _parse_embedding(raw: object, where: str, i: int) -> tuple[float, ...]:
+    if isinstance(raw, list) and all(
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
     ):
-        raise DatasetFormatError(problem)
-    try:
-        values = tuple(float(x) for x in raw)
-    except OverflowError:  # an integer beyond the float64 range
-        raise DatasetFormatError(problem) from None
-    if not all(map(math.isfinite, values)):
-        raise DatasetFormatError(problem)
-    return values
+        try:
+            values = tuple(float(x) for x in raw)
+        except OverflowError:  # an integer beyond the float64 range
+            pass
+        else:
+            if all(map(math.isfinite, values)):
+                return values
+    raise DatasetFormatError(f"{_at(where, 'node', i)}: field 'embedding' must be a list "
+                             f"of finite float64 numbers or null")
 
 
-def _parse_node(raw: object, where: str) -> LineNode:
+def _parse_node(raw: object, where: str, i: int) -> LineNode:
+    """Node ``i`` of the commit ``where`` names; an error names the node as ``_at`` does."""
     if not isinstance(raw, dict):
-        raise DatasetFormatError(f"{where}: node must be an object")
-    _reject_unknown(raw, _NODE_FIELDS, where)
-    if not isinstance(raw.get("id"), int) or isinstance(raw.get("id"), bool):
-        raise DatasetFormatError(f"{where}: field 'id' must be an integer")
+        raise DatasetFormatError(f"{_at(where, 'node', i)}: node must be an object")
+    if not raw.keys() <= _NODE_FIELDS:
+        _reject_unknown(raw, _NODE_FIELDS, _at(where, "node", i))
+    node_id = raw.get("id")
+    if type(node_id) is not int:    # JSON gives exact ints; this also rejects a bool
+        raise DatasetFormatError(f"{_at(where, 'node', i)}: field 'id' must be an integer")
     kind_name = raw.get("kind")
-    if not isinstance(kind_name, str) or kind_name not in _NODE_KIND_BY_NAME:
+    kind = _NODE_KIND_BY_NAME.get(kind_name) if isinstance(kind_name, str) else None
+    if kind is None:
         raise DatasetFormatError(
-            f"{where}: field 'kind' must be one of {sorted(_NODE_KIND_BY_NAME)}, got {kind_name!r}"
+            f"{_at(where, 'node', i)}: field 'kind' must be one of {sorted(_NODE_KIND_BY_NAME)}, "
+            f"got {kind_name!r}"
         )
     text = raw.get("text")
     if text is not None and not isinstance(text, str):
-        raise DatasetFormatError(f"{where}: field 'text' must be a string or null")
+        raise DatasetFormatError(f"{_at(where, 'node', i)}: field 'text' must be a string or null")
     rc = raw.get("is_root_cause", False)
     if not isinstance(rc, bool):
-        raise DatasetFormatError(f"{where}: field 'is_root_cause' must be a boolean")
+        raise DatasetFormatError(
+            f"{_at(where, 'node', i)}: field 'is_root_cause' must be a boolean")
     emb = raw.get("embedding")
     if emb is not None:
-        emb = _parse_embedding(emb, where)
-    return LineNode(
-        id=raw["id"],
-        kind=_NODE_KIND_BY_NAME[kind_name],
-        text=text,
-        is_root_cause=rc,
-        embedding=emb,
-    )
+        emb = _parse_embedding(emb, where, i)
+    return LineNode(id=node_id, kind=kind, text=text, is_root_cause=rc, embedding=emb)
 
 
-def _parse_edge(raw: object, where: str) -> DepEdge:
+def _parse_edge(raw: object, where: str, i: int) -> DepEdge:
+    """Edge ``i`` of the commit ``where`` names; an error names the edge as ``_at`` does."""
     if not isinstance(raw, dict):
-        raise DatasetFormatError(f"{where}: edge must be an object")
-    _reject_unknown(raw, _EDGE_FIELDS, where)
-    for f in ("src", "dst"):
-        if not isinstance(raw.get(f), int) or isinstance(raw.get(f), bool):
-            raise DatasetFormatError(f"{where}: field {f!r} must be an integer")
+        raise DatasetFormatError(f"{_at(where, 'edge', i)}: edge must be an object")
+    if not raw.keys() <= _EDGE_FIELDS:
+        _reject_unknown(raw, _EDGE_FIELDS, _at(where, "edge", i))
+    src, dst = raw.get("src"), raw.get("dst")
+    for f, value in (("src", src), ("dst", dst)):
+        if type(value) is not int:  # JSON gives exact ints; this also rejects a bool
+            raise DatasetFormatError(f"{_at(where, 'edge', i)}: field {f!r} must be an integer")
     kind_name = raw.get("kind")
-    if not isinstance(kind_name, str) or kind_name not in _EDGE_KIND_BY_NAME:
+    kind = _EDGE_KIND_BY_NAME.get(kind_name) if isinstance(kind_name, str) else None
+    if kind is None:
         raise DatasetFormatError(
-            f"{where}: field 'kind' must be one of {sorted(_EDGE_KIND_BY_NAME)}, got {kind_name!r}"
+            f"{_at(where, 'edge', i)}: field 'kind' must be one of {sorted(_EDGE_KIND_BY_NAME)}, "
+            f"got {kind_name!r}"
         )
-    return DepEdge(src=raw["src"], dst=raw["dst"], kind=_EDGE_KIND_BY_NAME[kind_name])
+    return DepEdge(src=src, dst=dst, kind=kind)
 
 
 def _parse_graph(raw: object, index: int, path: Path) -> CommitGraph:
@@ -238,8 +249,8 @@ def _parse_graph(raw: object, index: int, path: Path) -> CommitGraph:
     edges_raw = raw.get("edges")
     if not isinstance(nodes_raw, list) or not isinstance(edges_raw, list):
         raise DatasetFormatError(f"{where}: fields 'nodes' and 'edges' must be lists")
-    nodes = tuple(_parse_node(nr, f"{where} node[{i}]") for i, nr in enumerate(nodes_raw))
-    edges = tuple(_parse_edge(er, f"{where} edge[{i}]") for i, er in enumerate(edges_raw))
+    nodes = tuple(_parse_node(nr, where, i) for i, nr in enumerate(nodes_raw))
+    edges = tuple(_parse_edge(er, where, i) for i, er in enumerate(edges_raw))
     return CommitGraph(commit_id=commit_id, nodes=nodes, edges=edges, timestamp=ts)
 
 

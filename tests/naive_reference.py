@@ -126,11 +126,11 @@ def naive_build_pairs(g: CommitGraph, include_ties: bool = False) -> list[PairSa
 def naive_build_plan(g: CommitGraph) -> GraphPlan:
     """The graph plan from Python sorting and per-edge prior lookups.
 
-    Edges sorted by (dst, src, kind ordinal); node and edge rows listed
+    Edges sorted by (kind ordinal, dst, src); node and edge rows listed
     per kind, in the kinds' declaration order, for the kinds present.
     """
     kinds = [node.kind for node in g.nodes]
-    order = sorted(g.edges, key=lambda e: (e.dst, e.src, e.kind.ordinal))
+    order = sorted(g.edges, key=lambda e: (e.kind.ordinal, e.dst, e.src))
 
     def rows_by_kind(item_kinds, all_kinds):
         rows = {kind: [i for i, k in enumerate(item_kinds) if k is kind] for kind in all_kinds}

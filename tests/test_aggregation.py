@@ -124,11 +124,20 @@ class TestPlanAgainstSortedOracle:
         )   # node 3 is isolated
         plan = build_plan(g)
         assert_same_plan(plan, naive_build_plan(g))
-        assert plan.src.tolist() == [1, 0, 0, 2, 2]
-        assert plan.dst.tolist() == [0, 1, 1, 1, 1]
+        assert plan.src.tolist() == [0, 2, 1, 0, 2]
+        assert plan.dst.tolist() == [1, 1, 0, 1, 1]
 
 
 class TestGraphPlan:
+    @settings(max_examples=300, deadline=None)
+    @given(g=plan_graphs())
+    def test_each_edge_kind_is_one_run_of_rows(self, g):
+        # edges sort by kind first, so every typed edge group of either layer is a slice
+        plan = build_plan(g)
+        for block in (plan, plan.scored):
+            for kind, rows in block.edge_rows.items():
+                assert rows.take == slice(int(rows[0]), int(rows[-1]) + 1), kind
+
     def test_arrays_are_linear_in_graph_size(self):
         rng = np.random.default_rng(4)
         for _ in range(20):

@@ -621,6 +621,41 @@ class TestBlockMatmul:
             gh = weights[rows].reshape(len(rows), 4, 2).transpose(1, 0, 2)     # (H, r, m)
             assert np.array_equal(grads[w], np.matmul(x, gh).reshape(16, 2))
 
+    @pytest.mark.parametrize("heads", [1, 8])
+    @pytest.mark.parametrize("biased", [False, True])
+    @pytest.mark.parametrize("a_grad", [True, False])
+    def test_slice_groups_equal_index_groups_bit_for_bit(self, heads, biased, a_grad):
+        # the same runs of rows, once as slice members written in place and once with ``take``
+        # cleared, so they are gathered and scattered; one run is a single row
+        rng = np.random.default_rng(12)
+        k, m = 3, 2
+        runs = [np.arange(0, 5), np.arange(5, 6), np.arange(6, 13)]
+        a = Tensor(rng.normal(size=(13, heads * k)), requires_grad=a_grad)
+        ws = [Tensor(rng.normal(size=(heads * k, m)), requires_grad=True) for _ in runs]
+        bs = [Tensor(rng.normal(size=heads * m), requires_grad=True) for _ in runs]
+        g = rng.normal(size=(13, heads * m))
+
+        def run(members):
+            groups = [(rows, w, b) if biased else (rows, w)
+                      for rows, w, b in zip(members, ws, bs)]
+            tape = Tape()
+            out = ad.block_matmul(tape, a, groups, heads)
+            grads = backward(tape, scalarize(tape, out, g))
+            return out.data, [grads[t] for t in (a, *ws, *(bs if biased else []))]
+
+        sliced = ad.checked_partition(runs, 13)
+        gathered = ad.checked_partition(runs, 13)
+        for rows in gathered:
+            assert type(rows.take) is slice
+            rows.take = None
+        out, grads = run(sliced)
+        want, want_grads = run(gathered)
+        assert np.array_equal(out, want)
+        for got, expected in zip(grads, want_grads):
+            assert np.array_equal(got, expected)
+        if not a_grad:
+            assert not grads[0].any()
+
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 5), heads=st.integers(1, 4), k=st.integers(1, 4),
            m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))

@@ -111,7 +111,11 @@ class TestUnionScoring:
         assert np.array_equal(union.src, by_hand["src"])
         assert np.array_equal(union.dst, by_hand["dst"])
         assert np.array_equal(union.mu_idx, np.concatenate([p.mu_idx for p in plans]))
-        assert (np.diff(union.dst) >= 0).all()          # still sorted by target
+        edge_kind = np.empty(e, np.intp)
+        for kind, rows in union.edge_rows.items():
+            edge_kind[rows] = kind.ordinal
+        for start, stop in zip(edge_base, edge_base[1:].tolist() + [e]):     # each commit's
+            assert (np.diff(edge_kind[start:stop]) >= 0).all()              # edges, kind-major
         for field, bound, bases in (("node_rows", n, node_base), ("edge_rows", e, edge_base)):
             members = getattr(union, field)
             assert len({id(rows.part) for rows in members.values()}) == 1
@@ -195,6 +199,18 @@ class TestUnionScoring:
             assert_close_and_equally_ranked(after, before)
         else:
             assert after == before
+
+    def test_a_union_scores_through_index_groups(self):
+        # each commit's edges are kind-major, so a union interleaves the kinds of its
+        # commits: its typed groups are gathered and scattered, not sliced
+        rng = np.random.default_rng(9)
+        embedded = [commit(rng, f"c{i}", 4, 3, 0.5) for i in range(3)]
+        assert len(ranker._batches(embedded)) == 1
+        union = union_plan([eg.plan for eg in embedded])
+        for block in (union, union.scored):
+            assert any(rows.take is None for rows in block.edge_rows.values())
+        for eg, ranked in zip(embedded, rank_commits(MODEL, embedded)):
+            assert_close_and_equally_ranked(ranked, alone(MODEL, eg))
 
     def test_a_union_of_one_plan_is_that_plan(self):
         eg = commit(np.random.default_rng(0), "one", 3, 2, 0.5)

@@ -132,6 +132,49 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match="node\\[0\\]: field 'embedding'"):
             load_dataset(write_dataset(tmp_path, payload))
 
+    EDGE_KINDS = "['call', 'class_member_ref', 'control_flow', 'data_dependency', 'line_mapping']"
+    EMBEDDING = "field 'embedding' must be a list of finite float64 numbers or null"
+
+    @pytest.mark.parametrize("entry,change,message", [
+        ("nodes", lambda d: 5, "node[1]: node must be an object"),
+        ("nodes", lambda d: {**d, "zz": 2, "color": 1},
+         "node[1]: unknown field(s) ['color', 'zz']"),
+        ("nodes", lambda d: {**d, "id": True}, "node[1]: field 'id' must be an integer"),
+        ("nodes", lambda d: {**d, "id": 1.0}, "node[1]: field 'id' must be an integer"),
+        ("nodes", lambda d: {**d, "kind": 3},
+         "node[1]: field 'kind' must be one of ['added', 'deleted'], got 3"),
+        ("nodes", lambda d: {**d, "kind": "refactor"},
+         "node[1]: field 'kind' must be one of ['added', 'deleted'], got 'refactor'"),
+        ("nodes", lambda d: {**d, "text": 3}, "node[1]: field 'text' must be a string or null"),
+        ("nodes", lambda d: {**d, "is_root_cause": 1},
+         "node[1]: field 'is_root_cause' must be a boolean"),
+        ("nodes", lambda d: {**d, "embedding": "x"}, f"node[1]: {EMBEDDING}"),
+        ("nodes", lambda d: {**d, "embedding": [1, True]}, f"node[1]: {EMBEDDING}"),
+        ("nodes", lambda d: {**d, "embedding": [1, 10 ** 400]}, f"node[1]: {EMBEDDING}"),
+        ("edges", lambda d: [1], "edge[0]: edge must be an object"),
+        ("edges", lambda d: {**d, "weight": 2}, "edge[0]: unknown field(s) ['weight']"),
+        ("edges", lambda d: {**d, "src": False}, "edge[0]: field 'src' must be an integer"),
+        ("edges", lambda d: {**d, "dst": "1"}, "edge[0]: field 'dst' must be an integer"),
+        ("edges", lambda d: {**d, "kind": {}},
+         f"edge[0]: field 'kind' must be one of {EDGE_KINDS}, got {{}}"),
+        ("edges", lambda d: {**d, "kind": "uses"},
+         f"edge[0]: field 'kind' must be one of {EDGE_KINDS}, got 'uses'"),
+        ("edges", lambda d: {**d, "src": -1, "dst": 9},
+         ": edge references missing node -1; edge references missing node 9"),
+        ("edges", lambda d: {**d, "dst": 7}, ": edge references missing node 7"),
+    ])
+    def test_each_message_names_the_item_exactly(self, tmp_path, entry, change, message):
+        # node 1 and edge 0 are the last node and the only edge; each message names the file,
+        # the commit and the item, byte for byte
+        payload = json.loads(json.dumps(MINIMAL))
+        items = payload["graphs"][0][entry]
+        items[-1] = change(items[-1])
+        path = write_dataset(tmp_path, payload)
+        with pytest.raises(DatasetFormatError) as caught:
+            load_dataset(path)
+        sep = "" if message.startswith(":") else " "
+        assert str(caught.value) == f"{path}: commit 'c1'{sep}{message}"
+
 
 @st.composite
 def datasets(draw):
