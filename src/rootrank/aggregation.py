@@ -16,18 +16,19 @@ i's square block, applied with ``block_matmul`` so head i only ever sees
 its own block.  Checkpoints store them in that same (D, D/H) shape.
 
 A graph enters the layer as a :class:`GraphPlan`: per-edge integer
-arrays (source, target, prior row) plus the sorted rows of each node
-kind and each edge kind present, so every plan array is O(n + E).  The
-plan is the one place a graph's indices are checked: its constructor
-checks every array once, by arithmetic, and keeps each as a read-only
+arrays (source, target, prior row) plus the rows of each node kind and
+each edge kind present, so every plan array is O(n + E).  The plan is
+the one place a graph's indices are checked: its constructor checks
+every array once, by arithmetic, and keeps each as a read-only
 ``autodiff.CheckedIndex``, the only index the ops take, so no op checks
-an index again.  Edges are sorted by kind first, so each edge kind's
-rows are one run; a kind whose rows are one run (every edge kind, and
-each node kind of a graph that lists its kinds in turn, as synthetic
-graphs list deleted lines first) is a slice, which ``block_matmul``
-multiplies from a view straight into its rows of the output.
-Width-D flat scatter indices are not kept: the plan stays O(n + E)
-integers, and they are built per call.  Each
+an index again.  A plan numbers its rows kind-major: :func:`build_plan`
+stable-sorts the nodes by kind, so the deleted lines come first, and
+sorts the edges by kind, so every node kind's and every edge kind's rows
+are one run, which ``block_matmul`` multiplies from a view straight into
+its rows of the output.  ``node_ids`` maps each row back to its node id,
+so the initial vectors are permuted into plan order once and scores map
+back to node ids.  Width-D flat scatter indices are not kept: the plan
+stays O(n + E) integers, and they are built per call.  Each
 typed transform runs once per kind, on that kind's rows only: each of
 K, Q and V is one ``block_matmul`` with a group per node kind, and the
 attention and message maps are one each, with a group per edge kind,
@@ -40,22 +41,21 @@ of their targets.  A layer records nine tape ops.  Each
 across training steps and rankings.
 
 Only the deleted lines are scored, so the last layer runs on a bipartite
-block, :class:`ScoredBlock`: every node as a source, the deleted lines as
-targets, and only the edges that end at a deleted line.  Each plan
-derives its block when it is made (``GraphPlan.scored``), with arrays
-checked like the plan's own; keys and values still come from every node,
-but queries, the edge maps and ``attend`` see only the block, and the
-layer gives one row per deleted line.  A plan is itself the block of a
-layer whose targets are all its nodes, so one attention code path serves
-both.
+block, :class:`ScoredBlock`: every node as a source, the deleted lines,
+rows [0, k), as targets, and only the edges that end at a deleted line.
+Each plan derives its block when it is made (``GraphPlan.scored``), with
+arrays checked like the plan's own; keys and values still come from
+every node, but queries, the edge maps and ``attend`` see only the
+block, and the layer gives one row per deleted line.  A plan is itself
+the block of a layer whose targets are all its nodes, so one attention
+code path serves both.
 
 Several commits score as one graph through :func:`union_plan`, their
-disjoint union in the way PyTorch Geometric batches graphs: node ids and
-edge rows are offset and the arrays concatenated, and the union is a
-``GraphPlan`` like any other, checked once when it is made.  No edge
-joins two commits, so each node's attention and state see only its own
-commit.  Each commit's edges stay kind-major, so the union's edge kinds
-interleave and its typed groups are gathered and scattered by index.
+disjoint union in the way PyTorch Geometric batches graphs, laid out
+kind-major like any plan: the deleted lines of every commit first, in
+commit order, and each edge kind one run.  The union is a ``GraphPlan``
+like any other, checked once when it is made.  No edge joins two
+commits, so each node's attention and state see only its own commit.
 """
 
 from __future__ import annotations
@@ -83,24 +83,26 @@ class ScoredBlock:
     """The edges into a plan's deleted lines, indexed for the last layer, which updates them
     alone because only they are scored.
 
-    ``targets`` holds the deleted lines' node ids, ascending (the plan's
-    ``node_rows`` member, or an empty index when there is none); the kept
+    ``targets`` holds the deleted lines' rows, [0, k) of the kind-major
+    plan (its ``node_rows`` member, or an empty index when there is
+    none), so ``take_rows`` gathers their states as a view.  The kept
     edges are the plan's edges that end at one of them, in plan order, so
-    a plan's kind-major edges keep each edge kind one run.  ``dst`` gives
-    each kept edge's target as a position in ``targets``, so attention
-    over the block yields one row per deleted line, in node id order.
-    ``node_rows`` and ``edge_rows`` partition the k targets and the
-    kept edges by kind, as a plan's do its nodes and edges; with ``n`` = k,
-    the block reads like a plan whose nodes are the targets.  Made only by
-    :class:`GraphPlan`, which derives it from its own checked arrays.
+    each edge kind stays one run.  ``dst`` gives each kept edge's target,
+    which is also its position in ``targets``, so attention over the
+    block yields one row per deleted line, in plan row order.
+    ``node_rows`` and ``edge_rows`` split the k targets and the kept
+    edges into runs by kind, as a plan's do its nodes and edges; with
+    ``n`` = k, the block reads like a plan whose nodes are the targets.
+    Made only by :class:`GraphPlan`, which derives it from its own checked
+    arrays.
     """
 
-    targets: ad.CheckedIndex                    # (k,) node id of each deleted line, bound n
-    src: ad.CheckedIndex                        # (E_k,) source node of each kept edge, bound n
-    dst: ad.CheckedIndex                        # (E_k,) position of its target in targets
+    targets: ad.CheckedIndex                    # (k,) rows [0, k) of the deleted lines, bound n
+    src: ad.CheckedIndex                        # (E_k,) source row of each kept edge, bound n
+    dst: ad.CheckedIndex                        # (E_k,) target row of each kept edge, bound k
     mu_idx: ad.CheckedIndex                     # (E_k,) row of the edge's prior in ``mu``
     node_rows: dict[NodeKind, ad.CheckedIndex]  # {DELETED: [0, k)}, or {} when k is 0
-    edge_rows: dict[EdgeKind, ad.CheckedIndex]  # kept-edge rows of each present edge kind
+    edge_rows: dict[EdgeKind, ad.CheckedIndex]  # kept-edge run of each present edge kind
 
     @property
     def n(self) -> int:
@@ -111,32 +113,35 @@ class ScoredBlock:
 class GraphPlan:
     """Integer index arrays derived from one graph's structure, checked once.
 
-    Edges are ordered canonically by (kind ordinal, dst, src), so each
-    edge kind's rows are one contiguous run, a slice for ``block_matmul``,
-    and within a kind the edges are ordered by target and then source.
-    ``node_rows``/``edge_rows`` hold one sorted row array per kind present
-    in the graph; together they partition the node ids and the edge rows.
-    A target's incoming edges are not contiguous: ``autodiff.attend`` sums
+    Rows are kind-major.  Node kinds come in kind order, deleted lines
+    first, and ``node_ids[r]`` is the node id of row r (for a union, its
+    row in the stacked commits).  Edges come in edge-kind order too, so
+    ``node_rows``/``edge_rows``, one member per kind present, are runs
+    that tile the rows and the edges in kind order: slices for
+    ``block_matmul``.  ``src`` and ``dst`` are rows, not node ids.  A
+    target's incoming edges are not contiguous: ``autodiff.attend`` sums
     them by scatter, in (kind, src) order.
 
     Construction checks that ``src`` and ``dst`` lie in [0, n), ``mu_idx``
-    in [0, MU_SIZE), that the three have one entry per edge, and that each
-    kind's rows are non-empty and increasing and the kinds partition the
-    nodes and the edges; a failed check raises ValueError naming the
-    array.  Every array is then held as a read-only
-    ``autodiff.CheckedIndex``.  It then derives ``scored``, the
-    :class:`ScoredBlock` of its deleted lines, rejecting a ``line_mapping``
-    edge that ends at a deleted line (``graphs.validate_graph`` makes each
-    end at an added one, so the last layer holds no ``line_mapping`` maps).
-    A plan pickles as its arrays and is checked again when loaded.
+    in [0, MU_SIZE), that the three have one entry per edge, that
+    ``node_ids`` is a permutation of [0, n), and that the kinds' rows,
+    listed in kind order, are non-empty runs that tile the nodes and the
+    edges in order; a failed check raises ValueError naming the array.
+    Every array is then held as a read-only ``autodiff.CheckedIndex``.  It
+    then derives ``scored``, the :class:`ScoredBlock` of its deleted
+    lines, rejecting a ``line_mapping`` edge that ends at a deleted line
+    (``graphs.validate_graph`` makes each end at an added one, so the last
+    layer holds no ``line_mapping`` maps).  A plan pickles as its arrays
+    and is checked again when loaded.
     """
 
     n: int
-    src: np.ndarray                        # (E,) source node of each edge
-    dst: np.ndarray                        # (E,) target node of each edge
+    src: np.ndarray                        # (E,) source row of each edge
+    dst: np.ndarray                        # (E,) target row of each edge
     mu_idx: np.ndarray                     # (E,) row of the edge's prior in ``mu``
-    node_rows: dict[NodeKind, np.ndarray]  # node ids of each present node kind
-    edge_rows: dict[EdgeKind, np.ndarray]  # edge rows of each present edge kind
+    node_rows: dict[NodeKind, np.ndarray]  # run of rows of each present node kind
+    edge_rows: dict[EdgeKind, np.ndarray]  # run of edge rows of each present edge kind
+    node_ids: np.ndarray                   # (n,) node id of each row
     scored: ScoredBlock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -144,11 +149,15 @@ class GraphPlan:
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
             raise ValueError(f"GraphPlan n: must be a non-negative integer, got {n!r}")
         checked = {name: _named(name, ad.checked_index, getattr(self, name), bound)
-                   for name, bound in (("src", n), ("dst", n), ("mu_idx", MU_SIZE))}
+                   for name, bound in (("src", n), ("dst", n), ("mu_idx", MU_SIZE),
+                                       ("node_ids", n))}
         e = len(checked["src"])
         if not len(checked["dst"]) == len(checked["mu_idx"]) == e:
             raise ValueError(f"GraphPlan src, dst, mu_idx: need one entry per edge, got "
                              f"{e}, {len(checked['dst'])} and {len(checked['mu_idx'])}")
+        node_ids = checked["node_ids"]
+        if len(node_ids) != n or (np.bincount(node_ids, minlength=n) != 1).any():
+            raise ValueError(f"GraphPlan node_ids: must be a permutation of [0, {n})")
         checked["node_rows"] = _kind_partition("node_rows", self.node_rows, NodeKind, n)
         checked["edge_rows"] = _kind_partition("edge_rows", self.edge_rows, EdgeKind, e)
         for name, value in checked.items():
@@ -157,7 +166,7 @@ class GraphPlan:
 
     def __reduce__(self):
         return type(self), (self.n, self.src, self.dst, self.mu_idx, self.node_rows,
-                            self.edge_rows)
+                            self.edge_rows, self.node_ids)
 
 
 def _named(name: str, check, *args):
@@ -169,9 +178,11 @@ def _named(name: str, check, *args):
 
 
 def _kind_partition(name: str, rows_by_kind: dict, kinds, bound: int) -> dict:
-    """``rows_by_kind`` as members of one checked partition of range(bound)."""
-    if not isinstance(rows_by_kind, dict) or not all(isinstance(k, kinds) for k in rows_by_kind):
-        raise ValueError(f"GraphPlan {name}: must map {kinds.__name__} members to rows")
+    """``rows_by_kind``, listed in kind order, as checked runs that tile range(bound)."""
+    if (not isinstance(rows_by_kind, dict) or not all(isinstance(k, kinds) for k in rows_by_kind)
+            or [k.ordinal for k in rows_by_kind] != sorted(k.ordinal for k in rows_by_kind)):
+        raise ValueError(f"GraphPlan {name}: must map {kinds.__name__} members to rows, "
+                         f"in kind order")
     members = _named(name, ad.checked_partition, list(rows_by_kind.values()), bound)
     return dict(zip(rows_by_kind, members))
 
@@ -179,43 +190,44 @@ def _kind_partition(name: str, rows_by_kind: dict, kinds, bound: int) -> dict:
 def _scored_block(plan: GraphPlan) -> ScoredBlock:
     """The :class:`ScoredBlock` of ``plan``'s deleted lines, from its checked arrays."""
     n = plan.n
-    targets = plan.node_rows.get(NodeKind.DELETED)
-    if targets is None:
-        targets = ad.checked_index(np.empty(0, np.intp), n)
+    # deleted is the first node kind, so its run is rows [0, k)
+    targets = plan.node_rows.get(NodeKind.DELETED, ad.checked_index(np.empty(0, np.intp), n))
     k = len(targets)
-    position = np.full(n, -1)
-    position[targets] = np.arange(k)
-    kept = np.flatnonzero(position[plan.dst] >= 0)
+    kept = np.flatnonzero(plan.dst < k)
     edge_kind = np.empty(len(plan.src), np.intp)
     for kind, rows in plan.edge_rows.items():
-        edge_kind[rows] = kind.ordinal
+        edge_kind[rows.take] = kind.ordinal
     kept_kind = edge_kind[kept]
     mapped = np.flatnonzero(kept_kind == EdgeKind.LINE_MAPPING.ordinal)
     if mapped.size:
         raise ValueError(f"GraphPlan edge_rows: a line_mapping edge must end at an added line, "
-                         f"but one ends at deleted node {plan.dst[kept[mapped[0]]]}")
+                         f"but one ends at deleted node {plan.node_ids[plan.dst[kept[mapped[0]]]]}")
     return ScoredBlock(
         targets=targets,
         src=ad.checked_index(plan.src[kept], n),
-        dst=ad.checked_index(position[plan.dst[kept]], k),
+        dst=ad.checked_index(plan.dst[kept], k),
         mu_idx=ad.checked_index(plan.mu_idx[kept], MU_SIZE),
-        node_rows=_kind_partition("scored node_rows", _rows_by_kind(
-            np.full(k, NodeKind.DELETED.ordinal), NodeKind), NodeKind, k),
+        node_rows=_kind_partition("scored node_rows", {NodeKind.DELETED: np.arange(k)} if k
+                                  else {}, NodeKind, k),
         edge_rows=_kind_partition("scored edge_rows", _rows_by_kind(kept_kind, EdgeKind),
                                   EdgeKind, len(kept)),
     )
 
 
 def _rows_by_kind(ordinals: np.ndarray, kinds) -> dict:
-    """Sorted rows holding each kind's ordinal, for the kinds that occur."""
+    """Sorted rows holding each kind's ordinal, for the kinds that occur, in kind order."""
     rows = {kind: np.flatnonzero(ordinals == kind.ordinal) for kind in kinds}
     return {kind: r for kind, r in rows.items() if r.size}
 
 
 def build_plan(g: CommitGraph) -> GraphPlan:
-    node_kind = np.array([node.kind.ordinal for node in g.nodes], dtype=np.intp)
+    kinds = np.array([node.kind.ordinal for node in g.nodes], dtype=np.intp)
+    node_ids = np.argsort(kinds, kind="stable")   # kind-major; node ids ascend within a kind
+    row = np.argsort(node_ids)                    # the plan row of each node id
+    node_kind = kinds[node_ids]
     src, dst, edge_kind = np.array([(e.src, e.dst, e.kind.ordinal) for e in g.edges],
                                    dtype=np.intp).reshape(-1, 3).T
+    src, dst = row[src], row[dst]
     order = np.lexsort((src, dst, edge_kind))    # by kind, then dst, then src
     src, dst, edge_kind = src[order], dst[order], edge_kind[order]
     return GraphPlan(
@@ -225,42 +237,52 @@ def build_plan(g: CommitGraph) -> GraphPlan:
         mu_idx=(node_kind[src] * NUM_EDGE_KINDS + edge_kind) * NUM_NODE_KINDS + node_kind[dst],
         node_rows=_rows_by_kind(node_kind, NodeKind),
         edge_rows=_rows_by_kind(edge_kind, EdgeKind),
+        node_ids=node_ids,
     )
 
 
 def union_plan(plans: Sequence[GraphPlan]) -> GraphPlan:
-    """The plan of the disjoint union of ``plans``' graphs, in list order.
+    """The plan of the disjoint union of ``plans``' graphs, kind-major like any plan.
 
-    Each plan's node ids are offset by the node count of the plans before
-    it and its edge rows by their edge count, so its nodes and edges keep
-    their relative order: each plan's edges stay kind-major, but the
-    union's are not, so its edge kinds with rows in two plans are index
-    groups, which ``block_matmul`` gathers and scatters.  The result
-    is made by the :class:`GraphPlan` constructor, which checks its arrays
-    once like any plan's and derives its scored block from them, so the
-    block is that of the union too.  A union of one plan is that plan.
+    The union's rows are the plans' rows stacked in list order and then
+    stable-sorted by kind, as :func:`build_plan` sorts a graph's nodes,
+    and so are its edges: each kind is one run of every plan's run of it,
+    in list order, the deleted lines of every plan come first, and each
+    plan's edges keep their order.  ``node_ids`` gives each row's row in
+    ``plans``' graphs stacked in list order, so initial vectors stacked
+    that way are permuted into the union by it.  The result is made by the
+    :class:`GraphPlan` constructor, which checks its arrays once like any
+    plan's and derives its scored block from them, so the block is that
+    of the union too.  A union of one plan is that plan.
     """
     if len(plans) == 1:
         return plans[0]
-    node_base = np.cumsum([0] + [p.n for p in plans])
-    edge_base = np.cumsum([0] + [len(p.src) for p in plans])
+    sizes = [p.n for p in plans]
+    node_base = np.cumsum([0] + sizes[:-1])
 
-    def offset(field: str, bases) -> np.ndarray:
-        return np.concatenate([getattr(p, field) + base for p, base in zip(plans, bases)])
+    def stacked_kinds(field: str) -> np.ndarray:
+        """The kind ordinal of each row (or edge) of ``plans`` stacked in list order."""
+        runs = [(kind.ordinal, len(rows)) for p in plans
+                for kind, rows in getattr(p, field).items()]
+        return np.repeat([ordinal for ordinal, _ in runs], [size for _, size in runs])
 
-    def kind_rows(field: str, kinds, bases) -> dict:
-        """Each kind's rows of every plan that holds the kind, offset, in plan order."""
-        rows = {kind: [getattr(p, field)[kind] + base for p, base in zip(plans, bases)
-                       if kind in getattr(p, field)] for kind in kinds}
-        return {kind: np.concatenate(parts) for kind, parts in rows.items() if parts}
+    def stacked(field: str, base) -> np.ndarray:
+        return np.concatenate([getattr(p, field) for p in plans]) + base
 
+    # a stable sort keeps list order, and each plan's own order, within a kind
+    node_kind, edge_kind = stacked_kinds("node_rows"), stacked_kinds("edge_rows")
+    order = np.argsort(node_kind, kind="stable")
+    edge_order = np.argsort(edge_kind, kind="stable")
+    row = np.argsort(order)                 # the union row of each stacked row
+    edge_base = np.repeat(node_base, [len(p.src) for p in plans])
     return GraphPlan(
-        n=int(node_base[-1]),
-        src=offset("src", node_base),
-        dst=offset("dst", node_base),
-        mu_idx=np.concatenate([p.mu_idx for p in plans]),
-        node_rows=kind_rows("node_rows", NodeKind, node_base),
-        edge_rows=kind_rows("edge_rows", EdgeKind, edge_base),
+        n=len(order),
+        src=row[stacked("src", edge_base)[edge_order]],
+        dst=row[stacked("dst", edge_base)[edge_order]],
+        mu_idx=stacked("mu_idx", 0)[edge_order],
+        node_rows=_rows_by_kind(node_kind[order], NodeKind),
+        edge_rows=_rows_by_kind(edge_kind[edge_order], EdgeKind),
+        node_ids=stacked("node_ids", np.repeat(node_base, sizes))[order],
     )
 
 
@@ -278,7 +300,7 @@ def project_kqv(tape: Tape | None, h_prev: Tensor, plan: GraphPlan, params: dict
     block, h_dst = _layer_block(plan, h_prev, targets)
 
     def typed(name: str, states: Tensor, node_rows: dict) -> Tensor:
-        groups = [(rows, params[f"{p}.w_{name}.{kind.value}"],
+        groups = [(rows.take, params[f"{p}.w_{name}.{kind.value}"],
                    params[f"{p}.b_{name}.{kind.value}"]) for kind, rows in node_rows.items()]
         return ad.block_matmul(tape, states, groups, 1)
 
@@ -291,7 +313,8 @@ def _edge_rows(tape: Tape | None, block, states: Tensor, params: dict[str, Tenso
     """Per edge of ``block`` (a plan or its scored block), the source state through the head
     blocks ``{maps}.{edge kind}``, shape (E, D)."""
     sources = ad.take_rows(tape, states, block.src)
-    groups = [(rows, params[f"{maps}.{kind.value}"]) for kind, rows in block.edge_rows.items()]
+    groups = [(rows.take, params[f"{maps}.{kind.value}"])
+              for kind, rows in block.edge_rows.items()]
     return ad.block_matmul(tape, sources, groups, heads)
 
 
@@ -304,7 +327,7 @@ def attention_forward(tape: Tape | None, h_prev: Tensor, plan: GraphPlan,
     (n, D).  With ``targets``, the (k, D) states of ``plan.scored.targets``,
     only the deleted lines attend, over the edges of ``plan.scored``: keys
     and values still come from every node of ``h_prev``, queries from
-    ``targets``, and the result is (k, D), in node id order.  A block
+    ``targets``, and the result is (k, D), in plan row order.  A block
     without edges gives zeros of its targets' shape.
     """
     block, h_dst = _layer_block(plan, h_prev, targets)

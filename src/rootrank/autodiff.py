@@ -31,12 +31,13 @@ Index checks run where an index array is made, never where it is used.
 and return a read-only :class:`CheckedIndex` that remembers the length it
 was checked against; a graph's plan and ``ranker.build_pairs`` make their
 arrays this way.  take_rows, attend and pair_loss take only a
-CheckedIndex of the length they index, and block_matmul only all the
-members of one checked partition of its input's rows; any other array,
-even one derived from a CheckedIndex, raises ValueError naming the op
-and the argument.  A partition member that is one ascending run of rows
-is taken as a slice: take_rows gathers it as a view, and block_matmul
-writes its product straight into those rows of the output.
+CheckedIndex of the length they index; any other array, even one derived
+from a CheckedIndex, raises ValueError naming the op and the argument.
+A partition is a list of runs of rows that tile its range in order, and
+each member carries its run as a slice: take_rows gathers it as a view.
+block_matmul takes its groups as such slices and checks them by
+arithmetic, so each group's product is written straight into its rows
+of the output: there is no gather and no scatter.
 
 Every scatter (the backward of take_rows, the per-target reductions of
 attend and the scatters of pair_loss's backward) goes through
@@ -246,36 +247,31 @@ def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
 def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: int) -> Tensor:
     """Per-group, per-head product (n, H*k) -> (n, H*m).
 
-    ``groups`` lists ``(rows, w)`` or ``(rows, w, b)``: the ``rows`` are
-    every member of one :func:`checked_partition` of the rows of ``a``,
-    each once, ``w`` is (H*k, m) and ``b`` is (H*m,).  Each row r becomes
+    ``groups`` lists ``(rows, w)`` or ``(rows, w, b)``: ``rows`` is a
+    slice, and the groups' slices are non-empty runs that tile [0, n) in
+    order (a plan's kind groups, through their ``take``); ``w`` is
+    (H*k, m) and ``b`` is (H*m,).  Each row r becomes
     ``a[r] @ blockdiag(H row blocks of w) + b``: head i maps column block
     i of ``a[r]`` through row block i of ``w`` into output column block i.
 
-    A group whose rows are one run (a member with a slice ``take``) is
-    multiplied from a view of its rows of ``a`` straight into its rows of
-    the output, through their (H, r, m) head view, and backward writes its
-    rows of ``a``'s gradient the same way.  Any other group (a union
-    plan's typed groups) is gathered into a copy and its product scattered
-    into place; the two give bit-identical results.  With one head every
-    product is a plain 2-D one.
-
-    The record keeps each group's index array, not a copy of its rows of
-    ``a``; backward gathers those rows again, and only for a ``w`` that
-    needs a gradient.
+    Each group is multiplied from a view of its rows of ``a`` straight
+    into its rows of the output, through their (H, r, m) head view, and
+    backward writes its rows of ``a``'s gradient the same way; with one
+    head every product is a plain 2-D one.  The record keeps only the
+    slices, and backward reads each group's rows of ``a`` as a view.
     """
     if a.data.ndim != 2 or heads < 1 or a.data.shape[1] % heads or not groups:
         raise ValueError(f"block_matmul: unsupported input {a.shape} in {heads} heads "
                          f"with {len(groups)} groups")
     n, k = a.data.shape[0], a.data.shape[1] // heads
     m = groups[0][1].data.shape[-1]
-    if not _one_partition([group[0] for group in groups], n):
-        raise ValueError(f"block_matmul: groups must be distinct members of one checked "
-                         f"partition of [0, {n})")
-    held = sum(len(group[0]) for group in groups)
-    if held != n:
-        raise ValueError(f"block_matmul: groups must list every member of their partition "
-                         f"of [0, {n}), but hold {held} rows")
+    runs = [group[0] for group in groups]
+    stops = [0, *(rows.stop for rows in runs if type(rows) is slice)]
+    if (any(type(rows) is not slice or rows.step is not None or not isinstance(rows.start, int)
+            or not isinstance(rows.stop, int) or rows.stop <= rows.start for rows in runs)
+            or [rows.start for rows in runs] != stops[:-1] or stops[-1] != n):
+        raise ValueError(f"block_matmul: groups must be non-empty runs of rows, as slices, "
+                         f"that tile [0, {n}) in order, got {runs}")
     inputs = [a]
     parts = []                  # (rows, weight blocks, w, b)
     for rows, w, *bias in groups:
@@ -284,8 +280,7 @@ def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: i
                 or (b is not None and b.data.shape != (heads * m,))):
             raise ValueError(f"block_matmul: unsupported shapes {a.shape} @ {w.shape}"
                              f"{''.join(f' + {t.shape}' for t in bias)} in {heads} heads")
-        parts.append((_rows("block_matmul", "groups", rows, n),
-                      w.data if heads == 1 else w.data.reshape(heads, k, m), w, b))
+        parts.append((rows, w.data if heads == 1 else w.data.reshape(heads, k, m), w, b))
         inputs += [w, *bias]
 
     def by_head(x):
@@ -293,21 +288,12 @@ def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: i
         head, ``x`` itself."""
         return x if heads == 1 else x.reshape(len(x), heads, -1).transpose(1, 0, 2)
 
-    def place(target, rows):
-        """Where a group's rows of the C-ordered ``target`` are computed: ``target[rows]``
-        itself for a slice, else a scratch array the caller scatters into those rows."""
-        if type(rows) is slice:
-            return target[rows]
-        return np.empty((len(rows), target.shape[1]), target.dtype)
-
     out = np.empty((n, heads * m))
     for rows, blocks, _w, b in parts:
-        y = place(out, rows)
+        y = out[rows]
         np.matmul(by_head(a.data[rows]), blocks, out=by_head(y))
         if b is not None:
             y += b.data
-        if type(rows) is not slice:
-            out[rows] = y
 
     def bwd(g):
         da = np.empty_like(a.data, order="C") if a.requires_grad else None
@@ -315,10 +301,7 @@ def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: i
         for rows, blocks, w, b in parts:
             gy = g[rows]
             if a.requires_grad:
-                dx = place(da, rows)
-                np.matmul(by_head(gy), blocks.swapaxes(-1, -2), out=by_head(dx))
-                if type(rows) is not slice:
-                    da[rows] = dx
+                np.matmul(by_head(gy), blocks.swapaxes(-1, -2), out=by_head(da[rows]))
             grads.append(np.matmul(by_head(a.data[rows]).swapaxes(-1, -2), by_head(gy))
                          .reshape(heads * k, m) if w.requires_grad else None)
             if b is not None:
@@ -455,16 +438,15 @@ class CheckedIndex(np.ndarray):
     Made only by :func:`checked_index` and :func:`checked_partition`.  An
     array derived from one (a view, a copy, an arithmetic result, an
     unpickled one) has ``bound`` None, and no op takes it.
-    ``take`` is the slice an op indexes with when the array is a partition
-    member holding one ascending run of rows, else None; ``part`` is shared
-    by the members of one partition.  The array owns its data and has no
-    ``__dict__``, so a checked index costs three slots more than a plain one.
+    ``take`` is the slice of a partition member's run of rows, else None.
+    The array owns its data and has no ``__dict__``, so a checked index
+    costs two slots more than a plain one.
     """
 
-    __slots__ = ("bound", "take", "part")
+    __slots__ = ("bound", "take")
 
     def __array_finalize__(self, obj) -> None:
-        self.bound = self.take = self.part = None
+        self.bound = self.take = None
 
 
 def _checked(idx: np.ndarray, bound: int) -> CheckedIndex:
@@ -482,30 +464,25 @@ def checked_index(index, bound: int) -> CheckedIndex:
 
 
 def checked_partition(groups: Sequence, bound: int) -> list[CheckedIndex]:
-    """``groups`` as CheckedIndex members of one partition of range(bound).
+    """``groups`` as CheckedIndex runs that tile range(bound) in order.
 
-    Each group must be 1-D, in range, non-empty and increasing, and
-    together they must hold every row of range(bound) exactly once.  A
-    group whose rows are one run, ``r, r + 1, ...``, is taken as a slice.
+    Each group must be 1-D, in range and one non-empty run ``r, r + 1,
+    ...`` that starts where the group before it stopped, and the last must
+    stop at ``bound``.  Each member's ``take`` is its run as a slice.
     """
-    arrays = [_indices(rows, bound) for rows in groups]
-    for rows in arrays:
-        if not len(rows) or (rows[1:] <= rows[:-1]).any():
-            raise ValueError("groups must be non-empty and increasing")
-    if arrays and np.bincount(np.concatenate(arrays), minlength=bound).max() > 1:
-        raise ValueError("groups must hold distinct rows and not overlap")
-    held = sum(len(rows) for rows in arrays)
-    if held != bound:
-        raise ValueError(f"groups must cover [0, {bound}), but hold {held} rows")
-    part = object()
     members = []
-    for rows in arrays:
+    stop = 0
+    for rows in [_indices(rows, bound) for rows in groups]:
+        if not len(rows) or rows[0] != stop or (np.diff(rows) != 1).any():
+            raise ValueError(f"groups must be non-empty runs that tile [0, {bound}) in order, "
+                             f"but the group at row {stop} is not a non-empty run from there")
         member = _checked(rows, bound)
-        first, last = int(rows[0]), int(rows[-1])
-        if last - first == len(rows) - 1:       # increasing, so one run
-            member.take = slice(first, last + 1)
-        member.part = part
+        member.take = slice(stop, stop + len(rows))
+        stop += len(rows)
         members.append(member)
+    if stop != bound:
+        raise ValueError(f"groups must be non-empty runs that tile [0, {bound}) in order, "
+                         f"but they stop at row {stop}")
     return members
 
 
@@ -532,27 +509,15 @@ def _trusted(op: str, name: str, index, bound: int) -> np.ndarray:
     return index.view(np.ndarray)
 
 
-def _rows(op: str, name: str, index, bound: int) -> np.ndarray | slice:
-    """As :func:`_trusted`, but a contiguous partition member comes back as its slice."""
-    idx = _trusted(op, name, index, bound)
-    return idx if index.take is None else index.take
-
-
-def _one_partition(indices: Sequence, bound: int) -> bool:
-    """Whether ``indices`` are distinct members of one partition checked against ``bound``."""
-    part = getattr(indices[0], "part", None)
-    return part is not None and len(set(map(id, indices))) == len(indices) and all(
-        type(rows) is CheckedIndex and rows.part is part and rows.bound == bound
-        for rows in indices)
-
-
 def take_rows(tape: Tape | None, a: Tensor, index: CheckedIndex) -> Tensor:
     """Gather ``a[index]``: rows of a matrix or entries of a vector; indices may repeat.
 
-    ``index`` is a CheckedIndex of ``len(a)``; a contiguous partition
-    member gathers a view of ``a``'s rows.
+    ``index`` is a CheckedIndex of ``len(a)``; a partition member gathers
+    a view of ``a``'s rows.
     """
-    idx = _rows("take_rows", "index", index, a.data.shape[0])
+    idx = _trusted("take_rows", "index", index, a.data.shape[0])
+    if index.take is not None:
+        idx = index.take
     out = a.data[idx]
     def bwd(g):
         full = np.zeros(a.data.shape)

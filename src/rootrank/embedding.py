@@ -103,9 +103,11 @@ class EmbeddedGraph:
     the graph's life: the graph takes a C-ordered float64 array it is
     given over (freezing it for its caller too), and copies anything else,
     a view included, as its base could write through it.  ``h0_tensor``
-    is the constant over ``h0`` that every forward pass starts from, made
-    once.  ``plan``, the graph's attention plan, is built on first use and
-    kept, so training and every ranking of the same graph share one.
+    is the constant that every forward pass starts from, made once: ``h0``
+    in the plan's kind-major row order, which is ``h0`` itself when the
+    graph already lists its nodes kind-major.  ``plan``, the graph's
+    attention plan, is built on first use and kept, so training and every
+    ranking of the same graph share one.
     """
 
     graph: CommitGraph
@@ -131,7 +133,8 @@ class EmbeddedGraph:
 
     @functools.cached_property
     def h0_tensor(self) -> Tensor:
-        return constant(self.h0)
+        ids = self.plan.node_ids
+        return constant(self.h0 if (ids == np.arange(len(ids))).all() else self.h0[ids])
 
     @functools.cached_property
     def plan(self) -> GraphPlan:

@@ -255,10 +255,11 @@ def task_projection(tape: Tape | None, h_final: Tensor, params: NetworkParams) -
 
 def network_forward(tape: Tape | None, h0: Tensor, plan: GraphPlan,
                     params: NetworkParams, cfg: ModelConfig) -> Tensor:
-    """Task embeddings (k x D_out) of the deleted lines of one graph, in node id order,
+    """Task embeddings (k x D_out) of the deleted lines of one graph, in plan row order,
     through ``cfg.mode``'s layers.
 
-    Layers before the last update every node.  The last updates only the
+    ``h0`` holds the initial vectors in ``plan``'s row order.  Layers
+    before the last update every node.  The last updates only the
     deleted lines, the rows the scorer reads: it gathers their states once,
     attends into them over ``plan.scored`` and gates them against those
     states.

@@ -8,9 +8,11 @@ step per commit.  The loss reads only score differences, so a score
 bias would get an exactly zero gradient, and the scorer has none.
 
 Training, evaluation and ranking share one scoring path, which reads a
-graph's initial vectors and its plan, whose deleted-kind rows are the
-lines scored: an ``EmbeddedGraph``'s own, or, in ``rank_commits``, those
-of a batch of commits stacked into one disjoint-union graph.
+graph's initial vectors, permuted into its plan's kind-major row order,
+and its plan, whose first rows are the deleted lines scored: an
+``EmbeddedGraph``'s own, or, in ``rank_commits``, those of a batch of
+commits stacked into one disjoint-union graph.  Scores map back to node
+ids through the plan's ``node_ids``.
 ``build_pairs`` checks a commit's pair indices as it makes them, and
 ``train`` builds each commit's pairs once per call.
 """
@@ -134,7 +136,8 @@ class AdamState:
 
 def _deleted_scores(tape: Tape | None, h0: Tensor, plan: GraphPlan, params: NetworkParams,
                     cfg: ModelConfig) -> Tensor:
-    """Scalar score of each deleted line of the graph of ``plan``, shape (k,), in node id order."""
+    """Scalar score of each deleted line of the graph of ``plan``, shape (k,), in plan row
+    order, which is node id order for one commit's plan."""
     return ad.matmul(tape, network_forward(tape, h0, plan, params, cfg), params["scorer.w"])
 
 
@@ -301,8 +304,8 @@ def _rank_batch(model: TrainedModel, batch: list[EmbeddedGraph]) -> list[list[tu
     if len(batch) == 1:
         h0, plan = batch[0].h0_tensor, batch[0].plan
     else:
-        h0 = constant(np.concatenate([eg.h0 for eg in batch]))
         plan = union_plan([eg.plan for eg in batch])
+        h0 = constant(np.concatenate([eg.h0 for eg in batch])[plan.node_ids])
     try:
         with np.errstate(**_QUIET_FP_WARNINGS):
             scores = _deleted_scores(None, h0, plan, model.params, model.cfg).data
@@ -313,11 +316,12 @@ def _rank_batch(model: TrainedModel, batch: list[EmbeddedGraph]) -> list[list[tu
     rankings = []
     start = 0
     for eg in batch:
-        deleted = eg.plan.node_rows[NodeKind.DELETED].tolist()
-        scored = list(zip(deleted, scores[start:start + len(deleted)].tolist()))
+        # the union's first rows are each commit's deleted lines, in its own plan's order
+        k = eg.plan.scored.n
+        scored = list(zip(eg.plan.node_ids[:k].tolist(), scores[start:start + k].tolist()))
         scored.sort(key=lambda item: (-item[1], item[0]))
         rankings.append(scored)
-        start += len(deleted)
+        start += k
     return rankings
 
 
@@ -335,7 +339,7 @@ def rank_commits(model: TrainedModel, embedded: list[EmbeddedGraph]
     """
     for eg in embedded:
         g = eg.graph
-        if NodeKind.DELETED not in eg.plan.node_rows:    # g.deleted_ids(): node ids are 0..n-1
+        if NodeKind.DELETED not in eg.plan.node_rows:    # a plan lists only the kinds present
             raise ValueError(f"commit {g.commit_id!r} has no deleted lines")
         if eg.h0.shape[1] != model.cfg.dim:
             raise ValueError(

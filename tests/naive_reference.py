@@ -13,10 +13,7 @@ replaced, kept so their values and gradients can be checked against
 them.  ``naive_backward`` and ``naive_checkpoint_text`` are likewise the
 earlier forms of ``autodiff.backward`` (which kept the whole tape and
 every gradient until it returned) and of ``network.save_checkpoint``
-(which built the whole JSON text in memory).  ``array_rows_plan`` is a
-graph plan whose partition members gather through their index arrays,
-never as slices.  Ops take only checked indices, so where a composed form
-indexes every row it passes ``every_row(n)``.  The elementwise, reduction
+(which built the whole JSON text in memory).  The elementwise, reduction
 and segment tape ops they are built from (``sub``, ``mul``,
 ``scalar_mul``, ``log_sigmoid``, ``reduce_sum``, ``segment_sum``,
 ``segment_softmax``, ``sigmoid``, ``tanh``) live here too: the model no
@@ -28,7 +25,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-import pickle
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -126,11 +122,15 @@ def naive_build_pairs(g: CommitGraph, include_ties: bool = False) -> list[PairSa
 def naive_build_plan(g: CommitGraph) -> GraphPlan:
     """The graph plan from Python sorting and per-edge prior lookups.
 
-    Edges sorted by (kind ordinal, dst, src); node and edge rows listed
-    per kind, in the kinds' declaration order, for the kinds present.
+    Rows are the node ids stable-sorted by kind ordinal; edges, in rows,
+    sorted by (kind ordinal, dst, src); node and edge rows listed per
+    kind, in the kinds' declaration order, for the kinds present.
     """
-    kinds = [node.kind for node in g.nodes]
-    order = sorted(g.edges, key=lambda e: (e.kind.ordinal, e.dst, e.src))
+    node_ids = sorted(range(len(g.nodes)), key=lambda i: g.nodes[i].kind.ordinal)
+    row = {node: r for r, node in enumerate(node_ids)}
+    kinds = [g.nodes[i].kind for i in node_ids]
+    order = sorted(((row[e.src], row[e.dst], e.kind) for e in g.edges),
+                   key=lambda e: (e[2].ordinal, e[1], e[0]))
 
     def rows_by_kind(item_kinds, all_kinds):
         rows = {kind: [i for i, k in enumerate(item_kinds) if k is kind] for kind in all_kinds}
@@ -138,13 +138,29 @@ def naive_build_plan(g: CommitGraph) -> GraphPlan:
 
     return GraphPlan(
         n=len(kinds),
-        src=np.array([e.src for e in order], dtype=np.intp),
-        dst=np.array([e.dst for e in order], dtype=np.intp),
-        mu_idx=np.array([mu_index(kinds[e.src], e.kind, kinds[e.dst]) for e in order],
+        src=np.array([src for src, _dst, _kind in order], dtype=np.intp),
+        dst=np.array([dst for _src, dst, _kind in order], dtype=np.intp),
+        mu_idx=np.array([mu_index(kinds[src], kind, kinds[dst]) for src, dst, kind in order],
                         dtype=np.intp),
         node_rows=rows_by_kind(kinds, NodeKind),
-        edge_rows=rows_by_kind([e.kind for e in order], EdgeKind),
+        edge_rows=rows_by_kind([kind for _src, _dst, kind in order], EdgeKind),
+        node_ids=np.array(node_ids, dtype=np.intp),
     )
+
+
+def assert_kind_major(plan: GraphPlan) -> None:
+    """Every ``node_rows``/``edge_rows`` member of ``plan`` and of its scored block is one run,
+    listed in kind order, and together they tile the rows; the scored targets are [0, k)."""
+    for block in (plan, plan.scored):
+        for members, size in ((block.node_rows, block.n), (block.edge_rows, len(block.src))):
+            assert [kind.ordinal for kind in members] == sorted(k.ordinal for k in members)
+            stop = 0
+            for kind, rows in members.items():
+                assert len(rows) and rows.take == slice(stop, stop + len(rows)), kind
+                assert rows.tolist() == list(range(stop, stop + len(rows))), kind
+                stop += len(rows)
+            assert stop == size
+    assert plan.scored.targets.tolist() == list(range(plan.scored.n))
 
 
 def naive_scatter(ufunc: np.ufunc, out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
@@ -223,20 +239,15 @@ def naive_attention_forward(h_prev: np.ndarray, g: CommitGraph, params: NetworkP
 def _mask(rows, n: int) -> Tensor:
     """(n, 1) column holding 1.0 on ``rows`` and 0.0 elsewhere."""
     mask = np.zeros((n, 1))
-    mask[np.asarray(rows, dtype=np.intp)] = 1.0
+    mask[rows] = 1.0
     return constant(mask)
-
-
-def every_row(n: int) -> ad.CheckedIndex:
-    """range(n) as the one member of a checked partition: all rows of an (n, c) input."""
-    return ad.checked_partition([np.arange(n)], n)[0]
 
 
 def block_matmul_all_rows(tape: Tape | None, x: Tensor, w: Tensor, heads: int) -> Tensor:
     """``block_matmul`` of every row of ``x`` through ``w``; an ``x`` without rows maps to none."""
-    if not x.shape[0]:      # range(0) has no partition member to pass
+    if not x.shape[0]:      # a group is a non-empty run
         return constant(np.zeros((0, heads * w.shape[1])))
-    return ad.block_matmul(tape, x, [(every_row(x.shape[0]), w)], heads)
+    return ad.block_matmul(tape, x, [(slice(0, x.shape[0]), w)], heads)
 
 
 def naive_typed_rows(tape: Tape | None, x: Tensor, groups, heads: int) -> Tensor:
@@ -322,23 +333,6 @@ def naive_backward(tape: Tape, loss: Tensor) -> ad.Gradients:
         else:
             buffers.add(buffer)
     return ad.Gradients(grads)
-
-
-def array_rows_plan(plan: GraphPlan) -> GraphPlan:
-    """``plan``, checked again as a copy whose partition members gather through their index
-    arrays: each member's slice is dropped, so every op takes the array path."""
-    copy = pickle.loads(pickle.dumps(plan))
-    for block in (copy, copy.scored):
-        for rows in (*block.node_rows.values(), *block.edge_rows.values()):
-            rows.take = None
-    return copy
-
-
-def with_plan(eg, plan):
-    """A copy of the EmbeddedGraph ``eg`` that scores through ``plan`` in place of its own."""
-    copy = type(eg)(graph=eg.graph, h0=eg.h0)
-    vars(copy)["plan"] = plan     # where the cached property keeps the plan it built
-    return copy
 
 
 def encode_data(values) -> str:

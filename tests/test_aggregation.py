@@ -20,6 +20,7 @@ from rootrank.autodiff import CheckedIndex, Tensor, constant
 from rootrank.graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind
 
 from naive_reference import (
+    assert_kind_major,
     attention_logits,
     attention_weights,
     composed_attention,
@@ -31,12 +32,10 @@ from naive_reference import (
     naive_edge_rows,
     mu_index,
     naive_typed_rows,
-    array_rows_plan,
     random_graph,
     reduce_sum,
     segment_softmax,
 )
-from rootrank.synthetic import GenConfig, generate
 
 
 def identity_params(dim, heads):
@@ -86,7 +85,7 @@ def plan_graphs(draw):
 
 def assert_same_plan(plan, expected):
     assert plan.n == expected.n
-    for name in ("src", "dst", "mu_idx"):
+    for name in ("src", "dst", "mu_idx", "node_ids"):
         actual, wanted = getattr(plan, name), getattr(expected, name)
         assert actual.dtype == wanted.dtype == np.intp, name
         assert actual.shape == wanted.shape and np.array_equal(actual, wanted), name
@@ -124,19 +123,23 @@ class TestPlanAgainstSortedOracle:
         )   # node 3 is isolated
         plan = build_plan(g)
         assert_same_plan(plan, naive_build_plan(g))
-        assert plan.src.tolist() == [0, 2, 1, 0, 2]
-        assert plan.dst.tolist() == [1, 1, 0, 1, 1]
+        # kind-major rows: deleted nodes 0 and 2 are rows 0 and 1, added nodes 1 and 3 rows 2
+        # and 3; edges in rows, by kind, then target, then source
+        assert plan.node_ids.tolist() == [0, 2, 1, 3]
+        assert plan.src.tolist() == [0, 1, 2, 0, 1]
+        assert plan.dst.tolist() == [2, 2, 0, 2, 2]
 
 
 class TestGraphPlan:
     @settings(max_examples=300, deadline=None)
     @given(g=plan_graphs())
-    def test_each_edge_kind_is_one_run_of_rows(self, g):
-        # edges sort by kind first, so every typed edge group of either layer is a slice
+    def test_every_kind_is_one_run_in_kind_order(self, g):
+        # node kinds interleave in the drawn ids; the plan numbers its rows kind-major, so
+        # every typed group of either layer is a slice and the scored targets are [0, k)
         plan = build_plan(g)
-        for block in (plan, plan.scored):
-            for kind, rows in block.edge_rows.items():
-                assert rows.take == slice(int(rows[0]), int(rows[-1]) + 1), kind
+        assert_kind_major(plan)
+        assert plan.node_ids.tolist() == sorted(range(len(g.nodes)),
+                                                key=lambda i: g.nodes[i].kind.ordinal)
 
     def test_arrays_are_linear_in_graph_size(self):
         rng = np.random.default_rng(4)
@@ -156,9 +159,9 @@ class TestGraphPlan:
             assert set(plan.node_rows) == {node.kind for node in g.nodes}
             assert set(plan.edge_rows) == {edge.kind for edge in g.edges}
             for kind, rows in plan.node_rows.items():
-                assert all(g.nodes[i].kind is kind for i in rows)
-            # the scorer reads the deleted lines straight from the plan, in node id order
-            assert plan.node_rows[NodeKind.DELETED].tolist() == g.deleted_ids()
+                assert all(g.nodes[i].kind is kind for i in plan.node_ids[rows])
+            # the scorer reads the deleted lines from the plan's first rows, in node id order
+            assert plan.node_ids[plan.node_rows[NodeKind.DELETED]].tolist() == g.deleted_ids()
 
     def test_edges_sorted_by_target_then_source_then_kind(self):
         g = CommitGraph(
@@ -416,8 +419,9 @@ class TestForwardAgainstNaiveOracle:
             params = layer_params(8, 2, rng)
             plan = build_plan(g)
             h0 = rng.normal(size=(len(g.nodes), 8))
-            fast = attention_forward(None, constant(h0), plan, params, 0, 2).data
-            slow = naive_attention_forward(h0, g, params, 0, 2)
+            # the layer reads and writes rows in plan order, the oracle in node id order
+            fast = attention_forward(None, constant(h0[plan.node_ids]), plan, params, 0, 2).data
+            slow = naive_attention_forward(h0, g, params, 0, 2)[plan.node_ids]
             np.testing.assert_allclose(fast, slow, atol=1e-12)
 
     def test_permutation_equivariance(self):
@@ -445,9 +449,15 @@ class TestForwardAgainstNaiveOracle:
         g2 = CommitGraph(commit_id="perm", nodes=nodes, edges=edges)
         h0_perm = h0[perm]      # node perm[j] of g is node j of g2
 
-        out1 = attention_forward(None, constant(h0), build_plan(g), params, 0, 2).data
-        out2 = attention_forward(None, constant(h0_perm), build_plan(g2), params, 0, 2).data
-        np.testing.assert_allclose(out2, out1[perm], atol=1e-12)
+        def by_node_id(g, h):
+            """The layer's output on ``g``, vectors ``h`` given and returned in node id order."""
+            plan = build_plan(g)
+            out = np.empty_like(h)
+            out[plan.node_ids] = attention_forward(None, constant(h[plan.node_ids]), plan,
+                                                   params, 0, 2).data
+            return out
+
+        np.testing.assert_allclose(by_node_id(g2, h0_perm), by_node_id(g, h0)[perm], atol=1e-12)
 
     def test_gradients_flow_to_every_parameter_family(self):
         rng = np.random.default_rng(31)
@@ -550,11 +560,17 @@ class TestComposedStagesPinnedToAttend:
 
 def plan_arrays(**changes):
     """The arrays of a valid 4-node, 3-edge plan, with ``changes`` applied."""
-    arrays = dict(n=4, src=[1, 0, 2], dst=[0, 1, 1], mu_idx=[0, 5, MU_SIZE - 1],
+    arrays = dict(n=4, src=[0, 1, 2], dst=[1, 0, 1], mu_idx=[5, 0, MU_SIZE - 1],
                   node_rows={NodeKind.DELETED: [0, 1], NodeKind.ADDED: [2, 3]},
-                  edge_rows={EdgeKind.CALL: [0, 2], EdgeKind.CONTROL_FLOW: [1]})
+                  edge_rows={EdgeKind.CONTROL_FLOW: [0], EdgeKind.CALL: [1, 2]},
+                  node_ids=[0, 1, 2, 3])
     arrays.update(changes)
     return arrays
+
+
+def runs_message(name, bound, detail):
+    return (rf"GraphPlan {name}: groups must be non-empty runs that tile \[0, {bound}\) in "
+            rf"order, but {detail}")
 
 
 class TestPlanChecksItsArraysOnce:
@@ -562,97 +578,113 @@ class TestPlanChecksItsArraysOnce:
 
     def test_a_plan_holds_read_only_checked_indices(self):
         plan = GraphPlan(**plan_arrays())
-        bounds = dict(src=4, dst=4, mu_idx=MU_SIZE)
+        bounds = dict(src=4, dst=4, mu_idx=MU_SIZE, node_ids=4)
         for name, bound in bounds.items():
             arr = getattr(plan, name)
-            assert type(arr) is CheckedIndex and arr.bound == bound and arr.part is None, name
+            assert type(arr) is CheckedIndex and arr.bound == bound and arr.take is None, name
         deleted, added = plan.node_rows.values()
-        calls, control = plan.edge_rows.values()
-        for rows, bound in ((deleted, 4), (added, 4), (calls, 3), (control, 3)):
+        control, calls = plan.edge_rows.values()
+        for rows, bound in ((deleted, 4), (added, 4), (control, 3), (calls, 3)):
             assert type(rows) is CheckedIndex and rows.bound == bound
             assert rows.dtype == np.intp and not rows.flags.writeable
-        assert deleted.part is added.part is not None and calls.part is control.part
-        assert deleted.part is not calls.part
-        # contiguous kinds are taken as slices, the rest as arrays
-        assert (deleted.take, added.take, control.take) == (slice(0, 2), slice(2, 4), slice(1, 2))
-        assert calls.take is None
+        # every kind's rows are one run, taken as a slice
+        assert ((deleted.take, added.take, control.take, calls.take)
+                == (slice(0, 2), slice(2, 4), slice(0, 1), slice(1, 3)))
         with pytest.raises(ValueError, match="read-only"):
             plan.src[0] = 3
 
     def test_the_scored_block_holds_checked_indices_of_the_deleted_lines(self):
-        # nodes 0 and 1 are deleted, 2 and 3 added; edges 1 -> 0 (call), 0 -> 1 (control flow),
-        # 2 -> 1 (call) and 3 -> 2 (control flow), which ends at an added line
-        plan = GraphPlan(**plan_arrays(src=[1, 0, 2, 3], dst=[0, 1, 1, 2], mu_idx=[0, 5, 7, 9],
-                                       edge_rows={EdgeKind.CALL: [0, 2],
-                                                  EdgeKind.CONTROL_FLOW: [1, 3]}))
+        # rows 0 and 1 are deleted, 2 and 3 added; edges 0 -> 1 (control flow), 3 -> 2
+        # (control flow), which ends at an added line, 1 -> 0 (call) and 2 -> 1 (call)
+        plan = GraphPlan(**plan_arrays(src=[0, 3, 1, 2], dst=[1, 2, 0, 1], mu_idx=[5, 9, 0, 7],
+                                       edge_rows={EdgeKind.CONTROL_FLOW: [0, 1],
+                                                  EdgeKind.CALL: [2, 3]}))
         block = plan.scored
         assert block.targets is plan.node_rows[NodeKind.DELETED] and block.n == 2
-        for name, bound, values in (("src", 4, [1, 0, 2]), ("dst", 2, [0, 1, 1]),
-                                    ("mu_idx", MU_SIZE, [0, 5, 7])):
+        assert block.targets.take == slice(0, 2)
+        for name, bound, values in (("src", 4, [0, 1, 2]), ("dst", 2, [1, 0, 1]),
+                                    ("mu_idx", MU_SIZE, [5, 0, 7])):
             arr = getattr(block, name)
             assert type(arr) is CheckedIndex and arr.bound == bound, name
             assert arr.tolist() == values and not arr.flags.writeable, name
         (deleted,) = block.node_rows.values()
         assert list(block.node_rows) == [NodeKind.DELETED] and deleted.bound == 2
         assert deleted.take == slice(0, 2)
-        assert {kind: rows.tolist() for kind, rows in block.edge_rows.items()} == {
-            EdgeKind.CALL: [0, 2], EdgeKind.CONTROL_FLOW: [1]}
+        assert {kind: rows.take for kind, rows in block.edge_rows.items()} == {
+            EdgeKind.CONTROL_FLOW: slice(0, 1), EdgeKind.CALL: slice(1, 3)}
         assert all(rows.bound == 3 for rows in block.edge_rows.values())
         no_deleted = GraphPlan(**plan_arrays(node_rows={NodeKind.ADDED: [0, 1, 2, 3]}))
         assert no_deleted.scored.n == 0 and no_deleted.scored.targets.bound == 4
         assert not no_deleted.scored.node_rows and not no_deleted.scored.edge_rows
 
     def test_the_plan_keeps_its_own_copies(self):
-        arrays = plan_arrays(src=np.array([1, 0, 2]))
+        arrays = plan_arrays(src=np.array([0, 1, 2]))
         plan = GraphPlan(**arrays)
         arrays["src"][0] = 99
-        assert plan.src.tolist() == [1, 0, 2] and arrays["src"].flags.writeable
+        assert plan.src.tolist() == [0, 1, 2] and arrays["src"].flags.writeable
 
     @pytest.mark.parametrize("changes, message", [
-        (dict(src=[1, 0, 4]), r"GraphPlan src: indices must lie in \[0, 4\)"),
-        (dict(src=[1, -1, 2]), r"GraphPlan src: indices must lie in \[0, 4\)"),
-        (dict(src=[[1, 0, 2]]), r"GraphPlan src: indices must be 1-D"),
-        (dict(dst=[0, 4, 1]), r"GraphPlan dst: indices must lie in \[0, 4\)"),
-        (dict(dst=[0, -4, 1]), r"GraphPlan dst: indices must lie in \[0, 4\)"),
-        (dict(mu_idx=[0, 5, MU_SIZE]), rf"GraphPlan mu_idx: indices must lie in \[0, {MU_SIZE}\)"),
-        (dict(mu_idx=[0, -1, 5]), rf"GraphPlan mu_idx: indices must lie in \[0, {MU_SIZE}\)"),
-        (dict(dst=[0, 1]), r"GraphPlan src, dst, mu_idx: need one entry per edge, got 3, 2 and 3"),
+        (dict(src=[0, 1, 4]), r"GraphPlan src: indices must lie in \[0, 4\)"),
+        (dict(src=[0, -1, 2]), r"GraphPlan src: indices must lie in \[0, 4\)"),
+        (dict(src=[[0, 1, 2]]), r"GraphPlan src: indices must be 1-D"),
+        (dict(dst=[1, 4, 1]), r"GraphPlan dst: indices must lie in \[0, 4\)"),
+        (dict(dst=[1, -4, 1]), r"GraphPlan dst: indices must lie in \[0, 4\)"),
+        (dict(mu_idx=[5, 0, MU_SIZE]), rf"GraphPlan mu_idx: indices must lie in \[0, {MU_SIZE}\)"),
+        (dict(mu_idx=[5, -1, 0]), rf"GraphPlan mu_idx: indices must lie in \[0, {MU_SIZE}\)"),
+        (dict(dst=[1, 0]), r"GraphPlan src, dst, mu_idx: need one entry per edge, got 3, 2 and 3"),
         (dict(n=-1), r"GraphPlan n: must be a non-negative integer"),
+        (dict(node_ids=[0, 1, 1, 3]), r"GraphPlan node_ids: must be a permutation of \[0, 4\)$"),
+        (dict(node_ids=[0, 1, 2]), r"GraphPlan node_ids: must be a permutation of \[0, 4\)$"),
+        (dict(node_ids=[0, 1, 2, 4]), r"GraphPlan node_ids: indices must lie in \[0, 4\)"),
         (dict(node_rows={NodeKind.DELETED: [0, 1], NodeKind.ADDED: [1, 2, 3]}),
-         r"GraphPlan node_rows: groups must hold distinct rows and not overlap"),
+         runs_message("node_rows", 4, "the group at row 2 is not a non-empty run from there")),
+        (dict(node_rows={NodeKind.DELETED: [0, 1], NodeKind.ADDED: [2]}),
+         runs_message("node_rows", 4, "they stop at row 3")),
         (dict(node_rows={NodeKind.DELETED: [0, 1], NodeKind.ADDED: [3]}),
-         r"GraphPlan node_rows: groups must cover \[0, 4\), but hold 3 rows"),
+         runs_message("node_rows", 4, "the group at row 2 is not a non-empty run from there")),
+        (dict(node_rows={NodeKind.DELETED: [0, 2], NodeKind.ADDED: [1, 3]}),
+         runs_message("node_rows", 4, "the group at row 0 is not a non-empty run from there")),
         (dict(node_rows={NodeKind.DELETED: [0, 1], NodeKind.ADDED: [2, 4]}),
          r"GraphPlan node_rows: indices must lie in \[0, 4\)"),
         (dict(node_rows={NodeKind.DELETED: [-1, 0], NodeKind.ADDED: [2, 3]}),
          r"GraphPlan node_rows: indices must lie in \[0, 4\)"),
         (dict(node_rows={NodeKind.DELETED: [1, 0], NodeKind.ADDED: [2, 3]}),
-         r"GraphPlan node_rows: groups must be non-empty and increasing"),
+         runs_message("node_rows", 4, "the group at row 0 is not a non-empty run from there")),
         (dict(node_rows={NodeKind.DELETED: [0, 1, 2, 3], NodeKind.ADDED: []}),
-         r"GraphPlan node_rows: groups must be non-empty and increasing"),
+         runs_message("node_rows", 4, "the group at row 4 is not a non-empty run from there")),
         (dict(node_rows={NodeKind.DELETED: [[0, 1]], NodeKind.ADDED: [2, 3]}),
          r"GraphPlan node_rows: indices must be 1-D"),
         (dict(node_rows={EdgeKind.CALL: [0, 1, 2, 3]}),
-         r"GraphPlan node_rows: must map NodeKind members to rows"),
-        (dict(edge_rows={EdgeKind.CALL: [0, 2], EdgeKind.CONTROL_FLOW: [2]}),
-         r"GraphPlan edge_rows: groups must hold distinct rows and not overlap"),
-        (dict(edge_rows={EdgeKind.CALL: [0, 2]}),
-         r"GraphPlan edge_rows: groups must cover \[0, 3\), but hold 2 rows"),
-        (dict(edge_rows={EdgeKind.CALL: [0, 3], EdgeKind.CONTROL_FLOW: [1]}),
+         r"GraphPlan node_rows: must map NodeKind members to rows, in kind order"),
+        (dict(node_rows={NodeKind.ADDED: [0, 1], NodeKind.DELETED: [2, 3]}),
+         r"GraphPlan node_rows: must map NodeKind members to rows, in kind order"),
+        (dict(edge_rows={EdgeKind.CONTROL_FLOW: [0, 1], EdgeKind.CALL: [1, 2]}),
+         runs_message("edge_rows", 3, "the group at row 2 is not a non-empty run from there")),
+        (dict(edge_rows={EdgeKind.CONTROL_FLOW: [0], EdgeKind.CALL: [1]}),
+         runs_message("edge_rows", 3, "they stop at row 2")),
+        (dict(edge_rows={EdgeKind.CONTROL_FLOW: [0, 2], EdgeKind.CALL: [1]}),
+         runs_message("edge_rows", 3, "the group at row 0 is not a non-empty run from there")),
+        (dict(edge_rows={EdgeKind.CONTROL_FLOW: [0], EdgeKind.CALL: [1, 3]}),
          r"GraphPlan edge_rows: indices must lie in \[0, 3\)"),
-        (dict(edge_rows={EdgeKind.CALL: [0, 2], EdgeKind.LINE_MAPPING: [1]}),
+        (dict(edge_rows={EdgeKind.CALL: [0], EdgeKind.CONTROL_FLOW: [1, 2]}),
+         r"GraphPlan edge_rows: must map EdgeKind members to rows, in kind order"),
+        (dict(edge_rows={EdgeKind.CONTROL_FLOW: [0], EdgeKind.LINE_MAPPING: [1, 2]},
+              node_ids=[1, 0, 3, 2]),
          r"GraphPlan edge_rows: a line_mapping edge must end at an added line, but one ends at "
          r"deleted node 1$"),
     ], ids=["src-high", "src-negative", "src-2d", "dst-high", "dst-negative", "mu_idx-high",
-            "mu_idx-negative", "edge-count", "n-negative", "node_rows-overlap", "node_rows-cover",
-            "node_rows-high", "node_rows-negative", "node_rows-order", "node_rows-empty",
-            "node_rows-2d", "node_rows-kinds", "edge_rows-overlap", "edge_rows-cover",
-            "edge_rows-high", "line_mapping-into-a-deleted-line"])
+            "mu_idx-negative", "edge-count", "n-negative", "node_ids-repeated", "node_ids-short",
+            "node_ids-high", "node_rows-overlap", "node_rows-cover", "node_rows-gap",
+            "node_rows-not-a-run", "node_rows-high", "node_rows-negative", "node_rows-order",
+            "node_rows-empty", "node_rows-2d", "node_rows-kinds", "node_rows-kind-order",
+            "edge_rows-overlap", "edge_rows-cover", "edge_rows-not-a-run", "edge_rows-high",
+            "edge_rows-kind-order", "line_mapping-into-a-deleted-line"])
     def test_a_bad_array_is_named_when_the_plan_is_made(self, changes, message):
         with pytest.raises(ValueError, match="^" + message):
             GraphPlan(**plan_arrays(**changes))
 
-    @pytest.mark.parametrize("name", ["src", "dst", "mu_idx", "node_rows", "edge_rows"])
+    @pytest.mark.parametrize("name", ["src", "dst", "mu_idx", "node_ids", "node_rows",
+                                      "edge_rows"])
     @pytest.mark.parametrize("dtype", [float, bool, object])
     def test_a_non_integer_array_is_named(self, name, dtype):
         arrays = plan_arrays()
@@ -670,7 +702,7 @@ class TestPlanChecksItsArraysOnce:
         x = constant(np.arange(8.0).reshape(4, 2))
         shifted, head = plan.src + 2, plan.src[:2]
         assert type(shifted) is CheckedIndex and shifted.bound is None and head.bound is None
-        assert ad.take_rows(None, x, plan.src).data.tolist() == [[2.0, 3.0], [0.0, 1.0],
+        assert ad.take_rows(None, x, plan.src).data.tolist() == [[0.0, 1.0], [2.0, 3.0],
                                                                  [4.0, 5.0]]
         for derived in (shifted, head, np.array(plan.src)):
             with pytest.raises(ValueError, match=r"^take_rows: index must be a CheckedIndex "
@@ -692,29 +724,11 @@ class TestPlanChecksItsArraysOnce:
         plan = GraphPlan(**plan_arrays())
         for restored in (pickle.loads(pickle.dumps(plan)), copy.deepcopy(plan)):
             assert restored is not plan and restored.src.bound == 4
+            assert restored.node_ids.bound == 4 and restored.node_ids.tolist() == [0, 1, 2, 3]
             assert restored.node_rows[NodeKind.DELETED].take == slice(0, 2)
-            assert restored.node_rows[NodeKind.DELETED].part is not plan.node_rows[
-                NodeKind.DELETED].part
+            assert restored.node_rows[NodeKind.DELETED] is not plan.node_rows[NodeKind.DELETED]
         # a pickled index alone comes back unchecked, and no op takes it
         restored = pickle.loads(pickle.dumps(plan.src))
         assert restored.bound is None
         with pytest.raises(ValueError, match="^take_rows: index must be a CheckedIndex"):
             ad.take_rows(None, constant(np.ones((4, 2))), restored)
-
-    def test_synthetic_commits_have_contiguous_node_kind_rows(self):
-        ds = generate(GenConfig(n_commits=200, deleted_per_commit=10, added_per_commit=5,
-                                edge_density=0.08, seed=1))
-        for g in ds.graphs:
-            plan = build_plan(g)
-            assert [rows.take for rows in plan.node_rows.values()] == [slice(0, 10), slice(10, 15)]
-
-    @settings(max_examples=100, deadline=None)
-    @given(g=plan_graphs())
-    def test_slices_run_the_layer_as_index_arrays_do(self, g):
-        rng = np.random.default_rng(len(g.nodes) + 7 * len(g.edges))
-        params = layer_params(8, 2, rng)
-        h = constant(rng.normal(size=(len(g.nodes), 8)))
-        plan = build_plan(g)
-        got = attention_forward(None, h, plan, params, 0, 2).data
-        want = attention_forward(None, h, array_rows_plan(plan), params, 0, 2).data
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))

@@ -1,6 +1,5 @@
 import ast
 import contextlib
-import dataclasses
 import gc
 import inspect
 import math
@@ -17,13 +16,11 @@ from rootrank import autodiff as ad
 from rootrank.autodiff import CheckedIndex, Tape, Tensor, backward, constant, grad_check
 
 from rootrank.embedding import EmbeddedGraph, HashingEmbedder, embed_graph
-from rootrank.graphs import CommitGraph, NodeKind
 from rootrank.network import Mode, ModelConfig, init_network_params, named_tensors
 from rootrank.ranker import TrainedModel, build_pairs, commit_loss, rank_commit
 from rootrank.synthetic import GenConfig, generate
 
 from naive_reference import (
-    array_rows_plan,
     composed_attend,
     composed_gru,
     composed_pair_loss,
@@ -41,8 +38,6 @@ from naive_reference import (
     segment_softmax,
     segment_sum,
     sub,
-    every_row,
-    with_plan,
 )
 
 
@@ -426,17 +421,17 @@ class TestPerOpGradients:
         a = Tensor(self._rand(4, heads * k), requires_grad=True)
         w = Tensor(self._rand(heads * k, m), requires_grad=True)
         weights = self._rand(4, heads * m)
-        check_op(lambda tape, _: scalarize(tape, ad.block_matmul(tape, a, [(every_row(4), w)], heads),
+        check_op(lambda tape, _: scalarize(tape, ad.block_matmul(tape, a, [(slice(0, 4), w)], heads),
                                            weights),
                  [a, w])
 
     @pytest.mark.parametrize("heads", [1, 2, 8])
     @pytest.mark.parametrize("biased", [False, True])
     def test_grouped_block_matmul(self, heads, biased):
-        # every member of one partition, listed out of row order; one group holds a single row
+        # runs of rows that tile them in order; one group holds a single row
         k, m = 2, 3
         a = Tensor(self._rand(6, heads * k), requires_grad=True)
-        rows = ad.checked_partition([[0, 2, 4], [5], [1, 3]], 6)
+        rows = [slice(0, 3), slice(3, 4), slice(4, 6)]
         ws = [Tensor(self._rand(heads * k, m), requires_grad=True) for _ in rows]
         bs = [Tensor(self._rand(heads * m), requires_grad=True) for _ in rows]
         groups = [(r, w, b) if biased else (r, w) for r, w, b in zip(rows, ws, bs)]
@@ -600,61 +595,26 @@ def block_diagonal_of(w, heads):
 
 class TestBlockMatmul:
     def test_record_holds_row_indices_not_row_copies(self):
-        # the record keeps a and each group's index array; a copy of a's rows per group
-        # would add a.data.nbytes more
+        # the record keeps a and each group's slice; a copy of a's rows per group would add
+        # a.data.nbytes more
         rng = np.random.default_rng(8)
         a = Tensor(rng.normal(size=(4000, 16)), requires_grad=True)
-        evens, odds = ad.checked_partition([np.arange(0, 4000, 2), np.arange(1, 4000, 2)], 4000)
-        groups = [(evens, Tensor(rng.normal(size=(16, 2)), requires_grad=True)),
-                  (odds, Tensor(rng.normal(size=(16, 2)), requires_grad=True))]
+        groups = [(slice(0, 1500), Tensor(rng.normal(size=(16, 2)), requires_grad=True)),
+                  (slice(1500, 4000), Tensor(rng.normal(size=(16, 2)), requires_grad=True))]
         tape = Tape()
         with traced_allocations():
             base = tracemalloc.get_traced_memory()[0]
             out = ad.block_matmul(tape, a, groups, 4)
             held = tracemalloc.get_traced_memory()[0] - base
-        limit = out.data.nbytes + sum(rows.nbytes for rows, _w in groups) + a.data.nbytes // 4
+        limit = out.data.nbytes + a.data.nbytes // 4
         assert held < limit, f"the record holds {held} bytes, over {limit}"
         weights = rng.normal(size=out.shape)
         grads = backward(tape, scalarize(tape, out, weights))
         for rows, w in groups:
-            x = a.data[rows].reshape(len(rows), 4, 4).transpose(1, 2, 0)        # (H, k, r)
-            gh = weights[rows].reshape(len(rows), 4, 2).transpose(1, 0, 2)     # (H, r, m)
+            r = rows.stop - rows.start
+            x = a.data[rows].reshape(r, 4, 4).transpose(1, 2, 0)        # (H, k, r)
+            gh = weights[rows].reshape(r, 4, 2).transpose(1, 0, 2)     # (H, r, m)
             assert np.array_equal(grads[w], np.matmul(x, gh).reshape(16, 2))
-
-    @pytest.mark.parametrize("heads", [1, 8])
-    @pytest.mark.parametrize("biased", [False, True])
-    @pytest.mark.parametrize("a_grad", [True, False])
-    def test_slice_groups_equal_index_groups_bit_for_bit(self, heads, biased, a_grad):
-        # the same runs of rows, once as slice members written in place and once with ``take``
-        # cleared, so they are gathered and scattered; one run is a single row
-        rng = np.random.default_rng(12)
-        k, m = 3, 2
-        runs = [np.arange(0, 5), np.arange(5, 6), np.arange(6, 13)]
-        a = Tensor(rng.normal(size=(13, heads * k)), requires_grad=a_grad)
-        ws = [Tensor(rng.normal(size=(heads * k, m)), requires_grad=True) for _ in runs]
-        bs = [Tensor(rng.normal(size=heads * m), requires_grad=True) for _ in runs]
-        g = rng.normal(size=(13, heads * m))
-
-        def run(members):
-            groups = [(rows, w, b) if biased else (rows, w)
-                      for rows, w, b in zip(members, ws, bs)]
-            tape = Tape()
-            out = ad.block_matmul(tape, a, groups, heads)
-            grads = backward(tape, scalarize(tape, out, g))
-            return out.data, [grads[t] for t in (a, *ws, *(bs if biased else []))]
-
-        sliced = ad.checked_partition(runs, 13)
-        gathered = ad.checked_partition(runs, 13)
-        for rows in gathered:
-            assert type(rows.take) is slice
-            rows.take = None
-        out, grads = run(sliced)
-        want, want_grads = run(gathered)
-        assert np.array_equal(out, want)
-        for got, expected in zip(grads, want_grads):
-            assert np.array_equal(got, expected)
-        if not a_grad:
-            assert not grads[0].any()
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 5), heads=st.integers(1, 4), k=st.integers(1, 4),
@@ -667,7 +627,7 @@ class TestBlockMatmul:
         dense = block_diagonal_of(w.data, heads)
 
         tape = Tape()
-        out = ad.block_matmul(tape, a, [(every_row(n), w)], heads)
+        out = ad.block_matmul(tape, a, [(slice(0, n), w)], heads)
         np.testing.assert_allclose(out.data, a.data @ dense, rtol=0, atol=1e-12)
         grads = backward(tape, scalarize(tape, out, g))
         np.testing.assert_allclose(grads[a], g @ dense.T, rtol=0, atol=1e-12)
@@ -681,19 +641,18 @@ class TestBlockMatmul:
            seed=st.integers(0, 2**32 - 1))
     def test_groups_equal_masked_per_kind_sum(self, n, heads, k, m, n_groups, biased, seed):
         rng = np.random.default_rng(seed)
-        # each row joins one group; every group that holds a row is listed
-        owner = rng.integers(0, n_groups, size=n)
-        owners = np.unique(owner)
-        members = dict(zip(owners.tolist(), ad.checked_partition(
-            [np.flatnonzero(owner == i) for i in owners], n)))
-        listed = [i for i in range(n_groups) if i in members]
+        # the rows cut into n_groups runs, in order; every run that holds a row is listed
+        ends = [0, *np.sort(rng.integers(0, n + 1, size=n_groups - 1)).tolist(), n]
+        members = {i: slice(start, stop) for i, (start, stop) in enumerate(zip(ends, ends[1:]))
+                   if stop > start}
+        listed = list(members)
         a = Tensor(rng.uniform(-2, 2, size=(n, heads * k)), requires_grad=True)
         ws = [Tensor(rng.uniform(-2, 2, size=(heads * k, m)), requires_grad=True) for _ in listed]
         bs = [Tensor(rng.uniform(-2, 2, size=heads * m), requires_grad=True) for _ in listed]
         groups = [(members[i], w, b) if biased else (members[i], w)
                   for i, w, b in zip(listed, ws, bs)]
         g = rng.uniform(-2, 2, size=(n, heads * m))
-        if not groups:      # no rows, so no partition member
+        if not groups:      # no rows, so no run
             with pytest.raises(ValueError, match="^block_matmul: .* with 0 groups$"):
                 ad.block_matmul(None, a, groups, heads)
             return
@@ -713,40 +672,25 @@ class TestBlockMatmul:
     def test_shape_checks(self):
         with pytest.raises(ValueError, match="block_matmul"):
             ad.block_matmul(None, constant(np.zeros((2, 4))),
-                            [(every_row(2), constant(np.zeros((3, 1))))], 2)
+                            [(slice(0, 2), constant(np.zeros((3, 1))))], 2)
         with pytest.raises(ValueError, match="block_matmul"):
             ad.block_matmul(None, constant(np.zeros((2, 3))),
-                            [(every_row(2), constant(np.zeros((3, 1))))], 2)
+                            [(slice(0, 2), constant(np.zeros((3, 1))))], 2)
         with pytest.raises(ValueError, match="block_matmul"):
-            ad.block_matmul(None, constant(np.zeros(4)), [(every_row(4), constant(np.zeros((4, 1))))], 2)
-
-    def test_a_strict_subset_of_a_partition_is_rejected(self):
-        a = constant(np.zeros((5, 4)))
-        w = constant(np.zeros((4, 1)))
-        first, second, third = ad.checked_partition([[0, 1], [2], [3, 4]], 5)
-        for groups, held in (([(first, w), (second, w)], 3), ([(third, w)], 2),
-                             ([(second, w), (third, w)], 3)):
-            with pytest.raises(ValueError, match=r"^block_matmul: groups must list every member "
-                               rf"of their partition of \[0, 5\), but hold {held} rows$"):
-                ad.block_matmul(None, a, groups, 2)
-        out = ad.block_matmul(None, a, [(third, w), (first, w), (second, w)], 2)
-        assert out.shape == (5, 2)
+            ad.block_matmul(None, constant(np.zeros(4)), [(slice(0, 4), constant(np.zeros((4, 1))))], 2)
 
     def test_group_checks(self):
         a = constant(np.zeros((3, 4)))
         w = constant(np.zeros((4, 1)))
-        first, second = ad.checked_partition([[0, 1], [2]], 3)
         with pytest.raises(ValueError, match="block_matmul"):
             ad.block_matmul(None, a, [], 2)
         with pytest.raises(ValueError, match="block_matmul"):
-            ad.block_matmul(None, a, [(every_row(3), w, constant(np.zeros(3)))], 2)
+            ad.block_matmul(None, a, [(slice(0, 3), w, constant(np.zeros(3)))], 2)
+        wide = constant(np.zeros((4, 2)))
         with pytest.raises(ValueError, match="block_matmul"):
-            ad.block_matmul(None, a, [(first, w), (second, constant(np.zeros((4, 2))))], 2)
-        member = r"^block_matmul: groups must be distinct members of one checked partition of \[0, 3\)$"
-        for groups in ([(first, w), (first, w)], [(first, w), (every_row(3), w)],
-                       [(first, w), (np.array([2]), w)], [(every_row(4), w)]):
-            with pytest.raises(ValueError, match=member):
-                ad.block_matmul(None, a, groups, 2)
+            ad.block_matmul(None, a, [(slice(0, 2), w), (slice(2, 3), wide)], 2)
+        out = ad.block_matmul(None, a, [(slice(0, 2), w), (slice(2, 3), w)], 2)
+        assert out.shape == (3, 2)
 
 
 def gru_weights(p):
@@ -1288,8 +1232,6 @@ def index_calls():
     mu_idx, dst = ad.checked_index([0, 1, 1], 2), ad.checked_index([0, 2, 2], 4)
     scores, labels = constant([0.0, 1.0, 2.0]), np.ones(2)
     pair_i, pair_j = ad.checked_index([0, 1], 3), ad.checked_index([2, 2], 3)
-    w = constant(np.ones((2, 2)))
-    first, second = ad.checked_partition([[0, 1], [2, 3]], 4)
 
     def rejects(op, name, bound):
         return rf"^{op}: {name} must be a CheckedIndex of \[0, {bound}\)$"
@@ -1308,10 +1250,6 @@ def index_calls():
         "pair_loss-pair_j": (pair_j, lambda index: ad.pair_loss(None, scores, pair_i, index,
                                                                 labels, 1.0),
                              rejects("pair_loss", "pair_j", 3)),
-        "block_matmul-groups": (second,
-                                lambda index: ad.block_matmul(None, x, [(first, w), (index, w)], 1),
-                                r"^block_matmul: groups must be distinct members of one checked "
-                                r"partition of \[0, 4\)$"),
     }
 
 
@@ -1344,66 +1282,50 @@ class TestOneIndexPath:
         with pytest.raises(ValueError, match=message):
             call(derived)
 
-    @pytest.mark.parametrize("partitions", [
-        pytest.param(lambda: 2 * ad.checked_partition([[0, 1], [2, 3]], 4)[:1], id="repeated"),
-        pytest.param(lambda: [ad.checked_partition([[0, 1], [2, 3]], 4)[0],
-                              ad.checked_partition([[0, 1], [2, 3]], 4)[1]], id="two-partitions"),
-        pytest.param(lambda: ad.checked_partition([[0, 1], [2, 3], [4]], 5)[:2], id="other-bound"),
+
+
+class TestBlockMatmulGroups:
+    """``block_matmul`` takes its groups as slices, checked by arithmetic to be non-empty runs
+    that tile the rows of its input in order."""
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param([slice(0, 1), slice(1, 4)], id="two-runs"),
+        pytest.param([slice(0, 4)], id="one-run"),
+        pytest.param([slice(0, 1), slice(1, 2), slice(2, 3), slice(3, 4)], id="single-rows"),
     ])
-    def test_block_matmul_rejects_members_not_of_one_partition(self, partitions):
-        _index, _call, message = index_calls()["block_matmul-groups"]
-        x, w = constant(np.ones((4, 2))), constant(np.ones((2, 2)))
-        with pytest.raises(ValueError, match=message):
-            ad.block_matmul(None, x, [(rows, w) for rows in partitions()], 1)
+    def test_runs_that_tile_the_rows_in_order_are_taken(self, rows):
+        a = constant(np.arange(12.0).reshape(4, 3))
+        w = constant(np.ones((3, 2)))
+        out = ad.block_matmul(None, a, [(r, w) for r in rows], 1).data
+        assert np.array_equal(out, a.data @ w.data)
 
-
-def deleted_first(g: CommitGraph) -> CommitGraph:
-    """``g`` with its nodes renumbered so that its deleted lines come first, in order."""
-    order = sorted(range(len(g.nodes)), key=lambda i: g.nodes[i].kind is not NodeKind.DELETED)
-    new_id = {old: new for new, old in enumerate(order)}
-    return CommitGraph(
-        commit_id=g.commit_id,
-        nodes=tuple(dataclasses.replace(g.nodes[old], id=new) for new, old in enumerate(order)),
-        edges=tuple(dataclasses.replace(e, src=new_id[e.src], dst=new_id[e.dst]) for e in g.edges),
-    )
+    @pytest.mark.parametrize("rows", [
+        pytest.param([slice(0, 2), slice(1, 4)], id="overlap"),
+        pytest.param([slice(0, 1), slice(2, 4)], id="gap"),
+        pytest.param([slice(2, 4), slice(0, 2)], id="out-of-order"),
+        pytest.param([slice(0, 0), slice(0, 4)], id="empty"),
+        pytest.param([slice(0, 2), slice(2, 2), slice(2, 4)], id="empty-inside"),
+        pytest.param([slice(0, 3)], id="short"),
+        pytest.param([slice(0, 2), slice(2, 5)], id="past-the-end"),
+        pytest.param([slice(0, 2), slice(0, 2)], id="repeated"),
+        pytest.param([slice(None, 2), slice(2, 4)], id="open-start"),
+        pytest.param([slice(0, 2), slice(2, None)], id="open-stop"),
+        pytest.param([slice(0, 4, 1)], id="step"),
+        pytest.param([slice(0, 2), slice(2.0, 4.0)], id="float-bounds"),
+        pytest.param([np.arange(4)], id="array"),
+        pytest.param(ad.checked_partition([[0, 1], [2, 3]], 4), id="partition-members"),
+    ])
+    def test_groups_that_do_not_tile_the_rows_in_order_are_rejected(self, rows):
+        a = constant(np.zeros((4, 2)))
+        w = constant(np.ones((2, 2)))
+        with pytest.raises(ValueError, match=r"^block_matmul: groups must be non-empty runs of "
+                                             r"rows, as slices, that tile \[0, 4\) in order"):
+            ad.block_matmul(None, a, [(r, w) for r in rows], 1)
 
 
 class TestCheckedIndices:
     """Ops take only indices checked once, where they are made (a plan's arrays,
-    ``build_pairs``' pairs), and a slice gives the numbers of the same rows as an array."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)),
-           ties=st.booleans(), contiguous=st.booleans())
-    def test_loss_gradients_and_scores_of_slices_equal_those_of_arrays(self, seed, mode, ties,
-                                                                       contiguous):
-        rng = np.random.default_rng(seed)
-        g = random_graph(rng, max_nodes=8)
-        if contiguous:          # deleted lines first: the deleted rows are taken as a slice
-            g = deleted_first(g)
-        cfg = ModelConfig(dim=8, heads=2, layers=2, proj_dim=4, mode=mode, include_tie_pairs=ties)
-        params = init_network_params(cfg, rng, random_scorer=True)
-        leaves = [t for _name, t in named_tensors(params)]
-        model = TrainedModel(params=params, cfg=cfg, training_log=[])
-        eg = EmbeddedGraph(graph=g, h0=rng.normal(size=(len(g.nodes), 8)))
-        pairs = build_pairs(g, ties)
-        assert type(eg.plan.src) is type(pairs[0]) is type(pairs[1]) is CheckedIndex
-        if contiguous:
-            assert eg.plan.node_rows[NodeKind.DELETED].take is not None
-        arrays = with_plan(eg, array_rows_plan(eg.plan))
-        assert all(rows.take is None for rows in arrays.plan.node_rows.values())
-        runs = []
-        for graph in (eg, arrays):
-            tape = Tape()
-            loss = commit_loss(tape, graph, pairs, params, cfg)
-            grads = backward(tape, loss)
-            runs.append((loss.data, [grads[t] for t in leaves], rank_commit(model, graph)))
-        (loss, grads, ranked), (array_loss, array_grads, array_ranked) = runs
-        assert_same_bits(loss, array_loss)
-        for got, want in zip(grads, array_grads):
-            assert_same_bits(got, want)
-        assert [(i, s.hex()) for i, s in ranked] == [(i, s.hex()) for i, s in array_ranked]
-        assert sorted(i for i, _s in ranked) == g.deleted_ids()
+    ``build_pairs``' pairs), and a partition member's slice gathers the rows its array does."""
 
     def test_a_checked_index_of_another_length_is_rejected(self):
         x = constant(np.ones((3, 2)))
@@ -1416,29 +1338,25 @@ class TestCheckedIndices:
         with pytest.raises(ValueError, match=r"^indices must lie in \[0, 4\)$"):
             ad.checked_index([0, 4], 4)
 
-    def test_block_matmul_takes_only_distinct_members_of_one_partition(self):
-        a = constant(np.arange(12.0).reshape(4, 3))
-        w = constant(np.ones((3, 2)))
+    def test_a_partition_is_runs_that_tile_its_range_in_order(self):
         first, second = ad.checked_partition([[0, 1], [2, 3]], 4)
-        assert first.part is second.part and first.take == slice(0, 2)
-        out = ad.block_matmul(None, a, [(first, w), (second, w)], 1).data
-        assert np.array_equal(out, a.data @ w.data)
-        others = ad.checked_partition([[1, 2], [0, 3]], 4)
-        for groups in ([(first, w), (first, w)], [(first, w), (others[0], w)],
-                       [(first, w), (np.array([2, 3]), w)]):
-            with pytest.raises(ValueError, match="^block_matmul: groups must be distinct members "
-                                                 r"of one checked partition of \[0, 4\)$"):
-                ad.block_matmul(None, a, groups, 1)
-        with pytest.raises(ValueError, match=r"^groups must cover \[0, 4\), but hold 3 rows$"):
-            ad.checked_partition([[0, 1], [3]], 4)
-        with pytest.raises(ValueError, match="^groups must hold distinct rows and not overlap$"):
-            ad.checked_partition([[0, 1], [1, 2, 3]], 4)
+        assert (first.take, second.take) == (slice(0, 2), slice(2, 4))
+        assert type(first) is CheckedIndex and first.bound == 4 and not first.flags.writeable
+        for groups, stop in (([[0, 1], [3]], 2), ([[0, 1], [1, 2, 3]], 2), ([[1, 2], [0, 3]], 0),
+                             ([[0, 2], [1, 3]], 0), ([[0, 1], [], [2, 3]], 2)):
+            with pytest.raises(ValueError, match=r"^groups must be non-empty runs that tile "
+                                                 rf"\[0, 4\) in order, but the group at row "
+                                                 rf"{stop} is not a non-empty run from there$"):
+                ad.checked_partition(groups, 4)
+        with pytest.raises(ValueError, match=r"^groups must be non-empty runs that tile \[0, 4\) "
+                                             r"in order, but they stop at row 3$"):
+            ad.checked_partition([[0, 1], [2]], 4)
 
     def test_a_slice_gather_equals_an_array_gather(self):
         # forward equal; the backward of a gather through a slice adds into zeros, as
         # ufunc.at does: a -0.0 output gradient leaves +0.0
         a = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
-        rows = ad.checked_partition([[1, 2], [0, 3]], 4)[0]
+        rows = ad.checked_partition([[0], [1, 2], [3]], 4)[1]
         assert rows.take == slice(1, 3)
         g = np.array([[-0.0, 2.0], [3.0, -0.0]])
         runs = []
@@ -1449,28 +1367,6 @@ class TestCheckedIndices:
         for got, want in zip(*runs):
             assert_same_bits(got, want)
         assert not np.signbit(runs[0][1]).any()
-
-    @pytest.mark.parametrize("biased", [False, True])
-    def test_a_slice_block_product_equals_an_array_block_product(self, biased):
-        # the same partition, once with its one-run members as slices and once as arrays
-        rng = np.random.default_rng(41)
-        a = Tensor(rng.uniform(-2, 2, size=(5, 4)), requires_grad=True)
-        ws = [Tensor(rng.uniform(-2, 2, size=(4, 3)), requires_grad=True) for _ in range(2)]
-        bs = [Tensor(rng.uniform(-2, 2, size=6), requires_grad=True) for _ in range(2)]
-        g = rng.uniform(-2, 2, size=(5, 6))
-        sliced = ad.checked_partition([[1, 2, 3], [0, 4]], 5)
-        arrays = ad.checked_partition([[1, 2, 3], [0, 4]], 5)
-        arrays[0].take = None
-        assert sliced[0].take == slice(1, 4) and sliced[1].take is None
-        runs = []
-        for members in (sliced, arrays):
-            groups = [(rows, w, b) if biased else (rows, w) for rows, w, b in zip(members, ws, bs)]
-            tape = Tape()
-            out = ad.block_matmul(tape, a, groups, 2)
-            grads = backward(tape, scalarize(tape, out, g))
-            runs.append([out.data] + [grads[t] for t in (a, *ws, *bs)])
-        for got, want in zip(*runs):
-            assert_same_bits(got, want)
 
     def test_a_used_plan_keeps_only_its_index_arrays(self):
         # the plan of a 300-node, 871-edge commit, after a training step and a ranking, holds

@@ -24,6 +24,8 @@ from rootrank.network import ModelConfig, init_network_params, load_checkpoint
 from rootrank.ranker import TrainedModel, rank_commit, rank_commits, train
 from rootrank.synthetic import GenConfig, generate
 
+from naive_reference import assert_kind_major
+
 DATA = Path(__file__).parent / "data"
 CFG = ModelConfig(dim=8, heads=2, layers=2, proj_dim=4, seed=3)
 MODEL = TrainedModel(params=init_network_params(CFG, np.random.default_rng(3), random_scorer=True),
@@ -94,73 +96,83 @@ class TestUnionScoring:
 
     @settings(max_examples=40, deadline=None)
     @given(embedded=commit_lists())
-    def test_the_union_plan_is_checked_once_and_offset(self, embedded):
+    def test_a_union_is_kind_major_and_ranks_by_node_id(self, embedded):
+        # each commit's node kinds interleave in its ids; the union lays out every kind of
+        # every commit as one run, and its rankings still name each commit's node ids
+        union = union_plan([eg.plan for eg in embedded])
+        assert_kind_major(union)
+        stacked_kinds = [node.kind.ordinal for eg in embedded for node in eg.graph.nodes]
+        assert union.node_ids.tolist() == sorted(range(len(stacked_kinds)),
+                                                 key=stacked_kinds.__getitem__)
+        with mock.patch.object(ranker, "BATCH_ROWS", 10**9):
+            assert len(ranker._batches(embedded)) == 1
+            batched = rank_commits(MODEL, embedded)
+        for eg, ranked in zip(embedded, batched):
+            assert [node for node, _s in ranked] == [node for node, _s in rank_commit(MODEL, eg)]
+            assert sorted(node for node, _s in ranked) == eg.graph.deleted_ids()
+
+    @settings(max_examples=40, deadline=None)
+    @given(embedded=commit_lists())
+    def test_the_union_plan_is_checked_once_and_holds_each_commits_edges(self, embedded):
+        # read through node_ids, each kind's run of edges is the commits' edges of that kind,
+        # in commit order, with node ids offset by the nodes of the commits before
         plans = [eg.plan for eg in embedded]
         union = union_plan(plans)
         n = sum(p.n for p in plans)
         e = sum(len(p.src) for p in plans)
         node_base = np.cumsum([0] + [p.n for p in plans])[:-1]
-        edge_base = np.cumsum([0] + [len(p.src) for p in plans])[:-1]
         assert union.n == n
-        for name, bound in (("src", n), ("dst", n), ("mu_idx", MU_SIZE)):
+        for name, bound in (("src", n), ("dst", n), ("mu_idx", MU_SIZE), ("node_ids", n)):
             array = getattr(union, name)
-            assert type(array) is CheckedIndex and array.bound == bound and len(array) == e
-        by_hand = {name: np.concatenate([getattr(p, name) + base
-                                         for p, base in zip(plans, node_base)])
-                   for name in ("src", "dst")}
-        assert np.array_equal(union.src, by_hand["src"])
-        assert np.array_equal(union.dst, by_hand["dst"])
-        assert np.array_equal(union.mu_idx, np.concatenate([p.mu_idx for p in plans]))
-        edge_kind = np.empty(e, np.intp)
+            assert type(array) is CheckedIndex and array.bound == bound, name
+            assert len(array) == (n if name == "node_ids" else e), name
         for kind, rows in union.edge_rows.items():
-            edge_kind[rows] = kind.ordinal
-        for start, stop in zip(edge_base, edge_base[1:].tolist() + [e]):     # each commit's
-            assert (np.diff(edge_kind[start:stop]) >= 0).all()              # edges, kind-major
-        for field, bound, bases in (("node_rows", n, node_base), ("edge_rows", e, edge_base)):
-            members = getattr(union, field)
-            assert len({id(rows.part) for rows in members.values()}) == 1
-            assert sum(len(rows) for rows in members.values()) == bound
-            for kind, rows in members.items():
-                assert type(rows) is CheckedIndex and rows.bound == bound
-                assert np.array_equal(rows, np.concatenate(
-                    [getattr(p, field)[kind] + base for p, base in zip(plans, bases)
-                     if kind in getattr(p, field)]))
+            parts = [(p, p.edge_rows[kind], base) for p, base in zip(plans, node_base)
+                     if kind in p.edge_rows]
+            for name in ("src", "dst"):
+                assert np.array_equal(union.node_ids[getattr(union, name)[rows]], np.concatenate(
+                    [p.node_ids[getattr(p, name)[r]] + base for p, r, base in parts])), name
+            assert np.array_equal(union.mu_idx[rows],
+                                  np.concatenate([p.mu_idx[r] for p, r, _base in parts]))
+        for kind, rows in union.node_rows.items():
+            assert np.array_equal(union.node_ids[rows], np.concatenate(
+                [p.node_ids[p.node_rows[kind]] + base for p, base in zip(plans, node_base)
+                 if kind in p.node_rows]))
         # the same arrays offset by hand were never checked, so no op takes them
+        by_hand = np.concatenate([p.src + base for p, base in zip(plans, node_base)])
         with pytest.raises(ValueError, match=r"^take_rows: index must be a CheckedIndex"):
-            ad.take_rows(None, constant(np.zeros((n, 2))), by_hand["src"])
-        deleted = np.concatenate([p.node_rows[NodeKind.DELETED] + base
-                                  for p, base in zip(plans, node_base)
-                                  if NodeKind.DELETED in p.node_rows])
-        with pytest.raises(ValueError, match=r"^block_matmul: groups must be distinct members"):
+            ad.take_rows(None, constant(np.zeros((n, 2))), by_hand)
+        with pytest.raises(ValueError, match=r"^block_matmul: groups must be non-empty runs"):
             ad.block_matmul(None, constant(np.zeros((n, 2))),
-                            [(deleted, constant(np.ones((2, 1))))], 1)
+                            [(np.arange(n), constant(np.ones((2, 1))))], 1)
 
     @settings(max_examples=40, deadline=None)
     @given(embedded=commit_lists())
-    def test_the_union_block_is_the_commits_blocks_offset(self, embedded):
-        # node ids offset by the nodes before, target positions by the deleted lines before
-        # and kept-edge rows by the kept edges before
-        blocks = [eg.plan.scored for eg in embedded]
-        block = union_plan([eg.plan for eg in embedded]).scored
-        sizes = np.array([(eg.plan.n, b.n, len(b.src)) for eg, b in zip(embedded, blocks)])
-        n, k, kept = sizes.sum(axis=0)
-        node_base, target_base, edge_base = (np.cumsum(sizes, axis=0) - sizes).T
-        for name, bound, bases in (("targets", n, node_base), ("src", n, node_base),
-                                   ("dst", k, target_base), ("mu_idx", MU_SIZE, 0 * node_base)):
+    def test_the_union_block_is_the_commits_blocks_laid_out_kind_major(self, embedded):
+        # targets are the union's first rows, each commit's deleted lines in commit order;
+        # each kind's run of kept edges is the commits' kept edges of that kind, in commit
+        # order, read in node ids offset by the nodes of the commits before
+        plans = [eg.plan for eg in embedded]
+        union = union_plan(plans)
+        block = union.scored
+        node_base = np.cumsum([0] + [p.n for p in plans])[:-1]
+        k = sum(p.scored.n for p in plans)
+        kept = sum(len(p.scored.src) for p in plans)
+        assert block.n == k and block.targets.tolist() == list(range(k))
+        assert np.array_equal(union.node_ids[:k], np.concatenate(
+            [p.node_ids[:p.scored.n] + base for p, base in zip(plans, node_base)]))
+        for name, bound in (("src", union.n), ("dst", k), ("mu_idx", MU_SIZE)):
             array = getattr(block, name)
-            assert type(array) is CheckedIndex and array.bound == bound, name
-            assert np.array_equal(array, np.concatenate(
-                [getattr(b, name) + base for b, base in zip(blocks, bases)])), name
-        for field, bound, bases in (("node_rows", k, target_base), ("edge_rows", kept, edge_base)):
-            members = getattr(block, field)
-            by_hand = {kind: [getattr(b, field)[kind] + base for b, base in zip(blocks, bases)
-                              if kind in getattr(b, field)] for kind in {
-                                  kind for b in blocks for kind in getattr(b, field)}}
-            assert set(members) == set(by_hand), field
-            assert len({id(rows.part) for rows in members.values()}) <= 1, field
-            for kind, rows in members.items():
-                assert type(rows) is CheckedIndex and rows.bound == bound, (field, kind)
-                assert np.array_equal(rows, np.concatenate(by_hand[kind])), (field, kind)
+            assert type(array) is CheckedIndex and array.bound == bound and len(array) == kept
+        assert set(block.edge_rows) == {kind for p in plans for kind in p.scored.edge_rows}
+        for kind, rows in block.edge_rows.items():
+            parts = [(p, p.scored.edge_rows[kind], base) for p, base in zip(plans, node_base)
+                     if kind in p.scored.edge_rows]
+            for name in ("src", "dst"):
+                assert np.array_equal(union.node_ids[getattr(block, name)[rows]], np.concatenate(
+                    [p.node_ids[getattr(p.scored, name)[r]] + base for p, r, base in parts]))
+            assert np.array_equal(block.mu_idx[rows],
+                                  np.concatenate([p.scored.mu_idx[r] for p, r, _base in parts]))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), a_shape=st.tuples(st.integers(1, 5), st.integers(0, 4)),
@@ -199,18 +211,6 @@ class TestUnionScoring:
             assert_close_and_equally_ranked(after, before)
         else:
             assert after == before
-
-    def test_a_union_scores_through_index_groups(self):
-        # each commit's edges are kind-major, so a union interleaves the kinds of its
-        # commits: its typed groups are gathered and scattered, not sliced
-        rng = np.random.default_rng(9)
-        embedded = [commit(rng, f"c{i}", 4, 3, 0.5) for i in range(3)]
-        assert len(ranker._batches(embedded)) == 1
-        union = union_plan([eg.plan for eg in embedded])
-        for block in (union, union.scored):
-            assert any(rows.take is None for rows in block.edge_rows.values())
-        for eg, ranked in zip(embedded, rank_commits(MODEL, embedded)):
-            assert_close_and_equally_ranked(ranked, alone(MODEL, eg))
 
     def test_a_union_of_one_plan_is_that_plan(self):
         eg = commit(np.random.default_rng(0), "one", 3, 2, 0.5)

@@ -49,6 +49,13 @@ from naive_reference import (
 )
 
 
+def forward(h0, g, params, cfg):
+    """``network_forward`` on ``g`` with ``h0`` in node id order, permuted into plan row order as
+    ``EmbeddedGraph.h0_tensor`` does; the deleted lines' rows, in node id order."""
+    plan = build_plan(g)
+    return network_forward(None, constant(h0[plan.node_ids]), plan, params, cfg).data
+
+
 def zero_gru(dim):
     p = layer_params(dim, 1, np.random.default_rng(0))
     for t in gru_tensors(p, 0).values():
@@ -168,9 +175,8 @@ class TestNetworkForward:
                 g = random_graph(rng)
                 cfg = ModelConfig(dim=8, heads=2, layers=2, proj_dim=5, mode=mode)
                 params = init_network_params(cfg, rng, random_scorer=True)
-                plan = build_plan(g)
                 h0 = rng.normal(size=(len(g.nodes), 8))
-                fast = network_forward(None, constant(h0), plan, params, cfg).data
+                fast = forward(h0, g, params, cfg)
                 slow = naive_network_forward(h0, g, params, cfg)
                 np.testing.assert_allclose(fast, slow, atol=1e-12)
 
@@ -208,10 +214,9 @@ class TestNetworkForward:
                 gru[name].data = np.zeros((8, 8))
             gru["b_iz"].data = np.full(8, 30.0)
             gru["b_hz"].data = np.zeros(8)
-        plan = build_plan(g)
         h0 = rng.normal(size=(len(g.nodes), 8))
-        out = network_forward(None, constant(h0), plan, params, cfg)
-        np.testing.assert_allclose(out.data, naive_head(h0, params)[g.deleted_ids()], atol=1e-9)
+        out = forward(h0, g, params, cfg)
+        np.testing.assert_allclose(out, naive_head(h0, params)[g.deleted_ids()], atol=1e-9)
 
     def test_aggregation_only_single_layer_equals_attention_plus_head(self):
         rng = np.random.default_rng(7)
@@ -281,7 +286,7 @@ class TestScoredRows:
         params = init_network_params(cfg, rng, random_scorer=True)
         h0 = rng.normal(size=(len(g.nodes), cfg.dim))
         deleted = g.deleted_ids()
-        fast = network_forward(None, constant(h0), build_plan(g), params, cfg).data
+        fast = forward(h0, g, params, cfg)
         assert fast.shape == (len(deleted), cfg.out_dim)
         np.testing.assert_allclose(fast, naive_network_forward(h0, g, params, cfg),
                                    rtol=0, atol=1e-12)
@@ -312,7 +317,7 @@ class TestScoredRows:
             g = random_graph(rng, max_nodes=8)
             params = init_network_params(cfg, rng, random_scorer=True)
             h0 = rng.normal(size=(len(g.nodes), cfg.dim))
-            fast = network_forward(None, constant(h0), build_plan(g), params, cfg).data
+            fast = forward(h0, g, params, cfg)
             every = naive_network_forward(h0, g, with_unread_tensors(params, cfg, rng), cfg,
                                           all_rows=True)[g.deleted_ids()]
             np.testing.assert_allclose(fast, every, rtol=0, atol=1e-12)
@@ -387,10 +392,8 @@ class TestRelabellingEquivariance:
         h0_relabelled[perm] = h0
         for mode in Mode:
             cfg = dataclasses.replace(self.cfg, mode=mode)
-            out = network_forward(None, constant(h0), build_plan(_graph(kinds, edges)),
-                                  self.params, cfg).data
-            out_relabelled = network_forward(None, constant(h0_relabelled), build_plan(relabelled),
-                                             self.params, cfg).data
+            out = forward(h0, _graph(kinds, edges), self.params, cfg)
+            out_relabelled = forward(h0_relabelled, relabelled, self.params, cfg)
             # rows are the deleted lines in node id order, in each graph its own
             moved = [perm[i] for i, kind in enumerate(kinds) if kind is NodeKind.DELETED]
             np.testing.assert_allclose(out_relabelled[np.argsort(np.argsort(moved))], out,

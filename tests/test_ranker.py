@@ -637,14 +637,14 @@ class TestRankCommit:
                             r"non-finite values in its \(\d+,\) output", str(exc.value))
 
     def test_deleted_ids_come_from_the_plan(self, monkeypatch):
-        # the plan's deleted-kind rows are the graph's deleted ids, as node ids are 0..n-1
+        # the node ids of the plan's deleted-kind rows, its first, are the graph's deleted ids
         model = self._model()
         rng = np.random.default_rng(12)
         graphs = [random_graph(rng, max_nodes=8) for _ in range(20)]
         embedded = [embed_graph(g, HashingEmbedder(8)) for g in graphs]
         expected = [rank_commit(model, eg) for eg in embedded]
         for g, eg in zip(graphs, embedded):
-            assert eg.plan.node_rows[NodeKind.DELETED].tolist() == g.deleted_ids()
+            assert eg.plan.node_ids[eg.plan.node_rows[NodeKind.DELETED]].tolist() == g.deleted_ids()
 
         def unused(_self):
             raise AssertionError("rank_commit read CommitGraph.deleted_ids")
