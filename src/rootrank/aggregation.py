@@ -16,20 +16,23 @@ i's square block, applied with ``block_matmul`` so head i only ever sees
 its own block.  Checkpoints store them in that same (D, D/H) shape.
 
 A graph enters the layer as a :class:`GraphPlan`: per-edge integer
-arrays (source, target, prior row) plus the rows of each node kind and
-each edge kind present, so every plan array is O(n + E).  The plan is
+arrays (source, target, prior row), the node id of each row and the
+count of each node kind, so every plan array is O(n + E).  The plan is
 the one place a graph's indices are checked: its constructor checks
 every array once, by arithmetic, and keeps each as a read-only
 ``autodiff.CheckedIndex``, the only index the ops take, so no op checks
 an index again.  A plan numbers its rows kind-major: :func:`build_plan`
 stable-sorts the nodes by kind, so the deleted lines come first, and
 sorts the edges by kind, so every node kind's and every edge kind's rows
-are one run, which ``block_matmul`` multiplies from a view straight into
-its rows of the output.  ``node_ids`` maps each row back to its node id,
-so the initial vectors are permuted into plan order once and scores map
-back to node ids.  Width-D flat scatter indices are not kept: the plan
-stays O(n + E) integers, and they are built per call.  Each
-typed transform runs once per kind, on that kind's rows only: each of
+are one run.  The plan holds the layout as counts, the way batched-graph
+libraries hold theirs as offsets, and derives each run as a slice once:
+node runs from ``node_counts``, edge runs from the edge kind each prior
+row names.  ``block_matmul`` multiplies each run from a view straight
+into its rows of the output.  ``node_ids`` maps each row back to its
+node id, so the initial vectors are permuted into plan order once and
+scores map back to node ids.  Width-D flat scatter indices are not
+kept: the plan stays O(n + E) integers, and they are built per call.
+Each typed transform runs once per kind, on that kind's rows only: each of
 K, Q and V is one ``block_matmul`` with a group per node kind, and the
 attention and message maps are one each, with a group per edge kind,
 applied to source rows gathered with ``take_rows``.  The rest of the
@@ -83,70 +86,68 @@ class ScoredBlock:
     """The edges into a plan's deleted lines, indexed for the last layer, which updates them
     alone because only they are scored.
 
-    ``targets`` holds the deleted lines' rows, [0, k) of the kind-major
-    plan (its ``node_rows`` member, or an empty index when there is
-    none), so ``take_rows`` gathers their states as a view.  The kept
-    edges are the plan's edges that end at one of them, in plan order, so
-    each edge kind stays one run.  ``dst`` gives each kept edge's target,
-    which is also its position in ``targets``, so attention over the
-    block yields one row per deleted line, in plan row order.
-    ``node_rows`` and ``edge_rows`` split the k targets and the kept
-    edges into runs by kind, as a plan's do its nodes and edges; with
-    ``n`` = k, the block reads like a plan whose nodes are the targets.
-    Made only by :class:`GraphPlan`, which derives it from its own checked
-    arrays.
+    Its ``n`` targets are the deleted lines, rows [0, k) of the kind-major
+    plan.  The kept edges are the plan's edges that end at one of them, in
+    plan order, so each edge kind stays one run.  ``dst`` gives each kept
+    edge's target, which is also its plan row, so attention over the block
+    yields one row per deleted line, in plan row order.  ``node_rows`` and
+    ``edge_rows`` are the runs of the k targets and of the kept edges by
+    kind, as slices, like a plan's; the edge runs are read from the kept
+    ``mu_idx``.  So the block reads like a plan whose nodes are the
+    targets.  Made only by :class:`GraphPlan`, which derives it from its
+    own checked arrays.
     """
 
-    targets: ad.CheckedIndex                    # (k,) rows [0, k) of the deleted lines, bound n
-    src: ad.CheckedIndex                        # (E_k,) source row of each kept edge, bound n
-    dst: ad.CheckedIndex                        # (E_k,) target row of each kept edge, bound k
-    mu_idx: ad.CheckedIndex                     # (E_k,) row of the edge's prior in ``mu``
-    node_rows: dict[NodeKind, ad.CheckedIndex]  # {DELETED: [0, k)}, or {} when k is 0
-    edge_rows: dict[EdgeKind, ad.CheckedIndex]  # kept-edge run of each present edge kind
-
-    @property
-    def n(self) -> int:
-        return len(self.targets)
+    n: int                              # k, the deleted lines
+    src: ad.CheckedIndex                # (E_k,) source row of each kept edge, bound plan n
+    dst: ad.CheckedIndex                # (E_k,) target row of each kept edge, bound k
+    mu_idx: ad.CheckedIndex             # (E_k,) row of the edge's prior in ``mu``
+    node_rows: dict[NodeKind, slice]    # {DELETED: slice(0, k)}, or {} when k is 0
+    edge_rows: dict[EdgeKind, slice]    # kept-edge run of each present edge kind
 
 
 @dataclass(frozen=True)
 class GraphPlan:
     """Integer index arrays derived from one graph's structure, checked once.
 
-    Rows are kind-major.  Node kinds come in kind order, deleted lines
-    first, and ``node_ids[r]`` is the node id of row r (for a union, its
-    row in the stacked commits).  Edges come in edge-kind order too, so
-    ``node_rows``/``edge_rows``, one member per kind present, are runs
-    that tile the rows and the edges in kind order: slices for
-    ``block_matmul``.  ``src`` and ``dst`` are rows, not node ids.  A
-    target's incoming edges are not contiguous: ``autodiff.attend`` sums
-    them by scatter, in (kind, src) order.
+    Rows are kind-major.  ``node_counts`` holds the rows of each node
+    kind, in kind order, deleted lines first, and ``node_ids[r]`` is the
+    node id of row r (for a union, its row in the stacked commits).  Edges
+    come in edge-kind order too, and each edge's kind is read from its
+    ``mu_idx``.  So each kind's rows and edges are one run, and
+    ``node_rows``/``edge_rows`` hold those runs as slices for
+    ``block_matmul``, one per kind present, derived once here.  ``src``
+    and ``dst`` are rows, not node ids.  A target's incoming edges are not
+    contiguous: ``autodiff.attend`` sums them by scatter, in (kind, src)
+    order.
 
     Construction checks that ``src`` and ``dst`` lie in [0, n), ``mu_idx``
     in [0, MU_SIZE), that the three have one entry per edge, that
-    ``node_ids`` is a permutation of [0, n), and that the kinds' rows,
-    listed in kind order, are non-empty runs that tile the nodes and the
-    edges in order; a failed check raises ValueError naming the array.
-    Every array is then held as a read-only ``autodiff.CheckedIndex``.  It
-    then derives ``scored``, the :class:`ScoredBlock` of its deleted
-    lines, rejecting a ``line_mapping`` edge that ends at a deleted line
+    ``node_ids`` is a permutation of [0, n), that ``node_counts`` is one
+    non-negative integer per node kind summing to n, and that the edges'
+    kinds never decrease; a failed check raises ValueError naming the
+    field.  Every array is then held as a read-only
+    ``autodiff.CheckedIndex``.  It then derives ``scored``, the
+    :class:`ScoredBlock` of its deleted lines, rejecting a
+    ``line_mapping`` edge that ends at a deleted line
     (``graphs.validate_graph`` makes each end at an added one, so the last
-    layer holds no ``line_mapping`` maps).  A plan pickles as its arrays
+    layer holds no ``line_mapping`` maps).  A plan pickles as its fields
     and is checked again when loaded.
     """
 
     n: int
-    src: np.ndarray                        # (E,) source row of each edge
-    dst: np.ndarray                        # (E,) target row of each edge
-    mu_idx: np.ndarray                     # (E,) row of the edge's prior in ``mu``
-    node_rows: dict[NodeKind, np.ndarray]  # run of rows of each present node kind
-    edge_rows: dict[EdgeKind, np.ndarray]  # run of edge rows of each present edge kind
-    node_ids: np.ndarray                   # (n,) node id of each row
+    src: np.ndarray                 # (E,) source row of each edge
+    dst: np.ndarray                 # (E,) target row of each edge
+    mu_idx: np.ndarray              # (E,) row of the edge's prior in ``mu``
+    node_counts: Sequence[int]      # rows of each NodeKind, in kind order
+    node_ids: np.ndarray            # (n,) node id of each row
+    node_rows: dict[NodeKind, slice] = field(init=False, repr=False, compare=False)
+    edge_rows: dict[EdgeKind, slice] = field(init=False, repr=False, compare=False)
     scored: ScoredBlock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        if not _is_count(n):
             raise ValueError(f"GraphPlan n: must be a non-negative integer, got {n!r}")
         checked = {name: _named(name, ad.checked_index, getattr(self, name), bound)
                    for name, bound in (("src", n), ("dst", n), ("mu_idx", MU_SIZE),
@@ -158,15 +159,31 @@ class GraphPlan:
         node_ids = checked["node_ids"]
         if len(node_ids) != n or (np.bincount(node_ids, minlength=n) != 1).any():
             raise ValueError(f"GraphPlan node_ids: must be a permutation of [0, {n})")
-        checked["node_rows"] = _kind_partition("node_rows", self.node_rows, NodeKind, n)
-        checked["edge_rows"] = _kind_partition("edge_rows", self.edge_rows, EdgeKind, e)
+        counts = self.node_counts
+        if (not isinstance(counts, (tuple, list, np.ndarray)) or len(counts) != NUM_NODE_KINDS
+                or not all(_is_count(c) for c in counts)):
+            raise ValueError(f"GraphPlan node_counts: must be {NUM_NODE_KINDS} non-negative "
+                             f"integers, one per NodeKind, got {counts!r}")
+        checked["node_counts"] = counts = tuple(int(c) for c in counts)
+        if sum(counts) != n:
+            raise ValueError(f"GraphPlan node_counts: must sum to n={n}, got {sum(counts)}")
+        edge_kind = _edge_kinds(checked["mu_idx"])
+        if (np.diff(edge_kind) < 0).any():
+            raise ValueError("GraphPlan mu_idx: edges must come in edge-kind order")
+        checked["node_rows"] = _runs(counts, NodeKind)
+        checked["edge_rows"] = _runs(np.bincount(edge_kind, minlength=NUM_EDGE_KINDS), EdgeKind)
         for name, value in checked.items():
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "scored", _scored_block(self))
+        object.__setattr__(self, "scored", _scored_block(self, edge_kind))
 
     def __reduce__(self):
-        return type(self), (self.n, self.src, self.dst, self.mu_idx, self.node_rows,
-                            self.edge_rows, self.node_ids)
+        return type(self), (self.n, self.src, self.dst, self.mu_idx, self.node_counts,
+                            self.node_ids)
+
+
+def _is_count(x) -> bool:
+    """Whether ``x`` is a non-negative integer, Python's or numpy's, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0
 
 
 def _named(name: str, check, *args):
@@ -177,47 +194,41 @@ def _named(name: str, check, *args):
         raise ValueError(f"GraphPlan {name}: {exc}") from None
 
 
-def _kind_partition(name: str, rows_by_kind: dict, kinds, bound: int) -> dict:
-    """``rows_by_kind``, listed in kind order, as checked runs that tile range(bound)."""
-    if (not isinstance(rows_by_kind, dict) or not all(isinstance(k, kinds) for k in rows_by_kind)
-            or [k.ordinal for k in rows_by_kind] != sorted(k.ordinal for k in rows_by_kind)):
-        raise ValueError(f"GraphPlan {name}: must map {kinds.__name__} members to rows, "
-                         f"in kind order")
-    members = _named(name, ad.checked_partition, list(rows_by_kind.values()), bound)
-    return dict(zip(rows_by_kind, members))
+def _edge_kinds(mu_idx: np.ndarray) -> np.ndarray:
+    """The edge-kind ordinal of each edge, read from its prior row (see ``build_plan``)."""
+    return np.asarray(mu_idx) // NUM_NODE_KINDS % NUM_EDGE_KINDS
 
 
-def _scored_block(plan: GraphPlan) -> ScoredBlock:
-    """The :class:`ScoredBlock` of ``plan``'s deleted lines, from its checked arrays."""
-    n = plan.n
+def _runs(counts, kinds) -> dict:
+    """Each kind's run of ``counts[kind.ordinal]`` rows, as a slice, laid end to end in kind
+    order, for the kinds whose count is not zero."""
+    runs, start = {}, 0
+    for kind, count in zip(kinds, np.asarray(counts).tolist()):
+        if count:
+            runs[kind] = slice(start, start + count)
+            start += count
+    return runs
+
+
+def _scored_block(plan: GraphPlan, edge_kind: np.ndarray) -> ScoredBlock:
+    """The :class:`ScoredBlock` of ``plan``'s deleted lines, from its checked arrays and the
+    kind ordinal of each of its edges."""
     # deleted is the first node kind, so its run is rows [0, k)
-    targets = plan.node_rows.get(NodeKind.DELETED, ad.checked_index(np.empty(0, np.intp), n))
-    k = len(targets)
+    k = plan.node_counts[NodeKind.DELETED.ordinal]
     kept = np.flatnonzero(plan.dst < k)
-    edge_kind = np.empty(len(plan.src), np.intp)
-    for kind, rows in plan.edge_rows.items():
-        edge_kind[rows.take] = kind.ordinal
     kept_kind = edge_kind[kept]
     mapped = np.flatnonzero(kept_kind == EdgeKind.LINE_MAPPING.ordinal)
     if mapped.size:
-        raise ValueError(f"GraphPlan edge_rows: a line_mapping edge must end at an added line, "
+        raise ValueError(f"GraphPlan mu_idx: a line_mapping edge must end at an added line, "
                          f"but one ends at deleted node {plan.node_ids[plan.dst[kept[mapped[0]]]]}")
     return ScoredBlock(
-        targets=targets,
-        src=ad.checked_index(plan.src[kept], n),
+        n=k,
+        src=ad.checked_index(plan.src[kept], plan.n),
         dst=ad.checked_index(plan.dst[kept], k),
         mu_idx=ad.checked_index(plan.mu_idx[kept], MU_SIZE),
-        node_rows=_kind_partition("scored node_rows", {NodeKind.DELETED: np.arange(k)} if k
-                                  else {}, NodeKind, k),
-        edge_rows=_kind_partition("scored edge_rows", _rows_by_kind(kept_kind, EdgeKind),
-                                  EdgeKind, len(kept)),
+        node_rows={NodeKind.DELETED: slice(0, k)} if k else {},
+        edge_rows=_runs(np.bincount(kept_kind, minlength=NUM_EDGE_KINDS), EdgeKind),
     )
-
-
-def _rows_by_kind(ordinals: np.ndarray, kinds) -> dict:
-    """Sorted rows holding each kind's ordinal, for the kinds that occur, in kind order."""
-    rows = {kind: np.flatnonzero(ordinals == kind.ordinal) for kind in kinds}
-    return {kind: r for kind, r in rows.items() if r.size}
 
 
 def build_plan(g: CommitGraph) -> GraphPlan:
@@ -235,8 +246,7 @@ def build_plan(g: CommitGraph) -> GraphPlan:
         src=src,
         dst=dst,
         mu_idx=(node_kind[src] * NUM_EDGE_KINDS + edge_kind) * NUM_NODE_KINDS + node_kind[dst],
-        node_rows=_rows_by_kind(node_kind, NodeKind),
-        edge_rows=_rows_by_kind(edge_kind, EdgeKind),
+        node_counts=np.bincount(kinds, minlength=NUM_NODE_KINDS),
         node_ids=node_ids,
     )
 
@@ -248,40 +258,37 @@ def union_plan(plans: Sequence[GraphPlan]) -> GraphPlan:
     stable-sorted by kind, as :func:`build_plan` sorts a graph's nodes,
     and so are its edges: each kind is one run of every plan's run of it,
     in list order, the deleted lines of every plan come first, and each
-    plan's edges keep their order.  ``node_ids`` gives each row's row in
-    ``plans``' graphs stacked in list order, so initial vectors stacked
-    that way are permuted into the union by it.  The result is made by the
+    plan's edges keep their order.  So each node kind's count is the sum
+    of the plans' counts, and the edges' kinds come from their stacked
+    ``mu_idx``.  ``node_ids`` gives each row's row in ``plans``' graphs
+    stacked in list order, so initial vectors stacked that way are
+    permuted into the union by it.  The result is made by the
     :class:`GraphPlan` constructor, which checks its arrays once like any
-    plan's and derives its scored block from them, so the block is that
-    of the union too.  A union of one plan is that plan.
+    plan's and derives its runs and scored block from them, so the block
+    is that of the union too.  A union of one plan is that plan.
     """
     if len(plans) == 1:
         return plans[0]
     sizes = [p.n for p in plans]
     node_base = np.cumsum([0] + sizes[:-1])
 
-    def stacked_kinds(field: str) -> np.ndarray:
-        """The kind ordinal of each row (or edge) of ``plans`` stacked in list order."""
-        runs = [(kind.ordinal, len(rows)) for p in plans
-                for kind, rows in getattr(p, field).items()]
-        return np.repeat([ordinal for ordinal, _ in runs], [size for _, size in runs])
-
     def stacked(field: str, base) -> np.ndarray:
         return np.concatenate([getattr(p, field) for p in plans]) + base
 
     # a stable sort keeps list order, and each plan's own order, within a kind
-    node_kind, edge_kind = stacked_kinds("node_rows"), stacked_kinds("edge_rows")
+    node_kind = np.repeat(np.tile(np.arange(NUM_NODE_KINDS), len(plans)),
+                          [count for p in plans for count in p.node_counts])
     order = np.argsort(node_kind, kind="stable")
-    edge_order = np.argsort(edge_kind, kind="stable")
+    mu_idx = stacked("mu_idx", 0)
+    edge_order = np.argsort(_edge_kinds(mu_idx), kind="stable")
     row = np.argsort(order)                 # the union row of each stacked row
     edge_base = np.repeat(node_base, [len(p.src) for p in plans])
     return GraphPlan(
         n=len(order),
         src=row[stacked("src", edge_base)[edge_order]],
         dst=row[stacked("dst", edge_base)[edge_order]],
-        mu_idx=stacked("mu_idx", 0)[edge_order],
-        node_rows=_rows_by_kind(node_kind[order], NodeKind),
-        edge_rows=_rows_by_kind(edge_kind[edge_order], EdgeKind),
+        mu_idx=mu_idx[edge_order],
+        node_counts=[sum(counts) for counts in zip(*(p.node_counts for p in plans))],
         node_ids=stacked("node_ids", np.repeat(node_base, sizes))[order],
     )
 
@@ -300,7 +307,7 @@ def project_kqv(tape: Tape | None, h_prev: Tensor, plan: GraphPlan, params: dict
     block, h_dst = _layer_block(plan, h_prev, targets)
 
     def typed(name: str, states: Tensor, node_rows: dict) -> Tensor:
-        groups = [(rows.take, params[f"{p}.w_{name}.{kind.value}"],
+        groups = [(rows, params[f"{p}.w_{name}.{kind.value}"],
                    params[f"{p}.b_{name}.{kind.value}"]) for kind, rows in node_rows.items()]
         return ad.block_matmul(tape, states, groups, 1)
 
@@ -313,7 +320,7 @@ def _edge_rows(tape: Tape | None, block, states: Tensor, params: dict[str, Tenso
     """Per edge of ``block`` (a plan or its scored block), the source state through the head
     blocks ``{maps}.{edge kind}``, shape (E, D)."""
     sources = ad.take_rows(tape, states, block.src)
-    groups = [(rows.take, params[f"{maps}.{kind.value}"])
+    groups = [(rows, params[f"{maps}.{kind.value}"])
               for kind, rows in block.edge_rows.items()]
     return ad.block_matmul(tape, sources, groups, heads)
 
@@ -324,11 +331,12 @@ def attention_forward(tape: Tape | None, h_prev: Tensor, plan: GraphPlan,
     """Layer ``layer``: project, map each edge's key and message, then ``autodiff.attend``.
 
     Without ``targets`` every node attends over its incoming edges, giving
-    (n, D).  With ``targets``, the (k, D) states of ``plan.scored.targets``,
-    only the deleted lines attend, over the edges of ``plan.scored``: keys
-    and values still come from every node of ``h_prev``, queries from
-    ``targets``, and the result is (k, D), in plan row order.  A block
-    without edges gives zeros of its targets' shape.
+    (n, D).  With ``targets``, the (k, D) states of the deleted lines, rows
+    [0, k) of the plan, only they attend, over the edges of
+    ``plan.scored``: keys and values still come from every node of
+    ``h_prev``, queries from ``targets``, and the result is (k, D), in
+    plan row order.  A block without edges gives zeros of its targets'
+    shape.
     """
     block, h_dst = _layer_block(plan, h_prev, targets)
     if not block.edge_rows:

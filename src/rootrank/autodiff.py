@@ -18,26 +18,28 @@ The op set holds what the model calls and nothing more, nine ops:
 matmul, block_matmul (one product per head, on column blocks, with each
 group of rows through its own weights, so a typed transform runs
 only on the rows of its kind), add, relu, layer_norm, take_rows (gather
-by an integer index array), and three fused ops that each record a whole
-model stage with a closed-form backward: gru (the gated retention
-update), attend (one attention layer's core, from the key-query product
-to the scatter of weighted messages into their targets) and pair_loss
-(the RankNet pair cross-entropy).  Graph- and head-shaped work runs on
-integer index arrays and reshapes, never on dense one-hot, block-diagonal
-or all-ones selector matrices.  All ops reject non-finite results.
+by an integer index array or a run of rows), and three fused ops that
+each record a whole model stage with a closed-form backward: gru (the
+gated retention update), attend (one attention layer's core, from the
+key-query product to the scatter of weighted messages into their
+targets) and pair_loss (the RankNet pair cross-entropy).  Graph- and
+head-shaped work runs on integer index arrays, runs and reshapes, never
+on dense one-hot, block-diagonal or all-ones selector matrices.  All ops
+reject non-finite results.
 
 Index checks run where an index array is made, never where it is used.
-:func:`checked_index` and :func:`checked_partition` check an array once
-and return a read-only :class:`CheckedIndex` that remembers the length it
-was checked against; a graph's plan and ``ranker.build_pairs`` make their
-arrays this way.  take_rows, attend and pair_loss take only a
-CheckedIndex of the length they index; any other array, even one derived
-from a CheckedIndex, raises ValueError naming the op and the argument.
-A partition is a list of runs of rows that tile its range in order, and
-each member carries its run as a slice: take_rows gathers it as a view.
-block_matmul takes its groups as such slices and checks them by
-arithmetic, so each group's product is written straight into its rows
-of the output: there is no gather and no scatter.
+:func:`checked_index` checks an array once and returns a read-only
+:class:`CheckedIndex` that remembers the length it was checked against;
+a graph's plan and ``ranker.build_pairs`` make their arrays this way.
+take_rows, attend and pair_loss take only a CheckedIndex of the length
+they index; any other array, even one derived from a CheckedIndex,
+raises ValueError naming the op and the argument.  A run of rows needs
+no array: it is a slice ``start:stop``, which costs two integers to
+check by arithmetic.  take_rows gathers a run as a view, and
+block_matmul takes its groups as runs that tile its rows in order (a
+plan's kind runs, derived from its counts), so each group's product
+is written straight into its rows of the output: there is no gather
+and no scatter.
 
 Every scatter (the backward of take_rows, the per-target reductions of
 attend and the scatters of pair_loss's backward) goes through
@@ -249,10 +251,10 @@ def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: i
 
     ``groups`` lists ``(rows, w)`` or ``(rows, w, b)``: ``rows`` is a
     slice, and the groups' slices are non-empty runs that tile [0, n) in
-    order (a plan's kind groups, through their ``take``); ``w`` is
-    (H*k, m) and ``b`` is (H*m,).  Each row r becomes
-    ``a[r] @ blockdiag(H row blocks of w) + b``: head i maps column block
-    i of ``a[r]`` through row block i of ``w`` into output column block i.
+    order (a plan's kind runs); ``w`` is (H*k, m) and ``b`` is (H*m,).
+    Each row r becomes ``a[r] @ blockdiag(H row blocks of w) + b``: head
+    i maps column block i of ``a[r]`` through row block i of ``w`` into
+    output column block i.
 
     Each group is multiplied from a view of its rows of ``a`` straight
     into its rows of the output, through their (H, r, m) head view, and
@@ -266,10 +268,9 @@ def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: i
     n, k = a.data.shape[0], a.data.shape[1] // heads
     m = groups[0][1].data.shape[-1]
     runs = [group[0] for group in groups]
-    stops = [0, *(rows.stop for rows in runs if type(rows) is slice)]
-    if (any(type(rows) is not slice or rows.step is not None or not isinstance(rows.start, int)
-            or not isinstance(rows.stop, int) or rows.stop <= rows.start for rows in runs)
-            or [rows.start for rows in runs] != stops[:-1] or stops[-1] != n):
+    if (not all(_is_run(rows, n) and rows.stop > rows.start for rows in runs)
+            or [rows.start for rows in runs] != [0, *(rows.stop for rows in runs[:-1])]
+            or runs[-1].stop != n):
         raise ValueError(f"block_matmul: groups must be non-empty runs of rows, as slices, "
                          f"that tile [0, {n}) in order, got {runs}")
     inputs = [a]
@@ -435,22 +436,21 @@ def _scatter(ufunc: np.ufunc, out: np.ndarray, idx: np.ndarray, values: np.ndarr
 class CheckedIndex(np.ndarray):
     """A read-only 1-D intp index array, checked once to lie in [0, ``bound``).
 
-    Made only by :func:`checked_index` and :func:`checked_partition`.  An
-    array derived from one (a view, a copy, an arithmetic result, an
-    unpickled one) has ``bound`` None, and no op takes it.
-    ``take`` is the slice of a partition member's run of rows, else None.
-    The array owns its data and has no ``__dict__``, so a checked index
-    costs two slots more than a plain one.
+    Made only by :func:`checked_index`.  An array derived from one (a
+    view, a copy, an arithmetic result, an unpickled one) has ``bound``
+    None, and no op takes it.  The array owns its data and has no
+    ``__dict__``, so a checked index costs one slot more than a plain one.
     """
 
-    __slots__ = ("bound", "take")
+    __slots__ = ("bound",)
 
     def __array_finalize__(self, obj) -> None:
-        self.bound = self.take = None
+        self.bound = None
 
 
-def _checked(idx: np.ndarray, bound: int) -> CheckedIndex:
-    """A read-only copy of ``idx``, already checked against ``bound``, as a CheckedIndex."""
+def checked_index(index, bound: int) -> CheckedIndex:
+    """``index`` as a CheckedIndex, once its entries are checked to lie in [0, bound)."""
+    idx = _indices(index, bound)
     out = np.ndarray.__new__(CheckedIndex, idx.shape, dtype=np.intp)
     out[...] = idx
     out.setflags(write=False)
@@ -458,32 +458,11 @@ def _checked(idx: np.ndarray, bound: int) -> CheckedIndex:
     return out
 
 
-def checked_index(index, bound: int) -> CheckedIndex:
-    """``index`` as a CheckedIndex, once its entries are checked to lie in [0, bound)."""
-    return _checked(_indices(index, bound), bound)
-
-
-def checked_partition(groups: Sequence, bound: int) -> list[CheckedIndex]:
-    """``groups`` as CheckedIndex runs that tile range(bound) in order.
-
-    Each group must be 1-D, in range and one non-empty run ``r, r + 1,
-    ...`` that starts where the group before it stopped, and the last must
-    stop at ``bound``.  Each member's ``take`` is its run as a slice.
-    """
-    members = []
-    stop = 0
-    for rows in [_indices(rows, bound) for rows in groups]:
-        if not len(rows) or rows[0] != stop or (np.diff(rows) != 1).any():
-            raise ValueError(f"groups must be non-empty runs that tile [0, {bound}) in order, "
-                             f"but the group at row {stop} is not a non-empty run from there")
-        member = _checked(rows, bound)
-        member.take = slice(stop, stop + len(rows))
-        stop += len(rows)
-        members.append(member)
-    if stop != bound:
-        raise ValueError(f"groups must be non-empty runs that tile [0, {bound}) in order, "
-                         f"but they stop at row {stop}")
-    return members
+def _is_run(rows, n: int) -> bool:
+    """Whether ``rows`` is a run of [0, n): a slice ``start:stop`` with int bounds, no step
+    and 0 <= start <= stop <= n."""
+    return (type(rows) is slice and rows.step is None and isinstance(rows.start, int)
+            and isinstance(rows.stop, int) and 0 <= rows.start <= rows.stop <= n)
 
 
 def _indices(index, bound: int) -> np.ndarray:
@@ -509,15 +488,22 @@ def _trusted(op: str, name: str, index, bound: int) -> np.ndarray:
     return index.view(np.ndarray)
 
 
-def take_rows(tape: Tape | None, a: Tensor, index: CheckedIndex) -> Tensor:
-    """Gather ``a[index]``: rows of a matrix or entries of a vector; indices may repeat.
+def take_rows(tape: Tape | None, a: Tensor, index: CheckedIndex | slice) -> Tensor:
+    """Gather ``a[index]``: rows of a matrix or entries of a vector.
 
-    ``index`` is a CheckedIndex of ``len(a)``; a partition member gathers
-    a view of ``a``'s rows.
+    ``index`` is a CheckedIndex of ``len(a)``, whose indices may repeat,
+    or a run of its rows, a slice ``start:stop`` with int bounds and
+    0 <= start <= stop <= len(a), checked here by arithmetic, which
+    gathers a view of ``a``'s rows.
     """
-    idx = _trusted("take_rows", "index", index, a.data.shape[0])
-    if index.take is not None:
-        idx = index.take
+    n = a.data.shape[0]
+    if type(index) is not slice:
+        idx = _trusted("take_rows", "index", index, n)
+    elif _is_run(index, n):
+        idx = index
+    else:
+        raise ValueError(f"take_rows: a slice index must be a run start:stop with int bounds, "
+                         f"no step and 0 <= start <= stop <= {n}, got {index}")
     out = a.data[idx]
     def bwd(g):
         full = np.zeros(a.data.shape)

@@ -266,7 +266,8 @@ def network_forward(tape: Tape | None, h0: Tensor, plan: GraphPlan,
     """
     h = h0
     for layer in range(cfg.layers):
-        targets = ad.take_rows(tape, h, plan.scored.targets) if layer == cfg.layers - 1 else None
+        targets = (ad.take_rows(tape, h, slice(0, plan.scored.n)) if layer == cfg.layers - 1
+                   else None)
         own = h if targets is None else targets     # the updated rows' previous states
         if cfg.mode is Mode.RETENTION_ONLY:
             h = gru_cell(tape, own, own, params, layer)

@@ -339,7 +339,7 @@ def rank_commits(model: TrainedModel, embedded: list[EmbeddedGraph]
     """
     for eg in embedded:
         g = eg.graph
-        if NodeKind.DELETED not in eg.plan.node_rows:    # a plan lists only the kinds present
+        if eg.plan.scored.n == 0:
             raise ValueError(f"commit {g.commit_id!r} has no deleted lines")
         if eg.h0.shape[1] != model.cfg.dim:
             raise ValueError(

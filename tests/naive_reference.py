@@ -25,6 +25,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -120,47 +121,59 @@ def naive_build_pairs(g: CommitGraph, include_ties: bool = False) -> list[PairSa
 
 
 def naive_build_plan(g: CommitGraph) -> GraphPlan:
-    """The graph plan from Python sorting and per-edge prior lookups.
+    """The graph plan from Python sorting, counting and per-edge prior lookups.
 
     Rows are the node ids stable-sorted by kind ordinal; edges, in rows,
-    sorted by (kind ordinal, dst, src); node and edge rows listed per
-    kind, in the kinds' declaration order, for the kinds present.
+    sorted by (kind ordinal, dst, src); node kinds counted in the kinds'
+    declaration order.
     """
     node_ids = sorted(range(len(g.nodes)), key=lambda i: g.nodes[i].kind.ordinal)
     row = {node: r for r, node in enumerate(node_ids)}
     kinds = [g.nodes[i].kind for i in node_ids]
     order = sorted(((row[e.src], row[e.dst], e.kind) for e in g.edges),
                    key=lambda e: (e[2].ordinal, e[1], e[0]))
-
-    def rows_by_kind(item_kinds, all_kinds):
-        rows = {kind: [i for i, k in enumerate(item_kinds) if k is kind] for kind in all_kinds}
-        return {kind: np.array(r, dtype=np.intp) for kind, r in rows.items() if r}
-
     return GraphPlan(
         n=len(kinds),
         src=np.array([src for src, _dst, _kind in order], dtype=np.intp),
         dst=np.array([dst for _src, dst, _kind in order], dtype=np.intp),
         mu_idx=np.array([mu_index(kinds[src], kind, kinds[dst]) for src, dst, kind in order],
                         dtype=np.intp),
-        node_rows=rows_by_kind(kinds, NodeKind),
-        edge_rows=rows_by_kind([kind for _src, _dst, kind in order], EdgeKind),
+        node_counts=[kinds.count(kind) for kind in NodeKind],
         node_ids=np.array(node_ids, dtype=np.intp),
     )
 
 
-def assert_kind_major(plan: GraphPlan) -> None:
-    """Every ``node_rows``/``edge_rows`` member of ``plan`` and of its scored block is one run,
-    listed in kind order, and together they tile the rows; the scored targets are [0, k)."""
-    for block in (plan, plan.scored):
-        for members, size in ((block.node_rows, block.n), (block.edge_rows, len(block.src))):
-            assert [kind.ordinal for kind in members] == sorted(k.ordinal for k in members)
-            stop = 0
-            for kind, rows in members.items():
-                assert len(rows) and rows.take == slice(stop, stop + len(rows)), kind
-                assert rows.tolist() == list(range(stop, stop + len(rows))), kind
-                stop += len(rows)
-            assert stop == size
-    assert plan.scored.targets.tolist() == list(range(plan.scored.n))
+def assert_plan_matches_graphs(plan: GraphPlan, graphs: list[CommitGraph]) -> None:
+    """``plan``'s kind runs hold what the graphs it was built from say they should.
+
+    ``graphs`` are the commits of a union in list order, or the one graph
+    of a plain plan; node ids are read in the graphs stacked in that order.
+    ``node_counts`` is the count of each kind's nodes; the node runs tile
+    the rows in order and each holds only nodes of its kind; the edge runs
+    tile the edges in order and hold, read back as (source id, target id,
+    run kind), exactly the graphs' edges.  The scored block's runs are the
+    deleted lines, rows [0, k), and the edges into them.
+    """
+    kinds, edges, base = [], [], 0
+    for g in graphs:
+        kinds += [node.kind for node in g.nodes]
+        edges += [(e.src + base, e.dst + base, e.kind) for e in g.edges]
+        base += len(g.nodes)
+    assert list(plan.node_counts) == [kinds.count(kind) for kind in NodeKind]
+    k = kinds.count(NodeKind.DELETED)
+    ids = plan.node_ids.tolist()
+    for block, n in ((plan, plan.n), (plan.scored, k)):
+        node_runs = [(kind, range(n)[rows]) for kind, rows in block.node_rows.items()]
+        assert [r for _kind, rows in node_runs for r in rows] == list(range(n))
+        assert all(len(rows) for _kind, rows in node_runs)
+        assert all(kinds[ids[r]] is kind for kind, rows in node_runs for r in rows)
+        src, dst = block.src.tolist(), block.dst.tolist()
+        edge_runs = [(kind, range(len(src))[rows]) for kind, rows in block.edge_rows.items()]
+        assert [e for _kind, rows in edge_runs for e in rows] == list(range(len(src)))
+        assert all(len(rows) for _kind, rows in edge_runs)
+        held = Counter((ids[src[e]], ids[dst[e]], kind) for kind, rows in edge_runs for e in rows)
+        assert held == Counter(edge for edge in edges
+                               if block is plan or kinds[edge[1]] is NodeKind.DELETED)
 
 
 def naive_scatter(ufunc: np.ufunc, out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:

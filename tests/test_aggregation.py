@@ -20,7 +20,7 @@ from rootrank.autodiff import CheckedIndex, Tensor, constant
 from rootrank.graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind
 
 from naive_reference import (
-    assert_kind_major,
+    assert_plan_matches_graphs,
     attention_logits,
     attention_weights,
     composed_attention,
@@ -89,12 +89,10 @@ def assert_same_plan(plan, expected):
         actual, wanted = getattr(plan, name), getattr(expected, name)
         assert actual.dtype == wanted.dtype == np.intp, name
         assert actual.shape == wanted.shape and np.array_equal(actual, wanted), name
+    assert plan.node_counts == expected.node_counts
     for name in ("node_rows", "edge_rows"):
         actual, wanted = getattr(plan, name), getattr(expected, name)
-        assert list(actual) == list(wanted), name
-        for kind in wanted:
-            assert actual[kind].dtype == np.intp
-            assert np.array_equal(actual[kind], wanted[kind]), (name, kind)
+        assert list(actual.items()) == list(wanted.items()), name
 
 
 class TestPlanAgainstSortedOracle:
@@ -135,9 +133,10 @@ class TestGraphPlan:
     @given(g=plan_graphs())
     def test_every_kind_is_one_run_in_kind_order(self, g):
         # node kinds interleave in the drawn ids; the plan numbers its rows kind-major, so
-        # every typed group of either layer is a slice and the scored targets are [0, k)
+        # every typed group of either layer is a run of the graph's nodes or edges of its
+        # kind, and the scored targets are [0, k)
         plan = build_plan(g)
-        assert_kind_major(plan)
+        assert_plan_matches_graphs(plan, [g])
         assert plan.node_ids.tolist() == sorted(range(len(g.nodes)),
                                                 key=lambda i: g.nodes[i].kind.ordinal)
 
@@ -150,12 +149,10 @@ class TestGraphPlan:
             assert plan.n == n
             for arr in (plan.src, plan.dst, plan.mu_idx):
                 assert arr.shape == (e,) and arr.dtype == np.intp
-            for rows_by_kind, size in ((plan.node_rows, n), (plan.edge_rows, e)):
-                for rows in rows_by_kind.values():
-                    assert rows.dtype == np.intp and rows.size
-                    assert np.all(np.diff(rows) > 0)
-                parts = list(rows_by_kind.values())
-                assert sorted(np.concatenate(parts).tolist() if parts else []) == list(range(size))
+            for runs, size in ((plan.node_rows, n), (plan.edge_rows, e)):
+                # the runs are non-empty and tile the rows in order
+                assert all(rows.stop > rows.start for rows in runs.values())
+                assert [i for rows in runs.values() for i in range(size)[rows]] == list(range(size))
             assert set(plan.node_rows) == {node.kind for node in g.nodes}
             assert set(plan.edge_rows) == {edge.kind for edge in g.edges}
             for kind, rows in plan.node_rows.items():
@@ -177,11 +174,8 @@ class TestGraphPlan:
         plan = build_plan(g)
         assert plan.dst.tolist() == [0, 0, 0, 2]
         assert plan.src.tolist() == [1, 1, 2, 0]
-        assert plan.edge_rows[EdgeKind.CONTROL_FLOW].tolist() == [0]
-        assert plan.edge_rows[EdgeKind.CALL].tolist() == [1, 2, 3]
-        assert set(plan.edge_rows) == {EdgeKind.CONTROL_FLOW, EdgeKind.CALL}
-        assert plan.node_rows == {NodeKind.DELETED: plan.node_rows[NodeKind.DELETED]}
-        assert plan.node_rows[NodeKind.DELETED].tolist() == [0, 1, 2]
+        assert plan.edge_rows == {EdgeKind.CONTROL_FLOW: slice(0, 1), EdgeKind.CALL: slice(1, 4)}
+        assert plan.node_counts == (3, 0) and plan.node_rows == {NodeKind.DELETED: slice(0, 3)}
         expected_mu = mu_index(NodeKind.DELETED, EdgeKind.CALL, NodeKind.DELETED)
         assert plan.mu_idx.tolist()[1:] == [expected_mu] * 3
 
@@ -558,19 +552,25 @@ class TestComposedStagesPinnedToAttend:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+# the (source kind, edge kind, target kind) prior rows the plans below use
+DEL, ADD = NodeKind.DELETED, NodeKind.ADDED
+CONTROL, CALL, MAPPING = EdgeKind.CONTROL_FLOW, EdgeKind.CALL, EdgeKind.LINE_MAPPING
+
+
 def plan_arrays(**changes):
-    """The arrays of a valid 4-node, 3-edge plan, with ``changes`` applied."""
-    arrays = dict(n=4, src=[0, 1, 2], dst=[1, 0, 1], mu_idx=[5, 0, MU_SIZE - 1],
-                  node_rows={NodeKind.DELETED: [0, 1], NodeKind.ADDED: [2, 3]},
-                  edge_rows={EdgeKind.CONTROL_FLOW: [0], EdgeKind.CALL: [1, 2]},
-                  node_ids=[0, 1, 2, 3])
+    """The arrays of a valid 4-node, 3-edge plan, with ``changes`` applied: rows 0 and 1
+    are deleted, 2 and 3 added; edges 0 -> 1 (control flow), 1 -> 0 and 2 -> 1 (call)."""
+    arrays = dict(n=4, src=[0, 1, 2], dst=[1, 0, 1],
+                  mu_idx=[mu_index(DEL, CONTROL, DEL), mu_index(DEL, CALL, DEL),
+                          mu_index(ADD, CALL, DEL)],
+                  node_counts=[2, 2], node_ids=[0, 1, 2, 3])
     arrays.update(changes)
     return arrays
 
 
-def runs_message(name, bound, detail):
-    return (rf"GraphPlan {name}: groups must be non-empty runs that tile \[0, {bound}\) in "
-            rf"order, but {detail}")
+def counts_message(got):
+    return (rf"GraphPlan node_counts: must be 2 non-negative integers, one per NodeKind, "
+            rf"got {got}$")
 
 
 class TestPlanChecksItsArraysOnce:
@@ -581,41 +581,53 @@ class TestPlanChecksItsArraysOnce:
         bounds = dict(src=4, dst=4, mu_idx=MU_SIZE, node_ids=4)
         for name, bound in bounds.items():
             arr = getattr(plan, name)
-            assert type(arr) is CheckedIndex and arr.bound == bound and arr.take is None, name
-        deleted, added = plan.node_rows.values()
-        control, calls = plan.edge_rows.values()
-        for rows, bound in ((deleted, 4), (added, 4), (control, 3), (calls, 3)):
-            assert type(rows) is CheckedIndex and rows.bound == bound
-            assert rows.dtype == np.intp and not rows.flags.writeable
-        # every kind's rows are one run, taken as a slice
-        assert ((deleted.take, added.take, control.take, calls.take)
-                == (slice(0, 2), slice(2, 4), slice(0, 1), slice(1, 3)))
+            assert type(arr) is CheckedIndex and arr.bound == bound, name
+            assert arr.dtype == np.intp and not arr.flags.writeable, name
+        # every kind's rows are one run, derived from the counts and the edges' prior rows
+        assert plan.node_counts == (2, 2)
+        assert plan.node_rows == {DEL: slice(0, 2), ADD: slice(2, 4)}
+        assert plan.edge_rows == {CONTROL: slice(0, 1), CALL: slice(1, 3)}
         with pytest.raises(ValueError, match="read-only"):
             plan.src[0] = 3
 
     def test_the_scored_block_holds_checked_indices_of_the_deleted_lines(self):
-        # rows 0 and 1 are deleted, 2 and 3 added; edges 0 -> 1 (control flow), 3 -> 2
-        # (control flow), which ends at an added line, 1 -> 0 (call) and 2 -> 1 (call)
-        plan = GraphPlan(**plan_arrays(src=[0, 3, 1, 2], dst=[1, 2, 0, 1], mu_idx=[5, 9, 0, 7],
-                                       edge_rows={EdgeKind.CONTROL_FLOW: [0, 1],
-                                                  EdgeKind.CALL: [2, 3]}))
+        # edges 0 -> 1 (control flow), 3 -> 2 (control flow), which ends at an added line,
+        # 1 -> 0 (call) and 2 -> 1 (call)
+        kept_mu = [mu_index(DEL, CONTROL, DEL), mu_index(DEL, CALL, DEL), mu_index(ADD, CALL, DEL)]
+        plan = GraphPlan(**plan_arrays(src=[0, 3, 1, 2], dst=[1, 2, 0, 1],
+                                       mu_idx=kept_mu[:1] + [mu_index(ADD, CONTROL, ADD)]
+                                       + kept_mu[1:]))
         block = plan.scored
-        assert block.targets is plan.node_rows[NodeKind.DELETED] and block.n == 2
-        assert block.targets.take == slice(0, 2)
+        assert block.n == 2
         for name, bound, values in (("src", 4, [0, 1, 2]), ("dst", 2, [1, 0, 1]),
-                                    ("mu_idx", MU_SIZE, [5, 0, 7])):
+                                    ("mu_idx", MU_SIZE, kept_mu)):
             arr = getattr(block, name)
             assert type(arr) is CheckedIndex and arr.bound == bound, name
             assert arr.tolist() == values and not arr.flags.writeable, name
-        (deleted,) = block.node_rows.values()
-        assert list(block.node_rows) == [NodeKind.DELETED] and deleted.bound == 2
-        assert deleted.take == slice(0, 2)
-        assert {kind: rows.take for kind, rows in block.edge_rows.items()} == {
-            EdgeKind.CONTROL_FLOW: slice(0, 1), EdgeKind.CALL: slice(1, 3)}
-        assert all(rows.bound == 3 for rows in block.edge_rows.values())
-        no_deleted = GraphPlan(**plan_arrays(node_rows={NodeKind.ADDED: [0, 1, 2, 3]}))
-        assert no_deleted.scored.n == 0 and no_deleted.scored.targets.bound == 4
+        assert block.node_rows == {DEL: slice(0, 2)}
+        assert block.edge_rows == {CONTROL: slice(0, 1), CALL: slice(1, 3)}
+        no_deleted = GraphPlan(**plan_arrays(node_counts=(0, 4)))
+        assert no_deleted.scored.n == 0 and len(no_deleted.scored.src) == 0
         assert not no_deleted.scored.node_rows and not no_deleted.scored.edge_rows
+
+    @pytest.mark.parametrize("changes, node_rows, edge_rows", [
+        (dict(node_counts=np.array([2, 2])), {DEL: slice(0, 2), ADD: slice(2, 4)},
+         {CONTROL: slice(0, 1), CALL: slice(1, 3)}),
+        (dict(node_counts=(4, 0)), {DEL: slice(0, 4)}, {CONTROL: slice(0, 1), CALL: slice(1, 3)}),
+        # within a kind, prior rows need not ascend: only the edge kind they name must not fall
+        (dict(src=[0, 2, 1], mu_idx=[mu_index(DEL, CONTROL, DEL), mu_index(ADD, CALL, DEL),
+                                     mu_index(DEL, CALL, DEL)]),
+         {DEL: slice(0, 2), ADD: slice(2, 4)}, {CONTROL: slice(0, 1), CALL: slice(1, 3)}),
+        (dict(src=[], dst=[], mu_idx=[]), {DEL: slice(0, 2), ADD: slice(2, 4)}, {}),
+    ], ids=["numpy-counts", "one-kind", "prior-rows-fall-within-a-kind", "no-edges"])
+    def test_the_runs_are_read_from_the_counts_and_the_prior_rows(self, changes, node_rows,
+                                                                   edge_rows):
+        plan = GraphPlan(**plan_arrays(**changes))
+        assert plan.node_rows == node_rows and plan.edge_rows == edge_rows
+        # int bounds, which block_matmul and take_rows require of a run
+        assert all(type(rows.start) is type(rows.stop) is int
+                   for runs in (plan.node_rows, plan.edge_rows) for rows in runs.values())
+        assert plan.node_counts == tuple(int(c) for c in changes.get("node_counts", (2, 2)))
 
     def test_the_plan_keeps_its_own_copies(self):
         arrays = plan_arrays(src=np.array([0, 1, 2]))
@@ -633,66 +645,40 @@ class TestPlanChecksItsArraysOnce:
         (dict(mu_idx=[5, -1, 0]), rf"GraphPlan mu_idx: indices must lie in \[0, {MU_SIZE}\)"),
         (dict(dst=[1, 0]), r"GraphPlan src, dst, mu_idx: need one entry per edge, got 3, 2 and 3"),
         (dict(n=-1), r"GraphPlan n: must be a non-negative integer"),
+        (dict(n=True), r"GraphPlan n: must be a non-negative integer, got True$"),
+        (dict(n=4.0), r"GraphPlan n: must be a non-negative integer, got 4.0$"),
         (dict(node_ids=[0, 1, 1, 3]), r"GraphPlan node_ids: must be a permutation of \[0, 4\)$"),
         (dict(node_ids=[0, 1, 2]), r"GraphPlan node_ids: must be a permutation of \[0, 4\)$"),
         (dict(node_ids=[0, 1, 2, 4]), r"GraphPlan node_ids: indices must lie in \[0, 4\)"),
-        (dict(node_rows={NodeKind.DELETED: [0, 1], NodeKind.ADDED: [1, 2, 3]}),
-         runs_message("node_rows", 4, "the group at row 2 is not a non-empty run from there")),
-        (dict(node_rows={NodeKind.DELETED: [0, 1], NodeKind.ADDED: [2]}),
-         runs_message("node_rows", 4, "they stop at row 3")),
-        (dict(node_rows={NodeKind.DELETED: [0, 1], NodeKind.ADDED: [3]}),
-         runs_message("node_rows", 4, "the group at row 2 is not a non-empty run from there")),
-        (dict(node_rows={NodeKind.DELETED: [0, 2], NodeKind.ADDED: [1, 3]}),
-         runs_message("node_rows", 4, "the group at row 0 is not a non-empty run from there")),
-        (dict(node_rows={NodeKind.DELETED: [0, 1], NodeKind.ADDED: [2, 4]}),
-         r"GraphPlan node_rows: indices must lie in \[0, 4\)"),
-        (dict(node_rows={NodeKind.DELETED: [-1, 0], NodeKind.ADDED: [2, 3]}),
-         r"GraphPlan node_rows: indices must lie in \[0, 4\)"),
-        (dict(node_rows={NodeKind.DELETED: [1, 0], NodeKind.ADDED: [2, 3]}),
-         runs_message("node_rows", 4, "the group at row 0 is not a non-empty run from there")),
-        (dict(node_rows={NodeKind.DELETED: [0, 1, 2, 3], NodeKind.ADDED: []}),
-         runs_message("node_rows", 4, "the group at row 4 is not a non-empty run from there")),
-        (dict(node_rows={NodeKind.DELETED: [[0, 1]], NodeKind.ADDED: [2, 3]}),
-         r"GraphPlan node_rows: indices must be 1-D"),
-        (dict(node_rows={EdgeKind.CALL: [0, 1, 2, 3]}),
-         r"GraphPlan node_rows: must map NodeKind members to rows, in kind order"),
-        (dict(node_rows={NodeKind.ADDED: [0, 1], NodeKind.DELETED: [2, 3]}),
-         r"GraphPlan node_rows: must map NodeKind members to rows, in kind order"),
-        (dict(edge_rows={EdgeKind.CONTROL_FLOW: [0, 1], EdgeKind.CALL: [1, 2]}),
-         runs_message("edge_rows", 3, "the group at row 2 is not a non-empty run from there")),
-        (dict(edge_rows={EdgeKind.CONTROL_FLOW: [0], EdgeKind.CALL: [1]}),
-         runs_message("edge_rows", 3, "they stop at row 2")),
-        (dict(edge_rows={EdgeKind.CONTROL_FLOW: [0, 2], EdgeKind.CALL: [1]}),
-         runs_message("edge_rows", 3, "the group at row 0 is not a non-empty run from there")),
-        (dict(edge_rows={EdgeKind.CONTROL_FLOW: [0], EdgeKind.CALL: [1, 3]}),
-         r"GraphPlan edge_rows: indices must lie in \[0, 3\)"),
-        (dict(edge_rows={EdgeKind.CALL: [0], EdgeKind.CONTROL_FLOW: [1, 2]}),
-         r"GraphPlan edge_rows: must map EdgeKind members to rows, in kind order"),
-        (dict(edge_rows={EdgeKind.CONTROL_FLOW: [0], EdgeKind.LINE_MAPPING: [1, 2]},
-              node_ids=[1, 0, 3, 2]),
-         r"GraphPlan edge_rows: a line_mapping edge must end at an added line, but one ends at "
+        (dict(node_counts=[2, 1, 1]), counts_message(r"\[2, 1, 1\]")),
+        (dict(node_counts=[5, -1]), counts_message(r"\[5, -1\]")),
+        (dict(node_counts=[True, 3]), counts_message(r"\[True, 3\]")),
+        (dict(node_counts=[2.0, 2]), counts_message(r"\[2.0, 2\]")),
+        (dict(node_counts=4), counts_message("4")),
+        (dict(node_counts=None), counts_message("None")),
+        (dict(node_counts=np.array([True, True])), counts_message(r"array\(\[ True,  True\]\)")),
+        (dict(node_counts=[2, 1]), r"GraphPlan node_counts: must sum to n=4, got 3$"),
+        (dict(mu_idx=[mu_index(DEL, CALL, DEL), mu_index(DEL, CONTROL, DEL),
+                      mu_index(ADD, CALL, DEL)]),
+         r"GraphPlan mu_idx: edges must come in edge-kind order$"),
+        (dict(mu_idx=[mu_index(DEL, CONTROL, DEL), mu_index(DEL, MAPPING, DEL),
+                      mu_index(ADD, MAPPING, DEL)], node_ids=[1, 0, 3, 2]),
+         r"GraphPlan mu_idx: a line_mapping edge must end at an added line, but one ends at "
          r"deleted node 1$"),
     ], ids=["src-high", "src-negative", "src-2d", "dst-high", "dst-negative", "mu_idx-high",
-            "mu_idx-negative", "edge-count", "n-negative", "node_ids-repeated", "node_ids-short",
-            "node_ids-high", "node_rows-overlap", "node_rows-cover", "node_rows-gap",
-            "node_rows-not-a-run", "node_rows-high", "node_rows-negative", "node_rows-order",
-            "node_rows-empty", "node_rows-2d", "node_rows-kinds", "node_rows-kind-order",
-            "edge_rows-overlap", "edge_rows-cover", "edge_rows-not-a-run", "edge_rows-high",
-            "edge_rows-kind-order", "line_mapping-into-a-deleted-line"])
+            "mu_idx-negative", "edge-count", "n-negative", "n-bool", "n-float",
+            "node_ids-repeated", "node_ids-short", "node_ids-high", "node_counts-length",
+            "node_counts-negative", "node_counts-bool", "node_counts-float",
+            "node_counts-not-a-list", "node_counts-none", "node_counts-bool-array",
+            "node_counts-sum", "mu_idx-edge-kind-order", "line_mapping-into-a-deleted-line"])
     def test_a_bad_array_is_named_when_the_plan_is_made(self, changes, message):
         with pytest.raises(ValueError, match="^" + message):
             GraphPlan(**plan_arrays(**changes))
 
-    @pytest.mark.parametrize("name", ["src", "dst", "mu_idx", "node_ids", "node_rows",
-                                      "edge_rows"])
+    @pytest.mark.parametrize("name", ["src", "dst", "mu_idx", "node_ids"])
     @pytest.mark.parametrize("dtype", [float, bool, object])
     def test_a_non_integer_array_is_named(self, name, dtype):
-        arrays = plan_arrays()
-        if name.endswith("_rows"):
-            kind, rows = next(iter(arrays[name].items()))
-            change = {**arrays[name], kind: np.array(rows, dtype=dtype)}
-        else:
-            change = np.array(arrays[name], dtype=dtype)
+        change = np.array(plan_arrays()[name], dtype=dtype)
         with pytest.raises(ValueError, match=f"^GraphPlan {name}: indices must be integers, "
                                              f"got dtype {np.dtype(dtype)}$"):
             GraphPlan(**plan_arrays(**{name: change}))
@@ -725,8 +711,11 @@ class TestPlanChecksItsArraysOnce:
         for restored in (pickle.loads(pickle.dumps(plan)), copy.deepcopy(plan)):
             assert restored is not plan and restored.src.bound == 4
             assert restored.node_ids.bound == 4 and restored.node_ids.tolist() == [0, 1, 2, 3]
-            assert restored.node_rows[NodeKind.DELETED].take == slice(0, 2)
-            assert restored.node_rows[NodeKind.DELETED] is not plan.node_rows[NodeKind.DELETED]
+            # the runs are derived again from the counts and the prior rows
+            assert restored.node_counts == (2, 2)
+            assert restored.node_rows == {DEL: slice(0, 2), ADD: slice(2, 4)}
+            assert restored.edge_rows == {CONTROL: slice(0, 1), CALL: slice(1, 3)}
+            assert restored.scored.n == 2 and restored.scored.edge_rows == plan.scored.edge_rows
         # a pickled index alone comes back unchecked, and no op takes it
         restored = pickle.loads(pickle.dumps(plan.src))
         assert restored.bound is None

@@ -1121,11 +1121,6 @@ class TestNonIntegerIndices:
             ad.checked_index(index, 3)
 
     @pytest.mark.parametrize("index, dtype", NON_INTEGER_INDICES)
-    def test_checked_partition(self, index, dtype):
-        with pytest.raises(ValueError, match=f"^indices must be integers, got dtype {dtype}$"):
-            ad.checked_partition([np.array([2]), index], 3)
-
-    @pytest.mark.parametrize("index, dtype", NON_INTEGER_INDICES)
     def test_take_rows(self, index, dtype):
         with pytest.raises(ValueError, match=r"^take_rows: index must be a CheckedIndex of \[0, 3\)$"):
             ad.take_rows(None, constant(np.zeros((3, 2))), index)
@@ -1313,7 +1308,6 @@ class TestBlockMatmulGroups:
         pytest.param([slice(0, 4, 1)], id="step"),
         pytest.param([slice(0, 2), slice(2.0, 4.0)], id="float-bounds"),
         pytest.param([np.arange(4)], id="array"),
-        pytest.param(ad.checked_partition([[0, 1], [2, 3]], 4), id="partition-members"),
     ])
     def test_groups_that_do_not_tile_the_rows_in_order_are_rejected(self, rows):
         a = constant(np.zeros((4, 2)))
@@ -1325,7 +1319,8 @@ class TestBlockMatmulGroups:
 
 class TestCheckedIndices:
     """Ops take only indices checked once, where they are made (a plan's arrays,
-    ``build_pairs``' pairs), and a partition member's slice gathers the rows its array does."""
+    ``build_pairs``' pairs), or runs of rows as slices, checked by arithmetic; a run gathers
+    the rows an index array of them does."""
 
     def test_a_checked_index_of_another_length_is_rejected(self):
         x = constant(np.ones((3, 2)))
@@ -1338,35 +1333,40 @@ class TestCheckedIndices:
         with pytest.raises(ValueError, match=r"^indices must lie in \[0, 4\)$"):
             ad.checked_index([0, 4], 4)
 
-    def test_a_partition_is_runs_that_tile_its_range_in_order(self):
-        first, second = ad.checked_partition([[0, 1], [2, 3]], 4)
-        assert (first.take, second.take) == (slice(0, 2), slice(2, 4))
-        assert type(first) is CheckedIndex and first.bound == 4 and not first.flags.writeable
-        for groups, stop in (([[0, 1], [3]], 2), ([[0, 1], [1, 2, 3]], 2), ([[1, 2], [0, 3]], 0),
-                             ([[0, 2], [1, 3]], 0), ([[0, 1], [], [2, 3]], 2)):
-            with pytest.raises(ValueError, match=r"^groups must be non-empty runs that tile "
-                                                 rf"\[0, 4\) in order, but the group at row "
-                                                 rf"{stop} is not a non-empty run from there$"):
-                ad.checked_partition(groups, 4)
-        with pytest.raises(ValueError, match=r"^groups must be non-empty runs that tile \[0, 4\) "
-                                             r"in order, but they stop at row 3$"):
-            ad.checked_partition([[0, 1], [2]], 4)
-
     def test_a_slice_gather_equals_an_array_gather(self):
         # forward equal; the backward of a gather through a slice adds into zeros, as
         # ufunc.at does: a -0.0 output gradient leaves +0.0
         a = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
-        rows = ad.checked_partition([[0], [1, 2], [3]], 4)[1]
-        assert rows.take == slice(1, 3)
         g = np.array([[-0.0, 2.0], [3.0, -0.0]])
         runs = []
-        for index in (rows, ad.checked_index([1, 2], 4)):
+        for index in (slice(1, 3), ad.checked_index([1, 2], 4)):
             tape = Tape()
             picked = ad.take_rows(tape, a, index)
             runs.append((picked.data, backward(tape, scalarize(tape, picked, g))[a]))
         for got, want in zip(*runs):
             assert_same_bits(got, want)
         assert not np.signbit(runs[0][1]).any()
+
+    @pytest.mark.parametrize("rows", [slice(0, 0), slice(4, 4), slice(0, 4), slice(3, 4)],
+                             ids=["empty-at-the-start", "empty-at-the-end", "all", "last"])
+    def test_runs_within_the_rows_are_taken(self, rows):
+        a = constant(np.arange(8.0).reshape(4, 2))
+        assert np.array_equal(ad.take_rows(None, a, rows).data, a.data[rows])
+
+    @pytest.mark.parametrize("index", [
+        pytest.param(slice(None, 2), id="open-start"),
+        pytest.param(slice(1, None), id="open-stop"),
+        pytest.param(slice(0, 4, 1), id="step"),
+        pytest.param(slice(0.0, 2.0), id="float-bounds"),
+        pytest.param(slice(2, 5), id="past-the-end"),
+        pytest.param(slice(-1, 2), id="negative-start"),
+        pytest.param(slice(3, 1), id="start-after-stop"),
+        pytest.param(ad.checked_index([0, 1, 2, 3], 4)[1:3], id="checked-index-view"),
+    ])
+    def test_gathers_by_anything_but_a_run_within_the_rows_are_rejected(self, index):
+        a = constant(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="^take_rows: "):
+            ad.take_rows(None, a, index)
 
     def test_a_used_plan_keeps_only_its_index_arrays(self):
         # the plan of a 300-node, 871-edge commit, after a training step and a ranking, holds
@@ -1393,9 +1393,8 @@ class TestCheckedIndices:
             del tape, ranked
             after = tracemalloc.take_snapshot().filter_traces(arrays)
         retained = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
-        held = sum(arr.nbytes for arr in (plan.src, plan.dst, plan.mu_idx, *plan.node_rows.values(),
-                                          *plan.edge_rows.values()))
-        assert held == 8 * (n + 4 * e)
+        held = sum(arr.nbytes for arr in (plan.src, plan.dst, plan.mu_idx, plan.node_ids))
+        assert held == 8 * (n + 3 * e)
         bound = 8 * 8 * (n + e)             # eight integers per node and per edge
         assert held <= retained < bound < 8 * 64 * e, f"{retained} bytes retained, over {bound}"
         assert plan is eg.plan

@@ -24,7 +24,7 @@ from rootrank.network import ModelConfig, init_network_params, load_checkpoint
 from rootrank.ranker import TrainedModel, rank_commit, rank_commits, train
 from rootrank.synthetic import GenConfig, generate
 
-from naive_reference import assert_kind_major
+from naive_reference import assert_plan_matches_graphs
 
 DATA = Path(__file__).parent / "data"
 CFG = ModelConfig(dim=8, heads=2, layers=2, proj_dim=4, seed=3)
@@ -100,7 +100,9 @@ class TestUnionScoring:
         # each commit's node kinds interleave in its ids; the union lays out every kind of
         # every commit as one run, and its rankings still name each commit's node ids
         union = union_plan([eg.plan for eg in embedded])
-        assert_kind_major(union)
+        assert_plan_matches_graphs(union, [eg.graph for eg in embedded])
+        assert union.node_counts == tuple(
+            sum(counts) for counts in zip(*(eg.plan.node_counts for eg in embedded)))
         stacked_kinds = [node.kind.ordinal for eg in embedded for node in eg.graph.nodes]
         assert union.node_ids.tolist() == sorted(range(len(stacked_kinds)),
                                                  key=stacked_kinds.__getitem__)
@@ -158,7 +160,7 @@ class TestUnionScoring:
         node_base = np.cumsum([0] + [p.n for p in plans])[:-1]
         k = sum(p.scored.n for p in plans)
         kept = sum(len(p.scored.src) for p in plans)
-        assert block.n == k and block.targets.tolist() == list(range(k))
+        assert block.n == k and block.node_rows == ({NodeKind.DELETED: slice(0, k)} if k else {})
         assert np.array_equal(union.node_ids[:k], np.concatenate(
             [p.node_ids[:p.scored.n] + base for p, base in zip(plans, node_base)]))
         for name, bound in (("src", union.n), ("dst", k), ("mu_idx", MU_SIZE)):

@@ -230,7 +230,7 @@ class TestNetworkForward:
 
         out = network_forward(None, h0, plan, params, cfg).data
 
-        targets = ad.take_rows(None, h0, plan.scored.targets)
+        targets = ad.take_rows(None, h0, slice(0, plan.scored.n))
         h_tilde = attention_forward(None, h0, plan, params, 0, 2, targets)
         normed = ad.layer_norm(None, h_tilde, params["final_norm.gain"], params["final_norm.bias"])
         expected = task_projection(None, normed, params).data
@@ -305,7 +305,7 @@ class TestScoredRows:
         h = constant(np.random.default_rng(1).normal(size=(len(g.nodes), 8)))
         assert plan.edge_rows and not plan.scored.edge_rows and plan.scored.n == 3
         assert attention_forward(None, h, plan, params, 0, 2).data[2:4].any()
-        targets = ad.take_rows(None, h, plan.scored.targets)
+        targets = ad.take_rows(None, h, slice(0, plan.scored.n))
         out = attention_forward(None, h, plan, params, 0, 2, targets).data
         assert out.shape == (3, 8) and not out.any()
 
