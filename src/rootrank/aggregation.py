@@ -12,8 +12,8 @@ kind}`` and the like.  Weights apply by right multiplication on row
 vectors (state @ W + b).  All per-head structure lives in contiguous
 column slices of width D/H.  Per-edge-kind maps are stored as their head
 blocks only: a (D, D/H) tensor whose rows [i*D/H, (i+1)*D/H) are head
-i's square block, applied with ``block_matmul`` so head i only ever sees
-its own block.  Checkpoints store them in that same (D, D/H) shape.
+i's square block, applied per head so head i only ever sees its own
+block.  Checkpoints store them in that same (D, D/H) shape.
 
 A graph enters the layer as a :class:`GraphPlan`: per-edge integer
 arrays (source, target, prior row), the node id of each row and the
@@ -27,28 +27,27 @@ sorts the edges by kind, so every node kind's and every edge kind's rows
 are one run.  The plan holds the layout as counts, the way batched-graph
 libraries hold theirs as offsets, and derives each run as a slice once:
 node runs from ``node_counts``, edge runs from the edge kind each prior
-row names.  ``block_matmul`` multiplies each run from a view straight
-into its rows of the output.  ``node_ids`` maps each row back to its
-node id, so the initial vectors are permuted into plan order once and
-scores map back to node ids.  Width-D flat scatter indices are not
-kept: the plan stays O(n + E) integers, and they are built per call.
-Each typed transform runs once per kind, on that kind's rows only: each of
-K, Q and V is one ``block_matmul`` with a group per node kind, and the
-attention and message maps are one each, with a group per edge kind,
-applied to source rows gathered with ``take_rows``.  The rest of the
-layer is one ``autodiff.attend`` record: per edge and head the key-query
-product scaled by the edge's prior and 1/sqrt(D/H), a softmax over each
-target's incoming edges, and the weighted messages added into the rows
-of their targets.  A layer records nine tape ops.  Each
-``EmbeddedGraph`` builds its plan once, on first use, and reuses it
-across training steps and rankings.
+row names.  ``node_ids`` maps each row back to its node id, so the
+initial vectors are permuted into plan order once and scores map back to
+node ids.  Width-D flat scatter indices are not kept: the plan stays
+O(n + E) integers, and ``autodiff.attend`` builds them once per call.
+A layer records one tape op, ``autodiff.attend``, handed the plan's
+checked arrays, its runs and the layer's weights.  Each typed transform
+runs once per kind, from a view of that kind's run straight into its
+rows: K, Q and V with a group per node kind, and the attention and
+message maps with a group per edge kind, on the source rows of the
+edges.  Then, per edge and head, the key-query product is scaled by the
+edge's prior and 1/sqrt(D/H), a softmax runs over each target's incoming
+edges, and the weighted messages are added into the rows of their
+targets.  Each ``EmbeddedGraph`` builds its plan once, on first use, and
+reuses it across training steps and rankings.
 
 Only the deleted lines are scored, so the last layer runs on a bipartite
 block, :class:`ScoredBlock`: every node as a source, the deleted lines,
 rows [0, k), as targets, and only the edges that end at a deleted line.
 Each plan derives its block when it is made (``GraphPlan.scored``), with
 arrays checked like the plan's own; keys and values still come from
-every node, but queries, the edge maps and ``attend`` see only the
+every node, but queries, the edge maps and the softmax see only the
 block, and the layer gives one row per deleted line.  A plan is itself
 the block of a layer whose targets are all its nodes, so one attention
 code path serves both.
@@ -116,7 +115,7 @@ class GraphPlan:
     come in edge-kind order too, and each edge's kind is read from its
     ``mu_idx``.  So each kind's rows and edges are one run, and
     ``node_rows``/``edge_rows`` hold those runs as slices for
-    ``block_matmul``, one per kind present, derived once here.  ``src``
+    ``autodiff.attend``, one per kind present, derived once here.  ``src``
     and ``dst`` are rows, not node ids.  A target's incoming edges are not
     contiguous: ``autodiff.attend`` sums them by scatter, in (kind, src)
     order.
@@ -124,9 +123,10 @@ class GraphPlan:
     Construction checks that ``src`` and ``dst`` lie in [0, n), ``mu_idx``
     in [0, MU_SIZE), that the three have one entry per edge, that
     ``node_ids`` is a permutation of [0, n), that ``node_counts`` is one
-    non-negative integer per node kind summing to n, and that the edges'
-    kinds never decrease; a failed check raises ValueError naming the
-    field.  Every array is then held as a read-only
+    non-negative integer per node kind summing to n, that the edges'
+    kinds never decrease, and that each edge's prior row names the kinds
+    of its source and target rows; a failed check raises ValueError naming
+    the field.  Every array is then held as a read-only
     ``autodiff.CheckedIndex``.  It then derives ``scored``, the
     :class:`ScoredBlock` of its deleted lines, rejecting a
     ``line_mapping`` edge that ends at a deleted line
@@ -170,6 +170,7 @@ class GraphPlan:
         edge_kind = _edge_kinds(checked["mu_idx"])
         if (np.diff(edge_kind) < 0).any():
             raise ValueError("GraphPlan mu_idx: edges must come in edge-kind order")
+        _check_prior_kinds(checked["src"], checked["dst"], checked["mu_idx"], counts)
         checked["node_rows"] = _runs(counts, NodeKind)
         checked["edge_rows"] = _runs(np.bincount(edge_kind, minlength=NUM_EDGE_KINDS), EdgeKind)
         for name, value in checked.items():
@@ -197,6 +198,21 @@ def _named(name: str, check, *args):
 def _edge_kinds(mu_idx: np.ndarray) -> np.ndarray:
     """The edge-kind ordinal of each edge, read from its prior row (see ``build_plan``)."""
     return np.asarray(mu_idx) // NUM_NODE_KINDS % NUM_EDGE_KINDS
+
+
+def _check_prior_kinds(src: np.ndarray, dst: np.ndarray, mu_idx: np.ndarray, counts) -> None:
+    """Raise ValueError naming the first edge whose prior row names other source or target
+    kinds than those of its rows, read from the kind-major ``counts``."""
+    row_kind = np.repeat(np.arange(NUM_NODE_KINDS), counts)
+    named_src, named_dst = mu_idx // (NUM_NODE_KINDS * NUM_EDGE_KINDS), mu_idx % NUM_NODE_KINDS
+    bad = np.flatnonzero((named_src != row_kind[src]) | (named_dst != row_kind[dst]))
+    if bad.size:
+        e = int(bad[0])
+        kinds = list(NodeKind)
+        raise ValueError(f"GraphPlan mu_idx: edge {e} names the {kinds[named_src[e]].value} -> "
+                         f"{kinds[named_dst[e]].value} prior, but runs from row {src[e]} "
+                         f"({kinds[row_kind[src[e]]].value}) to row {dst[e]} "
+                         f"({kinds[row_kind[dst[e]]].value})")
 
 
 def _runs(counts, kinds) -> dict:
@@ -293,42 +309,10 @@ def union_plan(plans: Sequence[GraphPlan]) -> GraphPlan:
     )
 
 
-def _layer_block(plan: GraphPlan, h_prev: Tensor, targets: Tensor | None):
-    """The block a layer attends into, and its targets' states: the whole plan and
-    ``h_prev`` without ``targets``, else ``plan.scored`` and ``targets``."""
-    return (plan, h_prev) if targets is None else (plan.scored, targets)
-
-
-def project_kqv(tape: Tape | None, h_prev: Tensor, plan: GraphPlan, params: dict[str, Tensor],
-                layer: int, targets: Tensor | None = None) -> tuple[Tensor, Tensor, Tensor]:
-    """Keys and values (n x D) of every node, and queries of the layer's targets (see
-    :func:`attention_forward`): states through their own kind's projection."""
-    p = f"layer{layer}.attn"
-    block, h_dst = _layer_block(plan, h_prev, targets)
-
-    def typed(name: str, states: Tensor, node_rows: dict) -> Tensor:
-        groups = [(rows, params[f"{p}.w_{name}.{kind.value}"],
-                   params[f"{p}.b_{name}.{kind.value}"]) for kind, rows in node_rows.items()]
-        return ad.block_matmul(tape, states, groups, 1)
-
-    return (typed("k", h_prev, plan.node_rows), typed("q", h_dst, block.node_rows),
-            typed("v", h_prev, plan.node_rows))
-
-
-def _edge_rows(tape: Tape | None, block, states: Tensor, params: dict[str, Tensor],
-               maps: str, heads: int) -> Tensor:
-    """Per edge of ``block`` (a plan or its scored block), the source state through the head
-    blocks ``{maps}.{edge kind}``, shape (E, D)."""
-    sources = ad.take_rows(tape, states, block.src)
-    groups = [(rows, params[f"{maps}.{kind.value}"])
-              for kind, rows in block.edge_rows.items()]
-    return ad.block_matmul(tape, sources, groups, heads)
-
-
 def attention_forward(tape: Tape | None, h_prev: Tensor, plan: GraphPlan,
                       params: dict[str, Tensor], layer: int, heads: int,
                       targets: Tensor | None = None) -> Tensor:
-    """Layer ``layer``: project, map each edge's key and message, then ``autodiff.attend``.
+    """Layer ``layer``, as one ``autodiff.attend`` record.
 
     Without ``targets`` every node attends over its incoming edges, giving
     (n, D).  With ``targets``, the (k, D) states of the deleted lines, rows
@@ -338,13 +322,19 @@ def attention_forward(tape: Tape | None, h_prev: Tensor, plan: GraphPlan,
     plan row order.  A block without edges gives zeros of its targets'
     shape.
     """
-    block, h_dst = _layer_block(plan, h_prev, targets)
+    block, h_dst = (plan, h_prev) if targets is None else (plan.scored, targets)
     if not block.edge_rows:
         return constant(np.zeros(h_dst.shape))
-    k, q, v = project_kqv(tape, h_prev, plan, params, layer, targets)
     p = f"layer{layer}.attn"
-    keys = _edge_rows(tape, block, k, params, f"{p}.w_att", heads)
-    queries = ad.take_rows(tape, q, block.dst)
-    messages = _edge_rows(tape, block, v, params, f"{p}.w_msg", heads)
-    return ad.attend(tape, keys, queries, params[f"{p}.mu"], messages, block.mu_idx, block.dst,
-                     block.n, heads)
+
+    def typed(name: str, node_rows: dict) -> list:
+        return [(rows, params[f"{p}.w_{name}.{kind.value}"], params[f"{p}.b_{name}.{kind.value}"])
+                for kind, rows in node_rows.items()]
+
+    def maps(name: str) -> list:
+        return [(rows, params[f"{p}.{name}.{kind.value}"])
+                for kind, rows in block.edge_rows.items()]
+
+    return ad.attend(tape, h_prev, h_dst, typed("k", plan.node_rows), typed("q", block.node_rows),
+                     typed("v", plan.node_rows), maps("w_att"), maps("w_msg"), params[f"{p}.mu"],
+                     block.src, block.dst, block.mu_idx, heads)

@@ -14,18 +14,18 @@ that tensor has read it, so a training step's memory falls as the walk
 proceeds instead of peaking at the end of it.  ``len(tape)`` keeps
 counting the ops that were recorded.
 
-The op set holds what the model calls and nothing more, nine ops:
-matmul, block_matmul (one product per head, on column blocks, with each
-group of rows through its own weights, so a typed transform runs
-only on the rows of its kind), add, relu, layer_norm, take_rows (gather
-by an integer index array or a run of rows), and three fused ops that
-each record a whole model stage with a closed-form backward: gru (the
-gated retention update), attend (one attention layer's core, from the
-key-query product to the scatter of weighted messages into their
-targets) and pair_loss (the RankNet pair cross-entropy).  Graph- and
-head-shaped work runs on integer index arrays, runs and reshapes, never
-on dense one-hot, block-diagonal or all-ones selector matrices.  All ops
-reject non-finite results.
+The op set holds what the model calls and nothing more, eight ops:
+matmul, add, relu, layer_norm, take_rows (gather by an integer index
+array or a run of rows), and three fused ops that each record a whole
+model stage with a closed-form backward: gru (the gated retention
+update), attend (one whole attention layer: its typed K, Q and V
+projections, the gathers at each edge's ends, the per-edge-kind head
+block maps, the prior-scaled logits, the softmax over each target's
+incoming edges and the scatter of weighted messages into the targets)
+and pair_loss (the RankNet pair cross-entropy).  Graph- and head-shaped
+work runs on integer index arrays, runs and reshapes, never on dense
+one-hot, block-diagonal or all-ones selector matrices.  All ops reject
+non-finite results.
 
 Index checks run where an index array is made, never where it is used.
 :func:`checked_index` checks an array once and returns a read-only
@@ -35,19 +35,19 @@ take_rows, attend and pair_loss take only a CheckedIndex of the length
 they index; any other array, even one derived from a CheckedIndex,
 raises ValueError naming the op and the argument.  A run of rows needs
 no array: it is a slice ``start:stop``, which costs two integers to
-check by arithmetic.  take_rows gathers a run as a view, and
-block_matmul takes its groups as runs that tile its rows in order (a
-plan's kind runs, derived from its counts), so each group's product
-is written straight into its rows of the output: there is no gather
-and no scatter.
+check by arithmetic.  take_rows gathers a run as a view, and attend
+takes each typed transform's groups as runs that tile its rows in
+order (a plan's kind runs, derived from its counts), so each group's
+product is written straight into its rows of the result: there is no
+gather and no scatter.
 
-Every scatter (the backward of take_rows, the per-target reductions of
-attend and the scatters of pair_loss's backward) goes through
-:func:`_scatter`, which hands numpy's ``ufunc.at`` 1-D operands: a row
-scatter into an (n, c) array becomes an element scatter over the
-flattened array.  ``ufunc.at`` has a fast path only for 1-D operands, and
-the flattened form makes the same operations on each element in the same
-order, so results are bit-identical to the 2-D call.
+Every scatter (the backward of take_rows, the per-target reductions and
+gather gradients of attend and the scatters of pair_loss's backward)
+goes through :func:`_scatter`, which hands numpy's ``ufunc.at`` 1-D
+operands: a row scatter into an (n, c) array becomes an element scatter
+over the flattened array.  ``ufunc.at`` has a fast path only for 1-D
+operands, and the flattened form makes the same operations on each
+element in the same order, so results are bit-identical to the 2-D call.
 
 :func:`backward` stores an input's first gradient as the backward rule
 returned it and adds further contributions into an array it allocated
@@ -244,71 +244,6 @@ def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
         def bwd(g):
             return np.outer(g, b.data), a.data.T @ g
     return _make(tape, out, (a, b), bwd)
-
-
-def block_matmul(tape: Tape | None, a: Tensor, groups: Sequence[tuple], heads: int) -> Tensor:
-    """Per-group, per-head product (n, H*k) -> (n, H*m).
-
-    ``groups`` lists ``(rows, w)`` or ``(rows, w, b)``: ``rows`` is a
-    slice, and the groups' slices are non-empty runs that tile [0, n) in
-    order (a plan's kind runs); ``w`` is (H*k, m) and ``b`` is (H*m,).
-    Each row r becomes ``a[r] @ blockdiag(H row blocks of w) + b``: head
-    i maps column block i of ``a[r]`` through row block i of ``w`` into
-    output column block i.
-
-    Each group is multiplied from a view of its rows of ``a`` straight
-    into its rows of the output, through their (H, r, m) head view, and
-    backward writes its rows of ``a``'s gradient the same way; with one
-    head every product is a plain 2-D one.  The record keeps only the
-    slices, and backward reads each group's rows of ``a`` as a view.
-    """
-    if a.data.ndim != 2 or heads < 1 or a.data.shape[1] % heads or not groups:
-        raise ValueError(f"block_matmul: unsupported input {a.shape} in {heads} heads "
-                         f"with {len(groups)} groups")
-    n, k = a.data.shape[0], a.data.shape[1] // heads
-    m = groups[0][1].data.shape[-1]
-    runs = [group[0] for group in groups]
-    if (not all(_is_run(rows, n) and rows.stop > rows.start for rows in runs)
-            or [rows.start for rows in runs] != [0, *(rows.stop for rows in runs[:-1])]
-            or runs[-1].stop != n):
-        raise ValueError(f"block_matmul: groups must be non-empty runs of rows, as slices, "
-                         f"that tile [0, {n}) in order, got {runs}")
-    inputs = [a]
-    parts = []                  # (rows, weight blocks, w, b)
-    for rows, w, *bias in groups:
-        b = bias[0] if bias else None
-        if (w.data.ndim != 2 or w.data.shape != (heads * k, m) or len(bias) > 1
-                or (b is not None and b.data.shape != (heads * m,))):
-            raise ValueError(f"block_matmul: unsupported shapes {a.shape} @ {w.shape}"
-                             f"{''.join(f' + {t.shape}' for t in bias)} in {heads} heads")
-        parts.append((rows, w.data if heads == 1 else w.data.reshape(heads, k, m), w, b))
-        inputs += [w, *bias]
-
-    def by_head(x):
-        """(r, H*c) rows as (H, r, c) head blocks, a view of a contiguous ``x``; with one
-        head, ``x`` itself."""
-        return x if heads == 1 else x.reshape(len(x), heads, -1).transpose(1, 0, 2)
-
-    out = np.empty((n, heads * m))
-    for rows, blocks, _w, b in parts:
-        y = out[rows]
-        np.matmul(by_head(a.data[rows]), blocks, out=by_head(y))
-        if b is not None:
-            y += b.data
-
-    def bwd(g):
-        da = np.empty_like(a.data, order="C") if a.requires_grad else None
-        grads = [da]
-        for rows, blocks, w, b in parts:
-            gy = g[rows]
-            if a.requires_grad:
-                np.matmul(by_head(gy), blocks.swapaxes(-1, -2), out=by_head(da[rows]))
-            grads.append(np.matmul(by_head(a.data[rows]).swapaxes(-1, -2), by_head(gy))
-                         .reshape(heads * k, m) if w.requires_grad else None)
-            if b is not None:
-                grads.append(gy.sum(axis=0))
-        return tuple(grads)
-    return _make(tape, out, tuple(inputs), bwd)
 
 
 def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
@@ -515,41 +450,147 @@ def take_rows(tape: Tape | None, a: Tensor, index: CheckedIndex | slice) -> Tens
     return _make(tape, out, (a,), bwd)
 
 
-def attend(tape: Tape | None, keys: Tensor, queries: Tensor, mu: Tensor, messages: Tensor,
-           mu_idx: CheckedIndex, dst: CheckedIndex, n: int, heads: int) -> Tensor:
-    """Each target's attention over its incoming edges, summed into an (n, D) result.
+def _by_head(x: np.ndarray, heads: int) -> np.ndarray:
+    """(r, H*c) rows as (H, r, c) head blocks, a view of a C-contiguous ``x``; with one head,
+    ``x`` itself."""
+    return x if heads == 1 else x.reshape(len(x), heads, -1).transpose(1, 0, 2)
 
-    ``keys``, ``queries`` and ``messages`` are (E, D), one row per edge,
-    with head i in columns [i*D/H, (i+1)*D/H); ``mu`` is the (M, 1) prior
-    column, ``mu_idx`` the (E,) prior row of each edge and ``dst`` the
-    (E,) target node of each edge.  Per edge e and head i::
 
-        logit[e, i] = (keys[e, i] . queries[e, i]) * mu[mu_idx[e]] / sqrt(D/H)
-        p[e, i] = exp(logit[e, i]) / sum of exp(logit[f, i]) over edges f into dst[e]
-        out[t, i] = sum of p[e, i] * messages[e, i] over edges e into t
+def _typed_parts(name: str, groups: Sequence[tuple], n: int, heads: int, w_shape: tuple,
+                 biased: bool) -> list[tuple]:
+    """``groups`` of :func:`attend` as ``(rows, weight blocks, w, b)``, once checked.
+
+    Each group is ``(rows, w, b)``, or ``(rows, w)`` when not ``biased``:
+    ``rows`` a slice, the groups' slices non-empty runs that tile [0, n)
+    in order, ``w`` of shape ``w_shape`` and ``b`` of ``(w_shape[1],)``.
+    With several heads, the blocks are ``w`` as (H, rows/H, columns).
+    """
+    parts, start = [], 0
+    for rows, w, *bias in groups:
+        if not (type(rows) is slice and type(rows.start) is type(rows.stop) is int
+                and rows.step is None and rows.start == start and start < rows.stop <= n):
+            start = -1
+            break
+        start = rows.stop
+        if (w.data.shape != w_shape or len(bias) != biased
+                or (biased and bias[0].data.shape != (w_shape[1],))):
+            want = f" and b of shape ({w_shape[1]},)" if biased else " and no b"
+            raise ValueError(f"attend: {name} groups need w of shape {w_shape}{want}, got "
+                             f"{[t.shape for t in (w, *bias)]}")
+        blocks = w.data if heads == 1 else w.data.reshape(heads, w_shape[0] // heads, -1)
+        parts.append((rows, blocks, w, bias[0] if biased else None))
+    if start != n:
+        raise ValueError(f"attend: {name} groups must be non-empty runs of rows, as slices, "
+                         f"that tile [0, {n}) in order, got {[group[0] for group in groups]}")
+    return parts
+
+
+def _typed(x: np.ndarray, parts: list[tuple], heads: int, width: int) -> np.ndarray:
+    """Each part's rows of ``x`` through its own weights, ``x[rows] @ blockdiag(H row blocks
+    of w) + b``: each product is written from a view of its rows straight into those rows of
+    the (len(x), width) result, through their (H, r, m) head view."""
+    out = np.empty((len(x), width))
+    for rows, blocks, _w, b in parts:
+        y = out[rows]
+        np.matmul(_by_head(x[rows], heads), blocks, out=_by_head(y, heads))
+        if b is not None:
+            y += b.data
+    return out
+
+
+def _typed_grads(x: np.ndarray, parts: list[tuple], heads: int, g: np.ndarray,
+                 need_x: bool) -> tuple[np.ndarray | None, list]:
+    """The gradients of :func:`_typed` for output gradient ``g``: of ``x`` (None unless
+    ``need_x``) and, in part order, of each part's ``w`` (None unless it requires grad) and
+    ``b``, if it has one."""
+    dx = np.empty_like(x, order="C") if need_x else None
+    grads = []
+    for rows, blocks, w, b in parts:
+        gy = g[rows]
+        if need_x:
+            np.matmul(_by_head(gy, heads), blocks.swapaxes(-1, -2), out=_by_head(dx[rows], heads))
+        grads.append(np.matmul(_by_head(x[rows], heads).swapaxes(-1, -2), _by_head(gy, heads))
+                     .reshape(w.data.shape) if w.requires_grad else None)
+        if b is not None:
+            grads.append(gy.sum(axis=0))
+    return dx, grads
+
+
+def attend(tape: Tape | None, states: Tensor, targets: Tensor, keys: Sequence[tuple],
+           queries: Sequence[tuple], values: Sequence[tuple], att: Sequence[tuple],
+           msg: Sequence[tuple], mu: Tensor, src: CheckedIndex, dst: CheckedIndex,
+           mu_idx: CheckedIndex, heads: int) -> Tensor:
+    """One typed attention layer: each target's attention over its incoming edges, (n, D).
+
+    ``states`` (N, D) are the sources' states and ``targets`` (n, D) the
+    targets', which may be ``states`` itself; head i owns columns
+    [i*D/H, (i+1)*D/H).  ``keys`` and ``values`` list ``(rows, w, b)``
+    groups over the rows of ``states``, ``queries`` over the rows of
+    ``targets``, with w (D, D) and b (D,); ``att`` and ``msg`` list
+    ``(rows, w)`` groups over the edges, with w the (D, D/H) head blocks
+    of an edge kind's map.  Each list's slices are non-empty runs that
+    tile its rows in order (a plan's kind runs).  ``src``, ``dst`` and
+    ``mu_idx`` give each edge's source row, target row and row of the
+    (M, 1) prior column ``mu``.  Per edge e from s to t, and head i::
+
+        K = states @ w_k + b_k, V likewise, Q = targets @ w_q + b_q, each group on its rows
+        key[e] = K[s] @ blockdiag(w_att), message[e] = V[s] @ blockdiag(w_msg), of e's group
+        logit[e, i] = (key[e, i] . Q[t, i]) * mu[mu_idx[e]] / sqrt(D/H)
+        p[e, i] = exp(logit[e, i]) / sum of exp(logit[f, i]) over edges f into t
+        out[t, i] = sum of p[e, i] * message[e, i] over edges e into t
 
     A target without incoming edges gets an exactly zero row.  One tape
-    record with a closed-form backward; head sums are reshapes and head
-    spreads broadcasts, so results agree to rounding, not bit for bit, with
-    the same computation written as a chain of elementwise ops, per-head
-    sums and scatters.  The logits are checked finite before the
-    max-subtracted softmax, which would otherwise turn an overflow into NaN
-    weights.  The (E, H) weights ``p`` exist only inside this op, so a
-    probe of attention entropy per edge kind has to read them here.
+    record with a closed-form backward.  The forward makes the numpy calls
+    of the composed chain it replaced (three typed projections, the
+    source and target gathers, the two edge maps and the attention core),
+    in the same order, and the backward returns each input's gradient the
+    way that chain delivered it: the inputs are ``mu``, the ``msg`` and
+    ``att`` maps, then ``states`` and the ``values`` weights, ``targets``
+    and the ``queries`` weights, and ``states`` again with the ``keys``
+    weights, so a tensor fed through several of them gets one gradient per
+    use, summed in that order.  Outputs and gradients are then
+    bit-identical to the chain.  The gathers' scatters share their flat
+    indices: one width-D index over ``dst`` serves the message scatter and
+    the queries' gradient, one over ``src`` the keys' and values'.  The
+    logits are checked finite before the max-subtracted softmax, which
+    would otherwise turn an overflow into NaN weights, and so is the
+    output; a non-finite projection surfaces at one of the two.  The (E,
+    H) weights ``p`` exist only inside this op, so a probe of attention
+    entropy per edge kind has to read them here.
     """
-    kd, qd, vd = keys.data, queries.data, messages.data
-    if (kd.ndim != 2 or heads < 1 or kd.shape[1] % heads or qd.shape != kd.shape
-            or vd.shape != kd.shape or mu.data.ndim != 2 or mu.data.shape[1] != 1):
-        raise ValueError(f"attend: unsupported shapes: keys {keys.shape}, queries {queries.shape}, "
-                         f"messages {messages.shape} and mu {mu.shape} in {heads} heads")
-    e, dim = kd.shape
+    sd, td = states.data, targets.data
+    if (sd.ndim != 2 or td.ndim != 2 or sd.shape[1] != td.shape[1] or heads < 1
+            or sd.shape[1] % heads or mu.data.ndim != 2 or mu.data.shape[1] != 1):
+        raise ValueError(f"attend: unsupported shapes: states {states.shape}, targets "
+                         f"{targets.shape} and mu {mu.shape} in {heads} heads")
+    (n_src, dim), n = sd.shape, td.shape[0]
     d = dim // heads
-    prior_rows = _trusted("attend", "mu_idx", mu_idx, mu.data.shape[0])
+    src_rows = _trusted("attend", "src", src, n_src)
     ids = _trusted("attend", "dst", dst, n)
-    if len(prior_rows) != e or len(ids) != e:
-        raise ValueError(f"attend: need one prior row and one target per edge: "
-                         f"{len(prior_rows)} and {len(ids)} for {e} edges")
-    k3, q3, v3 = (t.reshape(e, heads, d) for t in (kd, qd, vd))
+    prior_rows = _trusted("attend", "mu_idx", mu_idx, mu.data.shape[0])
+    e = len(src_rows)
+    if len(ids) != e or len(prior_rows) != e:
+        raise ValueError(f"attend: need one target and one prior row per edge: "
+                         f"{len(ids)} and {len(prior_rows)} for {e} edges")
+    k_parts, v_parts = (_typed_parts(name, groups, n_src, 1, (dim, dim), True)
+                        for name, groups in (("keys", keys), ("values", values)))
+    q_parts = _typed_parts("queries", queries, n, 1, (dim, dim), True)
+    att_parts, msg_parts = (_typed_parts(name, groups, e, heads, (dim, d), False)
+                            for name, groups in (("att", att), ("msg", msg)))
+    inputs = [mu, *(part[2] for part in msg_parts + att_parts)]
+    for x, parts in ((states, v_parts), (targets, q_parts), (states, k_parts)):
+        inputs += [x, *(t for part in parts for t in part[2:])]
+
+    k_rows = _typed(sd, k_parts, 1, dim)
+    q_rows = _typed(td, q_parts, 1, dim)
+    v_rows = _typed(sd, v_parts, 1, dim)
+    src_k = k_rows[src_rows]
+    k3 = _typed(src_k, att_parts, heads, dim).reshape(e, heads, d)
+    q3 = q_rows[ids].reshape(e, heads, d)
+    src_v = v_rows[src_rows]
+    v3 = _typed(src_v, msg_parts, heads, dim).reshape(e, heads, d)
+    del k_rows, q_rows, v_rows          # the backward reads only the edges' rows
+
     scale = 1.0 / math.sqrt(d)
     raw = (k3 * q3).sum(axis=2)                             # (E, H) key-query products
     prior = mu.data[prior_rows]                             # (E, 1)
@@ -562,21 +603,47 @@ def attend(tape: Tape | None, keys: Tensor, queries: Tensor, mu: Tensor, message
     total = np.zeros((n, heads))
     _scatter(np.add, total.reshape(-1), flat, ex.reshape(-1))
     p = ex / total[ids]
+    flat_dst = _flat_index(ids, dim)    # shared by the message scatter and the queries' gradient
     out = np.zeros((n, dim))
-    _scatter(np.add, out, ids, (v3 * p[:, :, None]).reshape(e, dim))
+    _scatter(np.add, out.reshape(-1), flat_dst, (v3 * p[:, :, None]).reshape(-1))
 
     def bwd(g):
+        # the chain's rules, one branch at a time, each dropping its edge-sized arrays as
+        # soon as its scatter has read them
         g3 = g[ids].reshape(e, heads, d)
-        d_messages = (g3 * p[:, :, None]).reshape(e, dim)
+        d_msg = (g3 * p[:, :, None]).reshape(e, dim)
         d_p = (g3 * v3).sum(axis=2)
+        del g3
         dot = np.zeros((n, heads))
         _scatter(np.add, dot.reshape(-1), flat, (p * d_p).reshape(-1))
         d_scaled = p * (d_p - dot[ids]) * scale
         d_mu = np.zeros(mu.data.shape)
         _scatter(np.add, d_mu.reshape(-1), prior_rows, (d_scaled * raw).sum(axis=1))
         d_raw = (d_scaled * prior)[:, :, None]
-        return (q3 * d_raw).reshape(e, dim), (k3 * d_raw).reshape(e, dim), d_mu, d_messages
-    return _make(tape, out, (keys, queries, mu, messages), bwd)
+        flat_src = _flat_index(src_rows, dim)     # shared by the keys' and values' gradients
+
+        def into_rows(count, flat_rows, d_edges):
+            """A gather's gradient: the (E, D) ``d_edges`` added into zeros for ``count`` rows."""
+            full = np.zeros((count, dim))
+            _scatter(np.add, full.reshape(-1), flat_rows, d_edges.reshape(-1))
+            return full
+
+        d_src_v, msg_grads = _typed_grads(src_v, msg_parts, heads, d_msg, True)
+        del d_msg
+        d_states_v, v_grads = _typed_grads(sd, v_parts, 1, into_rows(n_src, flat_src, d_src_v),
+                                           states.requires_grad)
+        del d_src_v
+        d_src_k, att_grads = _typed_grads(src_k, att_parts, heads,
+                                          (q3 * d_raw).reshape(e, dim), True)
+        d_states_k, k_grads = _typed_grads(sd, k_parts, 1, into_rows(n_src, flat_src, d_src_k),
+                                           states.requires_grad)
+        del d_src_k
+        d_targets, q_grads = _typed_grads(td, q_parts, 1,
+                                          into_rows(n, flat_dst, (k3 * d_raw).reshape(e, dim)),
+                                          targets.requires_grad)
+        return (d_mu, *msg_grads, *att_grads, d_states_v, *v_grads, d_targets, *q_grads,
+                d_states_k, *k_grads)
+    return _make(tape, out, tuple(inputs), bwd)
 
 
 def pair_loss(tape: Tape | None, scores: Tensor, pair_i: CheckedIndex, pair_j: CheckedIndex,

@@ -4,16 +4,21 @@ Most of what is here works on plain numpy arrays with explicit Python
 loops over nodes, edges and heads, following the layer definitions
 directly and never touching the tape machinery it is used to check.
 The masked per-kind forms (``naive_typed_rows``, ``naive_edge_rows``),
-``composed_gru``, the composed attention stages (``attention_logits``,
+``composed_gru``, the composed attention layer and its stages
+(``composed_attention_layer``, ``attention_logits``,
 ``attention_weights``, ``edge_messages``, ``aggregate``,
 ``composed_attend``, ``composed_attention``) and ``composed_pair_loss``
-are the exception: they are the tape compositions the grouped
-``block_matmul`` and the fused ``gru``, ``attend`` and ``pair_loss`` ops
-replaced, kept so their values and gradients can be checked against
-them.  ``naive_backward`` and ``naive_checkpoint_text`` are likewise the
-earlier forms of ``autodiff.backward`` (which kept the whole tape and
-every gradient until it returned) and of ``network.save_checkpoint``
-(which built the whole JSON text in memory).  The elementwise, reduction
+are the exception: they are the tape compositions the fused ``gru``,
+``attend`` and ``pair_loss`` ops replaced, kept so their values and
+gradients can be checked against them.  The tape ops those compositions
+need and the model no longer calls live here as well: ``block_matmul``
+(one typed transform on each kind's rows), ``attend_core`` (the
+attention core the layer chain ended in) and the ``project_kqv`` and
+``edge_rows`` stages built on them.  ``naive_backward`` and
+``naive_checkpoint_text`` are likewise the earlier forms of
+``autodiff.backward`` (which kept the whole tape and every gradient until
+it returned) and of ``network.save_checkpoint`` (which built the whole
+JSON text in memory).  The elementwise, reduction
 and segment tape ops they are built from (``sub``, ``mul``,
 ``scalar_mul``, ``log_sigmoid``, ``reduce_sum``, ``segment_sum``,
 ``segment_softmax``, ``sigmoid``, ``tanh``) live here too: the model no
@@ -32,11 +37,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from rootrank import autodiff as ad
-from rootrank.aggregation import (
-    GraphPlan,
-    _edge_rows,
-    project_kqv,
-)
+from rootrank.aggregation import GraphPlan
 from rootrank.autodiff import Tape, Tensor, constant
 from rootrank.graphs import (
     NUM_EDGE_KINDS,
@@ -256,11 +257,61 @@ def _mask(rows, n: int) -> Tensor:
     return constant(mask)
 
 
+def block_matmul(tape: Tape | None, a: Tensor, groups, heads: int) -> Tensor:
+    """Per-group, per-head product (n, H*k) -> (n, H*m), the tape op that each typed
+    transform of a layer was before ``autodiff.attend`` took the whole layer.
+
+    ``groups`` lists ``(rows, w)`` or ``(rows, w, b)``: ``rows`` is a
+    slice, and the groups' slices are non-empty runs that tile [0, n) in
+    order; ``w`` is (H*k, m) and ``b`` is (H*m,).  Each row r becomes
+    ``a[r] @ blockdiag(H row blocks of w) + b``, each group multiplied from
+    a view of its rows straight into its rows of the output.
+    """
+    n, k = a.data.shape[0], a.data.shape[1] // heads
+    m = groups[0][1].data.shape[-1]
+    runs = [group[0] for group in groups]
+    if (not all(ad._is_run(rows, n) and rows.stop > rows.start for rows in runs)
+            or [rows.start for rows in runs] != [0, *(rows.stop for rows in runs[:-1])]
+            or runs[-1].stop != n):
+        raise ValueError(f"block_matmul: groups must be non-empty runs of rows, as slices, "
+                         f"that tile [0, {n}) in order, got {runs}")
+    inputs = [a]
+    parts = []                  # (rows, weight blocks, w, b)
+    for rows, w, *bias in groups:
+        parts.append((rows, w.data if heads == 1 else w.data.reshape(heads, k, m), w,
+                      bias[0] if bias else None))
+        inputs += [w, *bias]
+
+    def by_head(x):
+        return x if heads == 1 else x.reshape(len(x), heads, -1).transpose(1, 0, 2)
+
+    out = np.empty((n, heads * m))
+    for rows, blocks, _w, b in parts:
+        y = out[rows]
+        np.matmul(by_head(a.data[rows]), blocks, out=by_head(y))
+        if b is not None:
+            y += b.data
+
+    def bwd(g):
+        da = np.empty_like(a.data, order="C") if a.requires_grad else None
+        grads = [da]
+        for rows, blocks, w, b in parts:
+            gy = g[rows]
+            if a.requires_grad:
+                np.matmul(by_head(gy), blocks.swapaxes(-1, -2), out=by_head(da[rows]))
+            grads.append(np.matmul(by_head(a.data[rows]).swapaxes(-1, -2), by_head(gy))
+                         .reshape(heads * k, m) if w.requires_grad else None)
+            if b is not None:
+                grads.append(gy.sum(axis=0))
+        return tuple(grads)
+    return ad._make(tape, out, tuple(inputs), bwd)
+
+
 def block_matmul_all_rows(tape: Tape | None, x: Tensor, w: Tensor, heads: int) -> Tensor:
     """``block_matmul`` of every row of ``x`` through ``w``; an ``x`` without rows maps to none."""
     if not x.shape[0]:      # a group is a non-empty run
         return constant(np.zeros((0, heads * w.shape[1])))
-    return ad.block_matmul(tape, x, [(slice(0, x.shape[0]), w)], heads)
+    return block_matmul(tape, x, [(slice(0, x.shape[0]), w)], heads)
 
 
 def naive_typed_rows(tape: Tape | None, x: Tensor, groups, heads: int) -> Tensor:
@@ -524,10 +575,99 @@ def composed_aggregate(tape: Tape | None, weights: Tensor, messages: Tensor, dst
 def composed_attend(tape: Tape | None, keys: Tensor, queries: Tensor, mu: Tensor,
                     messages: Tensor, mu_idx: ad.CheckedIndex, dst: ad.CheckedIndex, n: int,
                     heads: int) -> Tensor:
-    """``autodiff.attend`` as the nine tape ops it replaced."""
+    """``attend_core`` as the nine tape ops it replaced."""
     logits = composed_logits(tape, keys, queries, mu, mu_idx, heads)
     weights = segment_softmax(tape, logits, dst, n)
     return composed_aggregate(tape, weights, messages, dst, n)
+
+
+def attend_core(tape: Tape | None, keys: Tensor, queries: Tensor, mu: Tensor, messages: Tensor,
+                mu_idx: ad.CheckedIndex, dst: ad.CheckedIndex, n: int, heads: int) -> Tensor:
+    """The last of the nine ops of a layer before ``autodiff.attend`` took the whole layer:
+    from per-edge ``keys``, ``queries`` and ``messages`` (E, D), the prior-scaled logits, the
+    softmax over each target's incoming edges and the scatter of the weighted messages into
+    an (n, D) result, as one record with a closed-form backward."""
+    kd, qd, vd = keys.data, queries.data, messages.data
+    e, dim = kd.shape
+    d = dim // heads
+    prior_rows = ad._trusted("attend_core", "mu_idx", mu_idx, mu.data.shape[0])
+    ids = ad._trusted("attend_core", "dst", dst, n)
+    k3, q3, v3 = (t.reshape(e, heads, d) for t in (kd, qd, vd))
+    scale = 1.0 / math.sqrt(d)
+    raw = (k3 * q3).sum(axis=2)
+    prior = mu.data[prior_rows]
+    logits = ad._finite("attend_core", "logits", raw * prior * scale)
+    flat = ad._flat_index(ids, heads)
+    top = np.full((n, heads), -np.inf)
+    ad._scatter(np.maximum, top.reshape(-1), flat, logits.reshape(-1))
+    ex = np.exp(logits - top[ids])
+    total = np.zeros((n, heads))
+    ad._scatter(np.add, total.reshape(-1), flat, ex.reshape(-1))
+    p = ex / total[ids]
+    out = np.zeros((n, dim))
+    ad._scatter(np.add, out, ids, (v3 * p[:, :, None]).reshape(e, dim))
+
+    def bwd(g):
+        g3 = g[ids].reshape(e, heads, d)
+        d_messages = (g3 * p[:, :, None]).reshape(e, dim)
+        d_p = (g3 * v3).sum(axis=2)
+        dot = np.zeros((n, heads))
+        ad._scatter(np.add, dot.reshape(-1), flat, (p * d_p).reshape(-1))
+        d_scaled = p * (d_p - dot[ids]) * scale
+        d_mu = np.zeros(mu.data.shape)
+        ad._scatter(np.add, d_mu.reshape(-1), prior_rows, (d_scaled * raw).sum(axis=1))
+        d_raw = (d_scaled * prior)[:, :, None]
+        return (q3 * d_raw).reshape(e, dim), (k3 * d_raw).reshape(e, dim), d_mu, d_messages
+    return ad._make(tape, out, (keys, queries, mu, messages), bwd)
+
+
+def _targets_block(plan: GraphPlan, h_prev: Tensor, targets: Tensor | None):
+    """The block a layer attends into, and its targets' states: the whole plan and
+    ``h_prev`` without ``targets``, else ``plan.scored`` and ``targets``."""
+    return (plan, h_prev) if targets is None else (plan.scored, targets)
+
+
+def project_kqv(tape: Tape | None, h_prev: Tensor, plan: GraphPlan, params: NetworkParams,
+                layer: int, targets: Tensor | None = None) -> tuple[Tensor, Tensor, Tensor]:
+    """Keys and values (n x D) of every node, and queries of the layer's targets: states
+    through their own kind's projection, one ``block_matmul`` each."""
+    p = f"layer{layer}.attn"
+    block, h_dst = _targets_block(plan, h_prev, targets)
+
+    def typed(name: str, states: Tensor, node_rows: dict) -> Tensor:
+        groups = [(rows, params[f"{p}.w_{name}.{kind.value}"],
+                   params[f"{p}.b_{name}.{kind.value}"]) for kind, rows in node_rows.items()]
+        return block_matmul(tape, states, groups, 1)
+
+    return (typed("k", h_prev, plan.node_rows), typed("q", h_dst, block.node_rows),
+            typed("v", h_prev, plan.node_rows))
+
+
+def edge_rows(tape: Tape | None, block, states: Tensor, params: NetworkParams, maps: str,
+              heads: int) -> Tensor:
+    """Per edge of ``block`` (a plan or its scored block), the source state through the head
+    blocks ``{maps}.{edge kind}``, shape (E, D): a gather, then one ``block_matmul``."""
+    sources = ad.take_rows(tape, states, block.src)
+    groups = [(rows, params[f"{maps}.{kind.value}"]) for kind, rows in block.edge_rows.items()]
+    return block_matmul(tape, sources, groups, heads)
+
+
+def composed_attention_layer(tape: Tape | None, h_prev: Tensor, plan: GraphPlan,
+                             params: NetworkParams, layer: int, heads: int,
+                             targets: Tensor | None = None) -> Tensor:
+    """``aggregation.attention_forward`` as the nine tape ops the fused ``autodiff.attend``
+    replaced: three projections, the key gather and map, the query gather, the value gather
+    and map, and ``attend_core``."""
+    block, h_dst = _targets_block(plan, h_prev, targets)
+    if not block.edge_rows:
+        return constant(np.zeros(h_dst.shape))
+    k, q, v = project_kqv(tape, h_prev, plan, params, layer, targets)
+    p = f"layer{layer}.attn"
+    keys = edge_rows(tape, block, k, params, f"{p}.w_att", heads)
+    queries = ad.take_rows(tape, q, block.dst)
+    messages = edge_rows(tape, block, v, params, f"{p}.w_msg", heads)
+    return attend_core(tape, keys, queries, params[f"{p}.mu"], messages, block.mu_idx,
+                       block.dst, block.n, heads)
 
 
 def attention_logits(tape: Tape | None, plan: GraphPlan, kqv: tuple[Tensor, Tensor, Tensor],
@@ -538,7 +678,7 @@ def attention_logits(tape: Tape | None, plan: GraphPlan, kqv: tuple[Tensor, Tens
     (source kind, edge kind, target kind) prior and 1/sqrt(D/H).
     """
     k, q, _v = kqv
-    keys = _edge_rows(tape, plan, k, params, f"layer{layer}.attn.w_att", heads)
+    keys = edge_rows(tape, plan, k, params, f"layer{layer}.attn.w_att", heads)
     queries = ad.take_rows(tape, q, plan.dst)
     return composed_logits(tape, keys, queries, params[f"layer{layer}.attn.mu"], plan.mu_idx,
                            heads)
@@ -552,7 +692,7 @@ def attention_weights(tape: Tape | None, logits: Tensor, plan: GraphPlan) -> Ten
 def edge_messages(tape: Tape | None, plan: GraphPlan, kqv: tuple[Tensor, Tensor, Tensor],
                   params: NetworkParams, layer: int, heads: int) -> Tensor:
     """Per-edge message content, shape (E, D): V_head(src) @ W_msg_block per head."""
-    return _edge_rows(tape, plan, kqv[2], params, f"layer{layer}.attn.w_msg", heads)
+    return edge_rows(tape, plan, kqv[2], params, f"layer{layer}.attn.w_msg", heads)
 
 
 def aggregate(tape: Tape | None, plan: GraphPlan, weights: Tensor, messages: Tensor) -> Tensor:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from rootrank import autodiff as ad
-from rootrank.aggregation import _edge_rows, attention_forward, build_plan, project_kqv
+from rootrank.aggregation import attention_forward, build_plan
 from rootrank.autodiff import constant
 from rootrank.cli import main
 from rootrank.embedding import HashingEmbedder, embed_dataset
@@ -26,6 +26,7 @@ from rootrank.evaluation import (
     mfr,
     recall_at_n,
 )
+from rootrank.graphs import EdgeKind, NodeKind
 from rootrank.network import (
     Mode,
     ModelConfig,
@@ -106,15 +107,16 @@ class TestCriterion2AttentionNormalization:
             params = layer_params(8, 4, rng)
             h0 = rng.normal(size=(len(g.nodes), 8))
             if len(plan.dst):
-                # the layer's own weights, read through attend: with all-ones messages,
-                # every column of head i in a target's row is the sum of its head-i weights
-                k, q, _v = project_kqv(None, constant(h0), plan, params, 0)
-                keys = _edge_rows(None, plan, k, params, "layer0.attn.w_att", 4)
-                queries = ad.take_rows(None, q, plan.dst)
-                ones = constant(np.ones((len(g.edges), 8)))
-                sums = ad.attend(None, keys, queries, params["layer0.attn.mu"], ones, plan.mu_idx,
-                                 plan.dst, plan.n, 4).data
-                assert keys.shape == queries.shape == (len(g.edges), 8)
+                # the layer's own weights, read through the layer: with all-ones values and
+                # identity message blocks every message is all ones, so every column of head
+                # i in a target's row is the sum of its head-i weights
+                ones = dict(params)
+                for kind in NodeKind:
+                    ones[f"layer0.attn.w_v.{kind.value}"] = constant(np.zeros((8, 8)))
+                    ones[f"layer0.attn.b_v.{kind.value}"] = constant(np.ones(8))
+                for kind in EdgeKind:
+                    ones[f"layer0.attn.w_msg.{kind.value}"] = constant(np.tile(np.eye(2), (4, 1)))
+                sums = attention_forward(None, constant(h0), plan, ones, 0, 4).data
                 assert sums.shape == (len(g.nodes), 8)
                 assert not sums[np.setdiff1d(np.arange(len(g.nodes)), plan.dst)].any()
                 for t in np.unique(plan.dst):

@@ -8,19 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootrank import autodiff as ad
-from rootrank.aggregation import (
-    MU_SIZE,
-    GraphPlan,
-    attention_forward,
-    _edge_rows,
-    build_plan,
-    project_kqv,
-)
+from rootrank.aggregation import MU_SIZE, GraphPlan, attention_forward, build_plan
 from rootrank.autodiff import CheckedIndex, Tensor, constant
 from rootrank.graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind
 
 from naive_reference import (
     assert_plan_matches_graphs,
+    attend_core,
     attention_logits,
     attention_weights,
     composed_attention,
@@ -32,6 +26,7 @@ from naive_reference import (
     naive_edge_rows,
     mu_index,
     naive_typed_rows,
+    project_kqv,
     random_graph,
     reduce_sum,
     segment_softmax,
@@ -180,15 +175,7 @@ class TestGraphPlan:
         assert plan.mu_idx.tolist()[1:] == [expected_mu] * 3
 
 
-class TestProjectKqv:
-    def test_identity_params_pass_input_through(self):
-        g = chain_graph()
-        plan = build_plan(g)
-        params = identity_params(4, 2)
-        h = constant(np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]))
-        for projected in project_kqv(None, h, plan, params, 0):
-            np.testing.assert_array_equal(projected.data, h.data)
-
+class TestProjections:
     def test_heads_are_contiguous_slices(self):
         # head 1 owns columns 2:4, so changing them leaves head 0's logit alone
         g = chain_graph()
@@ -203,15 +190,18 @@ class TestProjectKqv:
         np.testing.assert_allclose(base.data[0], [3.0 / math.sqrt(2), 7.0 / math.sqrt(2)])
         np.testing.assert_allclose(moved.data[0], [3.0 / math.sqrt(2), 2.0 / math.sqrt(2)])
 
-    def test_kind_specific_projection_differs_for_identical_inputs(self):
+    def test_kind_specific_projection_reads_the_source_kind(self):
+        # the one edge runs from a deleted line, so only the deleted lines' values reach it
         g = chain_graph()
         plan = build_plan(g)
         params = identity_params(4, 2)
-        params["layer0.attn.w_k.added"].data = 2.0 * np.eye(4)
         h = constant(np.ones((2, 4)))
-        k, _q, _v = project_kqv(None, h, plan, params, 0)
-        np.testing.assert_array_equal(k.data[0], np.ones(4))
-        np.testing.assert_array_equal(k.data[1], 2.0 * np.ones(4))
+        params["layer0.attn.w_v.added"].data = 2.0 * np.eye(4)
+        np.testing.assert_array_equal(attention_forward(None, h, plan, params, 0, 2).data[1],
+                                      np.ones(4))
+        params["layer0.attn.w_v.deleted"].data = 3.0 * np.eye(4)
+        np.testing.assert_array_equal(attention_forward(None, h, plan, params, 0, 2).data[1],
+                                      3.0 * np.ones(4))
 
 
 class TestAttentionLogits:
@@ -473,53 +463,49 @@ class TestForwardAgainstNaiveOracle:
                        for k in present)
 
 
+def masked_attention_layer(tape, h, plan, params, heads):
+    """Layer 0 with every kind's transform on every row, masked to its kind's rows and
+    summed (``naive_typed_rows``, ``naive_edge_rows``), then ``attend_core``."""
+    p = "layer0.attn"
+
+    def typed(name):
+        groups = [(rows, params[f"{p}.w_{name}.{kind.value}"],
+                   params[f"{p}.b_{name}.{kind.value}"]) for kind, rows in plan.node_rows.items()]
+        return naive_typed_rows(tape, h, groups, 1)
+
+    k, q, v = typed("k"), typed("q"), typed("v")
+    keys = naive_edge_rows(tape, plan, k, params, f"{p}.w_att", heads)
+    messages = naive_edge_rows(tape, plan, v, params, f"{p}.w_msg", heads)
+    return attend_core(tape, keys, ad.take_rows(tape, q, plan.dst), params[f"{p}.mu"], messages,
+                       plan.mu_idx, plan.dst, plan.n, heads)
+
+
 class TestTypedRowsAgainstMaskedOracle:
     """Each kind's transform on its own rows equals every kind's on every row, masked."""
 
-    @staticmethod
-    def _forward_and_grads(build, leaves, weights):
-        tape = ad.Tape()
-        out = build(tape)
-        grads = ad.backward(tape, reduce_sum(tape, mul(tape, out, constant(weights))))
-        return out.data, [grads[t] for t in leaves]
-
-    def _check(self, build, oracle, leaves, shape, rng):
-        weights = rng.normal(size=shape)
-        out, grads = self._forward_and_grads(build, leaves, weights)
-        want, want_grads = self._forward_and_grads(oracle, leaves, weights)
-        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
-        for got, expected in zip(grads, want_grads):
-            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-
-    def test_projections(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            g = random_graph(rng)
-            plan = build_plan(g)
-            params = layer_params(8, 2, rng)
-            h = Tensor(rng.normal(size=(len(g.nodes), 8)), requires_grad=True)
-            groups = [(rows, params[f"layer0.attn.w_k.{kind.value}"],
-                       params[f"layer0.attn.b_k.{kind.value}"])
-                      for kind, rows in plan.node_rows.items()]
-            self._check(lambda tape: project_kqv(tape, h, plan, params, 0)[0],
-                        lambda tape: naive_typed_rows(tape, h, groups, 1),
-                        [h, *(params[f"layer0.attn.{field}.{kind.value}"]
-                              for field in ("w_k", "b_k") for kind in NodeKind)], h.shape, rng)
-
-    def test_edge_rows(self):
-        rng = np.random.default_rng(18)
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_layer_and_gradients(self, heads):
+        rng = np.random.default_rng(17 + heads)
         for _ in range(20):
             g = random_graph(rng)
             if not g.edges:
                 continue
             plan = build_plan(g)
-            params = layer_params(8, 4, rng)
+            params = layer_params(8, heads, rng)
             h = Tensor(rng.normal(size=(len(g.nodes), 8)), requires_grad=True)
-            maps = "layer0.attn.w_att"
-            self._check(lambda tape: _edge_rows(tape, plan, h, params, maps, 4),
-                        lambda tape: naive_edge_rows(tape, plan, h, params, maps, 4),
-                        [h, *(params[f"{maps}.{kind.value}"] for kind in EdgeKind)],
-                        (len(g.edges), 8), rng)
+            weights = rng.normal(size=h.shape)
+            leaves = [h, *(t for name, t in params.items() if name.startswith("layer0.attn."))]
+
+            def run(layer):
+                tape = ad.Tape()
+                out = layer(tape)
+                grads = ad.backward(tape, reduce_sum(tape, mul(tape, out, constant(weights))))
+                return [out.data] + [grads[t] for t in leaves]
+
+            fused = run(lambda tape: attention_forward(tape, h, plan, params, 0, heads))
+            masked = run(lambda tape: masked_attention_layer(tape, h, plan, params, heads))
+            for got, want in zip(fused, masked):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestComposedStagesPinnedToAttend:
@@ -606,14 +592,17 @@ class TestPlanChecksItsArraysOnce:
             assert arr.tolist() == values and not arr.flags.writeable, name
         assert block.node_rows == {DEL: slice(0, 2)}
         assert block.edge_rows == {CONTROL: slice(0, 1), CALL: slice(1, 3)}
-        no_deleted = GraphPlan(**plan_arrays(node_counts=(0, 4)))
+        no_deleted = GraphPlan(**plan_arrays(node_counts=(0, 4), mu_idx=[
+            mu_index(ADD, CONTROL, ADD), mu_index(ADD, CALL, ADD), mu_index(ADD, CALL, ADD)]))
         assert no_deleted.scored.n == 0 and len(no_deleted.scored.src) == 0
         assert not no_deleted.scored.node_rows and not no_deleted.scored.edge_rows
 
     @pytest.mark.parametrize("changes, node_rows, edge_rows", [
         (dict(node_counts=np.array([2, 2])), {DEL: slice(0, 2), ADD: slice(2, 4)},
          {CONTROL: slice(0, 1), CALL: slice(1, 3)}),
-        (dict(node_counts=(4, 0)), {DEL: slice(0, 4)}, {CONTROL: slice(0, 1), CALL: slice(1, 3)}),
+        (dict(node_counts=(4, 0), mu_idx=[mu_index(DEL, CONTROL, DEL), mu_index(DEL, CALL, DEL),
+                                          mu_index(DEL, CALL, DEL)]),
+         {DEL: slice(0, 4)}, {CONTROL: slice(0, 1), CALL: slice(1, 3)}),
         # within a kind, prior rows need not ascend: only the edge kind they name must not fall
         (dict(src=[0, 2, 1], mu_idx=[mu_index(DEL, CONTROL, DEL), mu_index(ADD, CALL, DEL),
                                      mu_index(DEL, CALL, DEL)]),
@@ -624,7 +613,7 @@ class TestPlanChecksItsArraysOnce:
                                                                    edge_rows):
         plan = GraphPlan(**plan_arrays(**changes))
         assert plan.node_rows == node_rows and plan.edge_rows == edge_rows
-        # int bounds, which block_matmul and take_rows require of a run
+        # int bounds, which attend and take_rows require of a run
         assert all(type(rows.start) is type(rows.stop) is int
                    for runs in (plan.node_rows, plan.edge_rows) for rows in runs.values())
         assert plan.node_counts == tuple(int(c) for c in changes.get("node_counts", (2, 2)))
@@ -665,12 +654,28 @@ class TestPlanChecksItsArraysOnce:
                       mu_index(ADD, MAPPING, DEL)], node_ids=[1, 0, 3, 2]),
          r"GraphPlan mu_idx: a line_mapping edge must end at an added line, but one ends at "
          r"deleted node 1$"),
+        (dict(node_counts=(0, 4)),
+         r"GraphPlan mu_idx: edge 0 names the deleted -> deleted prior, but runs from row 0 "
+         r"\(added\) to row 1 \(added\)$"),
+        (dict(src=[0, 1, 0]),
+         r"GraphPlan mu_idx: edge 2 names the added -> deleted prior, but runs from row 0 "
+         r"\(deleted\) to row 1 \(deleted\)$"),
+        (dict(mu_idx=[mu_index(DEL, CONTROL, DEL), mu_index(DEL, CALL, ADD),
+                      mu_index(ADD, CALL, DEL)]),
+         r"GraphPlan mu_idx: edge 1 names the deleted -> added prior, but runs from row 1 "
+         r"\(deleted\) to row 0 \(deleted\)$"),
+        (dict(mu_idx=[mu_index(DEL, CONTROL, DEL), mu_index(DEL, CALL, DEL),
+                      mu_index(DEL, CALL, DEL)]),
+         r"GraphPlan mu_idx: edge 2 names the deleted -> deleted prior, but runs from row 2 "
+         r"\(added\) to row 1 \(deleted\)$"),
     ], ids=["src-high", "src-negative", "src-2d", "dst-high", "dst-negative", "mu_idx-high",
             "mu_idx-negative", "edge-count", "n-negative", "n-bool", "n-float",
             "node_ids-repeated", "node_ids-short", "node_ids-high", "node_counts-length",
             "node_counts-negative", "node_counts-bool", "node_counts-float",
             "node_counts-not-a-list", "node_counts-none", "node_counts-bool-array",
-            "node_counts-sum", "mu_idx-edge-kind-order", "line_mapping-into-a-deleted-line"])
+            "node_counts-sum", "mu_idx-edge-kind-order", "line_mapping-into-a-deleted-line",
+            "prior-kinds-of-no-row", "prior-source-kind", "prior-target-kind",
+            "prior-source-kind-of-the-last-edge"])
     def test_a_bad_array_is_named_when_the_plan_is_made(self, changes, message):
         with pytest.raises(ValueError, match="^" + message):
             GraphPlan(**plan_arrays(**changes))
@@ -698,13 +703,6 @@ class TestPlanChecksItsArraysOnce:
         with pytest.raises(ValueError, match=r"^take_rows: index must be a CheckedIndex "
                                              r"of \[0, 2\)$"):
             ad.take_rows(None, constant(np.ones((2, 2))), plan.src)
-
-    def test_edge_rows_of_an_edgeless_plan_raise(self):
-        plan = build_plan(CommitGraph(commit_id="bare", nodes=(LineNode(0, NodeKind.DELETED),),
-                                      edges=()))
-        params = layer_params(4, 2, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="^block_matmul: .* with 0 groups$"):
-            _edge_rows(None, plan, constant(np.ones((1, 4))), params, "layer0.attn.w_att", 2)
 
     def test_a_pickled_plan_is_checked_again(self):
         plan = GraphPlan(**plan_arrays())

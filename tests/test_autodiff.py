@@ -20,8 +20,11 @@ from rootrank.network import Mode, ModelConfig, init_network_params, named_tenso
 from rootrank.ranker import TrainedModel, build_pairs, commit_loss, rank_commit
 from rootrank.synthetic import GenConfig, generate
 
+from rootrank.aggregation import attention_forward, build_plan
+from rootrank.graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind
+
 from naive_reference import (
-    composed_attend,
+    composed_attention_layer,
     composed_gru,
     composed_pair_loss,
     gru_tensors,
@@ -31,7 +34,6 @@ from naive_reference import (
     naive_backward,
     naive_scatter,
     naive_segment_softmax,
-    naive_typed_rows,
     reduce_sum,
     random_graph,
     scalar_mul,
@@ -414,34 +416,6 @@ class TestPerOpGradients:
         w = self._rand(3)
         check_op(lambda tape, _: scalarize(tape, ad.matmul(tape, a, b), w), [a, b])
 
-    @pytest.mark.parametrize("heads", [1, 2, 8])
-    @pytest.mark.parametrize("k,m", [(3, 3), (3, 1), (1, 3)])
-    def test_block_matmul(self, heads, k, m):
-        # (d, d) edge maps, (d, 1) per-head sums, (1, d) per-head expansion
-        a = Tensor(self._rand(4, heads * k), requires_grad=True)
-        w = Tensor(self._rand(heads * k, m), requires_grad=True)
-        weights = self._rand(4, heads * m)
-        check_op(lambda tape, _: scalarize(tape, ad.block_matmul(tape, a, [(slice(0, 4), w)], heads),
-                                           weights),
-                 [a, w])
-
-    @pytest.mark.parametrize("heads", [1, 2, 8])
-    @pytest.mark.parametrize("biased", [False, True])
-    def test_grouped_block_matmul(self, heads, biased):
-        # runs of rows that tile them in order; one group holds a single row
-        k, m = 2, 3
-        a = Tensor(self._rand(6, heads * k), requires_grad=True)
-        rows = [slice(0, 3), slice(3, 4), slice(4, 6)]
-        ws = [Tensor(self._rand(heads * k, m), requires_grad=True) for _ in rows]
-        bs = [Tensor(self._rand(heads * m), requires_grad=True) for _ in rows]
-        groups = [(r, w, b) if biased else (r, w) for r, w, b in zip(rows, ws, bs)]
-        weights = self._rand(6, heads * m)
-
-        def build(tape, _):
-            return scalarize(tape, ad.block_matmul(tape, a, groups, heads), weights)
-
-        check_op(build, [a, *ws, *(bs if biased else [])])
-
     def test_add_same_shape(self):
         a = Tensor(self._rand(3, 4), requires_grad=True)
         b = Tensor(self._rand(3, 4), requires_grad=True)
@@ -582,115 +556,6 @@ class TestSoftmaxProperties:
         p = segment_softmax(None, constant(x), np.array([0, 0, 1, 1]), 2).data
         alone = segment_softmax(None, constant(x[:2]), np.array([0, 0]), 1).data
         np.testing.assert_array_equal(p[:2], alone)
-
-
-def block_diagonal_of(w, heads):
-    """Dense (H*k, H*m) matrix with the row blocks of ``w`` on its diagonal."""
-    k, m = w.shape[0] // heads, w.shape[1]
-    dense = np.zeros((heads * k, heads * m))
-    for i in range(heads):
-        dense[i * k:(i + 1) * k, i * m:(i + 1) * m] = w[i * k:(i + 1) * k]
-    return dense
-
-
-class TestBlockMatmul:
-    def test_record_holds_row_indices_not_row_copies(self):
-        # the record keeps a and each group's slice; a copy of a's rows per group would add
-        # a.data.nbytes more
-        rng = np.random.default_rng(8)
-        a = Tensor(rng.normal(size=(4000, 16)), requires_grad=True)
-        groups = [(slice(0, 1500), Tensor(rng.normal(size=(16, 2)), requires_grad=True)),
-                  (slice(1500, 4000), Tensor(rng.normal(size=(16, 2)), requires_grad=True))]
-        tape = Tape()
-        with traced_allocations():
-            base = tracemalloc.get_traced_memory()[0]
-            out = ad.block_matmul(tape, a, groups, 4)
-            held = tracemalloc.get_traced_memory()[0] - base
-        limit = out.data.nbytes + a.data.nbytes // 4
-        assert held < limit, f"the record holds {held} bytes, over {limit}"
-        weights = rng.normal(size=out.shape)
-        grads = backward(tape, scalarize(tape, out, weights))
-        for rows, w in groups:
-            r = rows.stop - rows.start
-            x = a.data[rows].reshape(r, 4, 4).transpose(1, 2, 0)        # (H, k, r)
-            gh = weights[rows].reshape(r, 4, 2).transpose(1, 0, 2)     # (H, r, m)
-            assert np.array_equal(grads[w], np.matmul(x, gh).reshape(16, 2))
-
-    @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(1, 5), heads=st.integers(1, 4), k=st.integers(1, 4),
-           m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-    def test_equals_dense_block_diagonal_product(self, n, heads, k, m, seed):
-        rng = np.random.default_rng(seed)
-        a = Tensor(rng.uniform(-2, 2, size=(n, heads * k)), requires_grad=True)
-        w = Tensor(rng.uniform(-2, 2, size=(heads * k, m)), requires_grad=True)
-        g = rng.uniform(-2, 2, size=(n, heads * m))
-        dense = block_diagonal_of(w.data, heads)
-
-        tape = Tape()
-        out = ad.block_matmul(tape, a, [(slice(0, n), w)], heads)
-        np.testing.assert_allclose(out.data, a.data @ dense, rtol=0, atol=1e-12)
-        grads = backward(tape, scalarize(tape, out, g))
-        np.testing.assert_allclose(grads[a], g @ dense.T, rtol=0, atol=1e-12)
-        in_block = block_diagonal_of(np.ones(w.shape), heads) == 1.0
-        np.testing.assert_allclose(block_diagonal_of(grads[w], heads),
-                                   np.where(in_block, a.data.T @ g, 0.0), rtol=0, atol=1e-12)
-
-    @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(0, 7), heads=st.integers(1, 4), k=st.integers(1, 3),
-           m=st.integers(1, 3), n_groups=st.integers(1, 4), biased=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    def test_groups_equal_masked_per_kind_sum(self, n, heads, k, m, n_groups, biased, seed):
-        rng = np.random.default_rng(seed)
-        # the rows cut into n_groups runs, in order; every run that holds a row is listed
-        ends = [0, *np.sort(rng.integers(0, n + 1, size=n_groups - 1)).tolist(), n]
-        members = {i: slice(start, stop) for i, (start, stop) in enumerate(zip(ends, ends[1:]))
-                   if stop > start}
-        listed = list(members)
-        a = Tensor(rng.uniform(-2, 2, size=(n, heads * k)), requires_grad=True)
-        ws = [Tensor(rng.uniform(-2, 2, size=(heads * k, m)), requires_grad=True) for _ in listed]
-        bs = [Tensor(rng.uniform(-2, 2, size=heads * m), requires_grad=True) for _ in listed]
-        groups = [(members[i], w, b) if biased else (members[i], w)
-                  for i, w, b in zip(listed, ws, bs)]
-        g = rng.uniform(-2, 2, size=(n, heads * m))
-        if not groups:      # no rows, so no run
-            with pytest.raises(ValueError, match="^block_matmul: .* with 0 groups$"):
-                ad.block_matmul(None, a, groups, heads)
-            return
-
-        def run(f):
-            tape = Tape()
-            out = f(tape)
-            grads = backward(tape, scalarize(tape, out, g))
-            return out.data, [grads[t] for t in (a, *ws, *bs)]
-
-        out, grads = run(lambda tape: ad.block_matmul(tape, a, groups, heads))
-        want, want_grads = run(lambda tape: naive_typed_rows(tape, a, groups, heads))
-        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
-        for got, expected in zip(grads, want_grads):
-            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-
-    def test_shape_checks(self):
-        with pytest.raises(ValueError, match="block_matmul"):
-            ad.block_matmul(None, constant(np.zeros((2, 4))),
-                            [(slice(0, 2), constant(np.zeros((3, 1))))], 2)
-        with pytest.raises(ValueError, match="block_matmul"):
-            ad.block_matmul(None, constant(np.zeros((2, 3))),
-                            [(slice(0, 2), constant(np.zeros((3, 1))))], 2)
-        with pytest.raises(ValueError, match="block_matmul"):
-            ad.block_matmul(None, constant(np.zeros(4)), [(slice(0, 4), constant(np.zeros((4, 1))))], 2)
-
-    def test_group_checks(self):
-        a = constant(np.zeros((3, 4)))
-        w = constant(np.zeros((4, 1)))
-        with pytest.raises(ValueError, match="block_matmul"):
-            ad.block_matmul(None, a, [], 2)
-        with pytest.raises(ValueError, match="block_matmul"):
-            ad.block_matmul(None, a, [(slice(0, 3), w, constant(np.zeros(3)))], 2)
-        wide = constant(np.zeros((4, 2)))
-        with pytest.raises(ValueError, match="block_matmul"):
-            ad.block_matmul(None, a, [(slice(0, 2), w), (slice(2, 3), wide)], 2)
-        out = ad.block_matmul(None, a, [(slice(0, 2), w), (slice(2, 3), w)], 2)
-        assert out.shape == (3, 2)
 
 
 def gru_weights(p):
@@ -836,107 +701,211 @@ class TestGru:
 
 
 @st.composite
-def attend_cases(draw):
-    """Edges into n targets with 0-3 incoming edges each, so isolated and
-    single-edge targets occur, and logits shifted by -1000, 0 or +1000."""
-    degrees = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
-    heads = draw(st.integers(1, 3))
-    d = draw(st.integers(1, 3))
-    seed = draw(st.integers(0, 2**32 - 1))
-    shift = draw(st.sampled_from([-1e3, 0.0, 1e3]))
-    rng = np.random.default_rng(seed)
-    dst = np.repeat(np.arange(len(degrees)), degrees)
-    e, dim = len(dst), heads * d
-    keys = rng.uniform(-2, 2, size=(e, dim))
-    queries = rng.uniform(-2, 2, size=(e, dim))
-    # column 0 of each head adds shift * sqrt(d) to every key-query sum
-    keys[:, ::d] += shift * math.sqrt(d)
-    queries[:, ::d] = 1.0
-    mu = rng.uniform(0.5, 1.5, size=(5, 1))
-    return (keys, queries, mu, rng.uniform(-2, 2, size=(e, dim)),
-            ad.checked_index(rng.integers(0, 5, size=e), 5), ad.checked_index(dst, len(degrees)),
-            len(degrees), heads, rng.uniform(-2, 2, size=(len(degrees), dim)))
+def layer_cases(draw):
+    """A layer's inputs on a random commit: heads 1 or 8 (dim 8), with or without the scored
+    block's targets, some node or edge kinds absent, the layer's input read again after the
+    layer (as the next gate reads it) or not, requiring grad or not, priors of scale 1 or 300."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    heads = draw(st.sampled_from([1, 8]))
+    node_kinds = draw(st.sampled_from([[NodeKind.DELETED, NodeKind.ADDED], [NodeKind.DELETED],
+                                       [NodeKind.ADDED]]))
+    edge_kinds = draw(st.lists(st.sampled_from(list(EdgeKind)[:4]), min_size=1, max_size=4,
+                               unique=True))
+    n = draw(st.integers(1, 8))
+    kinds = [node_kinds[int(rng.integers(len(node_kinds)))] for _ in range(n)]
+    nodes = tuple(LineNode(i, kind, text=f"line {i}", is_root_cause=False)
+                  for i, kind in enumerate(kinds))
+    edges = []
+    for s in range(n):
+        for t in range(n):
+            if s != t and rng.random() < 0.5:
+                mapped = (kinds[s], kinds[t]) == (NodeKind.DELETED, NodeKind.ADDED)
+                kind = (EdgeKind.LINE_MAPPING if mapped and rng.random() < 0.3
+                        else edge_kinds[int(rng.integers(len(edge_kinds)))])
+                edges.append(DepEdge(s, t, kind))
+    plan = build_plan(CommitGraph(commit_id="layer", nodes=nodes, edges=tuple(edges)))
+    params = layer_params(8, heads, rng)
+    params["layer0.attn.mu"].data *= draw(st.sampled_from([1.0, 300.0]))
+    h = Tensor(rng.normal(size=(n, 8)), requires_grad=draw(st.booleans()))
+    return (plan, params, h, heads, draw(st.booleans()), draw(st.booleans()),
+            rng.normal(size=(n, 8)), rng.normal(size=(n, 8)))
 
 
-def attend_inputs(case):
-    keys, queries, mu, messages, mu_idx, dst, n, heads, g = case
-    leaves = [Tensor(x.copy(), requires_grad=True) for x in (keys, queries, mu, messages)]
-    return leaves, mu_idx, dst, n, heads, g
+def run_layer(layer, case):
+    """Output, tape length and the gradients of every leaf of one layer ``layer`` run on a
+    ``layer_cases`` case, through a loss that also reads the layer's input after it."""
+    plan, params, h, heads, scored, shared, g_out, g_in = case
+    tape = Tape()
+    targets = ad.take_rows(tape, h, slice(0, plan.scored.n)) if scored else None
+    before = len(tape)
+    out = layer(tape, h, plan, params, 0, heads, targets)
+    length = len(tape) - before
+    loss = scalarize(tape, out, g_out[:out.shape[0]])
+    if shared:      # recorded after the layer, so its gradient reaches h first, as the gate's does
+        again = h if targets is None else targets
+        loss = ad.add(tape, loss, scalarize(tape, again, g_in[:again.shape[0]]))
+    if not loss.requires_grad:
+        return out.data, length, []
+    grads = backward(tape, loss)
+    return out.data, length, [grads[t] for t in (h, *params.values())]
+
+
+def attend_case(rng, shared: bool):
+    """The fused op's inputs on a fixed graph: 5 sources in kind runs [0, 2) and [2, 5), 4
+    targets in runs [0, 1) and [1, 4) (or the sources themselves when ``shared``), and 7
+    edges in runs [0, 3) and [3, 7), into targets 0 (twice), 1 (once) and 2 (four times),
+    so target 3 has none; two heads of width 2."""
+    def leaf(*shape):
+        return Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
+
+    states = leaf(5, 4)
+    targets = states if shared else leaf(4, 4)
+    node_runs, target_runs = [slice(0, 2), slice(2, 5)], [slice(0, 1), slice(1, 4)]
+    if shared:
+        target_runs = node_runs
+    keys, values = ([(rows, leaf(4, 4), leaf(4)) for rows in node_runs] for _ in range(2))
+    queries = [(rows, leaf(4, 4), leaf(4)) for rows in target_runs]
+    att, msg = ([(rows, leaf(4, 2)) for rows in (slice(0, 3), slice(3, 7))] for _ in range(2))
+    mu = Tensor(rng.uniform(0.5, 1.5, size=(3, 1)), requires_grad=True)
+    indices = (ad.checked_index([0, 1, 4, 2, 3, 4, 0], 5),
+               ad.checked_index([1, 2, 2, 0, 2, 2, 0], len(targets.data)),
+               ad.checked_index([0, 2, 1, 1, 0, 2, 2], 3))
+    args = (states, targets, keys, queries, values, att, msg, mu, *indices, 2)
+    leaves = list(dict.fromkeys([states, targets, mu, *(t for groups in (keys, queries, values,
+                                                                          att, msg)
+                                                      for group in groups for t in group[1:])]))
+    return args, leaves
 
 
 class TestAttend:
-    """The fused attention core against the nine-op chain it replaced (``composed_attend``)."""
+    """The fused attention layer against the nine-op chain it replaced
+    (``composed_attention_layer``)."""
 
-    def test_gradcheck_every_input(self):
-        # targets 0 and 3 have no incoming edge, target 1 has one, target 2 four
-        rng = np.random.default_rng(31)
-        dst = ad.checked_index([1, 2, 2, 4, 2, 2, 4], 5)
-        leaves = [Tensor(rng.uniform(-2, 2, size=shape), requires_grad=True)
-                  for shape in ((7, 4), (7, 4), (3, 1), (7, 4))]
-        mu_idx = ad.checked_index([0, 2, 1, 1, 0, 2, 2], 3)
-        g = rng.uniform(-2, 2, size=(5, 4))
-        check_op(lambda tape, _: scalarize(tape, ad.attend(tape, *leaves, mu_idx, dst, 5, 2), g),
-                 leaves)
+    @pytest.mark.parametrize("shared", [False, True], ids=["own-targets", "targets-are-states"])
+    def test_gradcheck_every_input(self, shared):
+        args, leaves = attend_case(np.random.default_rng(31), shared)
+        g = np.random.default_rng(32).uniform(-2, 2, size=(len(args[1].data), 4))
+        check_op(lambda tape, _: scalarize(tape, ad.attend(tape, *args), g), leaves)
 
     @settings(max_examples=200, deadline=None)
-    @given(case=attend_cases())
-    def test_equals_composed_chain(self, case):
-        leaves, mu_idx, dst, n, heads, g = attend_inputs(case)
-
-        def run(op):
-            tape = Tape()
-            out = op(tape, *leaves, mu_idx, dst, n, heads)
-            grads = backward(tape, scalarize(tape, out, g))
-            return [out.data] + [grads[t] for t in leaves]
-
-        fused, composed = run(ad.attend), run(composed_attend)
-        for got, want in zip(fused, composed):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        isolated = np.setdiff1d(np.arange(n), dst)
-        assert not fused[0][isolated].any()
+    @given(case=layer_cases())
+    def test_equals_composed_layer_bit_for_bit(self, case):
+        (fused, fused_ops, fused_grads), (composed, composed_ops, composed_grads) = (
+            run_layer(layer, case) for layer in (attention_forward, composed_attention_layer))
+        assert np.array_equal(fused, composed)
+        assert len(fused_grads) == len(composed_grads)
+        for got, want in zip(fused_grads, composed_grads):
+            assert np.array_equal(got, want)
+        plan, scored = case[0], case[4]
+        block = plan.scored if scored else plan
+        if block.edge_rows:
+            assert (fused_ops, composed_ops) == (1, 9)
+            assert not fused[np.setdiff1d(np.arange(len(fused)), block.dst)].any()
 
     def test_one_tape_record(self):
-        leaves, mu_idx, dst, n, heads = self._inputs()
-        tape = Tape()
-        ad.attend(tape, *leaves, mu_idx, dst, n, heads)
-        assert len(tape) == 1
-        tape = Tape()
-        composed_attend(tape, *leaves, mu_idx, dst, n, heads)
-        assert len(tape) == 9
-
-    @staticmethod
-    def _inputs():
-        """Three edges into two targets, two heads of width 2, unit priors."""
-        rng = np.random.default_rng(32)
-        leaves = [Tensor(x, requires_grad=True) for x in (
-            rng.uniform(-1, 1, size=(3, 4)), rng.uniform(-1, 1, size=(3, 4)), np.ones((2, 1)),
-            rng.uniform(-1, 1, size=(3, 4)))]
-        return leaves, ad.checked_index([0, 0, 0], 2), ad.checked_index([0, 1, 0], 2), 2, 2
+        rng = np.random.default_rng(33)
+        g = random_graph(rng)
+        while not g.edges:
+            g = random_graph(rng)
+        plan, params = build_plan(g), layer_params(8, 2, rng)
+        h = Tensor(rng.normal(size=(plan.n, 8)), requires_grad=True)
+        lengths = []
+        for layer in (attention_forward, composed_attention_layer):
+            tape = Tape()
+            layer(tape, h, plan, params, 0, 2)
+            lengths.append(len(tape))
+        assert lengths == [1, 9]
 
     def test_overflowing_logits_are_named(self):
-        (keys, queries, mu, messages), mu_idx, dst, n, heads = self._inputs()
-        mu.data = np.full((2, 1), 1.7e308)
-        keys.data = np.full(keys.shape, 10.0)
-        queries.data = np.full(queries.shape, 10.0)
-        with np.errstate(over="ignore"):
+        args, _leaves = attend_case(np.random.default_rng(34), False)
+        args[7].data = np.full((3, 1), 1.7e308)                 # mu
+        for _rows, w, _b in args[2]:                             # the key projections
+            w.data = np.full(w.shape, 10.0)
+        with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match=r"^attend produced non-finite values in "
-                                                         r"its \(3, 2\) logits$"):
-                ad.attend(None, keys, queries, mu, messages, mu_idx, dst, n, heads)
-            with pytest.raises(FloatingPointError, match="^mul produced non-finite values"):
-                composed_attend(None, keys, queries, mu, messages, mu_idx, dst, n, heads)
+                                                         r"its \(7, 2\) logits$"):
+                ad.attend(None, *args)
+
+    @pytest.mark.parametrize("field", [2, 3])
+    def test_a_non_finite_key_or_query_projection_surfaces_at_the_logits(self, field):
+        args, _leaves = attend_case(np.random.default_rng(35), False)
+        args[field][0][2].data = np.full(4, np.inf)             # a bias of the first kind
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=r"^attend produced non-finite values in "
+                                                         r"its \(7, 2\) logits$"):
+                ad.attend(None, *args)
+
+    def test_a_non_finite_value_projection_surfaces_at_the_output(self):
+        args, _leaves = attend_case(np.random.default_rng(36), False)
+        args[4][1][2].data = np.full(4, np.inf)                 # sources 2-4 hold infinite values
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=r"^attend produced non-finite values in "
+                                                         r"its \(4, 4\) output$"):
+                ad.attend(None, *args)
 
     def test_shape_checks(self):
-        (keys, queries, mu, messages), mu_idx, dst, n, heads = self._inputs()
-        with pytest.raises(ValueError, match="^attend: unsupported shapes"):
-            ad.attend(None, keys, queries, mu, messages, mu_idx, dst, n, 3)
-        with pytest.raises(ValueError, match="^attend: unsupported shapes"):
-            ad.attend(None, keys, constant(queries.data[:2]), mu, messages, mu_idx, dst, n, heads)
-        with pytest.raises(ValueError, match="^attend: unsupported shapes"):
-            ad.attend(None, keys, queries, constant(np.ones(2)), messages, mu_idx, dst, n, heads)
-        with pytest.raises(ValueError, match="one prior row and one target per edge"):
-            ad.attend(None, keys, queries, mu, messages, ad.checked_index([0, 0], 2), dst, n, heads)
-        with pytest.raises(ValueError, match=r"^indices must lie in \[0, 2\)"):
-            ad.checked_index(dst + 1, n)
+        args, _leaves = attend_case(np.random.default_rng(37), False)
+        states, targets, keys, queries, values, att, msg, mu, src, dst, mu_idx, heads = args
+
+        def call(**changes):
+            named = dict(states=states, targets=targets, keys=keys, queries=queries, values=values,
+                         att=att, msg=msg, mu=mu, src=src, dst=dst, mu_idx=mu_idx, heads=heads)
+            return ad.attend(None, **{**named, **changes})
+
+        call()
+        for changes in (dict(heads=3), dict(targets=constant(np.zeros((4, 2)))),
+                        dict(states=constant(np.zeros(5))), dict(mu=constant(np.ones(3)))):
+            with pytest.raises(ValueError, match="^attend: unsupported shapes"):
+                call(**changes)
+        with pytest.raises(ValueError, match="^attend: need one target and one prior row per "
+                                             "edge: 7 and 2 for 7 edges$"):
+            call(mu_idx=ad.checked_index([0, 0], 3))
+        wide = [(rows, constant(np.zeros((4, 3)))) for rows, _w in att]
+        with pytest.raises(ValueError, match=r"^attend: att groups need w of shape \(4, 2\) and "
+                                             r"no b, got \[\(4, 3\)\]$"):
+            call(att=wide)
+        with pytest.raises(ValueError, match=r"^attend: keys groups need w of shape \(4, 4\) and "
+                                             r"b of shape \(4,\), got \[\(4, 4\)\]$"):
+            call(keys=[(rows, w) for rows, w, _b in keys])
+        with pytest.raises(ValueError, match=r"^attend: msg groups need w of shape \(4, 2\) and "
+                                             r"no b, got \[\(4, 2\), \(2,\)\]$"):
+            call(msg=[(rows, w, constant(np.zeros(2))) for rows, w in msg])
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param([slice(0, 1), slice(1, 5)], id="two-runs"),
+        pytest.param([slice(0, 5)], id="one-run"),
+        pytest.param([slice(0, 1), slice(1, 2), slice(2, 3), slice(3, 4), slice(4, 5)],
+                     id="single-rows"),
+    ])
+    def test_runs_that_tile_the_rows_in_order_are_taken(self, rows):
+        args, _leaves = attend_case(np.random.default_rng(38), False)
+        whole = [(slice(0, 5), *args[2][0][1:])]
+        split = [(r, *args[2][0][1:]) for r in rows]
+        assert np.array_equal(ad.attend(None, *args[:2], split, *args[3:]).data,
+                              ad.attend(None, *args[:2], whole, *args[3:]).data)
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param([slice(0, 2), slice(1, 5)], id="overlap"),
+        pytest.param([slice(0, 1), slice(2, 5)], id="gap"),
+        pytest.param([slice(2, 5), slice(0, 2)], id="out-of-order"),
+        pytest.param([slice(0, 0), slice(0, 5)], id="empty"),
+        pytest.param([slice(0, 2), slice(2, 2), slice(2, 5)], id="empty-inside"),
+        pytest.param([slice(0, 4)], id="short"),
+        pytest.param([], id="none"),
+        pytest.param([slice(0, 2), slice(2, 6)], id="past-the-end"),
+        pytest.param([slice(0, 2), slice(0, 2)], id="repeated"),
+        pytest.param([slice(None, 2), slice(2, 5)], id="open-start"),
+        pytest.param([slice(0, 2), slice(2, None)], id="open-stop"),
+        pytest.param([slice(0, 5, 1)], id="step"),
+        pytest.param([slice(0, 2), slice(2.0, 5.0)], id="float-bounds"),
+        pytest.param([np.arange(5)], id="array"),
+    ])
+    def test_groups_that_do_not_tile_the_rows_in_order_are_rejected(self, rows):
+        args, _leaves = attend_case(np.random.default_rng(39), False)
+        groups = [(r, *args[4][0][1:]) for r in rows]
+        with pytest.raises(ValueError, match=r"^attend: values groups must be non-empty runs of "
+                                             r"rows, as slices, that tile \[0, 5\) in order"):
+            ad.attend(None, *args[:4], groups, *args[5:])
 
 
 @st.composite
@@ -1192,9 +1161,9 @@ class TestOpSetIsClosed:
         assert ops, "no tape ops found"
         assert ops <= called, f"tape ops without a caller in src: {sorted(ops - called)}"
 
-    def test_op_set_is_exactly_the_nine(self):
-        assert self.public_ops() == {"matmul", "block_matmul", "add", "relu", "layer_norm", "gru", "take_rows",
-                       "attend", "pair_loss"}
+    def test_op_set_is_exactly_the_eight(self):
+        assert self.public_ops() == {"matmul", "add", "relu", "layer_norm", "gru", "take_rows",
+                                     "attend", "pair_loss"}
 
     def test_scatters_only_in_the_1d_helper(self):
         # ufunc.at is fast only on 1-D operands, so every scatter goes
@@ -1223,22 +1192,28 @@ class TestOpSetIsClosed:
 def index_calls():
     """Per index argument of each op that indexes: (its checked index, a call of the op with
     ``index`` in its place and valid other inputs, the message that rejects any other index)."""
-    x, keys, mu = constant(np.ones((4, 2))), constant(np.ones((3, 2))), constant(np.ones((2, 1)))
-    mu_idx, dst = ad.checked_index([0, 1, 1], 2), ad.checked_index([0, 2, 2], 4)
+    x, mu = constant(np.ones((4, 2))), constant(np.ones((2, 1)))
+    src, mu_idx = ad.checked_index([1, 3, 0], 4), ad.checked_index([0, 1, 1], 2)
+    dst = ad.checked_index([0, 2, 2], 4)
+    typed = [(slice(0, 4), constant(np.eye(2)), constant(np.zeros(2)))]
+    maps = [(slice(0, 3), constant(np.eye(2)))]
     scores, labels = constant([0.0, 1.0, 2.0]), np.ones(2)
     pair_i, pair_j = ad.checked_index([0, 1], 3), ad.checked_index([2, 2], 3)
 
     def rejects(op, name, bound):
         return rf"^{op}: {name} must be a CheckedIndex of \[0, {bound}\)$"
 
+    def attend(**index):
+        indices = {**dict(src=src, dst=dst, mu_idx=mu_idx), **index}
+        return ad.attend(None, x, x, typed, typed, typed, maps, maps, mu, heads=1, **indices)
+
     return {
         "take_rows-index": (dst, lambda index: ad.take_rows(None, x, index),
                             rejects("take_rows", "index", 4)),
-        "attend-mu_idx": (mu_idx, lambda index: ad.attend(None, keys, keys, mu, keys, index, dst,
-                                                          4, 1),
+        "attend-src": (src, lambda index: attend(src=index), rejects("attend", "src", 4)),
+        "attend-dst": (dst, lambda index: attend(dst=index), rejects("attend", "dst", 4)),
+        "attend-mu_idx": (mu_idx, lambda index: attend(mu_idx=index),
                           rejects("attend", "mu_idx", 2)),
-        "attend-dst": (dst, lambda index: ad.attend(None, keys, keys, mu, keys, mu_idx, index, 4, 1),
-                       rejects("attend", "dst", 4)),
         "pair_loss-pair_i": (pair_i, lambda index: ad.pair_loss(None, scores, index, pair_j,
                                                                 labels, 1.0),
                              rejects("pair_loss", "pair_i", 3)),
@@ -1277,44 +1252,6 @@ class TestOneIndexPath:
         with pytest.raises(ValueError, match=message):
             call(derived)
 
-
-
-class TestBlockMatmulGroups:
-    """``block_matmul`` takes its groups as slices, checked by arithmetic to be non-empty runs
-    that tile the rows of its input in order."""
-
-    @pytest.mark.parametrize("rows", [
-        pytest.param([slice(0, 1), slice(1, 4)], id="two-runs"),
-        pytest.param([slice(0, 4)], id="one-run"),
-        pytest.param([slice(0, 1), slice(1, 2), slice(2, 3), slice(3, 4)], id="single-rows"),
-    ])
-    def test_runs_that_tile_the_rows_in_order_are_taken(self, rows):
-        a = constant(np.arange(12.0).reshape(4, 3))
-        w = constant(np.ones((3, 2)))
-        out = ad.block_matmul(None, a, [(r, w) for r in rows], 1).data
-        assert np.array_equal(out, a.data @ w.data)
-
-    @pytest.mark.parametrize("rows", [
-        pytest.param([slice(0, 2), slice(1, 4)], id="overlap"),
-        pytest.param([slice(0, 1), slice(2, 4)], id="gap"),
-        pytest.param([slice(2, 4), slice(0, 2)], id="out-of-order"),
-        pytest.param([slice(0, 0), slice(0, 4)], id="empty"),
-        pytest.param([slice(0, 2), slice(2, 2), slice(2, 4)], id="empty-inside"),
-        pytest.param([slice(0, 3)], id="short"),
-        pytest.param([slice(0, 2), slice(2, 5)], id="past-the-end"),
-        pytest.param([slice(0, 2), slice(0, 2)], id="repeated"),
-        pytest.param([slice(None, 2), slice(2, 4)], id="open-start"),
-        pytest.param([slice(0, 2), slice(2, None)], id="open-stop"),
-        pytest.param([slice(0, 4, 1)], id="step"),
-        pytest.param([slice(0, 2), slice(2.0, 4.0)], id="float-bounds"),
-        pytest.param([np.arange(4)], id="array"),
-    ])
-    def test_groups_that_do_not_tile_the_rows_in_order_are_rejected(self, rows):
-        a = constant(np.zeros((4, 2)))
-        w = constant(np.ones((2, 2)))
-        with pytest.raises(ValueError, match=r"^block_matmul: groups must be non-empty runs of "
-                                             r"rows, as slices, that tile \[0, 4\) in order"):
-            ad.block_matmul(None, a, [(r, w) for r in rows], 1)
 
 
 class TestCheckedIndices:

@@ -144,9 +144,11 @@ class TestUnionScoring:
         by_hand = np.concatenate([p.src + base for p, base in zip(plans, node_base)])
         with pytest.raises(ValueError, match=r"^take_rows: index must be a CheckedIndex"):
             ad.take_rows(None, constant(np.zeros((n, 2))), by_hand)
-        with pytest.raises(ValueError, match=r"^block_matmul: groups must be non-empty runs"):
-            ad.block_matmul(None, constant(np.zeros((n, 2))),
-                            [(np.arange(n), constant(np.ones((2, 1))))], 1)
+        x, mu = constant(np.zeros((n, 2))), constant(np.ones((MU_SIZE, 1)))
+        typed = [(np.arange(n), constant(np.eye(2)), constant(np.zeros(2)))]
+        with pytest.raises(ValueError, match=r"^attend: keys groups must be non-empty runs"):
+            ad.attend(None, x, x, typed, typed, typed, [], [], mu, union.src, union.dst,
+                      union.mu_idx, 1)
 
     @settings(max_examples=40, deadline=None)
     @given(embedded=commit_lists())

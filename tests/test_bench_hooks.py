@@ -68,7 +68,7 @@ def test_benchmark_smoke_run_is_correct(workload):
 
 def test_traced_smoke_run_counts_every_tape_op():
     """The tracer reads ``len(tape)`` after ``autodiff.backward`` has used the tape up, so the
-    length must still count every recorded op: 27 for a two-layer commit."""
+    length must still count every recorded op: 11 for a two-layer commit."""
     result = smoke_run(trace=1)
     assert result["correct"] is True, result
-    assert result["metrics"]["autodiff.tape_ops_per_commit"]["value"] == 27, result
+    assert result["metrics"]["autodiff.tape_ops_per_commit"]["value"] == 11, result

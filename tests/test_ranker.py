@@ -29,6 +29,7 @@ from rootrank.ranker import (
 from rootrank.synthetic import GenConfig, generate
 
 from naive_reference import (
+    composed_attention_layer,
     composed_gru,
     composed_pair_loss,
     naive_adam_step,
@@ -332,6 +333,23 @@ class TestTrain:
                                                     r"\(\d+(,|, 2)\) logits$"):
                 train(self._embedded(), cfg)
 
+    @pytest.mark.parametrize("branch, quantity", [("k", r"\(\d+, 2\) logits"),
+                                                  ("v", r"\(3, 8\) output")])
+    def test_a_non_finite_projection_is_named_by_attend(self, monkeypatch, branch, quantity):
+        # the layer's projections are not checked on their own: a non-finite key reaches the
+        # logits check, a non-finite value the output check
+        cfg = self._cfg()
+        params = init_network_params(cfg, np.random.default_rng(cfg.seed), random_scorer=True)
+        for kind in NodeKind:
+            params[f"layer0.attn.b_{branch}.{kind.value}"].data[...] = np.inf
+        monkeypatch.setattr(ranker, "init_network_params", lambda _cfg: params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match=rf"^non-finite loss at epoch 0, commit 'c\d': "
+                                                    rf"attend produced non-finite values in its "
+                                                    rf"{quantity}$"):
+                train(self._embedded(), cfg)
+
     def test_one_step_decreases_loss_on_same_commit(self):
         embedded = self._embedded(n_graphs=1)
         cfg = self._cfg(epochs=0, lr=1e-6)
@@ -452,11 +470,10 @@ class TestTapeSize:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_full_two_layer_commit_records_27_ops(self, seed):
-        # per layer 3 projections, 2 + 1 + 2 edge gathers and maps, attend and gru, and the
-        # last layer's gather of the deleted rows it updates; then norm, projection (3),
-        # scorer and pair_loss.  A last layer without an edge into a deleted line records
-        # only its gather and gru.
+    def test_full_two_layer_commit_records_11_ops(self, seed):
+        # per layer one attend and one gru, and the last layer's gather of the deleted rows it
+        # updates; then norm, projection (3), scorer and pair_loss.  A last layer without an
+        # edge into a deleted line records only its gather and gru.
         rng = np.random.default_rng(seed)
         g = random_graph(rng, max_nodes=8)
         while not build_plan(g).scored.edge_rows:
@@ -465,7 +482,19 @@ class TestTapeSize:
         params = init_network_params(cfg, np.random.default_rng(0))
         tape = Tape()
         commit_loss(tape, embed_graph(g, HashingEmbedder(4)), build_pairs(g), params, cfg)
-        assert len(tape) == 27
+        assert len(tape) == 11
+
+    def test_default_model_records_11_ops_per_commit(self):
+        # the count README gives: ModelConfig() defaults, full mode, on a synthetic commit
+        # whose deleted lines have incoming edges
+        g = generate(GenConfig(n_commits=1, seed=101)).graphs[0]
+        assert build_plan(g).scored.edge_rows
+        cfg = ModelConfig()
+        assert (cfg.mode, cfg.layers) == (Mode.FULL, 2)
+        tape = Tape()
+        commit_loss(tape, embed_graph(g, HashingEmbedder(cfg.dim)), build_pairs(g),
+                    init_network_params(cfg, np.random.default_rng(0)), cfg)
+        assert len(tape) == 11
 
 
 class TestFusedGate:
@@ -487,7 +516,7 @@ class TestFusedGate:
             commit_loss(tape, eg, pairs, params, cfg)
             lengths.append(len(tape))
         assert lengths[1] - lengths[0] == 2 * 22
-        assert lengths == [27, 27 + 2 * 22]
+        assert lengths == [11, 11 + 2 * 22]
 
     @pytest.mark.parametrize("mode", [Mode.FULL, Mode.RETENTION_ONLY])
     def test_training_matches_the_composed_chain(self, monkeypatch, mode):
@@ -505,6 +534,25 @@ class TestFusedGate:
             assert fused.training_log == composed.training_log
             for (name, a), (_n, b) in pairs:
                 assert np.array_equal(a.data, b.data), name
+
+
+class TestFusedAttention:
+    """The fused ``attend`` layer in place of the nine-op chain, through training: with three
+    layers the middle layer's input also feeds its gate, so it gets gradients from both."""
+
+    @pytest.mark.parametrize("layers, heads, mode", [(2, 2, Mode.FULL), (3, 1, Mode.FULL),
+                                                      (3, 8, Mode.AGGREGATION_ONLY)])
+    def test_training_with_the_composed_layer_is_bit_identical(self, monkeypatch, layers, heads,
+                                                               mode):
+        embedded = embed_dataset(generate(GenConfig(n_commits=4, seed=5)), HashingEmbedder(8))
+        cfg = ModelConfig(dim=8, heads=heads, layers=layers, proj_dim=4, epochs=2, lr=1e-3,
+                          mode=mode)
+        fused = train(embedded, cfg)
+        monkeypatch.setattr(network, "attention_forward", composed_attention_layer)
+        composed = train(embedded, cfg)
+        assert fused.training_log == composed.training_log
+        for (name, a), (_n, b) in zip(named_tensors(fused.params), named_tensors(composed.params)):
+            assert np.array_equal(a.data, b.data), name
 
 
 def composed_pair_loss_from_scores(tape, scores, pairs, cfg):
