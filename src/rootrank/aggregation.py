@@ -21,11 +21,12 @@ count of each node kind, so every plan array is O(n + E).  The plan is
 the one place a graph's indices are checked: its constructor checks
 every array once, by arithmetic, and keeps each as a read-only
 ``autodiff.CheckedIndex``, the only index the ops take, so no op checks
-an index again.  A plan numbers its rows kind-major: :func:`build_plan`
-stable-sorts the nodes by kind, so the deleted lines come first, and
-sorts the edges by kind, so every node kind's and every edge kind's rows
-are one run.  The plan holds the layout as counts, the way batched-graph
-libraries hold theirs as offsets, and derives each run as a slice once:
+an index again.  Every plan is laid out kind-major by one function,
+:func:`_kind_major`: it stable-sorts the nodes by kind, so the deleted
+lines come first, and sorts the edges by (kind, dst, src), so every node
+kind's and every edge kind's rows are one run.  The plan holds the
+layout as counts, the way batched-graph libraries hold theirs as
+offsets, and derives each run as a slice once:
 node runs from ``node_counts``, edge runs from the edge kind each prior
 row names.  ``node_ids`` maps each row back to its node id, so the
 initial vectors are permuted into plan order once and scores map back to
@@ -53,11 +54,11 @@ the block of a layer whose targets are all its nodes, so one attention
 code path serves both.
 
 Several commits score as one graph through :func:`union_plan`, their
-disjoint union in the way PyTorch Geometric batches graphs, laid out
-kind-major like any plan: the deleted lines of every commit first, in
-commit order, and each edge kind one run.  The union is a ``GraphPlan``
-like any other, checked once when it is made.  No edge joins two
-commits, so each node's attention and state see only its own commit.
+disjoint union in the way PyTorch Geometric batches graphs: their plans'
+rows, stacked in commit order, laid out by :func:`_kind_major` like any
+graph's, so a union's arrays are those of :func:`build_plan` of the
+stacked graph.  No edge joins two commits, so each node's attention and
+state see only its own commit.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def _named(name: str, check, *args):
 
 
 def _edge_kinds(mu_idx: np.ndarray) -> np.ndarray:
-    """The edge-kind ordinal of each edge, read from its prior row (see ``build_plan``)."""
+    """The edge-kind ordinal of each edge, read from its prior row (see ``_kind_major``)."""
     return np.asarray(mu_idx) // NUM_NODE_KINDS % NUM_EDGE_KINDS
 
 
@@ -247,65 +248,72 @@ def _scored_block(plan: GraphPlan, edge_kind: np.ndarray) -> ScoredBlock:
     )
 
 
-def build_plan(g: CommitGraph) -> GraphPlan:
-    kinds = np.array([node.kind.ordinal for node in g.nodes], dtype=np.intp)
-    node_ids = np.argsort(kinds, kind="stable")   # kind-major; node ids ascend within a kind
-    row = np.argsort(node_ids)                    # the plan row of each node id
-    node_kind = kinds[node_ids]
-    src, dst, edge_kind = np.array([(e.src, e.dst, e.kind.ordinal) for e in g.edges],
-                                   dtype=np.intp).reshape(-1, 3).T
+def _kind_major(node_kind: np.ndarray, ids: np.ndarray, src, dst,
+                edge_kind: np.ndarray) -> GraphPlan:
+    """The kind-major plan of the graph whose node i has kind ordinal ``node_kind[i]`` and
+    node id ``ids[i]``, and whose edge j runs from node ``src[j]`` to node ``dst[j]`` with
+    kind ordinal ``edge_kind[j]``.
+
+    The nodes are stable-sorted by kind into rows, the edges renumbered
+    into rows and sorted by (kind, dst, src), and each edge's prior row is
+    read from its kinds.  ``src`` and ``dst`` are checked to lie in [0, n)
+    before they are read, so a bad endpoint raises ValueError naming the
+    array.  Every plan is laid out here, and made by the one
+    :class:`GraphPlan` call in the package.
+    """
+    n = len(node_kind)
+    src, dst = _named("src", ad.checked_index, src, n), _named("dst", ad.checked_index, dst, n)
+    order = np.argsort(node_kind, kind="stable")    # input order within a kind
+    row = np.argsort(order)                         # the plan row of each node
+    kind = node_kind[order]
     src, dst = row[src], row[dst]
-    order = np.lexsort((src, dst, edge_kind))    # by kind, then dst, then src
-    src, dst, edge_kind = src[order], dst[order], edge_kind[order]
+    edges = np.lexsort((src, dst, edge_kind))       # by kind, then dst, then src
+    src, dst, edge_kind = src[edges], dst[edges], edge_kind[edges]
     return GraphPlan(
-        n=len(node_kind),
+        n=n,
         src=src,
         dst=dst,
-        mu_idx=(node_kind[src] * NUM_EDGE_KINDS + edge_kind) * NUM_NODE_KINDS + node_kind[dst],
-        node_counts=np.bincount(kinds, minlength=NUM_NODE_KINDS),
-        node_ids=node_ids,
+        mu_idx=(kind[src] * NUM_EDGE_KINDS + edge_kind) * NUM_NODE_KINDS + kind[dst],
+        node_counts=np.bincount(node_kind, minlength=NUM_NODE_KINDS),
+        node_ids=ids[order],
     )
 
 
-def union_plan(plans: Sequence[GraphPlan]) -> GraphPlan:
-    """The plan of the disjoint union of ``plans``' graphs, kind-major like any plan.
+def build_plan(g: CommitGraph) -> GraphPlan:
+    """The kind-major plan of ``g``, whose rows are its node ids stable-sorted by kind."""
+    src, dst, edge_kind = np.array([(e.src, e.dst, e.kind.ordinal) for e in g.edges],
+                                   dtype=np.intp).reshape(-1, 3).T
+    return _kind_major(np.array([node.kind.ordinal for node in g.nodes], dtype=np.intp),
+                       np.arange(len(g.nodes)), src, dst, edge_kind)
 
-    The union's rows are the plans' rows stacked in list order and then
-    stable-sorted by kind, as :func:`build_plan` sorts a graph's nodes,
-    and so are its edges: each kind is one run of every plan's run of it,
-    in list order, the deleted lines of every plan come first, and each
-    plan's edges keep their order.  So each node kind's count is the sum
-    of the plans' counts, and the edges' kinds come from their stacked
-    ``mu_idx``.  ``node_ids`` gives each row's row in ``plans``' graphs
-    stacked in list order, so initial vectors stacked that way are
-    permuted into the union by it.  The result is made by the
-    :class:`GraphPlan` constructor, which checks its arrays once like any
-    plan's and derives its runs and scored block from them, so the block
-    is that of the union too.  A union of one plan is that plan.
+
+def union_plan(plans: Sequence[GraphPlan]) -> GraphPlan:
+    """The plan of the disjoint union of ``plans``' graphs: equal, array for array, to
+    :func:`build_plan` of their graphs stacked in list order.
+
+    The plans' rows are stacked in list order and laid out by
+    :func:`_kind_major`, with each row's kind read from its plan's
+    ``node_counts``, each edge's from its ``mu_idx``, and each row's node
+    id offset by the nodes of the plans before.  The stable sort keeps
+    each plan's rows, and every row's edges, in their relative order, so
+    the deleted lines of every plan come first, in list order.
+    ``node_ids`` gives each row's row in the graphs stacked in list order,
+    so initial vectors stacked that way are permuted into the union by it.
     """
-    if len(plans) == 1:
-        return plans[0]
     sizes = [p.n for p in plans]
     node_base = np.cumsum([0] + sizes[:-1])
+    edge_base = np.repeat(node_base, [len(p.src) for p in plans])
 
-    def stacked(field: str, base) -> np.ndarray:
+    def stacked(field: str, base=0) -> np.ndarray:
         return np.concatenate([getattr(p, field) for p in plans]) + base
 
-    # a stable sort keeps list order, and each plan's own order, within a kind
-    node_kind = np.repeat(np.tile(np.arange(NUM_NODE_KINDS), len(plans)),
-                          [count for p in plans for count in p.node_counts])
-    order = np.argsort(node_kind, kind="stable")
-    mu_idx = stacked("mu_idx", 0)
-    edge_order = np.argsort(_edge_kinds(mu_idx), kind="stable")
-    row = np.argsort(order)                 # the union row of each stacked row
-    edge_base = np.repeat(node_base, [len(p.src) for p in plans])
-    return GraphPlan(
-        n=len(order),
-        src=row[stacked("src", edge_base)[edge_order]],
-        dst=row[stacked("dst", edge_base)[edge_order]],
-        mu_idx=mu_idx[edge_order],
-        node_counts=[sum(counts) for counts in zip(*(p.node_counts for p in plans))],
-        node_ids=stacked("node_ids", np.repeat(node_base, sizes))[order],
+    return _kind_major(
+        np.repeat(np.tile(np.arange(NUM_NODE_KINDS), len(plans)),
+                  [count for p in plans for count in p.node_counts]),
+        stacked("node_ids", np.repeat(node_base, sizes)),
+        stacked("src", edge_base),
+        stacked("dst", edge_base),
+        _edge_kinds(stacked("mu_idx")),
     )
 
 

@@ -15,39 +15,32 @@ proceeds instead of peaking at the end of it.  ``len(tape)`` keeps
 counting the ops that were recorded.
 
 The op set holds what the model calls and nothing more, eight ops:
-matmul, add, relu, layer_norm, take_rows (gather by an integer index
-array or a run of rows), and three fused ops that each record a whole
-model stage with a closed-form backward: gru (the gated retention
-update), attend (one whole attention layer: its typed K, Q and V
-projections, the gathers at each edge's ends, the per-edge-kind head
-block maps, the prior-scaled logits, the softmax over each target's
-incoming edges and the scatter of weighted messages into the targets)
-and pair_loss (the RankNet pair cross-entropy).  Graph- and head-shaped
-work runs on integer index arrays, runs and reshapes, never on dense
-one-hot, block-diagonal or all-ones selector matrices.  All ops reject
-non-finite results.
+matmul, add, relu, layer_norm, take_rows (a run of rows, gathered as a
+view), and three fused ops that each record a whole model stage with a
+closed-form backward: gru (the gated retention update), attend (one
+whole attention layer: its typed K, Q and V projections, the gathers at
+each edge's ends, the per-edge-kind head block maps, the prior-scaled
+logits, the softmax over each target's incoming edges and the scatter
+of weighted messages into the targets) and pair_loss (the RankNet pair
+cross-entropy).  Graph- and head-shaped work runs on integer index
+arrays, runs and reshapes, never on dense one-hot, block-diagonal or
+all-ones selector matrices.  All ops reject non-finite results.
 
 Index checks run where an index array is made, never where it is used.
 :func:`checked_index` checks an array once and returns a read-only
 :class:`CheckedIndex` that remembers the length it was checked against;
 a graph's plan and ``ranker.build_pairs`` make their arrays this way.
-take_rows, attend and pair_loss take only a CheckedIndex of the length
-they index; any other array, even one derived from a CheckedIndex,
-raises ValueError naming the op and the argument.  A run of rows needs
-no array: it is a slice ``start:stop``, which costs two integers to
-check by arithmetic.  take_rows gathers a run as a view, and attend
-takes each typed transform's groups as runs that tile its rows in
-order (a plan's kind runs, derived from its counts), so each group's
-product is written straight into its rows of the result: there is no
-gather and no scatter.
-
-Every scatter (the backward of take_rows, the per-target reductions and
-gather gradients of attend and the scatters of pair_loss's backward)
-goes through :func:`_scatter`, which hands numpy's ``ufunc.at`` 1-D
-operands: a row scatter into an (n, c) array becomes an element scatter
-over the flattened array.  ``ufunc.at`` has a fast path only for 1-D
-operands, and the flattened form makes the same operations on each
-element in the same order, so results are bit-identical to the 2-D call.
+attend and pair_loss take only a CheckedIndex of the length they
+index; any other array, even one derived from a CheckedIndex, raises
+ValueError naming the op and the argument.  A run of rows needs no
+array: it is a slice ``start:stop``, which costs two integers to check
+by arithmetic.  take_rows gathers a run as a view, and attend takes
+each typed transform's groups as runs that tile its rows in order (a
+plan's kind runs, derived from its counts), so each group's product is
+written straight into its rows of the result: there is no gather and no
+scatter.  Every scatter (the per-target reductions and gather gradients
+of attend and pair_loss's backward) is a ``ufunc.at`` on 1-D operands,
+a row scatter running on its array's flat view (see :func:`_flat_index`).
 
 :func:`backward` stores an input's first gradient as the backward rule
 returned it and adds further contributions into an array it allocated
@@ -345,27 +338,15 @@ def gru(tape: Tape | None, x: Tensor, h: Tensor, weights: Sequence[Tensor]) -> T
 
 
 def _flat_index(idx: np.ndarray, c: int) -> np.ndarray:
-    """Element indices ``idx[r] * c + j`` of rows ``idx`` of a C-ordered (n, c) array, row-major."""
-    return (idx[:, None] * c + np.arange(c)).reshape(-1)
+    """Element indices ``idx[r] * c + j`` of rows ``idx`` of a C-ordered (n, c) array, row-major.
 
-
-def _scatter(ufunc: np.ufunc, out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-    """``ufunc.at(out, idx, values)`` on ``out``'s rows, through the 1-D fast path.
-
-    Row ``idx[r]`` of ``out`` takes row ``r`` of ``values``.  A 2-D
-    ``out`` is scattered as its flat view, at the element indices
-    :func:`_flat_index` lists, so each element sees the same operations
-    in the same order as the 2-D call.  ``out`` must be C-contiguous and
-    ``values`` of shape ``(len(idx),) + out.shape[1:]``.  A caller that
-    scatters several times along the same rows passes flat views and the
-    flat index instead, built once.
+    Every scatter is a ``ufunc.at`` on 1-D operands, because numpy's
+    ``ufunc.at`` has a fast path only for those: a row scatter into an
+    (n, c) array runs on its flat view at these indices, which makes the
+    same operations on each element in the same order as the 2-D call, so
+    the results are bit-identical to it.
     """
-    if out.ndim == 1:
-        ufunc.at(out, idx, values)
-        return
-    if not out.flags.c_contiguous:
-        raise ValueError("_scatter: out must be C-contiguous")
-    ufunc.at(out.reshape(-1), _flat_index(idx, out.shape[1]), values.reshape(-1))
+    return (idx[:, None] * c + np.arange(c)).reshape(-1)
 
 
 class CheckedIndex(np.ndarray):
@@ -394,10 +375,10 @@ def checked_index(index, bound: int) -> CheckedIndex:
 
 
 def _is_run(rows, n: int) -> bool:
-    """Whether ``rows`` is a run of [0, n): a slice ``start:stop`` with int bounds, no step
-    and 0 <= start <= stop <= n."""
-    return (type(rows) is slice and rows.step is None and isinstance(rows.start, int)
-            and isinstance(rows.stop, int) and 0 <= rows.start <= rows.stop <= n)
+    """Whether ``rows`` is a run of [0, n): a slice ``start:stop`` with int bounds (not bool),
+    no step and 0 <= start <= stop <= n."""
+    return (type(rows) is slice and type(rows.start) is type(rows.stop) is int
+            and rows.step is None and 0 <= rows.start <= rows.stop <= n)
 
 
 def _indices(index, bound: int) -> np.ndarray:
@@ -423,29 +404,17 @@ def _trusted(op: str, name: str, index, bound: int) -> np.ndarray:
     return index.view(np.ndarray)
 
 
-def take_rows(tape: Tape | None, a: Tensor, index: CheckedIndex | slice) -> Tensor:
-    """Gather ``a[index]``: rows of a matrix or entries of a vector.
-
-    ``index`` is a CheckedIndex of ``len(a)``, whose indices may repeat,
-    or a run of its rows, a slice ``start:stop`` with int bounds and
-    0 <= start <= stop <= len(a), checked here by arithmetic, which
-    gathers a view of ``a``'s rows.
-    """
+def take_rows(tape: Tape | None, a: Tensor, rows: slice) -> Tensor:
+    """Gather ``a[rows]``, a view of a run of ``a``'s rows: a slice ``start:stop`` with int
+    bounds, no step and 0 <= start <= stop <= len(a), checked here by arithmetic."""
     n = a.data.shape[0]
-    if type(index) is not slice:
-        idx = _trusted("take_rows", "index", index, n)
-    elif _is_run(index, n):
-        idx = index
-    else:
-        raise ValueError(f"take_rows: a slice index must be a run start:stop with int bounds, "
-                         f"no step and 0 <= start <= stop <= {n}, got {index}")
-    out = a.data[idx]
+    if not _is_run(rows, n):
+        raise ValueError(f"take_rows: rows must be a run start:stop with int bounds, no step "
+                         f"and 0 <= start <= stop <= {n}, got {rows}")
+    out = a.data[rows]
     def bwd(g):
         full = np.zeros(a.data.shape)
-        if type(idx) is slice:
-            full[idx] += g      # distinct rows: the one addition ufunc.at would make to each
-        else:
-            _scatter(np.add, full, idx, g)
+        full[rows] += g     # distinct rows: the one addition ufunc.at would make to each
         return (full,)
     return _make(tape, out, (a,), bwd)
 
@@ -467,8 +436,7 @@ def _typed_parts(name: str, groups: Sequence[tuple], n: int, heads: int, w_shape
     """
     parts, start = [], 0
     for rows, w, *bias in groups:
-        if not (type(rows) is slice and type(rows.start) is type(rows.stop) is int
-                and rows.step is None and rows.start == start and start < rows.stop <= n):
+        if not (_is_run(rows, n) and rows.start == start < rows.stop):
             start = -1
             break
         start = rows.stop
@@ -598,14 +566,14 @@ def attend(tape: Tape | None, states: Tensor, targets: Tensor, keys: Sequence[tu
 
     flat = _flat_index(ids, heads)      # shared by the three (n, H) scatters
     top = np.full((n, heads), -np.inf)
-    _scatter(np.maximum, top.reshape(-1), flat, logits.reshape(-1))
+    np.maximum.at(top.reshape(-1), flat, logits.reshape(-1))
     ex = np.exp(logits - top[ids])
     total = np.zeros((n, heads))
-    _scatter(np.add, total.reshape(-1), flat, ex.reshape(-1))
+    np.add.at(total.reshape(-1), flat, ex.reshape(-1))
     p = ex / total[ids]
     flat_dst = _flat_index(ids, dim)    # shared by the message scatter and the queries' gradient
     out = np.zeros((n, dim))
-    _scatter(np.add, out.reshape(-1), flat_dst, (v3 * p[:, :, None]).reshape(-1))
+    np.add.at(out.reshape(-1), flat_dst, (v3 * p[:, :, None]).reshape(-1))
 
     def bwd(g):
         # the chain's rules, one branch at a time, each dropping its edge-sized arrays as
@@ -615,17 +583,17 @@ def attend(tape: Tape | None, states: Tensor, targets: Tensor, keys: Sequence[tu
         d_p = (g3 * v3).sum(axis=2)
         del g3
         dot = np.zeros((n, heads))
-        _scatter(np.add, dot.reshape(-1), flat, (p * d_p).reshape(-1))
+        np.add.at(dot.reshape(-1), flat, (p * d_p).reshape(-1))
         d_scaled = p * (d_p - dot[ids]) * scale
         d_mu = np.zeros(mu.data.shape)
-        _scatter(np.add, d_mu.reshape(-1), prior_rows, (d_scaled * raw).sum(axis=1))
+        np.add.at(d_mu.reshape(-1), prior_rows, (d_scaled * raw).sum(axis=1))
         d_raw = (d_scaled * prior)[:, :, None]
         flat_src = _flat_index(src_rows, dim)     # shared by the keys' and values' gradients
 
         def into_rows(count, flat_rows, d_edges):
             """A gather's gradient: the (E, D) ``d_edges`` added into zeros for ``count`` rows."""
             full = np.zeros((count, dim))
-            _scatter(np.add, full.reshape(-1), flat_rows, d_edges.reshape(-1))
+            np.add.at(full.reshape(-1), flat_rows, d_edges.reshape(-1))
             return full
 
         d_src_v, msg_grads = _typed_grads(src_v, msg_parts, heads, d_msg, True)
@@ -655,7 +623,7 @@ def pair_loss(tape: Tape | None, scores: Tensor, pair_i: CheckedIndex, pair_j: C
     with log sigmoid(x) formed as min(x, 0) - log1p(exp(-|x|)): exact, and
     with a live gradient however confidently a pair is misranked.  One tape
     record with a closed-form backward.  Forward and gradient perform the
-    float operations of the same loss composed from take_rows, sub,
+    float operations of the same loss composed from two index gathers, sub,
     scalar_mul, log_sigmoid, mul, add and a sum, in the same order, so they
     are bit-identical to it.
     """
@@ -685,9 +653,9 @@ def pair_loss(tape: Tape | None, scores: Tensor, pair_i: CheckedIndex, pair_j: C
                + (g_pairs * y) * np.where(x >= 0, high, low))
         d_diff = d_x * c
         full_j = np.zeros(s.shape)
-        _scatter(np.add, full_j, rows_j, -d_diff)
+        np.add.at(full_j, rows_j, -d_diff)
         full_i = np.zeros(s.shape)
-        _scatter(np.add, full_i, rows_i, d_diff)
+        np.add.at(full_i, rows_i, d_diff)
         return (full_j + full_i,)
     return _make(tape, out, (scores,), bwd)
 

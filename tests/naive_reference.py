@@ -12,9 +12,10 @@ are the exception: they are the tape compositions the fused ``gru``,
 ``attend`` and ``pair_loss`` ops replaced, kept so their values and
 gradients can be checked against them.  The tape ops those compositions
 need and the model no longer calls live here as well: ``block_matmul``
-(one typed transform on each kind's rows), ``attend_core`` (the
-attention core the layer chain ended in) and the ``project_kqv`` and
-``edge_rows`` stages built on them.  ``naive_backward`` and
+(one typed transform on each kind's rows), ``gather`` (a gather by an
+index array, with ``flat_scatter`` for its backward), ``attend_core``
+(the attention core the layer chain ended in) and the ``project_kqv``
+and ``edge_rows`` stages built on them.  ``naive_backward`` and
 ``naive_checkpoint_text`` are likewise the earlier forms of
 ``autodiff.backward`` (which kept the whole tape and every gradient until
 it returned) and of ``network.save_checkpoint`` (which built the whole
@@ -28,6 +29,7 @@ longer calls them, so ``autodiff`` does not hold them.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -177,9 +179,48 @@ def assert_plan_matches_graphs(plan: GraphPlan, graphs: list[CommitGraph]) -> No
                                if block is plan or kinds[edge[1]] is NodeKind.DELETED)
 
 
+def assert_same_fields(got, want) -> None:
+    """Every field of ``got``, a plan or a scored block, equals ``want``'s, the scored block's
+    included: each index array a CheckedIndex of the same bound, dtype and entries, each run
+    dict in the same order."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert type(a) is type(b) is ad.CheckedIndex and a.bound == b.bound, f.name
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        elif isinstance(b, dict):
+            assert list(a.items()) == list(b.items()), f.name
+        elif f.name == "scored":
+            assert_same_fields(a, b)
+        else:
+            assert a == b, f.name
+
+
 def naive_scatter(ufunc: np.ufunc, out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
     """``ufunc.at`` on whole rows of ``out``: the row-scatter form, of any rank."""
     ufunc.at(out, idx, values)
+
+
+def flat_scatter(ufunc: np.ufunc, out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
+    """``ufunc.at`` on rows ``idx`` of a C-contiguous ``out``, as ``autodiff`` runs every
+    scatter: on 1-D operands, a 2-D ``out`` through its flat view (``autodiff._flat_index``)."""
+    if out.ndim == 1:
+        ufunc.at(out, idx, values)
+    else:
+        ufunc.at(out.reshape(-1), ad._flat_index(idx, out.shape[1]), values.reshape(-1))
+
+
+def gather(tape: Tape | None, a: Tensor, index: ad.CheckedIndex) -> Tensor:
+    """``a[index]``, rows of a matrix or entries of a vector, by a CheckedIndex of ``len(a)``
+    whose indices may repeat: the gather by index ``autodiff.take_rows`` made before it took
+    runs only, with the same forward and backward, bit for bit."""
+    idx = ad._trusted("gather", "index", index, a.data.shape[0])
+    out = a.data[idx]
+    def bwd(g):
+        full = np.zeros(a.data.shape)
+        flat_scatter(np.add, full, idx, g)
+        return (full,)
+    return ad._make(tape, out, (a,), bwd)
 
 
 def naive_segment_softmax(x: np.ndarray, ids: np.ndarray, num_segments: int, g: np.ndarray):
@@ -337,7 +378,7 @@ def naive_edge_rows(tape: Tape | None, plan: GraphPlan, states: Tensor, params: 
     for kind, rows in plan.edge_rows.items():
         w = params[f"{maps}.{kind.value}"]
         mapped = block_matmul_all_rows(tape, states, w, heads)
-        part = mul(tape, ad.take_rows(tape, mapped, plan.src), _mask(rows, len(plan.src)))
+        part = mul(tape, gather(tape, mapped, plan.src), _mask(rows, len(plan.src)))
         out = part if out is None else ad.add(tape, out, part)
     return out
 
@@ -478,7 +519,7 @@ def segment_sum(tape: Tape | None, a: Tensor, segment_ids: np.ndarray, num_segme
     """
     ids = _segment_ids(segment_ids, a.data.shape[0], num_segments)
     out = np.zeros((num_segments,) + a.data.shape[1:])
-    ad._scatter(np.add, out, ids, a.data)
+    flat_scatter(np.add, out, ids, a.data)
     def bwd(g):
         return (g[ids],)
     return ad._make(tape, out, (a,), bwd)
@@ -497,14 +538,14 @@ def segment_softmax(tape: Tape | None, a: Tensor, segment_ids: np.ndarray,
     ids = _segment_ids(segment_ids, x.shape[0], num_segments)
     flat = ad._flat_index(ids, x.shape[1])     # shared by all three scatters
     top = np.full((num_segments, x.shape[1]), -np.inf)
-    ad._scatter(np.maximum, top.reshape(-1), flat, x.reshape(-1))
+    flat_scatter(np.maximum, top.reshape(-1), flat, x.reshape(-1))
     e = np.exp(x - top[ids])
     total = np.zeros_like(top)
-    ad._scatter(np.add, total.reshape(-1), flat, e.reshape(-1))
+    flat_scatter(np.add, total.reshape(-1), flat, e.reshape(-1))
     p = e / total[ids]
     def bwd(g):
         dot = np.zeros_like(top)
-        ad._scatter(np.add, dot.reshape(-1), flat, (p * g).reshape(-1))
+        flat_scatter(np.add, dot.reshape(-1), flat, (p * g).reshape(-1))
         return (p * (g - dot[ids]),)
     return ad._make(tape, p, (a,), bwd)
 
@@ -558,7 +599,7 @@ def composed_logits(tape: Tape | None, keys: Tensor, queries: Tensor, mu: Tensor
     dim = keys.shape[1]
     head_sum = constant(np.ones((dim, 1)))
     raw = block_matmul_all_rows(tape, mul(tape, keys, queries), head_sum, heads)
-    prior = ad.take_rows(tape, mu, mu_idx)
+    prior = gather(tape, mu, mu_idx)
     return scalar_mul(tape, mul(tape, raw, prior), 1.0 / math.sqrt(dim / heads))
 
 
@@ -599,23 +640,23 @@ def attend_core(tape: Tape | None, keys: Tensor, queries: Tensor, mu: Tensor, me
     logits = ad._finite("attend_core", "logits", raw * prior * scale)
     flat = ad._flat_index(ids, heads)
     top = np.full((n, heads), -np.inf)
-    ad._scatter(np.maximum, top.reshape(-1), flat, logits.reshape(-1))
+    flat_scatter(np.maximum, top.reshape(-1), flat, logits.reshape(-1))
     ex = np.exp(logits - top[ids])
     total = np.zeros((n, heads))
-    ad._scatter(np.add, total.reshape(-1), flat, ex.reshape(-1))
+    flat_scatter(np.add, total.reshape(-1), flat, ex.reshape(-1))
     p = ex / total[ids]
     out = np.zeros((n, dim))
-    ad._scatter(np.add, out, ids, (v3 * p[:, :, None]).reshape(e, dim))
+    flat_scatter(np.add, out, ids, (v3 * p[:, :, None]).reshape(e, dim))
 
     def bwd(g):
         g3 = g[ids].reshape(e, heads, d)
         d_messages = (g3 * p[:, :, None]).reshape(e, dim)
         d_p = (g3 * v3).sum(axis=2)
         dot = np.zeros((n, heads))
-        ad._scatter(np.add, dot.reshape(-1), flat, (p * d_p).reshape(-1))
+        flat_scatter(np.add, dot.reshape(-1), flat, (p * d_p).reshape(-1))
         d_scaled = p * (d_p - dot[ids]) * scale
         d_mu = np.zeros(mu.data.shape)
-        ad._scatter(np.add, d_mu.reshape(-1), prior_rows, (d_scaled * raw).sum(axis=1))
+        flat_scatter(np.add, d_mu.reshape(-1), prior_rows, (d_scaled * raw).sum(axis=1))
         d_raw = (d_scaled * prior)[:, :, None]
         return (q3 * d_raw).reshape(e, dim), (k3 * d_raw).reshape(e, dim), d_mu, d_messages
     return ad._make(tape, out, (keys, queries, mu, messages), bwd)
@@ -647,7 +688,7 @@ def edge_rows(tape: Tape | None, block, states: Tensor, params: NetworkParams, m
               heads: int) -> Tensor:
     """Per edge of ``block`` (a plan or its scored block), the source state through the head
     blocks ``{maps}.{edge kind}``, shape (E, D): a gather, then one ``block_matmul``."""
-    sources = ad.take_rows(tape, states, block.src)
+    sources = gather(tape, states, block.src)
     groups = [(rows, params[f"{maps}.{kind.value}"]) for kind, rows in block.edge_rows.items()]
     return block_matmul(tape, sources, groups, heads)
 
@@ -664,7 +705,7 @@ def composed_attention_layer(tape: Tape | None, h_prev: Tensor, plan: GraphPlan,
     k, q, v = project_kqv(tape, h_prev, plan, params, layer, targets)
     p = f"layer{layer}.attn"
     keys = edge_rows(tape, block, k, params, f"{p}.w_att", heads)
-    queries = ad.take_rows(tape, q, block.dst)
+    queries = gather(tape, q, block.dst)
     messages = edge_rows(tape, block, v, params, f"{p}.w_msg", heads)
     return attend_core(tape, keys, queries, params[f"{p}.mu"], messages, block.mu_idx,
                        block.dst, block.n, heads)
@@ -679,7 +720,7 @@ def attention_logits(tape: Tape | None, plan: GraphPlan, kqv: tuple[Tensor, Tens
     """
     k, q, _v = kqv
     keys = edge_rows(tape, plan, k, params, f"layer{layer}.attn.w_att", heads)
-    queries = ad.take_rows(tape, q, plan.dst)
+    queries = gather(tape, q, plan.dst)
     return composed_logits(tape, keys, queries, params[f"layer{layer}.attn.mu"], plan.mu_idx,
                            heads)
 
@@ -714,7 +755,7 @@ def composed_attention(tape: Tape | None, h_prev: Tensor, plan: GraphPlan,
 def composed_pair_loss(tape: Tape | None, scores: Tensor, pair_i: ad.CheckedIndex,
                        pair_j: ad.CheckedIndex, labels: np.ndarray, sigma: float) -> Tensor:
     """``autodiff.pair_loss`` as the twelve tape ops it replaced."""
-    diff = sub(tape, ad.take_rows(tape, scores, pair_i), ad.take_rows(tape, scores, pair_j))
+    diff = sub(tape, gather(tape, scores, pair_i), gather(tape, scores, pair_j))
     logit = scalar_mul(tape, diff, sigma)
     pos = mul(tape, log_sigmoid(tape, logit), constant(labels))
     neg = mul(tape, log_sigmoid(tape, scalar_mul(tape, logit, -1.0)), constant(1.0 - labels))

@@ -14,11 +14,13 @@ from rootrank.graphs import CommitGraph, DepEdge, EdgeKind, LineNode, NodeKind
 
 from naive_reference import (
     assert_plan_matches_graphs,
+    assert_same_fields,
     attend_core,
     attention_logits,
     attention_weights,
     composed_attention,
     edge_messages,
+    gather,
     layer_params,
     mul,
     naive_attention_forward,
@@ -78,29 +80,17 @@ def plan_graphs(draw):
     )
 
 
-def assert_same_plan(plan, expected):
-    assert plan.n == expected.n
-    for name in ("src", "dst", "mu_idx", "node_ids"):
-        actual, wanted = getattr(plan, name), getattr(expected, name)
-        assert actual.dtype == wanted.dtype == np.intp, name
-        assert actual.shape == wanted.shape and np.array_equal(actual, wanted), name
-    assert plan.node_counts == expected.node_counts
-    for name in ("node_rows", "edge_rows"):
-        actual, wanted = getattr(plan, name), getattr(expected, name)
-        assert list(actual.items()) == list(wanted.items()), name
-
-
 class TestPlanAgainstSortedOracle:
     @settings(max_examples=300, deadline=None)
     @given(g=plan_graphs())
     def test_builders_agree(self, g):
-        assert_same_plan(build_plan(g), naive_build_plan(g))
+        assert_same_fields(build_plan(g), naive_build_plan(g))
 
     def test_no_edges_and_isolated_nodes(self):
         g = CommitGraph(commit_id="bare", nodes=(LineNode(0, NodeKind.ADDED),
                                                  LineNode(1, NodeKind.DELETED)), edges=())
         plan = build_plan(g)
-        assert_same_plan(plan, naive_build_plan(g))
+        assert_same_fields(plan, naive_build_plan(g))
         for arr in (plan.src, plan.dst, plan.mu_idx):
             assert arr.shape == (0,)
         assert plan.edge_rows == {}
@@ -115,12 +105,24 @@ class TestPlanAgainstSortedOracle:
                    DepEdge(1, 0, EdgeKind.DATA_DEPENDENCY)),
         )   # node 3 is isolated
         plan = build_plan(g)
-        assert_same_plan(plan, naive_build_plan(g))
+        assert_same_fields(plan, naive_build_plan(g))
         # kind-major rows: deleted nodes 0 and 2 are rows 0 and 1, added nodes 1 and 3 rows 2
         # and 3; edges in rows, by kind, then target, then source
         assert plan.node_ids.tolist() == [0, 2, 1, 3]
         assert plan.src.tolist() == [0, 1, 2, 0, 1]
         assert plan.dst.tolist() == [2, 2, 0, 2, 2]
+
+    @pytest.mark.parametrize("edge, message", [
+        (DepEdge(-1, 0, EdgeKind.CALL), r"GraphPlan src: indices must lie in \[0, 3\)$"),
+        (DepEdge(3, 0, EdgeKind.CALL), r"GraphPlan src: indices must lie in \[0, 3\)$"),
+        (DepEdge(0, 3, EdgeKind.CALL), r"GraphPlan dst: indices must lie in \[0, 3\)$"),
+    ], ids=["src-negative", "src-past-the-end", "dst-past-the-end"])
+    def test_an_endpoint_outside_the_graph_is_named_before_it_is_read(self, edge, message):
+        # -1 would name the last node and 3 none; only load_dataset validates graphs first
+        g = CommitGraph(commit_id="ends", nodes=tuple(LineNode(i, NodeKind.DELETED)
+                                                      for i in range(3)), edges=(edge,))
+        with pytest.raises(ValueError, match="^" + message):
+            build_plan(g)
 
 
 class TestGraphPlan:
@@ -476,7 +478,7 @@ def masked_attention_layer(tape, h, plan, params, heads):
     k, q, v = typed("k"), typed("q"), typed("v")
     keys = naive_edge_rows(tape, plan, k, params, f"{p}.w_att", heads)
     messages = naive_edge_rows(tape, plan, v, params, f"{p}.w_msg", heads)
-    return attend_core(tape, keys, ad.take_rows(tape, q, plan.dst), params[f"{p}.mu"], messages,
+    return attend_core(tape, keys, gather(tape, q, plan.dst), params[f"{p}.mu"], messages,
                        plan.mu_idx, plan.dst, plan.n, heads)
 
 
@@ -552,6 +554,16 @@ def plan_arrays(**changes):
                   node_counts=[2, 2], node_ids=[0, 1, 2, 3])
     arrays.update(changes)
     return arrays
+
+
+def attend_plan(states, plan, **indices):
+    """``autodiff.attend`` of ``states`` over ``plan``'s edges, one head, with identity maps
+    over one run of every row and edge; ``indices`` replace the plan's index arrays."""
+    typed = [(slice(0, 4), constant(np.eye(2)), constant(np.zeros(2)))]
+    maps = [(slice(0, 3), constant(np.eye(2)))]
+    arrays = {**dict(src=plan.src, dst=plan.dst, mu_idx=plan.mu_idx), **indices}
+    return ad.attend(None, states, constant(np.ones((4, 2))), typed, typed, typed, maps, maps,
+                     constant(np.ones((MU_SIZE, 1))), heads=1, **arrays)
 
 
 def counts_message(got):
@@ -690,19 +702,17 @@ class TestPlanChecksItsArraysOnce:
 
     def test_arrays_derived_from_a_plan_are_rejected(self):
         plan = GraphPlan(**plan_arrays())
-        x = constant(np.arange(8.0).reshape(4, 2))
         shifted, head = plan.src + 2, plan.src[:2]
         assert type(shifted) is CheckedIndex and shifted.bound is None and head.bound is None
-        assert ad.take_rows(None, x, plan.src).data.tolist() == [[0.0, 1.0], [2.0, 3.0],
-                                                                 [4.0, 5.0]]
+        assert attend_plan(constant(np.arange(8.0).reshape(4, 2)), plan).shape == (4, 2)
         for derived in (shifted, head, np.array(plan.src)):
-            with pytest.raises(ValueError, match=r"^take_rows: index must be a CheckedIndex "
+            with pytest.raises(ValueError, match=r"^attend: src must be a CheckedIndex "
                                                  r"of \[0, 4\)$"):
-                ad.take_rows(None, x, derived)
+                attend_plan(constant(np.ones((4, 2))), plan, src=derived)
         # checked against another length, an index is rejected too
-        with pytest.raises(ValueError, match=r"^take_rows: index must be a CheckedIndex "
+        with pytest.raises(ValueError, match=r"^attend: src must be a CheckedIndex "
                                              r"of \[0, 2\)$"):
-            ad.take_rows(None, constant(np.ones((2, 2))), plan.src)
+            attend_plan(constant(np.ones((2, 2))), plan)
 
     def test_a_pickled_plan_is_checked_again(self):
         plan = GraphPlan(**plan_arrays())
@@ -717,5 +727,5 @@ class TestPlanChecksItsArraysOnce:
         # a pickled index alone comes back unchecked, and no op takes it
         restored = pickle.loads(pickle.dumps(plan.src))
         assert restored.bound is None
-        with pytest.raises(ValueError, match="^take_rows: index must be a CheckedIndex"):
-            ad.take_rows(None, constant(np.ones((4, 2))), restored)
+        with pytest.raises(ValueError, match="^attend: src must be a CheckedIndex"):
+            attend_plan(constant(np.ones((4, 2))), plan, src=restored)

@@ -6,6 +6,7 @@ import math
 import pickle
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from naive_reference import (
     composed_attention_layer,
     composed_gru,
     composed_pair_loss,
+    gather,
     gru_tensors,
     layer_params,
     log_sigmoid,
@@ -89,11 +91,6 @@ class TestForwardExamples:
         bias = constant(np.full(4, 0.25))
         out = ad.layer_norm(None, constant(np.zeros((2, 4))), gain, bias)
         np.testing.assert_allclose(out.data, 0.25)
-
-    def test_take_rows_repeats_and_reorders(self):
-        a = constant([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        out = ad.take_rows(None, a, ad.checked_index([2, 0, 2], 3))
-        assert out.data.tolist() == [[5.0, 6.0], [1.0, 2.0], [5.0, 6.0]]
 
     def test_segment_sum_adds_rows_per_segment(self):
         a = constant([[1.0], [2.0], [4.0]])
@@ -355,19 +352,6 @@ class TestScatterAgainstRowOracle:
     @given(case=scatter_cases())
     @example(case=EMPTY_INDEX)
     @example(case=NEGATIVE_ZEROS)
-    def test_take_rows_backward(self, case):
-        segments, ids, _values, g, _shift = case
-        a = Tensor(np.ones((segments,) + g.shape[1:]), requires_grad=True)
-        tape = Tape()
-        loss = scalarize(tape, ad.take_rows(tape, a, ad.checked_index(ids, segments)), g)
-        expected = np.zeros(a.shape)
-        naive_scatter(np.add, expected, ids, g)
-        assert_same_bits(backward(tape, loss)[a], expected)
-
-    @settings(max_examples=300, deadline=None)
-    @given(case=scatter_cases())
-    @example(case=EMPTY_INDEX)
-    @example(case=NEGATIVE_ZEROS)
     def test_segment_sum(self, case):
         segments, ids, values, _g, _shift = case
         expected = np.zeros((segments,) + values.shape[1:])
@@ -389,11 +373,6 @@ class TestScatterAgainstRowOracle:
         expected_p, expected_dx = naive_segment_softmax(x.data, ids, segments, g)
         assert_same_bits(p.data, expected_p)
         assert_same_bits(grads[x], expected_dx)
-
-    def test_non_contiguous_output_rejected(self):
-        out = np.zeros((3, 2)).T
-        with pytest.raises(ValueError, match="C-contiguous"):
-            ad._scatter(np.add, out, np.array([0, 1]), np.ones((2, 3)))
 
 
 class TestPerOpGradients:
@@ -461,18 +440,6 @@ class TestPerOpGradients:
         a = Tensor(self._rand(4, 3), requires_grad=True)
         w = self._rand(4, 3)
         check_op(lambda tape, _: scalarize(tape, column_softmax(tape, a), w), [a])
-
-    def test_take_rows_with_repeated_indices(self):
-        a = Tensor(self._rand(4, 3), requires_grad=True)
-        idx = ad.checked_index([1, 3, 1, 1, 0], 4)
-        w = self._rand(5, 3)
-        check_op(lambda tape, _: scalarize(tape, ad.take_rows(tape, a, idx), w), [a])
-
-    def test_take_rows_of_a_vector(self):
-        a = Tensor(self._rand(4), requires_grad=True)
-        idx = ad.checked_index([2, 2, 0], 4)
-        w = self._rand(3)
-        check_op(lambda tape, _: scalarize(tape, ad.take_rows(tape, a, idx), w), [a])
 
     def test_segment_sum_with_empty_segments(self):
         # segments 0, 2 and 5 receive no rows
@@ -898,6 +865,7 @@ class TestAttend:
         pytest.param([slice(0, 2), slice(2, None)], id="open-stop"),
         pytest.param([slice(0, 5, 1)], id="step"),
         pytest.param([slice(0, 2), slice(2.0, 5.0)], id="float-bounds"),
+        pytest.param([slice(False, 2), slice(2, 5)], id="bool-bound"),
         pytest.param([np.arange(5)], id="array"),
     ])
     def test_groups_that_do_not_tile_the_rows_in_order_are_rejected(self, rows):
@@ -1090,11 +1058,6 @@ class TestNonIntegerIndices:
             ad.checked_index(index, 3)
 
     @pytest.mark.parametrize("index, dtype", NON_INTEGER_INDICES)
-    def test_take_rows(self, index, dtype):
-        with pytest.raises(ValueError, match=r"^take_rows: index must be a CheckedIndex of \[0, 3\)$"):
-            ad.take_rows(None, constant(np.zeros((3, 2))), index)
-
-    @pytest.mark.parametrize("index, dtype", NON_INTEGER_INDICES)
     @pytest.mark.parametrize("side", ["pair_i", "pair_j"])
     def test_pair_loss(self, index, dtype, side):
         both = ad.checked_index([2, 2], 3)
@@ -1105,9 +1068,7 @@ class TestNonIntegerIndices:
 
     def test_unsigned_and_empty_indices_are_accepted(self):
         assert ad.checked_index(np.array([2, 0], dtype=np.uint8), 3).tolist() == [2, 0]
-        empty_rows = ad.checked_index(np.asarray([]), 3)
-        assert empty_rows.shape == (0,)
-        assert ad.take_rows(None, constant(np.zeros((3, 2))), empty_rows).shape == (0, 2)
+        assert ad.checked_index(np.asarray([]), 3).shape == (0,)
         empty, no_pairs = np.asarray([]), ad.checked_index(np.asarray([]), 2)
         assert ad.pair_loss(None, constant([0.0, 1.0]), no_pairs, no_pairs, empty, 1.0).item() == 0.0
 
@@ -1165,28 +1126,47 @@ class TestOpSetIsClosed:
         assert self.public_ops() == {"matmul", "add", "relu", "layer_norm", "gru", "take_rows",
                                      "attend", "pair_loss"}
 
-    def test_scatters_only_in_the_1d_helper(self):
-        # ufunc.at is fast only on 1-D operands, so every scatter goes
-        # through autodiff._scatter, which flattens row scatters.
+    def test_every_scatter_runs_on_1d_operands(self):
+        # ufunc.at is fast only on 1-D operands, so autodiff runs each row scatter on its
+        # array's flat view, and no other module scatters
         package = Path(ad.__file__).parent
-        in_helper = 0
-        elsewhere = []
-        for path in sorted(package.glob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            helper = set()
-            if path.name == "autodiff.py":
-                for fn in tree.body:
-                    if isinstance(fn, ast.FunctionDef) and fn.name == "_scatter":
-                        helper = {id(node) for node in ast.walk(fn)}
-            for node in ast.walk(tree):
-                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "at"):
-                    if id(node) in helper:
-                        in_helper += 1
-                    else:
-                        elsewhere.append(f"{path.name}:{node.lineno}")
-        assert in_helper, "autodiff._scatter makes no ufunc.at call"
-        assert not elsewhere, f"ufunc.at calls outside autodiff._scatter: {elsewhere}"
+        elsewhere = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+                     if path.name != "autodiff.py"
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "at"]
+        assert not elsewhere, f"ufunc.at calls outside autodiff: {elsewhere}"
+        ranks = []
+
+        class Recorded:
+            """A ufunc whose ``at`` records the rank of each operand."""
+            def __init__(self, ufunc):
+                self.ufunc = ufunc
+
+            def __call__(self, *args, **kwargs):
+                return self.ufunc(*args, **kwargs)
+
+            def at(self, *operands):
+                ranks.append(tuple(np.ndim(x) for x in operands))
+                self.ufunc.at(*operands)
+
+        class Numpy:
+            add, maximum = Recorded(np.add), Recorded(np.maximum)
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        rng = np.random.default_rng(7)
+        g = random_graph(rng, max_nodes=8)
+        cfg = ModelConfig(dim=8, heads=2, layers=2, proj_dim=4)
+        model = TrainedModel(params=init_network_params(cfg, rng, random_scorer=True), cfg=cfg,
+                             training_log=[])
+        eg = EmbeddedGraph(graph=g, h0=rng.normal(size=(len(g.nodes), 8)))
+        with mock.patch.object(ad, "np", Numpy()):
+            tape = Tape()
+            backward(tape, commit_loss(tape, eg, build_pairs(g, True), model.params, cfg))
+            rank_commit(model, eg)
+        assert ranks and set(ranks) == {(1, 1, 1)}, ranks
 
 
 def index_calls():
@@ -1208,8 +1188,6 @@ def index_calls():
         return ad.attend(None, x, x, typed, typed, typed, maps, maps, mu, heads=1, **indices)
 
     return {
-        "take_rows-index": (dst, lambda index: ad.take_rows(None, x, index),
-                            rejects("take_rows", "index", 4)),
         "attend-src": (src, lambda index: attend(src=index), rejects("attend", "src", 4)),
         "attend-dst": (dst, lambda index: attend(dst=index), rejects("attend", "dst", 4)),
         "attend-mu_idx": (mu_idx, lambda index: attend(mu_idx=index),
@@ -1263,8 +1241,10 @@ class TestCheckedIndices:
         x = constant(np.ones((3, 2)))
         index = ad.checked_index([0, 3], 4)
         assert type(index) is CheckedIndex and index.bound == 4 and not index.flags.writeable
-        with pytest.raises(ValueError, match=r"^take_rows: index must be a CheckedIndex of \[0, 3\)$"):
-            ad.take_rows(None, x, index)
+        typed = [(slice(0, 3), constant(np.eye(2)), constant(np.zeros(2)))]
+        with pytest.raises(ValueError, match=r"^attend: src must be a CheckedIndex of \[0, 3\)$"):
+            ad.attend(None, x, x, typed, typed, typed, [], [], constant(np.ones((1, 1))), index,
+                      ad.checked_index([0, 1], 3), ad.checked_index([0, 0], 1), 1)
         with pytest.raises(ValueError, match=r"^pair_loss: pair_i must be a CheckedIndex of \[0, 3\)$"):
             ad.pair_loss(None, constant(np.ones(3)), index, index, np.ones(2), 1.0)
         with pytest.raises(ValueError, match=r"^indices must lie in \[0, 4\)$"):
@@ -1276,9 +1256,9 @@ class TestCheckedIndices:
         a = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
         g = np.array([[-0.0, 2.0], [3.0, -0.0]])
         runs = []
-        for index in (slice(1, 3), ad.checked_index([1, 2], 4)):
+        for take, index in ((ad.take_rows, slice(1, 3)), (gather, ad.checked_index([1, 2], 4))):
             tape = Tape()
-            picked = ad.take_rows(tape, a, index)
+            picked = take(tape, a, index)
             runs.append((picked.data, backward(tape, scalarize(tape, picked, g))[a]))
         for got, want in zip(*runs):
             assert_same_bits(got, want)
@@ -1295,10 +1275,13 @@ class TestCheckedIndices:
         pytest.param(slice(1, None), id="open-stop"),
         pytest.param(slice(0, 4, 1), id="step"),
         pytest.param(slice(0.0, 2.0), id="float-bounds"),
+        pytest.param(slice(False, 2), id="bool-start"),
+        pytest.param(slice(0, True), id="bool-stop"),
         pytest.param(slice(2, 5), id="past-the-end"),
         pytest.param(slice(-1, 2), id="negative-start"),
         pytest.param(slice(3, 1), id="start-after-stop"),
         pytest.param(ad.checked_index([0, 1, 2, 3], 4)[1:3], id="checked-index-view"),
+        pytest.param(ad.checked_index([1, 2], 4), id="checked-index"),
     ])
     def test_gathers_by_anything_but_a_run_within_the_rows_are_rejected(self, index):
         a = constant(np.zeros((4, 2)))

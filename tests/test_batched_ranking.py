@@ -5,6 +5,7 @@ Its scores agree with one-commit scoring to rounding and its rankings are
 equal; a batch of one commit is scored bit for bit as that commit alone.
 """
 
+import dataclasses
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from rootrank import autodiff as ad
 from rootrank import ranker
-from rootrank.aggregation import MU_SIZE, union_plan
+from rootrank.aggregation import MU_SIZE, build_plan, union_plan
 from rootrank.autodiff import CheckedIndex, constant
 from rootrank.embedding import EmbeddedGraph, HashingEmbedder, embed_dataset
 from rootrank.evaluation import CommitRanking, evaluate_model, evaluate_rankings, report_json
@@ -24,7 +25,7 @@ from rootrank.network import ModelConfig, init_network_params, load_checkpoint
 from rootrank.ranker import TrainedModel, rank_commit, rank_commits, train
 from rootrank.synthetic import GenConfig, generate
 
-from naive_reference import assert_plan_matches_graphs
+from naive_reference import assert_plan_matches_graphs, assert_same_fields
 
 DATA = Path(__file__).parent / "data"
 CFG = ModelConfig(dim=8, heads=2, layers=2, proj_dim=4, seed=3)
@@ -64,6 +65,17 @@ def commit_lists(draw):
     shapes = draw(st.permutations(drawn + SPECIAL))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return [commit(rng, f"c{i}", *shape) for i, shape in enumerate(shapes)]
+
+
+def stacked_graph(graphs):
+    """``graphs`` as one graph, in list order, each one's node ids offset by the nodes of those
+    before it."""
+    nodes, edges, base = [], [], 0
+    for g in graphs:
+        nodes += [dataclasses.replace(node, id=node.id + base) for node in g.nodes]
+        edges += [DepEdge(e.src + base, e.dst + base, e.kind) for e in g.edges]
+        base += len(g.nodes)
+    return CommitGraph(commit_id="stacked", nodes=tuple(nodes), edges=tuple(edges))
 
 
 def alone(model, eg):
@@ -116,36 +128,27 @@ class TestUnionScoring:
     @settings(max_examples=40, deadline=None)
     @given(embedded=commit_lists())
     def test_the_union_plan_is_checked_once_and_holds_each_commits_edges(self, embedded):
-        # read through node_ids, each kind's run of edges is the commits' edges of that kind,
-        # in commit order, with node ids offset by the nodes of the commits before
+        # field for field, node_ids and the scored block included, the union is build_plan of
+        # the commits' graphs stacked in order, with node ids offset by the commits before
         plans = [eg.plan for eg in embedded]
         union = union_plan(plans)
+        want = build_plan(stacked_graph([eg.graph for eg in embedded]))
+        assert_same_fields(union, want)
         n = sum(p.n for p in plans)
         e = sum(len(p.src) for p in plans)
-        node_base = np.cumsum([0] + [p.n for p in plans])[:-1]
         assert union.n == n
         for name, bound in (("src", n), ("dst", n), ("mu_idx", MU_SIZE), ("node_ids", n)):
             array = getattr(union, name)
             assert type(array) is CheckedIndex and array.bound == bound, name
             assert len(array) == (n if name == "node_ids" else e), name
-        for kind, rows in union.edge_rows.items():
-            parts = [(p, p.edge_rows[kind], base) for p, base in zip(plans, node_base)
-                     if kind in p.edge_rows]
-            for name in ("src", "dst"):
-                assert np.array_equal(union.node_ids[getattr(union, name)[rows]], np.concatenate(
-                    [p.node_ids[getattr(p, name)[r]] + base for p, r, base in parts])), name
-            assert np.array_equal(union.mu_idx[rows],
-                                  np.concatenate([p.mu_idx[r] for p, r, _base in parts]))
-        for kind, rows in union.node_rows.items():
-            assert np.array_equal(union.node_ids[rows], np.concatenate(
-                [p.node_ids[p.node_rows[kind]] + base for p, base in zip(plans, node_base)
-                 if kind in p.node_rows]))
         # the same arrays offset by hand were never checked, so no op takes them
+        node_base = np.cumsum([0] + [p.n for p in plans])[:-1]
         by_hand = np.concatenate([p.src + base for p, base in zip(plans, node_base)])
-        with pytest.raises(ValueError, match=r"^take_rows: index must be a CheckedIndex"):
-            ad.take_rows(None, constant(np.zeros((n, 2))), by_hand)
         x, mu = constant(np.zeros((n, 2))), constant(np.ones((MU_SIZE, 1)))
         typed = [(np.arange(n), constant(np.eye(2)), constant(np.zeros(2)))]
+        with pytest.raises(ValueError, match=r"^attend: src must be a CheckedIndex"):
+            ad.attend(None, x, x, typed, typed, typed, [], [], mu, by_hand, union.dst,
+                      union.mu_idx, 1)
         with pytest.raises(ValueError, match=r"^attend: keys groups must be non-empty runs"):
             ad.attend(None, x, x, typed, typed, typed, [], [], mu, union.src, union.dst,
                       union.mu_idx, 1)
@@ -218,7 +221,7 @@ class TestUnionScoring:
 
     def test_a_union_of_one_plan_is_that_plan(self):
         eg = commit(np.random.default_rng(0), "one", 3, 2, 0.5)
-        assert union_plan([eg.plan]) is eg.plan
+        assert_same_fields(union_plan([eg.plan]), eg.plan)
 
     def test_batches_fill_up_to_the_budget_and_a_larger_commit_runs_alone(self):
         rng = np.random.default_rng(5)

@@ -118,3 +118,26 @@ def test_the_check_sees_an_unreferenced_definition():
         "Plan(log=[]).size()\n")
     assert _unread_members({"members.py": members}) == [
         "members.py: Index.stale", "members.py: Plan.orphan", "members.py: Plan.unused"]
+
+
+def _constructor_calls(trees: dict[str, ast.AST], name: str) -> list[tuple[str, str | None]]:
+    """(file, top-level definition) of every call of ``name``, as a name or an attribute;
+    None for a call outside any definition."""
+    return [(filename, getattr(top, "name", None))
+            for filename, tree in sorted(trees.items()) for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None))]
+
+
+def test_every_plan_is_laid_out_by_one_function():
+    # aggregation._kind_major lays out every plan, a union's too; a second GraphPlan call
+    # would be a second layout
+    assert _constructor_calls(_src_trees(), "GraphPlan") == [("aggregation.py", "_kind_major")]
+
+
+def test_the_layout_check_sees_a_second_constructor_call():
+    tree = ast.parse("def layout():\n    return Plan()\n\n\ndef union():\n    return m.Plan()\n\n\n"
+                     "Plan()\n")
+    assert _constructor_calls({"plans.py": tree}, "Plan") == [
+        ("plans.py", "layout"), ("plans.py", "union"), ("plans.py", None)]
