@@ -92,6 +92,11 @@ class TestForwardExamples:
         out = ad.layer_norm(None, constant(np.zeros((2, 4))), gain, bias)
         np.testing.assert_allclose(out.data, 0.25)
 
+    def test_take_rows_takes_a_run_in_order(self):
+        a = constant([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        out = ad.take_rows(None, a, slice(1, 3))
+        assert out.data.tolist() == [[3.0, 4.0], [5.0, 6.0]]
+
     def test_segment_sum_adds_rows_per_segment(self):
         a = constant([[1.0], [2.0], [4.0]])
         out = segment_sum(None, a, np.array([2, 0, 2]), 4)
@@ -349,6 +354,22 @@ class TestScatterAgainstRowOracle:
     """The flattened 1-D scatters are bit-identical to the row-scatter forms."""
 
     @settings(max_examples=300, deadline=None)
+    @given(case=scatter_cases(), start=st.integers(0, 6))
+    @example(case=EMPTY_INDEX, start=0)
+    @example(case=NEGATIVE_ZEROS, start=1)
+    def test_take_rows_backward(self, case, start):
+        # the run's rows are distinct, so the row scatter of g into zeros at them is the
+        # addition take_rows' backward makes, -0.0 into +0.0 included
+        segments, _ids, _values, g, _shift = case
+        rows = slice(start, start + len(g))
+        a = Tensor(np.ones((start + len(g) + segments,) + g.shape[1:]), requires_grad=True)
+        tape = Tape()
+        loss = scalarize(tape, ad.take_rows(tape, a, rows), g)
+        expected = np.zeros(a.shape)
+        naive_scatter(np.add, expected, np.arange(rows.start, rows.stop), g)
+        assert_same_bits(backward(tape, loss)[a], expected)
+
+    @settings(max_examples=300, deadline=None)
     @given(case=scatter_cases())
     @example(case=EMPTY_INDEX)
     @example(case=NEGATIVE_ZEROS)
@@ -440,6 +461,16 @@ class TestPerOpGradients:
         a = Tensor(self._rand(4, 3), requires_grad=True)
         w = self._rand(4, 3)
         check_op(lambda tape, _: scalarize(tape, column_softmax(tape, a), w), [a])
+
+    def test_take_rows_of_a_run(self):
+        a = Tensor(self._rand(5, 3), requires_grad=True)
+        w = self._rand(3, 3)
+        check_op(lambda tape, _: scalarize(tape, ad.take_rows(tape, a, slice(1, 4)), w), [a])
+
+    def test_take_rows_of_a_vector(self):
+        a = Tensor(self._rand(4), requires_grad=True)
+        w = self._rand(2)
+        check_op(lambda tape, _: scalarize(tape, ad.take_rows(tape, a, slice(2, 4)), w), [a])
 
     def test_segment_sum_with_empty_segments(self):
         # segments 0, 2 and 5 receive no rows
@@ -1056,6 +1087,11 @@ class TestNonIntegerIndices:
     def test_checked_index(self, index, dtype):
         with pytest.raises(ValueError, match=f"^indices must be integers, got dtype {dtype}$"):
             ad.checked_index(index, 3)
+
+    @pytest.mark.parametrize("index, dtype", NON_INTEGER_INDICES)
+    def test_take_rows(self, index, dtype):
+        with pytest.raises(ValueError, match=r"^take_rows: rows must be a run start:stop "):
+            ad.take_rows(None, constant(np.zeros((3, 2))), index)
 
     @pytest.mark.parametrize("index, dtype", NON_INTEGER_INDICES)
     @pytest.mark.parametrize("side", ["pair_i", "pair_j"])
